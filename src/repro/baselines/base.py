@@ -33,11 +33,10 @@ from repro.engine import (
     RoundSpec,
     run_training_loop,
 )
-from repro.errors import TrainingError
+from repro.errors import ConfigurationError, MasterFailedError, TrainingError
 from repro.linalg import CSRMatrix
 from repro.models.base import StatisticsModel
 from repro.optim.base import Optimizer
-from repro.errors import MasterFailedError
 from repro.net.protocol import ProtocolChecker
 from repro.partition.dispatch import load_row_partitioned
 from repro.partition.row import RowPartitioner
@@ -125,7 +124,8 @@ class BaselineTrainer:
         self._params: Optional[np.ndarray] = None
         self._engine: Optional[RoundEngine] = None
         self.load_report = None
-        #: the LocalRuntime of the most recent backend='local' fit()
+        #: the started LocalRuntime a backend='local' trainer's rounds
+        #: run on (attached by ``run_local_rowsgd`` for the length of a run)
         self.local_runtime = None
 
     # ------------------------------------------------------------------
@@ -201,42 +201,67 @@ class BaselineTrainer:
         if self.config.eval_every:
             self._record(result, -1, 0.0, 0, evaluate=True)
 
-        if self.config.backend == "local":
+        return self._train(iterations, result)
+
+    def _train(self, iterations: int, result: TrainingResult) -> TrainingResult:
+        """Algorithm 2's loop, on either backend.
+
+        ``backend='local'`` needs worker processes: with none attached,
+        ``run_local_rowsgd`` hosts them for the run and re-enters.
+        """
+        if self.config.backend == "local" and self.local_runtime is None:
             from repro.baselines.localexec import run_local_rowsgd
 
             return run_local_rowsgd(self, iterations, result)
 
-        self._engine = RoundEngine(
-            self, self.cluster, straggler=self.straggler,
-            check_effects=self.config.check_effects,
-            check_cost=self.config.check_cost,
-        )
-        checker = ProtocolChecker(self.cluster) if self.config.check_protocol else None
+        self._engine = self._make_engine()
+        substrate = self.local_runtime or self.cluster
+        checker = ProtocolChecker(substrate) if self.config.check_protocol else None
         run_training_loop(
-            cluster=self.cluster,
+            cluster=substrate,
             run_round=self.run_round,
             iterations=iterations,
             eval_every=self.config.eval_every,
             record=lambda t, duration, bytes_sent, evaluate: self._record(
                 result, t, duration, bytes_sent, evaluate
             ),
-            handle_failures=self._handle_failures,
+            # the trainer itself on sim, its master program on local
+            handle_failures=self._engine.trainer._handle_failures,
             checker=checker,
         )
 
         result.final_params = np.array(self._params, copy=True)
         return result
 
+    def _make_engine(self) -> RoundEngine:
+        """A fresh engine over :meth:`round_spec`; on ``backend='local'``
+        the master program stands in for the trainer as the executor."""
+        executor = self
+        if self.config.backend == "local":
+            from repro.baselines.localexec import RowMasterProgram
+
+            if self.local_runtime is None:
+                raise ConfigurationError(
+                    "backend='local' rounds run on worker processes and none "
+                    "are attached: call fit()"
+                )
+            executor = RowMasterProgram(self, self.local_runtime)
+        return RoundEngine(
+            executor, self.cluster, spec=self.round_spec(),
+            straggler=self.straggler,
+            check_effects=self.config.check_effects,
+            check_cost=self.config.check_cost,
+            runtime=self.local_runtime,
+        )
+
     # ------------------------------------------------------------------
     def run_round(self, t: int):
         """One engine round (used by fit(), benchmarks and tests);
-        returns the :class:`~repro.engine.RoundOutcome`."""
+        returns the :class:`~repro.engine.RoundOutcome`.  On
+        ``backend='local'`` it runs on the attached worker processes
+        (:class:`~repro.errors.ConfigurationError` if none)."""
         if self._engine is None:
-            self._engine = RoundEngine(
-                self, self.cluster, straggler=self.straggler,
-                check_effects=self.config.check_effects,
-                check_cost=self.config.check_cost,
-            )
+            self._engine = self._make_engine()
         return self._engine.run_round(t)
 
     # ------------------------------------------------------------------
@@ -336,10 +361,9 @@ class BaselineTrainer:
         data = dataset if dataset is not None else self._dataset
         return self.model.loss(data.features, data.labels, self._params)
 
-    def _record(self, result, iteration, duration, bytes_sent, evaluate,
-                now: Optional[float] = None) -> None:
-        """Append one iteration record; ``now`` overrides the timestamp
-        source (the local backend passes its wall clock)."""
+    def _record(self, result, iteration, duration, bytes_sent, evaluate) -> None:
+        """Append one iteration record, stamped on the run's clock (the
+        attached runtime's measured one, else the simulated one)."""
         loss = self.evaluate_loss() if evaluate else None
         if loss is not None and not np.isfinite(loss):
             raise TrainingError(
@@ -348,7 +372,7 @@ class BaselineTrainer:
         result.add(
             IterationRecord(
                 iteration=iteration,
-                sim_time=self.cluster.clock.now() if now is None else now,
+                sim_time=(self.local_runtime or self.cluster).clock.now(),
                 duration=duration,
                 loss=loss,
                 bytes_sent=bytes_sent,

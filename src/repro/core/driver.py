@@ -32,6 +32,7 @@ from repro.core.worker import ColumnWorker, PartitionState
 from repro.datasets.dataset import Dataset
 from repro.engine import (
     BackupSync,
+    BarrierSync,
     CommPhase,
     ComputePhase,
     MasterPhase,
@@ -215,8 +216,12 @@ class ColumnSGDDriver:
         #: per-worker shard cache counters of the most recent
         #: backend='local' fit() (worker id -> partition id -> stats)
         self.store_read_stats: Dict[int, Dict[int, Dict[str, int]]] = {}
-        #: the LocalRuntime of the most recent backend='local' fit()
+        #: the started LocalRuntime a backend='local' driver's rounds run
+        #: on: attached by ``run_local_columnsgd`` for the length of a
+        #: run, or assigned by a caller that drives ``run_round`` itself
         self.local_runtime = None
+        #: the LocalCheckpointStore of the most recent backend='local' run
+        self.local_checkpoints = None
         self.load_report: Optional[LoadReport] = None
         #: phase durations of the most recent iteration (seconds), keyed
         #: by phase name — the input to time-breakdown analyses
@@ -396,28 +401,32 @@ class ColumnSGDDriver:
         if self.config.eval_every:
             self._record(result, iteration=-1, duration=0.0, bytes_sent=0, evaluate=True)
 
-        if self.config.backend == "local":
+        return self._train(iterations, result)
+
+    def _train(self, iterations: int, result: TrainingResult) -> TrainingResult:
+        """Algorithm 3's loop, on either backend.
+
+        ``backend='local'`` needs worker processes: with none attached,
+        ``run_local_columnsgd`` hosts them for the run and re-enters.
+        """
+        if self.config.backend == "local" and self.local_runtime is None:
             from repro.core.localexec import run_local_columnsgd
 
             return run_local_columnsgd(self, iterations, result)
 
-        self._engine = RoundEngine(
-            self,
-            self.cluster,
-            straggler=self.straggler,
-            check_effects=self.config.check_effects,
-            check_cost=self.config.check_cost,
-        )
-        checker = ProtocolChecker(self.cluster) if self.config.check_protocol else None
+        self._engine = self._make_engine()
+        substrate = self.local_runtime or self.cluster
+        checker = ProtocolChecker(substrate) if self.config.check_protocol else None
         stopped_at = run_training_loop(
-            cluster=self.cluster,
+            cluster=substrate,
             run_round=self.run_round,
             iterations=iterations,
             eval_every=self.config.eval_every,
             record=lambda t, duration, bytes_sent, evaluate: self._record(
                 result, t, duration, bytes_sent, evaluate
             ),
-            handle_failures=self._handle_failures,
+            # the driver itself on sim, its master program on local
+            handle_failures=self._engine.trainer._handle_failures,
             checker=checker,
             should_stop=lambda: self._should_stop_early(result),
         )
@@ -426,6 +435,30 @@ class ColumnSGDDriver:
 
         result.final_params = self.current_params()
         return result
+
+    def _make_engine(self) -> RoundEngine:
+        """A fresh engine over :meth:`round_spec`; on ``backend='local'``
+        the master program stands in for the driver as the executor."""
+        executor = self
+        if self.config.backend == "local":
+            from repro.core.localexec import ColumnMasterProgram
+
+            if self.local_runtime is None:
+                raise ConfigurationError(
+                    "backend='local' rounds run on worker processes and none "
+                    "are attached: call fit(), or assign a started runtime "
+                    "(repro.core.localexec.make_local_runtime) to local_runtime"
+                )
+            executor = ColumnMasterProgram(self, self.local_runtime)
+        return RoundEngine(
+            executor,
+            self.cluster,
+            spec=self.round_spec(),
+            straggler=self.straggler,
+            check_effects=self.config.check_effects,
+            check_cost=self.config.check_cost,
+            runtime=self.local_runtime,
+        )
 
     def _should_stop_early(self, result: TrainingResult) -> bool:
         """Plateau detection over the evaluated-loss series."""
@@ -448,11 +481,13 @@ class ColumnSGDDriver:
         gather-reduce-broadcast interlude.  Table I, ColumnSGD row:
         K pushes + K broadcasts of ``B * width`` values per round.
 
-        With ``config.overlap`` (the default) the spec declares real
-        ``after=`` overlap — streaming reduce concurrent with the
-        statistics gather, next-batch prefetch concurrent with the
-        whole network interlude — see :meth:`_overlap_round_spec`."""
-        if self.config.overlap:
+        With ``config.overlap`` (the default) the simulated spec
+        declares real ``after=`` overlap — streaming reduce concurrent
+        with the statistics gather, next-batch prefetch concurrent with
+        the whole network interlude — see :meth:`_overlap_round_spec`.
+        On real processes nothing overlaps: ``backend='local'`` runs
+        the five sequential phases below."""
+        if self.config.backend == "sim" and self.config.overlap:
             return self._overlap_round_spec()
         return RoundSpec(
             system="ColumnSGD",
@@ -547,7 +582,14 @@ class ColumnSGDDriver:
         )
 
     def _sync_policy(self):
-        """The spec's sync policy, from the config's ``sync_*`` knobs."""
+        """The spec's sync policy, from the config's ``sync_*`` knobs.
+
+        On ``backend='local'`` the knobs configure the transport's
+        deadlines instead (``make_local_runtime``), and who is chosen or
+        stale is what that transport delivered — the engine just waits
+        for it."""
+        if self.config.backend == "local":
+            return BarrierSync()
         if self.config.sync_policy == "backup":
             return BackupSync(self.groups)
         return TimeoutSync(
@@ -566,16 +608,12 @@ class ColumnSGDDriver:
         """Execute one engine round (public: benches drive this directly).
 
         Does not advance the clock; refreshes ``last_phase_seconds``,
-        ``last_worker_seconds`` and ``last_killed``.
+        ``last_worker_seconds`` and ``last_killed``.  On
+        ``backend='local'`` the round runs on the attached worker
+        processes (:class:`~repro.errors.ConfigurationError` if none).
         """
         if self._engine is None:
-            self._engine = RoundEngine(
-                self,
-                self.cluster,
-                straggler=self.straggler,
-                check_effects=self.config.check_effects,
-                check_cost=self.config.check_cost,
-            )
+            self._engine = self._make_engine()
         outcome = self._engine.run_round(t)
         self.last_phase_seconds = dict(outcome.phase_seconds)
         self.last_worker_seconds = {
@@ -828,9 +866,17 @@ class ColumnSGDDriver:
     # evaluation helpers
     # ------------------------------------------------------------------
     def current_params(self) -> np.ndarray:
-        """Assemble the full model from the column partitions."""
+        """Assemble the full model from the column partitions.
+
+        Attached worker processes own the live partitions; they are
+        copied back first (out of band, like the simulator's free
+        evaluation)."""
         if self._index is None:
             raise TrainingError("no model yet; call load() first")
+        if self.local_runtime is not None:
+            from repro.core.localexec import sync_params
+
+            sync_params(self.local_runtime, self)
         full = np.zeros(
             self.model.param_shape(self._n_features), dtype=np.float64
         )
@@ -879,11 +925,9 @@ class ColumnSGDDriver:
         duration: float,
         bytes_sent: int,
         evaluate: bool,
-        now: Optional[float] = None,
     ) -> None:
-        """Append one iteration record; ``now`` overrides the timestamp
-        source (the local backend passes its wall clock — the simulated
-        clock does not advance on that path)."""
+        """Append one iteration record, stamped on the run's clock (the
+        attached runtime's measured one, else the simulated one)."""
         loss = self.evaluate_loss() if evaluate else None
         if loss is not None and not np.isfinite(loss):
             raise TrainingError(
@@ -895,7 +939,7 @@ class ColumnSGDDriver:
         result.add(
             IterationRecord(
                 iteration=iteration,
-                sim_time=self.cluster.clock.now() if now is None else now,
+                sim_time=(self.local_runtime or self.cluster).clock.now(),
                 duration=duration,
                 loss=loss,
                 bytes_sent=bytes_sent,

@@ -1,12 +1,12 @@
-"""ColumnSGD on the local multiprocess backend.
+"""ColumnSGD on the local multiprocess backend: the two ends of the pipe.
 
-:func:`run_local_columnsgd` executes Algorithm 3 against a
-:class:`~repro.runtime.LocalRuntime`: every logical worker is a real OS
-process holding its column partition(s), statistics cross process
-boundaries as codec-encoded payloads
-(:func:`~repro.storage.serialization.encode_payload`), and the round's
-duration is measured wall-clock instead of derived from Table-I
-formulas.
+A local round is sequenced by :class:`~repro.engine.RoundEngine` — the
+sequential ``RoundSpec`` the simulator also runs, executed against a
+:class:`~repro.runtime.LocalRuntime` — so this module holds only what
+is backend-specific: :class:`ColumnWorkerProgram`, the handler table
+hosted in each worker process; :class:`ColumnMasterProgram`, the
+master-side bodies of the phases the spec names; and the entry point
+that attaches a runtime to a driver.
 
 The numerics are the same code the simulator runs —
 :class:`~repro.core.worker.ColumnWorker` in the worker processes,
@@ -20,33 +20,23 @@ lossless and a fixed-seed run reproduces the simulator's trajectory
 exactly; ``fp32`` rounds through float32 on encode, matching the
 simulated wire's semantics value for value.
 
-Fault tolerance mirrors the simulator's pipeline on real processes
-(see ``docs/faults.md``):
+Faults are real (``docs/faults.md``): a
+:class:`~repro.runtime.LocalChaos` plan passed as ``failures=``
+SIGKILLs, stalls, drops and garbles; the runtime detects death and
+silence and its :meth:`~repro.runtime.LocalRuntime.exchange` respawns
+and re-issues.  This side adds the restore step — the on-disk
+:class:`~repro.core.recovery.LocalCheckpointStore` snapshot, else
+zero-init (rollback, no replay, like the simulated ``RecoveryManager``)
+— and the fate of silent-but-alive workers (``sync_on_exhausted='stale'``
+substitutes the master's cached contribution for the round; anything
+else escalates).
 
-* a :class:`~repro.runtime.LocalChaos` plan passed as ``failures=``
-  SIGKILLs worker processes, stalls handlers, and drops/garbles reply
-  frames — seeded and deterministic per seed;
-* the transport detects death (pipe EOF) and silence (TimeoutSync-style
-  alpha x median deadlines) and this executor recovers: dead processes
-  are respawned and their logical workers restored from the on-disk
-  :class:`~repro.core.recovery.LocalCheckpointStore` (codec decode +
-  optimizer reload — rollback to snapshot, no replay, exactly like the
-  simulated ``RecoveryManager``), falling back to zero-init when no
-  snapshot exists;
-* silent-but-alive workers follow the config's sync policy: ``'stale'``
-  substitutes the master's cached contribution for the round (the
-  worker catches up in pipe order), ``'raise'``/plain-barrier escalates;
-* every episode lands on the engine trace as
-  :class:`~repro.engine.trace.RetryEvent` /
-  :class:`~repro.engine.trace.RecoveryEvent`, so ``fault_timeline`` and
-  gantt rendering work unchanged.
-
-Byte accounting uses the *actual* encoded lengths, which equal the
+Bytes are accounted at the *actual* encoded lengths, which equal the
 simulator's size model by construction — so a
-:class:`~repro.net.protocol.ProtocolChecker` run against the local
-runtime audits real bytes against the same Table-I expectations
-(retransmissions under a RETRY envelope, checkpoint/restore traffic as
-unchecked CHECKPOINT chatter, like the sim).
+:class:`~repro.net.protocol.ProtocolChecker` on the local runtime
+audits real bytes against the engine-derived Table-I expectations
+(retransmissions under the engine's RETRY envelope, checkpoint/restore
+traffic as unchecked CHECKPOINT chatter, like the sim).
 """
 
 from __future__ import annotations
@@ -60,38 +50,18 @@ import numpy as np
 from repro.core.recovery import LocalCheckpointStore
 from repro.core.results import TrainingResult
 from repro.core.worker import ColumnWorker
-from repro.engine import EngineTrace, PhaseEvent, RoundOutcome, run_training_loop
-from repro.engine.trace import RecoveryEvent
-from repro.errors import ConfigurationError, WorkerUnresponsiveError
+from repro.errors import ConfigurationError
 from repro.net.message import Message, MessageKind
-from repro.net.protocol import ProtocolChecker, TrafficEnvelope
 from repro.partition.indexing import TwoPhaseIndex
 from repro.runtime.chaos import LocalChaos
 from repro.runtime.deadline import TimeoutPolicy
-from repro.runtime.local import LocalRuntime, WorkerReply
+from repro.runtime.local import LocalRuntime
 from repro.storage.serialization import (
     OBJECT_OVERHEAD_BYTES,
     DenseVectorPayload,
     decode_payload,
     encode_payload,
 )
-
-#: phase order of one local ColumnSGD round, for trace rendering
-_PHASES = ("compute_statistics", "gather", "reduce", "broadcast", "update_model")
-_CATEGORIES = {
-    "compute_statistics": "compute",
-    "gather": "comm",
-    "reduce": "master",
-    "broadcast": "comm",
-    "update_model": "compute",
-}
-_KINDS = {
-    "gather": MessageKind.STATISTICS_PUSH.value,
-    "broadcast": MessageKind.STATISTICS_BCAST.value,
-}
-
-#: bounded death-recovery attempts per exchange before escalating
-_MAX_RECOVERY_ROUNDS = 3
 
 
 @dataclass
@@ -184,14 +154,139 @@ class ColumnWorkerProgram:
         raise ValueError("unknown op {!r}".format(op))
 
 
-def _build_program(driver, worker_id: int) -> ColumnWorkerProgram:
-    """A (fresh) program for one logical worker, for start or respawn."""
-    return ColumnWorkerProgram(
-        worker=driver._workers[worker_id],
-        index=driver._index,
-        batch_size=driver.config.batch_size,
-        wire_precision=driver.config.wire_precision,
-    )
+@dataclass
+class ColumnMasterProgram:
+    """The master's side of a local round.
+
+    Its methods carry the executor names of the driver's sequential
+    ``RoundSpec``, so the engine runs that spec with this object in the
+    trainer's place: a compute phase is one
+    :meth:`~repro.runtime.LocalRuntime.exchange` with the worker
+    processes (per-worker times are the replies' measured handler
+    seconds, and the exchange's transport remainder is the seconds of
+    the comm phase it carried), the master phase runs under
+    ``runtime.measure``, and comm sizes are real encoded lengths.
+    """
+
+    driver: object
+    runtime: LocalRuntime
+
+    def _handle_failures(self, t: int) -> float:
+        """Pre-round upkeep inside the protocol checker's window: strike
+        the round's chaos, then spill a checkpoint when one is due
+        (returns that exchange's seconds)."""
+        driver, runtime = self.driver, self.runtime
+        if isinstance(driver.failures, LocalChaos):
+            runtime.inject_faults(driver.failures.events_at(t))
+        store = driver.local_checkpoints
+        if store is None or t % driver.recovery_policy.checkpoint_every:
+            return 0.0
+        # workers found dead here are recovered by the round's first
+        # exchange; their partitions keep the previous snapshot
+        exchange = runtime.run_all("checkpoint", iteration=t, raise_on_fault=False)
+        for w, reply in exchange.replies.items():
+            runtime.network.send(
+                Message(
+                    MessageKind.CHECKPOINT,
+                    w,
+                    Message.MASTER,
+                    OBJECT_OVERHEAD_BYTES + len(reply.payload),
+                )
+            )
+            for pid, (shape, params_bytes, opt_blob) in pickle.loads(
+                reply.payload
+            ).items():
+                store.write(t, pid, shape, params_bytes, opt_blob)
+        return exchange.seconds
+
+    def _restore(self, worker: int) -> Tuple[str, bytes]:
+        """Restore step for a respawned worker: per partition the on-disk
+        snapshot, else zero-init (backup replicas need ``backup > 0``,
+        which this backend does not host)."""
+        store = self.driver.local_checkpoints
+        mode = "checkpoint"
+        blob = {}
+        for pid in self.driver.groups.partitions_of_worker(worker):
+            if store is not None and store.has_snapshot(pid):
+                _, shape, params_bytes, opt_blob = store.read(pid)
+                blob[pid] = (shape, params_bytes, opt_blob)
+            else:
+                blob[pid] = (None, None, None)
+                mode = "zero-init"
+        return mode, pickle.dumps(blob)
+
+    def _phase_compute_statistics(self, ctx) -> Dict[int, float]:
+        """Step 1.  Who is chosen or stale is what the transport
+        delivered: a worker silent past every retry leaves its group
+        stale for the round when the sync policy allows, else escalates."""
+        config = self.driver.config
+        exchange = self.runtime.exchange(
+            "compute",
+            iteration=ctx.t,
+            args={"t": ctx.t},
+            restore=self._restore,
+            tolerate_silent=(
+                config.sync_policy != "backup" and config.sync_on_exhausted == "stale"
+            ),
+        )
+        replies = exchange.replies
+        ctx.stale_groups = {
+            w // self.driver.groups.group_size for w in exchange.failures
+        }
+        ctx.scratch["payloads"] = {w: replies[w].payload for w in sorted(replies)}
+        ctx.scratch["shape"] = replies[min(replies)].result["shape"]
+        ctx.comm_seconds["gather"] = exchange.comm_seconds()
+        ctx.resends += exchange.retries
+        return {w: reply.seconds for w, reply in replies.items()}
+
+    def _statistics_push_sizes(self, ctx) -> List[int]:
+        """One push per worker that arrived, at its encoded length."""
+        return [len(payload) for payload in ctx.scratch["payloads"].values()]
+
+    def _phase_reduce(self, ctx) -> float:
+        """Decode the arrived statistics, reduce, encode the broadcast."""
+        payloads, shape = ctx.scratch["payloads"], ctx.scratch["shape"]
+
+        def reduce_step() -> bytes:
+            stats_by_worker = {
+                w: (
+                    decode_payload(payloads[w]).values.reshape(shape)
+                    if w in payloads
+                    else None
+                )
+                for w in range(self.runtime.n_workers)
+            }
+            reduced = self.driver.master.reduce(
+                stats_by_worker, stale_groups=ctx.stale_groups or None
+            )
+            return encode_payload(
+                DenseVectorPayload(
+                    reduced, precision=self.driver.config.wire_precision
+                )
+            )
+
+        ctx.scratch["reduced"], seconds = self.runtime.measure(reduce_step)
+        return seconds
+
+    def _statistics_size(self, ctx) -> int:
+        return len(ctx.scratch["reduced"])
+
+    def _phase_update_model(self, ctx) -> Dict[int, float]:
+        """Step 3.  A silent updater already has the frame queued and
+        applies it in pipe order before its next op — no numeric
+        divergence, so the round proceeds (its RetryEvents are on the
+        trace)."""
+        exchange = self.runtime.exchange(
+            "update",
+            iteration=ctx.t,
+            args={"t": ctx.t, "shape": ctx.scratch["shape"]},
+            payload=ctx.scratch["reduced"],
+            restore=self._restore,
+            tolerate_silent=True,
+        )
+        ctx.comm_seconds["broadcast"] = exchange.comm_seconds()
+        ctx.resends += exchange.retries
+        return {w: reply.seconds for w, reply in exchange.replies.items()}
 
 
 def make_local_runtime(driver) -> Tuple[LocalRuntime, Dict[int, ColumnWorkerProgram]]:
@@ -222,7 +317,13 @@ def make_local_runtime(driver) -> Tuple[LocalRuntime, Dict[int, ColumnWorkerProg
         timeout=timeout,
     )
     programs = {
-        w: _build_program(driver, w) for w in range(driver.cluster.n_workers)
+        w: ColumnWorkerProgram(
+            worker=driver._workers[w],
+            index=driver._index,
+            batch_size=config.batch_size,
+            wire_precision=config.wire_precision,
+        )
+        for w in range(driver.cluster.n_workers)
     }
     return runtime, programs
 
@@ -233,282 +334,36 @@ def run_local_columnsgd(
     result: TrainingResult,
     runtime: Optional[LocalRuntime] = None,
 ) -> TrainingResult:
-    """Drive ``iterations`` real multiprocess rounds for ``driver``.
+    """Run ``driver``'s training loop with a runtime attached.
 
-    Called by :meth:`~repro.core.driver.ColumnSGDDriver.fit` when the
-    config says ``backend='local'``; ``result`` already carries the run
-    metadata (and the initial evaluation record).  An externally
-    started ``runtime`` may be passed for tests; otherwise one is
-    created, started, and closed here.
+    The driver's ``fit()`` lands here when ``backend='local'``: a
+    runtime is created, started, and closed around the run.  Benches and
+    tests pass their own started ``runtime``, which is left running.
+    ``result`` already carries the run metadata (and the initial
+    evaluation record).
     """
-    config = driver.config
     owns_runtime = runtime is None
     if owns_runtime:
         runtime, programs = make_local_runtime(driver)
         runtime.start(programs)
-    driver.local_runtime = runtime
     # Continue the recorded time axis: load() charged simulated seconds
     # to the cluster clock and the initial eval record carries that
     # offset, so measured rounds must accumulate on top of it.
     runtime.clock.reset(driver.cluster.clock.now())
-
-    trace = EngineTrace(system=result.system)
-    runtime.engine_trace = trace
-    driver.cluster.engine_trace = trace
-    checker = ProtocolChecker(runtime) if config.check_protocol else None
-    K = runtime.n_workers
-
-    chaos = driver.failures if isinstance(driver.failures, LocalChaos) else None
-    policy = driver.recovery_policy
-    store = LocalCheckpointStore() if policy.checkpoint_every else None
-    driver.local_checkpoints = store
-    stale_allowed = (
-        config.sync_policy != "backup" and config.sync_on_exhausted == "stale"
+    driver.local_runtime = runtime
+    store = (
+        LocalCheckpointStore() if driver.recovery_policy.checkpoint_every else None
     )
-
-    # ------------------------------------------------------------------
-    # fault pipeline: checkpoint, detect, respawn, restore
-    # ------------------------------------------------------------------
-    def write_checkpoint(t: int) -> float:
-        """Pull every live worker's snapshot blob and spill it to disk."""
-        ex = runtime.run_all("checkpoint", iteration=t, raise_on_fault=False)
-        for w, reply in ex.replies.items():
-            runtime.network.send(
-                Message(
-                    MessageKind.CHECKPOINT,
-                    w,
-                    Message.MASTER,
-                    OBJECT_OVERHEAD_BYTES + len(reply.payload),
-                )
-            )
-            for pid, (shape, params_bytes, opt_blob) in pickle.loads(
-                reply.payload
-            ).items():
-                store.write(t, pid, shape, params_bytes, opt_blob)
-        # dead workers discovered here are recovered by the round's first
-        # reliable exchange; their partitions keep the previous snapshot
-        return ex.seconds
-
-    def recover_dead(t: int, detect_s: float) -> float:
-        """Respawn dead processes and restore their logical workers.
-
-        Escalation per partition: checkpoint restore when a snapshot is
-        on disk, zero-init otherwise (backup replicas need backup > 0,
-        which the local backend does not host).  Records one
-        :class:`RecoveryEvent` per recovered worker.
-        """
-        dead = runtime.dead_workers()
-        if not dead:
-            return 0.0
-        respawn_s = runtime.respawn({w: _build_program(driver, w) for w in dead})
-        total = respawn_s
-        detect_share = detect_s
-        for w in dead:
-            blob = {}
-            restored_from_store = bool(driver.groups.partitions_of_worker(w))
-            for pid in driver.groups.partitions_of_worker(w):
-                if store is not None and store.has_snapshot(pid):
-                    _, shape, params_bytes, opt_blob = store.read(pid)
-                    blob[pid] = (shape, params_bytes, opt_blob)
-                else:
-                    blob[pid] = (None, None, None)
-                    restored_from_store = False
-            mode = "checkpoint" if restored_from_store else "zero-init"
-            payload = pickle.dumps(blob)
-            runtime.network.send(
-                Message(
-                    MessageKind.CHECKPOINT,
-                    Message.MASTER,
-                    w,
-                    OBJECT_OVERHEAD_BYTES + len(payload),
-                )
-            )
-            ex = runtime.run_all(
-                "restore", payload=payload, workers=[w], iteration=t
-            )
-            total += ex.seconds
-            trace.add_recovery(
-                RecoveryEvent(
-                    round=t,
-                    kind="worker",
-                    mode=mode,
-                    worker=w,
-                    detect_s=detect_share,
-                    reload_s=respawn_s / len(dead) + ex.seconds,
-                )
-            )
-            detect_share = 0.0  # the episode's detection delay is paid once
-        return total
-
-    def exchange_reliably(
-        t: int,
-        op: str,
-        args: Optional[dict] = None,
-        payload: Optional[bytes] = None,
-        per_worker_args: Optional[Dict[int, dict]] = None,
-    ) -> Tuple[Dict[int, WorkerReply], List[int], float, int]:
-        """One exchange that survives worker-process death.
-
-        Runs ``op`` across all workers; on detected death it respawns +
-        restores (checkpoint -> zero-init) and re-issues the op to every
-        worker still missing — deterministic ops make the re-run exact.
-        Returns ``(replies, silent_workers, seconds, retries)`` where
-        ``silent_workers`` are alive-but-timed-out workers left for the
-        sync policy to resolve.
-        """
-        replies: Dict[int, WorkerReply] = {}
-        failures: Dict[int, object] = {}
-        seconds = 0.0
-        retries = 0
-        targets = list(range(K))
-        extra = per_worker_args
-        for _ in range(_MAX_RECOVERY_ROUNDS):
-            ex = runtime.run_all(
-                op,
-                args=args,
-                payload=payload,
-                per_worker_args=extra,
-                workers=targets,
-                iteration=t,
-                raise_on_fault=False,
-            )
-            replies.update(ex.replies)
-            seconds += ex.seconds
-            retries += ex.retries
-            failures = dict(ex.failures)
-            if not ex.dead_workers():
-                break
-            seconds += recover_dead(t, detect_s=ex.seconds)
-            targets = sorted(failures)  # everyone still missing
-            extra = None  # injected straggler delays apply once
-        else:
-            raise WorkerUnresponsiveError(
-                op,
-                dead=runtime.dead_workers(),
-                silent=sorted(failures),
-            )
-        return replies, sorted(failures), seconds, retries
-
-    # ------------------------------------------------------------------
-    # the measured round
-    # ------------------------------------------------------------------
-    def run_round(t: int) -> RoundOutcome:
-        round_start = runtime.clock.now()
-        extra_s = 0.0
-        stall_args: Optional[Dict[int, dict]] = None
-        if chaos is not None:
-            stall_args = runtime.inject_faults(chaos.events_at(t)) or None
-        if store is not None and t % policy.checkpoint_every == 0:
-            extra_s += write_checkpoint(t)
-
-        stats_replies, silent, stats_s, retries = exchange_reliably(
-            t, "compute", args={"t": t}, per_worker_args=stall_args
-        )
-        if silent and not stale_allowed:
-            raise WorkerUnresponsiveError("compute", silent=silent)
-        arrived = sorted(stats_replies)
-        payloads = {w: stats_replies[w].payload for w in arrived}
-        sizes = [len(payloads[w]) for w in arrived]
-        runtime.gather(MessageKind.STATISTICS_PUSH, sizes)
-        shape = stats_replies[arrived[0]].result["shape"]
-        stale_groups = {w // driver.groups.group_size for w in silent}
-
-        def reduce_step() -> bytes:
-            stats_by_worker = {
-                w: (
-                    decode_payload(payloads[w]).values.reshape(shape)
-                    if w in payloads
-                    else None
-                )
-                for w in range(K)
-            }
-            reduced = driver.master.reduce(
-                stats_by_worker, stale_groups=stale_groups or None
-            )
-            return encode_payload(
-                DenseVectorPayload(reduced, precision=config.wire_precision)
-            )
-
-        reduced_payload, reduce_s = runtime.measure(reduce_step)
-        upd_replies, upd_silent, upd_s, upd_retries = exchange_reliably(
-            t, "update", args={"t": t, "shape": shape}, payload=reduced_payload
-        )
-        # a silent updater already has the frame queued and applies it in
-        # pipe order before its next op — no numeric divergence, so the
-        # round proceeds (its RetryEvents are on the trace)
-        retries += upd_retries
-        runtime.broadcast(MessageKind.STATISTICS_BCAST, len(reduced_payload))
-
-        stats_max = max((r.seconds for r in stats_replies.values()), default=0.0)
-        upd_max = max((r.seconds for r in upd_replies.values()), default=0.0)
-        phase_seconds = {
-            "compute_statistics": stats_max,
-            "gather": max(0.0, stats_s - stats_max),
-            "reduce": reduce_s,
-            "broadcast": max(0.0, upd_s - upd_max),
-            "update_model": upd_max,
-        }
-        _trace_round(trace, t, round_start, phase_seconds)
-        worker_seconds = {
-            "compute_statistics": {
-                w: r.seconds for w, r in stats_replies.items()
-            },
-            "update_model": {w: r.seconds for w, r in upd_replies.items()},
-        }
-        driver.last_phase_seconds = dict(phase_seconds)
-        driver.last_worker_seconds = {
-            name: dict(per_worker)
-            for name, per_worker in worker_seconds.items()
-        }
-        driver.last_killed = {
-            e.worker for e in trace.round_recoveries(t) if e.worker is not None
-        }
-        expected = {
-            MessageKind.STATISTICS_PUSH: (len(arrived), sum(sizes)),
-            MessageKind.STATISTICS_BCAST: (K, K * len(reduced_payload)),
-        }
-        if retries:
-            # each retry is one resend, plus (for garbles) one wasted
-            # arrival — bound, not exact, like the sim's ARQ envelope
-            frame = OBJECT_OVERHEAD_BYTES + max(sizes + [len(reduced_payload)])
-            expected[MessageKind.RETRY] = TrafficEnvelope(
-                retries, 2 * retries, 0, 2 * retries * frame
-            )
-        return RoundOutcome(
-            duration=stats_s + reduce_s + upd_s + extra_s,
-            phase_seconds=phase_seconds,
-            worker_seconds=worker_seconds,
-            chosen=set(arrived),
-            expected=expected,
-        )
-
-    def record(t: int, duration: float, bytes_sent: int, evaluate: bool) -> None:
-        if evaluate:
-            sync_params(runtime, driver)
-        driver._record(
-            result, t, duration, bytes_sent, evaluate, now=runtime.clock.now()
-        )
-
+    driver.local_checkpoints = store
     try:
-        stopped_at = run_training_loop(
-            cluster=runtime,
-            run_round=run_round,
-            iterations=iterations,
-            eval_every=config.eval_every,
-            record=record,
-            checker=checker,
-            should_stop=lambda: driver._should_stop_early(result),
-        )
-        if stopped_at is not None:
-            result.notes = "early stop at iteration {}".format(stopped_at)
-        sync_params(runtime, driver)
+        driver._train(iterations, result)
         driver.store_read_stats = collect_store_stats(runtime)
     finally:
+        driver.local_runtime = driver._engine = None
         if owns_runtime:
             runtime.close()
         if store is not None:
             store.close()
-    result.final_params = driver.current_params()
     return result
 
 
@@ -536,37 +391,3 @@ def collect_store_stats(runtime: LocalRuntime) -> Dict[int, Dict[int, Dict[str, 
     return {
         w: reply.result["stats"] for w, reply in exchange.replies.items()
     }
-
-
-def _trace_round(
-    trace: EngineTrace,
-    t: int,
-    round_start: float,
-    phase_seconds: Dict[str, float],
-) -> None:
-    """Record measured phases as sequential :class:`PhaseEvent` spans."""
-    offset = 0.0
-    for name in _PHASES:
-        seconds = phase_seconds[name]
-        trace.add(
-            PhaseEvent(
-                round=t,
-                phase=name,
-                category=_CATEGORIES[name],
-                start=offset,
-                end=offset + seconds,
-                sim_start=round_start + offset,
-                sim_end=round_start + offset + seconds,
-                kind=_KINDS.get(name),
-            )
-        )
-        offset += seconds
-
-
-def local_round_sizes(driver) -> List[int]:
-    """Analytic per-worker statistics bytes (what the codec must emit)."""
-    B, width = driver.config.batch_size, driver.model.statistics_width
-    from repro.storage.serialization import OBJECT_OVERHEAD_BYTES
-
-    size = OBJECT_OVERHEAD_BYTES + B * width * driver.config.wire_value_bytes
-    return [size] * driver.cluster.n_workers

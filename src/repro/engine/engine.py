@@ -27,9 +27,16 @@ from typing import Dict, Optional, Set
 from repro.engine.cost_audit import CostAuditor
 from repro.engine.effects import EffectChecker
 from repro.engine.events import EventQueue
-from repro.engine.spec import CommPhase, ComputePhase, MasterPhase, RoundSpec
+from repro.engine.spec import (
+    CommPhase,
+    ComputePhase,
+    MasterPhase,
+    RoundSpec,
+    TrafficEnvelope,
+)
 from repro.engine.trace import EngineTrace, PhaseEvent
 from repro.net.message import MessageKind
+from repro.storage.serialization import OBJECT_OVERHEAD_BYTES
 
 
 class RoundContext:
@@ -60,6 +67,13 @@ class RoundContext:
         #: the round's sync policy, for executors that need its state
         #: (SSP's version selection reads the commit history)
         self.sync = None
+        #: measured seconds of comm phases, set by the compute executor
+        #: whose exchange carried their frames: a measuring runtime's
+        #: transport only accounts bytes (the simulator's returns
+        #: modelled seconds and leaves this empty)
+        self.comm_seconds: Dict[str, float] = {}
+        #: frames that measured transport had to resend this round
+        self.resends = 0
 
 
 @dataclass
@@ -85,11 +99,14 @@ class RoundEngine:
     (a :class:`~repro.runtime.SimRuntime`), which forwards every call
     to the same topology/clock objects the engine used to touch
     directly — so trajectories are bit-identical to the pre-runtime
-    code path.  Pass ``runtime=`` to substitute another backend.
+    code path.  Pass ``runtime=`` to run the spec on another backend:
+    with a :class:`~repro.runtime.LocalRuntime`, ``trainer`` is the
+    master-side program whose executors exchange with the worker
+    processes and report measured seconds.
 
     Construction attaches a fresh :class:`EngineTrace` to
-    ``cluster.engine_trace`` (replacing any previous run's trace;
-    ``SimulatedCluster.reset()`` clears it).
+    ``cluster.engine_trace`` and ``runtime.engine_trace`` (replacing any
+    previous run's trace; ``SimulatedCluster.reset()`` clears it).
     """
 
     def __init__(self, trainer, cluster, spec: Optional[RoundSpec] = None,
@@ -112,6 +129,7 @@ class RoundEngine:
             CostAuditor() if check_cost else None
         )
         cluster.engine_trace = self.trace
+        self.runtime.engine_trace = self.trace
 
     # ------------------------------------------------------------------
     def run_round(self, t: int) -> RoundOutcome:
@@ -127,8 +145,6 @@ class RoundEngine:
         sync.before_round(ctx)
 
         round_start = self.runtime.clock.now()
-        queue = EventQueue()
-        ends: Dict[str, float] = {}
         phase_seconds: Dict[str, float] = {}
         worker_seconds: Dict[str, Dict[int, float]] = {}
         expected: Dict[MessageKind, tuple] = {}
@@ -138,6 +154,29 @@ class RoundEngine:
         if self.cost_audit is not None:
             self.cost_audit.begin_round()
 
+        # Execute in declaration order; schedule afterwards, because a
+        # measured comm phase learns its seconds only once the exchange
+        # that carries it has run (a broadcast precedes its carrier).
+        for phase in self.spec.phases:
+            if self.effects is not None:
+                trainer_view, ctx_view = self.effects.views(
+                    phase.name, self.trainer, ctx
+                )
+            else:
+                trainer_view, ctx_view = self.trainer, ctx
+            phase_seconds[phase.name] = self._execute(
+                phase, ctx_view, expected, worker_seconds, trainer_view
+            )
+        for name, seconds in ctx.comm_seconds.items():
+            phase_seconds[name] += seconds
+
+        if self.effects is not None:
+            self.effects.finish_round(t)
+        if self.cost_audit is not None:
+            self.cost_audit.finish_round(t)
+
+        queue = EventQueue()
+        ends: Dict[str, float] = {}
         previous = None
         for phase in self.spec.phases:
             if phase.after is None:
@@ -146,24 +185,9 @@ class RoundEngine:
                 start = 0.0  # overlaps everything declared before it
             else:
                 start = max(ends[dep] for dep in phase.after)
-            if self.effects is not None:
-                trainer_view, ctx_view = self.effects.views(
-                    phase.name, self.trainer, ctx
-                )
-            else:
-                trainer_view, ctx_view = self.trainer, ctx
-            duration = self._execute(
-                phase, ctx_view, expected, worker_seconds, trainer_view
-            )
-            ends[phase.name] = start + duration
-            phase_seconds[phase.name] = duration
-            queue.push(start, (phase, start, start + duration))
+            ends[phase.name] = start + phase_seconds[phase.name]
+            queue.push(start, (phase, start, ends[phase.name]))
             previous = phase.name
-
-        if self.effects is not None:
-            self.effects.finish_round(t)
-        if self.cost_audit is not None:
-            self.cost_audit.finish_round(t)
 
         critical_end = max(ends.values()) if ends else 0.0
         duration = sync.round_duration(ctx, critical_end)
@@ -184,7 +208,7 @@ class RoundEngine:
 
         if self.spec.envelopes is not None:
             expected.update(getattr(self.trainer, self.spec.envelopes)(ctx))
-        self._expect_retries(expected)
+        self._expect_retries(expected, ctx.resends)
         return RoundOutcome(
             duration=duration,
             phase_seconds=phase_seconds,
@@ -195,8 +219,7 @@ class RoundEngine:
         )
 
     # ------------------------------------------------------------------
-    def _execute(self, phase, ctx, expected, worker_seconds, trainer=None) -> float:
-        trainer = trainer if trainer is not None else self.trainer
+    def _execute(self, phase, ctx, expected, worker_seconds, trainer) -> float:
         if isinstance(phase, ComputePhase):
             per_worker = getattr(trainer, phase.run)(ctx)
             worker_seconds[phase.name] = dict(per_worker)
@@ -208,8 +231,7 @@ class RoundEngine:
             return float(getattr(trainer, phase.run)(ctx))
         return self._execute_comm(phase, ctx, expected, trainer)
 
-    def _execute_comm(self, phase: CommPhase, ctx, expected, trainer=None) -> float:
-        trainer = trainer if trainer is not None else self.trainer
+    def _execute_comm(self, phase: CommPhase, ctx, expected, trainer) -> float:
         runtime = self.runtime
         sizes = getattr(trainer, phase.sizes)(ctx)
         if phase.pattern == "gather":
@@ -246,20 +268,31 @@ class RoundEngine:
         have_count, have_bytes = expected.get(kind, (0, 0))
         expected[kind] = (have_count + count, have_bytes + total_bytes)
 
-    def _expect_retries(self, expected) -> None:
+    def _expect_retries(self, expected, resends: int) -> None:
         """Bound RETRY traffic when the fabric is lossy.
 
         The fault layer retransmits under :data:`MessageKind.RETRY`, so
         every base-kind expectation above stays *exact*; this derives
         the matching retry envelope — at most ``max_attempts`` extra
         copies of every declared message (stop-and-wait retries plus one
-        duplicate), at least zero.  On a lossless network no envelope is
-        added and any stray RETRY message is flagged as undeclared.
+        duplicate), at least zero.  A measured transport counted its
+        ``resends`` instead: each is one RETRY frame, two when a garbled
+        reply also wasted its arrival, none bigger than a frame header
+        on top of the round's largest declared transfer.  On a lossless
+        network no envelope is added and any stray RETRY message is
+        flagged as undeclared.
         """
+        if resends:
+            frame = OBJECT_OVERHEAD_BYTES + max(
+                total for _, total in expected.values()
+            )
+            expected[MessageKind.RETRY] = TrafficEnvelope(
+                resends, 2 * resends, 0, 2 * resends * frame
+            )
+            return
         plan = getattr(self.runtime.network, "fault_plan", None)
         if plan is None or not plan.any_faults():
             return
-        from repro.net.protocol import TrafficEnvelope
 
         max_messages = 0
         max_bytes = 0

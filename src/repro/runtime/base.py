@@ -82,6 +82,9 @@ class Runtime(abc.ABC):
 
     #: short backend identifier ("sim", "local")
     name: str = "abstract"
+    #: the trace of the :class:`~repro.engine.RoundEngine` driving this
+    #: runtime, where a backend records its retry/recovery episodes
+    engine_trace = None
 
     @property
     @abc.abstractmethod

@@ -23,29 +23,39 @@ Fault tolerance (the real-process port of ``docs/faults.md``):
   traffic exactly like the sim's lossy-link ARQ, and each expired
   deadline records a :class:`~repro.engine.trace.RetryEvent`;
 * a silent worker becomes a :class:`WorkerTimeout` and a SIGKILLed /
-  crashed process a :class:`WorkerDied` in ``Exchange.failures`` —
-  structured outcomes the executors feed into the recovery pipeline —
-  or a :class:`~repro.errors.WorkerUnresponsiveError` for callers that
-  asked ``run_all`` to raise;
-* :meth:`respawn` relaunches dead processes so the executors can
-  restore their logical workers from checkpoints.
+  crashed process a :class:`WorkerDied` in ``Exchange.failures``, or a
+  :class:`~repro.errors.WorkerUnresponsiveError` for callers that asked
+  ``run_all`` to raise;
+* :meth:`LocalRuntime.exchange` is the one death-surviving exchange:
+  respawn the dead processes, restore their logical workers, re-issue
+  the op to whoever is still missing, bounded attempts, one
+  :class:`~repro.engine.trace.RecoveryEvent` per worker.
 
-Division of labour with the trainer-side executors
-(``repro.core.localexec`` / ``repro.baselines.localexec``):
+Division of labour — who knows what about a local round:
 
-* the runtime owns processes, pipes, measurement, fault injection
-  mechanics, and traffic accounting — and is the only module in the
-  tree allowed to touch ``time`` (it lives outside the protocol-path
-  lint scope, and rule R008 sanctions calls into it);
-* the executors own the algorithm *and the recovery policy*: what ops
-  to issue, how to reduce, when to checkpoint, how to restore a
-  respawned worker.
+* :class:`~repro.engine.RoundEngine` **sequences** it: the trainer's
+  sequential ``RoundSpec`` runs phase by phase with this runtime passed
+  as ``runtime=``, and ``PhaseEvent``s, ``RoundOutcome``, expected
+  traffic and the RETRY envelope come from the engine exactly as on
+  ``sim``.  No other module knows the phase order.
+* This runtime owns processes, pipes, measurement, fault injection and
+  recovery mechanics, and traffic accounting — and is the only module
+  in the tree allowed to touch ``time`` (it lives outside the
+  protocol-path lint scope, and rule R008 sanctions calls into it).
+* The master-side programs in ``repro.core.localexec`` /
+  ``repro.baselines.localexec`` supply the phase *bodies* the spec
+  names (which op a compute phase issues, how the master reduces, the
+  encoded lengths a comm phase accounts) and the trainer's one say in
+  recovery: the restore step handed to :meth:`LocalRuntime.exchange`.
 
-The size-based :class:`Runtime` transport methods are implemented as
-**accounting primitives**: they record the per-kind/per-node
-:class:`~repro.net.message.Message` counters and return ``0.0``,
-because on this backend durations come from measurement (the
-:meth:`run_all` exchange result), not from byte formulas.
+The size-based :class:`Runtime` transport methods are **accounting
+primitives**: they record the per-kind/per-node
+:class:`~repro.net.message.Message` counters and return ``0.0``.  A
+comm phase's frames ride the exchange of a neighbouring compute phase,
+so its seconds are that exchange's transport remainder
+(:meth:`Exchange.comm_seconds`: measured exchange seconds minus the
+slowest handler), which the master program reports to the engine on
+``ctx.comm_seconds``.
 """
 
 from __future__ import annotations
@@ -57,7 +67,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
-from repro.engine.trace import RetryEvent
+from repro.engine.trace import RecoveryEvent, RetryEvent
 from repro.errors import (
     ConfigurationError,
     SimulationError,
@@ -84,6 +94,10 @@ _STOP = "__stop__"
 _PING = "__ping__"
 #: reserved args key carrying an injected straggler delay (seconds)
 _DELAY = "__delay__"
+#: op a respawned worker's program receives with its restore blob
+_RESTORE = "restore"
+#: bounded death-recovery attempts per exchange before escalating
+MAX_RECOVERY_ROUNDS = 3
 
 
 @dataclass(frozen=True)
@@ -276,12 +290,13 @@ class LocalRuntime(Runtime):
         self._conns: List[object] = []
         self._workers_of_proc: List[List[int]] = []
         self._dead_procs: set = set()
+        #: the programs given to :meth:`start`, kept for :meth:`respawn`
+        self._programs: Dict[int, object] = {}
         #: pending one-shot reply mangling per worker: 'drop' | 'garble'
         self._mangle: Dict[int, str] = {}
+        #: pending one-shot handler delay per worker (``__delay__`` args)
+        self._stalls: Dict[int, dict] = {}
         self._seq = 0
-        #: trace attached by the local executors (mirrors
-        #: ``SimulatedCluster.engine_trace``)
-        self.engine_trace = None
         self._started = False
 
     # ------------------------------------------------------------------
@@ -386,6 +401,7 @@ class LocalRuntime(Runtime):
             self._procs.append(proc)
             self._conns.append(conn)
             self._workers_of_proc.append(hosted)
+        self._programs = dict(programs)
         self._started = True
         return self
 
@@ -424,7 +440,7 @@ class LocalRuntime(Runtime):
             except OSError:
                 pass
         self._procs, self._conns, self._workers_of_proc = [], [], []
-        self._dead_procs, self._mangle = set(), {}
+        self._dead_procs, self._mangle, self._stalls = set(), {}, {}
         self._started = False
 
     # ------------------------------------------------------------------
@@ -465,22 +481,19 @@ class LocalRuntime(Runtime):
             join_within(proc, 5.0)
         self._dead_procs.add(i)
 
-    def inject_faults(
-        self, events: Iterable[LocalFaultEvent]
-    ) -> Dict[int, dict]:
+    def inject_faults(self, events: Iterable[LocalFaultEvent]) -> None:
         """Apply a chaos plan's events for the coming round.
 
         KILL strikes immediately (SIGKILL); DROP/GARBLE arm a one-shot
-        mangle of the victim's next reply frame; STALL returns per-worker
-        ``__delay__`` args the caller merges into its next exchange so
-        the victim's handler sleeps before working.
+        mangle of the victim's next reply frame; STALL arms a one-shot
+        ``__delay__`` that the next :meth:`exchange` ships, so the
+        victim's handler sleeps before working.
         """
-        extra: Dict[int, dict] = {}
         for event in events:
             if event.kind is LocalFaultKind.KILL:
                 self.kill_worker(event.worker)
             elif event.kind is LocalFaultKind.STALL:
-                extra.setdefault(event.worker, {})[_DELAY] = float(event.stall_s)
+                self._stalls[event.worker] = {_DELAY: float(event.stall_s)}
             elif event.kind is LocalFaultKind.DROP:
                 self._mangle[event.worker] = "drop"
             elif event.kind is LocalFaultKind.GARBLE:
@@ -489,18 +502,19 @@ class LocalRuntime(Runtime):
                 raise ConfigurationError(
                     "unknown fault kind {!r}".format(event.kind)
                 )
-        return extra
 
-    def respawn(self, programs: Dict[int, object]) -> float:
+    def respawn(self, programs: Optional[Dict[int, object]] = None) -> float:
         """Relaunch every dead process; returns measured seconds.
 
-        ``programs`` must cover the logical workers hosted by the dead
-        processes — freshly rebuilt program objects whose state the
-        executor then restores (checkpoint decode, zero-init, ...) via
-        targeted ops.  Live processes are untouched.
+        The relaunched processes host ``programs`` (default: the ones
+        given to :meth:`start` — the parent's copies, whose state is
+        whatever the master last pulled back); a stateful trainer then
+        restores them through :meth:`exchange`'s restore step.  Live
+        processes are untouched.
         """
         if not self._started:
             raise SimulationError("LocalRuntime not started; call start()")
+        programs = programs if programs is not None else self._programs
         start = time.perf_counter()
         self._refresh_liveness()
         context = multiprocessing.get_context(self.start_method)
@@ -550,9 +564,9 @@ class LocalRuntime(Runtime):
         whose process died — lands in ``Exchange.failures``.
 
         With ``raise_on_fault=True`` (the default) such failures raise
-        :class:`~repro.errors.WorkerUnresponsiveError`; executors that
-        run the recovery pipeline pass ``False`` and consume the
-        structured outcomes.  Worker-side exceptions always raise
+        :class:`~repro.errors.WorkerUnresponsiveError`; :meth:`exchange`,
+        which runs the recovery pipeline, passes ``False`` and consumes
+        the structured outcomes.  Worker-side exceptions always raise
         :class:`~repro.errors.SimulationError` — after every in-flight
         reply has been drained, so the shared pipes stay synchronized.
         """
@@ -741,13 +755,109 @@ class LocalRuntime(Runtime):
             )
         return exchange
 
+    def exchange(
+        self,
+        op: str,
+        *,
+        iteration: int,
+        args: Optional[dict] = None,
+        payload: Optional[bytes] = None,
+        restore: Optional[Callable[[int], Tuple[str, bytes]]] = None,
+        tolerate_silent: bool = False,
+    ) -> Exchange:
+        """One phase's exchange with every worker, surviving process death.
+
+        Runs ``op`` across all workers (shipping armed STALL delays
+        once); on detected death it respawns the dead processes,
+        restores their logical workers and re-issues ``op`` to everyone
+        still missing — ops are deterministic in ``(seed, iteration)``
+        and at-most-once per sequence number, so the re-run is exact.
+        The trainer's only say is ``restore(worker) -> (mode, blob)``:
+        the snapshot a respawned program receives as a ``"restore"`` op
+        (accounted as CHECKPOINT traffic) and where it came from;
+        ``None`` means a forked program is whole as it is
+        (``mode='reload'``).  Each recovered worker is one
+        :class:`~repro.engine.trace.RecoveryEvent` on the engine trace,
+        and respawn + restore seconds count into the result's seconds.
+
+        Workers alive but silent past every deadline stay in the
+        result's ``failures`` when ``tolerate_silent`` and raise
+        :class:`~repro.errors.WorkerUnresponsiveError` otherwise, as do
+        processes still dying after :data:`MAX_RECOVERY_ROUNDS`.
+        """
+        replies: Dict[int, WorkerReply] = {}
+        seconds = 0.0
+        retries = 0
+        targets = None
+        stalls, self._stalls = self._stalls or None, {}
+        for _ in range(MAX_RECOVERY_ROUNDS):
+            ex = self.run_all(
+                op,
+                args=args,
+                payload=payload,
+                per_worker_args=stalls,
+                workers=targets,
+                iteration=iteration,
+                raise_on_fault=False,
+            )
+            replies.update(ex.replies)
+            seconds += ex.seconds
+            retries += ex.retries
+            if not ex.dead_workers():
+                break
+            seconds += self._recover(iteration, ex.seconds, restore)
+            targets = sorted(ex.failures)  # everyone still missing
+            stalls = None  # injected straggler delays apply once
+        else:
+            raise WorkerUnresponsiveError(
+                op, dead=self.dead_workers(), silent=sorted(ex.failures)
+            )
+        if ex.failures and not tolerate_silent:
+            raise WorkerUnresponsiveError(op, silent=sorted(ex.failures))
+        return Exchange(replies, seconds, dict(ex.failures), retries)
+
+    def _recover(self, iteration: int, detect_s: float, restore) -> float:
+        """Respawn the dead processes and restore their logical workers."""
+        dead = self.dead_workers()
+        respawn_s = self.respawn()
+        total = respawn_s
+        for w in dead:
+            mode, restore_s = "reload", 0.0
+            if restore is not None:
+                mode, blob = restore(w)
+                self._network.send(
+                    Message(
+                        MessageKind.CHECKPOINT,
+                        Message.MASTER,
+                        w,
+                        OBJECT_OVERHEAD_BYTES + len(blob),
+                    )
+                )
+                restore_s = self.run_all(
+                    _RESTORE, payload=blob, workers=[w], iteration=iteration
+                ).seconds
+            if self.engine_trace is not None:
+                self.engine_trace.add_recovery(
+                    RecoveryEvent(
+                        round=iteration,
+                        kind="worker",
+                        mode=mode,
+                        worker=w,
+                        detect_s=detect_s,
+                        reload_s=respawn_s / len(dead) + restore_s,
+                    )
+                )
+            detect_s = 0.0  # the episode's detection delay is paid once
+            total += restore_s
+        return total
+
     def measure(self, fn: Callable[[], T]) -> Tuple[T, float]:
         """Run ``fn`` and return ``(result, wall seconds)``.
 
-        The master-side counterpart of worker handler timing: executors
-        wrap their reduce/update steps in this instead of importing
-        ``time`` themselves (wall-clock access stays confined to this
-        module).
+        The master-side counterpart of worker handler timing: the
+        master programs wrap their reduce/update steps in this instead
+        of importing ``time`` themselves (wall-clock access stays
+        confined to this module).
         """
         start = time.perf_counter()
         result = fn()

@@ -434,3 +434,110 @@ class TestColumnSGDFaultRecovery:
             np.max(np.abs(faulted.final_params - reference.final_params))
         )
         assert diff == 0.0
+
+
+# ----------------------------------------------------------------------
+# recovery through the one path: the engine's round, the runtime's exchange
+# ----------------------------------------------------------------------
+FAULT_ROUND = 4
+#: a recovered ColumnSGD partition rolls back to its last snapshot (at
+#: most ``checkpoint_every`` rounds stale), so the trajectory tracks the
+#: clean one within the chaos soak's margin (tests/test_chaos_soak.py)
+LOSS_TOLERANCE = 0.15
+
+
+def make_mllib(data, failures=None):
+    from repro.baselines.registry import make_trainer
+
+    cluster = SimulatedCluster(CLUSTER1.with_workers(WORKERS))
+    trainer = make_trainer(
+        "mllib",
+        LogisticRegression(),
+        SGD(0.5),
+        cluster,
+        batch_size=BATCH,
+        iterations=ITERATIONS,
+        eval_every=5,
+        seed=3,
+        backend="local" if failures is not None else "sim",
+        local_processes=WORKERS if failures is not None else 0,
+        local_timeout_s=1.0,
+        check_protocol=True,
+        failures=failures,
+    )
+    trainer.load(data)
+    return trainer
+
+
+def make_columnsgd(data, failures=None):
+    if failures is None:
+        return make_driver(data, backend="sim")
+    return make_driver(
+        data,
+        sync_policy="retry",
+        local_timeout_s=1.0,
+        recovery=RecoveryPolicy(checkpoint_every=2),
+        failures=failures,
+    )
+
+
+@pytest.mark.parametrize(
+    "make_trainer_for, mode",
+    [(make_columnsgd, "checkpoint"), (make_mllib, "reload")],
+    ids=["columnsgd", "mllib"],
+)
+def test_kill_and_stall_in_one_round_recover_through_the_engine(
+    data, make_trainer_for, mode
+):
+    """One worker SIGKILLed and another stalled past the deadline in the
+    same round: the engine's round absorbs both through the runtime's
+    one death-surviving exchange, under the protocol checker."""
+    reference = make_trainer_for(data).fit()
+    trainer = make_trainer_for(
+        data,
+        LocalChaos.scripted(
+            kills={FAULT_ROUND: 1}, stalls={(FAULT_ROUND, 2): 1.5}
+        ),
+    )
+    traces = []
+    run_round = trainer.run_round
+
+    def spying_run_round(t):
+        traces.append(trainer._engine.trace)
+        return run_round(t)
+
+    trainer.run_round = spying_run_round
+    result = trainer.fit()
+
+    # every episode is on the engine's own trace object, which is the
+    # one the cluster exposes — there is no second trace
+    trace = trainer.cluster.engine_trace
+    assert len(traces) == ITERATIONS
+    assert all(seen is trace for seen in traces)
+    assert trace.rounds() == list(range(ITERATIONS))
+    assert [(e.round, e.worker, e.mode) for e in trace.recoveries] == [
+        (FAULT_ROUND, 1, mode)
+    ]
+    assert trace.retries
+    assert all(
+        e.round == FAULT_ROUND and e.suspects == (2,) and e.resolved == "arrived"
+        for e in trace.retries
+    )
+
+    # the faulted round paid for detection, respawn and restore
+    durations = {r.iteration: r.duration for r in result.records}
+    recovery_s = sum(e.total_s for e in trace.round_recoveries(FAULT_ROUND))
+    assert recovery_s > 0.0
+    assert durations[FAULT_ROUND] >= recovery_s
+    assert durations[FAULT_ROUND] > max(
+        d for t, d in durations.items() if t not in (-1, FAULT_ROUND)
+    )
+
+    if mode == "reload":
+        # the model lives at the master: nothing to lose
+        assert float(
+            np.max(np.abs(result.final_params - reference.final_params))
+        ) == 0.0
+    else:
+        assert np.isfinite(result.final_loss())
+        assert result.final_loss() <= reference.final_loss() + LOSS_TOLERANCE

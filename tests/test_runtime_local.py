@@ -11,6 +11,7 @@ agree within 1e-9 (with the fp64 codec it agrees exactly).
 import numpy as np
 import pytest
 
+from repro.baselines.localexec import RowWorkerProgram
 from repro.baselines.registry import make_trainer
 from repro.core import ColumnSGDConfig, ColumnSGDDriver
 from repro.core.localexec import make_local_runtime
@@ -50,6 +51,53 @@ def make_driver(data, backend, processes=0, wire_precision="fp64", **extra):
     )
     driver.load(data)
     return driver
+
+
+def make_mllib(data, backend, **extra):
+    cluster = SimulatedCluster(CLUSTER1.with_workers(WORKERS))
+    trainer = make_trainer(
+        "mllib",
+        LogisticRegression(),
+        SGD(0.5),
+        cluster,
+        batch_size=BATCH,
+        iterations=ITERATIONS,
+        eval_every=4,
+        seed=3,
+        backend=backend,
+        check_protocol=True,
+        **extra,
+    )
+    trainer.load(data)
+    return trainer
+
+
+def start_mllib_runtime(trainer):
+    """What run_local_rowsgd hosts for a fit(), for tests that drive
+    ``run_round`` themselves."""
+    runtime = LocalRuntime(WORKERS)
+    runtime.start(
+        {
+            w: RowWorkerProgram(
+                model=trainer.model,
+                shard=trainer._partitioner.shard(w),
+                worker=w,
+                n_workers=WORKERS,
+                base_seed=trainer.config.seed,
+                batch_size=BATCH,
+            )
+            for w in range(WORKERS)
+        }
+    )
+    return runtime
+
+
+#: one sequencer, two backends: name -> (backend, **config) -> loaded trainer
+#: (ColumnSGD's sim spec is pinned sequential; the local backend never overlaps)
+TRAINERS = {
+    "columnsgd": lambda data, backend: make_driver(data, backend, overlap=False),
+    "mllib": make_mllib,
+}
 
 
 # ----------------------------------------------------------------------
@@ -156,6 +204,125 @@ class TestMeasuredRounds:
         }
         assert {e.round for e in trace.events} == set(range(ITERATIONS))
         assert all(e.end >= e.start for e in trace.events)
+
+
+# ----------------------------------------------------------------------
+# one round loop: the engine sequences both backends
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("system", sorted(TRAINERS))
+class TestOneSequencer:
+    @pytest.fixture
+    def runs(self, data, system):
+        """Fixed-seed fault-free fit() per backend, with every round's
+        RoundOutcome captured on the way."""
+        runs = {}
+        for backend in ("sim", "local"):
+            trainer = TRAINERS[system](data, backend)
+            outcomes = []
+            run_round = trainer.run_round
+            trainer.run_round = lambda t, run=run_round, out=outcomes: (
+                out.append(run(t)) or out[-1]
+            )
+            runs[backend] = (trainer, trainer.fit(), outcomes)
+        return runs
+
+    def test_trace_parity(self, runs, system):
+        """Same ordered (phase, category, kind) tuples per round."""
+        shapes = {}
+        for backend, (trainer, _, _) in runs.items():
+            trace = trainer.cluster.engine_trace
+            assert trace.rounds() == list(range(ITERATIONS))
+            shapes[backend] = [
+                [(e.phase, e.category, e.kind) for e in trace.round_events(t)]
+                for t in range(ITERATIONS)
+            ]
+        assert shapes["local"] == shapes["sim"]
+        assert len(shapes["sim"][0]) == {"columnsgd": 5, "mllib": 4}[system]
+
+    def test_expected_traffic_is_engine_derived(self, runs, system):
+        """The real encoded lengths the local comm phases declare equal
+        the (count, bytes) the engine derives from the byte formulas."""
+        sim, local = runs["sim"][2], runs["local"][2]
+        assert len(local) == ITERATIONS
+        assert [o.expected for o in local] == [o.expected for o in sim]
+        assert all(o.chosen == set(range(WORKERS)) for o in local)
+        assert all(
+            set(o.phase_seconds) == set(sim[0].phase_seconds) for o in local
+        )
+
+    def test_record_durations_are_the_clock_advance(self, runs, system):
+        _, result, outcomes = runs["local"]
+        first, last = result.records[0], result.records[-1]
+        assert first.iteration == -1  # stamped before any round ran
+        durations = [r.duration for r in result.records if r.iteration >= 0]
+        assert durations == [o.duration for o in outcomes]
+        assert sum(durations) == pytest.approx(
+            last.sim_time - first.sim_time, rel=1e-12
+        )
+        assert all(d > 0.0 for d in durations)
+
+
+class TestRunRoundOnLocal:
+    """``run_round(t)`` is public (benches drive it directly); on
+    ``backend='local'`` it used to run a *simulated* round on the
+    parent's stale partition copies."""
+
+    def test_columnsgd_round_runs_on_the_worker_processes(self, data):
+        reference = make_driver(data, "sim")
+        for t in range(2):
+            reference.run_round(t)
+        driver = make_driver(data, "local")
+        runtime, programs = make_local_runtime(driver)
+        runtime.start(programs)
+        try:
+            driver.local_runtime = runtime
+            for t in range(2):
+                outcome = driver.run_round(t)
+                assert outcome.chosen == set(range(WORKERS))
+            live = runtime.run_all("params").replies
+            for w in range(WORKERS):
+                for pid, params in live[w].result["params"].items():
+                    np.testing.assert_array_equal(
+                        params, reference._partitions[pid].params
+                    )
+            # both rounds' traffic went through the real pipes
+            round_bytes = sum(b for _, b in outcome.expected.values())
+            assert runtime.network.total_bytes() == 2 * round_bytes
+            np.testing.assert_array_equal(
+                driver.current_params(), reference.current_params()
+            )
+        finally:
+            runtime.close()
+
+    def test_mllib_round_runs_on_the_worker_processes(self, data):
+        reference = make_mllib(data, "sim")
+        reference.run_round(0)
+        trainer = make_mllib(data, "local")
+        runtime = start_mllib_runtime(trainer)
+        try:
+            trainer.local_runtime = runtime
+            outcome = trainer.run_round(0)
+            assert runtime.network.total_bytes() == sum(
+                b for _, b in outcome.expected.values()
+            )
+            assert outcome.worker_seconds["compute_gradients"].keys() == set(
+                range(WORKERS)
+            )
+            np.testing.assert_array_equal(
+                trainer.current_params(), reference.current_params()
+            )
+        finally:
+            runtime.close()
+
+    @pytest.mark.parametrize("system", sorted(TRAINERS))
+    def test_no_attached_runtime_is_an_error_not_a_sim_round(self, data, system):
+        trainer = TRAINERS[system](data, "local")
+        params = trainer.current_params()
+        loaded_bytes = trainer.cluster.network.total_bytes()
+        with pytest.raises(ConfigurationError, match="attached"):
+            trainer.run_round(0)
+        np.testing.assert_array_equal(trainer.current_params(), params)
+        assert trainer.cluster.network.total_bytes() == loaded_bytes
 
 
 # ----------------------------------------------------------------------
