@@ -11,7 +11,7 @@ one MLlib iteration (the heavyweight baseline path).
 """
 
 from repro.baselines import MLlibTrainer, RowSGDConfig
-from repro.core import ColumnSGDConfig, ColumnSGDDriver, predict_iteration_time
+from repro.core import predict_iteration_time
 from repro.datasets import load_profile
 from repro.experiments import ExperimentSpec, run_system
 from repro.models import LogisticRegression
@@ -87,49 +87,10 @@ def simulated_table():
     )
 
 
-def _columnsgd_avg_iteration(data, overlap: bool) -> float:
-    cluster = SimulatedCluster(CLUSTER1)
-    driver = ColumnSGDDriver(
-        LogisticRegression(), SGD(1.0), cluster,
-        config=ColumnSGDConfig(batch_size=2000, iterations=6, eval_every=0,
-                               overlap=overlap),
-    )
-    driver.load(data)
-    return driver.fit().avg_iteration_seconds()
-
-
-def overlap_table():
-    """Round-time drop from the overlapped spec (prefetch under compute,
-    streaming reduce under the gather) — same arithmetic, shorter
-    critical path.  The saving per round is min(gather, reduce); at
-    laptop scale the round is dominated by the 25 ms task overhead
-    (as in the paper, where Spark task launch dominates ColumnSGD's
-    0.06 s), so the drop is microseconds but strictly positive."""
-    rows = []
-    for name in ("avazu", "kddb", "kdd12"):
-        data = load_profile(name).generate(seed=5, rows=3000)
-        sequential = _columnsgd_avg_iteration(data, overlap=False)
-        overlapped = _columnsgd_avg_iteration(data, overlap=True)
-        assert overlapped < sequential
-        rows.append(
-            (name,
-             "{:.3f}".format(sequential * 1e3),
-             "{:.3f}".format(overlapped * 1e3),
-             "{:.1f}".format((sequential - overlapped) * 1e6),
-             "{:.3f}%".format(100.0 * (1.0 - overlapped / sequential)))
-        )
-    return ascii_table(
-        ["dataset", "sequential ms/iter", "overlapped ms/iter",
-         "saved us/iter", "drop"],
-        rows,
-    )
-
-
 def test_table4(benchmark, emit):
     emit("table3_learning_rates", table3())
     emit("table4_analytic_paper_scale", analytic_table())
     emit("table4_simulated_scaled", simulated_table())
-    emit("columnsgd_overlap_round_time", overlap_table())
 
     data = load_profile("kddb").generate(seed=5, rows=3000)
     cluster = SimulatedCluster(CLUSTER1)

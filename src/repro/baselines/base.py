@@ -58,9 +58,6 @@ class RowSGDConfig:
     repartition: bool = False  # MLlib-Repartition loading for Fig 7
     check_protocol: bool = False  # verify BSP invariants every round
                                   # (see repro.net.protocol)
-    check_effects: bool = False   # record per-phase attribute accesses
-                                  # and fail on DAG-unordered conflicts
-                                  # (see repro.engine.effects)
     check_cost: bool = False      # audit measured kernel work against
                                   # sparse_work/dense_work charges each
                                   # round (see repro.engine.cost_audit)
@@ -82,10 +79,10 @@ class RowSGDConfig:
         check_in(self.backend, BACKENDS, "backend")
         check_non_negative(self.local_processes, "local_processes")
         check_positive(self.local_timeout_s, "local_timeout_s")
-        if self.backend == "local" and (self.check_effects or self.check_cost):
+        if self.backend == "local" and self.check_cost:
             raise ValueError(
-                "check_effects/check_cost audit the simulated engine; "
-                "they are unavailable on backend='local'"
+                "check_cost audits the simulated engine; "
+                "it is unavailable on backend='local'"
             )
 
 
@@ -249,7 +246,6 @@ class BaselineTrainer:
         return RoundEngine(
             executor, self.cluster, spec=self.round_spec(),
             straggler=self.straggler,
-            check_effects=self.config.check_effects,
             check_cost=self.config.check_cost,
             runtime=self.local_runtime,
         )

@@ -24,24 +24,18 @@ class MLlibTrainer(BaselineTrainer):
 
     def _comm_phases(self) -> Tuple[CommPhase, ...]:
         # Table I, MLlib row: 2 K m dense traffic through the master.
-        # The reads=/writes= declarations are checked against the
-        # inferred effect sets by lint rule R013.
         return (
             CommPhase(
                 "pull",
                 kind=MessageKind.MODEL_PULL,
                 pattern="broadcast",
                 sizes="_model_pull_size",
-                reads=("self.model_elements",),
-                writes=(),
             ),
             CommPhase(
                 "push",
                 kind=MessageKind.GRADIENT_PUSH,
                 pattern="gather",
                 sizes="_gradient_push_sizes",
-                reads=("self.cluster", "self.model_elements"),
-                writes=(),
             ),
         )
 

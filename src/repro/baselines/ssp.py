@@ -201,7 +201,6 @@ class StaleSyncPSTrainer(ParameterServerTrainer):
         self._history = [np.array(self._params, copy=True)]
         self._engine = RoundEngine(
             self, self.cluster, straggler=self.straggler,
-            check_effects=self.config.check_effects,
             check_cost=self.config.check_cost,
         )
         checker = ProtocolChecker(self.cluster) if self.config.check_protocol else None

@@ -42,6 +42,7 @@ from repro.engine import (
     TimeoutSync,
     run_training_loop,
 )
+from repro.engine.policy import check_deadline_factors
 from repro.errors import ConfigurationError, MasterFailedError, TrainingError
 from repro.models.base import StatisticsModel
 from repro.net.message import MessageKind
@@ -86,14 +87,6 @@ class ColumnSGDConfig:
     sync_backoff: float = 2.0     # deadline multiplier per retry
     sync_on_exhausted: str = "stale"  # 'stale' reuses cached group
                                       # statistics; 'raise' escalates
-    overlap: bool = True          # overlap reduce with the statistics
-                                  # gather and prefetch the next batch
-                                  # (after= DAG proven race-free by
-                                  # lint rule R012); False restores the
-                                  # strictly sequential round
-    check_effects: bool = False   # record per-phase attribute accesses
-                                  # and fail on DAG-unordered conflicts
-                                  # (see repro.engine.effects)
     check_cost: bool = False      # audit measured kernel work against
                                   # sparse_work/dense_work charges each
                                   # round (see repro.engine.cost_audit)
@@ -135,6 +128,7 @@ class ColumnSGDConfig:
         check_positive(self.sync_alpha, "sync_alpha")
         check_non_negative(self.sync_max_retries, "sync_max_retries")
         check_positive(self.sync_backoff, "sync_backoff")
+        check_deadline_factors(self.sync_alpha, self.sync_backoff)
         check_in(self.sync_on_exhausted, ("raise", "stale"), "sync_on_exhausted")
         check_in(self.backend, BACKENDS, "backend")
         check_non_negative(self.local_processes, "local_processes")
@@ -157,10 +151,10 @@ class ColumnSGDConfig:
                     "backend='local' supports backup=0 only; backup "
                     "computation is a simulator feature"
                 )
-            if self.check_effects or self.check_cost:
+            if self.check_cost:
                 raise ValueError(
-                    "check_effects/check_cost audit the simulated engine; "
-                    "they are unavailable on backend='local'"
+                    "check_cost audits the simulated engine; "
+                    "it is unavailable on backend='local'"
                 )
 
     @property
@@ -211,8 +205,6 @@ class ColumnSGDDriver:
         self._store = None
         self._n_features: int = 0
         self._dataset_name: str = ""
-        self._data_rows: int = 0
-        self._data_nnz: int = 0
         #: per-worker shard cache counters of the most recent
         #: backend='local' fit() (worker id -> partition id -> stats)
         self.store_read_stats: Dict[int, Dict[int, Dict[str, int]]] = {}
@@ -249,8 +241,6 @@ class ColumnSGDDriver:
         self._dataset = dataset
         self._n_features = dataset.n_features
         self._dataset_name = dataset.name
-        self._data_rows = dataset.n_rows
-        self._data_nnz = dataset.nnz
         self._assignment = make_assignment(self.config.scheme, dataset.n_features, K)
         if self.config.store_dir:
             from repro.store import store_backed_dispatch
@@ -303,8 +293,6 @@ class ColumnSGDDriver:
         self._dataset = None
         self._n_features = manifest.n_features
         self._dataset_name = manifest.name
-        self._data_rows = manifest.n_rows
-        self._data_nnz = manifest.nnz
         self._assignment = make_assignment(
             self.config.scheme, manifest.n_features, self.cluster.n_workers
         )
@@ -455,7 +443,6 @@ class ColumnSGDDriver:
             self.cluster,
             spec=self.round_spec(),
             straggler=self.straggler,
-            check_effects=self.config.check_effects,
             check_cost=self.config.check_cost,
             runtime=self.local_runtime,
         )
@@ -481,14 +468,7 @@ class ColumnSGDDriver:
         gather-reduce-broadcast interlude.  Table I, ColumnSGD row:
         K pushes + K broadcasts of ``B * width`` values per round.
 
-        With ``config.overlap`` (the default) the simulated spec
-        declares real ``after=`` overlap — streaming reduce concurrent
-        with the statistics gather, next-batch prefetch concurrent with
-        the whole network interlude — see :meth:`_overlap_round_spec`.
-        On real processes nothing overlaps: ``backend='local'`` runs
-        the five sequential phases below."""
-        if self.config.backend == "sim" and self.config.overlap:
-            return self._overlap_round_spec()
+        The same five sequential phases run on both backends."""
         return RoundSpec(
             system="ColumnSGD",
             sync=self._sync_policy(),
@@ -512,72 +492,6 @@ class ColumnSGDDriver:
                     sizes="_statistics_size",
                 ),
                 ComputePhase("update_model", run="_phase_update_model"),
-            ),
-        )
-
-    def _overlap_round_spec(self) -> RoundSpec:
-        """The same round with the race-free overlap made explicit.
-
-        Two ``after=`` relaxations, both proven conflict-free by lint
-        rule R012 (and guarded at runtime by ``check_effects``):
-
-        * ``reduce`` depends only on ``compute_statistics`` — the master
-          reduces contributions as they stream in, concurrently with the
-          tail of the gather.  The round's critical path drops from
-          ``gather + reduce`` to ``max(gather, reduce)``.
-        * ``prefetch_batch`` starts at round offset zero (``after=()``)
-          and overlaps everything up to ``update_model``: workers page
-          the next batch's shard rows while statistics are on the wire.
-
-        Execution stays in declaration order (the engine's overlap is a
-        scheduling statement), so the numerics — and hence the golden
-        trajectories — are bit-identical to the sequential spec.
-        """
-        return RoundSpec(
-            system="ColumnSGD",
-            sync=self._sync_policy(),
-            phases=(
-                ComputePhase(
-                    "compute_statistics",
-                    run="_phase_compute_statistics",
-                    synchronized=True,
-                ),
-                CommPhase(
-                    "gather",
-                    kind=MessageKind.STATISTICS_PUSH,
-                    pattern="gather",
-                    sizes="_statistics_push_sizes",
-                ),
-                ComputePhase(
-                    "prefetch_batch",
-                    run="_phase_prefetch_batch",
-                    after=(),
-                    reads=(
-                        "ctx.slowdowns",
-                        "self._data_nnz",
-                        "self._data_rows",
-                        "self.cluster",
-                        "self.config",
-                    ),
-                    writes=("ctx.scratch[prefetch_nnz]",),
-                ),
-                MasterPhase(
-                    "reduce",
-                    run="_phase_reduce",
-                    after=("compute_statistics",),
-                ),
-                CommPhase(
-                    "broadcast",
-                    kind=MessageKind.STATISTICS_BCAST,
-                    pattern="broadcast",
-                    sizes="_statistics_size",
-                    after=("gather", "reduce"),
-                ),
-                ComputePhase(
-                    "update_model",
-                    run="_phase_update_model",
-                    after=("broadcast", "prefetch_batch"),
-                ),
             ),
         )
 
@@ -652,25 +566,6 @@ class ColumnSGDDriver:
             per_worker[w] for w in range(self.cluster.n_workers)
         ]
         return per_worker
-
-    def _phase_prefetch_batch(self, ctx) -> Dict[int, float]:
-        """Page the next batch's shard rows while the round is on the wire.
-
-        Pure cost accounting for the overlap: no numerics, no RNG draws,
-        and none of the state the concurrent phases write (the next
-        round's draws are deterministic per iteration, so nothing needs
-        to be materialised early).  The cost charges one pass over the
-        shard's expected batch footprint — ``B`` rows at the dataset's
-        average density, split across the column partitions.
-        """
-        B = self.config.batch_size
-        expected_nnz = B * self._data_nnz / (self._data_rows * self.cluster.n_workers)
-        ctx.scratch["prefetch_nnz"] = expected_nnz
-        work = self.cluster.cost.sparse_work(expected_nnz, passes=1)
-        return {
-            w: work * ctx.slowdowns[w]
-            for w in range(self.cluster.n_workers)
-        }
 
     def _statistics_size(self, ctx) -> int:
         """Wire bytes of one statistics buffer (B * width values)."""

@@ -1,26 +1,16 @@
-"""repro.engine — the declarative, event-scheduled round engine.
+"""repro.engine — the declarative round engine.
 
 Every trainer declares its round as a :class:`RoundSpec` — typed phases
 (compute / comm / master) with per-phase message kinds and byte
-formulas — and :class:`RoundEngine` schedules those phases on an event
-queue over the simulated clock and network, with synchronization
+formulas — and :class:`RoundEngine` runs those phases one after another
+in declaration order on an execution runtime, with synchronization
 semantics (BSP barrier, S-backup recovery, bounded staleness,
 timeout-based suspicion) supplied by pluggable :class:`SyncPolicy`
 objects.  See ``docs/engine.md`` and ``docs/faults.md``.
 """
 
 from repro.engine.cost_audit import CostAuditor, CostReport
-from repro.engine.effects import (
-    EffectChecker,
-    PhaseAccessLog,
-    atoms_conflict,
-    concurrent_pairs,
-    dependency_predecessors,
-    happens_before,
-    vector_clocks,
-)
 from repro.engine.engine import RoundContext, RoundEngine, RoundOutcome
-from repro.engine.events import EventQueue
 from repro.engine.loop import run_training_loop
 from repro.engine.policy import (
     BackupSync,
@@ -46,16 +36,8 @@ __all__ = [
     "ComputePhase",
     "CostAuditor",
     "CostReport",
-    "EffectChecker",
     "EngineTrace",
-    "EventQueue",
     "MasterPhase",
-    "PhaseAccessLog",
-    "atoms_conflict",
-    "concurrent_pairs",
-    "dependency_predecessors",
-    "happens_before",
-    "vector_clocks",
     "PhaseEvent",
     "RecoveryEvent",
     "RetryEvent",

@@ -1,9 +1,9 @@
-"""The discrete-event round engine.
+"""The round engine.
 
 One :class:`RoundEngine` executes a trainer's
-:class:`~repro.engine.spec.RoundSpec` round by round: it schedules each
-phase on an :class:`~repro.engine.events.EventQueue` at the offset its
-dependencies dictate, runs compute executors on the trainer, emits
+:class:`~repro.engine.spec.RoundSpec` round by round: it runs the
+phases one after another in declaration order, calls the compute and
+master executors on the trainer, emits
 communication through the :class:`~repro.runtime.Runtime` transport
 surface (clock + gather/broadcast/allreduce + traffic counters — the
 simulated star topology behind :class:`~repro.runtime.SimRuntime`),
@@ -25,8 +25,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Set
 
 from repro.engine.cost_audit import CostAuditor
-from repro.engine.effects import EffectChecker
-from repro.engine.events import EventQueue
 from repro.engine.spec import (
     CommPhase,
     ComputePhase,
@@ -110,19 +108,13 @@ class RoundEngine:
     """
 
     def __init__(self, trainer, cluster, spec: Optional[RoundSpec] = None,
-                 straggler=None, check_effects: bool = False,
-                 check_cost: bool = False, runtime=None):
+                 straggler=None, check_cost: bool = False, runtime=None):
         self.trainer = trainer
         self.cluster = cluster
         self.runtime = runtime if runtime is not None else cluster.runtime
         self.spec = spec if spec is not None else trainer.round_spec()
         self.straggler = straggler
         self.trace = EngineTrace(system=self.spec.system)
-        #: per-phase access recorder + vector-clock race checker (the
-        #: runtime twin of lint rule R012); None when not requested
-        self.effects: Optional[EffectChecker] = (
-            EffectChecker(self.spec) if check_effects else None
-        )
         #: measured-vs-charged kernel work audit (the runtime twin of
         #: lint rule R016); None when not requested
         self.cost_audit: Optional[CostAuditor] = (
@@ -149,50 +141,25 @@ class RoundEngine:
         worker_seconds: Dict[str, Dict[int, float]] = {}
         expected: Dict[MessageKind, tuple] = {}
 
-        if self.effects is not None:
-            self.effects.begin_round()
         if self.cost_audit is not None:
             self.cost_audit.begin_round()
 
-        # Execute in declaration order; schedule afterwards, because a
+        # Execute first, lay out on the time axis afterwards, because a
         # measured comm phase learns its seconds only once the exchange
         # that carries it has run (a broadcast precedes its carrier).
         for phase in self.spec.phases:
-            if self.effects is not None:
-                trainer_view, ctx_view = self.effects.views(
-                    phase.name, self.trainer, ctx
-                )
-            else:
-                trainer_view, ctx_view = self.trainer, ctx
             phase_seconds[phase.name] = self._execute(
-                phase, ctx_view, expected, worker_seconds, trainer_view
+                phase, ctx, expected, worker_seconds
             )
         for name, seconds in ctx.comm_seconds.items():
             phase_seconds[name] += seconds
 
-        if self.effects is not None:
-            self.effects.finish_round(t)
         if self.cost_audit is not None:
             self.cost_audit.finish_round(t)
 
-        queue = EventQueue()
-        ends: Dict[str, float] = {}
-        previous = None
+        end = 0.0
         for phase in self.spec.phases:
-            if phase.after is None:
-                start = ends[previous] if previous is not None else 0.0
-            elif len(phase.after) == 0:
-                start = 0.0  # overlaps everything declared before it
-            else:
-                start = max(ends[dep] for dep in phase.after)
-            ends[phase.name] = start + phase_seconds[phase.name]
-            queue.push(start, (phase, start, ends[phase.name]))
-            previous = phase.name
-
-        critical_end = max(ends.values()) if ends else 0.0
-        duration = sync.round_duration(ctx, critical_end)
-
-        for _, (phase, start, end) in queue.drain():
+            start, end = end, end + phase_seconds[phase.name]
             self.trace.add(
                 PhaseEvent(
                     round=t,
@@ -205,6 +172,7 @@ class RoundEngine:
                     kind=phase.kind.value if isinstance(phase, CommPhase) else None,
                 )
             )
+        duration = sync.round_duration(ctx, end)
 
         if self.spec.envelopes is not None:
             expected.update(getattr(self.trainer, self.spec.envelopes)(ctx))
@@ -219,7 +187,8 @@ class RoundEngine:
         )
 
     # ------------------------------------------------------------------
-    def _execute(self, phase, ctx, expected, worker_seconds, trainer) -> float:
+    def _execute(self, phase, ctx, expected, worker_seconds) -> float:
+        trainer = self.trainer
         if isinstance(phase, ComputePhase):
             per_worker = getattr(trainer, phase.run)(ctx)
             worker_seconds[phase.name] = dict(per_worker)
@@ -229,10 +198,11 @@ class RoundEngine:
             return max(finite) if finite else 0.0
         if isinstance(phase, MasterPhase):
             return float(getattr(trainer, phase.run)(ctx))
-        return self._execute_comm(phase, ctx, expected, trainer)
+        return self._execute_comm(phase, ctx, expected)
 
-    def _execute_comm(self, phase: CommPhase, ctx, expected, trainer) -> float:
+    def _execute_comm(self, phase: CommPhase, ctx, expected) -> float:
         runtime = self.runtime
+        trainer = self.trainer
         sizes = getattr(trainer, phase.sizes)(ctx)
         if phase.pattern == "gather":
             sizes = [int(s) for s in sizes]

@@ -29,6 +29,21 @@ from repro.errors import ConfigurationError, StatisticsRecoveryError
 from repro.utils.validation import check_non_negative
 
 
+def check_deadline_factors(alpha: float, backoff: float) -> None:
+    """Range check of the ``alpha x median`` deadline rule, shared by
+    every place the two factors are configured (:class:`TimeoutSync`,
+    ``ColumnSGDConfig.sync_*``, ``runtime.deadline.TimeoutPolicy``)."""
+    if alpha < 1.0:
+        raise ConfigurationError(
+            "alpha must be >= 1 (a deadline below the median finish "
+            "would suspect half the cluster), got {}".format(alpha)
+        )
+    if backoff < 1.0:
+        raise ConfigurationError(
+            "backoff must be >= 1, got {}".format(backoff)
+        )
+
+
 class SyncPolicy:
     """Strategy hooks the engine calls around a round's phases."""
 
@@ -44,9 +59,9 @@ class SyncPolicy:
         """
         raise NotImplementedError
 
-    def round_duration(self, ctx, critical_path_end: float) -> float:
-        """Round duration given the phase DAG's critical-path end."""
-        return critical_path_end
+    def round_duration(self, ctx, last_phase_end: float) -> float:
+        """Round duration given the end of the round's last phase."""
+        return last_phase_end
 
 
 class BarrierSync(SyncPolicy):
@@ -119,11 +134,7 @@ class TimeoutSync(SyncPolicy):
 
     All times here are **phase-relative**: the per-worker finish times
     are durations measured from the synchronized phase's start, so the
-    deadline and the returned phase duration are too.  The engine maps
-    them onto the round timeline by adding the phase's scheduled start
-    offset — under an overlapped spec (``after=`` DAG) the synchronized
-    phase may start mid-round, and the policy's decisions are unchanged
-    by that offset.
+    deadline and the returned phase duration are too.
     """
 
     def __init__(
@@ -134,16 +145,8 @@ class TimeoutSync(SyncPolicy):
         backoff: float = 2.0,
         on_exhausted: str = "raise",
     ):
-        if alpha < 1.0:
-            raise ConfigurationError(
-                "alpha must be >= 1 (a deadline below the median finish "
-                "would suspect half the cluster), got {}".format(alpha)
-            )
+        check_deadline_factors(alpha, backoff)
         check_non_negative(max_retries, "max_retries")
-        if backoff < 1.0:
-            raise ConfigurationError(
-                "backoff must be >= 1, got {}".format(backoff)
-            )
         if on_exhausted not in ("raise", "stale"):
             raise ConfigurationError(
                 "on_exhausted must be 'raise' or 'stale', got {!r}".format(on_exhausted)
@@ -277,8 +280,8 @@ class StaleSync(SyncPolicy):
         # runs ahead of the previous commit.
         return max(self.worker_free) - base
 
-    def round_duration(self, ctx, critical_path_end: float) -> float:
+    def round_duration(self, ctx, last_phase_end: float) -> float:
         base = self.commits[ctx.t - 1] if ctx.t else 0.0
-        commit_time = base + critical_path_end
+        commit_time = base + last_phase_end
         self.commits.append(commit_time)
-        return max(critical_path_end, 0.0)
+        return max(last_phase_end, 0.0)

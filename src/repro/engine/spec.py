@@ -3,8 +3,10 @@
 A :class:`RoundSpec` is a trainer's complete statement of what one
 training round *is*: an ordered tuple of typed phases — compute on the
 workers, communication through the simulated network, bookkeeping on the
-master — plus the :class:`~repro.engine.policy.SyncPolicy` that decides
-how worker finish times combine into phase durations.
+master — that run strictly one after another in declaration order (the
+paper's Algorithm 3 is a sequential BSP round), plus the
+:class:`~repro.engine.policy.SyncPolicy` that decides how worker finish
+times combine into phase durations.
 
 Phases name their executors as *method names on the trainer* rather
 than bound callables, for two reasons: the spec stays a pure
@@ -52,16 +54,6 @@ class ComputePhase:
     name: str
     run: str
     synchronized: bool = False
-    #: names of phases this one starts after; ``None`` means "after the
-    #: previous phase in the spec", ``()`` means "at round start"
-    #: (overlapping everything before it).
-    after: Optional[Tuple[str, ...]] = None
-    #: optional declared effect sets — attribute atoms such as
-    #: ``"self._workers"`` or ``"ctx.scratch[stats_by_worker]"``.  When
-    #: present, lint rule R013 cross-checks them against the effects the
-    #: analyzer infers from the executor bodies.
-    reads: Optional[Tuple[str, ...]] = None
-    writes: Optional[Tuple[str, ...]] = None
 
 
 @dataclass(frozen=True)
@@ -79,9 +71,6 @@ class CommPhase:
     pattern: str
     sizes: str
     servers: Optional[str] = None
-    after: Optional[Tuple[str, ...]] = None
-    reads: Optional[Tuple[str, ...]] = None
-    writes: Optional[Tuple[str, ...]] = None
 
     def __post_init__(self):
         if self.pattern not in COMM_PATTERNS:
@@ -100,9 +89,6 @@ class MasterPhase:
 
     name: str
     run: str
-    after: Optional[Tuple[str, ...]] = None
-    reads: Optional[Tuple[str, ...]] = None
-    writes: Optional[Tuple[str, ...]] = None
 
 
 Phase = (ComputePhase, CommPhase, MasterPhase)
@@ -137,23 +123,6 @@ class RoundSpec:
                 )
             if phase.name in seen:
                 raise ValueError("duplicate phase name {!r}".format(phase.name))
-            if phase.after:
-                unknown = [d for d in phase.after if d not in seen]
-                if unknown:
-                    raise ValueError(
-                        "phase {!r} depends on unknown/later phase(s) {}".format(
-                            phase.name, unknown
-                        )
-                    )
-                if len(set(phase.after)) != len(phase.after):
-                    duplicated = sorted(
-                        {d for d in phase.after if phase.after.count(d) > 1}
-                    )
-                    raise ValueError(
-                        "phase {!r} lists duplicate dependency(ies) {}".format(
-                            phase.name, duplicated
-                        )
-                    )
             seen.add(phase.name)
 
     def comm_kinds(self) -> Tuple[MessageKind, ...]:

@@ -43,14 +43,10 @@ class RetryEvent:
     ``'stale'`` (the policy substituted cached statistics), or
     ``'failed'`` (escalated to :class:`StatisticsRecoveryError`).
 
-    ``deadline_s`` is **phase-relative**: an offset from the start of
-    the synchronized phase, not from the start of the round.  The two
-    coincide in a strictly sequential spec (the synchronized compute
-    phase starts at offset 0), but under an overlapped spec the phase
-    may start later in the round; the deadline is still ``alpha x
-    median(per-worker finish)`` measured within the phase's own window,
-    and the engine places it on the round timeline by adding the
-    phase's scheduled start.
+    ``deadline_s`` is **phase-relative**: ``alpha x median(per-worker
+    finish)`` measured from the start of the synchronized phase, not
+    from the start of the round (the two coincide when the synchronized
+    compute phase comes first, as it does in every trainer's spec).
     """
 
     round: int
@@ -106,11 +102,7 @@ class EngineTrace:
 
     def rounds(self) -> List[int]:
         """Round indices present, in order of first appearance."""
-        seen: List[int] = []
-        for event in self.events:
-            if event.round not in seen:
-                seen.append(event.round)
-        return seen
+        return list(dict.fromkeys(event.round for event in self.events))
 
     def round_events(self, round_index: int) -> List[PhaseEvent]:
         """Events of one round, in schedule order."""

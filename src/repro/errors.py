@@ -125,22 +125,6 @@ class ProtocolViolationError(SimulationError):
         )
 
 
-class EffectRaceError(SimulationError):
-    """Raised by the engine's ``check_effects`` vector-clock checker
-    when two phases the spec's ``after=`` DAG leaves unordered touched
-    conflicting state in the same round (write/read or write/write on
-    the same attribute atom) — the dynamic twin of lint rule R012."""
-
-    def __init__(self, iteration, problems):
-        self.iteration = iteration
-        self.problems = tuple(problems)
-        super().__init__(
-            "phase effect race at iteration {}: {}".format(
-                iteration, "; ".join(self.problems)
-            )
-        )
-
-
 class CostDriftError(SimulationError):
     """Raised by the engine's ``check_cost`` kernel audit when the work
     the linalg kernels actually performed in a round (op counters:

@@ -16,8 +16,7 @@ killed / not participating.
 
 :func:`render_engine_trace` is the engine-era complement: it draws the
 per-phase lanes of a :class:`~repro.engine.trace.EngineTrace`
-(``cluster.engine_trace``), making declared comm/compute overlap
-visible.
+(``cluster.engine_trace``), one after another along the round.
 """
 
 from __future__ import annotations
@@ -149,10 +148,9 @@ def render_engine_trace(
 ) -> str:
     """Render one round of an :class:`~repro.engine.trace.EngineTrace`.
 
-    Each phase gets its own lane positioned at its scheduled
-    ``[start, end)`` offset within the round, so comm/compute overlap
-    (phases with ``after=()``) is visible as horizontally overlapping
-    bars::
+    Each phase gets its own lane positioned at its ``[start, end)``
+    offset within the round; phases run one after another, so the bars
+    form a staircase::
 
         round 0 (ColumnSGD, 14.2 ms)
         compute_statistics compute |########                    |

@@ -13,9 +13,8 @@ invariants behind those promises with six per-file AST rules:
 * **R005** — no bare/over-broad ``except`` in protocol paths;
 * **R006** — public config dataclasses validate their numeric fields;
 
-and eight whole-program rules (:mod:`repro.lint.program`,
-:mod:`repro.lint.effects`) that see the same invariants *across*
-function and module boundaries:
+and five whole-program rules (:mod:`repro.lint.program`) that see the
+same invariants *across* function and module boundaries:
 
 * **R007** — no entropy source reachable from protocol-path code
   through any chain of project calls;
@@ -26,15 +25,10 @@ function and module boundaries:
   kinds match its declared ``_round_expected`` traffic;
 * **R011** — ``models``/``linalg``/``optim`` never import (even
   transitively) ``sim``/``net``/``core``;
-* **R012** — phases a spec's ``after=`` DAG leaves unordered must not
-  touch conflicting trainer/context state (inferred interprocedurally);
-* **R013** — a phase's optional ``reads=``/``writes=`` declaration
-  matches the inferred effect sets;
-* **R014** — unordered ``CommPhase`` declarations never emit the same
-  ``MessageKind``;
 
 plus three sparsity-safety rules (:mod:`repro.lint.sparsity`) that
-abstractly interpret every executor over a cost-class lattice
+abstractly interpret every executor of every statically reconstructed
+``RoundSpec`` (:mod:`repro.lint.specs`) over a cost-class lattice
 O(1) ⊑ O(B) ⊑ O(nnz) ⊑ O(d):
 
 * **R015** — no densification (``to_dense``, O(d) allocations,
@@ -64,7 +58,6 @@ from repro.lint.findings import Finding
 # Importing the rule modules populates both registries.
 from repro.lint import rules as _rules  # noqa: F401
 from repro.lint import program as _program  # noqa: F401
-from repro.lint import effects as _effects  # noqa: F401
 from repro.lint import sparsity as _sparsity  # noqa: F401
 from repro.lint.program import (
     ProgramAnalyzer,

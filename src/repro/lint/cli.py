@@ -37,8 +37,8 @@ EXIT_INTERNAL = 3
 
 
 def _expand_range(part: str) -> List[str]:
-    """``R012-R014`` -> ``[R012, R013, R014]`` (both prefixes must agree
-    when the second is spelled; ``R012-14`` works too).  Anything that
+    """``R015-R017`` -> ``[R015, R016, R017]`` (both prefixes must agree
+    when the second is spelled; ``R015-17`` works too).  Anything that
     is not a well-formed ascending range passes through verbatim, so it
     hits the engine's unknown-rule-id usage error instead of silently
     selecting nothing."""
@@ -81,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--select",
         metavar="IDS",
         help="comma-separated rule ids or ranges to run, e.g. "
-        "R001,R012-R014 (default: all)",
+        "R001,R015-R017 (default: all)",
     )
     parser.add_argument(
         "--ignore",

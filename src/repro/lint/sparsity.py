@@ -6,10 +6,10 @@ mini-batch), not O(d) — the simulator *charges* time accordingly via
 regression from densifying a gradient or looping over ``dim`` inside a
 hot path while the charges (and therefore every reproduced figure)
 still claim sparse cost.  This module closes that gap statically,
-following the R010/R012 declaration-vs-reality pattern:
+following the R010 declaration-vs-reality pattern:
 
 * every RoundSpec executor (reconstructed by
-  :func:`repro.lint.effects.extract_round_specs` under each trainer's
+  :func:`repro.lint.specs.extract_round_specs` under each trainer's
   MRO view) is abstractly interpreted over a **cost-class lattice**
 
       O(1)  ⊑  O(B)  ⊑  O(nnz)  ⊑  O(d)
@@ -46,10 +46,10 @@ Three rules consume the result:
   ``SparseVector`` rebuilt from itself inside a loop is O(nnz²);
   accumulate in a dict or dense buffer and construct once.
 
-Like the effect inference, everything here over-approximates: unknown
-loop bounds default to O(B), unknown allocations to O(B), and findings
-anchor at concrete syntactic sites so a reviewed site is silenced with
-one ``# lint: noqa[R015,R016]`` comment that documents the reasoning.
+Everything here over-approximates: unknown loop bounds default to O(B),
+unknown allocations to O(B), and findings anchor at concrete syntactic
+sites so a reviewed site is silenced with one
+``# lint: noqa[R015,R016]`` comment that documents the reasoning.
 """
 
 from __future__ import annotations
@@ -58,7 +58,6 @@ import ast
 import re
 from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
-from repro.lint.effects import SpecDecl, extract_round_specs
 from repro.lint.program import (
     FunctionInfo,
     ModuleInfo,
@@ -66,6 +65,7 @@ from repro.lint.program import (
     ProgramRule,
     register_program,
 )
+from repro.lint.specs import SpecDecl, extract_round_specs
 
 # ----------------------------------------------------------------------
 # the cost-class lattice

@@ -23,6 +23,7 @@ from multiprocessing import connection as _mp_connection
 from statistics import median
 from typing import List, Optional, Sequence, Tuple
 
+from repro.engine.policy import check_deadline_factors
 from repro.utils.validation import check_non_negative, check_positive
 
 #: Measured exchange durations retained for the alpha x median rule.
@@ -51,6 +52,7 @@ class TimeoutPolicy:
         check_positive(self.floor_s, "floor_s")
         check_non_negative(self.max_retries, "max_retries")
         check_positive(self.backoff, "backoff")
+        check_deadline_factors(self.alpha, self.backoff)
 
     def observe(self, seconds: float) -> None:
         """Record one successful exchange's measured duration."""

@@ -1,5 +1,5 @@
-"""The round engine: event queue, RoundSpec execution, sync policies,
-trace emission, and the engine-trace Gantt rendering."""
+"""The round engine: RoundSpec execution, sync policies, trace
+emission, and the engine-trace Gantt rendering."""
 
 from __future__ import annotations
 
@@ -12,8 +12,9 @@ from repro.engine import (
     BarrierSync,
     CommPhase,
     ComputePhase,
-    EventQueue,
+    EngineTrace,
     MasterPhase,
+    PhaseEvent,
     RoundContext,
     RoundEngine,
     RoundSpec,
@@ -24,40 +25,6 @@ from repro.experiments.gantt import render_engine_trace
 from repro.models.linear import LogisticRegression
 from repro.net.message import MessageKind
 from repro.optim.sgd import SGD
-
-
-# ----------------------------------------------------------------------
-# EventQueue
-# ----------------------------------------------------------------------
-class TestEventQueue:
-    def test_pops_in_time_order(self):
-        queue = EventQueue()
-        queue.push(3.0, "c")
-        queue.push(1.0, "a")
-        queue.push(2.0, "b")
-        assert [queue.pop() for _ in range(3)] == [
-            (1.0, "a"), (2.0, "b"), (3.0, "c")
-        ]
-
-    def test_fifo_tie_break(self):
-        queue = EventQueue()
-        for payload in ("first", "second", "third"):
-            queue.push(1.5, payload)
-        assert [payload for _, payload in queue.drain()] == [
-            "first", "second", "third"
-        ]
-
-    def test_pop_empty_raises(self):
-        with pytest.raises(IndexError):
-            EventQueue().pop()
-
-    def test_len_and_bool(self):
-        queue = EventQueue()
-        assert not queue and len(queue) == 0
-        queue.push(0.0, "x")
-        assert queue and len(queue) == 1
-        queue.pop()
-        assert not queue
 
 
 # ----------------------------------------------------------------------
@@ -77,44 +44,6 @@ class TestRoundSpec:
                     MasterPhase("a", run="_b"),
                 ),
             )
-
-    def test_unknown_dependency_rejected(self):
-        with pytest.raises(ValueError, match="unknown/later phase"):
-            RoundSpec(
-                system="x",
-                phases=(ComputePhase("a", run="_a", after=("ghost",)),),
-            )
-
-    def test_self_reference_rejected(self):
-        # a phase cannot depend on itself: its own name is not yet in
-        # the set of earlier phases when its after= tuple is checked
-        with pytest.raises(ValueError, match="unknown/later phase"):
-            RoundSpec(
-                system="x",
-                phases=(ComputePhase("a", run="_a", after=("a",)),),
-            )
-
-    def test_duplicate_dependency_rejected(self):
-        with pytest.raises(ValueError, match="duplicate dependency"):
-            RoundSpec(
-                system="x",
-                phases=(
-                    ComputePhase("a", run="_a"),
-                    MasterPhase("b", run="_b", after=("a", "a")),
-                ),
-            )
-
-    def test_empty_after_on_first_phase_is_valid(self):
-        # after=() means "start at round offset 0" — legal anywhere,
-        # including on the first phase where it changes nothing
-        spec = RoundSpec(
-            system="x",
-            phases=(
-                ComputePhase("a", run="_a", after=()),
-                ComputePhase("b", run="_b", after=()),
-            ),
-        )
-        assert spec.phases[0].after == ()
 
     def test_unknown_comm_pattern_rejected(self):
         with pytest.raises(ValueError, match="unknown comm pattern"):
@@ -156,10 +85,10 @@ class TestRoundSpec:
 
 
 # ----------------------------------------------------------------------
-# engine execution on a stub trainer: scheduling, overlap, expectations
+# engine execution on a stub trainer: scheduling, expectations
 # ----------------------------------------------------------------------
 class _StubTrainer:
-    """Two compute phases (one overlapping the round), a gather, a join."""
+    """A synchronized compute, a gather, a plain compute, a master step."""
 
     def __init__(self, cluster):
         self.cluster = cluster
@@ -176,16 +105,15 @@ class _StubTrainer:
                     pattern="gather",
                     sizes="_push_sizes",
                 ),
-                # overlaps the whole round: starts at offset 0
-                ComputePhase("background", run="_phase_background", after=()),
-                MasterPhase("join", run="_phase_join", after=("push", "background")),
+                ComputePhase("apply", run="_phase_apply"),
+                MasterPhase("join", run="_phase_join"),
             ),
         )
 
     def _phase_work(self, ctx):
         return {w: 2.0 - w * 0.5 for w in range(self.cluster.n_workers)}
 
-    def _phase_background(self, ctx):
+    def _phase_apply(self, ctx):
         return {w: 0.5 for w in range(self.cluster.n_workers)}
 
     def _phase_join(self, ctx):
@@ -196,35 +124,18 @@ class _StubTrainer:
 
 
 class TestEngineScheduling:
-    def test_overlapping_phase_is_hidden(self, cluster4):
-        trainer = _StubTrainer(cluster4)
-        engine = RoundEngine(trainer, cluster4)
+    def test_round_is_the_sum_of_its_back_to_back_phases(self, cluster4):
+        engine = RoundEngine(_StubTrainer(cluster4), cluster4)
         outcome = engine.run_round(0)
-        push = outcome.phase_seconds["push"]
-        # background (0.5s from offset 0) hides under work (2.0s), so the
-        # round is work + push + join, not background + anything.
-        assert outcome.duration == pytest.approx(2.0 + push + 0.25)
-        assert outcome.phase_seconds["background"] == pytest.approx(0.5)
-
-    def test_trace_records_overlap_offsets(self, cluster4):
-        trainer = _StubTrainer(cluster4)
-        engine = RoundEngine(trainer, cluster4)
-        engine.run_round(0)
-        events = {e.phase: e for e in engine.trace.round_events(0)}
-        assert events["work"].start == 0.0
-        assert events["background"].start == 0.0
-        assert events["push"].start == pytest.approx(2.0)
-        assert events["join"].start == pytest.approx(
-            max(events["push"].end, events["background"].end)
-        )
-
-    def test_trace_events_sorted_by_start_with_fifo_ties(self, cluster4):
-        trainer = _StubTrainer(cluster4)
-        engine = RoundEngine(trainer, cluster4)
-        engine.run_round(0)
-        names = [e.phase for e in engine.trace.round_events(0)]
-        # work and background tie at offset 0; work was declared first
-        assert names == ["work", "background", "push", "join"]
+        assert outcome.phase_seconds["work"] == 2.0
+        assert outcome.phase_seconds["apply"] == 0.5
+        assert outcome.duration == sum(outcome.phase_seconds.values())
+        events = engine.trace.round_events(0)
+        assert [e.phase for e in events] == ["work", "push", "apply", "join"]
+        assert events[0].start == 0.0
+        for previous, event in zip(events, events[1:]):
+            assert event.start == previous.end
+        assert events[-1].end == outcome.duration
 
     def test_expected_traffic_derived_from_comm_phase(self, cluster4):
         trainer = _StubTrainer(cluster4)
@@ -352,13 +263,19 @@ class TestEngineTrace:
             "statistics_push", "statistics_bcast"
         }
 
+    def test_rounds_keep_first_appearance_order(self):
+        trace = EngineTrace()
+        for t in (2, 0, 2, 1, 0):
+            trace.add(PhaseEvent(t, "work", "compute", 0.0, 1.0, 0.0, 1.0))
+        assert trace.rounds() == [2, 0, 1]
+
     def test_phase_totals_cover_every_phase(self, cluster4, tiny_binary):
         driver = make_driver(cluster4, tiny_binary)
         driver.fit()
         totals = cluster4.engine_trace.phase_totals()
         assert set(totals) == {
-            "compute_statistics", "gather", "prefetch_batch", "reduce",
-            "broadcast", "update_model",
+            "compute_statistics", "gather", "reduce", "broadcast",
+            "update_model",
         }
         assert all(seconds >= 0.0 for seconds in totals.values())
 

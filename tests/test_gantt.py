@@ -1,10 +1,7 @@
 """Tests for the iteration Gantt renderer."""
 
-import pytest
-
 from repro.core import ColumnSGDConfig, ColumnSGDDriver
-from repro.engine import EventQueue
-from repro.experiments import render_engine_trace, render_iteration_gantt
+from repro.experiments import render_iteration_gantt
 from repro.models import LogisticRegression
 from repro.optim import SGD
 from repro.sim import CLUSTER1, SimulatedCluster, StragglerModel
@@ -76,45 +73,15 @@ class TestGantt:
                 assert len(line) <= 40 + 15  # lane + prefix
 
 
-def _bar_columns(art, phase):
-    """Occupied column range of one phase's bar in the engine chart."""
-    line = next(l for l in art.splitlines() if l.startswith(phase + " "))
-    bar = line.split("|")[1]
-    filled = [i for i, ch in enumerate(bar) if ch not in " "]
-    return filled[0], filled[-1]
-
-
 class TestEngineTraceOverlap:
-    """The docstring's promise: after=() phases render as horizontally
-    overlapping bars, and replays produce an identical event order."""
-
-    def test_overlap_bars_do_overlap(self, tiny_binary):
-        driver = run_one_iteration(tiny_binary)
-        cluster = driver.cluster
-        art = render_engine_trace(cluster.engine_trace, round_index=0)
-        compute_lo, compute_hi = _bar_columns(art, "compute_statistics")
-        prefetch_lo, _ = _bar_columns(art, "prefetch_batch")
-        gather_lo, _ = _bar_columns(art, "gather")
-        reduce_lo, _ = _bar_columns(art, "reduce")
-        # prefetch (after=()) starts at round offset zero, alongside the
-        # compute phase that occupies the first columns
-        assert prefetch_lo == compute_lo == 0
-        # streaming reduce starts with the gather, not after it
-        assert reduce_lo == gather_lo
-        assert gather_lo <= compute_hi + 1
+    """Phases run back to back, and replays produce an identical event
+    order."""
 
     def test_sequential_spec_has_no_overlapping_bars(self, tiny_binary):
-        cluster = SimulatedCluster(CLUSTER1.with_workers(4))
-        driver = ColumnSGDDriver(
-            LogisticRegression(), SGD(0.5), cluster,
-            config=ColumnSGDConfig(batch_size=64, iterations=1, eval_every=0,
-                                   block_size=64, overlap=False),
-        )
-        driver.load(tiny_binary)
-        driver.run_round(0)
-        events = cluster.engine_trace.round_events(0)
+        driver = run_one_iteration(tiny_binary)
+        events = driver.cluster.engine_trace.round_events(0)
         for earlier, later in zip(events, events[1:]):
-            assert later.start >= earlier.start
+            assert later.start >= earlier.end
 
     def test_phase_event_order_is_identical_across_replays(self, tiny_binary):
         def replay():
@@ -126,27 +93,3 @@ class TestEngineTraceOverlap:
 
         first, second = replay(), replay()
         assert first == second
-        # the overlapped phases really share the round's start
-        starts = dict((phase, start) for phase, start, _ in first)
-        assert starts["prefetch_batch"] == 0.0
-        assert starts["compute_statistics"] == 0.0
-
-
-class TestEventQueueDeterminism:
-    def test_ties_pop_in_push_order(self):
-        queue = EventQueue()
-        queue.push(1.0, "b")
-        queue.push(0.0, "a1")
-        queue.push(0.0, "a2")
-        queue.push(0.0, "a3")
-        assert [p for _, p in queue.drain()] == ["a1", "a2", "a3", "b"]
-
-    def test_drain_is_reproducible(self):
-        def fill():
-            queue = EventQueue()
-            for offset, payload in ((2.0, "z"), (0.5, "m"), (0.5, "n"),
-                                    (0.0, "a")):
-                queue.push(offset, payload)
-            return list(queue.drain())
-
-        assert fill() == fill()

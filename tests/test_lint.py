@@ -23,9 +23,7 @@ from repro.lint.findings import Finding
 REPO_ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = Path(__file__).resolve().parent / "lint_fixtures"
 ALL_RULE_IDS = ("R001", "R002", "R003", "R004", "R005", "R006", "R018", "R019")
-PROGRAM_RULE_IDS = (
-    "R007", "R008", "R009", "R010", "R011", "R012", "R013", "R014",
-)
+PROGRAM_RULE_IDS = ("R007", "R008", "R009", "R010", "R011")
 
 
 def lint_fixture(name: str, rule_id: str):
@@ -222,18 +220,18 @@ def test_cli_json_format(capsys):
 
 def test_cli_sarif_format(capsys):
     rc = lint_main(
-        [str(FIXTURES / "program" / "r012_trigger.py"),
-         "--select", "R012", "--format", "sarif"]
+        [str(FIXTURES / "program" / "r010_trigger.py"),
+         "--select", "R010", "--format", "sarif"]
     )
     assert rc == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["version"] == "2.1.0"
     (run,) = payload["runs"]
     assert run["tool"]["driver"]["name"] == "repro.lint"
-    assert [r["id"] for r in run["tool"]["driver"]["rules"]] == ["R012"]
+    assert [r["id"] for r in run["tool"]["driver"]["rules"]] == ["R010"]
     assert run["results"], "trigger fixture must produce SARIF results"
     for result in run["results"]:
-        assert result["ruleId"] == "R012"
+        assert result["ruleId"] == "R010"
         assert result["level"] == "error"
         region = result["locations"][0]["physicalLocation"]["region"]
         # SARIF regions are 1-based
@@ -242,8 +240,8 @@ def test_cli_sarif_format(capsys):
 
 def test_cli_sarif_clean_is_valid(capsys):
     rc = lint_main(
-        [str(FIXTURES / "program" / "r012_pass.py"),
-         "--select", "R012", "--format", "sarif"]
+        [str(FIXTURES / "program" / "r010_pass.py"),
+         "--select", "R010", "--format", "sarif"]
     )
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)

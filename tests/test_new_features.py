@@ -175,7 +175,7 @@ class TestPhaseBreakdown:
         driver = ColumnSGDDriver(
             LogisticRegression(), SGD(0.5), cluster,
             config=ColumnSGDConfig(batch_size=32, iterations=1, eval_every=0,
-                                   block_size=64, overlap=False),
+                                   block_size=64),
         )
         driver.load(tiny_binary)
         duration = driver.run_round(0).duration
@@ -184,25 +184,3 @@ class TestPhaseBreakdown:
             "compute_statistics", "gather", "reduce", "broadcast", "update_model"
         }
         assert sum(phases.values()) == pytest.approx(duration)
-
-    def test_overlap_duration_is_critical_path(self, tiny_binary):
-        cluster = SimulatedCluster(CLUSTER1.with_workers(2))
-        driver = ColumnSGDDriver(
-            LogisticRegression(), SGD(0.5), cluster,
-            config=ColumnSGDConfig(batch_size=32, iterations=1, eval_every=0,
-                                   block_size=64),
-        )
-        driver.load(tiny_binary)
-        duration = driver.run_round(0).duration
-        phases = driver.last_phase_seconds
-        assert "prefetch_batch" in phases
-        critical = (
-            phases["compute_statistics"]
-            + max(phases["gather"], phases["reduce"])
-            + phases["broadcast"]
-            + phases["update_model"]
-        )
-        expected = max(critical, phases["prefetch_batch"]
-                       + phases["update_model"])
-        assert duration == pytest.approx(expected)
-        assert duration < sum(phases.values())

@@ -93,9 +93,8 @@ def start_mllib_runtime(trainer):
 
 
 #: one sequencer, two backends: name -> (backend, **config) -> loaded trainer
-#: (ColumnSGD's sim spec is pinned sequential; the local backend never overlaps)
 TRAINERS = {
-    "columnsgd": lambda data, backend: make_driver(data, backend, overlap=False),
+    "columnsgd": make_driver,
     "mllib": make_mllib,
 }
 
@@ -262,6 +261,23 @@ class TestOneSequencer:
         assert all(d > 0.0 for d in durations)
 
 
+def test_default_columnsgd_round_spec_is_the_same_on_both_backends():
+    def phases(backend):
+        driver = ColumnSGDDriver(
+            LogisticRegression(),
+            SGD(0.5),
+            SimulatedCluster(CLUSTER1.with_workers(WORKERS)),
+            config=ColumnSGDConfig(backend=backend),
+        )
+        return [
+            (p.name, type(p), getattr(p, "kind", None))
+            for p in driver.round_spec().phases
+        ]
+
+    assert phases("sim") == phases("local")
+    assert len(phases("sim")) == 5
+
+
 class TestRunRoundOnLocal:
     """``run_round(t)`` is public (benches drive it directly); on
     ``backend='local'`` it used to run a *simulated* round on the
@@ -371,9 +387,7 @@ class TestConfigValidation:
         assert store.bytes_written > 0
 
     def test_local_rejects_engine_audits(self):
-        with pytest.raises(ValueError, match="check_effects"):
-            ColumnSGDConfig(backend="local", check_effects=True)
-        with pytest.raises(ValueError, match="check_effects"):
+        with pytest.raises(ValueError, match="check_cost"):
             ColumnSGDConfig(backend="local", check_cost=True)
 
     def test_local_rejects_failure_injection(self, data):

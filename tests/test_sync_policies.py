@@ -17,6 +17,7 @@ from repro.engine import (
 from repro.errors import ConfigurationError, StatisticsRecoveryError
 from repro.models import LogisticRegression
 from repro.optim import SGD
+from repro.runtime.deadline import TimeoutPolicy
 from repro.sim import CLUSTER1, SimulatedCluster, StragglerModel
 
 INF = float("inf")
@@ -38,6 +39,27 @@ class TestValidation:
     def test_rejects_backoff_below_one(self):
         with pytest.raises(ConfigurationError):
             TimeoutSync(BackupGroups(4, 0), backoff=0.9)
+
+    @pytest.mark.parametrize("backend", ["sim", "local"])
+    @pytest.mark.parametrize(
+        "factors, message",
+        [
+            (dict(alpha=0.5), "alpha must be >= 1"),
+            (dict(backoff=0.5), "backoff must be >= 1"),
+        ],
+    )
+    def test_both_backends_reject_the_same_factors_at_construction(
+        self, backend, factors, message
+    ):
+        # local hands the sync_* knobs to TimeoutPolicy, sim to TimeoutSync
+        with pytest.raises(ConfigurationError, match=message):
+            ColumnSGDConfig(
+                backend=backend,
+                sync_policy="timeout",
+                **{"sync_" + name: value for name, value in factors.items()},
+            )
+        with pytest.raises(ConfigurationError, match=message):
+            TimeoutPolicy(**factors)
 
     def test_rejects_unknown_on_exhausted(self):
         with pytest.raises(ConfigurationError):
