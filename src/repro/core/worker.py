@@ -10,7 +10,7 @@ Algorithm 3's Step 1, ``update_model`` is Step 3.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -70,11 +70,11 @@ class ColumnWorker:
     # ------------------------------------------------------------------
     # Algorithm 3, Step 1
     # ------------------------------------------------------------------
-    def compute_statistics(
-        self, draws: Sequence[Tuple[int, int]]
-    ) -> Tuple[np.ndarray, int]:
+    def compute_statistics(self, draws) -> Tuple[np.ndarray, int]:
         """Partial statistics over *all* stored partitions for the batch.
 
+        ``draws`` is the ``(B, 2)`` array of ``TwoPhaseIndex.sample`` (or
+        an iterable of ``(block_id, offset)`` pairs).
         Returns ``(statistics, nnz_touched)``.  The statistics are the
         sum over this worker's partitions — with backup computation that
         is the whole group's contribution, so the master needs one

@@ -91,8 +91,9 @@ class Dataset:
     # ------------------------------------------------------------------
     def take(self, row_ids) -> "Dataset":
         """Sub-dataset of the given rows (repetition allowed)."""
-        row_ids = np.asarray(row_ids, dtype=np.int64)
-        return Dataset(self.features.take_rows(row_ids), self.labels[row_ids], self.name)
+        row_ids = np.asarray(row_ids)
+        features = self.features.take_rows(row_ids)  # rejects non-integer ids
+        return Dataset(features, self.labels[row_ids.astype(np.int64)], self.name)
 
     def slice(self, start: int, stop: int) -> "Dataset":
         """Contiguous row range ``[start, stop)``."""

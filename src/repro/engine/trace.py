@@ -11,8 +11,9 @@ next to the clock and network counters it complements, and
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 
 @dataclass(frozen=True)
@@ -76,15 +77,47 @@ class RecoveryEvent:
 @dataclass
 class EngineTrace:
     """Ordered phase events of an engine-driven run, plus the fault
-    pipeline's retry and recovery episodes."""
+    pipeline's retry and recovery episodes.
+
+    A run adds one phase event per phase per round for as long as it
+    lasts, so they are kept as packed columns (~40 bytes an event
+    instead of a ~230-byte object graph) and handed out as
+    :class:`PhaseEvent` objects on request; retries and recoveries are
+    rare and stay plain lists.
+    """
 
     system: str = ""
-    events: List[PhaseEvent] = field(default_factory=list)
     retries: List[RetryEvent] = field(default_factory=list)
     recoveries: List[RecoveryEvent] = field(default_factory=list)
 
+    def __post_init__(self):
+        self._rounds = array("q")
+        self._times = array("d")    # start, end, sim_start, sim_end per event
+        self._labels = array("H")   # position of (phase, category, kind) below
+        self._label_ids: Dict[Tuple[str, str, Optional[str]], int] = {}
+
     def add(self, event: PhaseEvent) -> None:
-        self.events.append(event)
+        label = (event.phase, event.category, event.kind)
+        self._labels.append(self._label_ids.setdefault(label, len(self._label_ids)))
+        self._rounds.append(event.round)
+        self._times.extend((event.start, event.end, event.sim_start, event.sim_end))
+
+    def _events(self, positions: Iterable[int]) -> List[PhaseEvent]:
+        labels = list(self._label_ids)
+        out = []
+        for i in positions:
+            phase, category, kind = labels[self._labels[i]]
+            out.append(
+                PhaseEvent(
+                    self._rounds[i], phase, category, *self._times[4 * i:4 * i + 4], kind
+                )
+            )
+        return out
+
+    @property
+    def events(self) -> List[PhaseEvent]:
+        """Every phase event, in the order it was added."""
+        return self._events(range(len(self._rounds)))
 
     def add_retry(self, event: RetryEvent) -> None:
         self.retries.append(event)
@@ -102,11 +135,13 @@ class EngineTrace:
 
     def rounds(self) -> List[int]:
         """Round indices present, in order of first appearance."""
-        return list(dict.fromkeys(event.round for event in self.events))
+        return list(dict.fromkeys(self._rounds))
 
     def round_events(self, round_index: int) -> List[PhaseEvent]:
         """Events of one round, in schedule order."""
-        return [e for e in self.events if e.round == round_index]
+        return self._events(
+            i for i, r in enumerate(self._rounds) if r == round_index
+        )
 
     def phase_totals(self) -> Dict[str, float]:
         """Total seconds per phase name across all rounds (time breakdown)."""
@@ -116,4 +151,4 @@ class EngineTrace:
         return totals
 
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self._rounds)

@@ -129,18 +129,12 @@ class RidgeCDTrainer:
         stores, _, report = dispatch_block_based(
             dataset, self._assignment, self.cluster, block_size=self.block_size
         )
-        shard_matrices = []
-        labels = None
-        for store in stores:
-            parts = [store.get(b).features for b in store.block_ids()]
-            shard_matrices.append(CSRMatrix.vstack(parts))
-            labels = np.concatenate(
-                [store.get(b).labels for b in store.block_ids()]
-            )
-        self._labels = labels
-        self._shards = [_ColumnShard(matrix) for matrix in shard_matrices]
+        # Blocks are dispatched in row order, so each store's resident
+        # shard already is the worker's column slice of the whole dataset.
+        self._labels = stores[0].labels
+        self._shards = [_ColumnShard(store.shard) for store in stores]
         self._weights = [np.zeros(shard.local_dim) for shard in self._shards]
-        self._residual = -labels.copy()
+        self._residual = -self._labels
         self._rngs = [
             rng_from_seed(self.seed * 1000003 + k + 1) for k in range(K)
         ]

@@ -162,28 +162,34 @@ class CSRMatrix:
         """Gather rows (with repetition allowed) into a new matrix.
 
         This is the mini-batch sampling primitive: sampling ``B`` rows out
-        of a shard is one ``take_rows`` call.
+        of a shard is one ``take_rows`` call.  Row ids must be integers;
+        a float or boolean array is rejected, never truncated or read as
+        0/1 ids.
         """
-        row_ids = np.asarray(row_ids, dtype=np.int64)
+        row_ids = np.asarray(row_ids)
+        if row_ids.dtype.kind not in "iu":
+            if row_ids.size:
+                raise TypeError(
+                    "row ids must be integers, got dtype {}".format(row_ids.dtype)
+                )
+            row_ids = row_ids.astype(np.int64)  # np.asarray([]) is float64
         if row_ids.size and (row_ids.min() < 0 or row_ids.max() >= self.n_rows):
             raise IndexError(
                 "row ids must lie in [0, {}), got [{}, {}]".format(
                     self.n_rows, row_ids.min(), row_ids.max()
                 )
             )
-        lengths = self.indptr[row_ids + 1] - self.indptr[row_ids]
+        row_ids = row_ids.astype(np.int64, copy=False)
+        starts = self.indptr[row_ids]
+        lengths = self.indptr[row_ids + 1] - starts
         indptr = np.zeros(row_ids.size + 1, dtype=np.int64)
         np.cumsum(lengths, out=indptr[1:])
         nnz = int(indptr[-1])
         OP_COUNTERS.add_alloc(2 * nnz)
-        indices = np.empty(nnz, dtype=np.int64)
-        data = np.empty(nnz, dtype=np.float64)
-        for out_i, row_i in enumerate(row_ids):
-            src0, src1 = self.indptr[row_i], self.indptr[row_i + 1]
-            dst0, dst1 = indptr[out_i], indptr[out_i + 1]
-            indices[dst0:dst1] = self.indices[src0:src1]
-            data[dst0:dst1] = self.data[src0:src1]
-        return CSRMatrix(indptr, indices, data, self.n_cols)
+        # Source position of every output entry: a ramp over the output,
+        # shifted per row by how far that row moved.
+        source = np.repeat(starts - indptr[:-1], lengths) + np.arange(nnz)
+        return CSRMatrix(indptr, self.indices[source], self.data[source], self.n_cols)
 
     def slice_rows(self, start: int, stop: int) -> "CSRMatrix":
         """Contiguous row slice ``[start, stop)`` without copying per row."""
@@ -212,8 +218,8 @@ class CSRMatrix:
         OP_COUNTERS.add_alloc(2 * offset)  # concatenated indices + data
         return cls(
             np.concatenate(indptr_parts),
-            np.concatenate([p.indices for p in parts]) if parts else np.empty(0),
-            np.concatenate([p.data for p in parts]) if parts else np.empty(0),
+            np.concatenate([p.indices for p in parts]),
+            np.concatenate([p.data for p in parts]),
             n_cols,
         )
 

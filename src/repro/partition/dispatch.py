@@ -26,6 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
+import numpy as np
+
 from repro.datasets.dataset import Dataset
 from repro.net.message import Message, MessageKind
 from repro.partition.column import ColumnAssignment
@@ -94,10 +96,22 @@ def _build_stores(
     Returns the per-destination stores, the block-size layout for the
     two-phase index, and ``worksets_by_block[block_id][dest]`` so cost
     models can read sizes without recomputing projections.
+
+    Each store's resident shard is sized exactly up front — one
+    bincount of column owners per block — so every projection is copied
+    straight into place and dropped; the worksets handed back are views
+    of the shards.
     """
     K = assignment.n_workers
     stores = [WorksetStore(k, assignment.local_dim(k)) for k in range(K)]
     columns = [assignment.columns_of(k) for k in range(K)]
+    indptr, indices = dataset.features.indptr, dataset.features.indices
+    nnz_of = np.zeros(K, dtype=np.int64)
+    for block in hdfs.blocks:
+        owners = assignment.worker_of(indices[indptr[block.start]:indptr[block.stop]])
+        nnz_of += np.bincount(owners, minlength=K)
+    for dest in range(K):
+        stores[dest].reserve(dataset.n_rows, int(nnz_of[dest]))
     block_sizes: Dict[int, int] = {}
     worksets_by_block: List[List[Workset]] = []
     for block in hdfs.blocks:
@@ -106,9 +120,8 @@ def _build_stores(
         per_dest = []
         for dest in range(K):
             shard = rows.features.select_columns(columns[dest])
-            workset = Workset(block.block_id, shard, rows.labels)
-            stores[dest].put(workset)
-            per_dest.append(workset)
+            stores[dest].put(Workset(block.block_id, shard, rows.labels))
+            per_dest.append(stores[dest].get(block.block_id))
         worksets_by_block.append(per_dest)
     return stores, block_sizes, worksets_by_block
 

@@ -11,13 +11,64 @@ the cluster.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict
 
 import numpy as np
 
 from repro.errors import PartitionError
 from repro.utils.rng import iteration_seed, rng_from_seed
 from repro.utils.validation import check_positive
+
+
+def as_draws(draws) -> np.ndarray:
+    """``draws`` as a ``(B, 2)`` int64 array of ``(block_id, offset)`` rows.
+
+    Accepts what :meth:`TwoPhaseIndex.sample` returns, or any iterable
+    of integer pairs; everything else is a :class:`PartitionError`.
+    """
+    if not isinstance(draws, np.ndarray):
+        try:
+            draws = np.asarray(list(draws))
+        except ValueError:  # ragged: not pairs
+            raise PartitionError("draws must be (block_id, offset) pairs") from None
+    if draws.size == 0 and draws.ndim == 1:
+        return np.empty((0, 2), dtype=np.int64)
+    if draws.ndim != 2 or draws.shape[1] != 2:
+        raise PartitionError(
+            "draws must be a (B, 2) array of (block_id, offset) pairs, "
+            "got shape {}".format(draws.shape)
+        )
+    if draws.dtype.kind not in "iu":
+        raise PartitionError("draws must be integers, got dtype {}".format(draws.dtype))
+    return draws.astype(np.int64, copy=False)
+
+
+def rows_of_draws(
+    draws, block_ids: np.ndarray, sizes: np.ndarray, starts: np.ndarray
+) -> np.ndarray:
+    """Row of every ``(block_id, offset)`` draw in a layout of blocks.
+
+    ``block_ids`` is sorted ascending; block ``block_ids[i]`` holds
+    ``sizes[i]`` rows, the first of which is row ``starts[i]``.  A draw
+    naming an unknown block or an offset outside its block raises
+    :class:`PartitionError`.
+    """
+    draws = as_draws(draws)
+    ids, offsets = draws[:, 0], draws[:, 1]
+    if ids.size and not block_ids.size:
+        raise PartitionError("unknown block id {}".format(ids[0]))
+    pos = np.minimum(np.searchsorted(block_ids, ids), block_ids.size - 1)
+    unknown = block_ids[pos] != ids
+    if unknown.any():
+        raise PartitionError("unknown block id {}".format(ids[unknown][0]))
+    bad = (offsets < 0) | (offsets >= sizes[pos])
+    if bad.any():
+        raise PartitionError(
+            "offset {} out of range for block {} ({} rows)".format(
+                offsets[bad][0], ids[bad][0], sizes[pos][bad][0]
+            )
+        )
+    return starts[pos] + offsets
 
 
 class TwoPhaseIndex:
@@ -42,7 +93,7 @@ class TwoPhaseIndex:
         if np.any(self._sizes <= 0):
             raise PartitionError("all blocks must have at least one row")
         self._weights = self._sizes / self._sizes.sum()
-        self._cum_sizes = np.concatenate([[0], np.cumsum(self._sizes)])
+        self._starts = np.cumsum(self._sizes) - self._sizes
         self.base_seed = int(base_seed)
 
     @property
@@ -55,9 +106,10 @@ class TwoPhaseIndex:
         """Number of indexed blocks."""
         return int(self._block_ids.size)
 
-    def sample(self, iteration: int, batch_size: int) -> List[Tuple[int, int]]:
+    def sample(self, iteration: int, batch_size: int) -> np.ndarray:
         """Draw ``batch_size`` (block id, offset) pairs for ``iteration``.
 
+        Returns one ``(batch_size, 2)`` int64 array, a draw per row.
         Deterministic: the same (base_seed, iteration) yields the same
         draws on every caller.  Rows are sampled with replacement,
         uniformly over the logical dataset.
@@ -66,26 +118,14 @@ class TwoPhaseIndex:
         rng = rng_from_seed(iteration_seed(self.base_seed, iteration))
         block_pos = rng.choice(self.n_blocks, size=batch_size, p=self._weights)
         offsets = rng.integers(0, self._sizes[block_pos])
-        return [
-            (int(self._block_ids[b]), int(o)) for b, o in zip(block_pos, offsets)
-        ]
+        return np.stack([self._block_ids[block_pos], offsets], axis=1)
 
-    def to_global_rows(self, draws: List[Tuple[int, int]]) -> np.ndarray:
+    def to_global_rows(self, draws) -> np.ndarray:
         """Convert draws into global row ids (blocks laid out in id order).
 
         Only valid when block ids map to contiguous ranges of the source
         dataset in ascending order — true for the dispatcher's layout.
-        Used by equivalence tests and by the driver's loss evaluation.
+        Nothing in the training path needs it; the equivalence tests and
+        the tutorial use it to name the rows a batch was drawn from.
         """
-        rows = np.empty(len(draws), dtype=np.int64)
-        id_to_pos = {int(b): i for i, b in enumerate(self._block_ids)}
-        for i, (block_id, offset) in enumerate(draws):
-            pos = id_to_pos.get(block_id)
-            if pos is None:
-                raise PartitionError("unknown block id {}".format(block_id))
-            if not 0 <= offset < self._sizes[pos]:
-                raise PartitionError(
-                    "offset {} out of range for block {}".format(offset, block_id)
-                )
-            rows[i] = self._cum_sizes[pos] + offset
-        return rows
+        return rows_of_draws(draws, self._block_ids, self._sizes, self._starts)

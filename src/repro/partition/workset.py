@@ -6,17 +6,25 @@ in CSR with local column ids, plus the rows' labels and the originating
 block id.  A :class:`WorksetStore` is the per-worker "hash map of
 received worksets" (Algorithm 4, line 7) that the two-phase index
 samples from.
+
+The store keeps what it receives in **one resident shard** — a single
+CSR plus a single label vector, blocks in arrival order — and the
+worksets it hands out are read-only row-slice views of it.  A
+mini-batch is therefore ``(block_id, offset) -> shard row`` arithmetic
+and one :meth:`CSRMatrix.take_rows` over the shard, however many
+blocks the draws touch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 import numpy as np
 
 from repro.errors import PartitionError
 from repro.linalg import CSRMatrix
+from repro.partition.indexing import as_draws, rows_of_draws
 from repro.storage.serialization import workset_bytes
 
 
@@ -47,24 +55,80 @@ class Workset:
         return workset_bytes(self.features.n_rows, self.features.nnz)
 
 
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """Mark a freshly made view (never a base array) read-only."""
+    array.setflags(write=False)
+    return array
+
+
+def _resized(array: np.ndarray, size: int, used: int) -> np.ndarray:
+    """A new array of ``size`` elements keeping the first ``used``."""
+    out = np.empty(size, dtype=array.dtype)
+    out[:used] = array[:used]
+    return out
+
+
+class _Resident(NamedTuple):
+    """The filled part of a store's arrays, ready to gather from."""
+
+    shard: CSRMatrix       # every stored row, blocks in arrival order
+    labels: np.ndarray
+    block_ids: np.ndarray  # sorted ascending, for searchsorted
+    sizes: np.ndarray      # rows of block_ids[i]
+    starts: np.ndarray     # first shard row of block_ids[i]
+
+
 class WorksetStore:
     """Per-worker map ``block_id -> Workset`` with batch assembly.
 
     ``local_dim`` pins the column dimension every stored workset must
-    share (the worker's model partition width).
+    share (the worker's model partition width).  :meth:`put` copies a
+    workset's rows to the end of the resident shard; :meth:`get`,
+    :attr:`shard` and :attr:`labels` return read-only views of it.
     """
 
     def __init__(self, worker_id: int, local_dim: int):
         self.worker_id = int(worker_id)
         self.local_dim = int(local_dim)
+        self._reset()
+
+    def _reset(self) -> None:
+        self._indptr = np.zeros(1, dtype=np.int64)
+        self._indices = np.empty(0, dtype=np.int64)
+        self._data = np.empty(0, dtype=np.float64)
+        self._labels = np.empty(0, dtype=np.float64)
+        self._block_ids: List[int] = []   # arrival order
+        self._row_starts: List[int] = [0]  # first shard row per block, then the end
         self._worksets: Dict[int, Workset] = {}
+        self._resident = None
+
+    def reserve(self, n_rows: int, nnz: int) -> None:
+        """Size the resident arrays for ``n_rows`` rows / ``nnz`` entries in all.
+
+        A loader that knows the shard's final size calls this once, and
+        its puts then write in place; a put that does not fit regrows
+        the arrays to exactly what it needs.
+        """
+        rows_used, nnz_used = self.n_rows, self.nnz
+        if n_rows < rows_used or nnz < nnz_used:
+            raise PartitionError(
+                "cannot shrink worker {}'s shard below its {} rows / {} entries".format(
+                    self.worker_id, rows_used, nnz_used
+                )
+            )
+        self._indptr = _resized(self._indptr, n_rows + 1, rows_used + 1)
+        self._indices = _resized(self._indices, nnz, nnz_used)
+        self._data = _resized(self._data, nnz, nnz_used)
+        self._labels = _resized(self._labels, n_rows, rows_used)
+        self._point_worksets()
 
     def put(self, workset: Workset) -> None:
-        """Insert a received workset; block ids must be unique."""
-        if workset.features.n_cols != self.local_dim:
+        """Append a received workset to the shard; block ids must be unique."""
+        features = workset.features
+        if features.n_cols != self.local_dim:
             raise PartitionError(
                 "workset has {} columns but worker {} owns {}".format(
-                    workset.features.n_cols, self.worker_id, self.local_dim
+                    features.n_cols, self.worker_id, self.local_dim
                 )
             )
         if workset.block_id in self._worksets:
@@ -73,7 +137,71 @@ class WorksetStore:
                     workset.block_id, self.worker_id
                 )
             )
-        self._worksets[workset.block_id] = workset
+        row0, lo = self.n_rows, self.nnz
+        row1, hi = row0 + features.n_rows, lo + features.nnz
+        if row1 > self._labels.size or hi > self._indices.size:
+            self.reserve(max(row1, self._labels.size), max(hi, self._indices.size))
+        self._indptr[row0 + 1:row1 + 1] = features.indptr[1:] + lo
+        self._indices[lo:hi] = features.indices
+        self._data[lo:hi] = features.data
+        self._labels[row0:row1] = workset.labels
+        self._block_ids.append(int(workset.block_id))
+        self._row_starts.append(row1)
+        self._worksets[workset.block_id] = self._view(workset.block_id, row0, row1)
+        self._resident = None
+
+    def _view(self, block_id: int, row0: int, row1: int) -> Workset:
+        """Rows ``[row0, row1)`` of the shard as a read-only workset."""
+        lo, hi = self._indptr[row0], self._indptr[row1]
+        features = CSRMatrix(
+            _frozen(self._indptr[row0:row1 + 1] - lo),
+            _frozen(self._indices[lo:hi]),
+            _frozen(self._data[lo:hi]),
+            self.local_dim,
+        )
+        return Workset(block_id, features, _frozen(self._labels[row0:row1]))
+
+    def _point_worksets(self) -> None:
+        """(Re)build every workset as a view of the current arrays."""
+        self._worksets = {
+            block_id: self._view(block_id, row0, row1)
+            for block_id, row0, row1 in zip(
+                self._block_ids, self._row_starts, self._row_starts[1:]
+            )
+        }
+        self._resident = None
+
+    def _seal(self) -> _Resident:
+        """The resident shard and its block layout (built once per fill)."""
+        if self._resident is None:
+            n_rows, nnz = self.n_rows, self.nnz
+            shard = CSRMatrix(
+                _frozen(self._indptr[:n_rows + 1]),
+                _frozen(self._indices[:nnz]),
+                _frozen(self._data[:nnz]),
+                self.local_dim,
+            )
+            block_ids = np.asarray(self._block_ids, dtype=np.int64)
+            starts = np.asarray(self._row_starts, dtype=np.int64)
+            order = np.argsort(block_ids)
+            self._resident = _Resident(
+                shard,
+                _frozen(self._labels[:n_rows]),
+                block_ids[order],
+                np.diff(starts)[order],
+                starts[:-1][order],
+            )
+        return self._resident
+
+    @property
+    def shard(self) -> CSRMatrix:
+        """Every stored row as one read-only CSR, blocks in arrival order."""
+        return self._seal().shard
+
+    @property
+    def labels(self) -> np.ndarray:
+        """Labels of :attr:`shard`'s rows (read-only)."""
+        return self._seal().labels
 
     def get(self, block_id: int) -> Workset:
         """Look up one workset by block id."""
@@ -94,12 +222,12 @@ class WorksetStore:
     @property
     def n_rows(self) -> int:
         """Total logical rows across all worksets."""
-        return sum(ws.n_rows for ws in self._worksets.values())
+        return self._row_starts[-1]
 
     @property
     def nnz(self) -> int:
         """Total stored non-zeros in this shard."""
-        return sum(ws.features.nnz for ws in self._worksets.values())
+        return int(self._indptr[self.n_rows])
 
     def stored_bytes(self) -> int:
         """Memory footprint of the shard (CSR + labels)."""
@@ -121,48 +249,50 @@ class WorksetStore:
             "resident_bytes": self.stored_bytes(),
         }
 
-    def assemble_batch(
-        self, draws: Iterable[Tuple[int, int]]
-    ) -> Tuple[CSRMatrix, np.ndarray]:
+    def assemble_batch(self, draws) -> Tuple[CSRMatrix, np.ndarray]:
         """Gather the rows named by ``(block_id, offset)`` draws.
 
-        Returns a local-dimension CSR batch plus the labels, in draw
-        order.  Every worker calling this with the same draws gets
-        row-aligned shards of the same logical mini-batch — the point of
-        the two-phase index.
+        ``draws`` is the ``(B, 2)`` int64 array
+        :meth:`~repro.partition.indexing.TwoPhaseIndex.sample` returns
+        (an iterable of pairs is converted).  Returns a local-dimension
+        CSR batch plus the labels, in draw order.  Every worker calling
+        this with the same draws gets row-aligned shards of the same
+        logical mini-batch — the point of the two-phase index.  A draw
+        outside the stored blocks raises :class:`PartitionError`.
         """
-        draws = list(draws)
-        if not draws:
+        draws = as_draws(draws)
+        if not draws.shape[0]:
             return CSRMatrix.empty(0, self.local_dim), np.empty(0, dtype=np.float64)
-        block_ids = np.asarray([b for b, _ in draws], dtype=np.int64)
-        offsets = np.asarray([o for _, o in draws], dtype=np.int64)
-        # Group draws by block so each block contributes one take_rows call,
-        # then restore draw order with a final gather.
-        order = np.argsort(block_ids, kind="stable")
-        parts = []
-        labels = []
-        pos = 0
-        while pos < order.size:
-            block_id = int(block_ids[order[pos]])
-            end = pos
-            while end < order.size and block_ids[order[end]] == block_id:
-                end += 1
-            workset = self.get(block_id)
-            offs = offsets[order[pos:end]]
-            if offs.size and (offs.min() < 0 or offs.max() >= workset.n_rows):
-                raise PartitionError(
-                    "offset out of range for block {} ({} rows)".format(
-                        block_id, workset.n_rows
-                    )
-                )
-            parts.append(workset.features.take_rows(offs))
-            labels.append(workset.labels[offs])
-            pos = end
-        stacked = CSRMatrix.vstack(parts)
-        inverse = np.empty(order.size, dtype=np.int64)
-        inverse[order] = np.arange(order.size)
-        return stacked.take_rows(inverse), np.concatenate(labels)[inverse]
+        return self._gather(draws)
+
+    def _gather(self, draws: np.ndarray) -> Tuple[CSRMatrix, np.ndarray]:
+        """One gather over the resident shard for a non-empty draws array."""
+        resident = self._seal()
+        rows = rows_of_draws(
+            draws, resident.block_ids, resident.sizes, resident.starts
+        )
+        return resident.shard.take_rows(rows), resident.labels[rows]
 
     def clear(self) -> None:
-        """Drop all worksets (worker failure simulation)."""
-        self._worksets.clear()
+        """Drop the shard and every workset (worker failure simulation)."""
+        self._reset()
+
+    # ------------------------------------------------------------------
+    # pickling (spawn/respawn ship stores): the shard once, no views
+    # ------------------------------------------------------------------
+    def __getstate__(self) -> dict:
+        n_rows, nnz = self.n_rows, self.nnz
+        state = dict(self.__dict__)
+        state.update(
+            _indptr=self._indptr[:n_rows + 1],
+            _indices=self._indices[:nnz],
+            _data=self._data[:nnz],
+            _labels=self._labels[:n_rows],
+            _worksets=None,
+            _resident=None,
+        )
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._point_worksets()

@@ -29,6 +29,7 @@ import numpy as np
 
 from repro.errors import DataError, PartitionError
 from repro.linalg import CSRMatrix
+from repro.partition.indexing import rows_of_draws
 from repro.partition.workset import Workset, WorksetStore
 from repro.store.cache import LRUBlockCache, STORE_LEDGER, StoreLedger
 from repro.store.format import (
@@ -183,6 +184,9 @@ class ShardWorksetStore(WorksetStore):
         self._ledger = ledger if ledger is not None else STORE_LEDGER
         self._reader: Optional[ShardReader] = None
         self._sidecar_reader: Optional[ShardReader] = None
+        sizes = shard_index.table[:, 2]
+        #: (block ids, rows per block, first row per block) from the footer
+        self._layout = (np.arange(sizes.size), sizes, np.cumsum(sizes) - sizes)
 
     # ------------------------------------------------------------------
     # the out-of-core fetch path
@@ -220,6 +224,36 @@ class ShardWorksetStore(WorksetStore):
         self._ledger.charge_read(self.worker_id, fetched)
         self._cache.put(block_id, workset, weight=workset.serialized_bytes())
         return workset
+
+    def _seal(self):
+        raise PartitionError(
+            "a shard-backed store keeps no resident shard; fetch blocks with get()"
+        )
+
+    def _gather(self, draws: np.ndarray):
+        """Block by block, since blocks come and go under the LRU.
+
+        Draws are grouped by block so each touched block is fetched once
+        and contributes one ``take_rows``; the pieces are stacked and a
+        final gather restores draw order.
+        """
+        # every draw is checked against the footers before any block is read
+        rows_of_draws(draws, *self._layout)
+        block_ids, offsets = draws[:, 0], draws[:, 1]
+        order = np.argsort(block_ids, kind="stable")
+        grouped = block_ids[order]
+        bounds = np.flatnonzero(grouped[1:] != grouped[:-1]) + 1
+        parts = []
+        labels = []
+        for start, end in zip([0, *bounds], [*bounds, order.size]):
+            workset = self.get(int(grouped[start]))
+            offs = offsets[order[start:end]]
+            parts.append(workset.features.take_rows(offs))
+            labels.append(workset.labels[offs])
+        stacked = CSRMatrix.vstack(parts)
+        inverse = np.empty(order.size, dtype=np.int64)
+        inverse[order] = np.arange(order.size)
+        return stacked.take_rows(inverse), np.concatenate(labels)[inverse]
 
     # ------------------------------------------------------------------
     # metadata answered from footers, no data I/O

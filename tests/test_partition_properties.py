@@ -77,7 +77,9 @@ class TestIndexProperties:
         layout = {i: s for i, s in enumerate(sizes)}
         index = TwoPhaseIndex(layout, base_seed=seed)
         draws = index.sample(iteration, batch)
-        assert draws == TwoPhaseIndex(layout, base_seed=seed).sample(iteration, batch)
+        assert np.array_equal(
+            draws, TwoPhaseIndex(layout, base_seed=seed).sample(iteration, batch)
+        )
         assert len(draws) == batch
         for block_id, offset in draws:
             assert 0 <= offset < layout[block_id]
