@@ -1,7 +1,7 @@
 """Fault tolerance on the real backend: kills + stragglers, measured.
 
 Runs ColumnSGD LR and the MLlib baseline on ``backend='local'`` under a
-seeded :class:`~repro.runtime.LocalChaos` plan — a scripted SIGKILL per
+seeded :class:`~repro.faults.FaultSchedule` — a scripted SIGKILL per
 run (so every cell exercises recovery) plus Poisson kill/stall arrivals
 — across two chaos seeds, and reports what the fault pipeline actually
 did: recoveries by mode, transport retries, and the measured seconds
@@ -13,7 +13,7 @@ workers (``mode='reload'``) and must end bit-identical to the fault-free
 simulator.
 
 Writes ``BENCH_faults_local.json`` into the current working directory;
-CI's chaos-local job uploads it.
+CI's faults job uploads it.
 """
 
 import json
@@ -25,9 +25,9 @@ from repro.baselines.registry import make_trainer
 from repro.core import ColumnSGDConfig, ColumnSGDDriver
 from repro.core.recovery import RecoveryPolicy
 from repro.datasets import make_classification
+from repro.faults import FaultEvent, FaultKind, FaultSchedule
 from repro.models import LogisticRegression
 from repro.optim import SGD
-from repro.runtime import LocalChaos, LocalFaultEvent, LocalFaultKind
 from repro.sim import CLUSTER1, SimulatedCluster
 from repro.utils import ascii_table
 
@@ -44,18 +44,13 @@ def make_data():
 
 
 def make_chaos(chaos_seed):
-    return LocalChaos(
+    return FaultSchedule(
+        # one guaranteed mid-run SIGKILL so every cell recovers
+        events=(FaultEvent(3, FaultKind.WORKER, chaos_seed % WORKERS),),
         mtbf_rounds=4.0,
         seed=chaos_seed,
-        kinds=(LocalFaultKind.KILL, LocalFaultKind.STALL),
+        kinds=(FaultKind.WORKER, FaultKind.STALL),
         stall_s=0.05,
-        n_workers=WORKERS,
-        # one guaranteed mid-run SIGKILL so every cell recovers
-        events=(
-            LocalFaultEvent(
-                iteration=3, kind=LocalFaultKind.KILL, worker=chaos_seed % WORKERS
-            ),
-        ),
     )
 
 

@@ -9,8 +9,8 @@ Beyond the paper, this bench also exercises the chaos-grade pipeline:
 * master restart from checkpoint (the paper aborts on MASTER failure;
   with ``RecoveryPolicy(master_restart=True)`` the job survives and the
   recovery cost is broken down into detect / reload / replay);
-* a seeded chaos matrix — ChaosSchedule worker crashes on top of a
-  1 %-drop :class:`~repro.net.FaultPlan`, protocol-checked every round.
+* a seeded chaos matrix — a FaultSchedule's Poisson worker/task crashes
+  on top of a 1 %-drop :class:`~repro.net.FaultPlan`, protocol-checked every round.
 
 Wall-clock benchmark: one worker-failure recovery.
 """
@@ -18,16 +18,16 @@ Wall-clock benchmark: one worker-failure recovery.
 from repro.core import ColumnSGDConfig, ColumnSGDDriver, RecoveryPolicy
 from repro.datasets import load_profile
 from repro.experiments import fault_timeline, loss_series, render_engine_trace
+from repro.faults import FaultEvent, FaultKind, FaultSchedule
 from repro.models import LogisticRegression
 from repro.net import FaultPlan, LinkFaults
 from repro.optim import SGD
-from repro.sim import (
-    CLUSTER1,
-    ChaosSchedule,
-    FailureInjector,
-    SimulatedCluster,
-)
+from repro.sim import CLUSTER1, SimulatedCluster
 from repro.utils import ascii_table, format_duration
+
+
+def fault(iteration, kind, worker=None):
+    return FaultSchedule([FaultEvent(iteration, kind, worker)])
 
 
 def run(data, failures=None, recovery=None, fault_plan=None, check_protocol=False):
@@ -46,8 +46,8 @@ def run(data, failures=None, recovery=None, fault_plan=None, check_protocol=Fals
 
 def fig13_report(data):
     clean, _ = run(data)
-    task, _ = run(data, FailureInjector.task_failure(40, worker_id=3))
-    worker, _ = run(data, FailureInjector.worker_failure(40, worker_id=3))
+    task, _ = run(data, fault(40, FaultKind.TASK, 3))
+    worker, _ = run(data, fault(40, FaultKind.WORKER, 3))
     table = ascii_table(
         ["scenario", "total sim time", "final loss", "loss right after failure"],
         [
@@ -88,11 +88,11 @@ def ft_asymmetry_table(data):
     trainer = MLlibTrainer(
         LogisticRegression(), SGD(1.0), cluster,
         config=RowSGDConfig(batch_size=500, iterations=80, eval_every=4, seed=10),
-        failures=FailureInjector.worker_failure(40, worker_id=3),
+        failures=fault(40, FaultKind.WORKER, 3),
     )
     trainer.load(data)
     mllib = trainer.fit()
-    column, _ = run(data, FailureInjector.worker_failure(40, worker_id=3))
+    column, _ = run(data, fault(40, FaultKind.WORKER, 3))
     return ascii_table(
         ["system", "worker failure @40 costs", "loss right after", "model state lost"],
         [
@@ -112,7 +112,7 @@ def master_restart_report(data):
     )
     result, driver = run(
         data,
-        failures=FailureInjector.master_failure(44),
+        failures=fault(44, FaultKind.MASTER),
         recovery=recovery,
         check_protocol=True,
     )
@@ -134,8 +134,8 @@ def master_restart_report(data):
     ])
 
 
-# one worker crash roughly every CHAOS_MTBF_S of sim time
-CHAOS_MTBF_S = 30.0
+# one worker/task crash roughly every CHAOS_MTBF_ROUNDS rounds
+CHAOS_MTBF_ROUNDS = 25.0
 
 
 def chaos_matrix(data, seeds=(1, 2, 3)):
@@ -145,7 +145,7 @@ def chaos_matrix(data, seeds=(1, 2, 3)):
     plan = FaultPlan(default=LinkFaults(drop=0.01), seed=0)
     rows = []
     for seed in seeds:
-        chaos = ChaosSchedule(mtbf_s=CHAOS_MTBF_S, seed=seed)
+        chaos = FaultSchedule(mtbf_rounds=CHAOS_MTBF_ROUNDS, seed=seed)
         result, driver = run(
             data, failures=chaos, fault_plan=plan, check_protocol=True
         )

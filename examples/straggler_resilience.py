@@ -17,7 +17,9 @@ from repro import (
     CLUSTER1,
     ColumnSGDConfig,
     ColumnSGDDriver,
-    FailureInjector,
+    FaultEvent,
+    FaultKind,
+    FaultSchedule,
     LogisticRegression,
     SGD,
     SimulatedCluster,
@@ -73,7 +75,7 @@ def main():
     print("\n--- worker failure (Fig 13) ---")
     failed = run(
         data,
-        failures=FailureInjector.worker_failure(20, worker_id=3),
+        failures=FaultSchedule([FaultEvent(20, FaultKind.WORKER, 3)]),
         iterations=60,
     )
     print("loss trace around the failure at iteration 20:")

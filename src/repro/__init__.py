@@ -61,8 +61,8 @@ from repro.sim import (
     CLUSTER1,
     CLUSTER2,
     StragglerModel,
-    FailureInjector,
 )
+from repro.faults import FaultEvent, FaultKind, FaultSchedule
 from repro.core import (
     ColumnSGDConfig,
     ColumnSGDDriver,
@@ -127,7 +127,10 @@ __all__ = [
     "CLUSTER1",
     "CLUSTER2",
     "StragglerModel",
-    "FailureInjector",
+    # faults
+    "FaultEvent",
+    "FaultKind",
+    "FaultSchedule",
     # core
     "ColumnSGDConfig",
     "ColumnSGDDriver",

@@ -34,6 +34,7 @@ from repro.engine import (
     run_training_loop,
 )
 from repro.errors import ConfigurationError, MasterFailedError, TrainingError
+from repro.faults import FaultKind, FaultSchedule
 from repro.linalg import CSRMatrix
 from repro.models.base import StatisticsModel
 from repro.optim.base import Optimizer
@@ -41,7 +42,6 @@ from repro.net.protocol import ProtocolChecker
 from repro.partition.dispatch import load_row_partitioned
 from repro.partition.row import RowPartitioner
 from repro.sim.cluster import SimulatedCluster
-from repro.sim.failures import FailureInjector, FailureKind
 from repro.sim.straggler import StragglerModel
 from repro.runtime.base import BACKENDS
 from repro.utils.validation import check_in, check_non_negative, check_positive
@@ -102,7 +102,7 @@ class BaselineTrainer:
         cluster: SimulatedCluster,
         config: Optional[RowSGDConfig] = None,
         straggler: Optional[StragglerModel] = None,
-        failures: Optional[FailureInjector] = None,
+        failures: Optional[FaultSchedule] = None,
     ):
         self.model = model
         self.optimizer = optimizer.spawn()
@@ -111,11 +111,8 @@ class BaselineTrainer:
         self.straggler = (
             straggler if straggler is not None else StragglerModel.none(cluster.n_workers)
         )
-        self.failures = failures if failures is not None else FailureInjector.none()
-        if hasattr(self.failures, "attach"):
-            self.failures.attach(cluster)  # ChaosSchedule needs the clock
-        if hasattr(self.failures, "validate"):
-            self.failures.validate(cluster.n_workers)
+        self.failures = failures if failures is not None else FaultSchedule()
+        self.failures.validate(cluster.n_workers, self.config.backend)
         self._dataset: Optional[Dataset] = None
         self._partitioner: Optional[RowPartitioner] = None
         self._params: Optional[np.ndarray] = None
@@ -314,15 +311,15 @@ class BaselineTrainer:
         master crash loses the model and aborts the job."""
         extra = 0.0
         for event in self.failures.events_at(t):
-            if event.kind == FailureKind.MASTER:
+            if event.kind is FaultKind.MASTER:
                 raise MasterFailedError(
                     "master failed at iteration {} — the model is lost; "
                     "RowSGD restarts from scratch".format(t)
                 )
-            if event.kind == FailureKind.TASK:
+            if event.kind is FaultKind.TASK:
                 extra += self.cluster.cost.task_overhead
                 continue
-            shard = self._partitioner.shard(event.worker_id)
+            shard = self._partitioner.shard(event.worker)
             reload_bytes = shard.nnz * 12 + shard.n_rows * 8
             reload_s = (
                 self.cluster.cost.task_overhead
@@ -339,7 +336,7 @@ class BaselineTrainer:
                         round=t,
                         kind="worker",
                         mode="reload",
-                        worker=event.worker_id,
+                        worker=event.worker,
                         reload_s=reload_s,
                     )
                 )

@@ -43,7 +43,6 @@ from repro.datasets.dataset import Dataset
 from repro.errors import ConfigurationError, TrainingError
 from repro.models.base import StatisticsModel
 from repro.partition.row import sample_shard_batch
-from repro.runtime.chaos import LocalChaos
 from repro.runtime.deadline import TimeoutPolicy
 from repro.runtime.local import LocalRuntime
 from repro.storage.serialization import (
@@ -108,10 +107,8 @@ class RowMasterProgram:
     runtime: LocalRuntime
 
     def _handle_failures(self, t: int) -> float:
-        """Strike this round's chaos; nothing to spill (stateless workers)."""
-        failures = self.trainer.failures
-        if isinstance(failures, LocalChaos):
-            self.runtime.inject_faults(failures.events_at(t))
+        """Strike this round's faults; nothing to spill (stateless workers)."""
+        self.runtime.inject_faults(self.trainer.failures.events_at(t))
         return 0.0
 
     def _phase_compute_gradients(self, ctx) -> Dict[int, float]:
@@ -190,15 +187,6 @@ def run_local_rowsgd(
             "store_dir holds a *column*-shard store; the row-oriented "
             "MLlib baseline cannot read it — use the ColumnSGD driver "
             "or drop store_dir"
-        )
-    if (
-        not isinstance(trainer.failures, LocalChaos)
-        and trainer.failures.any_scheduled()
-    ):
-        raise ConfigurationError(
-            "backend='local' runs real processes; simulated failure "
-            "injection cannot reach them — pass a repro.runtime.LocalChaos "
-            "plan for real faults, or use backend='sim'"
         )
     config = trainer.config
     K = trainer.cluster.n_workers

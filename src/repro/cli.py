@@ -106,11 +106,12 @@ def build_parser() -> argparse.ArgumentParser:
                             "(columnsgd; real on-disk spills with "
                             "--backend local)")
     train.add_argument("--chaos-mtbf-rounds", type=float, default=0.0,
-                       help="inject real faults on --backend local: "
-                            "Poisson fault arrivals with this "
-                            "mean-time-between-failures in rounds")
+                       help="inject faults: Poisson arrivals with this "
+                            "mean-time-between-failures in rounds "
+                            "(simulated on --backend sim, real process "
+                            "faults on --backend local; see docs/faults.md)")
     train.add_argument("--chaos-seed", type=int, default=0,
-                       help="seed for the --chaos-mtbf-rounds plan")
+                       help="seed for the --chaos-mtbf-rounds schedule")
     train.add_argument("--wire-precision", default="fp64", choices=("fp64", "fp32"),
                        help="statistics wire format (columnsgd only)")
     train.add_argument("--early-stop-patience", type=int, default=0,
@@ -195,14 +196,14 @@ def _run_one(args, system: str, data: Dataset):
         seed=args.seed,
         backend=getattr(args, "backend", "sim"),
         local_processes=getattr(args, "local_processes", 0),
-        **_fault_extras(args, system, cluster),
+        **_fault_extras(args, system),
         **_columnsgd_extras(args, system),
     )
     trainer.load(data)
     return trainer, trainer.fit()
 
 
-def _fault_extras(args, system: str, cluster) -> dict:
+def _fault_extras(args, system: str) -> dict:
     extras = {}
     if getattr(args, "local_timeout_s", 30.0) != 30.0:
         extras["local_timeout_s"] = args.local_timeout_s
@@ -215,17 +216,11 @@ def _fault_extras(args, system: str, cluster) -> dict:
             checkpoint_every=args.checkpoint_every
         )
     if getattr(args, "chaos_mtbf_rounds", 0.0):
-        if getattr(args, "backend", "sim") != "local":
-            raise SystemExit(
-                "--chaos-mtbf-rounds injects real process faults and "
-                "needs --backend local (simulated chaos: repro.sim.ChaosSchedule)"
-            )
-        from repro.runtime import LocalChaos
+        from repro.faults import FaultSchedule
 
-        extras["failures"] = LocalChaos(
+        extras["failures"] = FaultSchedule(
             mtbf_rounds=args.chaos_mtbf_rounds,
             seed=getattr(args, "chaos_seed", 0),
-            n_workers=cluster.n_workers,
         )
     return extras
 

@@ -44,6 +44,7 @@ from repro.engine import (
 )
 from repro.engine.policy import check_deadline_factors
 from repro.errors import ConfigurationError, MasterFailedError, TrainingError
+from repro.faults import FaultKind, FaultSchedule
 from repro.models.base import StatisticsModel
 from repro.net.message import MessageKind
 from repro.net.protocol import ProtocolChecker
@@ -53,7 +54,6 @@ from repro.partition.dispatch import dispatch_block_based, dispatch_naive, LoadR
 from repro.partition.indexing import TwoPhaseIndex
 from repro.runtime.base import BACKENDS
 from repro.sim.cluster import SimulatedCluster
-from repro.sim.failures import FailureInjector, FailureKind
 from repro.sim.straggler import StragglerModel
 from repro.storage.serialization import OBJECT_OVERHEAD_BYTES, dense_vector_bytes
 from repro.utils.validation import check_in, check_non_negative, check_positive
@@ -142,8 +142,8 @@ class ColumnSGDConfig:
         if self.early_stop_patience and not self.eval_every:
             raise ValueError("early stopping requires eval_every > 0")
         if self.backend == "local":
-            # sync_policy, checkpointing (RecoveryPolicy), and chaos
-            # (repro.runtime.LocalChaos) all run for real on the local
+            # sync_policy, checkpointing (RecoveryPolicy), and faults
+            # (repro.faults.FaultSchedule) all run for real on the local
             # backend; only genuinely simulator-bound features remain
             # rejected.
             if self.backup:
@@ -173,7 +173,7 @@ class ColumnSGDDriver:
         cluster: SimulatedCluster,
         config: Optional[ColumnSGDConfig] = None,
         straggler: Optional[StragglerModel] = None,
-        failures: Optional[FailureInjector] = None,
+        failures: Optional[FaultSchedule] = None,
         recovery: Optional[RecoveryPolicy] = None,
     ):
         self.model = model
@@ -183,11 +183,8 @@ class ColumnSGDDriver:
         self.straggler = (
             straggler if straggler is not None else StragglerModel.none(cluster.n_workers)
         )
-        self.failures = failures if failures is not None else FailureInjector.none()
-        if hasattr(self.failures, "attach"):
-            self.failures.attach(cluster)  # ChaosSchedule needs the clock
-        if hasattr(self.failures, "validate"):
-            self.failures.validate(cluster.n_workers)
+        self.failures = failures if failures is not None else FaultSchedule()
+        self.failures.validate(cluster.n_workers, self.config.backend)
         self.recovery_policy = recovery if recovery is not None else RecoveryPolicy.disabled()
         self.recovery_manager: Optional[RecoveryManager] = None
         self.groups = BackupGroups(cluster.n_workers, self.config.backup)
@@ -212,8 +209,6 @@ class ColumnSGDDriver:
         #: on: attached by ``run_local_columnsgd`` for the length of a
         #: run, or assigned by a caller that drives ``run_round`` itself
         self.local_runtime = None
-        #: the LocalCheckpointStore of the most recent backend='local' run
-        self.local_checkpoints = None
         self.load_report: Optional[LoadReport] = None
         #: phase durations of the most recent iteration (seconds), keyed
         #: by phase name — the input to time-breakdown analyses
@@ -413,8 +408,7 @@ class ColumnSGDDriver:
             record=lambda t, duration, bytes_sent, evaluate: self._record(
                 result, t, duration, bytes_sent, evaluate
             ),
-            # the driver itself on sim, its master program on local
-            handle_failures=self._engine.trainer._handle_failures,
+            handle_failures=self._handle_failures,
             checker=checker,
             should_stop=lambda: self._should_stop_early(result),
         )
@@ -666,34 +660,46 @@ class ColumnSGDDriver:
     # failures (Section X)
     # ------------------------------------------------------------------
     def _handle_failures(self, t: int) -> float:
-        """Apply upkeep and scheduled failures; returns extra recovery seconds.
+        """Top-of-round upkeep on either backend; returns the extra seconds.
 
-        Runs inside the protocol checker's round window, so heartbeat,
-        checkpoint, and replay traffic is audited (as unchecked kinds)
-        rather than crossing the barrier.
+        The one place the order is decided: **strike, then checkpoint**
+        — a process killed at the top of round ``t`` writes nothing in
+        round ``t``, so its partitions keep their previous snapshot.
+        What a strike and a checkpoint physically are is the executor's
+        business (this driver on ``sim``, its master program on
+        ``local``).  Runs inside the protocol checker's round window, so
+        heartbeat, checkpoint, and replay traffic is audited (as
+        unchecked kinds) rather than crossing the barrier.
         """
+        executor = self._engine.trainer
+        extra = executor._strike(t, self.failures.events_at(t))
+        if self.recovery_manager.checkpoint_due(t):
+            extra += executor._checkpoint(t)
+        return extra
+
+    def _strike(self, t: int, events) -> float:
+        """Simulated faults: heartbeat upkeep, then each event's
+        Section X recovery, charged in simulated seconds."""
         manager = self.recovery_manager
-        extra = manager.on_iteration(t) if manager is not None else 0.0
-        for event in self.failures.events_at(t):
-            if event.kind == FailureKind.MASTER:
-                if manager is None or not self.recovery_policy.master_restart:
+        extra = manager.heartbeats()
+        for event in events:
+            if event.kind is FaultKind.MASTER:
+                if not self.recovery_policy.master_restart:
                     raise MasterFailedError(
                         "master failed at iteration {}".format(t)
                     )
                 extra += manager.recover_master(t)
-                continue
-            if event.kind == FailureKind.TASK:
+            elif event.kind is FaultKind.TASK:
                 # Spark relaunches the task; data and model are cached, so
                 # the cost is one extra task launch (plus detection delay
                 # when a heartbeat detector is configured).
-                extra += (
-                    manager.restart_task(t)
-                    if manager is not None
-                    else self.cluster.cost.task_overhead
-                )
-                continue
-            extra += self._recover_worker(event.worker_id, iteration=t)
+                extra += manager.restart_task(t)
+            else:
+                extra += manager.recover_worker(event.worker, iteration=t)
         return extra
+
+    def _checkpoint(self, t: int) -> float:
+        return self.recovery_manager.checkpoint(t)
 
     def _recover_worker(self, worker_id: int, iteration: int = -1) -> float:
         """Worker crash: reload the shard; model-partition handling

@@ -20,16 +20,15 @@ lossless and a fixed-seed run reproduces the simulator's trajectory
 exactly; ``fp32`` rounds through float32 on encode, matching the
 simulated wire's semantics value for value.
 
-Faults are real (``docs/faults.md``): a
-:class:`~repro.runtime.LocalChaos` plan passed as ``failures=``
-SIGKILLs, stalls, drops and garbles; the runtime detects death and
-silence and its :meth:`~repro.runtime.LocalRuntime.exchange` respawns
-and re-issues.  This side adds the restore step — the on-disk
-:class:`~repro.core.recovery.LocalCheckpointStore` snapshot, else
-zero-init (rollback, no replay, like the simulated ``RecoveryManager``)
-— and the fate of silent-but-alive workers (``sync_on_exhausted='stale'``
-substitutes the master's cached contribution for the round; anything
-else escalates).
+Faults are real (``docs/faults.md``): the driver's
+:class:`~repro.faults.FaultSchedule` SIGKILLs, stalls, drops and
+garbles; the runtime detects death and silence and its
+:meth:`~repro.runtime.LocalRuntime.exchange` respawns and re-issues.
+This side adds the restore step — the partition's record in the job's
+:class:`~repro.core.recovery.CheckpointStore`, else zero-init (rollback,
+no replay, like the simulated ``RecoveryManager``) — and the fate of
+silent-but-alive workers (``sync_on_exhausted='stale'`` substitutes the
+master's cached contribution for the round; anything else escalates).
 
 Bytes are accounted at the *actual* encoded lengths, which equal the
 simulator's size model by construction — so a
@@ -41,19 +40,18 @@ traffic as unchecked CHECKPOINT chatter, like the sim).
 
 from __future__ import annotations
 
-import pickle
+import tempfile
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.recovery import LocalCheckpointStore
+from repro.core.recovery import CheckpointStore, restore_partition, snapshot_partition
 from repro.core.results import TrainingResult
 from repro.core.worker import ColumnWorker
 from repro.errors import ConfigurationError
 from repro.net.message import Message, MessageKind
 from repro.partition.indexing import TwoPhaseIndex
-from repro.runtime.chaos import LocalChaos
 from repro.runtime.deadline import TimeoutPolicy
 from repro.runtime.local import LocalRuntime
 from repro.storage.serialization import (
@@ -91,42 +89,27 @@ class ColumnWorkerProgram:
             self.worker.update_model(reduced, int(args["t"]))
             return {}, None
         if op == "checkpoint":
-            # Snapshot every owned partition: wire-codec params (always
-            # fp64 — snapshots must restore losslessly) + pickled
-            # optimizer state.  The master spills the blob to disk.
-            blob = {}
-            for pid, state in self.worker.partitions.items():
-                encoded = encode_payload(
-                    DenseVectorPayload(
-                        np.asarray(state.params, dtype=np.float64).ravel(),
-                        precision="fp64",
-                    )
-                )
-                blob[pid] = (
-                    tuple(state.params.shape),
-                    encoded,
-                    pickle.dumps(state.optimizer, protocol=pickle.HIGHEST_PROTOCOL),
-                )
-            return {"partitions": sorted(blob)}, pickle.dumps(blob)
+            # one snapshot record per owned partition, back to back; the
+            # master slices them apart by the reply's lengths and spills
+            records = {
+                pid: snapshot_partition(state)
+                for pid, state in self.worker.partitions.items()
+            }
+            return {
+                "lengths": {pid: len(record) for pid, record in records.items()}
+            }, b"".join(records.values())
         if op == "restore":
-            # Post-respawn state reload: decode each partition's
-            # snapshot (or zero-init when the master had none) into the
-            # freshly forked — and therefore stale — partition state.
-            blob = pickle.loads(payload)
-            modes = {}
-            for pid, (shape, params_bytes, opt_blob) in blob.items():
-                state = self.worker.partitions[pid]
-                if params_bytes is None:
-                    state.params[...] = 0.0
-                    state.optimizer.reset()
-                    modes[pid] = "zero-init"
-                else:
-                    state.params[...] = decode_payload(params_bytes).values.reshape(
-                        shape
-                    )
-                    state.optimizer = pickle.loads(opt_blob)
-                    modes[pid] = "checkpoint"
-            return {"modes": modes}, None
+            # Post-respawn state reload: roll each freshly forked — and
+            # therefore stale — partition back to its record, or
+            # zero-init it when the master had none (length -1).
+            offset = 0
+            for pid, length in args["lengths"].items():
+                record = None
+                if length >= 0:
+                    record = payload[offset : offset + length]
+                    offset += length
+                restore_partition(self.worker.partitions[pid], record)
+            return {}, None
         if op == "draws":
             draws = self.index.sample(int(args["t"]), self.batch_size)
             return {"draws": [tuple(map(int, d)) for d in draws]}, None
@@ -171,18 +154,19 @@ class ColumnMasterProgram:
     driver: object
     runtime: LocalRuntime
 
-    def _handle_failures(self, t: int) -> float:
-        """Pre-round upkeep inside the protocol checker's window: strike
-        the round's chaos, then spill a checkpoint when one is due
-        (returns that exchange's seconds)."""
-        driver, runtime = self.driver, self.runtime
-        if isinstance(driver.failures, LocalChaos):
-            runtime.inject_faults(driver.failures.events_at(t))
-        store = driver.local_checkpoints
-        if store is None or t % driver.recovery_policy.checkpoint_every:
-            return 0.0
-        # workers found dead here are recovered by the round's first
-        # exchange; their partitions keep the previous snapshot
+    def _strike(self, t: int, events) -> float:
+        """Real faults: SIGKILL now, arm stalls/drops/garbles for the
+        round's exchanges.  The runtime detects and recovers inside
+        those exchanges, whose measured seconds carry the cost."""
+        self.runtime.inject_faults(events)
+        return 0.0
+
+    def _checkpoint(self, t: int) -> float:
+        """Pull every partition's snapshot record and spill it; returns
+        the exchange's seconds.  A worker found dead here is recovered
+        by the round's first exchange; its partitions keep the previous
+        snapshot."""
+        runtime, store = self.runtime, self.driver.recovery_manager.checkpoints
         exchange = runtime.run_all("checkpoint", iteration=t, raise_on_fault=False)
         for w, reply in exchange.replies.items():
             runtime.network.send(
@@ -193,27 +177,29 @@ class ColumnMasterProgram:
                     OBJECT_OVERHEAD_BYTES + len(reply.payload),
                 )
             )
-            for pid, (shape, params_bytes, opt_blob) in pickle.loads(
-                reply.payload
-            ).items():
-                store.write(t, pid, shape, params_bytes, opt_blob)
+            offset = 0
+            for pid, length in reply.result["lengths"].items():
+                store.write(t, pid, reply.payload[offset : offset + length])
+                offset += length
         return exchange.seconds
 
-    def _restore(self, worker: int) -> Tuple[str, bytes]:
-        """Restore step for a respawned worker: per partition the on-disk
-        snapshot, else zero-init (backup replicas need ``backup > 0``,
-        which this backend does not host)."""
-        store = self.driver.local_checkpoints
-        mode = "checkpoint"
-        blob = {}
-        for pid in self.driver.groups.partitions_of_worker(worker):
-            if store is not None and store.has_snapshot(pid):
-                _, shape, params_bytes, opt_blob = store.read(pid)
-                blob[pid] = (shape, params_bytes, opt_blob)
-            else:
-                blob[pid] = (None, None, None)
-                mode = "zero-init"
-        return mode, pickle.dumps(blob)
+    def _restore(self, worker: int) -> Tuple[str, dict, bytes]:
+        """Restore step for a respawned worker: per partition its
+        snapshot record, else zero-init (backup replicas need
+        ``backup > 0``, which this backend does not host)."""
+        store = self.driver.recovery_manager.checkpoints
+        records = {
+            pid: store.read(pid) if store.has_snapshot(pid) else None
+            for pid in self.driver.groups.partitions_of_worker(worker)
+        }
+        mode = "zero-init" if None in records.values() else "checkpoint"
+        lengths = {
+            pid: -1 if record is None else len(record)
+            for pid, record in records.items()
+        }
+        return mode, {"lengths": lengths}, b"".join(
+            record for record in records.values() if record is not None
+        )
 
     def _phase_compute_statistics(self, ctx) -> Dict[int, float]:
         """Step 1.  Who is chosen or stale is what the transport
@@ -294,15 +280,6 @@ def make_local_runtime(driver) -> Tuple[LocalRuntime, Dict[int, ColumnWorkerProg
     config = driver.config
     if driver._index is None:
         raise ConfigurationError("call load() before starting the local backend")
-    if (
-        not isinstance(driver.failures, LocalChaos)
-        and driver.failures.any_scheduled()
-    ):
-        raise ConfigurationError(
-            "backend='local' runs real processes; simulated failure "
-            "injection cannot reach them — pass a repro.runtime.LocalChaos "
-            "plan for real faults, or use backend='sim'"
-        )
     timeout = TimeoutPolicy(
         alpha=config.sync_alpha,
         floor_s=config.local_timeout_s,
@@ -351,19 +328,17 @@ def run_local_columnsgd(
     # offset, so measured rounds must accumulate on top of it.
     runtime.clock.reset(driver.cluster.clock.now())
     driver.local_runtime = runtime
-    store = (
-        LocalCheckpointStore() if driver.recovery_policy.checkpoint_every else None
-    )
-    driver.local_checkpoints = store
     try:
-        driver._train(iterations, result)
+        # snapshots really spill on this backend, to files that live as
+        # long as the run (the store object and its counters outlive it)
+        with tempfile.TemporaryDirectory(prefix="repro-ckpt-") as spill_dir:
+            driver.recovery_manager.checkpoints = CheckpointStore(spill_dir)
+            driver._train(iterations, result)
         driver.store_read_stats = collect_store_stats(runtime)
     finally:
         driver.local_runtime = driver._engine = None
         if owns_runtime:
             runtime.close()
-        if store is not None:
-            store.close()
     return result
 
 

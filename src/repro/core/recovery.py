@@ -14,10 +14,13 @@ third.  :class:`RecoveryManager` centralises all three behind one
   seconds (zero when heartbeats are disabled — the legacy omniscient
   detector).
 * **checkpointing** — every ``checkpoint_every`` iterations each model
-  partition's ``(params, optimizer state)`` is snapshotted to simulated
-  stable storage, charged at disk + network bandwidth and accounted as
+  partition's ``(params, optimizer state)`` becomes one snapshot record
+  (:func:`snapshot_partition` / :func:`restore_partition` — the same
+  pair on both backends) in the job's :class:`CheckpointStore`; the
+  simulator charges it at disk + network bandwidth and accounts it as
   :data:`~repro.net.message.MessageKind.CHECKPOINT` traffic (unchecked
-  by the protocol's Table-I envelopes, like control chatter).
+  by the protocol's Table-I envelopes, like control chatter), the local
+  backend really ships and spills it.
 * **recovery modes** — per lost model partition, in preference order:
   ``'replica'`` (a backup-group peer still holds the shared
   :class:`~repro.core.worker.PartitionState` — free), ``'checkpoint'``
@@ -37,22 +40,26 @@ pre-manager driver formulas.
 
 from __future__ import annotations
 
-import copy
 import os
-import pickle
-import shutil
-import tempfile
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
 from repro.core.backup import BackupGroups
 from repro.core.worker import ColumnWorker, PartitionState
 from repro.engine.trace import RecoveryEvent
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, DataError, MasterFailedError
 from repro.net.message import Message, MessageKind
-from repro.storage.serialization import OBJECT_OVERHEAD_BYTES, dense_vector_bytes
+from repro.storage.serialization import (
+    OBJECT_OVERHEAD_BYTES,
+    DenseVectorPayload,
+    IntVectorPayload,
+    decode_payload,
+    dense_vector_bytes,
+    encode_payload,
+    int_vector_bytes,
+)
 from repro.utils.validation import check_non_negative
 
 #: Dense vectors per partition snapshot: the params themselves plus one
@@ -97,106 +104,112 @@ class RecoveryPolicy:
         return self.heartbeat_interval_s * self.heartbeat_timeout_beats
 
 
-class CheckpointStore:
-    """Per-partition snapshots on simulated stable storage.
+def snapshot_partition(state: PartitionState) -> bytes:
+    """One partition's snapshot record: params + optimizer state.
 
-    A snapshot is ``(iteration, params copy, optimizer deep-copy)`` per
-    partition; writing is charged at the slower of disk and network, in
-    parallel across workers (each primary replica streams its own
-    partitions).
+    With :func:`restore_partition`, the only place the snapshot format
+    is known.  A record is wire-codec payloads back to back, always
+    fp64 so a restore is lossless — one ``IntVectorPayload`` layout
+    ``[n_arrays, (ndim, *shape) per array]``, then one
+    ``DenseVectorPayload`` per array: the params first, the optimizer's
+    :meth:`~repro.optim.base.Optimizer.state_arrays` after.  Nothing in
+    it is executable, and every byte is covered by the layout's size
+    arithmetic.
     """
+    arrays = [state.params] + list(state.optimizer.state_arrays())
+    layout = [len(arrays)]
+    for array in arrays:
+        layout += [array.ndim, *array.shape]
+    return b"".join(
+        [encode_payload(IntVectorPayload(np.asarray(layout, dtype=np.int64)))]
+        + [
+            encode_payload(DenseVectorPayload(np.asarray(a, dtype=np.float64)))
+            for a in arrays
+        ]
+    )
 
-    def __init__(self, cluster):
-        self.cluster = cluster
-        self._snapshots: Dict[int, Tuple[int, np.ndarray, object]] = {}
-        self.last_iteration: Optional[int] = None
-        self.writes = 0
 
-    # ------------------------------------------------------------------
-    def partition_bytes(self, state: PartitionState) -> int:
-        """Snapshot wire/disk footprint of one partition (params + state)."""
-        return CHECKPOINT_VECTORS * dense_vector_bytes(int(state.params.size))
-
-    def write(
-        self,
-        iteration: int,
-        partitions: List[PartitionState],
-        groups: BackupGroups,
-        workers: List[ColumnWorker],
-    ) -> float:
-        """Snapshot every partition from its primary live replica.
-
-        Returns the charge in seconds: workers stream concurrently, so
-        the wall time is the slowest worker's ``bytes/disk + bytes/net``.
-        """
-        network = self.cluster.network
-        per_worker_bytes: Dict[int, int] = {}
-        for state in partitions:
-            primary = None
-            for w in groups.replicas_of_partition(state.partition_id):
-                if not workers[w].failed:
-                    primary = w
-                    break
-            if primary is None:
-                continue  # whole group dead; nothing to snapshot from
-            self._snapshots[state.partition_id] = (
-                iteration,
-                np.array(state.params, copy=True),
-                copy.deepcopy(state.optimizer),
-            )
-            size = self.partition_bytes(state)
-            network.send(
-                Message(MessageKind.CHECKPOINT, primary, Message.MASTER, size)
-            )
-            per_worker_bytes[primary] = per_worker_bytes.get(primary, 0) + size
-        self.last_iteration = iteration
-        self.writes += 1
-        if not per_worker_bytes:
-            return network.consume_extra_seconds()
-        slowest = max(per_worker_bytes.values())
-        disk = self.cluster.spec.disk_bandwidth_bytes_per_s
-        return (
-            slowest / disk
-            + slowest / network.bandwidth
-            + network.consume_extra_seconds()
+def restore_partition(state: PartitionState, record: Optional[bytes]) -> str:
+    """Roll ``state`` back to ``record`` (``'checkpoint'``), or with no
+    record to the Section X fallback — zeros + optimizer reset, relying
+    on SGD's robustness (``'zero-init'``).  Returns the recovery mode.
+    """
+    if record is None:
+        state.params[...] = 0.0
+        state.optimizer.reset()
+        return "zero-init"
+    params, *slots = _record_arrays(record)
+    if params.shape != state.params.shape:
+        raise DataError(
+            "snapshot holds params of shape {} for a partition of shape "
+            "{}".format(params.shape, state.params.shape)
         )
-
-    # ------------------------------------------------------------------
-    def snapshot_of(self, partition_id: int):
-        """``(iteration, params, optimizer)`` or ``None``."""
-        return self._snapshots.get(partition_id)
-
-    def has_snapshot(self, partition_id: int) -> bool:
-        return partition_id in self._snapshots
-
-    def read_seconds(self, num_bytes: int) -> float:
-        """Charge for pulling ``num_bytes`` back from stable storage."""
-        return (
-            num_bytes / self.cluster.spec.disk_bandwidth_bytes_per_s
-            + num_bytes / self.cluster.network.bandwidth
-        )
+    state.params[...] = params
+    state.optimizer.load_state_arrays(slots)
+    return "checkpoint"
 
 
-class LocalCheckpointStore:
-    """Real on-disk snapshots for the local backend.
+def _record_arrays(record: bytes) -> List[np.ndarray]:
+    """Decode a snapshot record, or raise :class:`~repro.errors.DataError`
+    unless its length is exactly what its own layout header implies (the
+    ``store/format.py::check_sizes`` idea): a truncated write, a flipped
+    magic or length byte and trailing garbage are all rejected."""
+    try:
+        layout = decode_payload(record)
+        if not isinstance(layout, IntVectorPayload) or layout.values.size < 1:
+            raise ValueError("no layout header")
+        fields = [int(v) for v in layout.values]
+        shapes, at = [], 1
+        for _ in range(fields[0]):
+            ndim = fields[at]
+            shape = tuple(fields[at + 1 : at + 1 + ndim])
+            if ndim < 0 or len(shape) != ndim or min(shape, default=0) < 0:
+                raise ValueError("bad array layout")
+            shapes.append(shape)
+            at += 1 + ndim
+        if fields[0] < 1 or at != len(fields):
+            raise ValueError("layout header does not describe its own length")
+        offset = int_vector_bytes(len(fields))
+        arrays = []
+        for shape in shapes:
+            size = int(np.prod(shape, dtype=np.int64))
+            chunk = record[offset : offset + dense_vector_bytes(size)]
+            payload = decode_payload(chunk)
+            if (
+                len(chunk) != dense_vector_bytes(size)
+                or not isinstance(payload, DenseVectorPayload)
+                or payload.precision != "fp64"
+                or payload.values.size != size
+            ):
+                raise ValueError("array record does not match the layout")
+            arrays.append(payload.values.reshape(shape))
+            offset += len(chunk)
+        if offset != len(record):
+            raise ValueError(
+                "{} byte(s) where the layout says {}".format(len(record), offset)
+            )
+    except (ValueError, IndexError) as exc:
+        raise DataError("corrupt snapshot record: {}".format(exc)) from exc
+    return arrays
 
-    The simulated :class:`CheckpointStore` *charges* for stable-storage
-    writes; this one actually performs them.  A snapshot is one file per
-    model partition holding ``(iteration, shape, wire-codec params
-    bytes, pickled optimizer)`` — the codec bytes are exactly what the
-    worker process shipped over its pipe, so restore is decode +
-    optimizer-state reload, the real counterpart of the simulator's
-    rollback-to-snapshot (no replay).  Writes go through a temp file and
-    ``os.replace`` so a crash mid-write cannot corrupt the last good
-    snapshot.
+
+class CheckpointStore:
+    """Per-partition snapshot records on stable storage.
+
+    Holds the latest record (:func:`snapshot_partition` bytes) per
+    model partition: in memory, or — given a ``directory`` — one file
+    per partition, written through a temp file and ``os.replace`` so a
+    crash mid-write cannot corrupt the last good snapshot.  The
+    simulated backend keeps records in memory and *charges* for stable
+    storage (:meth:`RecoveryManager.checkpoint`); the local backend
+    really spills them.
     """
 
     def __init__(self, directory: Optional[str] = None):
-        self._owns_dir = directory is None
-        self.directory = (
-            tempfile.mkdtemp(prefix="repro-ckpt-") if directory is None else directory
-        )
-        os.makedirs(self.directory, exist_ok=True)
+        self.directory = directory
+        if directory is not None:
+            os.makedirs(directory, exist_ok=True)
+        self._records: Dict[int, bytes] = {}
         self._iterations: Dict[int, int] = {}
         self.last_iteration: Optional[int] = None
         self.writes = 0
@@ -205,30 +218,20 @@ class LocalCheckpointStore:
     def _path(self, partition_id: int) -> str:
         return os.path.join(self.directory, "p{:05d}.ckpt".format(partition_id))
 
-    def write(
-        self,
-        iteration: int,
-        partition_id: int,
-        shape,
-        params_payload: bytes,
-        optimizer_blob: bytes,
-    ) -> int:
-        """Persist one partition snapshot; returns bytes written."""
+    def write(self, iteration: int, partition_id: int, record: bytes) -> None:
+        """Persist one partition's record, replacing the previous one."""
         check_non_negative(iteration, "iteration")
-        blob = pickle.dumps(
-            (int(iteration), tuple(shape), bytes(params_payload), bytes(optimizer_blob)),
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
-        path = self._path(partition_id)
-        tmp = path + ".tmp"
-        with open(tmp, "wb") as fh:
-            fh.write(blob)
-        os.replace(tmp, path)
+        if self.directory is None:
+            self._records[partition_id] = bytes(record)
+        else:
+            path = self._path(partition_id)
+            with open(path + ".tmp", "wb") as fh:
+                fh.write(record)
+            os.replace(path + ".tmp", path)
         self._iterations[partition_id] = int(iteration)
         self.last_iteration = int(iteration)
         self.writes += 1
-        self.bytes_written += len(blob)
-        return len(blob)
+        self.bytes_written += len(record)
 
     def has_snapshot(self, partition_id: int) -> bool:
         return partition_id in self._iterations
@@ -236,33 +239,28 @@ class LocalCheckpointStore:
     def snapshot_iteration(self, partition_id: int) -> Optional[int]:
         return self._iterations.get(partition_id)
 
-    def read(self, partition_id: int) -> Tuple[int, tuple, bytes, bytes]:
-        """``(iteration, shape, params payload, optimizer blob)``."""
+    def read(self, partition_id: int) -> bytes:
+        """The partition's latest record; one read back from a file is
+        verified against its own header arithmetic first
+        (:class:`~repro.errors.DataError` otherwise)."""
         if not self.has_snapshot(partition_id):
             raise ConfigurationError(
-                "no snapshot on disk for partition {}".format(partition_id)
+                "no snapshot for partition {}".format(partition_id)
             )
+        if self.directory is None:
+            return self._records[partition_id]
         with open(self._path(partition_id), "rb") as fh:
-            return pickle.loads(fh.read())
-
-    def close(self) -> None:
-        """Delete the snapshot directory when this store created it."""
-        if self._owns_dir and os.path.isdir(self.directory):
-            shutil.rmtree(self.directory, ignore_errors=True)
-        self._iterations = {}
-
-    def __enter__(self) -> "LocalCheckpointStore":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
+            record = fh.read()
+        _record_arrays(record)
+        return record
 
 
 class RecoveryManager:
     """Execute the :class:`RecoveryPolicy` for one ColumnSGD job.
 
-    Owns the heartbeat cadence, the :class:`CheckpointStore`, and the
-    three recovery paths; every episode is recorded as a
+    Owns the heartbeat cadence, the job's one :class:`CheckpointStore`
+    (``checkpoints``), the simulator's *charges* for stable storage, and
+    the three simulated recovery paths; every episode is recorded as a
     :class:`~repro.engine.trace.RecoveryEvent` on
     ``cluster.engine_trace`` so :mod:`repro.experiments.gantt` can
     render it.
@@ -283,7 +281,7 @@ class RecoveryManager:
         self.workers = workers
         self.partitions = partitions
         self.replay_fn = replay_fn
-        self.checkpoints = CheckpointStore(cluster)
+        self.checkpoints = CheckpointStore()
 
     # ------------------------------------------------------------------
     def _record(self, event: RecoveryEvent) -> None:
@@ -291,32 +289,75 @@ class RecoveryManager:
         if trace is not None:
             trace.add_recovery(event)
 
-    def on_iteration(self, t: int) -> float:
-        """Per-iteration upkeep: heartbeats and periodic checkpoints.
+    def checkpoint_due(self, t: int) -> bool:
+        """Whether round ``t`` snapshots the model."""
+        every = self.policy.checkpoint_every
+        return bool(every) and t % every == 0
 
-        Returns the extra seconds charged to the round (checkpoint
-        writes; heartbeats ride the existing RPC fabric for free).
-        """
-        extra = 0.0
+    def heartbeats(self) -> float:
+        """Per-iteration probes from every live worker; they ride the
+        existing RPC fabric, so only a lossy link's retransmissions
+        cost seconds."""
+        if self.policy.heartbeat_interval_s <= 0:
+            return 0.0
         network = self.cluster.network
-        if self.policy.heartbeat_interval_s > 0:
-            for worker in self.workers:
-                if worker.failed:
-                    continue
-                network.send(
-                    Message(
-                        MessageKind.HEARTBEAT,
-                        worker.worker_id,
-                        Message.MASTER,
-                        OBJECT_OVERHEAD_BYTES,
-                    )
+        for worker in self.workers:
+            if worker.failed:
+                continue
+            network.send(
+                Message(
+                    MessageKind.HEARTBEAT,
+                    worker.worker_id,
+                    Message.MASTER,
+                    OBJECT_OVERHEAD_BYTES,
                 )
-            extra += network.consume_extra_seconds()
-        if self.policy.checkpoint_every and t % self.policy.checkpoint_every == 0:
-            extra += self.checkpoints.write(
-                t, self.partitions, self.groups, self.workers
             )
-        return extra
+        return network.consume_extra_seconds()
+
+    def partition_bytes(self, state: PartitionState) -> int:
+        """Charged wire/disk footprint of one snapshot (params + state)."""
+        return CHECKPOINT_VECTORS * dense_vector_bytes(int(state.params.size))
+
+    def read_seconds(self, num_bytes: int) -> float:
+        """Charge for pulling ``num_bytes`` back from stable storage."""
+        return (
+            num_bytes / self.cluster.spec.disk_bandwidth_bytes_per_s
+            + num_bytes / self.cluster.network.bandwidth
+        )
+
+    def checkpoint(self, t: int) -> float:
+        """Snapshot every partition from its primary live replica.
+
+        Returns the charge in seconds: workers stream concurrently, so
+        the wall time is the slowest worker's ``bytes/disk + bytes/net``.
+        """
+        network = self.cluster.network
+        per_worker_bytes: Dict[int, int] = {}
+        for state in self.partitions:
+            primary = None
+            for w in self.groups.replicas_of_partition(state.partition_id):
+                if not self.workers[w].failed:
+                    primary = w
+                    break
+            if primary is None:
+                continue  # whole group dead; nothing to snapshot from
+            self.checkpoints.write(
+                t, state.partition_id, snapshot_partition(state)
+            )
+            size = self.partition_bytes(state)
+            network.send(
+                Message(MessageKind.CHECKPOINT, primary, Message.MASTER, size)
+            )
+            per_worker_bytes[primary] = per_worker_bytes.get(primary, 0) + size
+        if not per_worker_bytes:
+            return network.consume_extra_seconds()
+        slowest = max(per_worker_bytes.values())
+        disk = self.cluster.spec.disk_bandwidth_bytes_per_s
+        return (
+            slowest / disk
+            + slowest / network.bandwidth
+            + network.consume_extra_seconds()
+        )
 
     # ------------------------------------------------------------------
     def restart_task(self, t: int) -> float:
@@ -354,23 +395,15 @@ class RecoveryManager:
         mode = "replica"
         for p in owned:
             state = self.partitions[p]
-            if self.groups.backup > 0:
-                # group peers share the PartitionState — nothing lost
-                pass
-            elif self.checkpoints.has_snapshot(p):
-                mode = "checkpoint"
-                _, params, optimizer = self.checkpoints.snapshot_of(p)
-                state.params[...] = params
-                state.optimizer = copy.deepcopy(optimizer)
-                seconds += self.checkpoints.read_seconds(
-                    self.checkpoints.partition_bytes(state)
+            # with backup > 0 group peers share the PartitionState —
+            # nothing lost, nothing to restore
+            if self.groups.backup == 0:
+                snapshot = self.checkpoints.has_snapshot(p)
+                mode = restore_partition(
+                    state, self.checkpoints.read(p) if snapshot else None
                 )
-            else:
-                # No replica, no snapshot: the Section X fallback — re-init
-                # to zeros and rely on SGD's robustness.
-                mode = "zero-init"
-                state.params[...] = 0.0
-                state.optimizer.reset()
+                if snapshot:
+                    seconds += self.read_seconds(self.partition_bytes(state))
             partitions.append(state)
         worker.recover(partitions)
         self._record(
@@ -396,8 +429,6 @@ class RecoveryManager:
         :class:`~repro.errors.MasterFailedError` when no checkpoint
         exists to restart from.
         """
-        from repro.errors import MasterFailedError
-
         c = self.checkpoints.last_iteration
         if c is None:
             raise MasterFailedError(
@@ -410,17 +441,14 @@ class RecoveryManager:
         # reload: every worker pulls its partitions' snapshots in parallel
         per_worker_bytes: Dict[int, int] = {}
         for state in self.partitions:
-            snap = self.checkpoints.snapshot_of(state.partition_id)
-            if snap is None:
+            if not self.checkpoints.has_snapshot(state.partition_id):
                 continue
-            _, params, optimizer = snap
-            state.params[...] = params
-            state.optimizer = copy.deepcopy(optimizer)
-            size = self.checkpoints.partition_bytes(state)
+            restore_partition(state, self.checkpoints.read(state.partition_id))
+            size = self.partition_bytes(state)
             for w in self.groups.replicas_of_partition(state.partition_id):
                 per_worker_bytes[w] = per_worker_bytes.get(w, 0) + size
         reload_s = restart + (
-            max(self.checkpoints.read_seconds(b) for b in per_worker_bytes.values())
+            max(self.read_seconds(b) for b in per_worker_bytes.values())
             if per_worker_bytes
             else 0.0
         )

@@ -35,3 +35,10 @@ class AdaGrad(Optimizer):
 
     def reset(self):
         self._accumulator = None
+
+    def state_arrays(self):
+        return [] if self._accumulator is None else [self._accumulator]
+
+    def load_state_arrays(self, arrays):
+        (slot,) = arrays or [None]
+        self._accumulator = None if slot is None else np.array(slot, copy=True)

@@ -63,3 +63,17 @@ class Adam(Optimizer):
         self._m = None
         self._v = None
         self._t = 0
+
+    def state_arrays(self):
+        if self._m is None:
+            return []
+        # the step count rides along as a one-element array (exact in
+        # float64 far beyond any run length)
+        return [self._m, self._v, np.array([self._t], dtype=np.float64)]
+
+    def load_state_arrays(self, arrays):
+        self.reset()
+        if arrays:
+            m, v, t = arrays
+            self._m, self._v = np.array(m, copy=True), np.array(v, copy=True)
+            self._t = int(t[0])

@@ -8,6 +8,8 @@ hyper-parameters but blank state — one per worker partition.
 
 from __future__ import annotations
 
+from typing import List, Sequence
+
 import numpy as np
 
 from repro.optim.schedules import ConstantSchedule, Schedule
@@ -41,6 +43,15 @@ class Optimizer:
 
     def reset(self) -> None:
         """Clear accumulated state (moments, squared sums)."""
+        raise NotImplementedError
+
+    def state_arrays(self) -> List[np.ndarray]:
+        """The accumulated state as float arrays (``[]`` when blank) —
+        what a checkpoint stores; hyper-parameters are not state."""
+        raise NotImplementedError
+
+    def load_state_arrays(self, arrays: Sequence[np.ndarray]) -> None:
+        """Adopt (copies of) what :meth:`state_arrays` returned."""
         raise NotImplementedError
 
     def _check_shapes(self, params: np.ndarray, gradient: np.ndarray) -> None:

@@ -40,3 +40,10 @@ class SGD(Optimizer):
 
     def reset(self):
         self._velocity = None
+
+    def state_arrays(self):
+        return [] if self._velocity is None else [self._velocity]
+
+    def load_state_arrays(self, arrays):
+        (slot,) = arrays or [None]
+        self._velocity = None if slot is None else np.array(slot, copy=True)

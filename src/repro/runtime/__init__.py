@@ -8,13 +8,13 @@ and RNG-stream routing.  Two backends implement it:
   adapter over ``repro.sim`` + ``repro.net``);
 * :class:`LocalRuntime` — real ``multiprocessing`` workers exchanging
   codec-encoded payloads, timed wall-clock, deadline-bounded transport
-  (:class:`TimeoutPolicy`), and real fault injection
-  (:class:`LocalChaos`: SIGKILL, stragglers, dropped/garbled replies)
-  with respawn recovery (see ``docs/faults.md``).
+  (:class:`TimeoutPolicy`), and real fault injection (a
+  :class:`repro.faults.FaultSchedule`: SIGKILL, stragglers,
+  dropped/garbled replies) with respawn recovery (see
+  ``docs/faults.md``).
 """
 
 from repro.runtime.base import BACKENDS, Runtime, WallClock
-from repro.runtime.chaos import LocalChaos, LocalFaultEvent, LocalFaultKind
 from repro.runtime.deadline import TimeoutPolicy
 from repro.runtime.local import (
     Exchange,
@@ -28,9 +28,6 @@ from repro.runtime.sim import SimRuntime
 __all__ = [
     "BACKENDS",
     "Exchange",
-    "LocalChaos",
-    "LocalFaultEvent",
-    "LocalFaultKind",
     "LocalRuntime",
     "Runtime",
     "SimRuntime",

@@ -73,11 +73,11 @@ from repro.errors import (
     SimulationError,
     WorkerUnresponsiveError,
 )
+from repro.faults import FaultEvent, FaultKind
 from repro.net.message import Message, MessageKind
 from repro.net.network import NetworkModel
 from repro.net.topology import ring_allreduce_shards
 from repro.runtime.base import Runtime, WallClock
-from repro.runtime.chaos import LocalFaultEvent, LocalFaultKind
 from repro.runtime.deadline import (
     TimeoutPolicy,
     join_within,
@@ -216,7 +216,7 @@ def _process_main(conn, programs: Dict[int, object]) -> None:
                 continue
             delay = float(args.pop(_DELAY, 0.0))
             if delay > 0.0:
-                time.sleep(delay)  # injected straggler (LocalFaultKind.STALL)
+                time.sleep(delay)  # injected straggler (FaultKind.STALL)
             if op == _PING:
                 reply = (seq, worker_id, {"pong": True}, None, 0.0)
             else:
@@ -481,26 +481,29 @@ class LocalRuntime(Runtime):
             join_within(proc, 5.0)
         self._dead_procs.add(i)
 
-    def inject_faults(self, events: Iterable[LocalFaultEvent]) -> None:
-        """Apply a chaos plan's events for the coming round.
+    def inject_faults(self, events: Iterable[FaultEvent]) -> None:
+        """Apply a fault schedule's events for the coming round.
 
-        KILL strikes immediately (SIGKILL); DROP/GARBLE arm a one-shot
+        WORKER strikes immediately (SIGKILL); DROP/GARBLE arm a one-shot
         mangle of the victim's next reply frame; STALL arms a one-shot
         ``__delay__`` that the next :meth:`exchange` ships, so the
-        victim's handler sleeps before working.
+        victim's handler sleeps before working.  The other kinds have
+        no real-process meaning (``FaultSchedule.validate`` rejects them
+        when the trainer is built).
         """
         for event in events:
-            if event.kind is LocalFaultKind.KILL:
+            if event.kind is FaultKind.WORKER:
                 self.kill_worker(event.worker)
-            elif event.kind is LocalFaultKind.STALL:
+            elif event.kind is FaultKind.STALL:
                 self._stalls[event.worker] = {_DELAY: float(event.stall_s)}
-            elif event.kind is LocalFaultKind.DROP:
+            elif event.kind is FaultKind.DROP:
                 self._mangle[event.worker] = "drop"
-            elif event.kind is LocalFaultKind.GARBLE:
+            elif event.kind is FaultKind.GARBLE:
                 self._mangle[event.worker] = "garble"
-            else:  # pragma: no cover - enum is closed
+            else:
                 raise ConfigurationError(
-                    "unknown fault kind {!r}".format(event.kind)
+                    "a {} fault cannot be injected into real "
+                    "processes".format(event.kind.name)
                 )
 
     def respawn(self, programs: Optional[Dict[int, object]] = None) -> float:
@@ -762,7 +765,7 @@ class LocalRuntime(Runtime):
         iteration: int,
         args: Optional[dict] = None,
         payload: Optional[bytes] = None,
-        restore: Optional[Callable[[int], Tuple[str, bytes]]] = None,
+        restore: Optional[Callable[[int], Tuple[str, dict, bytes]]] = None,
         tolerate_silent: bool = False,
     ) -> Exchange:
         """One phase's exchange with every worker, surviving process death.
@@ -772,9 +775,10 @@ class LocalRuntime(Runtime):
         restores their logical workers and re-issues ``op`` to everyone
         still missing — ops are deterministic in ``(seed, iteration)``
         and at-most-once per sequence number, so the re-run is exact.
-        The trainer's only say is ``restore(worker) -> (mode, blob)``:
-        the snapshot a respawned program receives as a ``"restore"`` op
-        (accounted as CHECKPOINT traffic) and where it came from;
+        The trainer's only say is ``restore(worker) -> (mode, args,
+        blob)``: the snapshot a respawned program receives as a
+        ``"restore"`` op (accounted as CHECKPOINT traffic) and where it
+        came from;
         ``None`` means a forked program is whole as it is
         (``mode='reload'``).  Each recovered worker is one
         :class:`~repro.engine.trace.RecoveryEvent` on the engine trace,
@@ -824,7 +828,7 @@ class LocalRuntime(Runtime):
         for w in dead:
             mode, restore_s = "reload", 0.0
             if restore is not None:
-                mode, blob = restore(w)
+                mode, restore_args, blob = restore(w)
                 self._network.send(
                     Message(
                         MessageKind.CHECKPOINT,
@@ -834,7 +838,11 @@ class LocalRuntime(Runtime):
                     )
                 )
                 restore_s = self.run_all(
-                    _RESTORE, payload=blob, workers=[w], iteration=iteration
+                    _RESTORE,
+                    args=restore_args,
+                    payload=blob,
+                    workers=[w],
+                    iteration=iteration,
                 ).seconds
             if self.engine_trace is not None:
                 self.engine_trace.add_recovery(

@@ -13,7 +13,8 @@ from repro.core import ColumnSGDConfig, ColumnSGDDriver
 from repro.errors import StatisticsRecoveryError
 from repro.models import LogisticRegression
 from repro.optim import SGD
-from repro.sim import CLUSTER1, FailureInjector, SimulatedCluster, StragglerModel
+from repro.faults import FaultEvent, FaultKind, FaultSchedule
+from repro.sim import CLUSTER1, SimulatedCluster, StragglerModel
 
 
 def make_driver(data, backup=0, failures=None, straggler=None, iterations=10):
@@ -81,7 +82,7 @@ class TestRecoveryAfterCrash:
         """A scheduled WORKER crash is recovered at the start of its
         iteration (zero-init), so no round ever raises."""
         driver = make_driver(
-            tiny_binary, failures=FailureInjector.worker_failure(4, worker_id=2)
+            tiny_binary, failures=FaultSchedule([FaultEvent(4, FaultKind.WORKER, 2)])
         )
         result = driver.fit()
         assert result.n_iterations >= 10
@@ -94,6 +95,6 @@ class TestRecoveryAfterCrash:
         clean = make_driver(tiny_binary, backup=1).fit()
         crashed = make_driver(
             tiny_binary, backup=1,
-            failures=FailureInjector.worker_failure(4, worker_id=2),
+            failures=FaultSchedule([FaultEvent(4, FaultKind.WORKER, 2)]),
         ).fit()
         assert np.allclose(clean.final_params, crashed.final_params, atol=1e-9)

@@ -8,13 +8,12 @@ from repro.core import ColumnSGDConfig, ColumnSGDDriver
 from repro.errors import MasterFailedError
 from repro.models import LogisticRegression
 from repro.optim import SGD
-from repro.sim import (
-    CLUSTER1,
-    FailureEvent,
-    FailureInjector,
-    FailureKind,
-    SimulatedCluster,
-)
+from repro.faults import FaultEvent, FaultKind, FaultSchedule
+from repro.sim import CLUSTER1, SimulatedCluster
+
+
+def fault(iteration, kind, worker=None):
+    return FaultSchedule([FaultEvent(iteration, kind, worker)])
 
 
 def fit_mllib(data, failures=None, iterations=20):
@@ -34,7 +33,7 @@ class TestRowSGDFailures:
         """The model lives at the master: a worker crash only costs a
         shard reload — the trajectory is bit-identical."""
         clean = fit_mllib(small_binary)
-        failed = fit_mllib(small_binary, FailureInjector.worker_failure(8, 2))
+        failed = fit_mllib(small_binary, fault(8, FaultKind.WORKER, 2))
         assert np.array_equal(clean.final_params, failed.final_params)
         assert failed.total_sim_time > clean.total_sim_time
 
@@ -42,12 +41,12 @@ class TestRowSGDFailures:
         from repro.sim.cost import SPARK_TASK_OVERHEAD
 
         clean = fit_mllib(small_binary)
-        failed = fit_mllib(small_binary, FailureInjector.task_failure(8, 2))
+        failed = fit_mllib(small_binary, fault(8, FaultKind.TASK, 2))
         extra = failed.total_sim_time - clean.total_sim_time
         assert extra == pytest.approx(SPARK_TASK_OVERHEAD, abs=1e-9)
 
     def test_master_failure_loses_the_model(self, small_binary):
-        injector = FailureInjector([FailureEvent(5, FailureKind.MASTER)])
+        injector = fault(5, FaultKind.MASTER)
         with pytest.raises(MasterFailedError, match="model is lost"):
             fit_mllib(small_binary, injector)
 
@@ -56,7 +55,7 @@ class TestRowSGDFailures:
         trajectory (its model partition dies with the worker) but not
         MLlib's (centralised model)."""
         mllib_clean = fit_mllib(small_binary)
-        mllib_failed = fit_mllib(small_binary, FailureInjector.worker_failure(8, 2))
+        mllib_failed = fit_mllib(small_binary, fault(8, FaultKind.WORKER, 2))
         assert np.array_equal(mllib_clean.final_params, mllib_failed.final_params)
 
         def fit_column(failures=None):
@@ -71,7 +70,7 @@ class TestRowSGDFailures:
             return driver.fit()
 
         column_clean = fit_column()
-        column_failed = fit_column(FailureInjector.worker_failure(8, 2))
+        column_failed = fit_column(fault(8, FaultKind.WORKER, 2))
         assert not np.array_equal(
             column_clean.final_params, column_failed.final_params
         )

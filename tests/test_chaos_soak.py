@@ -1,8 +1,9 @@
 """Chaos soak: seeded random crashes + lossy links, protocol-checked.
 
 The PR's acceptance suite: across >= 3 chaos seeds, LR and SVM on
-ColumnSGD plus one RowSGD baseline train under a ChaosSchedule (Poisson
-worker/task crashes) on a 1 %-drop FaultPlan with ``check_protocol=True``
+ColumnSGD plus one RowSGD baseline train under a FaultSchedule's Poisson
+background (worker/task crashes) on a 1 %-drop FaultPlan with
+``check_protocol=True``
 — every round's Table-I byte audit must hold under loss, and training
 must still converge within tolerance of the fault-free run.
 """
@@ -12,13 +13,14 @@ import pytest
 
 from repro.baselines import MLlibTrainer, RowSGDConfig
 from repro.core import ColumnSGDConfig, ColumnSGDDriver, RecoveryPolicy
+from repro.faults import FaultSchedule
 from repro.models import LinearSVM, LogisticRegression
 from repro.net import FaultPlan, LinkFaults
 from repro.optim import SGD
-from repro.sim import CLUSTER1, ChaosSchedule, SimulatedCluster
+from repro.sim import CLUSTER1, SimulatedCluster
 
 CHAOS_SEEDS = (1, 2, 3)
-MTBF_S = 0.4  # several crashes within a short soak run
+MTBF_ROUNDS = 6.0  # several crashes within a 30-round soak run
 DROP_PLAN = FaultPlan(default=LinkFaults(drop=0.01), seed=0)
 # A chaos crash rolls the victim's partition back to the last
 # checkpoint (at most 5 iterations stale), so the recovered trajectory
@@ -58,7 +60,7 @@ def run_mllib(data, failures=None, fault_plan=None):
 )
 def test_columnsgd_soak(tiny_binary, seed, model_factory):
     clean, _ = run_columnsgd(tiny_binary, model_factory())
-    chaos = ChaosSchedule(mtbf_s=MTBF_S, seed=seed)
+    chaos = FaultSchedule(mtbf_rounds=MTBF_ROUNDS, seed=seed)
     faulted, cluster = run_columnsgd(
         tiny_binary, model_factory(), failures=chaos, fault_plan=DROP_PLAN
     )
@@ -74,7 +76,7 @@ def test_columnsgd_soak(tiny_binary, seed, model_factory):
 @pytest.mark.parametrize("seed", CHAOS_SEEDS)
 def test_rowsgd_baseline_soak(tiny_binary, seed):
     clean, _ = run_mllib(tiny_binary)
-    chaos = ChaosSchedule(mtbf_s=MTBF_S, seed=seed)
+    chaos = FaultSchedule(mtbf_rounds=MTBF_ROUNDS, seed=seed)
     faulted, cluster = run_mllib(tiny_binary, failures=chaos, fault_plan=DROP_PLAN)
     assert cluster.network.dropped > 0
     assert faulted.n_iterations >= 30
@@ -90,13 +92,13 @@ def test_chaos_runs_are_reproducible(tiny_binary, seed):
     a, cluster_a = run_columnsgd(
         tiny_binary,
         LogisticRegression(),
-        failures=ChaosSchedule(mtbf_s=MTBF_S, seed=seed),
+        failures=FaultSchedule(mtbf_rounds=MTBF_ROUNDS, seed=seed),
         fault_plan=DROP_PLAN,
     )
     b, cluster_b = run_columnsgd(
         tiny_binary,
         LogisticRegression(),
-        failures=ChaosSchedule(mtbf_s=MTBF_S, seed=seed),
+        failures=FaultSchedule(mtbf_rounds=MTBF_ROUNDS, seed=seed),
         fault_plan=DROP_PLAN,
     )
     assert np.array_equal(a.final_params, b.final_params)

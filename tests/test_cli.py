@@ -95,6 +95,24 @@ class TestTrain:
         assert "auc" in text
 
 
+class TestFaultFlags:
+    @pytest.mark.parametrize("backend", ["sim", "local"])
+    def test_chaos_and_checkpoint_flags_on_either_backend(self, backend):
+        """The same three fault flags mean a seeded fault schedule +
+        checkpoints on the simulator and on real processes alike; both
+        runs finish every round."""
+        code, text = run_cli([
+            "train", "--dataset", "avazu", "--rows", "600", "--workers", "3",
+            "--iterations", "8", "--batch-size", "64", "--eval-every", "8",
+            "--backend", backend, "--local-timeout-s", "2.0",
+            "--chaos-mtbf-rounds", "2.5", "--chaos-seed", "1",
+            "--checkpoint-every", "3",
+        ])
+        assert code == 0
+        # the initial evaluation record + all 8 rounds
+        assert "ColumnSGD on lr/avazu: 9 iters" in text
+
+
 class TestCompare:
     def test_compare_two_systems(self):
         code, text = run_cli([

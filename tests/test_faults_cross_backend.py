@@ -1,0 +1,109 @@
+"""One FaultSchedule, two backends, the same job.
+
+The contract the single fault vocabulary buys: hand *one* schedule
+object (plus one ``RecoveryPolicy``) to a simulated and to a real
+4-process run, and get the same ``RecoveryEvent`` sequence and a
+final-model difference of exactly 0.0.  A kill **on** a checkpoint
+round is the case the per-backend injectors disagreed on (0.69): the
+sim snapshotted then struck, the local backend struck then snapshotted.
+Both now strike first.
+"""
+
+import numpy as np
+import pytest
+
+from repro.baselines import MLlibTrainer, RowSGDConfig
+from repro.core import ColumnSGDConfig, ColumnSGDDriver, RecoveryPolicy
+from repro.datasets import make_classification
+from repro.faults import FaultEvent, FaultKind, FaultSchedule
+from repro.models import LogisticRegression
+from repro.optim import SGD
+
+from repro.sim import CLUSTER1, SimulatedCluster
+
+WORKERS = 4
+ROUNDS = 12
+BATCH = 32
+
+
+@pytest.fixture(scope="module")
+def data():
+    return make_classification(200, 80, nnz_per_row=10, seed=5)
+
+
+def kills(*pairs):
+    return FaultSchedule([FaultEvent(t, FaultKind.WORKER, w) for t, w in pairs])
+
+
+def recoveries(cluster):
+    return [
+        (e.round, e.kind, e.mode, e.worker) for e in cluster.engine_trace.recoveries
+    ]
+
+
+def run_columnsgd(data, backend, failures, checkpoint_every):
+    cluster = SimulatedCluster(CLUSTER1.with_workers(WORKERS))
+    local = backend == "local"
+    driver = ColumnSGDDriver(
+        LogisticRegression(), SGD(0.5, momentum=0.9), cluster,
+        config=ColumnSGDConfig(
+            batch_size=BATCH, iterations=ROUNDS, eval_every=0, seed=3,
+            backend=backend, local_processes=WORKERS if local else 0,
+            sync_policy="retry" if local else "backup",
+            local_timeout_s=1.0, check_protocol=True,
+        ),
+        failures=failures,
+        recovery=RecoveryPolicy(checkpoint_every=checkpoint_every),
+    )
+    driver.load(data)
+    return driver.fit(), recoveries(cluster)
+
+
+def run_mllib(data, backend, failures):
+    cluster = SimulatedCluster(CLUSTER1.with_workers(WORKERS))
+    trainer = MLlibTrainer(
+        LogisticRegression(), SGD(0.5, momentum=0.9), cluster,
+        config=RowSGDConfig(
+            batch_size=BATCH, iterations=ROUNDS, eval_every=0, seed=3,
+            backend=backend,
+            local_processes=WORKERS if backend == "local" else 0,
+            local_timeout_s=1.0, check_protocol=True,
+        ),
+        failures=failures,
+    )
+    trainer.load(data)
+    return trainer.fit(), recoveries(cluster)
+
+
+@pytest.mark.parametrize(
+    "failures, checkpoint_every, expected",
+    [
+        (kills((7, 1)), 5, [(7, "worker", "checkpoint", 1)]),
+        (kills((10, 1)), 5, [(10, "worker", "checkpoint", 1)]),
+        (
+            kills((3, 2), (8, 0)),
+            5,
+            [(3, "worker", "checkpoint", 2), (8, "worker", "checkpoint", 0)],
+        ),
+        (kills((4, 1)), 0, [(4, "worker", "zero-init", 1)]),
+    ],
+    ids=["off-checkpoint-round", "on-checkpoint-round", "two-kills", "no-checkpoint"],
+)
+def test_columnsgd_same_schedule_same_job(data, failures, checkpoint_every, expected):
+    sim, sim_recoveries = run_columnsgd(data, "sim", failures, checkpoint_every)
+    local, local_recoveries = run_columnsgd(data, "local", failures, checkpoint_every)
+    assert sim_recoveries == local_recoveries == expected
+    assert np.max(np.abs(sim.final_params - local.final_params)) == 0.0
+    # the kill really cost something: a clean run ends elsewhere
+    clean, _ = run_columnsgd(data, "sim", None, checkpoint_every)
+    assert np.max(np.abs(sim.final_params - clean.final_params)) > 0.0
+
+
+def test_mllib_kill_is_a_reload_and_numerically_invisible(data):
+    failures = kills((5, 3))
+    sim, sim_recoveries = run_mllib(data, "sim", failures)
+    local, local_recoveries = run_mllib(data, "local", failures)
+    assert sim_recoveries == local_recoveries == [(5, "worker", "reload", 3)]
+    assert np.max(np.abs(sim.final_params - local.final_params)) == 0.0
+    clean, _ = run_mllib(data, "sim", None)
+    assert np.max(np.abs(sim.final_params - clean.final_params)) == 0.0

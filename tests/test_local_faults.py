@@ -26,24 +26,34 @@ import numpy as np
 import pytest
 
 from repro.core import ColumnSGDConfig, ColumnSGDDriver
-from repro.core.recovery import LocalCheckpointStore, RecoveryPolicy
+from repro.core.recovery import CheckpointStore, RecoveryPolicy, snapshot_partition
+from repro.core.worker import PartitionState
 from repro.datasets import make_classification
 from repro.errors import ConfigurationError, WorkerUnresponsiveError
+from repro.faults import FaultEvent, FaultKind, FaultSchedule
 from repro.models import LogisticRegression
 from repro.net.message import MessageKind
 from repro.optim import SGD
-from repro.runtime import (
-    LocalChaos,
-    LocalFaultEvent,
-    LocalFaultKind,
-    LocalRuntime,
-    TimeoutPolicy,
-)
+from repro.runtime import LocalRuntime, TimeoutPolicy
 from repro.sim import CLUSTER1, SimulatedCluster
 
 WORKERS = 4
 ITERATIONS = 10
 BATCH = 32
+
+
+def scripted(kills=None, stalls=None, drops=(), garbles=()):
+    """Exact scenario: ``kills={iteration: worker}``,
+    ``stalls={(iteration, worker): seconds}``, ``drops``/``garbles`` as
+    ``(iteration, worker)`` pairs."""
+    events = [FaultEvent(t, FaultKind.WORKER, w) for t, w in (kills or {}).items()]
+    events += [
+        FaultEvent(t, FaultKind.STALL, w, stall_s=s)
+        for (t, w), s in (stalls or {}).items()
+    ]
+    events += [FaultEvent(t, FaultKind.DROP, w) for t, w in drops]
+    events += [FaultEvent(t, FaultKind.GARBLE, w) for t, w in garbles]
+    return FaultSchedule(events)
 
 
 @pytest.fixture(scope="module")
@@ -200,7 +210,7 @@ class TestAtMostOnce:
         runtime = started_runtime(TimeoutPolicy(max_retries=2, **FAST))
         try:
             runtime.inject_faults(
-                [LocalFaultEvent(iteration=0, kind=LocalFaultKind.DROP, worker=0)]
+                [FaultEvent(iteration=0, kind=FaultKind.DROP, worker=0)]
             )
             exchange = runtime.run_all("inc", workers=[0], iteration=0)
             assert exchange.replies[0].result["count"] == 1
@@ -214,7 +224,7 @@ class TestAtMostOnce:
         runtime = started_runtime(TimeoutPolicy(max_retries=2, **FAST))
         try:
             runtime.inject_faults(
-                [LocalFaultEvent(iteration=0, kind=LocalFaultKind.GARBLE, worker=1)]
+                [FaultEvent(iteration=0, kind=FaultKind.GARBLE, worker=1)]
             )
             exchange = runtime.run_all(
                 "inc", payload=b"x" * 64, workers=[1], iteration=0
@@ -232,7 +242,7 @@ class TestAtMostOnce:
         runtime.engine_trace = EngineTrace(system="test")
         try:
             runtime.inject_faults(
-                [LocalFaultEvent(iteration=7, kind=LocalFaultKind.DROP, worker=0)]
+                [FaultEvent(iteration=7, kind=FaultKind.DROP, worker=0)]
             )
             runtime.run_all("inc", workers=[0], iteration=7)
             events = runtime.engine_trace.round_retries(7)
@@ -244,12 +254,13 @@ class TestAtMostOnce:
 
 
 # ----------------------------------------------------------------------
-# the chaos plan
+# the fault schedule, as the local backend binds it
 # ----------------------------------------------------------------------
 class TestLocalChaos:
     def test_same_seed_same_schedule(self):
         def schedule(seed):
-            chaos = LocalChaos(mtbf_rounds=3.0, seed=seed, n_workers=4)
+            chaos = FaultSchedule(mtbf_rounds=3.0, seed=seed)
+            chaos.validate(4, "local")
             return [
                 (e.iteration, e.kind, e.worker)
                 for t in range(30)
@@ -260,68 +271,97 @@ class TestLocalChaos:
         assert schedule(11) != schedule(12)
 
     def test_mtbf_produces_poisson_arrivals(self):
-        chaos = LocalChaos(mtbf_rounds=2.0, seed=0, n_workers=4)
+        chaos = FaultSchedule(mtbf_rounds=2.0, seed=0)
+        chaos.validate(4, "local")
         events = [e for t in range(40) for e in chaos.events_at(t)]
         # 40 rounds at MTBF 2 → ~20 expected; allow wide slack
         assert 5 <= len(events) <= 40
         assert all(0 <= e.worker < 4 for e in events)
+        assert {e.kind for e in events} <= {
+            FaultKind.WORKER, FaultKind.STALL, FaultKind.DROP, FaultKind.GARBLE
+        }
+        assert all(
+            e.stall_s == (0.05 if e.kind is FaultKind.STALL else 0.0)
+            for e in events
+        )
+
+    def test_existing_chaos_seeds_strike_where_they_always_did(self):
+        """The draw order is frozen — one ``exponential`` up front, per
+        arrival ``integers(len(kinds))``, ``integers(n_workers)``,
+        ``exponential`` — so committed chaos seeds keep their meaning."""
+        chaos = FaultSchedule(
+            mtbf_rounds=4.0, seed=11, kinds=(FaultKind.WORKER, FaultKind.STALL)
+        )
+        chaos.validate(4, "local")
+        rng = np.random.default_rng(11)
+        arrival, expected = rng.exponential(4.0), []
+        while arrival <= 29:
+            kind = (FaultKind.WORKER, FaultKind.STALL)[int(rng.integers(2))]
+            worker = int(rng.integers(4))
+            expected.append((int(np.ceil(arrival)), kind, worker))
+            arrival += rng.exponential(4.0)
+        assert expected
+        assert [
+            (e.iteration, e.kind, e.worker)
+            for t in range(30)
+            for e in chaos.events_at(t)
+        ] == expected
 
     def test_scripted_plan_is_exact(self):
-        chaos = LocalChaos.scripted(
+        chaos = scripted(
             kills={3: 1},
             stalls={(4, 0): 0.25},
             drops=[(5, 2)],
             garbles=[(6, 3)],
         )
-        assert chaos.any_scheduled()
+        chaos.validate(4, "local")
         assert [(e.kind, e.worker) for e in chaos.events_at(3)] == [
-            (LocalFaultKind.KILL, 1)
+            (FaultKind.WORKER, 1)
         ]
         stall = chaos.events_at(4)[0]
         assert (stall.kind, stall.worker, stall.stall_s) == (
-            LocalFaultKind.STALL, 0, 0.25,
+            FaultKind.STALL, 0, 0.25,
         )
-        assert chaos.events_at(7) == []
+        assert chaos.events_at(7) == ()
 
     def test_validate_rejects_out_of_range_victims(self):
-        chaos = LocalChaos.scripted(kills={0: 9})
+        chaos = scripted(kills={0: 9})
         with pytest.raises(ConfigurationError):
-            chaos.validate(4)
+            chaos.validate(4, "local")
 
 
 # ----------------------------------------------------------------------
-# the on-disk checkpoint store
+# the checkpoint store, spilling to disk as the local backend uses it
 # ----------------------------------------------------------------------
+def record_of(value):
+    state = PartitionState(
+        partition_id=0, store=None, columns=None,
+        params=np.full(3, float(value)), optimizer=SGD(0.5),
+    )
+    return snapshot_partition(state)
+
+
 class TestLocalCheckpointStore:
-    def test_roundtrip(self):
-        with LocalCheckpointStore() as store:
-            store.write(4, 7, (3,), b"params", b"opt")
-            assert store.has_snapshot(7)
-            assert store.snapshot_iteration(7) == 4
-            iteration, shape, params, opt = store.read(7)
-            assert (iteration, shape, params, opt) == (4, (3,), b"params", b"opt")
+    def test_roundtrip(self, tmp_path):
+        store = CheckpointStore(str(tmp_path))
+        store.write(4, 7, record_of(1))
+        assert store.has_snapshot(7)
+        assert store.snapshot_iteration(7) == 4
+        assert store.read(7) == record_of(1)
+        assert os.listdir(tmp_path) == ["p00007.ckpt"]
 
-    def test_overwrite_keeps_newest(self):
-        with LocalCheckpointStore() as store:
-            store.write(2, 0, (2,), b"old", b"o1")
-            store.write(4, 0, (2,), b"new", b"o2")
-            assert store.read(0)[0] == 4
-            assert store.read(0)[2] == b"new"
-            assert store.writes == 2
-            assert store.bytes_written > 0
+    def test_overwrite_keeps_newest(self, tmp_path):
+        store = CheckpointStore(str(tmp_path))
+        store.write(2, 0, record_of(1))
+        store.write(4, 0, record_of(2))
+        assert store.snapshot_iteration(0) == store.last_iteration == 4
+        assert store.read(0) == record_of(2)
+        assert store.writes == 2
+        assert store.bytes_written == 2 * len(record_of(1))
 
-    def test_missing_partition_raises(self):
-        with LocalCheckpointStore() as store:
-            with pytest.raises(ConfigurationError):
-                store.read(3)
-
-    def test_close_removes_owned_directory(self):
-        store = LocalCheckpointStore()
-        store.write(0, 0, (1,), b"p", b"o")
-        directory = store.directory
-        assert os.path.isdir(directory)
-        store.close()
-        assert not os.path.isdir(directory)
+    def test_missing_partition_raises(self, tmp_path):
+        with pytest.raises(ConfigurationError):
+            CheckpointStore(str(tmp_path)).read(3)
 
 
 # ----------------------------------------------------------------------
@@ -336,7 +376,7 @@ class TestColumnSGDFaultRecovery:
             sync_policy="retry",
             local_timeout_s=1.0,
             recovery=RecoveryPolicy(checkpoint_every=2),
-            failures=LocalChaos.scripted(kills={3: 1, 6: 2}),
+            failures=scripted(kills={3: 1, 6: 2}),
         )
         result = driver.fit()
         trace = driver.cluster.engine_trace
@@ -345,14 +385,18 @@ class TestColumnSGDFaultRecovery:
         assert all(e.kind == "worker" for e in trace.recoveries)
         assert trace.rounds() == list(range(ITERATIONS))
         assert np.isfinite(result.final_loss())
-        assert driver.local_checkpoints.writes > 0
+        # the one store both backends use really spilled, and its
+        # directory went away with the run
+        store = driver.recovery_manager.checkpoints
+        assert store.writes > 0
+        assert store.directory is not None and not os.path.exists(store.directory)
 
     def test_kill_without_checkpoint_escalates_to_zero_init(self, data):
         driver = make_driver(
             data,
             sync_policy="retry",
             local_timeout_s=1.0,
-            failures=LocalChaos.scripted(kills={2: 0}),
+            failures=scripted(kills={2: 0}),
         )
         result = driver.fit()
         trace = driver.cluster.engine_trace
@@ -372,7 +416,7 @@ class TestColumnSGDFaultRecovery:
             sync_policy="retry",
             local_timeout_s=1.0,
             recovery=RecoveryPolicy(checkpoint_every=3),
-            failures=LocalChaos.scripted(
+            failures=scripted(
                 stalls={(2, 0): 0.05},
                 drops=[(4, 3)],
                 garbles=[(7, 1)],
@@ -424,7 +468,7 @@ class TestColumnSGDFaultRecovery:
             return trainer, trainer.fit()
 
         _, reference = fit()
-        trainer, faulted = fit(LocalChaos.scripted(kills={2: 1, 5: 3}))
+        trainer, faulted = fit(scripted(kills={2: 1, 5: 3}))
         trace = trainer.cluster.engine_trace
         assert [(e.round, e.worker, e.mode) for e in trace.recoveries] == [
             (2, 1, "reload"), (5, 3, "reload")
@@ -495,9 +539,7 @@ def test_kill_and_stall_in_one_round_recover_through_the_engine(
     reference = make_trainer_for(data).fit()
     trainer = make_trainer_for(
         data,
-        LocalChaos.scripted(
-            kills={FAULT_ROUND: 1}, stalls={(FAULT_ROUND, 2): 1.5}
-        ),
+        scripted(kills={FAULT_ROUND: 1}, stalls={(FAULT_ROUND, 2): 1.5}),
     )
     traces = []
     run_round = trainer.run_round

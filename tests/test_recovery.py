@@ -8,11 +8,18 @@ from repro.core import (
     ColumnSGDDriver,
     RecoveryPolicy,
 )
-from repro.errors import ConfigurationError, MasterFailedError
+from repro.core.recovery import (
+    CheckpointStore,
+    restore_partition,
+    snapshot_partition,
+)
+from repro.core.worker import PartitionState
+from repro.errors import ConfigurationError, DataError, MasterFailedError
+from repro.faults import FaultEvent, FaultKind, FaultSchedule
 from repro.models import LogisticRegression
 from repro.net import MessageKind
-from repro.optim import SGD
-from repro.sim import CLUSTER1, FailureInjector, SimulatedCluster
+from repro.optim import SGD, AdaGrad, Adam
+from repro.sim import CLUSTER1, SimulatedCluster
 
 
 def make_driver(data, backup=0, recovery=None, failures=None, iterations=20):
@@ -57,7 +64,7 @@ class TestCheckpointStore:
         )
         driver.fit()
         store = driver.recovery_manager.checkpoints
-        assert store.writes == 3  # iterations 0, 5, 10
+        assert store.writes == 4 * 3  # 4 partitions x iterations 0, 5, 10
         assert store.last_iteration == 10
         assert all(store.has_snapshot(p) for p in range(4))
 
@@ -83,10 +90,9 @@ class TestCheckpointStore:
         )
         driver.fit()
         store = driver.recovery_manager.checkpoints
-        _, params, _ = store.snapshot_of(0)
-        before = np.array(params, copy=True)
+        before = store.read(0)
         driver._partitions[0].params[...] = 123.0
-        assert np.array_equal(params, before)
+        assert store.read(0) == before
 
 
 class TestHeartbeats:
@@ -104,10 +110,11 @@ class TestHeartbeats:
         slow = make_driver(
             tiny_binary,
             recovery=RecoveryPolicy(heartbeat_interval_s=0.5),
-            failures=FailureInjector.worker_failure(3, worker_id=1),
+            failures=FaultSchedule([FaultEvent(3, FaultKind.WORKER, 1)]),
         )
         fast = make_driver(
-            tiny_binary, failures=FailureInjector.worker_failure(3, worker_id=1)
+            tiny_binary,
+            failures=FaultSchedule([FaultEvent(3, FaultKind.WORKER, 1)]),
         )
         slow_t = slow.fit().total_sim_time
         fast_t = fast.fit().total_sim_time
@@ -133,7 +140,15 @@ class TestRecoverWorkerModes:
         driver.fit()
         store = driver.recovery_manager.checkpoints
         owned = driver.groups.partitions_of_worker(1)
-        snapshots = {p: np.array(store.snapshot_of(p)[1], copy=True) for p in owned}
+        snapshots = {}
+        for p in owned:
+            scratch = PartitionState(
+                partition_id=p, store=None, columns=None,
+                params=np.empty_like(driver._partitions[p].params),
+                optimizer=SGD(1.0),
+            )
+            assert restore_partition(scratch, store.read(p)) == "checkpoint"
+            snapshots[p] = scratch.params
         driver._recover_worker(1, iteration=6)
         for p in owned:
             assert np.array_equal(driver._partitions[p].params, snapshots[p])
@@ -156,7 +171,7 @@ class TestRecoverWorkerModes:
 class TestMasterRestart:
     def test_no_checkpoint_still_aborts(self, tiny_binary):
         driver = make_driver(
-            tiny_binary, failures=FailureInjector.master_failure(3)
+            tiny_binary, failures=FaultSchedule([FaultEvent(3, FaultKind.MASTER)])
         )
         with pytest.raises(MasterFailedError):
             driver.fit()
@@ -178,7 +193,7 @@ class TestMasterRestart:
         recovered = make_driver(
             tiny_binary,
             recovery=RecoveryPolicy(checkpoint_every=5, master_restart=True),
-            failures=FailureInjector.master_failure(13),
+            failures=FaultSchedule([FaultEvent(13, FaultKind.MASTER)]),
         ).fit()
         assert np.allclose(
             clean.final_params, recovered.final_params, atol=1e-12
@@ -188,7 +203,7 @@ class TestMasterRestart:
         driver = make_driver(
             tiny_binary,
             recovery=RecoveryPolicy(checkpoint_every=5, master_restart=True),
-            failures=FailureInjector.master_failure(13),
+            failures=FaultSchedule([FaultEvent(13, FaultKind.MASTER)]),
         )
         driver.fit()
         events = [
@@ -202,3 +217,143 @@ class TestMasterRestart:
         assert event.total_s == pytest.approx(
             event.detect_s + event.reload_s + event.replay_s
         )
+
+    def test_checkpointed_run_costs_what_it_always_did(self, tiny_binary):
+        """Simulated seconds and CHECKPOINT bytes of a checkpointed run
+        with a master restart, pinned bit-for-bit from before the
+        snapshot format and the store were unified."""
+        cluster = SimulatedCluster(CLUSTER1.with_workers(4))
+        driver = ColumnSGDDriver(
+            LogisticRegression(), SGD(1.0, momentum=0.9), cluster,
+            config=ColumnSGDConfig(
+                batch_size=64, iterations=20, eval_every=0, seed=9, block_size=64
+            ),
+            failures=FaultSchedule([FaultEvent(13, FaultKind.MASTER)]),
+            recovery=RecoveryPolicy(checkpoint_every=5, master_restart=True),
+        )
+        driver.load(tiny_binary)
+        result = driver.fit()
+        assert result.total_sim_time.hex() == "0x1.395fa4e31b3a4p+0"
+        assert cluster.network.bytes_of_kind(MessageKind.CHECKPOINT) == 23552
+        assert float(np.abs(result.final_params).sum()) == 66.63831818322711
+
+
+# ----------------------------------------------------------------------
+# the snapshot record: one format, never executable, self-checking
+# ----------------------------------------------------------------------
+def stepped_state(optimizer, steps, shape=(6, 3)):
+    rng = np.random.default_rng(4)
+    state = PartitionState(
+        partition_id=0, store=None, columns=None,
+        params=rng.normal(size=shape), optimizer=optimizer,
+    )
+    for t in range(steps):
+        optimizer.step(state.params, rng.normal(size=shape), t)
+    return state
+
+
+OPTIMIZERS = {
+    "sgd": lambda: SGD(0.5),
+    "momentum": lambda: SGD(0.5, momentum=0.9),
+    "adagrad": lambda: AdaGrad(0.5),
+    "adam": lambda: Adam(0.05),
+}
+
+
+class TestSnapshotRecord:
+    @pytest.mark.parametrize("name", sorted(OPTIMIZERS))
+    @pytest.mark.parametrize("steps", [0, 4])
+    def test_restore_equals_live_state(self, name, steps):
+        """A restored partition continues exactly like the live one —
+        including Adam's step count, which only the record carries."""
+        live = stepped_state(OPTIMIZERS[name](), steps)
+        restored = stepped_state(OPTIMIZERS[name](), 1, shape=live.params.shape)
+        assert restore_partition(restored, snapshot_partition(live)) == "checkpoint"
+        assert np.array_equal(restored.params, live.params)
+        gradient = np.random.default_rng(8).normal(size=live.params.shape)
+        for t in range(steps, steps + 3):
+            live.optimizer.step(live.params, gradient, t)
+            restored.optimizer.step(restored.params, gradient, t)
+        assert np.array_equal(restored.params, live.params)
+
+    def test_restored_state_is_a_copy(self):
+        live = stepped_state(SGD(0.5, momentum=0.9), 3)
+        restored = stepped_state(SGD(0.5, momentum=0.9), 0)
+        restore_partition(restored, snapshot_partition(live))
+        before = np.array(live.optimizer.state_arrays()[0], copy=True)
+        restored.optimizer.step(restored.params, np.ones_like(restored.params), 3)
+        assert np.array_equal(live.optimizer.state_arrays()[0], before)
+
+    def test_no_record_is_zero_init(self):
+        state = stepped_state(Adam(0.05), 3)
+        assert restore_partition(state, None) == "zero-init"
+        assert not state.params.any()
+        assert state.optimizer.state_arrays() == []
+
+    def test_record_is_codec_payloads_only(self):
+        """Every byte of a record is a wire-codec payload: the layout
+        header's arithmetic accounts for the whole length."""
+        from repro.storage.serialization import dense_vector_bytes, int_vector_bytes
+
+        record = snapshot_partition(stepped_state(Adam(0.05), 3, shape=(6, 3)))
+        # layout: n_arrays + (ndim, 6, 3) x (params, m, v) + (ndim, 1) for t
+        assert len(record) == (
+            int_vector_bytes(1 + 3 * 3 + 2)
+            + 3 * dense_vector_bytes(18)
+            + dense_vector_bytes(1)
+        )
+        assert b"pickle" not in record and not record.startswith(b"\x80")
+
+    def test_shape_mismatch_is_rejected(self):
+        record = snapshot_partition(stepped_state(SGD(0.5), 1, shape=(6, 3)))
+        with pytest.raises(DataError, match="shape"):
+            restore_partition(stepped_state(SGD(0.5), 0, shape=(5, 3)), record)
+
+
+class TestCheckpointStoreFiles:
+    """CheckpointStore.read trusts nothing it did not verify."""
+
+    @pytest.fixture(params=["memory", "disk"])
+    def store(self, request, tmp_path):
+        return CheckpointStore(str(tmp_path) if request.param == "disk" else None)
+
+    def test_roundtrip_on_both_media(self, store):
+        record = snapshot_partition(stepped_state(SGD(0.5, momentum=0.9), 2))
+        store.write(4, 7, record)
+        assert store.read(7) == record
+        assert store.snapshot_iteration(7) == 4
+        assert store.bytes_written == len(record)
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda r: r[:-1],                        # truncated tail
+            lambda r: r[:40],                        # truncated inside the header
+            lambda r: r + b"\x00",                   # trailing garbage
+            lambda r: b"X" + r[1:],                  # flipped magic byte
+            lambda r: r[:8] + bytes([r[8] ^ 1]) + r[9:],   # layout count
+            lambda r: r[:64] + bytes([r[64] ^ 2]) + r[65:],  # n_arrays
+            lambda r: r[:72] + bytes([r[72] ^ 4]) + r[73:],  # params ndim
+            lambda r: r[:5] + b"\x01" + r[6:],       # payload type code
+        ],
+        ids=["cut-tail", "cut-header", "trailing", "magic", "count",
+             "n-arrays", "ndim", "type"],
+    )
+    def test_damaged_file_raises_data_error(self, tmp_path, damage):
+        store = CheckpointStore(str(tmp_path))
+        record = snapshot_partition(stepped_state(Adam(0.05), 3))
+        store.write(2, 0, record)
+        path = tmp_path / "p00000.ckpt"
+        assert path.read_bytes() == record
+        path.write_bytes(damage(record))
+        with pytest.raises(DataError, match="corrupt snapshot"):
+            store.read(0)
+
+    def test_crash_between_tmp_write_and_replace_keeps_last_good(self, tmp_path):
+        store = CheckpointStore(str(tmp_path))
+        record = snapshot_partition(stepped_state(SGD(0.5), 1))
+        store.write(2, 0, record)
+        (tmp_path / "p00000.ckpt.tmp").write_bytes(b"half a rec")
+        assert store.read(0) == record
+        store.write(4, 0, record)  # a later spill reuses the tmp name
+        assert store.read(0) == record and store.snapshot_iteration(0) == 4

@@ -381,8 +381,8 @@ class TestConfigValidation:
         )
         driver.load(data)
         driver.fit()
-        store = driver.local_checkpoints
-        assert store is not None
+        store = driver.recovery_manager.checkpoints
+        assert store.directory is not None  # real spills, not the memory store
         assert store.writes > 0
         assert store.bytes_written > 0
 
@@ -391,24 +391,22 @@ class TestConfigValidation:
             ColumnSGDConfig(backend="local", check_cost=True)
 
     def test_local_rejects_failure_injection(self, data):
-        from repro.sim.failures import FailureInjector
+        from repro.faults import FaultEvent, FaultKind, FaultSchedule
 
-        cluster = SimulatedCluster(CLUSTER1.with_workers(WORKERS))
-        driver = ColumnSGDDriver(
-            LogisticRegression(),
-            SGD(0.5),
-            cluster,
-            config=ColumnSGDConfig(
-                batch_size=BATCH, iterations=ITERATIONS, seed=3, backend="local"
-            ),
-            failures=FailureInjector.worker_failure(iteration=2, worker_id=1),
-        )
-        driver.load(data)
-        # Simulated fault plans cannot reach real processes; the error
-        # points at the real-fault alternative (repro.runtime.LocalChaos,
-        # exercised in tests/test_local_faults.py).
-        with pytest.raises(ConfigurationError, match="LocalChaos"):
-            driver.fit()
+        # A TASK failure is a Spark notion with no real-process meaning:
+        # refused when the driver is built, naming the kind, the backend
+        # and where it does run (the full matrix is tests/test_faults.py).
+        with pytest.raises(ConfigurationError, match="TASK.*'local'.*'sim'"):
+            ColumnSGDDriver(
+                LogisticRegression(),
+                SGD(0.5),
+                SimulatedCluster(CLUSTER1.with_workers(WORKERS)),
+                config=ColumnSGDConfig(
+                    batch_size=BATCH, iterations=ITERATIONS, seed=3,
+                    backend="local",
+                ),
+                failures=FaultSchedule([FaultEvent(2, FaultKind.TASK, 1)]),
+            )
 
     def test_only_mllib_baseline_supports_local(self, data):
         cluster = SimulatedCluster(CLUSTER1.with_workers(WORKERS))

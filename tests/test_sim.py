@@ -4,17 +4,13 @@ cluster specs and memory ledger."""
 import pytest
 
 from repro.errors import ConfigurationError, OutOfMemoryError
+from repro.faults import FaultEvent, FaultKind, FaultSchedule
 from repro.sim import (
     CLUSTER1,
     CLUSTER2,
-    ChaosSchedule,
     ClusterSpec,
     ComputeCostModel,
-    FailureEvent,
-    FailureInjector,
-    FailureKind,
     SimClock,
-    SimulatedCluster,
     StragglerModel,
 )
 
@@ -118,90 +114,90 @@ class TestStraggler:
 
 class TestFailures:
     def test_none(self):
-        injector = FailureInjector.none()
-        assert not injector.any_scheduled()
-        assert injector.events_at(0) == []
+        schedule = FaultSchedule()
+        assert schedule.events == ()
+        assert schedule.events_at(0) == ()
 
     def test_task_failure_factory(self):
-        injector = FailureInjector.task_failure(5, worker_id=2)
-        events = injector.events_at(5)
+        schedule = FaultSchedule([FaultEvent(5, FaultKind.TASK, 2)])
+        events = schedule.events_at(5)
         assert len(events) == 1
-        assert events[0].kind == FailureKind.TASK
-        assert events[0].worker_id == 2
+        assert events[0].kind == FaultKind.TASK
+        assert events[0].worker == 2
 
     def test_worker_failure_factory(self):
-        injector = FailureInjector.worker_failure(3)
-        assert injector.events_at(3)[0].kind == FailureKind.WORKER
+        schedule = FaultSchedule([FaultEvent(3, FaultKind.WORKER, 0)])
+        assert schedule.events_at(3)[0].kind == FaultKind.WORKER
 
     def test_multiple_events_same_iteration(self):
-        injector = FailureInjector(
+        schedule = FaultSchedule(
             [
-                FailureEvent(1, FailureKind.TASK, 0),
-                FailureEvent(1, FailureKind.WORKER, 1),
+                FaultEvent(1, FaultKind.TASK, 0),
+                FaultEvent(1, FaultKind.WORKER, 1),
             ]
         )
-        assert len(injector.events_at(1)) == 2
+        assert len(schedule.events_at(1)) == 2
 
     def test_event_requires_worker_id(self):
         with pytest.raises(ValueError):
-            FailureEvent(0, FailureKind.WORKER)
-        FailureEvent(0, FailureKind.MASTER)  # fine without worker
+            FaultEvent(0, FaultKind.WORKER)
+        FaultEvent(0, FaultKind.MASTER)  # fine without worker
 
     def test_event_rejects_negative_worker(self):
         with pytest.raises(ConfigurationError):
-            FailureEvent(0, FailureKind.WORKER, worker_id=-1)
+            FaultEvent(0, FaultKind.WORKER, worker=-1)
 
     def test_default_constructor_is_empty(self):
-        assert not FailureInjector().any_scheduled()
+        schedule = FaultSchedule()
+        schedule.validate(4, "sim")
+        assert all(schedule.events_at(t) == () for t in range(50))
 
     def test_schedule_is_defensively_copied(self):
-        events = [FailureEvent(1, FailureKind.TASK, 0)]
-        injector = FailureInjector(events)
-        events.append(FailureEvent(2, FailureKind.TASK, 0))
-        assert len(injector.events) == 1
-        assert isinstance(injector.events, tuple)
+        events = [FaultEvent(1, FaultKind.TASK, 0)]
+        schedule = FaultSchedule(events)
+        events.append(FaultEvent(2, FaultKind.TASK, 0))
+        assert len(schedule.events) == 1
+        assert isinstance(schedule.events, tuple)
 
     def test_rejects_non_event_entries(self):
         with pytest.raises(ConfigurationError):
-            FailureInjector([(1, "worker")])
+            FaultSchedule([(1, "worker")])
 
     def test_validate_checks_worker_range(self):
-        injector = FailureInjector.worker_failure(3, worker_id=7)
-        injector.validate(8)  # in range
+        schedule = FaultSchedule([FaultEvent(3, FaultKind.WORKER, 7)])
+        schedule.validate(8, "sim")  # in range
         with pytest.raises(ConfigurationError):
-            injector.validate(4)
+            schedule.validate(4, "sim")
 
     def test_master_failure_factory(self):
-        event = FailureInjector.master_failure(5).events_at(5)[0]
-        assert event.kind == FailureKind.MASTER
-        assert event.worker_id is None
+        event = FaultSchedule([FaultEvent(5, FaultKind.MASTER)]).events_at(5)[0]
+        assert event.kind == FaultKind.MASTER
+        assert event.worker is None
 
 
 class TestChaosSchedule:
-    def test_requires_attach(self):
-        chaos = ChaosSchedule(mtbf_s=1.0, seed=1)
+    """The seeded Poisson background of a FaultSchedule, on the sim."""
+
+    def test_background_requires_validate(self):
+        # a background cannot draw victims before validate() bound it
+        chaos = FaultSchedule(mtbf_rounds=1.0, seed=1)
         with pytest.raises(ConfigurationError):
-            chaos.events_at(0)
+            chaos.events_at(5)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            ChaosSchedule(mtbf_s=0.0)
+            FaultSchedule(mtbf_rounds=-1.0)
         with pytest.raises(ConfigurationError):
-            ChaosSchedule(mtbf_s=1.0, kinds=())
+            FaultSchedule(mtbf_rounds=1.0, kinds=())
         with pytest.raises(ConfigurationError):
-            ChaosSchedule(mtbf_s=1.0, kinds=("worker",))
+            FaultSchedule(mtbf_rounds=1.0, kinds=("worker",))
 
-    def _drive(self, seed, mtbf_s=0.5):
-        cluster = SimulatedCluster(CLUSTER1.with_workers(4))
-        chaos = ChaosSchedule(mtbf_s=mtbf_s, seed=seed)
-        chaos.attach(cluster)
-        events = []
-        for t in range(20):
-            cluster.clock.advance(0.2)
-            events.extend(
-                (t, e.kind, e.worker_id) for e in chaos.events_at(t)
-            )
-        return events
+    def _drive(self, seed, mtbf_rounds=2.5):
+        chaos = FaultSchedule(mtbf_rounds=mtbf_rounds, seed=seed)
+        chaos.validate(4, "sim")
+        return [
+            (t, e.kind, e.worker) for t in range(20) for e in chaos.events_at(t)
+        ]
 
     def test_deterministic_given_seed(self):
         assert self._drive(seed=3) == self._drive(seed=3)
@@ -210,22 +206,28 @@ class TestChaosSchedule:
         assert self._drive(seed=3) != self._drive(seed=4)
 
     def test_poisson_rate_roughly_matches_mtbf(self):
-        # 4 sim-seconds at MTBF 0.5 -> ~8 arrivals
+        # 20 rounds at MTBF 2.5 -> ~8 arrivals
         events = self._drive(seed=5)
         assert 2 <= len(events) <= 20
+        assert {kind for _, kind, _ in events} <= {FaultKind.TASK, FaultKind.WORKER}
 
     def test_overlays_base_schedule(self):
-        cluster = SimulatedCluster(CLUSTER1.with_workers(4))
-        chaos = ChaosSchedule(
-            mtbf_s=100.0, seed=1, base=FailureInjector.task_failure(2, worker_id=1)
+        chaos = FaultSchedule(
+            [FaultEvent(2, FaultKind.TASK, 1)], mtbf_rounds=100.0, seed=1
         )
-        chaos.attach(cluster)
-        assert any(
-            e.kind == FailureKind.TASK for e in chaos.events_at(2)
-        )
+        chaos.validate(4, "sim")
+        assert any(e.kind == FaultKind.TASK for e in chaos.events_at(2))
 
-    def test_any_scheduled_always_true(self):
-        assert ChaosSchedule(mtbf_s=1.0).any_scheduled()
+    def test_pure_function_of_arguments(self):
+        # any query order, any number of times, names the same strikes
+        chaos = FaultSchedule(mtbf_rounds=1.0, seed=2)
+        chaos.validate(4, "sim")
+        forward = [chaos.events_at(t) for t in range(30)]
+        assert any(forward)
+        assert [chaos.events_at(t) for t in reversed(range(30))] == forward[::-1]
+        fresh = FaultSchedule(mtbf_rounds=1.0, seed=2)
+        fresh.validate(4, "sim")
+        assert fresh.events_at(29) == forward[29]
 
 
 class TestClusterSpec:
