@@ -43,10 +43,17 @@ def reduce_stat(stat1, stat2):
 
 def compute_gradient(batch, labels, stats, local_model):
     """The gradient step inside updateModel: recover the LR gradient of
-    the local partition from the complete dot products (equation 6)."""
+    the local partition from the complete dot products (equation 6).
+
+    ``accumulate_rows`` returns a :class:`repro.linalg.RowGradient` — the
+    columns the batch touches and their values — so the update costs
+    O(batch nnz) however wide the partition is; a dense array shaped
+    like ``local_model`` is accepted too."""
     dots = stats[:, 0]
     coefficients = -labels / (1.0 + np.exp(labels * dots))
-    return accumulate_rows(batch, coefficients) / max(len(labels), 1)
+    gradient = accumulate_rows(batch, coefficients)
+    gradient.values /= max(len(labels), 1)
+    return gradient
 
 
 def batch_loss(stats, labels):

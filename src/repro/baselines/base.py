@@ -275,15 +275,13 @@ class BaselineTrainer:
             batch_parts.append(local)
             if local.n_rows:
                 stats = self.model.compute_statistics(local.features, self._params)
-                # Passing zeros as the params makes the per-shard call
-                # contribute no regularization gradient (L1/L2/None all
-                # vanish at 0); the penalty is added exactly once below.
-                # The zero buffer is part of the same dense-replica cost
-                # already accounted for above.
-                mean_grad = self.model.gradient_from_statistics(
-                    local.features, local.labels, stats, np.zeros_like(self._params)  # lint: noqa[R015,R016]
+                # The data gradient only: the penalty is added exactly
+                # once below, not once per shard.
+                mean_grad = self.model.data_gradient(
+                    local.features, local.labels, stats, self._params
                 )
-                grad_sum += mean_grad * local.n_rows
+                mean_grad.values *= local.n_rows
+                mean_grad.add_to(grad_sum)
             # StragglerLevel multiplies the whole task (launch + kernel),
             # matching the ColumnSGD driver's convention.
             task = self._task_overhead() + self.cluster.cost.sparse_work(
@@ -293,9 +291,7 @@ class BaselineTrainer:
 
         batch = _concat_batches(batch_parts, self._dataset.n_features)
         ctx.scratch["batch"] = batch
-        gradient = grad_sum / max(batch.n_rows, 1) + self.model.regularizer.gradient(
-            self._params
-        )
+        gradient = self.model.add_penalty(grad_sum / max(batch.n_rows, 1), self._params)
         self.optimizer.step(self._params, gradient, ctx.t)
         return per_worker
 

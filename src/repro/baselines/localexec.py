@@ -76,13 +76,13 @@ class RowWorkerProgram:
             )
             if local.n_rows:
                 stats = self.model.compute_statistics(local.features, params)
-                # Zero params contribute no regularization gradient (the
-                # penalty is added once at the master), mirroring the
-                # simulated trainer's convention.
-                mean_grad = self.model.gradient_from_statistics(
-                    local.features, local.labels, stats, np.zeros_like(params)
+                # The data gradient only (the penalty is added once at
+                # the master), shipped dense: RowSGD's O(m) message.
+                mean_grad = self.model.data_gradient(
+                    local.features, local.labels, stats, params
                 )
-                contribution = mean_grad * local.n_rows
+                mean_grad.values *= local.n_rows
+                contribution = mean_grad.to_dense()
             else:
                 contribution = np.zeros_like(params)
             encoded = encode_payload(DenseVectorPayload(contribution))
@@ -154,9 +154,7 @@ class RowMasterProgram:
                 batch_rows += reply.result["n_rows"]
             if batch_rows == 0:
                 raise TrainingError("empty global batch")
-            gradient = grad_sum / batch_rows + trainer.model.regularizer.gradient(
-                params
-            )
+            gradient = trainer.model.add_penalty(grad_sum / batch_rows, params)
             trainer.optimizer.step(params, gradient, ctx.t)
 
         _, seconds = self.runtime.measure(center_update)

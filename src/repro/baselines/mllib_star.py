@@ -79,8 +79,11 @@ class MLlibStarTrainer(BaselineTrainer):
                     ctx.t * self.local_steps + s, self.config.batch_size, w
                 )
                 if local.n_rows:
-                    gradient = self.model.gradient(
-                        local.features, local.labels, self._local_params[w]
+                    stats = self.model.compute_statistics(
+                        local.features, self._local_params[w]
+                    )
+                    gradient = self.model.gradient_from_statistics(
+                        local.features, local.labels, stats, self._local_params[w]
                     )
                     self._local_optimizers[w].step(
                         self._local_params[w], gradient, ctx.t

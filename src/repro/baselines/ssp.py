@@ -129,18 +129,17 @@ class StaleSyncPSTrainer(ParameterServerTrainer):
             seen = self._history[min(version, len(self._history) - 1)]
             if local.n_rows:
                 stats = self.model.compute_statistics(local.features, seen)
-                mean_grad = self.model.gradient_from_statistics(
-                    local.features, local.labels, stats, np.zeros_like(seen)
+                mean_grad = self.model.data_gradient(
+                    local.features, local.labels, stats, seen
                 )
-                grad_sum += mean_grad * local.n_rows
+                mean_grad.values *= local.n_rows
+                mean_grad.add_to(grad_sum)
             per_worker[w] = (
                 self._task_overhead()
                 + self.cluster.cost.sparse_work(local.nnz, passes=2 * width)
             ) * ctx.slowdowns[w]
 
-        gradient = grad_sum / max(batch_rows, 1) + self.model.regularizer.gradient(
-            self._params
-        )
+        gradient = self.model.add_penalty(grad_sum / max(batch_rows, 1), self._params)
         self.optimizer.step(self._params, gradient, ctx.t)
         # Full history is kept so commit-count -> model-version indexing
         # stays direct; runs are a few hundred iterations on scaled

@@ -12,17 +12,19 @@ this interface nearly line for line.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 import numpy as np
 
-from repro.linalg import CSRMatrix
+from repro.linalg import EVERY_ROW, CSRMatrix, RowGradient
 from repro.models.base import StatisticsModel
 from repro.models.regularizers import Regularizer
 
 InitModelFn = Callable[[int], np.ndarray]
 ComputeStatFn = Callable[[CSRMatrix, np.ndarray], np.ndarray]
-UpdateFn = Callable[[CSRMatrix, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+UpdateFn = Callable[
+    [CSRMatrix, np.ndarray, np.ndarray, np.ndarray], Union[np.ndarray, RowGradient]
+]
 LossFn = Callable[[np.ndarray, np.ndarray], float]
 
 
@@ -39,7 +41,10 @@ class UserDefinedModel(StatisticsModel):
     compute_gradient:
         ``compute_gradient(batch, labels, complete_stats, params) ->
         gradient`` — the gradient-from-statistics step inside Fig 12's
-        ``updateModel`` (the optimizer applies the step itself).
+        ``updateModel`` (the optimizer applies the step itself).  Either a
+        dense array shaped like ``params`` or the
+        :class:`~repro.linalg.RowGradient` the accumulate kernels return,
+        which keeps the update O(batch nnz).
     loss:
         ``loss(complete_stats, labels) -> float`` mean batch loss, used
         for convergence reporting.
@@ -99,18 +104,18 @@ class UserDefinedModel(StatisticsModel):
             return np.asarray(self._reduce_stat(left, right), dtype=np.float64)
         return left + right
 
-    def gradient_from_statistics(self, features, labels, statistics, params):
-        grad = np.asarray(
-            self._compute_gradient(features, labels, np.asarray(statistics), params),
-            dtype=np.float64,
-        )
+    def data_gradient(self, features, labels, statistics, params):
+        grad = self._compute_gradient(features, labels, np.asarray(statistics), params)
+        if isinstance(grad, RowGradient):
+            return grad  # Optimizer.step validates it against params
+        grad = np.asarray(grad, dtype=np.float64)
         if grad.shape != params.shape:
             raise ValueError(
                 "compute_gradient returned shape {}, expected {}".format(
                     grad.shape, params.shape
                 )
             )
-        return grad + self.regularizer.gradient(params)
+        return RowGradient(EVERY_ROW, grad, grad.shape)
 
     def loss_from_statistics(self, statistics, labels) -> float:
         return float(self._loss(np.asarray(statistics), np.asarray(labels)))

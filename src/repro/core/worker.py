@@ -46,7 +46,13 @@ class ColumnWorker:
 
     The worker caches the assembled local batch between the statistics
     and update phases (Algorithm 3 reuses ``XB``), and reports the
-    non-zeros it touched so the driver can charge compute time.
+    non-zeros it touched so the driver can charge compute time.  The
+    cached batch matrix also carries what the kernels derive from it
+    once — row segments, and the compaction onto the columns it touches
+    — so the update phase neither recomputes them nor does anything
+    sized like the partition: the model returns a
+    :class:`~repro.linalg.RowGradient` and the optimizer applies it to
+    those rows in place.
     """
 
     def __init__(self, worker_id: int, model: StatisticsModel, partitions: List[PartitionState]):

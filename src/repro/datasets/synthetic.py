@@ -156,7 +156,7 @@ def make_multiclass(
     rng = rng_from_seed(seed)
     features = _sample_rows(n_rows, n_features, nnz_per_row, zipf_exponent, True, rng)
     truth = rng.normal(0.0, 1.0, size=(n_features, n_classes))
-    scores = np.column_stack([row_dots(features, truth[:, k]) for k in range(n_classes)])
+    scores = row_dots(features, truth)
     labels = scores.argmax(axis=1).astype(np.float64)
     flips = rng.random(n_rows) < label_noise
     labels[flips] = rng.integers(0, n_classes, size=int(flips.sum()))

@@ -260,7 +260,7 @@ class CoCoATrainer:
             shard = self._partitioner.shard(k)
             from repro.linalg.ops import accumulate_rows
 
-            reconstructed += accumulate_rows(shard.features, self._alphas[k])
+            accumulate_rows(shard.features, self._alphas[k]).add_to(reconstructed)
         reconstructed /= self.lam * n
         return float(np.max(np.abs(reconstructed - self._w)))
 

@@ -83,9 +83,7 @@ class DeepColumnMLP:
     # -- forward / backward -------------------------------------------------
     def partial_statistics(self, shard: CSRMatrix, w1_part: np.ndarray) -> np.ndarray:
         """Shard's contribution to ``Z = X W1`` (additive)."""
-        return np.column_stack(
-            [row_dots(shard, w1_part[:, h]) for h in range(self.hidden_sizes[0])]
-        )
+        return row_dots(shard, w1_part)
 
     def forward(self, z: np.ndarray, tail: Dict[str, np.ndarray]):
         """Activations per layer and scalar scores, from complete Z."""
@@ -134,12 +132,12 @@ class DeepColumnMLP:
         grads["b1"] = delta.sum(axis=0) / batch
         return grads, delta
 
-    def w1_gradient(self, shard: CSRMatrix, delta1: np.ndarray, batch: int) -> np.ndarray:
-        """Local embedding gradient ``X_k^T delta1 / B``."""
-        b = max(batch, 1)
-        return np.column_stack(
-            [accumulate_rows(shard, delta1[:, h]) for h in range(self.hidden_sizes[0])]
-        ) / b
+    def w1_gradient(self, shard: CSRMatrix, delta1: np.ndarray, batch: int):
+        """Local embedding gradient ``X_k^T delta1 / B``, over the rows
+        the shard touches (a :class:`~repro.linalg.RowGradient`)."""
+        gradient = accumulate_rows(shard, delta1)
+        gradient.values /= max(batch, 1)
+        return gradient
 
 
 class SequentialDeepMLP:

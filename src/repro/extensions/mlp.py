@@ -92,9 +92,7 @@ class ColumnMLP:
     # -- forward/backward given complete statistics ----------------------
     def partial_statistics(self, shard: CSRMatrix, w1_part: np.ndarray) -> np.ndarray:
         """Shard's contribution to Z = X W1 (additive across shards)."""
-        return np.column_stack(
-            [row_dots(shard, w1_part[:, h]) for h in range(self.hidden)]
-        )
+        return row_dots(shard, w1_part)
 
     def forward(self, z: np.ndarray, head: Dict[str, np.ndarray]):
         """Hidden activations and scalar scores from complete Z."""
@@ -132,11 +130,11 @@ class ColumnMLP:
         }
 
     def w1_gradient(self, shard: CSRMatrix, delta: np.ndarray, batch_size: int):
-        """Local W1-partition gradient: X_k^T delta / B."""
-        b = max(batch_size, 1)
-        return np.column_stack(
-            [accumulate_rows(shard, delta[:, h]) for h in range(self.hidden)]
-        ) / b
+        """Local W1-partition gradient ``X_k^T delta / B``, over the rows
+        the shard touches (a :class:`~repro.linalg.RowGradient`)."""
+        gradient = accumulate_rows(shard, delta)
+        gradient.values /= max(batch_size, 1)
+        return gradient
 
 
 class SequentialMLP:

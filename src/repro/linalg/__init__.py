@@ -9,14 +9,18 @@ scratch on top of numpy arrays:
   shards, and worksets (the paper uses CSR for shipped worksets too).
 
 Kernels needed by SGD (per-row dot products against a dense model,
-gradient accumulation ``X^T c``, FM's per-factor statistics) live in
-:mod:`repro.linalg.ops`.
+gradient accumulation ``X^T c``, both over a trailing width axis for
+MLR's classes and FM's factors) live in :mod:`repro.linalg.ops`, beside
+:class:`RowGradient` — the compact gradient the accumulate kernels
+return and every optimizer applies.
 """
 
 from repro.linalg.counters import OP_COUNTERS, OpCounters
 from repro.linalg.sparse_vector import SparseVector
 from repro.linalg.csr import CSRMatrix
 from repro.linalg.ops import (
+    EVERY_ROW,
+    RowGradient,
     row_dots,
     accumulate_rows,
     accumulate_rows_squared,
@@ -29,6 +33,8 @@ __all__ = [
     "OpCounters",
     "SparseVector",
     "CSRMatrix",
+    "EVERY_ROW",
+    "RowGradient",
     "row_dots",
     "accumulate_rows",
     "accumulate_rows_squared",

@@ -19,6 +19,27 @@ from repro.linalg.counters import OP_COUNTERS
 from repro.linalg.sparse_vector import SparseVector
 
 
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """Mark an array this module made (and caches) read-only."""
+    array.setflags(write=False)
+    return array
+
+
+#: Scratch for :meth:`CSRMatrix.touched_columns`, one slot per column of
+#: the widest matrix compacted so far.  It carries nothing between calls
+#: (a call reads only the slots it has just written), so it is reused
+#: instead of allocating a model-sized array per mini-batch.
+_SLOTS = np.empty(0, dtype=np.int64)
+
+
+def _column_slots(n_cols: int) -> np.ndarray:
+    global _SLOTS
+    if _SLOTS.size < n_cols:
+        OP_COUNTERS.add_alloc(n_cols)
+        _SLOTS = np.empty(n_cols, dtype=np.int64)
+    return _SLOTS
+
+
 class CSRMatrix:
     """CSR matrix with float64 data and int64 indices.
 
@@ -27,7 +48,11 @@ class CSRMatrix:
     higher-level constructors drop them).
     """
 
-    __slots__ = ("indptr", "indices", "data", "n_rows", "n_cols")
+    __slots__ = (
+        "indptr", "indices", "data", "n_rows", "n_cols",
+        # derived structure, filled on first use: the matrix is immutable
+        "_row_nnz", "_row_segments", "_touched",
+    )
 
     def __init__(self, indptr, indices, data, n_cols: int):
         indptr = np.asarray(indptr, dtype=np.int64)
@@ -58,6 +83,9 @@ class CSRMatrix:
         self.data = data
         self.n_rows = int(indptr.size - 1)
         self.n_cols = int(n_cols)
+        self._row_nnz = None
+        self._row_segments = None
+        self._touched = None
         OP_COUNTERS.add_flops(indices.size + indptr.size)  # validation scans
 
     # ------------------------------------------------------------------
@@ -133,8 +161,40 @@ class CSRMatrix:
         return SparseVector(self.indices[start:stop], self.data[start:stop], self.n_cols)
 
     def row_nnz(self) -> np.ndarray:
-        """nnz of every row as an int64 array."""
-        return np.diff(self.indptr)
+        """nnz of every row as a read-only int64 array."""
+        if self._row_nnz is None:
+            self._row_nnz = _frozen(np.diff(self.indptr))
+        return self._row_nnz
+
+    def row_segments(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(rows, starts)``: the non-empty rows and where their entries begin.
+
+        What a segmented row reduction (``np.add.reduceat``) needs; empty
+        rows have no segment.
+        """
+        if self._row_segments is None:
+            rows = np.flatnonzero(self.row_nnz())
+            self._row_segments = (_frozen(rows), _frozen(self.indptr[rows]))
+        return self._row_segments
+
+    def touched_columns(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(cols, inverse)``: the distinct columns holding a stored entry
+        and, per entry, the position of its column in ``cols``.
+
+        ``cols[inverse] == indices``.  O(nnz) and sort-free: every entry
+        writes its own position into its column's slot, whichever write
+        lands last owns the column, and the owners in entry order are
+        ``cols``; the slots then take each column's position in ``cols``.
+        Nothing summed per column or per row depends on that order.
+        """
+        if self._touched is None:
+            slots = _column_slots(self.n_cols)
+            entry = np.arange(self.nnz)
+            slots[self.indices] = entry
+            cols = self.indices[np.flatnonzero(slots[self.indices] == entry)]
+            slots[cols] = np.arange(cols.size)
+            self._touched = (_frozen(cols), _frozen(slots[self.indices]))
+        return self._touched
 
     def iter_rows(self) -> Iterable[SparseVector]:
         """Iterate rows lazily as sparse vectors."""
@@ -189,7 +249,9 @@ class CSRMatrix:
         # Source position of every output entry: a ramp over the output,
         # shifted per row by how far that row moved.
         source = np.repeat(starts - indptr[:-1], lengths) + np.arange(nnz)
-        return CSRMatrix(indptr, self.indices[source], self.data[source], self.n_cols)
+        taken = CSRMatrix(indptr, self.indices[source], self.data[source], self.n_cols)
+        taken._row_nnz = _frozen(lengths)
+        return taken
 
     def slice_rows(self, start: int, stop: int) -> "CSRMatrix":
         """Contiguous row slice ``[start, stop)`` without copying per row."""
@@ -199,7 +261,10 @@ class CSRMatrix:
             )
         lo, hi = self.indptr[start], self.indptr[stop]
         indptr = self.indptr[start:stop + 1] - lo
-        return CSRMatrix(indptr, self.indices[lo:hi], self.data[lo:hi], self.n_cols)
+        sliced = CSRMatrix(indptr, self.indices[lo:hi], self.data[lo:hi], self.n_cols)
+        if self._row_nnz is not None:
+            sliced._row_nnz = self._row_nnz[start:stop]
+        return sliced
 
     @classmethod
     def vstack(cls, parts: Sequence["CSRMatrix"]) -> "CSRMatrix":

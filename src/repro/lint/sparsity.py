@@ -109,9 +109,12 @@ PRIMITIVE_COSTS: Dict[str, int] = {
     "row_dots_squared": ONNZ,
     "accumulate_rows": ONNZ,
     "accumulate_rows_squared": ONNZ,
+    "touched_columns": ONNZ,
+    "add_to": ONNZ,  # RowGradient: one row per touched column
     # cheap accessors
     "slice_rows": OB,
     "row_nnz": OB,
+    "row_segments": OB,
 }
 
 #: numpy allocation functions whose first argument is a shape/size.

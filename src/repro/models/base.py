@@ -13,6 +13,14 @@ and the full-data batch gradient restricted to partition k equals
 ``gradient_from_statistics(X_k, y, S, w_k)`` where ``S`` is the summed
 statistics.  Every concrete model's tests assert both identities.
 
+A mini-batch's data gradient is zero outside the columns the batch
+touches, so it travels as a :class:`~repro.linalg.RowGradient` — those
+columns plus one block of values — and a round costs O(batch nnz x
+width) whatever the partition's dimension.  Models implement
+:meth:`StatisticsModel.data_gradient`; only a non-zero regularizer,
+whose gradient lives on every coordinate, densifies, and it does so
+here, once, for every model.
+
 Models are *stateless*: parameters travel as plain numpy arrays whose
 first axis indexes features, so slicing rows of the array partitions the
 model by columns of the data — the collocation trick.
@@ -22,7 +30,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.linalg import CSRMatrix
+from repro.errors import DimensionMismatchError
+from repro.linalg import EVERY_ROW, CSRMatrix, RowGradient
 from repro.models.regularizers import NoRegularizer, Regularizer
 from repro.utils.rng import rng_from_seed
 
@@ -76,20 +85,48 @@ class StatisticsModel:
         """
         raise NotImplementedError
 
+    def data_gradient(
+        self,
+        features: CSRMatrix,
+        labels: np.ndarray,
+        statistics: np.ndarray,
+        params: np.ndarray,
+    ) -> RowGradient:
+        """Mean batch gradient of the data loss over the local partition.
+
+        ``statistics`` must be the *complete* (summed) statistics;
+        ``features``/``params`` are the local shard and partition.  The
+        rows are the columns ``features`` touches; nothing sized like
+        ``params`` is allocated.
+        """
+        raise NotImplementedError
+
     def gradient_from_statistics(
         self,
         features: CSRMatrix,
         labels: np.ndarray,
         statistics: np.ndarray,
         params: np.ndarray,
-    ) -> np.ndarray:
-        """Mean batch gradient of the local partition.
+    ) -> RowGradient:
+        """:meth:`data_gradient` plus the regularizer's gradient.
 
-        ``statistics`` must be the *complete* (summed) statistics;
-        ``features``/``params`` are the local shard and partition.  The
-        regularizer's gradient is included.
+        Without a regularizer that is the data gradient itself.  A
+        penalty's gradient is non-zero on every coordinate, so with one
+        the result covers every row of ``params``.
         """
-        raise NotImplementedError
+        gradient = self.data_gradient(features, labels, statistics, params)
+        if isinstance(self.regularizer, NoRegularizer):
+            return gradient
+        # The penalty is O(d/K) by nature: one dense pass per update.
+        dense = self.add_penalty(gradient.to_dense(), params)  # lint: noqa[R015,R016]
+        return RowGradient(EVERY_ROW, dense, dense.shape)
+
+    def add_penalty(self, gradient: np.ndarray, params: np.ndarray) -> np.ndarray:
+        """Add the regularizer's gradient at ``params`` to a dense
+        ``gradient`` in place (a no-op without a regularizer)."""
+        if not isinstance(self.regularizer, NoRegularizer):
+            gradient += self.regularizer.gradient(params)
+        return gradient
 
     def loss_from_statistics(self, statistics: np.ndarray, labels: np.ndarray) -> float:
         """Mean data loss of the batch given complete statistics.
@@ -110,9 +147,9 @@ class StatisticsModel:
     def gradient(
         self, features: CSRMatrix, labels: np.ndarray, params: np.ndarray
     ) -> np.ndarray:
-        """Single-machine mean batch gradient (statistics folded in)."""
+        """Single-machine mean batch gradient, dense (statistics folded in)."""
         stats = self.compute_statistics(features, params)
-        return self.gradient_from_statistics(features, labels, stats, params)
+        return self.gradient_from_statistics(features, labels, stats, params).to_dense()
 
     def loss(self, features: CSRMatrix, labels: np.ndarray, params: np.ndarray) -> float:
         """Full objective f(w, X): mean data loss + regularization penalty."""
@@ -124,6 +161,20 @@ class StatisticsModel:
         return self.predict_from_statistics(self.compute_statistics(features, params))
 
     # ------------------------------------------------------------------
+    # shape validation shared by the concrete models
+    # ------------------------------------------------------------------
+    def _check_params(self, features: CSRMatrix, params: np.ndarray) -> None:
+        expected = self.param_shape(features.n_cols)
+        if np.shape(params) != expected:
+            raise DimensionMismatchError(expected, np.shape(params), "params shape")
+
+    def _check_batch(self, features: CSRMatrix, labels, statistics) -> None:
+        expected = (features.n_rows, self.statistics_width)
+        if np.shape(statistics) != expected:
+            raise DimensionMismatchError(expected, np.shape(statistics), "statistics shape")
+        if np.shape(labels) != (features.n_rows,):
+            raise DimensionMismatchError((features.n_rows,), np.shape(labels), "labels shape")
+
     def _rng(self, seed):
         return rng_from_seed(seed)
 

@@ -122,7 +122,7 @@ def check_decomposition(
 
     full_grad = model.gradient_from_statistics(
         dataset.features, dataset.labels, full_stats, params
-    )
+    ).to_dense()
     for k in range(n_workers):
         cols = assignment.columns_of(k)
         local = model.gradient_from_statistics(
@@ -130,7 +130,7 @@ def check_decomposition(
             dataset.labels,
             full_stats,
             params[cols],
-        )
+        ).to_dense()
         if not np.allclose(full_grad[cols], local, atol=atol):
             raise ModelCheckError(
                 "partition {} gradient does not match the full gradient "

@@ -31,7 +31,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.linalg import CSRMatrix, accumulate_rows, accumulate_rows_squared, row_dots, row_dots_squared
+from repro.linalg import (
+    CSRMatrix,
+    RowGradient,
+    accumulate_rows,
+    accumulate_rows_squared,
+    row_dots,
+    row_dots_squared,
+)
 from repro.models.base import StatisticsModel
 from repro.models.losses import LogisticLoss, _sigmoid
 from repro.models.regularizers import Regularizer
@@ -90,27 +97,32 @@ class FieldAwareFM(StatisticsModel):
         )
         return params
 
-    def _v_column(self, params: np.ndarray, field_b: int, factor: int) -> np.ndarray:
-        return params[:, 2 + field_b * self.n_factors + factor]
-
     def _t_index(self, a: int, b: int, f: int) -> int:
         return 1 + (a * self.n_fields + b) * self.n_factors + f
 
     # -- decomposition ------------------------------------------------------
     def compute_statistics(self, features: CSRMatrix, params: np.ndarray) -> np.ndarray:
-        fields = params[:, 0].astype(np.int64)
-        w = params[:, 1]
-        stats = np.zeros((features.n_rows, self.statistics_width), dtype=np.float64)
-        s0 = row_dots(features, w)
-        for a in range(self.n_fields):
-            mask = (fields == a).astype(np.float64)
-            for f in range(self.n_factors):
-                q_col = (self._v_column(params, a, f) ** 2) * mask
-                s0 -= 0.5 * row_dots_squared(features, q_col)
-                for b in range(self.n_fields):
-                    t_col = self._v_column(params, b, f) * mask
-                    stats[:, self._t_index(a, b, f)] = row_dots(features, t_col)
-        stats[:, 0] = s0
+        self._check_params(features, params)
+        A, F = self.n_fields, self.n_factors
+        # Field-restricted sums need a per-column mask, so work on the
+        # batch re-indexed to the columns it touches: the masked model
+        # below has one row per touched column, not per feature.
+        cols, inverse = features.touched_columns()
+        batch = CSRMatrix(features.indptr, inverse, features.data, cols.size)
+        local = params[cols]
+        field = local[:, 0].astype(np.int64)
+        in_field = (field[:, None] == np.arange(A)).astype(np.float64)  # (k, A)
+        latent = local[:, 2:].reshape(cols.size, A, F)  # v_{j,b,f}
+        # column (a*A + b)*F + f holds v_{j,b,f} for j in field a, else 0
+        masked = np.empty((cols.size, 1 + A * A * F), dtype=np.float64)
+        masked[:, 0] = local[:, 1]
+        masked[:, 1:] = (latent[:, None] * in_field[:, :, None, None]).reshape(cols.size, A * A * F)
+        stats = row_dots(batch, masked)  # x.w, then every T_{a->b,f}
+        own = (latent * in_field[:, :, None]).reshape(cols.size, A * F)  # v_{j,a,f}, j in a
+        squares = row_dots_squared(batch, own)  # Q_{a,f}
+        s0 = stats[:, 0]
+        for q in range(A * F):  # a outer, f inner: the pinned rounding order
+            s0 -= 0.5 * squares[:, q]
         return stats
 
     def _raw_scores(self, statistics: np.ndarray) -> np.ndarray:
@@ -128,40 +140,38 @@ class FieldAwareFM(StatisticsModel):
                     )
         return scores
 
-    def gradient_from_statistics(self, features, labels, statistics, params):
+    def data_gradient(self, features, labels, statistics, params):
+        self._check_params(features, params)
+        self._check_batch(features, labels, statistics)
+        A, F = self.n_fields, self.n_factors
         stats = np.asarray(statistics, dtype=np.float64)
-        scores = self._raw_scores(stats)
-        c = self._loss.derivative(scores, labels)
-        batch = max(len(labels), 1)
-        fields = params[:, 0].astype(np.int64)
-        # Output buffer: with column partitioning `params` is the
-        # d/K-sized local slice, so this is the worker's O(d/K) update
-        # cost, bounded by the model-update charge, not a global
-        # densification.
-        grad = np.zeros_like(params)  # lint: noqa[R015,R016]
-        grad[:, 1] = accumulate_rows(features, c)
-        sq_acc = accumulate_rows_squared(features, c)  # sum_i c_i x_i^2
-        for a in range(self.n_fields):
-            mask = fields == a
-            if not mask.any():
-                continue
-            for f in range(self.n_factors):
-                for b in range(self.n_fields):
-                    # d y / d v_{j,b,f} for j in field a is
-                    # x_j * T_{b->a,f}   (+ the within-field correction
-                    # -v_{j,a,f} x_j^2 when b == a)
-                    coeff = c * stats[:, self._t_index(b, a, f)]
-                    col = 2 + b * self.n_factors + f
-                    grad[mask, col] = accumulate_rows(features, coeff)[mask]
-                    if b == a:
-                        grad[mask, col] -= (
-                            self._v_column(params, a, f)[mask] * sq_acc[mask]
-                        )
-        grad /= batch
-        reg = self.regularizer.gradient(params)
-        reg[:, 0] = 0.0  # never touch the frozen field-id column
-        grad[:, 0] = 0.0
-        return grad + reg
+        c = self._loss.derivative(self._raw_scores(stats), labels)
+        weighted = c[:, None] * stats  # c * T_{b->a,f} in column t_index(b, a, f)
+        weighted[:, 0] = c
+        sums = accumulate_rows(features, weighted)
+        squares = accumulate_rows_squared(features, c)  # sum_i c_i x_i^2
+        k = sums.cols.size
+        local = params[sums.cols]
+        touched = np.arange(k)
+        field = local[:, 0].astype(np.int64)
+        # d y / d v_{j,b,f} for j in field a is x_j * T_{b->a,f}, plus the
+        # within-field correction -v_{j,a,f} x_j^2 when b == a
+        latent = sums.values[:, 1:].reshape(k, A, A, F)[touched, :, field]  # (k, b, f)
+        latent[touched, field] -= (
+            local[:, 2:].reshape(k, A, F)[touched, field] * squares.values[:, None]
+        )
+        values = np.empty((k, 2 + A * F), dtype=np.float64)
+        values[:, 0] = 0.0  # the frozen field-id column never moves
+        values[:, 1] = sums.values[:, 0]
+        values[:, 2:] = latent.reshape(k, A * F)
+        values[:, 1:] /= max(len(labels), 1)
+        return RowGradient(sums.cols, values, params.shape)
+
+    def add_penalty(self, gradient, params):
+        frozen = gradient[:, 0].copy()  # never touch the frozen field-id column
+        super().add_penalty(gradient, params)
+        gradient[:, 0] = frozen
+        return gradient
 
     def loss_from_statistics(self, statistics, labels) -> float:
         labels = np.asarray(labels, dtype=np.float64)

@@ -18,7 +18,10 @@ are::
     dl/dw_j    = c * x_j
     dl/dv_jf   = c * (x_j * s_f - v_jf * x_j^2)
 
-with ``c = -y / (1 + exp(y * y(x)))`` — all local given complete stats.
+with ``c = -y / (1 + exp(y * y(x)))`` — all local given complete stats,
+and zero for every ``j`` the batch does not touch.  Both steps run over
+the whole ``(1 + F)``-wide parameter block at once: one gather of the
+touched rows and one segmented reduction, not one kernel call per factor.
 """
 
 from __future__ import annotations
@@ -65,14 +68,14 @@ class FactorizationMachine(StatisticsModel):
 
     # -- decomposition ----------------------------------------------------
     def compute_statistics(self, features: CSRMatrix, params: np.ndarray) -> np.ndarray:
-        w = params[:, 0]
-        stats = np.empty((features.n_rows, 1 + self.n_factors), dtype=np.float64)
-        bracket = row_dots(features, w)
+        self._check_params(features, params)
+        stats = row_dots(features, params)  # x.w, then s_1 .. s_F
+        squares = row_dots_squared(features, params[:, 1:])
+        bracket = stats[:, 0]
+        # factor by factor: the rounding of the running difference is
+        # part of the pinned trajectories
         for f in range(self.n_factors):
-            v_f = params[:, 1 + f]
-            stats[:, 1 + f] = row_dots(features, v_f)
-            bracket -= 0.5 * row_dots_squared(features, v_f ** 2)
-        stats[:, 0] = bracket
+            bracket -= 0.5 * squares[:, f]
         return stats
 
     def _raw_scores(self, statistics: np.ndarray) -> np.ndarray:
@@ -80,23 +83,22 @@ class FactorizationMachine(StatisticsModel):
         stats = np.asarray(statistics, dtype=np.float64)
         return stats[:, 0] + 0.5 * np.sum(stats[:, 1:] ** 2, axis=1)
 
-    def gradient_from_statistics(self, features, labels, statistics, params):
+    def data_gradient(self, features, labels, statistics, params):
+        self._check_params(features, params)
+        self._check_batch(features, labels, statistics)
         stats = np.asarray(statistics, dtype=np.float64)
-        scores = self._raw_scores(stats)
-        coefficients = self._loss.derivative(scores, labels)
-        batch = max(len(labels), 1)
-        # Output buffer over the partition-local d/K slice (see ffm.py).
-        grad = np.empty_like(params)  # lint: noqa[R015,R016]
-        grad[:, 0] = accumulate_rows(features, coefficients)
+        coefficients = self._loss.derivative(self._raw_scores(stats), labels)
+        # c for the linear weight, c * s_f for factor f
+        weighted = coefficients[:, None] * stats
+        weighted[:, 0] = coefficients
+        gradient = accumulate_rows(features, weighted)
         # sum_i c_i * x_i^2, shared by every factor's second term
-        sq_acc = accumulate_rows_squared(features, coefficients)
-        for f in range(self.n_factors):
-            s_f = stats[:, 1 + f]
-            grad[:, 1 + f] = (
-                accumulate_rows(features, coefficients * s_f)
-                - params[:, 1 + f] * sq_acc
-            )
-        return grad / batch + self.regularizer.gradient(params)
+        squares = accumulate_rows_squared(features, coefficients)
+        correction = params[gradient.cols] * squares.values[:, None]  # v_jf * sum_i c_i x_ij^2
+        correction[:, 0] = 0.0  # the linear weight has no second-order term
+        gradient.values -= correction
+        gradient.values /= max(len(labels), 1)
+        return gradient
 
     def loss_from_statistics(self, statistics, labels) -> float:
         labels = np.asarray(labels, dtype=np.float64)

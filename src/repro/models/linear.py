@@ -3,7 +3,8 @@
 For GLMs the statistics are a single dot product per example
 (Appendix VIII-A/B): ``s_i = x_i . w``, trivially additive across column
 shards.  Given the complete dots, the mean batch gradient of any shard is
-``X_k^T c / B`` where ``c_i`` is the loss derivative at ``(s_i, y_i)``.
+``X_k^T c / B`` where ``c_i`` is the loss derivative at ``(s_i, y_i)`` —
+non-zero only on the columns the batch touches.
 """
 
 from __future__ import annotations
@@ -42,15 +43,15 @@ class GeneralizedLinearModel(StatisticsModel):
 
     # -- decomposition ----------------------------------------------------
     def compute_statistics(self, features: CSRMatrix, params: np.ndarray) -> np.ndarray:
-        dots = row_dots(features, params)
-        return dots.reshape(-1, 1)
+        self._check_params(features, params)
+        return row_dots(features, params).reshape(-1, 1)
 
-    def gradient_from_statistics(self, features, labels, statistics, params):
+    def data_gradient(self, features, labels, statistics, params):
+        self._check_batch(features, labels, statistics)
         scores = np.asarray(statistics)[:, 0]
-        coefficients = self.loss_fn.derivative(scores, labels)
-        batch = max(len(labels), 1)
-        grad = accumulate_rows(features, coefficients) / batch
-        return grad + self.regularizer.gradient(params)
+        gradient = accumulate_rows(features, self.loss_fn.derivative(scores, labels))
+        gradient.values /= max(len(labels), 1)
+        return gradient
 
     def loss_from_statistics(self, statistics, labels) -> float:
         scores = np.asarray(statistics)[:, 0]

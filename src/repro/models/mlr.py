@@ -39,9 +39,8 @@ class MultinomialLogisticRegression(StatisticsModel):
 
     # -- decomposition ----------------------------------------------------
     def compute_statistics(self, features: CSRMatrix, params: np.ndarray) -> np.ndarray:
-        return np.column_stack(
-            [row_dots(features, params[:, c]) for c in range(self.n_classes)]
-        )
+        self._check_params(features, params)
+        return row_dots(features, params)
 
     def _probabilities(self, statistics: np.ndarray) -> np.ndarray:
         scores = np.asarray(statistics, dtype=np.float64)
@@ -61,13 +60,12 @@ class MultinomialLogisticRegression(StatisticsModel):
         hot[np.arange(n), labels] = 1.0
         return hot
 
-    def gradient_from_statistics(self, features, labels, statistics, params):
-        batch = max(len(labels), 1)
+    def data_gradient(self, features, labels, statistics, params):
+        self._check_batch(features, labels, statistics)
         residual = self._probabilities(statistics) - self._one_hot(labels, len(labels))
-        grad = np.column_stack(
-            [accumulate_rows(features, residual[:, c]) for c in range(self.n_classes)]
-        )
-        return grad / batch + self.regularizer.gradient(params)
+        gradient = accumulate_rows(features, residual)
+        gradient.values /= max(len(labels), 1)
+        return gradient
 
     def loss_from_statistics(self, statistics, labels) -> float:
         labels = np.asarray(labels, dtype=np.int64)

@@ -23,7 +23,7 @@ class Regularizer:
         raise NotImplementedError
 
     def gradient(self, model: np.ndarray) -> np.ndarray:
-        """d Omega / d w, same shape as ``model``."""
+        """d Omega / d w, same shape as ``model`` (callers must not write to it)."""
         raise NotImplementedError
 
 
@@ -36,9 +36,10 @@ class NoRegularizer(Regularizer):
         return 0.0
 
     def gradient(self, model):
-        # One zero buffer per model-update step (not per row); callers
-        # add it to an existing dense gradient of the same shape.
-        return np.zeros_like(model)  # lint: noqa[R015,R016]
+        # Zeros of the model's shape with no buffer behind them (a
+        # read-only zero-stride view); StatisticsModel.add_penalty skips
+        # even this.
+        return np.broadcast_to(0.0, np.shape(model))
 
 
 class L2(Regularizer):

@@ -21,13 +21,13 @@ class AdaGrad(Optimizer):
         self._accumulator = None
 
     def step(self, params, gradient, iteration):
-        self._check_shapes(params, gradient)
+        rows, gradient = self._rows_of(params, gradient)
         if self._accumulator is None:
             # Lazy one-time state allocation, amortized O(1) per round.
             self._accumulator = np.zeros_like(params)  # lint: noqa[R015,R016]
-        self._accumulator += gradient ** 2
+        self._accumulator[rows] += gradient ** 2
         rate = self.effective_rate(iteration)
-        params -= rate * gradient / (np.sqrt(self._accumulator) + self.epsilon)
+        params[rows] -= rate * gradient / (np.sqrt(self._accumulator[rows]) + self.epsilon)
         return params
 
     def spawn(self):

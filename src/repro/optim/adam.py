@@ -34,7 +34,7 @@ class Adam(Optimizer):
         self._t = 0
 
     def step(self, params, gradient, iteration):
-        self._check_shapes(params, gradient)
+        gradient = self._dense(params, gradient)
         if self._m is None:
             # Lazy one-time state allocation, amortized O(1) per round.
             self._m = np.zeros_like(params)  # lint: noqa[R015,R016]

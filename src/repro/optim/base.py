@@ -4,14 +4,25 @@ An optimizer instance owns the state for exactly one parameter array (a
 model partition in distributed runs, the full model on a single
 machine).  ``spawn()`` creates a fresh instance with the same
 hyper-parameters but blank state — one per worker partition.
+
+``step`` takes the gradient in either of two forms: a dense array shaped
+like the parameters, or the :class:`~repro.linalg.RowGradient` a model's
+``gradient_from_statistics`` returns (rows the mini-batch touched + their
+values; every row, as a plain slice, when a regularizer made it dense).  An optimizer whose update of a row depends on that row's
+gradient alone *and* is the identity for a zero gradient (plain SGD,
+AdaGrad) applies a ``RowGradient`` to its rows only — bit for bit what
+the dense step computes, since every other row would receive ``+0.0``.
+One with decaying state (momentum, Adam) moves every row every step, so
+it densifies the gradient — here, once — and runs its dense arithmetic.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.linalg import EVERY_ROW, RowGradient
 from repro.optim.schedules import ConstantSchedule, Schedule
 from repro.utils.validation import check_positive
 
@@ -30,10 +41,13 @@ class Optimizer:
         """Base rate times the schedule factor at ``iteration``."""
         return self.learning_rate * self.schedule.factor(iteration)
 
-    def step(self, params: np.ndarray, gradient: np.ndarray, iteration: int) -> np.ndarray:
+    def step(
+        self, params: np.ndarray, gradient: Union[np.ndarray, RowGradient], iteration: int
+    ) -> np.ndarray:
         """Apply one update **in place** and return ``params``.
 
-        ``gradient`` must match ``params`` in shape.
+        ``gradient`` is a dense array matching ``params`` in shape or a
+        :class:`~repro.linalg.RowGradient` over it.
         """
         raise NotImplementedError
 
@@ -54,8 +68,40 @@ class Optimizer:
         """Adopt (copies of) what :meth:`state_arrays` returned."""
         raise NotImplementedError
 
-    def _check_shapes(self, params: np.ndarray, gradient: np.ndarray) -> None:
+    def _rows_of(self, params: np.ndarray, gradient) -> Tuple[object, np.ndarray]:
+        """``(rows, values)`` with ``params[rows]`` the rows to update:
+        a row gradient's own rows, every row for a dense one."""
+        self._check_shapes(params, gradient)
+        if isinstance(gradient, RowGradient):
+            return gradient.cols, gradient.values
+        return slice(None), gradient
+
+    def _dense(self, params: np.ndarray, gradient) -> np.ndarray:
+        """``gradient`` as a dense array shaped like ``params``."""
+        self._check_shapes(params, gradient)
+        if isinstance(gradient, RowGradient):
+            # Decaying state moves every row every step: O(d/K) by nature.
+            return gradient.to_dense()  # lint: noqa[R015,R016]
+        return gradient
+
+    def _check_shapes(self, params: np.ndarray, gradient) -> None:
         if params.shape != gradient.shape:
             raise ValueError(
                 "gradient shape {} != params shape {}".format(gradient.shape, params.shape)
             )
+        if isinstance(gradient, RowGradient):
+            cols, values = gradient.cols, gradient.values
+            every = cols is EVERY_ROW
+            block = (params.shape[:1] if every else cols.shape) + params.shape[1:]
+            if values.shape != block:
+                raise ValueError(
+                    "gradient shape {} != params shape {}".format(values.shape, block)
+                )
+            if not every and cols.size and not (
+                0 <= cols.min() <= cols.max() < params.shape[0]
+            ):
+                raise ValueError(
+                    "gradient rows [{}, {}] outside params rows [0, {})".format(
+                        cols.min(), cols.max(), params.shape[0]
+                    )
+                )

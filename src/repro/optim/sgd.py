@@ -21,11 +21,12 @@ class SGD(Optimizer):
         self._velocity = None
 
     def step(self, params, gradient, iteration):
-        self._check_shapes(params, gradient)
         rate = self.effective_rate(iteration)
         if self.momentum == 0.0:
-            params -= rate * gradient
+            rows, gradient = self._rows_of(params, gradient)
+            params[rows] -= rate * gradient
             return params
+        gradient = self._dense(params, gradient)
         if self._velocity is None:
             # Lazy one-time state allocation (amortized O(1) per round);
             # every SGD system keeps dense optimizer state of model size.

@@ -35,7 +35,7 @@ class TestDeepColumnMLPMath:
 
         z = model.partial_statistics(data.features, w1)
         tail_grads, delta1 = model.backward(z, data.labels, tail)
-        grad_w1 = model.w1_gradient(data.features, delta1, data.n_rows)
+        grad_w1 = model.w1_gradient(data.features, delta1, data.n_rows).to_dense()
 
         eps = 1e-6
         for idx in [(0, 0), (3, 2), (7, 1)]:

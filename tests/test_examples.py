@@ -53,5 +53,5 @@ class TestExamples:
         reference = LogisticRegression().gradient(
             tiny_gaussian.features, tiny_gaussian.labels, w
         )
-        assert np.allclose(grad, reference, atol=1e-10)
+        assert np.allclose(grad.to_dense(), reference, atol=1e-10)
         assert module.reduce_stat(np.ones(3), np.ones(3)).tolist() == [2.0, 2.0, 2.0]

@@ -47,7 +47,7 @@ class TestColumnMLPMath:
 
         z = model.partial_statistics(data.features, w1)
         a, c, delta = model.backward(z, data.labels, head)
-        grad_w1 = model.w1_gradient(data.features, delta, data.n_rows)
+        grad_w1 = model.w1_gradient(data.features, delta, data.n_rows).to_dense()
         head_grads = model.head_gradients(a, c, delta, data.n_rows)
 
         eps = 1e-6

@@ -84,12 +84,12 @@ class TestFFMMath:
         stats = model.compute_statistics(data.features, params)
         full_grad = model.gradient_from_statistics(
             data.features, data.labels, stats, params
-        )
+        ).to_dense()
         for k in range(3):
             cols = asg.columns_of(k)
             local = model.gradient_from_statistics(
                 data.features.select_columns(cols), data.labels, stats, params[cols]
-            )
+            ).to_dense()
             assert np.allclose(full_grad[cols], local, atol=1e-10)
 
     def test_statistics_width(self):

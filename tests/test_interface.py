@@ -22,7 +22,9 @@ def user_lr():
     def compute_gradient(batch, labels, stats, params):
         scores = stats[:, 0]
         coeff = -labels / (1.0 + np.exp(labels * scores))
-        return accumulate_rows(batch, coeff) / max(len(labels), 1)
+        gradient = accumulate_rows(batch, coeff)  # a RowGradient
+        gradient.values /= max(len(labels), 1)
+        return gradient
 
     def loss(stats, labels):
         margins = labels * stats[:, 0]

@@ -120,5 +120,5 @@ class TestCSRProperties:
             )
         )
         lhs = float(np.dot(row_dots(matrix, w), c))
-        rhs = float(np.dot(w, accumulate_rows(matrix, c)))
+        rhs = float(np.dot(w, accumulate_rows(matrix, c).to_dense()))
         assert np.isclose(lhs, rhs, rtol=1e-8, atol=1e-6)

@@ -31,7 +31,7 @@ class TestCheckGradients:
             compute_stat=lambda batch, params: row_dots(batch, params),
             # off by a factor of 2
             compute_gradient=lambda b, y, s, p: 2.0
-            * accumulate_rows(b, -y / (1 + np.exp(y * s[:, 0])))
+            * accumulate_rows(b, -y / (1 + np.exp(y * s[:, 0]))).to_dense()
             / max(len(y), 1),
             loss=lambda s, y: float(np.mean(np.log1p(np.exp(-y * s[:, 0])))),
         )
@@ -44,7 +44,7 @@ class TestCheckGradients:
             compute_stat=lambda batch, params: row_dots(batch, params),
             compute_gradient=lambda b, y, s, p: -accumulate_rows(
                 b, -y / (1 + np.exp(y * s[:, 0]))
-            ) / max(len(y), 1),
+            ).to_dense() / max(len(y), 1),
             loss=lambda s, y: float(np.mean(np.log1p(np.exp(-y * s[:, 0])))),
         )
         with pytest.raises(ModelCheckError):

@@ -78,13 +78,13 @@ class TestDecomposition:
         full_stats = model.compute_statistics(data.features, params)
         full_grad = model.gradient_from_statistics(
             data.features, data.labels, full_stats, params
-        )
+        ).to_dense()
         for k in range(n_workers):
             cols = assignment.columns_of(k)
             shard = data.features.select_columns(cols)
             local_grad = model.gradient_from_statistics(
                 shard, data.labels, full_stats, params[cols]
-            )
+            ).to_dense()
             assert np.allclose(full_grad[cols], local_grad, atol=1e-10)
 
 
