@@ -297,8 +297,8 @@ class CSRMatrix:
         ``global_indices`` maps local column -> global column and must be
         sorted ascending and unique.  The result has
         ``n_cols == len(global_indices)`` and the same number of rows;
-        entries outside the subset are dropped.  This is the core primitive
-        behind column-wise data partitioning.
+        entries outside the subset are dropped.  The single-projection
+        form; the loaders cut a block K ways with :meth:`split_columns`.
         """
         global_indices = np.asarray(global_indices, dtype=np.int64)
         if global_indices.size and np.any(np.diff(global_indices) <= 0):
@@ -317,6 +317,48 @@ class CSRMatrix:
         indptr = np.zeros(self.n_rows + 1, dtype=np.int64)
         np.cumsum(lengths, out=indptr[1:])
         return CSRMatrix(indptr, pos_clipped[hit], self.data[hit], global_indices.size)
+
+    def split_columns(self, owner, local, dims: Sequence[int]) -> List["CSRMatrix"]:
+        """Every column projection of the matrix at once, in one O(nnz) pass.
+
+        Stored entry ``e`` goes to piece ``owner[e]`` as column
+        ``local[e]``; piece ``k`` has ``dims[k]`` columns and every row
+        of the matrix.  The entries are partitioned by owner *stably*,
+        so each row keeps its entries in their stored order: when
+        ``local`` ascends with the global id inside each piece (a column
+        assignment's global -> local map does) the pieces equal
+        ``[self.select_columns(columns_k) for k in range(K)]`` array for
+        array, explicit zeros and empty rows included.  The pieces are
+        views of three shared arrays, together one copy of the matrix.
+        """
+        owner = np.asarray(owner, dtype=np.int64)
+        local = np.asarray(local, dtype=np.int64)
+        K = len(dims)
+        if owner.shape != self.indices.shape:
+            raise DimensionMismatchError(self.indices.shape, owner.shape, "owner length")
+        if local.shape != self.indices.shape:
+            raise DimensionMismatchError(self.indices.shape, local.shape, "local length")
+        if owner.size and (owner.min() < 0 or owner.max() >= K):
+            raise ValueError(
+                "owners must lie in [0, {}), got [{}, {}]".format(K, owner.min(), owner.max())
+            )
+        OP_COUNTERS.add_flops(2 * self.nnz)  # partition + row-length count
+        OP_COUNTERS.add_alloc(2 * self.nnz)  # the pieces' indices + data
+        # owners fit a narrow unsigned type, which numpy radix-sorts
+        order = np.argsort(owner.astype(np.min_scalar_type(max(K - 1, 0))), kind="stable")
+        row_of = np.repeat(np.arange(self.n_rows), self.row_nnz())
+        lengths = np.bincount(owner * self.n_rows + row_of, minlength=K * self.n_rows)
+        indptr = np.zeros((K, self.n_rows + 1), dtype=np.int64)
+        np.cumsum(lengths.reshape(K, self.n_rows), axis=1, out=indptr[:, 1:])
+        bounds = np.zeros(K + 1, dtype=np.int64)
+        np.cumsum(indptr[:, -1], out=bounds[1:])
+        indices, data = local[order], self.data[order]
+        return [
+            CSRMatrix(
+                indptr[k], indices[bounds[k]:bounds[k + 1]], data[bounds[k]:bounds[k + 1]], dims[k]
+            )
+            for k in range(K)
+        ]
 
     def hstack_from_partitions(
         self, parts: Sequence["CSRMatrix"], assignments: Sequence[np.ndarray], n_cols: int

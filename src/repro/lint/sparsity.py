@@ -102,6 +102,7 @@ PRIMITIVE_COSTS: Dict[str, int] = {
     "from_rows": ONNZ,
     "take_rows": ONNZ,
     "select_columns": ONNZ,
+    "split_columns": ONNZ,
     "vstack": ONNZ,
     "iter_rows": ONNZ,
     "column_scale": ONNZ,

@@ -21,6 +21,7 @@ from typing import List
 import numpy as np
 
 from repro.errors import PartitionError
+from repro.linalg import CSRMatrix
 from repro.utils.validation import check_in, check_positive
 
 
@@ -49,6 +50,7 @@ class ColumnAssignment:
                 "assignment covers {} of {} columns".format(seen, self.n_features)
             )
         self._owner = owners
+        self._local = None  # global -> local table, built by the first local_of
 
     # -- scheme-specific -------------------------------------------------
     def _build_columns(self) -> List[np.ndarray]:
@@ -67,6 +69,30 @@ class ColumnAssignment:
         """Owning worker of each global column id (vectorised)."""
         columns = np.asarray(columns, dtype=np.int64)
         return self._owner[columns]
+
+    def local_of(self, columns) -> np.ndarray:
+        """Local id of each global column on its owning worker (vectorised).
+
+        The twin of :meth:`worker_of`: ``columns_of(worker_of(j))[local_of(j)]
+        == j``.  Only loaders ask, so the table is built on first use;
+        schemes whose local id is arithmetic override this and hold none.
+        """
+        if self._local is None:
+            local = np.empty(self.n_features, dtype=np.int64)
+            for cols in self._columns_of:
+                local[cols] = np.arange(cols.size)
+            self._local = local
+        return self._local[np.asarray(columns, dtype=np.int64)]
+
+    def split(self, features: CSRMatrix) -> List[CSRMatrix]:
+        """Cut a CSR block into the K workers' local-id projections.
+
+        One :meth:`~repro.linalg.CSRMatrix.split_columns` pass; piece
+        ``k`` is the block projected onto ``columns_of(k)``.
+        """
+        return features.split_columns(
+            self.worker_of(features.indices), self.local_of(features.indices), self.local_dims()
+        )
 
     def local_dims(self) -> List[int]:
         """Per-worker column counts."""
@@ -91,16 +117,24 @@ class RoundRobinAssignment(ColumnAssignment):
             for k in range(self.n_workers)
         ]
 
+    def local_of(self, columns) -> np.ndarray:
+        return np.asarray(columns, dtype=np.int64) // self.n_workers
+
 
 class RangeAssignment(ColumnAssignment):
     """Contiguous slabs of ``ceil(m/K)`` columns per worker."""
 
     def _build_columns(self) -> List[np.ndarray]:
         bounds = np.linspace(0, self.n_features, self.n_workers + 1).astype(np.int64)
+        self._bounds = bounds
         return [
             np.arange(bounds[k], bounds[k + 1], dtype=np.int64)
             for k in range(self.n_workers)
         ]
+
+    def local_of(self, columns) -> np.ndarray:
+        columns = np.asarray(columns, dtype=np.int64)
+        return columns - self._bounds[self._owner[columns]]
 
 
 class HashAssignment(ColumnAssignment):

@@ -4,9 +4,11 @@ Three loaders are modelled, matching Fig 7's contenders:
 
 * :func:`dispatch_block_based` — Algorithm 4: the master streams block
   ids to idle workers; each worker reads its block, splits it into K
-  column *worksets*, CSR-compresses them and ships one object per
-  (block, destination).  Serialization overhead is paid per block-sized
-  object, so the network pipe stays full.
+  column *worksets* in one pass (:meth:`ColumnAssignment.split`, a
+  stable partition of the block's entries by owner), CSR-compresses
+  them and ships one object per (block, destination).  Serialization
+  overhead is paid per block-sized object, so the network pipe stays
+  full.
 * :func:`dispatch_naive` — "Naive-ColumnSGD": each row is split and
   shipped as K tiny objects, paying the per-object serialization
   overhead K times per row.
@@ -98,13 +100,13 @@ def _build_stores(
     models can read sizes without recomputing projections.
 
     Each store's resident shard is sized exactly up front — one
-    bincount of column owners per block — so every projection is copied
-    straight into place and dropped; the worksets handed back are views
-    of the shards.
+    bincount of column owners per block — and each block is then cut K
+    ways in one :meth:`ColumnAssignment.split` pass whose pieces are
+    copied straight into place and dropped; the worksets handed back
+    are views of the shards.
     """
     K = assignment.n_workers
     stores = [WorksetStore(k, assignment.local_dim(k)) for k in range(K)]
-    columns = [assignment.columns_of(k) for k in range(K)]
     indptr, indices = dataset.features.indptr, dataset.features.indices
     nnz_of = np.zeros(K, dtype=np.int64)
     for block in hdfs.blocks:
@@ -118,8 +120,7 @@ def _build_stores(
         rows = block.materialize(dataset)
         block_sizes[block.block_id] = rows.n_rows
         per_dest = []
-        for dest in range(K):
-            shard = rows.features.select_columns(columns[dest])
+        for dest, shard in enumerate(assignment.split(rows.features)):
             stores[dest].put(Workset(block.block_id, shard, rows.labels))
             per_dest.append(stores[dest].get(block.block_id))
         worksets_by_block.append(per_dest)

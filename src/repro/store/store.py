@@ -89,6 +89,7 @@ class ColumnShardStore:
         self.manifest = manifest
         self.shard_indexes = shard_indexes
         self.sidecar_index = sidecar_index
+        self._assignment: Optional[ColumnAssignment] = None
 
     # ------------------------------------------------------------------
     # constructors
@@ -138,11 +139,13 @@ class ColumnShardStore:
     ) -> "ColumnShardStore":
         """Shuffle an in-memory dataset into shards, block by block.
 
-        Rows stream through the writer one sparse view at a time, so
-        the extra footprint beyond the source dataset is bounded by the
-        writer's budget.
+        The writer takes the dataset's CSR arrays as they are and cuts
+        them into blocks itself (:meth:`ShuffleWriter.add_rows`), so the
+        extra footprint beyond the source dataset is one block and its
+        K projections, and the shards hold exactly the entries the
+        in-memory dispatcher would ship.
         """
-        writer = ShuffleWriter(
+        with ShuffleWriter(
             store_dir,
             n_features=dataset.n_features,
             n_workers=n_workers,
@@ -150,10 +153,8 @@ class ColumnShardStore:
             block_size=block_size,
             memory_budget_bytes=memory_budget_bytes,
             name=dataset.name,
-        )
-        for i in range(dataset.n_rows):
-            row = dataset.features.row(i)
-            writer.add_row(dataset.labels[i], row.indices, row.values)
+        ) as writer:
+            writer.add_rows(dataset.labels, dataset.features)
         return cls.finish(writer)
 
     @classmethod
@@ -189,7 +190,7 @@ class ColumnShardStore:
             if n_features is None:
                 n_features = max(max_index + 1 - (0 if zero_based else 1), 1)
         shift = 0 if zero_based else 1
-        writer = ShuffleWriter(
+        with ShuffleWriter(
             store_dir,
             n_features=n_features,
             n_workers=n_workers,
@@ -197,9 +198,9 @@ class ColumnShardStore:
             block_size=block_size,
             memory_budget_bytes=memory_budget_bytes,
             name=name if name is not None else source.stem,
-        )
-        for label, indices, values in iter_libsvm(source):
-            writer.add_row(label, indices - shift, values)
+        ) as writer:
+            for label, indices, values in iter_libsvm(source):
+                writer.add_row(label, indices - shift, values)
         return cls.finish(writer)
 
     @classmethod
@@ -219,16 +220,25 @@ class ColumnShardStore:
         manifest_path = writer.store_dir / MANIFEST_FILENAME
         tmp_path = writer.store_dir / (MANIFEST_FILENAME + ".tmp")
         tmp_path.write_text(manifest.to_json(), encoding="utf-8")
-        os.replace(tmp_path, manifest_path)
-        return cls.open(writer.store_dir)
+        try:
+            os.replace(tmp_path, manifest_path)
+        except BaseException:
+            tmp_path.unlink(missing_ok=True)
+            raise
+        store = cls.open(writer.store_dir)
+        store._assignment = writer.assignment
+        return store
 
     # ------------------------------------------------------------------
     # readers
     # ------------------------------------------------------------------
     def assignment(self) -> ColumnAssignment:
-        return make_assignment(
-            self.manifest.scheme, self.manifest.n_features, self.manifest.n_workers
-        )
+        """The store's column assignment, built once (it is O(m))."""
+        if self._assignment is None:
+            self._assignment = make_assignment(
+                self.manifest.scheme, self.manifest.n_features, self.manifest.n_workers
+            )
+        return self._assignment
 
     def block_sizes(self) -> Dict[int, int]:
         """Rows per block — the two-phase index input."""
@@ -247,10 +257,9 @@ class ColumnShardStore:
                     worker_id, self.manifest.n_workers
                 )
             )
-        assignment = self.assignment()
         return ShardWorksetStore(
             worker_id,
-            assignment.local_dim(worker_id),
+            self.assignment().local_dim(worker_id),
             self.shard_indexes[worker_id],
             self.sidecar_index,
             cache_budget_bytes=cache_budget_bytes,

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import DimensionMismatchError
 from repro.linalg import CSRMatrix, SparseVector
+from repro.partition import make_assignment
 
 
 def sample_matrix():
@@ -156,6 +159,78 @@ class TestColumnOps:
             matrix.hstack_from_partitions(
                 [CSRMatrix.empty(1, 2)], [np.array([0, 1])], 4
             )
+
+
+def assert_same_arrays(got, want):
+    assert got.n_cols == want.n_cols
+    for name in ("indptr", "indices", "data"):
+        ours, theirs = getattr(got, name), getattr(want, name)
+        assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs), name
+
+
+@st.composite
+def stored_matrices(draw):
+    """A CSR built from raw arrays: empty rows and *stored* zeros included."""
+    n_rows, n_cols = draw(st.integers(0, 12)), draw(st.integers(1, 20))
+    stored = draw(st.lists(st.booleans(), min_size=n_rows * n_cols, max_size=n_rows * n_cols))
+    stored = np.array(stored, dtype=bool).reshape(n_rows, n_cols)
+    rows, cols = np.nonzero(stored)
+    values = draw(st.lists(st.sampled_from([0.0, 1.0, -2.5, 1e-3]),
+                           min_size=rows.size, max_size=rows.size))
+    indptr = np.concatenate(([0], np.cumsum(stored.sum(axis=1))))
+    return CSRMatrix(indptr, cols, values, n_cols)
+
+
+class TestSplitColumns:
+    """``split_columns`` is K x ``select_columns`` in one pass, array for array."""
+
+    @given(matrix=stored_matrices(), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_select_columns_on_any_partition(self, matrix, data):
+        # any owner per column: K = 1, empty destinations, one column each
+        n_workers = data.draw(st.integers(1, matrix.n_cols + 2))
+        owner_of = np.array(data.draw(st.lists(
+            st.integers(0, n_workers - 1), min_size=matrix.n_cols, max_size=matrix.n_cols)))
+        columns = [np.flatnonzero(owner_of == k) for k in range(n_workers)]
+        local_of = np.empty(matrix.n_cols, dtype=np.int64)
+        for cols in columns:
+            local_of[cols] = np.arange(cols.size)
+        pieces = matrix.split_columns(
+            owner_of[matrix.indices], local_of[matrix.indices], [c.size for c in columns])
+        assert len(pieces) == n_workers
+        for piece, cols in zip(pieces, columns):
+            assert_same_arrays(piece, matrix.select_columns(cols))
+
+    @given(
+        matrix=stored_matrices(),
+        scheme=st.sampled_from(["round_robin", "range", "hash"]),
+        data=st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_assignment_split_equals_select_columns(self, matrix, scheme, data):
+        n_workers = data.draw(st.sampled_from([1, matrix.n_cols]) | st.integers(1, matrix.n_cols))
+        assignment = make_assignment(scheme, matrix.n_cols, n_workers)
+        pieces = assignment.split(matrix)
+        assert len(pieces) == n_workers
+        for k, piece in enumerate(pieces):
+            assert_same_arrays(piece, matrix.select_columns(assignment.columns_of(k)))
+
+    def test_explicit_zero_and_empty_row_survive(self):
+        matrix = CSRMatrix([0, 2, 2, 4], [0, 3, 1, 2], [0.0, 1.0, 2.0, 0.0], 4)
+        even, odd = matrix.split_columns([0, 1, 1, 0], [0, 1, 0, 1], [2, 2])
+        assert even.indptr.tolist() == [0, 1, 1, 2] and even.data.tolist() == [0.0, 0.0]
+        assert odd.indices.tolist() == [1, 0] and odd.data.tolist() == [1.0, 2.0]
+
+    def test_rejects_misaligned_or_unknown_owner(self):
+        matrix, _ = sample_matrix()
+        with pytest.raises(DimensionMismatchError):
+            matrix.split_columns([0, 0], [0, 1, 2, 3, 4], [4])
+        with pytest.raises(DimensionMismatchError):
+            matrix.split_columns([0] * 5, [0, 1], [4])
+        with pytest.raises(ValueError, match="owners"):
+            matrix.split_columns([0, 0, 0, 0, 2], [0, 2, 0, 1, 3], [4, 4])
+        with pytest.raises(ValueError, match="column"):  # local id beyond its piece
+            matrix.split_columns([0] * 5, [0, 2, 0, 1, 3], [3])
 
 
 class TestDunder:

@@ -35,6 +35,26 @@ class TestAssignmentProperties:
             assert np.all(owners[cols] == w)
         assert total == m
 
+    @given(
+        m=st.integers(1, 500),
+        k=st.integers(1, 32),
+        scheme=st.sampled_from(["round_robin", "range", "hash"]),
+    )
+    @settings(max_examples=80)
+    def test_local_of_inverts_columns_of(self, m, k, scheme):
+        """``(worker_of, local_of)`` is the inverse of ``columns_of``."""
+        if k > m:
+            return
+        asg = make_assignment(scheme, m, k)
+        for w in range(k):
+            assert np.array_equal(
+                asg.local_of(asg.columns_of(w)), np.arange(asg.local_dim(w))
+            )
+        ids = np.arange(m)
+        owners, locals_ = asg.worker_of(ids), asg.local_of(ids)
+        back = [asg.columns_of(w)[j] for w, j in zip(owners, locals_)]
+        assert back == ids.tolist()
+
     @given(m=st.integers(2, 400), k=st.integers(1, 16))
     @settings(max_examples=50)
     def test_round_robin_balance_tight(self, m, k):

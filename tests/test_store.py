@@ -10,22 +10,34 @@ the byte ledger.
 
 from __future__ import annotations
 
+import hashlib
+import os
 import pickle
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.driver import ColumnSGDConfig, ColumnSGDDriver
 from repro.datasets import make_classification
+from repro.datasets.dataset import Dataset
 from repro.datasets.libsvm import write_libsvm
 from repro.errors import ConfigurationError, DataError, PartitionError
+from repro.linalg import CSRMatrix
 from repro.models import make_model
 from repro.optim import make_optimizer
-from repro.partition.column import make_assignment
+from repro.partition.column import ColumnAssignment, make_assignment
 from repro.partition.dispatch import dispatch_block_based
 from repro.sim.cluster import SimulatedCluster
 from repro.sim.presets import CLUSTER1
-from repro.storage.serialization import csr_matrix_bytes, workset_bytes
+from repro.storage.serialization import (
+    csr_matrix_bytes,
+    sparse_row_bytes,
+    workset_bytes,
+)
 from repro.store import (
     STORE_LEDGER,
     ColumnShardStore,
@@ -39,7 +51,12 @@ from repro.store import (
     shard_filename,
     store_backed_dispatch,
 )
-from repro.store.format import HEADER_BYTES, KIND_SHARD, SIDECAR_FILENAME
+from repro.store.format import (
+    HEADER_BYTES,
+    KIND_SHARD,
+    MANIFEST_FILENAME,
+    SIDECAR_FILENAME,
+)
 
 WORKERS = 4
 BLOCK = 64
@@ -64,8 +81,29 @@ def store(data, tmp_path):
     )
 
 
-def cluster():
-    return SimulatedCluster(CLUSTER1.with_workers(WORKERS))
+def cluster(n_workers=WORKERS):
+    return SimulatedCluster(CLUSTER1.with_workers(n_workers))
+
+
+def store_files(store_dir):
+    """Every file of a store directory, by name."""
+    return {path.name: path.read_bytes() for path in sorted(Path(store_dir).iterdir())}
+
+
+def store_digest(store_dir):
+    digest = hashlib.sha256()
+    for name, content in store_files(store_dir).items():
+        digest.update(name.encode())
+        digest.update(content)
+    return digest.hexdigest()
+
+
+def feed_per_row(writer, dataset, start=0, stop=None):
+    """The oracle feed: one sanitised ``add_row`` per row, as every
+    shuffle ran before the block-fed entry existed."""
+    for i in range(start, dataset.n_rows if stop is None else stop):
+        row = dataset.features.row(i)
+        writer.add_row(dataset.labels[i], row.indices, row.values)
 
 
 # ----------------------------------------------------------------------
@@ -127,16 +165,31 @@ class TestShuffleWriter:
         assert sum(sizes.values()) == data.n_rows
 
     def test_meter_balance_and_peak(self, data, tmp_path):
-        writer = ShuffleWriter(
-            tmp_path / "s", n_features=data.n_features, n_workers=WORKERS,
-            block_size=BLOCK,
+        # the documented floor: 3x the largest block's row bytes
+        block_row_bytes = [
+            sum(sparse_row_bytes(nnz) for nnz in data.features.row_nnz()[lo:lo + BLOCK].tolist())
+            for lo in range(0, data.n_rows, BLOCK)
+        ]
+        budget = 3 * max(block_row_bytes)
+        # a flush holds the block and all K projections of it at once
+        first = data.features.slice_rows(0, BLOCK)
+        flush_bytes = csr_matrix_bytes(BLOCK, first.nnz, with_labels=True) + sum(
+            csr_matrix_bytes(BLOCK, piece.nnz)
+            for piece in make_assignment("round_robin", data.n_features, WORKERS).split(first)
         )
-        for i in range(data.n_rows):
-            row = data.features.row(i)
-            writer.add_row(data.labels[i], row.indices, row.values)
-        writer.close()
-        assert writer.meter.current == 0  # all charges released
-        assert writer.meter.peak > 0
+        for entry in ("add_row", "add_rows"):
+            writer = ShuffleWriter(
+                tmp_path / entry, n_features=data.n_features, n_workers=WORKERS,
+                block_size=BLOCK, memory_budget_bytes=budget,
+            )
+            if entry == "add_row":
+                feed_per_row(writer, data)
+            else:
+                writer.add_rows(data.labels, data.features)
+            writer.close()
+            assert writer.n_blocks == len(block_row_bytes), entry  # no early flush
+            assert writer.meter.current == 0, entry  # all charges released
+            assert flush_bytes <= writer.meter.peak <= budget, entry
 
     def test_meter_rejects_over_release(self):
         meter = MemoryMeter()
@@ -149,6 +202,178 @@ class TestShuffleWriter:
         writer.close()
         with pytest.raises(DataError, match="closed"):
             writer.add_row(1.0, np.array([0]), np.array([1.0]))
+        with pytest.raises(DataError, match="closed"):
+            writer.add_rows(np.zeros(1), CSRMatrix.empty(1, 4))
+
+    def test_add_rows_rejects_wrong_shapes(self, data, tmp_path):
+        with ShuffleWriter(tmp_path / "s", n_features=data.n_features, n_workers=2) as writer:
+            with pytest.raises(DataError, match="columns"):
+                writer.add_rows(np.zeros(3), CSRMatrix.empty(3, data.n_features + 1))
+            with pytest.raises(DataError, match="labels"):
+                writer.add_rows(data.labels[:-1], data.features)
+            with pytest.raises(DataError, match="labels"):
+                writer.add_rows(data.labels.reshape(-1, 1), data.features)
+            assert writer.n_rows == 0  # nothing was taken from a refused run
+
+
+# ----------------------------------------------------------------------
+# the block-fed entry writes what the per-row entry writes
+# ----------------------------------------------------------------------
+def literal_dataset():
+    """50 x 23, rows of 0-4 entries, built without an rng."""
+    indptr, indices, values = [0], [], []
+    for i in range(50):
+        cols = sorted({(3 * i + 5 * j) % 23 for j in range(i % 5)})
+        indices += cols
+        values += [0.5 * (1 + (i + c) % 4) for c in cols]
+        indptr.append(len(indices))
+    labels = np.where(np.arange(50) % 3 == 0, 1.0, -1.0)
+    return Dataset(CSRMatrix(indptr, indices, values, 23), labels, name="literal")
+
+
+@st.composite
+def shuffles(draw):
+    """A dataset (empty rows, no stored zeros), a sharding, and a feed plan."""
+    n_features = draw(st.integers(1, 24))
+    rows = draw(st.lists(
+        st.sets(st.integers(0, n_features - 1), max_size=8), min_size=0, max_size=40))
+    indptr = np.concatenate(([0], np.cumsum([len(row) for row in rows]))).astype(np.int64)
+    indices = [col for row in rows for col in sorted(row)]
+    values = draw(st.lists(
+        st.sampled_from([1.0, -0.5, 3.25]), min_size=len(indices), max_size=len(indices)))
+    labels = np.array(draw(st.lists(
+        st.sampled_from([1.0, -1.0]), min_size=len(rows), max_size=len(rows))))
+    dataset = Dataset(CSRMatrix(indptr, indices, values, n_features), labels, name="drawn")
+    sharding = dict(
+        n_workers=draw(st.integers(1, min(n_features, 5))),
+        scheme=draw(st.sampled_from(["round_robin", "range", "hash"])),
+        block_size=draw(st.integers(1, 12)),
+        # 0: only block_size cuts; 900 / 2400: a block closes after ~2-3 / ~6-9 rows
+        memory_budget_bytes=draw(st.sampled_from([0, 900, 2400])),
+    )
+    # consecutive runs of rows, each through one of the two entries
+    plan = draw(st.lists(
+        st.tuples(st.integers(1, 15), st.sampled_from(["add_row", "add_rows"])), max_size=8))
+    return dataset, sharding, plan
+
+
+class TestBlockFedEqualsPerRow:
+    # sha256 over (name, bytes) of every store file, taken at the last
+    # commit whose from_dataset fed add_row one row at a time: format v1
+    PINNED = {
+        0: "43780a45d4e4ea3b7def3ddf31b65efe868f2b2591f064ffc8932b75f883fabe",
+        1500: "fad4720341520185226bfc662d7e84436229dbb6b9998230e476bbaa0b605615",
+        600: "24fa5355ac273324cbc5f0d56046caf6366a42eab6ba81f311f8b196317dfa82",
+    }
+
+    @pytest.mark.parametrize("budget,n_blocks", [(0, 7), (1500, 9), (600, 20)])
+    def test_bytes_unchanged_since_the_per_row_writer(self, tmp_path, budget, n_blocks):
+        store = ColumnShardStore.from_dataset(
+            literal_dataset(), tmp_path / "s", n_workers=3, block_size=8,
+            memory_budget_bytes=budget,
+        )
+        assert store.manifest.n_blocks == n_blocks
+        assert store_digest(tmp_path / "s") == self.PINNED[budget]
+
+    @given(shuffle=shuffles())
+    @settings(max_examples=60, deadline=None)
+    def test_any_feeding_writes_the_oracle_files(self, shuffle):
+        dataset, sharding, plan = shuffle
+        with tempfile.TemporaryDirectory() as root:
+            oracle = ShuffleWriter(
+                Path(root, "oracle"), n_features=dataset.n_features,
+                name=dataset.name, **sharding)
+            feed_per_row(oracle, dataset)
+            ColumnShardStore.finish(oracle)
+            want = store_files(Path(root, "oracle"))
+
+            ColumnShardStore.from_dataset(dataset, Path(root, "block_fed"), **sharding)
+            assert store_files(Path(root, "block_fed")) == want
+
+            # one open block, one cut rule: any chunking through any mix of
+            # the two entries lands the same rows in the same blocks
+            mixed = ShuffleWriter(
+                Path(root, "mixed"), n_features=dataset.n_features,
+                name=dataset.name, **sharding)
+            start = 0
+            for size, entry in plan + [(dataset.n_rows, "add_rows")]:
+                stop = min(start + size, dataset.n_rows)
+                if entry == "add_row":
+                    feed_per_row(mixed, dataset, start, stop)
+                else:
+                    mixed.add_rows(
+                        dataset.labels[start:stop], dataset.features.slice_rows(start, stop))
+                start = stop
+            ColumnShardStore.finish(mixed)
+            assert store_files(Path(root, "mixed")) == want
+
+    def test_stored_zero_reloads_from_its_own_store(self, tmp_path):
+        """The shards hold what the CSR holds, as the in-memory stores do.
+
+        The per-row writer dropped the stored zero: manifest nnz 4 against
+        the dataset's 5, and the second load over the directory refused it.
+        """
+        ds = Dataset(
+            CSRMatrix([0, 2, 3, 5], [0, 2, 1, 0, 3], [1.0, 0.0, 2.0, 3.0, 4.0], 4),
+            np.array([1.0, -1.0, 1.0]),
+        )
+        c_mem, c_store, c_again = cluster(2), cluster(2), cluster(2)
+        mem_stores, _, mem_report = dispatch_block_based(
+            ds, make_assignment("round_robin", 4, 2), c_mem, block_size=2)
+        store, stores, _, report = store_backed_dispatch(
+            ds, c_store, tmp_path / "s", block_size=2)
+        assert store.manifest.nnz == ds.nnz == 5
+        assert [s.nnz for s in stores] == [m.nnz for m in mem_stores]
+        assert [s.stored_bytes() for s in stores] == [m.stored_bytes() for m in mem_stores]
+        assert report.seconds == mem_report.seconds
+        _, _, _, again = store_backed_dispatch(ds, c_again, tmp_path / "s", block_size=2)
+        assert again.seconds == mem_report.seconds
+        assert store.materialize_dataset().features == ds.features
+
+
+# ----------------------------------------------------------------------
+# a shuffle killed at any rename leaves no store and no temporaries
+# ----------------------------------------------------------------------
+class TestKilledShuffle:
+    @pytest.mark.parametrize("fail_at", range(WORKERS + 2))  # K shards, sidecar, manifest
+    def test_kill_at_every_replace(self, data, tmp_path, monkeypatch, fail_at):
+        clean = tmp_path / "clean"
+        ColumnShardStore.from_dataset(data, clean, n_workers=WORKERS, block_size=BLOCK)
+
+        target = tmp_path / "s"
+        real_replace, calls = os.replace, []
+
+        def dying_replace(src, dst):
+            calls.append(Path(dst).name)
+            if len(calls) == fail_at + 1:
+                raise OSError("killed before publishing {}".format(Path(dst).name))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", dying_replace)
+        with pytest.raises(OSError, match="killed"):
+            store_backed_dispatch(data, cluster(), target, block_size=BLOCK)
+        assert calls[-1] == (
+            [shard_filename(w) for w in range(WORKERS)] + [SIDECAR_FILENAME, MANIFEST_FILENAME]
+        )[fail_at]
+        assert not ColumnShardStore.exists(target)
+        assert not list(target.glob("*.tmp"))  # aborted: handles closed, temporaries gone
+
+        monkeypatch.setattr(os, "replace", real_replace)
+        store_backed_dispatch(data, cluster(), target, block_size=BLOCK)
+        assert store_files(target) == store_files(clean)
+
+    def test_exception_inside_the_with_block_aborts(self, data, tmp_path):
+        with pytest.raises(ValueError, match="duplicate"):
+            with ShuffleWriter(
+                tmp_path / "s", n_features=data.n_features, n_workers=WORKERS
+            ) as writer:
+                writer.add_rows(data.labels, data.features)
+                writer.add_row(1.0, [3, 3], [1.0, 2.0])  # a hostile row
+        assert all(handle.closed for handle in writer._shard_handles)
+        assert writer._sidecar_handle.closed
+        assert not list((tmp_path / "s").iterdir())
+        with pytest.raises(DataError, match="closed"):
+            writer.add_row(1.0, [0], [1.0])
 
 
 # ----------------------------------------------------------------------
@@ -339,6 +564,25 @@ class TestColumnShardStore:
                 other, cluster(), store.store_dir, block_size=BLOCK
             )
 
+    def test_load_builds_two_assignments(self, data, tmp_path, monkeypatch):
+        """One for the driver, one for the store — not one per worker."""
+        built = []
+        real_init = ColumnAssignment.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(type(self).__name__)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ColumnAssignment, "__init__", counting_init)
+        for label in ("shuffle", "reopen"):
+            del built[:]
+            driver = _driver(store_dir=tmp_path / "s")
+            driver.load(data)
+            assert len(built) == 2, (label, built)
+        del built[:]
+        _driver(store_dir=tmp_path / "s").load_from_store()
+        assert len(built) == 2, built
+
     def test_dispatch_without_store_or_dataset(self, tmp_path):
         with pytest.raises(ConfigurationError, match="no dataset"):
             store_backed_dispatch(
@@ -435,9 +679,7 @@ class TestOutOfCoreAcceptance:
             tmp_path / "s", n_features=ds.n_features, n_workers=WORKERS,
             block_size=128, memory_budget_bytes=budget,
         )
-        for i in range(ds.n_rows):
-            row = ds.features.row(i)
-            writer.add_row(ds.labels[i], row.indices, row.values)
+        feed_per_row(writer, ds)
         store = ColumnShardStore.finish(writer)
         assert writer.meter.peak <= budget, (
             "shuffle peak {} exceeded the {} byte budget".format(
