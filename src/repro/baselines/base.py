@@ -22,23 +22,21 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.results import IterationRecord, TrainingResult
+from repro.core.trainer import Trainer
 from repro.datasets.dataset import Dataset
 from repro.engine import (
     BarrierSync,
     CommPhase,
     ComputePhase,
     MasterPhase,
-    RoundEngine,
+    RecoveryEvent,
     RoundSpec,
-    run_training_loop,
 )
-from repro.errors import ConfigurationError, MasterFailedError, TrainingError
+from repro.errors import MasterFailedError, TrainingError
 from repro.faults import FaultKind, FaultSchedule
 from repro.linalg import CSRMatrix
 from repro.models.base import StatisticsModel
 from repro.optim.base import Optimizer
-from repro.net.protocol import ProtocolChecker
 from repro.partition.dispatch import load_row_partitioned
 from repro.partition.row import RowPartitioner
 from repro.sim.cluster import SimulatedCluster
@@ -86,7 +84,7 @@ class RowSGDConfig:
             )
 
 
-class BaselineTrainer:
+class BaselineTrainer(Trainer):
     """Template for the centralized RowSGD systems (Algorithm 2).
 
     Subclasses define :meth:`_system_name`, their per-iteration
@@ -108,6 +106,11 @@ class BaselineTrainer:
         self.optimizer = optimizer.spawn()
         self.cluster = cluster
         self.config = config if config is not None else RowSGDConfig()
+        self.iterations = self.config.iterations
+        self.eval_every = self.config.eval_every
+        self.check_protocol = self.config.check_protocol
+        self.check_cost = self.config.check_cost
+        self.backend = self.config.backend
         self.straggler = (
             straggler if straggler is not None else StragglerModel.none(cluster.n_workers)
         )
@@ -116,11 +119,7 @@ class BaselineTrainer:
         self._dataset: Optional[Dataset] = None
         self._partitioner: Optional[RowPartitioner] = None
         self._params: Optional[np.ndarray] = None
-        self._engine: Optional[RoundEngine] = None
         self.load_report = None
-        #: the started LocalRuntime a backend='local' trainer's rounds
-        #: run on (attached by ``run_local_rowsgd`` for the length of a run)
-        self.local_runtime = None
 
     # ------------------------------------------------------------------
     def _system_name(self) -> str:
@@ -175,87 +174,13 @@ class BaselineTrainer:
             raise TrainingError("call load() first")
         return int(self._dataset.n_features * self.model.params_per_feature())
 
-    # ------------------------------------------------------------------
-    def fit(self, dataset: Optional[Dataset] = None, iterations: Optional[int] = None) -> TrainingResult:
-        """Run Algorithm 2; returns the loss/time trace."""
-        if dataset is not None and self._dataset is None:
-            self.load(dataset)
-        if self._dataset is None:
-            raise TrainingError("call load() or pass a dataset to fit()")
-        iterations = iterations if iterations is not None else self.config.iterations
-        check_positive(iterations, "iterations")
-
-        result = TrainingResult(
+    def _result_header(self) -> Dict[str, object]:
+        return dict(
             system=self._system_name(),
             model=self.model.name,
             dataset=self._dataset.name,
             batch_size=self.config.batch_size,
-            n_workers=self.cluster.n_workers,
         )
-        if self.config.eval_every:
-            self._record(result, -1, 0.0, 0, evaluate=True)
-
-        return self._train(iterations, result)
-
-    def _train(self, iterations: int, result: TrainingResult) -> TrainingResult:
-        """Algorithm 2's loop, on either backend.
-
-        ``backend='local'`` needs worker processes: with none attached,
-        ``run_local_rowsgd`` hosts them for the run and re-enters.
-        """
-        if self.config.backend == "local" and self.local_runtime is None:
-            from repro.baselines.localexec import run_local_rowsgd
-
-            return run_local_rowsgd(self, iterations, result)
-
-        self._engine = self._make_engine()
-        substrate = self.local_runtime or self.cluster
-        checker = ProtocolChecker(substrate) if self.config.check_protocol else None
-        run_training_loop(
-            cluster=substrate,
-            run_round=self.run_round,
-            iterations=iterations,
-            eval_every=self.config.eval_every,
-            record=lambda t, duration, bytes_sent, evaluate: self._record(
-                result, t, duration, bytes_sent, evaluate
-            ),
-            # the trainer itself on sim, its master program on local
-            handle_failures=self._engine.trainer._handle_failures,
-            checker=checker,
-        )
-
-        result.final_params = np.array(self._params, copy=True)
-        return result
-
-    def _make_engine(self) -> RoundEngine:
-        """A fresh engine over :meth:`round_spec`; on ``backend='local'``
-        the master program stands in for the trainer as the executor."""
-        executor = self
-        if self.config.backend == "local":
-            from repro.baselines.localexec import RowMasterProgram
-
-            if self.local_runtime is None:
-                raise ConfigurationError(
-                    "backend='local' rounds run on worker processes and none "
-                    "are attached: call fit()"
-                )
-            executor = RowMasterProgram(self, self.local_runtime)
-        return RoundEngine(
-            executor, self.cluster, spec=self.round_spec(),
-            straggler=self.straggler,
-            check_cost=self.config.check_cost,
-            runtime=self.local_runtime,
-        )
-
-    # ------------------------------------------------------------------
-    def run_round(self, t: int):
-        """One engine round (used by fit(), benchmarks and tests);
-        returns the :class:`~repro.engine.RoundOutcome`.  On
-        ``backend='local'`` it runs on the attached worker processes
-        (:class:`~repro.errors.ConfigurationError` if none)."""
-        if self._engine is None:
-            self._engine = self._make_engine()
-        return self._engine.run_round(t)
 
     # ------------------------------------------------------------------
     def _phase_compute_gradients(self, ctx) -> Dict[int, float]:
@@ -302,11 +227,16 @@ class BaselineTrainer:
         return self.cluster.cost.task_overhead
 
     def _handle_failures(self, t: int) -> float:
-        """RowSGD fault semantics: the model lives at the center, so a
-        worker crash costs only a shard reload (no numeric effect); a
-        master crash loses the model and aborts the job."""
+        """Strike round ``t``'s scheduled faults on the executor — this
+        trainer on ``sim``, its master program on ``local``."""
+        return self._engine.trainer._strike(t, self.failures.events_at(t))
+
+    def _strike(self, t: int, events) -> float:
+        """RowSGD fault semantics, simulated: the model lives at the
+        center, so a worker crash costs only a shard reload (no numeric
+        effect); a master crash loses the model and aborts the job."""
         extra = 0.0
-        for event in self.failures.events_at(t):
+        for event in events:
             if event.kind is FaultKind.MASTER:
                 raise MasterFailedError(
                     "master failed at iteration {} — the model is lost; "
@@ -325,8 +255,6 @@ class BaselineTrainer:
             extra += reload_s
             trace = getattr(self.cluster, "engine_trace", None)
             if trace is not None:
-                from repro.engine import RecoveryEvent
-
                 trace.add_recovery(
                     RecoveryEvent(
                         round=t,
@@ -349,24 +277,6 @@ class BaselineTrainer:
         """Full objective on the training set (not charged to sim time)."""
         data = dataset if dataset is not None else self._dataset
         return self.model.loss(data.features, data.labels, self._params)
-
-    def _record(self, result, iteration, duration, bytes_sent, evaluate) -> None:
-        """Append one iteration record, stamped on the run's clock (the
-        attached runtime's measured one, else the simulated one)."""
-        loss = self.evaluate_loss() if evaluate else None
-        if loss is not None and not np.isfinite(loss):
-            raise TrainingError(
-                "training diverged at iteration {} (loss={})".format(iteration, loss)
-            )
-        result.add(
-            IterationRecord(
-                iteration=iteration,
-                sim_time=(self.local_runtime or self.cluster).clock.now(),
-                duration=duration,
-                loss=loss,
-                bytes_sent=bytes_sent,
-            )
-        )
 
 
 def _concat_batches(parts: List[Dataset], n_features: int) -> Dataset:

@@ -25,10 +25,12 @@ by the deadline/retry transport; workers silent past every deadline
 raise :class:`~repro.errors.WorkerUnresponsiveError` (MLlib's plain BSP
 barrier has no stale-statistics substitute).
 
-Only the MLlib baseline is ported: it is the paper's Table-IV
-comparison point, and its model lives at the master so evaluation needs
-no parameter sync.  The other baselines (parameter servers, SSP,
-model averaging) remain simulator-only and say so loudly.
+Only the MLlib baseline is ported (``MLlibTrainer`` hosts the two
+programs below): it is the paper's Table-IV comparison point, and its
+model lives at the master so evaluation needs no parameter sync.  The
+other baselines (parameter servers, SSP, model averaging) remain
+simulator-only and say so loudly —
+:meth:`repro.core.trainer.Trainer._make_local_runtime`.
 """
 
 from __future__ import annotations
@@ -38,12 +40,10 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.core.results import TrainingResult
 from repro.datasets.dataset import Dataset
-from repro.errors import ConfigurationError, TrainingError
+from repro.errors import TrainingError
 from repro.models.base import StatisticsModel
 from repro.partition.row import sample_shard_batch
-from repro.runtime.deadline import TimeoutPolicy
 from repro.runtime.local import LocalRuntime
 from repro.storage.serialization import (
     DenseVectorPayload,
@@ -106,9 +106,11 @@ class RowMasterProgram:
     trainer: object
     runtime: LocalRuntime
 
-    def _handle_failures(self, t: int) -> float:
-        """Strike this round's faults; nothing to spill (stateless workers)."""
-        self.runtime.inject_faults(self.trainer.failures.events_at(t))
+    def _strike(self, t: int, events) -> float:
+        """Real faults, armed on the runtime; the round's exchange
+        detects and recovers, and its measured seconds carry the cost.
+        Nothing to spill (stateless workers)."""
+        self.runtime.inject_faults(events)
         return 0.0
 
     def _phase_compute_gradients(self, ctx) -> Dict[int, float]:
@@ -159,64 +161,3 @@ class RowMasterProgram:
 
         _, seconds = self.runtime.measure(center_update)
         return seconds
-
-
-def run_local_rowsgd(
-    trainer,
-    iterations: int,
-    result: TrainingResult,
-    runtime: Optional[LocalRuntime] = None,
-) -> TrainingResult:
-    """Run ``trainer``'s training loop with a runtime attached.
-
-    The trainer's ``fit()`` lands here when ``backend='local'``: a
-    runtime is created, started, and closed around the run; a caller's
-    own started ``runtime`` is left running.
-    """
-    from repro.baselines.mllib import MLlibTrainer
-
-    if not isinstance(trainer, MLlibTrainer):
-        raise ConfigurationError(
-            "backend='local' is implemented for the MLlib baseline only; "
-            "{} is simulator-only".format(type(trainer).__name__)
-        )
-    if getattr(trainer.config, "store_dir", ""):
-        raise ConfigurationError(
-            "store_dir holds a *column*-shard store; the row-oriented "
-            "MLlib baseline cannot read it — use the ColumnSGD driver "
-            "or drop store_dir"
-        )
-    config = trainer.config
-    K = trainer.cluster.n_workers
-    owns_runtime = runtime is None
-    if owns_runtime:
-        runtime = LocalRuntime(
-            K,
-            processes=config.local_processes,
-            timeout=TimeoutPolicy(floor_s=config.local_timeout_s),
-        )
-        runtime.start(
-            {
-                w: RowWorkerProgram(
-                    model=trainer.model,
-                    shard=trainer._partitioner.shard(w),
-                    worker=w,
-                    n_workers=K,
-                    base_seed=config.seed,
-                    batch_size=config.batch_size,
-                )
-                for w in range(K)
-            }
-        )
-    # Continue the recorded time axis: load() charged simulated seconds
-    # to the cluster clock and the initial eval record carries that
-    # offset, so measured rounds must accumulate on top of it.
-    runtime.clock.reset(trainer.cluster.clock.now())
-    trainer.local_runtime = runtime
-    try:
-        trainer._train(iterations, result)
-    finally:
-        trainer.local_runtime = trainer._engine = None
-        if owns_runtime:
-            runtime.close()
-    return result

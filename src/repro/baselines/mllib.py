@@ -11,16 +11,42 @@ from __future__ import annotations
 from typing import Tuple
 
 from repro.baselines.base import BaselineTrainer
+from repro.baselines.localexec import RowMasterProgram, RowWorkerProgram
 from repro.engine import CommPhase
 from repro.net.message import MessageKind
+from repro.runtime.deadline import TimeoutPolicy
+from repro.runtime.local import LocalRuntime
 from repro.storage.serialization import dense_vector_bytes
 
 
 class MLlibTrainer(BaselineTrainer):
     """MLlib-style RowSGD (Algorithm 2 with a single master)."""
 
+    master_program = RowMasterProgram
+
     def _system_name(self) -> str:
         return "MLlib"
+
+    def _make_local_runtime(self):
+        """One :class:`RowWorkerProgram` per horizontal shard."""
+        config, K = self.config, self.cluster.n_workers
+        runtime = LocalRuntime(
+            K,
+            processes=config.local_processes,
+            timeout=TimeoutPolicy(floor_s=config.local_timeout_s),
+        )
+        programs = {
+            w: RowWorkerProgram(
+                model=self.model,
+                shard=self._partitioner.shard(w),
+                worker=w,
+                n_workers=K,
+                base_seed=config.seed,
+                batch_size=config.batch_size,
+            )
+            for w in range(K)
+        }
+        return runtime, programs
 
     def _comm_phases(self) -> Tuple[CommPhase, ...]:
         # Table I, MLlib row: 2 K m dense traffic through the master.

@@ -105,12 +105,6 @@ class MLlibStarTrainer(BaselineTrainer):
     def _phase_apply_average(self, ctx) -> float:
         return self.cluster.cost.dense_work(self.model_elements)
 
-    def _comm_phases(self):  # pragma: no cover
-        raise NotImplementedError("MLlib* overrides round_spec directly")
-
-    def _center_update_seconds(self) -> float:  # pragma: no cover
-        raise NotImplementedError("MLlib* overrides round_spec directly")
-
     def _charge_setup_memory(self) -> None:
         model_bytes = self.model_elements * 8
         shard_bytes = self._dataset.nnz * 12 // self.cluster.n_workers

@@ -27,26 +27,22 @@ runs are protocol-*checked* (bounded), not exempted.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
 from repro.baselines.parameter_server import ParameterServerTrainer
 from repro.core.analysis import SPARSE_PAIR_BYTES
-from repro.core.results import TrainingResult
 from repro.engine import (
     CommPhase,
     ComputePhase,
     MasterPhase,
-    RoundEngine,
     RoundSpec,
     StaleSync,
     TrafficEnvelope,
-    run_training_loop,
 )
-from repro.errors import TrainingError
+from repro.errors import ConfigurationError
 from repro.net.message import MessageKind
-from repro.net.protocol import ProtocolChecker
 from repro.storage.serialization import dense_vector_bytes
 from repro.utils.validation import check_non_negative
 
@@ -57,6 +53,15 @@ class StaleSyncPSTrainer(ParameterServerTrainer):
     def __init__(self, *args, staleness: int = 0, **kwargs):
         super().__init__(*args, **kwargs)
         check_non_negative(staleness, "staleness")
+        if self.failures.events or self.failures.mtbf_rounds:
+            # StaleSync's timeline (commits, worker_free) is relative to
+            # the pipeline: recovery seconds added outside the round, the
+            # other baselines' fault cost, would never enter it
+            raise ConfigurationError(
+                "Petuum-SSP takes no fault schedule: its pipelined timeline "
+                "cannot charge a recovery to a round; use the BSP 'petuum' "
+                "trainer for fault runs"
+            )
         self.staleness = int(staleness)
         self._history: List[np.ndarray] = []
         self._max_row_nnz = 0
@@ -74,7 +79,7 @@ class StaleSyncPSTrainer(ParameterServerTrainer):
     def round_spec(self) -> RoundSpec:
         # Same traffic shape as BSP Petuum: workers pull the full dense
         # model and push sparse gradients through S server NICs.  The
-        # StaleSync policy (fresh per fit) turns the barrier into the
+        # StaleSync policy (fresh per engine) turns the barrier into the
         # bounded-staleness pipeline recurrence.
         return RoundSpec(
             system=self._system_name(),
@@ -178,43 +183,8 @@ class StaleSyncPSTrainer(ParameterServerTrainer):
             MessageKind.GRADIENT_PUSH: TrafficEnvelope(K, K, 0, K * max_push),
         }
 
-    # ------------------------------------------------------------------
-    def fit(self, dataset=None, iterations: Optional[int] = None) -> TrainingResult:
-        """Run the pipelined SSP schedule."""
-        if dataset is not None and self._dataset is None:
-            self.load(dataset)
-        if self._dataset is None:
-            raise TrainingError("call load() or pass a dataset to fit()")
-        iterations = iterations if iterations is not None else self.config.iterations
-
-        result = TrainingResult(
-            system=self._system_name(),
-            model=self.model.name,
-            dataset=self._dataset.name,
-            batch_size=self.config.batch_size,
-            n_workers=self.cluster.n_workers,
-        )
-        if self.config.eval_every:
-            self._record(result, -1, 0.0, 0, evaluate=True)
-
+    def _make_engine(self):
+        # a fresh engine runs a fresh StaleSync: the version history its
+        # commit timeline indexes starts over with it
         self._history = [np.array(self._params, copy=True)]
-        self._engine = RoundEngine(
-            self, self.cluster, straggler=self.straggler,
-            check_cost=self.config.check_cost,
-        )
-        checker = ProtocolChecker(self.cluster) if self.config.check_protocol else None
-        # SSP has no failure hook: a crashed worker's pipeline slot is
-        # simply re-provisioned by the PS runtime, outside our model.
-        run_training_loop(
-            cluster=self.cluster,
-            run_round=self.run_round,
-            iterations=iterations,
-            eval_every=self.config.eval_every,
-            record=lambda t, duration, bytes_sent, evaluate: self._record(
-                result, t, duration, bytes_sent, evaluate
-            ),
-            checker=checker,
-        )
-
-        result.final_params = np.array(self._params, copy=True)
-        return result
+        return super()._make_engine()

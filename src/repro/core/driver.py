@@ -19,15 +19,24 @@ same draw sequence — tests assert this for every model and optimizer.
 
 from __future__ import annotations
 
+import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.core.backup import BackupGroups
+from repro.core.localexec import (
+    ColumnMasterProgram,
+    collect_store_stats,
+    make_local_runtime,
+    sync_params,
+)
 from repro.core.master import ColumnMaster
-from repro.core.recovery import RecoveryManager, RecoveryPolicy
-from repro.core.results import IterationRecord, TrainingResult
+from repro.core.recovery import CheckpointStore, RecoveryManager, RecoveryPolicy
+from repro.core.results import TrainingResult
+from repro.core.trainer import Trainer
 from repro.core.worker import ColumnWorker, PartitionState
 from repro.datasets.dataset import Dataset
 from repro.engine import (
@@ -36,18 +45,15 @@ from repro.engine import (
     CommPhase,
     ComputePhase,
     MasterPhase,
-    RoundEngine,
     RoundOutcome,
     RoundSpec,
     TimeoutSync,
-    run_training_loop,
 )
 from repro.engine.policy import check_deadline_factors
 from repro.errors import ConfigurationError, MasterFailedError, TrainingError
 from repro.faults import FaultKind, FaultSchedule
 from repro.models.base import StatisticsModel
 from repro.net.message import MessageKind
-from repro.net.protocol import ProtocolChecker
 from repro.optim.base import Optimizer
 from repro.partition.column import make_assignment
 from repro.partition.dispatch import dispatch_block_based, dispatch_naive, LoadReport
@@ -163,8 +169,10 @@ class ColumnSGDConfig:
         return 4 if self.wire_precision == "fp32" else 8
 
 
-class ColumnSGDDriver:
+class ColumnSGDDriver(Trainer):
     """One master + K workers running column-partitioned SGD."""
+
+    master_program = ColumnMasterProgram
 
     def __init__(
         self,
@@ -180,6 +188,11 @@ class ColumnSGDDriver:
         self.optimizer = optimizer
         self.cluster = cluster
         self.config = config if config is not None else ColumnSGDConfig()
+        self.iterations = self.config.iterations
+        self.eval_every = self.config.eval_every
+        self.check_protocol = self.config.check_protocol
+        self.check_cost = self.config.check_cost
+        self.backend = self.config.backend
         self.straggler = (
             straggler if straggler is not None else StragglerModel.none(cluster.n_workers)
         )
@@ -197,7 +210,6 @@ class ColumnSGDDriver:
         self._partitions: List[PartitionState] = []
         self._workers: List[ColumnWorker] = []
         self._index: Optional[TwoPhaseIndex] = None
-        self._engine: Optional[RoundEngine] = None
         #: the ColumnShardStore behind a store-backed load (else None)
         self._store = None
         self._n_features: int = 0
@@ -205,10 +217,6 @@ class ColumnSGDDriver:
         #: per-worker shard cache counters of the most recent
         #: backend='local' fit() (worker id -> partition id -> stats)
         self.store_read_stats: Dict[int, Dict[int, Dict[str, int]]] = {}
-        #: the started LocalRuntime a backend='local' driver's rounds run
-        #: on: attached by ``run_local_columnsgd`` for the length of a
-        #: run, or assigned by a caller that drives ``run_round`` itself
-        self.local_runtime = None
         self.load_report: Optional[LoadReport] = None
         #: phase durations of the most recent iteration (seconds), keyed
         #: by phase name — the input to time-breakdown analyses
@@ -330,7 +338,6 @@ class ColumnSGDDriver:
             self.recovery_policy,
             self._workers,
             self._partitions,
-            replay_fn=self._replay_iteration,
         )
 
     def _charge_setup_memory(self) -> None:
@@ -348,100 +355,35 @@ class ColumnSGDDriver:
             self.cluster.charge_memory(worker.worker_id, footprint, "shard+model")
 
     # ------------------------------------------------------------------
-    # training loop (Algorithm 3 lines 4-8)
+    # training loop (Algorithm 3 lines 4-8): Trainer.fit, with these hooks
     # ------------------------------------------------------------------
-    def fit(
-        self,
-        dataset: Optional[Dataset] = None,
-        iterations: Optional[int] = None,
-        eval_dataset: Optional[Dataset] = None,
-    ) -> TrainingResult:
-        """Run SGD; returns the loss/time trace and final parameters.
+    def _loaded(self) -> bool:
+        # load_from_store() leaves no dataset behind, only the index
+        return self._index is not None
 
-        ``eval_dataset`` enables held-out loss tracking: at every
-        evaluation point the record additionally carries the loss on
-        that dataset (``TrainingResult.eval_losses()``), without
-        charging simulated time.
-        """
-        if dataset is not None and self._index is None:
-            self.load(dataset)
-        if self._index is None:
-            raise TrainingError(
-                "call load()/load_from_store() or pass a dataset to fit()"
-            )
-        self._eval_dataset = eval_dataset
-        iterations = iterations if iterations is not None else self.config.iterations
-        check_positive(iterations, "iterations")
-
-        result = TrainingResult(
-            system="ColumnSGD" if self.config.backup == 0 else
-            "ColumnSGD-backup{}".format(self.config.backup),
+    def _result_header(self) -> Dict[str, object]:
+        backup = self.config.backup
+        return dict(
+            system="ColumnSGD-backup{}".format(backup) if backup else "ColumnSGD",
             model=self.model.name,
             dataset=self._dataset_name,
             batch_size=self.config.batch_size,
-            n_workers=self.cluster.n_workers,
-        )
-        if self.config.eval_every:
-            self._record(result, iteration=-1, duration=0.0, bytes_sent=0, evaluate=True)
-
-        return self._train(iterations, result)
-
-    def _train(self, iterations: int, result: TrainingResult) -> TrainingResult:
-        """Algorithm 3's loop, on either backend.
-
-        ``backend='local'`` needs worker processes: with none attached,
-        ``run_local_columnsgd`` hosts them for the run and re-enters.
-        """
-        if self.config.backend == "local" and self.local_runtime is None:
-            from repro.core.localexec import run_local_columnsgd
-
-            return run_local_columnsgd(self, iterations, result)
-
-        self._engine = self._make_engine()
-        substrate = self.local_runtime or self.cluster
-        checker = ProtocolChecker(substrate) if self.config.check_protocol else None
-        stopped_at = run_training_loop(
-            cluster=substrate,
-            run_round=self.run_round,
-            iterations=iterations,
-            eval_every=self.config.eval_every,
-            record=lambda t, duration, bytes_sent, evaluate: self._record(
-                result, t, duration, bytes_sent, evaluate
-            ),
-            handle_failures=self._handle_failures,
-            checker=checker,
-            should_stop=lambda: self._should_stop_early(result),
-        )
-        if stopped_at is not None:
-            result.notes = "early stop at iteration {}".format(stopped_at)
-
-        result.final_params = self.current_params()
-        return result
-
-    def _make_engine(self) -> RoundEngine:
-        """A fresh engine over :meth:`round_spec`; on ``backend='local'``
-        the master program stands in for the driver as the executor."""
-        executor = self
-        if self.config.backend == "local":
-            from repro.core.localexec import ColumnMasterProgram
-
-            if self.local_runtime is None:
-                raise ConfigurationError(
-                    "backend='local' rounds run on worker processes and none "
-                    "are attached: call fit(), or assign a started runtime "
-                    "(repro.core.localexec.make_local_runtime) to local_runtime"
-                )
-            executor = ColumnMasterProgram(self, self.local_runtime)
-        return RoundEngine(
-            executor,
-            self.cluster,
-            spec=self.round_spec(),
-            straggler=self.straggler,
-            check_cost=self.config.check_cost,
-            runtime=self.local_runtime,
         )
 
-    def _should_stop_early(self, result: TrainingResult) -> bool:
+    def _make_local_runtime(self):
+        return make_local_runtime(self)
+
+    @contextmanager
+    def _local_run(self, runtime):
+        """Snapshots really spill on this backend, to files that live as
+        long as the run (the store object and its counters outlive it);
+        afterwards the workers' shard-cache counters are pulled back."""
+        with tempfile.TemporaryDirectory(prefix="repro-ckpt-") as spill_dir:
+            self.recovery_manager.checkpoints = CheckpointStore(spill_dir)
+            yield
+        self.store_read_stats = collect_store_stats(runtime)
+
+    def _should_stop(self, result: TrainingResult) -> bool:
         """Plateau detection over the evaluated-loss series."""
         patience = self.config.early_stop_patience
         if not patience:
@@ -513,16 +455,10 @@ class ColumnSGDDriver:
         )
 
     def run_round(self, t: int) -> RoundOutcome:
-        """Execute one engine round (public: benches drive this directly).
-
-        Does not advance the clock; refreshes ``last_phase_seconds``,
-        ``last_worker_seconds`` and ``last_killed``.  On
-        ``backend='local'`` the round runs on the attached worker
-        processes (:class:`~repro.errors.ConfigurationError` if none).
-        """
-        if self._engine is None:
-            self._engine = self._make_engine()
-        outcome = self._engine.run_round(t)
+        """:meth:`Trainer.run_round`, which also refreshes
+        ``last_phase_seconds``, ``last_worker_seconds`` and
+        ``last_killed``."""
+        outcome = super().run_round(t)
         self.last_phase_seconds = dict(outcome.phase_seconds)
         self.last_worker_seconds = {
             name: dict(per_worker)
@@ -688,7 +624,7 @@ class ColumnSGDDriver:
                     raise MasterFailedError(
                         "master failed at iteration {}".format(t)
                     )
-                extra += manager.recover_master(t)
+                extra += manager.recover_master(t, self._engine)
             elif event.kind is FaultKind.TASK:
                 # Spark relaunches the task; data and model are cached, so
                 # the cost is one extra task launch (plus detection delay
@@ -709,60 +645,6 @@ class ColumnSGDDriver:
             raise TrainingError("call load() before recovering workers")
         return self.recovery_manager.recover_worker(worker_id, iteration=iteration)
 
-    def _replay_iteration(self, tau: int) -> float:
-        """Re-execute iteration ``tau`` after a master restart.
-
-        Numerically identical to the original round (same deterministic
-        draws, same wire rounding, same reduce order); communication is
-        accounted under :data:`~repro.net.message.MessageKind.CHECKPOINT`
-        (recovery traffic, unchecked by Table-I envelopes) through the
-        same star patterns, so replay bytes and seconds stay honest.
-        Returns the replayed round's duration.
-        """
-        B, width = self.config.batch_size, self.model.statistics_width
-        draws = self._index.sample(tau, B)
-        cost = self.cluster.cost
-        stats_by_worker: Dict[int, Optional[np.ndarray]] = {}
-        finish: List[float] = []
-        for worker in self._workers:
-            if worker.failed:
-                stats_by_worker[worker.worker_id] = None
-                finish.append(float("inf"))
-                continue
-            stats, nnz = worker.compute_statistics(draws)
-            stats_by_worker[worker.worker_id] = self._through_wire(stats)
-            finish.append(cost.task_overhead + cost.sparse_work(nnz, passes=width))
-        compute_s = max((f for f in finish if f != float("inf")), default=0.0)
-
-        reduced = self._through_wire(
-            self.master.reduce(stats_by_worker, finish_times=finish)
-        )
-        size = OBJECT_OVERHEAD_BYTES + B * width * self.config.wire_value_bytes
-        pushers = sum(1 for f in finish if f != float("inf"))
-        gather_s = self.cluster.topology.gather(
-            MessageKind.CHECKPOINT, [size] * pushers
-        )
-        reduce_s = cost.dense_work(self.groups.n_groups * B * width)
-        bcast_s = self.cluster.topology.broadcast(MessageKind.CHECKPOINT, size)
-
-        update_s = 0.0
-        updater_of: Dict[int, int] = {}
-        for p in range(self.cluster.n_workers):
-            for w in self.groups.replicas_of_partition(p):
-                if not self._workers[w].failed:
-                    updater_of[p] = w
-                    break
-        for worker in self._workers:
-            if worker.failed:
-                continue
-            mine = {p for p, w in updater_of.items() if w == worker.worker_id}
-            worker.update_model(reduced, tau, only_partitions=mine)
-            task = cost.task_overhead + cost.sparse_work(
-                worker.cached_batch_nnz(), passes=width
-            )
-            update_s = max(update_s, task)
-        return compute_s + gather_s + reduce_s + bcast_s + update_s
-
     # ------------------------------------------------------------------
     # evaluation helpers
     # ------------------------------------------------------------------
@@ -775,8 +657,6 @@ class ColumnSGDDriver:
         if self._index is None:
             raise TrainingError("no model yet; call load() first")
         if self.local_runtime is not None:
-            from repro.core.localexec import sync_params
-
             sync_params(self.local_runtime, self)
         full = np.zeros(
             self.model.param_shape(self._n_features), dtype=np.float64
@@ -818,35 +698,6 @@ class ColumnSGDDriver:
                 raise TrainingError("no dataset to evaluate; call load() first")
             self._dataset = data = self._store.materialize_dataset()
         return self.model.loss(data.features, data.labels, self.current_params())
-
-    def _record(
-        self,
-        result: TrainingResult,
-        iteration: int,
-        duration: float,
-        bytes_sent: int,
-        evaluate: bool,
-    ) -> None:
-        """Append one iteration record, stamped on the run's clock (the
-        attached runtime's measured one, else the simulated one)."""
-        loss = self.evaluate_loss() if evaluate else None
-        if loss is not None and not np.isfinite(loss):
-            raise TrainingError(
-                "training diverged at iteration {} (loss={})".format(iteration, loss)
-            )
-        eval_loss = None
-        if evaluate and getattr(self, "_eval_dataset", None) is not None:
-            eval_loss = self.evaluate_loss(self._eval_dataset)
-        result.add(
-            IterationRecord(
-                iteration=iteration,
-                sim_time=(self.local_runtime or self.cluster).clock.now(),
-                duration=duration,
-                loss=loss,
-                bytes_sent=bytes_sent,
-                eval_loss=eval_loss,
-            )
-        )
 
 
 def train_columnsgd(

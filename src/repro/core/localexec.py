@@ -5,8 +5,9 @@ sequential ``RoundSpec`` the simulator also runs, executed against a
 :class:`~repro.runtime.LocalRuntime` — so this module holds only what
 is backend-specific: :class:`ColumnWorkerProgram`, the handler table
 hosted in each worker process; :class:`ColumnMasterProgram`, the
-master-side bodies of the phases the spec names; and the entry point
-that attaches a runtime to a driver.
+master-side bodies of the phases the spec names; and
+:func:`make_local_runtime`, which builds the two for a driver (the
+attach is the base trainer's: :meth:`repro.core.trainer.Trainer._train`).
 
 The numerics are the same code the simulator runs —
 :class:`~repro.core.worker.ColumnWorker` in the worker processes,
@@ -40,13 +41,12 @@ traffic as unchecked CHECKPOINT chatter, like the sim).
 
 from __future__ import annotations
 
-import tempfile
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.recovery import CheckpointStore, restore_partition, snapshot_partition
+from repro.core.recovery import restore_partition, snapshot_partition
 from repro.core.results import TrainingResult
 from repro.core.worker import ColumnWorker
 from repro.errors import ConfigurationError
@@ -311,35 +311,11 @@ def run_local_columnsgd(
     result: TrainingResult,
     runtime: Optional[LocalRuntime] = None,
 ) -> TrainingResult:
-    """Run ``driver``'s training loop with a runtime attached.
-
-    The driver's ``fit()`` lands here when ``backend='local'``: a
-    runtime is created, started, and closed around the run.  Benches and
-    tests pass their own started ``runtime``, which is left running.
-    ``result`` already carries the run metadata (and the initial
-    evaluation record).
-    """
-    owns_runtime = runtime is None
-    if owns_runtime:
-        runtime, programs = make_local_runtime(driver)
-        runtime.start(programs)
-    # Continue the recorded time axis: load() charged simulated seconds
-    # to the cluster clock and the initial eval record carries that
-    # offset, so measured rounds must accumulate on top of it.
-    runtime.clock.reset(driver.cluster.clock.now())
-    driver.local_runtime = runtime
-    try:
-        # snapshots really spill on this backend, to files that live as
-        # long as the run (the store object and its counters outlive it)
-        with tempfile.TemporaryDirectory(prefix="repro-ckpt-") as spill_dir:
-            driver.recovery_manager.checkpoints = CheckpointStore(spill_dir)
-            driver._train(iterations, result)
-        driver.store_read_stats = collect_store_stats(runtime)
-    finally:
-        driver.local_runtime = driver._engine = None
-        if owns_runtime:
-            runtime.close()
-    return result
+    """Run ``iterations`` rounds of ``driver`` into ``result`` (which
+    already carries the run metadata) on worker processes: a caller's
+    started ``runtime`` — benches and tests pass their own — is left
+    running, else one is created, started and closed around the run."""
+    return driver._train(iterations, result, runtime=runtime)
 
 
 def sync_params(runtime: LocalRuntime, driver) -> None:

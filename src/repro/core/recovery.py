@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -273,14 +273,12 @@ class RecoveryManager:
         policy: RecoveryPolicy,
         workers: List[ColumnWorker],
         partitions: List[PartitionState],
-        replay_fn: Optional[Callable[[int], float]] = None,
     ):
         self.cluster = cluster
         self.groups = groups
         self.policy = policy
         self.workers = workers
         self.partitions = partitions
-        self.replay_fn = replay_fn
         self.checkpoints = CheckpointStore()
 
     # ------------------------------------------------------------------
@@ -418,9 +416,11 @@ class RecoveryManager:
         )
         return seconds
 
-    def recover_master(self, iteration: int) -> float:
+    def recover_master(self, iteration: int, engine) -> float:
         """MASTER crash: restart the driver, restore every partition from
-        the last checkpoint, and replay the missed iterations.
+        the last checkpoint, and have ``engine`` replay the missed
+        iterations (``RoundEngine.run_round(tau, replay=True)``: the
+        job's own round spec, charged what a round costs).
 
         The replay is numerically exact — deterministic per-iteration
         sampling means re-running iterations ``c..t-1`` from checkpoint
@@ -454,9 +454,8 @@ class RecoveryManager:
         )
 
         replay_s = 0.0
-        if self.replay_fn is not None:
-            for tau in range(c, iteration):
-                replay_s += float(self.replay_fn(tau))
+        for tau in range(c, iteration):
+            replay_s += engine.run_round(tau, replay=True).duration
 
         self._record(
             RecoveryEvent(

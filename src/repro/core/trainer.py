@@ -1,0 +1,249 @@
+"""The one training run every system shares.
+
+The paper's comparison (Section V, Tables IV/V) is apples-to-apples
+only if every system runs the same loop and differs in its *round*.
+The round is declared once, as a :class:`~repro.engine.RoundSpec`;
+:class:`Trainer` is everything around it, also once, on either backend.
+``docs/engine.md`` walks through writing a trainer against it.
+"""
+
+from __future__ import annotations
+
+from contextlib import contextmanager, nullcontext
+from typing import ContextManager, Dict, Iterator, Optional, Tuple
+
+import numpy as np
+
+from repro.core.results import IterationRecord, TrainingResult
+from repro.datasets.dataset import Dataset
+from repro.engine import RoundEngine, RoundOutcome, RoundSpec
+from repro.errors import ConfigurationError, TrainingError
+from repro.net.protocol import ProtocolChecker
+from repro.utils.validation import check_positive
+
+
+class Trainer:
+    """Base of every engine trainer: owns the run, not the round.
+
+    A subclass keeps what is genuinely its own — :meth:`load`,
+    :meth:`round_spec` and the executors it names,
+    :meth:`evaluate_loss`, :meth:`current_params` where a flat model
+    exists, :meth:`_result_header` — and sets ``cluster`` plus whichever
+    of the attributes below it has a knob for; their class-level values
+    are the defaults.  The remaining ``_hooks`` default to "nothing to
+    do" (or, for the local backend, "not hosted").
+    """
+
+    iterations = 100         #: rounds of a ``fit()`` without ``iterations=``
+    eval_every = 10          #: full-train-loss cadence (0 = never)
+    check_protocol = False   #: audit every round's traffic (repro.net.protocol)
+    check_cost = False       #: audit kernel work against its charges
+    backend = "sim"          #: 'sim', or 'local' where the trainer hosts it
+    straggler = None         #: per-round slowdowns, where the executors read them
+    divergence_hint = ""     #: appended to the divergence error: what to turn down
+    #: the started LocalRuntime a ``backend='local'`` trainer's rounds run
+    #: on: attached by :meth:`_train` for the length of a run, or assigned
+    #: by a caller that drives :meth:`run_round` itself
+    local_runtime = None
+    #: on that runtime ``master_program(trainer, runtime)`` carries the
+    #: spec's executor names in the trainer's place
+    master_program = None
+    _eval_dataset: Optional[Dataset] = None
+    _engine: Optional[RoundEngine] = None
+
+    # ------------------------------------------------------------------
+    # what a trainer supplies
+    # ------------------------------------------------------------------
+    def load(self, dataset: Dataset):
+        """Partition ``dataset`` over the cluster and initialise the model."""
+        raise NotImplementedError
+
+    def round_spec(self) -> RoundSpec:
+        """The trainer's round, declared."""
+        raise NotImplementedError
+
+    def evaluate_loss(self, dataset: Optional[Dataset] = None) -> float:
+        """Full objective on ``dataset`` (default: the training set);
+        never charged to the clock."""
+        raise NotImplementedError
+
+    def current_params(self) -> Optional[np.ndarray]:
+        """The model as one flat array, where the trainer has one."""
+        return None
+
+    def _result_header(self) -> Dict[str, object]:
+        """``system`` / ``model`` / ``dataset`` / ``batch_size`` of the
+        :class:`~repro.core.results.TrainingResult` a run fills."""
+        raise NotImplementedError
+
+    def _loaded(self) -> bool:
+        return self._dataset is not None
+
+    def _make_local_runtime(self) -> Tuple[object, Dict[int, object]]:
+        """``(runtime, programs)`` hosting this trainer's workers on
+        ``backend='local'``, built but not started."""
+        raise ConfigurationError(
+            "backend='local' is implemented for ColumnSGD and the MLlib "
+            "baseline only; {} is simulator-only".format(type(self).__name__)
+        )
+
+    def _local_run(self, runtime) -> ContextManager:
+        """Entered around a run on an attached ``runtime``, for state
+        that lives exactly that long."""
+        return nullcontext()
+
+    def _handle_failures(self, t: int) -> float:
+        """Top-of-round upkeep (scheduled faults, checkpoints), inside
+        the protocol checker's round window; returns the extra seconds."""
+        return 0.0
+
+    def _should_stop(self, result: TrainingResult) -> bool:
+        """Consulted after every evaluated round."""
+        return False
+
+    # ------------------------------------------------------------------
+    # the run
+    # ------------------------------------------------------------------
+    def fit(
+        self,
+        dataset: Optional[Dataset] = None,
+        iterations: Optional[int] = None,
+        eval_dataset: Optional[Dataset] = None,
+    ) -> TrainingResult:
+        """Train; returns the loss/time trace and the final parameters.
+
+        ``dataset`` is loaded unless something already is; ``iterations``
+        defaults to the trainer's configured count.  ``eval_dataset``
+        enables held-out loss tracking: every evaluated record also
+        carries the loss on that dataset
+        (``TrainingResult.eval_losses()``), free of clock time.
+        """
+        if dataset is not None and not self._loaded():
+            self.load(dataset)
+        if not self._loaded():
+            raise TrainingError("call load() or pass a dataset to fit()")
+        self._eval_dataset = eval_dataset
+        iterations = iterations if iterations is not None else self.iterations
+        check_positive(iterations, "iterations")
+        result = TrainingResult(
+            n_workers=self.cluster.n_workers, **self._result_header()
+        )
+        if self.eval_every:
+            self._record(result, -1, 0.0, 0, evaluate=True)
+        return self._train(iterations, result)
+
+    def _train(self, iterations: int, result: TrainingResult, runtime=None):
+        """Run ``iterations`` rounds into ``result`` on the substrate
+        :meth:`_attached` yields — anything with a ``clock`` and a
+        ``network``: the cluster (modelled seconds) or a local runtime
+        (measured ones)."""
+        with self._attached(runtime) as substrate:
+            self._engine = self._make_engine()
+            checker = ProtocolChecker(substrate) if self.check_protocol else None
+            for t in range(iterations):
+                bytes_before = substrate.network.total_bytes()
+                if checker is not None:
+                    checker.begin_round(t)
+                extra = self._handle_failures(t)
+                # late-bound: tracers and tests shadow run_round
+                outcome = self.run_round(t)
+                duration = extra + outcome.duration
+                substrate.clock.advance(duration)
+                if checker is not None:
+                    checker.end_round(t, expected=outcome.expected)
+                bytes_sent = substrate.network.total_bytes() - bytes_before
+                evaluate = bool(self.eval_every) and (
+                    (t + 1) % self.eval_every == 0 or t == iterations - 1
+                )
+                self._record(result, t, duration, bytes_sent, evaluate)
+                if evaluate and self._should_stop(result):
+                    result.notes = "early stop at iteration {}".format(t)
+                    break
+            result.final_params = self.current_params()
+        return result
+
+    @contextmanager
+    def _attached(self, runtime=None) -> Iterator[object]:
+        """The run's substrate, with worker processes where it needs them.
+
+        ``backend='local'`` with nothing attached: a caller's started
+        ``runtime`` is used and left running; with none, what
+        :meth:`_make_local_runtime` returns is started here and closed
+        afterwards.  Either way it is detached, and the engine dropped,
+        when the run ends.
+        """
+        if self.backend != "local" or self.local_runtime is not None:
+            yield self.local_runtime or self.cluster
+            return
+        owned = runtime is None
+        if owned:
+            runtime, programs = self._make_local_runtime()
+            runtime.start(programs)
+        # Continue the recorded time axis: load() charged simulated
+        # seconds to the cluster clock and the initial eval record carries
+        # that offset, so measured rounds must accumulate on top of it.
+        runtime.clock.reset(self.cluster.clock.now())
+        self.local_runtime = runtime
+        try:
+            with self._local_run(runtime):
+                yield runtime
+        finally:
+            self.local_runtime = self._engine = None
+            if owned:
+                runtime.close()
+
+    def _make_engine(self) -> RoundEngine:
+        """A fresh engine over :meth:`round_spec`, executed by the
+        trainer itself or, on ``backend='local'``, its master program."""
+        executor = self
+        if self.backend == "local":
+            if self.local_runtime is None:
+                raise ConfigurationError(
+                    "backend='local' rounds run on worker processes and none "
+                    "are attached: call fit(), or assign a started runtime to "
+                    "local_runtime"
+                )
+            executor = self.master_program(self, self.local_runtime)
+        return RoundEngine(
+            executor,
+            self.cluster,
+            spec=self.round_spec(),
+            straggler=self.straggler,
+            check_cost=self.check_cost,
+            runtime=self.local_runtime,
+        )
+
+    def run_round(self, t: int) -> RoundOutcome:
+        """Execute one engine round (public: benches and tests drive it
+        directly); does not advance the clock.  On ``backend='local'``
+        it runs on the attached worker processes
+        (:class:`~repro.errors.ConfigurationError` if none).
+        """
+        if self._engine is None:
+            self._engine = self._make_engine()
+        return self._engine.run_round(t)
+
+    def _record(self, result, iteration, duration, bytes_sent, evaluate) -> None:
+        """Append one iteration record, stamped on the run's clock (the
+        attached runtime's measured one, else the simulated one)."""
+        loss = eval_loss = None
+        if evaluate:
+            loss = self.evaluate_loss()
+            if not np.isfinite(loss):
+                raise TrainingError(
+                    "training diverged at iteration {} (loss={}){}".format(
+                        iteration, loss, self.divergence_hint
+                    )
+                )
+            if self._eval_dataset is not None:
+                eval_loss = self.evaluate_loss(self._eval_dataset)
+        result.add(
+            IterationRecord(
+                iteration=iteration,
+                sim_time=(self.local_runtime or self.cluster).clock.now(),
+                duration=duration,
+                loss=loss,
+                bytes_sent=bytes_sent,
+                eval_loss=eval_loss,
+            )
+        )

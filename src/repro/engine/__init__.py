@@ -11,7 +11,6 @@ objects.  See ``docs/engine.md`` and ``docs/faults.md``.
 
 from repro.engine.cost_audit import CostAuditor, CostReport
 from repro.engine.engine import RoundContext, RoundEngine, RoundOutcome
-from repro.engine.loop import run_training_loop
 from repro.engine.policy import (
     BackupSync,
     BarrierSync,
@@ -50,5 +49,4 @@ __all__ = [
     "SyncPolicy",
     "TimeoutSync",
     "TrafficEnvelope",
-    "run_training_loop",
 ]

@@ -40,10 +40,13 @@ from repro.storage.serialization import OBJECT_OVERHEAD_BYTES
 class RoundContext:
     """Mutable per-round state shared by a round's phase executors."""
 
-    def __init__(self, t: int, trainer, cluster, slowdowns=None):
+    def __init__(self, t: int, trainer, cluster, slowdowns=None, replay=False):
         self.t = t
         self.trainer = trainer
         self.cluster = cluster
+        #: a past round re-executed for master recovery: nothing about it
+        #: is recorded (see :meth:`RoundEngine.run_round`)
+        self.replay = replay
         #: per-worker straggler multipliers for this round (None when the
         #: trainer has no straggler model)
         self.slowdowns = slowdowns
@@ -124,14 +127,25 @@ class RoundEngine:
         self.runtime.engine_trace = self.trace
 
     # ------------------------------------------------------------------
-    def run_round(self, t: int) -> RoundOutcome:
-        """Execute round ``t``; does not advance the cluster clock."""
-        ctx = RoundContext(
-            t,
-            self.trainer,
-            self.cluster,
-            slowdowns=self.straggler.slowdowns(t) if self.straggler is not None else None,
-        )
+    def run_round(self, t: int, replay: bool = False) -> RoundOutcome:
+        """Execute round ``t``; does not advance the cluster clock.
+
+        ``replay=True`` re-executes a past round after a master restart
+        (:meth:`~repro.core.recovery.RecoveryManager.recover_master`):
+        same spec, executors and sync policy, so the numerics and the
+        seconds of a real round — at unit slowdowns (the straggler model
+        is not consulted), its traffic accounted as unchecked
+        :data:`MessageKind.CHECKPOINT` recovery chatter, and nothing
+        recorded: no phase or retry event, no expectation, no cost audit.
+        """
+        slowdowns = None
+        if self.straggler is not None:
+            slowdowns = (
+                dict.fromkeys(range(self.runtime.n_workers), 1.0)
+                if replay
+                else self.straggler.slowdowns(t)
+            )
+        ctx = RoundContext(t, self.trainer, self.cluster, slowdowns, replay)
         sync = self.spec.sync
         ctx.sync = sync
         sync.before_round(ctx)
@@ -141,8 +155,9 @@ class RoundEngine:
         worker_seconds: Dict[str, Dict[int, float]] = {}
         expected: Dict[MessageKind, tuple] = {}
 
-        if self.cost_audit is not None:
-            self.cost_audit.begin_round()
+        audit = None if replay else self.cost_audit
+        if audit is not None:
+            audit.begin_round()
 
         # Execute first, lay out on the time axis afterwards, because a
         # measured comm phase learns its seconds only once the exchange
@@ -154,12 +169,14 @@ class RoundEngine:
         for name, seconds in ctx.comm_seconds.items():
             phase_seconds[name] += seconds
 
-        if self.cost_audit is not None:
-            self.cost_audit.finish_round(t)
+        if audit is not None:
+            audit.finish_round(t)
 
         end = 0.0
         for phase in self.spec.phases:
             start, end = end, end + phase_seconds[phase.name]
+            if replay:
+                continue
             self.trace.add(
                 PhaseEvent(
                     round=t,
@@ -174,6 +191,8 @@ class RoundEngine:
             )
         duration = sync.round_duration(ctx, end)
 
+        if replay:
+            return RoundOutcome(duration, phase_seconds, worker_seconds)
         if self.spec.envelopes is not None:
             expected.update(getattr(self.trainer, self.spec.envelopes)(ctx))
         self._expect_retries(expected, ctx.resends)
@@ -203,34 +222,35 @@ class RoundEngine:
     def _execute_comm(self, phase: CommPhase, ctx, expected) -> float:
         runtime = self.runtime
         trainer = self.trainer
+        kind = MessageKind.CHECKPOINT if ctx.replay else phase.kind
         sizes = getattr(trainer, phase.sizes)(ctx)
         if phase.pattern == "gather":
             sizes = [int(s) for s in sizes]
-            seconds = runtime.gather(phase.kind, sizes)
-            self._expect(expected, phase.kind, len(sizes), sum(sizes))
+            seconds = runtime.gather(kind, sizes)
+            self._expect(expected, kind, len(sizes), sum(sizes))
         elif phase.pattern == "sharded_gather":
             sizes = [int(s) for s in sizes]
             servers = getattr(trainer, phase.servers)
-            seconds = runtime.sharded_gather(phase.kind, sizes, servers)
-            self._expect(expected, phase.kind, len(sizes), sum(sizes))
+            seconds = runtime.sharded_gather(kind, sizes, servers)
+            self._expect(expected, kind, len(sizes), sum(sizes))
         elif phase.pattern == "broadcast":
             size = int(sizes)
-            seconds = runtime.broadcast(phase.kind, size)
-            self._expect(expected, phase.kind, runtime.n_workers,
+            seconds = runtime.broadcast(kind, size)
+            self._expect(expected, kind, runtime.n_workers,
                          runtime.n_workers * size)
         elif phase.pattern == "sharded_broadcast":
             size = int(sizes)
             servers = getattr(trainer, phase.servers)
-            seconds = runtime.sharded_broadcast(phase.kind, size, servers)
-            self._expect(expected, phase.kind, runtime.n_workers,
+            seconds = runtime.sharded_broadcast(kind, size, servers)
+            self._expect(expected, kind, runtime.n_workers,
                          runtime.n_workers * size)
         else:  # allreduce
             size = int(sizes)
             n = runtime.n_workers
-            seconds = runtime.allreduce(phase.kind, size)
+            seconds = runtime.allreduce(kind, size)
             steps = 2 * (n - 1)
             if steps:
-                self._expect(expected, phase.kind, steps, steps * int(size / n))
+                self._expect(expected, kind, steps, steps * int(size / n))
         return seconds
 
     @staticmethod

@@ -172,7 +172,8 @@ class TimeoutSync(SyncPolicy):
 
     def _record(self, ctx, attempt, suspects, deadline, resolved) -> None:
         trace = getattr(ctx.cluster, "engine_trace", None)
-        if trace is not None:
+        # a replayed round's episodes were recorded when it first ran
+        if trace is not None and not ctx.replay:
             from repro.engine.trace import RetryEvent
 
             trace.add_retry(

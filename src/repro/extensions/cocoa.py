@@ -29,20 +29,18 @@ deltas (the safe ``1/K`` combiner of the CoCoA paper) and broadcasts.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.core.results import IterationRecord, TrainingResult
+from repro.core.trainer import Trainer
 from repro.datasets.dataset import Dataset
 from repro.engine import (
     BarrierSync,
     CommPhase,
     ComputePhase,
     MasterPhase,
-    RoundEngine,
     RoundSpec,
-    run_training_loop,
 )
 from repro.errors import TrainingError
 from repro.linalg.ops import row_dots
@@ -54,7 +52,7 @@ from repro.utils.rng import rng_from_seed
 from repro.utils.validation import check_positive
 
 
-class CoCoATrainer:
+class CoCoATrainer(Trainer):
     """Distributed ridge regression via CoCoA with SDCA local solvers.
 
     Parameters
@@ -72,6 +70,8 @@ class CoCoATrainer:
         only on nearly-decoupled data (kept to demonstrate *why* the
         scaling exists).
     """
+
+    divergence_hint = "; use aggregation='safe'"
 
     def __init__(
         self,
@@ -102,7 +102,6 @@ class CoCoATrainer:
         self._alphas: List[np.ndarray] = []
         self._shard_sq_norms: List[np.ndarray] = []
         self._rngs = None
-        self._engine: Optional[RoundEngine] = None
 
     # ------------------------------------------------------------------
     def load(self, dataset: Dataset):
@@ -125,47 +124,24 @@ class CoCoATrainer:
         self._rngs = [rng_from_seed(self.seed * 31 + k) for k in range(K)]
         return None
 
-    # ------------------------------------------------------------------
-    def fit(self, dataset: Optional[Dataset] = None) -> TrainingResult:
-        """Run CoCoA rounds; returns the usual loss/time trace."""
-        if dataset is not None and self._dataset is None:
-            self.load(dataset)
-        if self._dataset is None:
-            raise TrainingError("call load() or pass a dataset to fit()")
-        result = TrainingResult(
-            system="CoCoA+" if self.aggregation == "safe" else "CoCoA-naive",
+    def _system_name(self) -> str:
+        return "CoCoA+" if self.aggregation == "safe" else "CoCoA-naive"
+
+    def _result_header(self) -> Dict[str, object]:
+        # the per-round work knob stands in for a batch size
+        return dict(
+            system=self._system_name(),
             model="ridge_sdca",
             dataset=self._dataset.name,
             batch_size=self.local_steps,
-            n_workers=self.cluster.n_workers,
         )
-        if self.eval_every:
-            self._record(result, -1, 0.0, 0)
-
-        self._engine = RoundEngine(self, self.cluster)
-        run_training_loop(
-            cluster=self.cluster,
-            run_round=self.run_round,
-            iterations=self.iterations,
-            eval_every=self.eval_every,
-            record=lambda t, duration, bytes_sent, evaluate: self._record(
-                result, t, duration, bytes_sent, evaluate=evaluate
-            ),
-        )
-        return result
-
-    def run_round(self, t: int):
-        """One engine round (used by fit(), benchmarks and tests)."""
-        if self._engine is None:
-            self._engine = RoundEngine(self, self.cluster)
-        return self._engine.run_round(t)
 
     # ------------------------------------------------------------------
     def round_spec(self) -> RoundSpec:
         """One CoCoA round: local SDCA passes, then the O(m) combine —
         workers push primal deltas, the master averages and broadcasts."""
         return RoundSpec(
-            system="CoCoA+" if self.aggregation == "safe" else "CoCoA-naive",
+            system=self._system_name(),
             sync=BarrierSync(),
             phases=(
                 ComputePhase(
@@ -270,21 +246,4 @@ class CoCoATrainer:
         residual = row_dots(data.features, self._w) - data.labels
         return float(
             0.5 * np.mean(residual ** 2) + 0.5 * self.lam * np.dot(self._w, self._w)
-        )
-
-    def _record(self, result, iteration, duration, bytes_sent, evaluate=True):
-        loss = self.evaluate_loss() if evaluate else None
-        if loss is not None and not np.isfinite(loss):
-            raise TrainingError(
-                "CoCoA diverged at round {} (loss={}); use 'average' "
-                "aggregation".format(iteration, loss)
-            )
-        result.add(
-            IterationRecord(
-                iteration=iteration,
-                sim_time=self.cluster.clock.now(),
-                duration=duration,
-                loss=loss,
-                bytes_sent=bytes_sent,
-            )
         )

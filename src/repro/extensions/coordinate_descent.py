@@ -22,22 +22,19 @@ round (tests assert this); staleness only affects update quality, which
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.core.results import IterationRecord, TrainingResult
+from repro.core.trainer import Trainer
 from repro.datasets.dataset import Dataset
 from repro.engine import (
     BarrierSync,
     CommPhase,
     ComputePhase,
     MasterPhase,
-    RoundEngine,
     RoundSpec,
-    run_training_loop,
 )
-from repro.errors import TrainingError
 from repro.linalg import CSRMatrix
 from repro.net.message import MessageKind
 from repro.partition.column import make_assignment
@@ -72,7 +69,7 @@ class _ColumnShard:
         return self._rows[lo:hi], self._vals[lo:hi]
 
 
-class RidgeCDTrainer:
+class RidgeCDTrainer(Trainer):
     """Distributed ridge regression via parallel coordinate descent.
 
     Parameters
@@ -87,6 +84,8 @@ class RidgeCDTrainer:
         Damping on each coordinate step (Hydra's safe step size); 1.0 is
         fine for sparse data where cross-worker columns rarely collide.
     """
+
+    divergence_hint = "; lower step_scale"
 
     def __init__(
         self,
@@ -118,7 +117,6 @@ class RidgeCDTrainer:
         self._residual: Optional[np.ndarray] = None
         self._labels: Optional[np.ndarray] = None
         self._rngs = None
-        self._engine: Optional[RoundEngine] = None
 
     # ------------------------------------------------------------------
     def load(self, dataset: Dataset):
@@ -140,40 +138,14 @@ class RidgeCDTrainer:
         ]
         return report
 
-    # ------------------------------------------------------------------
-    def fit(self, dataset: Optional[Dataset] = None) -> TrainingResult:
-        """Run CD rounds; returns the usual loss/time trace."""
-        if dataset is not None and self._dataset is None:
-            self.load(dataset)
-        if self._dataset is None:
-            raise TrainingError("call load() or pass a dataset to fit()")
-        result = TrainingResult(
+    def _result_header(self) -> Dict[str, object]:
+        # no mini-batch: a round works on coordinates, not on rows
+        return dict(
             system="RidgeCD",
             model="ridge_cd",
             dataset=self._dataset.name,
             batch_size=0,
-            n_workers=self.cluster.n_workers,
         )
-        if self.eval_every:
-            self._record(result, -1, 0.0, 0)
-
-        self._engine = RoundEngine(self, self.cluster)
-        run_training_loop(
-            cluster=self.cluster,
-            run_round=self.run_round,
-            iterations=self.iterations,
-            eval_every=self.eval_every,
-            record=lambda t, duration, bytes_sent, evaluate: self._record(
-                result, t, duration, bytes_sent, evaluate=evaluate
-            ),
-        )
-        return result
-
-    def run_round(self, t: int):
-        """One engine round (used by fit(), benchmarks and tests)."""
-        if self._engine is None:
-            self._engine = RoundEngine(self, self.cluster)
-        return self._engine.run_round(t)
 
     # ------------------------------------------------------------------
     def round_spec(self) -> RoundSpec:
@@ -267,21 +239,3 @@ class RidgeCDTrainer:
         w = self.current_params()
         r = row_dots(dataset.features, w) - dataset.labels
         return float(0.5 * np.mean(r ** 2) + 0.5 * self.lam * np.dot(w, w))
-
-    def _record(self, result, iteration, duration, bytes_sent, evaluate=True):
-        loss = self.evaluate_loss() if evaluate else None
-        if loss is not None and not np.isfinite(loss):
-            raise TrainingError(
-                "CD diverged at round {} (loss={}); lower step_scale".format(
-                    iteration, loss
-                )
-            )
-        result.add(
-            IterationRecord(
-                iteration=iteration,
-                sim_time=self.cluster.clock.now(),
-                duration=duration,
-                loss=loss,
-                bytes_sent=bytes_sent,
-            )
-        )

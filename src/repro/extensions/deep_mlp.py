@@ -22,8 +22,15 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.core.trainer import Trainer
+from repro.engine import BarrierSync, CommPhase, ComputePhase, MasterPhase, RoundSpec
 from repro.linalg import CSRMatrix, row_dots
 from repro.linalg.ops import accumulate_rows
+from repro.net.message import MessageKind
+from repro.partition.column import make_assignment
+from repro.partition.dispatch import dispatch_block_based
+from repro.partition.indexing import TwoPhaseIndex
+from repro.storage.serialization import dense_vector_bytes
 from repro.utils.rng import rng_from_seed
 from repro.utils.validation import check_positive
 
@@ -168,7 +175,7 @@ class SequentialDeepMLP:
         return _sigmoid(scores)
 
 
-class DeepMLPColumnTrainer:
+class DeepMLPColumnTrainer(Trainer):
     """Distributed training of :class:`DeepColumnMLP` on the simulator.
 
     One ``B x H1`` statistics round per iteration; the replicated tail
@@ -206,14 +213,9 @@ class DeepMLPColumnTrainer:
         self._w1_optimizers = []
         self._tail: Dict[str, np.ndarray] = {}
         self._tail_optimizers: Dict[str, object] = {}
-        self._engine = None
 
     def load(self, dataset):
         """Column-partition the data and W1; replicate the tail."""
-        from repro.partition.column import make_assignment
-        from repro.partition.dispatch import dispatch_block_based
-        from repro.partition.indexing import TwoPhaseIndex
-
         K = self.cluster.n_workers
         self._dataset = dataset
         self._assignment = make_assignment("round_robin", dataset.n_features, K)
@@ -231,68 +233,18 @@ class DeepMLPColumnTrainer:
         self._tail_optimizers = {k: self.optimizer.spawn() for k in self._tail}
         return report
 
-    def fit(self, dataset=None):
-        """Train; returns the usual loss/time trace."""
-        from repro.core.results import IterationRecord, TrainingResult
-        from repro.errors import TrainingError
-
-        if dataset is not None and self._dataset is None:
-            self.load(dataset)
-        if self._dataset is None:
-            raise TrainingError("call load() or pass a dataset to fit()")
-        result = TrainingResult(
+    def _result_header(self) -> Dict[str, object]:
+        return dict(
             system="ColumnSGD-DeepMLP",
             model="mlp-{}".format("x".join(map(str, self.model.hidden_sizes))),
             dataset=self._dataset.name,
             batch_size=self.batch_size,
-            n_workers=self.cluster.n_workers,
         )
-
-        def record(iteration, duration, bytes_sent, evaluate):
-            loss = self.evaluate_loss() if evaluate else None
-            if loss is not None and not np.isfinite(loss):
-                raise TrainingError(
-                    "training diverged at iteration {}".format(iteration)
-                )
-            result.add(IterationRecord(iteration, self.cluster.clock.now(),
-                                       duration, loss, bytes_sent))
-
-        if self.eval_every:
-            record(-1, 0.0, 0, True)
-
-        from repro.engine import RoundEngine, run_training_loop
-
-        self._engine = RoundEngine(self, self.cluster)
-        run_training_loop(
-            cluster=self.cluster,
-            run_round=self.run_round,
-            iterations=self.iterations,
-            eval_every=self.eval_every,
-            record=record,
-        )
-        return result
-
-    def run_round(self, t: int):
-        """One engine round (used by fit(), benchmarks and tests)."""
-        if self._engine is None:
-            from repro.engine import RoundEngine
-
-            self._engine = RoundEngine(self, self.cluster)
-        return self._engine.run_round(t)
 
     # ------------------------------------------------------------------
     def round_spec(self):
         """One ``B x H1`` statistics round; the replicated tail updates
         identically on every worker from the broadcast Z."""
-        from repro.engine import (
-            BarrierSync,
-            CommPhase,
-            ComputePhase,
-            MasterPhase,
-            RoundSpec,
-        )
-        from repro.net.message import MessageKind
-
         return RoundSpec(
             system="ColumnSGD-DeepMLP",
             sync=BarrierSync(),
@@ -343,8 +295,6 @@ class DeepMLPColumnTrainer:
         return per_worker
 
     def _statistics_size(self, ctx) -> int:
-        from repro.storage.serialization import dense_vector_bytes
-
         return dense_vector_bytes(self.batch_size * self.model.statistics_width)
 
     def _statistics_push_sizes(self, ctx) -> List[int]:

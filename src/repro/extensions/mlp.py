@@ -40,18 +40,15 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.core.results import IterationRecord, TrainingResult
+from repro.core.trainer import Trainer
 from repro.datasets.dataset import Dataset
 from repro.engine import (
     BarrierSync,
     CommPhase,
     ComputePhase,
     MasterPhase,
-    RoundEngine,
     RoundSpec,
-    run_training_loop,
 )
-from repro.errors import TrainingError
 from repro.linalg import CSRMatrix, row_dots
 from repro.linalg.ops import accumulate_rows
 from repro.net.message import MessageKind
@@ -166,7 +163,7 @@ class SequentialMLP:
         return _sigmoid(scores)
 
 
-class MLPColumnTrainer:
+class MLPColumnTrainer(Trainer):
     """ColumnSGD-style distributed training of :class:`ColumnMLP`.
 
     Statistics per iteration: ``B * hidden`` values gathered and
@@ -205,7 +202,6 @@ class MLPColumnTrainer:
         self._w1_optimizers: List[Optimizer] = []
         self._head: Dict[str, np.ndarray] = {}
         self._head_optimizers: Dict[str, Optimizer] = {}
-        self._engine: Optional[RoundEngine] = None
 
     # ------------------------------------------------------------------
     def load(self, dataset: Dataset):
@@ -230,40 +226,13 @@ class MLPColumnTrainer:
         self._head_optimizers = {k: self.optimizer.spawn() for k in self._head}
         return report
 
-    # ------------------------------------------------------------------
-    def fit(self, dataset: Optional[Dataset] = None) -> TrainingResult:
-        """Train; returns the usual loss/time trace."""
-        if dataset is not None and self._dataset is None:
-            self.load(dataset)
-        if self._dataset is None:
-            raise TrainingError("call load() or pass a dataset to fit()")
-        result = TrainingResult(
+    def _result_header(self) -> Dict[str, object]:
+        return dict(
             system="ColumnSGD-MLP",
             model="mlp{}".format(self.model.hidden),
             dataset=self._dataset.name,
             batch_size=self.batch_size,
-            n_workers=self.cluster.n_workers,
         )
-        if self.eval_every:
-            self._record(result, -1, 0.0, 0)
-
-        self._engine = RoundEngine(self, self.cluster)
-        run_training_loop(
-            cluster=self.cluster,
-            run_round=self.run_round,
-            iterations=self.iterations,
-            eval_every=self.eval_every,
-            record=lambda t, duration, bytes_sent, evaluate: self._record(
-                result, t, duration, bytes_sent, evaluate=evaluate
-            ),
-        )
-        return result
-
-    def run_round(self, t: int):
-        """One engine round (used by fit(), benchmarks and tests)."""
-        if self._engine is None:
-            self._engine = RoundEngine(self, self.cluster)
-        return self._engine.run_round(t)
 
     # ------------------------------------------------------------------
     def round_spec(self) -> RoundSpec:
@@ -372,22 +341,6 @@ class MLPColumnTrainer:
         data = dataset if dataset is not None else self._dataset
         z = self.model.partial_statistics(data.features, self.current_w1())
         return self.model.loss_from_statistics(z, data.labels, self._head)
-
-    def _record(self, result, iteration, duration, bytes_sent, evaluate=True):
-        loss = self.evaluate_loss() if evaluate else None
-        if loss is not None and not np.isfinite(loss):
-            raise TrainingError(
-                "training diverged at iteration {} (loss={})".format(iteration, loss)
-            )
-        result.add(
-            IterationRecord(
-                iteration=iteration,
-                sim_time=self.cluster.clock.now(),
-                duration=duration,
-                loss=loss,
-                bytes_sent=bytes_sent,
-            )
-        )
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:

@@ -5,7 +5,26 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.baselines import (
+    MLlibStarTrainer,
+    MLlibTrainer,
+    ParameterServerTrainer,
+    RowSGDConfig,
+    SparsePSTrainer,
+    StaleSyncPSTrainer,
+)
+from repro.core.driver import ColumnSGDConfig, ColumnSGDDriver
 from repro.datasets import make_classification, make_multiclass, make_regression
+from repro.extensions import (
+    CoCoATrainer,
+    ColumnMLP,
+    DeepColumnMLP,
+    DeepMLPColumnTrainer,
+    MLPColumnTrainer,
+    RidgeCDTrainer,
+)
+from repro.models import LogisticRegression
+from repro.optim import SGD
 from repro.sim import CLUSTER1, ComputeCostModel, SimulatedCluster
 
 
@@ -67,3 +86,75 @@ def fast_cluster4():
     return SimulatedCluster(
         CLUSTER1.with_workers(4), cost=ComputeCostModel(task_overhead=0.0)
     )
+
+
+# ----------------------------------------------------------------------
+# the ten engine trainers, built one way for every suite that walks them
+# ----------------------------------------------------------------------
+TRAINER_NAMES = (
+    "ColumnSGDDriver",
+    "MLlibTrainer",
+    "MLlibStarTrainer",
+    "ParameterServerTrainer",
+    "SparsePSTrainer",
+    "StaleSyncPSTrainer",
+    "CoCoATrainer",
+    "RidgeCDTrainer",
+    "MLPColumnTrainer",
+    "DeepMLPColumnTrainer",
+)
+
+
+def trainer_builders(cluster, data):
+    """``{class name: build}``; each ``build()`` returns that trainer,
+    loaded with ``data`` on ``cluster`` and configured for two rounds."""
+
+    def row(cls, **kw):
+        def build():
+            trainer = cls(
+                LogisticRegression(), SGD(0.1), cluster,
+                config=RowSGDConfig(batch_size=64, iterations=2), **kw
+            )
+            trainer.load(data)
+            return trainer
+        return build
+
+    def column():
+        driver = ColumnSGDDriver(
+            LogisticRegression(), SGD(0.1), cluster,
+            config=ColumnSGDConfig(batch_size=64, iterations=2),
+        )
+        driver.load(data)
+        return driver
+
+    def mlp(cls, model):
+        def build():
+            trainer = cls(
+                model, SGD(0.1), cluster, batch_size=64, iterations=2,
+                eval_every=0, seed=3,
+            )
+            trainer.load(data)
+            return trainer
+        return build
+
+    def local(cls, **kw):
+        def build():
+            trainer = cls(cluster, iterations=2, eval_every=0, seed=3, **kw)
+            trainer.load(data)
+            return trainer
+        return build
+
+    return {
+        "ColumnSGDDriver": column,
+        "MLlibTrainer": row(MLlibTrainer),
+        "MLlibStarTrainer": row(MLlibStarTrainer),
+        "ParameterServerTrainer": row(ParameterServerTrainer),
+        "SparsePSTrainer": row(SparsePSTrainer),
+        "StaleSyncPSTrainer": row(StaleSyncPSTrainer, staleness=2),
+        "CoCoATrainer": local(CoCoATrainer, lam=0.1, local_steps=10),
+        "RidgeCDTrainer": local(RidgeCDTrainer, lam=0.1),
+        "MLPColumnTrainer": mlp(MLPColumnTrainer, ColumnMLP(hidden=4)),
+        "DeepMLPColumnTrainer": mlp(
+            DeepMLPColumnTrainer, DeepColumnMLP([4, 3])
+        ),
+    }

@@ -1,5 +1,7 @@
 """Tests for the CoCoA (distributed SDCA) extension."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,24 @@ class TestCoCoA:
         except TrainingError:
             return  # diverged to non-finite loss: exactly the point
         assert naive_loss > 10 * safe_loss
+
+    def test_divergence_error_names_a_setting_the_trainer_accepts(self):
+        """sigma' = 1 adding on tiny dense shards overflows for certain;
+        the error used to recommend 'average' aggregation, a value the
+        constructor rejects (test_validation below)."""
+        cluster = SimulatedCluster(CLUSTER1.with_workers(16))
+        trainer = CoCoATrainer(
+            cluster, lam=1e-8, local_steps=32, iterations=300, eval_every=1,
+            aggregation="naive", seed=1,
+        )
+        trainer.load(make_regression(64, 2, nnz_per_row=2, seed=34))
+        with np.errstate(over="ignore"), pytest.raises(TrainingError) as err:
+            trainer.fit()
+        message = str(err.value)
+        hinted = re.findall(r"'(\w+)'", message)  # every value it recommends
+        assert hinted == ["safe"]
+        assert CoCoATrainer(cluster, aggregation=hinted[0]).aggregation == "safe"
+        assert re.match(r"training diverged at iteration \d+ \(loss=inf\)", message)
 
     def test_communication_scales_with_model_size(self):
         per_m = {}

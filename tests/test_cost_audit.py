@@ -6,29 +6,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.baselines import (
-    MLlibStarTrainer,
-    MLlibTrainer,
-    ParameterServerTrainer,
-    RowSGDConfig,
-    SparsePSTrainer,
-    StaleSyncPSTrainer,
-)
 from repro.core.driver import ColumnSGDConfig, ColumnSGDDriver
-from repro.engine import CostAuditor, CostReport, RoundEngine
+from repro.engine import CostAuditor, CostReport
 from repro.errors import CostDriftError
-from repro.extensions import (
-    CoCoATrainer,
-    ColumnMLP,
-    DeepColumnMLP,
-    DeepMLPColumnTrainer,
-    MLPColumnTrainer,
-    RidgeCDTrainer,
-)
 from repro.linalg import OP_COUNTERS, SparseVector
 from repro.models import LogisticRegression
 from repro.optim import SGD
 from repro.sim.cost import WORK_LEDGER
+from tests.conftest import TRAINER_NAMES, trainer_builders
 
 
 @pytest.fixture(autouse=True)
@@ -88,94 +73,20 @@ def test_finish_round_disables_counting():
 # ----------------------------------------------------------------------
 # static-vs-dynamic agreement: every trainer runs under the audit
 # ----------------------------------------------------------------------
-def _builders(cluster, data):
-    def row(cls, fit_first=False, **kw):
-        def build():
-            trainer = cls(
-                LogisticRegression(), SGD(0.1), cluster,
-                config=RowSGDConfig(batch_size=64, iterations=2), **kw
-            )
-            trainer.load(data)
-            if fit_first:
-                trainer.fit()  # SSP seeds its version history in fit()
-            return trainer
-        return build
-
-    def column():
-        driver = ColumnSGDDriver(
-            LogisticRegression(), SGD(0.1), cluster,
-            config=ColumnSGDConfig(batch_size=64, iterations=2),
-        )
-        driver.load(data)
-        return driver
-
-    def mlp(cls, model):
-        def build():
-            trainer = cls(
-                model, SGD(0.1), cluster, batch_size=64, iterations=2,
-                eval_every=0, seed=3,
-            )
-            trainer.load(data)
-            return trainer
-        return build
-
-    def local(cls, **kw):
-        def build():
-            trainer = cls(cluster, iterations=2, eval_every=0, seed=3, **kw)
-            trainer.load(data)
-            return trainer
-        return build
-
-    return {
-        "ColumnSGDDriver": column,
-        "MLlibTrainer": row(MLlibTrainer),
-        "MLlibStarTrainer": row(MLlibStarTrainer),
-        "ParameterServerTrainer": row(ParameterServerTrainer),
-        "SparsePSTrainer": row(SparsePSTrainer),
-        "StaleSyncPSTrainer": row(StaleSyncPSTrainer, fit_first=True,
-                                  staleness=2),
-        "CoCoATrainer": local(CoCoATrainer, lam=0.1, local_steps=10),
-        "RidgeCDTrainer": local(RidgeCDTrainer, lam=0.1),
-        "MLPColumnTrainer": mlp(MLPColumnTrainer, ColumnMLP(hidden=4)),
-        "DeepMLPColumnTrainer": mlp(
-            DeepMLPColumnTrainer, DeepColumnMLP([4, 3])
-        ),
-    }
-
-
-TRAINER_NAMES = (
-    "ColumnSGDDriver",
-    "MLlibTrainer",
-    "MLlibStarTrainer",
-    "ParameterServerTrainer",
-    "SparsePSTrainer",
-    "StaleSyncPSTrainer",
-    "CoCoATrainer",
-    "RidgeCDTrainer",
-    "MLPColumnTrainer",
-    "DeepMLPColumnTrainer",
-)
-
-
 @pytest.mark.parametrize("name", TRAINER_NAMES)
 def test_all_trainers_pass_cost_audit(name, cluster4, tiny_binary):
     """The default FACTOR/SLACK budget holds for every trainer — the
     dynamic counterpart of the tree being R015/R016-clean."""
-    trainer = _builders(cluster4, tiny_binary)[name]()
-    engine = RoundEngine(
-        trainer, cluster4,
-        straggler=getattr(trainer, "straggler", None),
-        check_cost=True,
-    )
+    trainer = trainer_builders(cluster4, tiny_binary)[name]()
+    trainer.check_cost = True  # read when the trainer makes its engine
     for t in range(3):
-        engine.run_round(t)  # raises CostDriftError on drift
-    assert len(engine.cost_audit.reports) == 3
-    for report in engine.cost_audit.reports:
+        trainer.run_round(t)  # raises CostDriftError on drift
+    audit = trainer._engine.cost_audit
+    assert len(audit.reports) == 3
+    for report in audit.reports:
         # R015-clean statically == no densification dynamically
         assert report.densify_events == 0
-        assert report.measured <= (
-            engine.cost_audit.factor * report.charged + engine.cost_audit.slack
-        )
+        assert report.measured <= audit.factor * report.charged + audit.slack
 
 
 def test_driver_fit_with_check_cost(tiny_binary, cluster4):

@@ -12,7 +12,7 @@ import pytest
 from repro.lint import ProgramAnalyzer, discover_sources
 from repro.lint.specs import extract_round_specs
 
-from tests.test_cost_audit import TRAINER_NAMES, _builders
+from tests.conftest import TRAINER_NAMES, trainer_builders
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -116,7 +116,7 @@ def test_static_extraction_covers_every_trainer(static_specs):
 def test_static_spec_matches_the_runtime_spec(
     name, cluster4, tiny_binary, static_specs
 ):
-    trainer = _builders(cluster4, tiny_binary)[name]()
+    trainer = trainer_builders(cluster4, tiny_binary)[name]()
     runtime_names = tuple(p.name for p in trainer.round_spec().phases)
     assert runtime_names in {s.phase_names() for s in static_specs[name]}
 

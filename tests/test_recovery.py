@@ -22,11 +22,12 @@ from repro.optim import SGD, AdaGrad, Adam
 from repro.sim import CLUSTER1, SimulatedCluster
 
 
-def make_driver(data, backup=0, recovery=None, failures=None, iterations=20):
+def make_driver(data, backup=0, recovery=None, failures=None, iterations=20,
+                **config):
     cluster = SimulatedCluster(CLUSTER1.with_workers(4))
     config = ColumnSGDConfig(
         batch_size=64, iterations=iterations, eval_every=0, seed=9,
-        block_size=64, backup=backup,
+        block_size=64, backup=backup, **config,
     )
     driver = ColumnSGDDriver(
         LogisticRegression(), SGD(1.0), cluster, config=config,
@@ -185,7 +186,7 @@ class TestMasterRestart:
         )
         driver.recovery_manager.checkpoints.last_iteration = None
         with pytest.raises(MasterFailedError):
-            driver.recovery_manager.recover_master(3)
+            driver.recovery_manager.recover_master(3, engine=None)
 
     def test_restart_replays_to_exact_trajectory(self, tiny_binary):
         """Restart + deterministic replay reproduces the clean run."""
@@ -236,6 +237,81 @@ class TestMasterRestart:
         assert result.total_sim_time.hex() == "0x1.395fa4e31b3a4p+0"
         assert cluster.network.bytes_of_kind(MessageKind.CHECKPOINT) == 23552
         assert float(np.abs(result.final_params).sum()) == 66.63831818322711
+
+
+# ----------------------------------------------------------------------
+# master restart replays through the engine (RoundEngine.run_round(replay=True))
+# ----------------------------------------------------------------------
+RESTART = RecoveryPolicy(checkpoint_every=5, master_restart=True)
+STATISTICS = (MessageKind.STATISTICS_PUSH, MessageKind.STATISTICS_BCAST)
+
+
+def checked_driver(data, backup, **kwargs):
+    return make_driver(data, backup, check_protocol=True, **kwargs)
+
+
+@pytest.mark.parametrize("backup", [0, 1])
+class TestEngineReplay:
+    def test_checked_restart_is_bit_identical_to_the_clean_run(
+        self, tiny_binary, backup
+    ):
+        """Replay runs inside the protocol checker's round window."""
+        clean = checked_driver(tiny_binary, backup).fit()
+        recovered = checked_driver(
+            tiny_binary, backup, recovery=RESTART,
+            failures=FaultSchedule([FaultEvent(12, FaultKind.MASTER)]),
+        ).fit()
+        assert np.array_equal(clean.final_params, recovered.final_params)
+        assert recovered.total_sim_time > clean.total_sim_time
+
+    def test_replay_costs_what_the_replayed_rounds_cost(self, tiny_binary, backup):
+        """``replay_s`` is the duration of rounds 10 and 11 as a fault-free,
+        checkpoint-free run charges them.  The driver's hand-written copy
+        of the round sent K pushes where ``BackupSync`` sends one per
+        group, so with ``backup=1`` it charged more than the real thing."""
+        clean = checked_driver(tiny_binary, backup)
+        durations = [clean.run_round(t).duration for t in range(12)]
+        driver = checked_driver(
+            tiny_binary, backup, recovery=RESTART,
+            failures=FaultSchedule([FaultEvent(12, FaultKind.MASTER)]),
+        )
+        driver.fit()
+        (event,) = driver.cluster.engine_trace.recoveries
+        assert (event.kind, event.round) == ("master", 12)
+        assert event.replay_s == 0.0 + durations[10] + durations[11]
+
+    def test_replay_leaves_no_trace(self, tiny_binary, backup):
+        """No PhaseEvent, no retry episode, no checked-kind traffic: a
+        replayed round is CHECKPOINT chatter and seconds, nothing else —
+        even when a dead worker makes TimeoutSync expire every round."""
+        driver = checked_driver(
+            tiny_binary, backup, recovery=RESTART,
+            sync_policy="timeout", sync_on_exhausted="stale",
+        )
+        driver.fit(iterations=12)  # snapshots at 0, 5, 10
+        driver.kill_worker(1)
+        driver.run_round(12)
+        trace, network = driver.cluster.engine_trace, driver.cluster.network
+        assert trace.round_retries(12)  # worker 1 is missed at the deadline
+        before = (
+            len(trace), list(trace.retries),
+            [network.bytes_of_kind(kind) for kind in STATISTICS],
+            network.bytes_of_kind(MessageKind.RETRY),
+        )
+        checkpoint_bytes = network.bytes_of_kind(MessageKind.CHECKPOINT)
+        victims = {t: driver.straggler.victims(t) for t in (10, 11)}
+
+        replay_s = driver.recovery_manager.recover_master(12, driver._engine)
+
+        assert replay_s > 0.0
+        assert before == (
+            len(trace), list(trace.retries),
+            [network.bytes_of_kind(kind) for kind in STATISTICS],
+            network.bytes_of_kind(MessageKind.RETRY),
+        )
+        assert network.bytes_of_kind(MessageKind.CHECKPOINT) > checkpoint_bytes
+        assert victims == {t: driver.straggler.victims(t) for t in (10, 11)}
+        assert trace.rounds() == list(range(13))  # one appearance each
 
 
 # ----------------------------------------------------------------------

@@ -11,7 +11,6 @@ agree within 1e-9 (with the fp64 codec it agrees exactly).
 import numpy as np
 import pytest
 
-from repro.baselines.localexec import RowWorkerProgram
 from repro.baselines.registry import make_trainer
 from repro.core import ColumnSGDConfig, ColumnSGDDriver
 from repro.core.localexec import make_local_runtime
@@ -73,22 +72,10 @@ def make_mllib(data, backend, **extra):
 
 
 def start_mllib_runtime(trainer):
-    """What run_local_rowsgd hosts for a fit(), for tests that drive
-    ``run_round`` themselves."""
-    runtime = LocalRuntime(WORKERS)
-    runtime.start(
-        {
-            w: RowWorkerProgram(
-                model=trainer.model,
-                shard=trainer._partitioner.shard(w),
-                worker=w,
-                n_workers=WORKERS,
-                base_seed=trainer.config.seed,
-                batch_size=BATCH,
-            )
-            for w in range(WORKERS)
-        }
-    )
+    """What a fit() hosts, started, for tests that drive ``run_round``
+    themselves."""
+    runtime, programs = trainer._make_local_runtime()
+    runtime.start(programs)
     return runtime
 
 

@@ -9,20 +9,28 @@ from repro.baselines import (
     StaleSyncPSTrainer,
     make_trainer,
 )
+from repro.errors import ConfigurationError
+from repro.faults import FaultEvent, FaultKind, FaultSchedule
 from repro.models import LogisticRegression
 from repro.optim import SGD
 from repro.sim import CLUSTER1, SimulatedCluster, StragglerModel
 
 
-def fit(trainer_cls, data, straggler=None, iterations=20, **kwargs):
-    cluster = SimulatedCluster(CLUSTER1.with_workers(4))
-    config = RowSGDConfig(batch_size=64, iterations=iterations, eval_every=10, seed=3)
-    trainer = trainer_cls(
-        LogisticRegression(), SGD(0.5), cluster, config=config,
-        straggler=straggler, **kwargs,
+def build(trainer_cls, data=None, iterations=20, config=None, **kwargs):
+    config = config or RowSGDConfig(
+        batch_size=64, iterations=iterations, eval_every=10, seed=3
     )
-    trainer.load(data)
-    return trainer.fit()
+    trainer = trainer_cls(
+        LogisticRegression(), SGD(0.5),
+        SimulatedCluster(CLUSTER1.with_workers(4)), config=config, **kwargs,
+    )
+    if data is not None:
+        trainer.load(data)
+    return trainer
+
+
+def fit(trainer_cls, data, **kwargs):
+    return build(trainer_cls, data, **kwargs).fit()
 
 
 class TestSSP:
@@ -95,3 +103,50 @@ class TestSSP:
         with pytest.raises(ValueError):
             StaleSyncPSTrainer(LogisticRegression(), SGD(0.5), cluster,
                                staleness=-1)
+
+
+class TestNoPrivateLoop:
+    """SSP used to carry its own ``fit``; each case is a way that copy
+    had drifted from ``ParameterServerTrainer``'s."""
+
+    def test_local_backend_is_the_same_error_as_petuum(self, small_binary):
+        config = RowSGDConfig(batch_size=64, iterations=2, backend="local")
+        messages = []
+        for cls, extra in (
+            (ParameterServerTrainer, {}), (StaleSyncPSTrainer, {"staleness": 1}),
+        ):
+            trainer = build(cls, small_binary, config=config, **extra)
+            with pytest.raises(ConfigurationError, match="simulator-only") as err:
+                trainer.fit()  # used to train on the simulator, silently
+            messages.append(str(err.value).replace(cls.__name__, "<cls>"))
+            assert trainer.cluster.engine_trace is None  # no round ran
+        assert messages[0] == messages[1]
+
+    @pytest.mark.parametrize(
+        "schedule",
+        [
+            lambda: FaultSchedule([FaultEvent(1, FaultKind.MASTER)]),
+            lambda: FaultSchedule([FaultEvent(1, FaultKind.WORKER, 2)]),
+            lambda: FaultSchedule(mtbf_rounds=3.0, seed=1),
+        ],
+        ids=["master", "worker", "background"],
+    )
+    def test_fault_schedule_is_rejected_at_construction(self, schedule):
+        """It was validated and then never consulted: a MASTER fault
+        that aborts Petuum left SSP's run and clock untouched."""
+        with pytest.raises(ConfigurationError, match="fault schedule"):
+            build(StaleSyncPSTrainer, failures=schedule(), staleness=1)
+        build(StaleSyncPSTrainer, failures=FaultSchedule(), staleness=1)
+
+    def test_zero_iterations_rejected(self, small_binary):
+        with pytest.raises(ValueError, match="iterations"):
+            build(StaleSyncPSTrainer, small_binary, staleness=1).fit(iterations=0)
+
+    def test_run_round_works_after_load(self, small_binary):
+        """The version history is seeded with the engine, not by fit()."""
+        direct = build(StaleSyncPSTrainer, small_binary, iterations=4, staleness=2)
+        durations = [direct.run_round(t).duration for t in range(4)]
+        fitted = build(StaleSyncPSTrainer, small_binary, iterations=4, staleness=2)
+        result = fitted.fit()
+        assert durations == [r.duration for r in result.records if r.iteration >= 0]
+        assert np.array_equal(direct.current_params(), result.final_params)

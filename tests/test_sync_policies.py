@@ -28,6 +28,7 @@ def make_ctx():
         cluster=SimpleNamespace(engine_trace=EngineTrace(system="test")),
         t=0,
         failed=set(),
+        replay=False,
     )
 
 
