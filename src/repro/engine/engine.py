@@ -15,8 +15,9 @@ Because the engine both *emits* a comm phase's messages and *derives*
 the round's expected traffic from the very same declaration, the
 ``(count, bytes)`` expectation handed to the runtime
 :class:`~repro.net.protocol.ProtocolChecker` cannot drift from the
-emissions — the drift class that lint rule R010 and PRs 1-2's checker
-were built to police is gone by construction.
+emissions — the drift class PRs 1-2's checker was built to police is
+gone by construction, and what is left (a rogue send inside an
+executor) is an undeclared kind the checker raises on.
 """
 
 from __future__ import annotations

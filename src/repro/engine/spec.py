@@ -10,10 +10,10 @@ times combine into phase durations.
 
 Phases name their executors as *method names on the trainer* rather
 than bound callables, for two reasons: the spec stays a pure
-declaration (picklable, comparable, printable), and the static
-extractor (lint rule R010) can resolve the named methods in the AST and
-audit their message emissions against the declared kinds without
-running anything.
+declaration (picklable, comparable, printable), and the lint's spec
+reconstruction (:mod:`repro.lint.specs`, feeding rules R015/R016) can
+resolve the named methods in the AST and infer their cost class
+without running anything.
 
 The engine derives the per-round expected traffic — the dict the
 runtime :class:`~repro.net.protocol.ProtocolChecker` verifies — from

@@ -1,6 +1,6 @@
 """Kernel op counters — the dynamic mirror of ``repro.lint.sparsity``.
 
-The static analysis (rules R015-R017) axiomatizes the complexity of the
+The static analysis (rules R015-R016) axiomatizes the complexity of the
 ``repro.linalg`` primitives: it never descends into their bodies, it
 trusts a table saying ``row_dots`` is O(nnz) and ``to_dense`` is O(d).
 This module is where that trust is *checked*: every primitive reports

@@ -1,48 +1,38 @@
 """Project-specific static analysis for the ColumnSGD reproduction.
 
-The reproduction's headline claims rest on two promises: byte-exact
-communication accounting (Table I validation) and deterministic replay
-(the driver's exactness invariant).  This package enforces the coding
-invariants behind those promises with six per-file AST rules:
+The paper's audited claims — Table I's byte formulas and the exactness
+of two-phase index sampling — are held by things that *run*
+(:class:`repro.net.protocol.ProtocolChecker`, the codec-length and
+Table-I tests, the golden trajectories).  This package keeps only the
+static rules that catch something those checks cannot, or catch it
+before a run exists.  Six per-file AST rules:
 
-* **R001** — all randomness flows through :mod:`repro.utils.rng`;
-* **R002** — every :class:`~repro.net.message.Message` size comes from
-  :mod:`repro.storage.serialization` helpers or named constants;
-* **R003** — no wall-clock time or sleeping in simulated-time code;
+* **R001** — all randomness flows through :mod:`repro.utils.rng`; no
+  OS entropy, and no host clock outside ``runtime/local.py``;
 * **R004** — no exact equality against inexact float literals;
-* **R005** — no bare/over-broad ``except`` in protocol paths;
+* **R005** — no bare/over-broad ``except`` on the round's path;
 * **R006** — public config dataclasses validate their numeric fields;
+* **R018** — no unbounded ``recv``/``poll``/``join``/``wait`` in
+  ``repro.runtime``;
+* **R019** — no copy or whole-file read in ``repro.store``;
 
-and five whole-program rules (:mod:`repro.lint.program`) that see the
-same invariants *across* function and module boundaries:
+and three whole-program rules over one
+:class:`~repro.lint.program.ProgramIndex` (call graph + import graph):
 
-* **R007** — no entropy source reachable from protocol-path code
-  through any chain of project calls;
-* **R008** — no wall-clock source reachable from protocol-path code;
-* **R009** — ``Message`` byte sizes trace back to serialization helpers
-  or named constants across function boundaries;
-* **R010** — each trainer's statically-extracted per-round message
-  kinds match its declared ``_round_expected`` traffic;
 * **R011** — ``models``/``linalg``/``optim`` never import (even
-  transitively) ``sim``/``net``/``core``;
-
-plus three sparsity-safety rules (:mod:`repro.lint.sparsity`) that
-abstractly interpret every executor of every statically reconstructed
-``RoundSpec`` (:mod:`repro.lint.specs`) over a cost-class lattice
-O(1) ⊑ O(B) ⊑ O(nnz) ⊑ O(d):
-
+  transitively) the executing system, nor ``runtime`` the trainers;
 * **R015** — no densification (``to_dense``, O(d) allocations,
-  sparse→dense coercion) reachable from a per-round executor;
-* **R016** — an executor's inferred cost class never exceeds the class
-  of its ``sparse_work``/``dense_work`` charges (dynamic twin: the
-  engine's ``check_cost`` audit);
-* **R017** — no immutable ``SparseVector`` rebuilt from itself inside
-  a loop (O(nnz²) accumulation).
+  sparse→dense coercion) reachable from a per-round executor of a
+  statically reconstructed ``RoundSpec`` (:mod:`repro.lint.specs`);
+* **R016** — an executor's inferred cost class, on the lattice
+  O(1) ⊑ O(B) ⊑ O(nnz) ⊑ O(d), never exceeds the class of its
+  ``sparse_work``/``dense_work`` charges (dynamic twin: the engine's
+  ``check_cost`` audit).
 
-Run it with ``python -m repro.lint src``; see ``docs/linting.md``.
-The runtime complement — BSP invariants checked against the live event
-log — is :class:`repro.net.protocol.ProtocolChecker`; R010 is its
-static shadow.
+Run it with ``python -m repro.lint src``; ``docs/linting.md`` has one
+row per rule id ever issued — what it caught, what enforces the same
+thing at runtime, and why R002/R003/R007-R010/R012-R014/R017 are
+retired.
 """
 
 from repro.lint.engine import (
@@ -62,7 +52,6 @@ from repro.lint import sparsity as _sparsity  # noqa: F401
 from repro.lint.program import (
     ProgramAnalyzer,
     ProgramRule,
-    extract_round_protocol,
     register_program,
     registered_program_rules,
 )
@@ -75,7 +64,6 @@ __all__ = [
     "ProgramRule",
     "Rule",
     "discover_sources",
-    "extract_round_protocol",
     "register",
     "register_program",
     "registered_rules",

@@ -3,7 +3,7 @@
 Examples::
 
     python -m repro.lint src                      # whole tree, text output
-    python -m repro.lint src --select R001,R003   # only those rules
+    python -m repro.lint src --select R001,R005   # only those rules
     python -m repro.lint src --ignore R004        # all but R004
     python -m repro.lint src --no-program         # per-file rules only
     python -m repro.lint src --format=json        # machine-readable
@@ -37,8 +37,8 @@ EXIT_INTERNAL = 3
 
 
 def _expand_range(part: str) -> List[str]:
-    """``R015-R017`` -> ``[R015, R016, R017]`` (both prefixes must agree
-    when the second is spelled; ``R015-17`` works too).  Anything that
+    """``R004-R006`` -> ``[R004, R005, R006]`` (both prefixes must agree
+    when the second is spelled; ``R004-06`` works too).  Anything that
     is not a well-formed ascending range passes through verbatim, so it
     hits the engine's unknown-rule-id usage error instead of silently
     selecting nothing."""
@@ -81,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--select",
         metavar="IDS",
         help="comma-separated rule ids or ranges to run, e.g. "
-        "R001,R015-R017 (default: all)",
+        "R001,R015-R016 (default: all)",
     )
     parser.add_argument(
         "--ignore",
@@ -97,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--program",
         action=argparse.BooleanOptionalAction,
         default=True,
-        help="run whole-program rules (R007+) over the file set (default: on)",
+        help="run whole-program rules (R011, R015, R016) over the file set (default: on)",
     )
     parser.add_argument(
         "--format",

@@ -3,9 +3,7 @@
 The engine parses each file once and walks the tree once, dispatching
 every node to all registered rules that declare a ``visit_<NodeType>``
 method — the same dispatch scheme as :class:`ast.NodeVisitor`, but
-shared across rules so N rules cost one traversal.  Rules that need
-whole-file context (scope-aware checks) implement ``check_tree``
-instead of (or in addition to) node visitors.
+shared across rules so N rules cost one traversal.
 
 Suppression follows the ``noqa`` convention, namespaced to this linter:
 a ``# lint: noqa`` comment on the flagged line suppresses every rule,
@@ -17,14 +15,20 @@ from __future__ import annotations
 import ast
 import re
 from pathlib import Path
+# --stats bills each rule in real time; lint tooling never runs under
+# the simulated clock.
+from time import perf_counter  # lint: noqa[R001]
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Type
 
 from repro.lint.findings import Finding
 
-#: Directories treated as the simulator's protocol paths: rules about
-#: simulated-time purity and swallowed errors apply here (and to any
-#: file outside the ``repro`` package, so rule fixtures self-apply).
-PROTOCOL_DIRS = ("sim", "core", "net", "baselines", "partition", "storage", "store")
+#: Directories a training round runs through: the "no swallowed
+#: errors" rule (R005) applies here (and to any file outside the
+#: ``repro`` package, so rule fixtures self-apply).
+PROTOCOL_DIRS = (
+    "sim", "core", "net", "baselines", "partition", "storage", "store",
+    "engine", "runtime", "extensions",
+)
 
 #: Directory names discovery never recurses into.  ``lint_fixtures``
 #: trees deliberately violate the rules, so they are linted only when
@@ -80,8 +84,8 @@ class FileContext:
         return self.package_parts == tuple(parts)
 
     def in_protocol_path(self) -> bool:
-        """Protocol-path rules apply inside the simulator's core dirs —
-        and to files outside the package, so fixtures exercise them."""
+        """R005 applies inside :data:`PROTOCOL_DIRS` — and to files
+        outside the package, so fixtures exercise it."""
         if not self.in_repro_package():
             return not self.is_test_code()
         return bool(self.package_parts) and self.package_parts[0] in PROTOCOL_DIRS
@@ -110,8 +114,7 @@ class Rule:
 
     Subclasses set the class attributes and implement any combination of
     ``visit_<NodeType>(node)`` methods (dispatched by the engine's single
-    traversal) and ``check_tree(tree)`` (whole-file passes).  Findings
-    are emitted with :meth:`report`.
+    traversal).  Findings are emitted with :meth:`report`.
     """
 
     rule_id = "R000"
@@ -126,9 +129,6 @@ class Rule:
     def applies(self) -> bool:
         """Whether the rule runs on this file at all (default: yes)."""
         return True
-
-    def check_tree(self, tree: ast.Module) -> None:
-        """Optional whole-file pass run before node dispatch."""
 
     def report(self, node: ast.AST, message: str, fix_hint: Optional[str] = None) -> None:
         """Record a finding anchored at ``node`` unless suppressed."""
@@ -231,7 +231,7 @@ class LintEngine:
     """Run a selected set of rules over files, sources, or directories.
 
     ``program=True`` (the default) additionally runs the whole-program
-    rules from :mod:`repro.lint.program` (R007+) over the full file set
+    rules (R011, R015, R016) over the full file set
     of each :meth:`lint_paths` call; per-file entry points
     (:meth:`lint_source`, :meth:`lint_file`) never run them.
     """
@@ -287,8 +287,6 @@ class LintEngine:
             ]
         rules = [cls(ctx) for cls in self.rule_classes]
         active = [rule for rule in rules if rule.applies()]
-        for rule in active:
-            self._timed(rule.rule_id, rule.check_tree, tree)
         # Single shared traversal: dispatch each node to every rule that
         # declares a visitor for its type.
         handlers: Dict[str, List] = {}
@@ -345,19 +343,14 @@ class LintEngine:
 
     def _timed(self, rule_id: str, fn, *fn_args):
         """Call ``fn``; when stats are on, bill its wall time to
-        ``rule_id``.  Wall clock is fine here: lint tooling never runs
-        under the simulated clock."""
+        ``rule_id``."""
         if not self.collect_stats:
             return fn(*fn_args)
-        import time
-
-        # Lint tooling measures its own cost in real time; nothing here
-        # runs under the simulated clock.
-        start = time.perf_counter()  # lint: noqa[R001,R003]
+        start = perf_counter()
         try:
             return fn(*fn_args)
         finally:
-            elapsed = time.perf_counter() - start  # lint: noqa[R001,R003]
+            elapsed = perf_counter() - start
             self.stats[rule_id] = self.stats.get(rule_id, 0.0) + elapsed
 
 

@@ -1,4 +1,4 @@
-"""The project-specific per-file rules (R001-R006, R018, R019).
+"""The project-specific per-file rules (R001, R004-R006, R018, R019).
 
 Each rule enforces one invariant the reproduction's correctness
 arguments rest on; ``docs/linting.md`` explains the why of each.  Rules
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import ast
 from pathlib import Path as _Path
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Optional
 
 from repro.lint.engine import Rule, dotted_name, register
 
@@ -33,15 +33,16 @@ ALLOWED_NP_RANDOM = {"Generator", "BitGenerator", "SeedSequence"}
 
 DATETIME_NOW_FUNCS = {"now", "utcnow", "today", "fromtimestamp"}
 
+#: Modules whose whole product is unseeded entropy.
+ENTROPY_MODULES = ("random", "secrets")
 
-def _shallow_walk(scope: ast.AST) -> Iterator[ast.AST]:
-    """Walk ``scope`` without descending into nested function/class defs."""
-    stack = list(ast.iter_child_nodes(scope))
-    while stack:
-        node = stack.pop()
-        yield node
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            stack.extend(ast.iter_child_nodes(node))
+#: OS-level entropy reads, as full call chains.
+OS_ENTROPY_CALLS = (("os", "urandom"), ("uuid", "uuid1"), ("uuid", "uuid4"))
+
+#: Modules that read the host clock; outside ``runtime/local.py`` even
+#: the import is flagged, so an alias (``import time as t``) cannot hide
+#: the calls.
+WALLCLOCK_MODULES = ("time", "datetime")
 
 
 @register
@@ -50,14 +51,24 @@ class DeterminismRule(Rule):
 
     The driver's exactness invariant (identical trajectory to
     single-machine SGD) only holds if every stochastic draw is derived
-    from the job seed.  Global-state RNGs (``random``, ``np.random.*``)
-    and wall-clock entropy break replay.
+    from the job seed.  Global-state RNGs (``random``, ``np.random.*``),
+    OS entropy (``os.urandom``, ``uuid``, ``secrets``) and wall-clock
+    reads break replay — and simulated time is the *output* of the cost
+    models, so a host clock must not leak into it either.
+
+    The rule runs on every non-test file except ``utils/rng.py``, so a
+    helper that hides a draw or a clock read from its protocol-path
+    caller is itself reported: no reachability analysis is needed.
     """
 
     rule_id = "R001"
     title = "non-deterministic entropy source"
     severity = "error"
     fix_hint = "derive generators via repro.utils.rng (rng_from_seed / spawn_rngs / iteration_seed)"
+    clock_hint = (
+        "advance repro.sim.clock.SimClock with cost-model durations, or "
+        "measure through repro.runtime.local (the one wall-clock boundary)"
+    )
 
     def applies(self) -> bool:
         return not self.ctx.is_module("utils", "rng") and not self.ctx.is_test_code()
@@ -65,18 +76,24 @@ class DeterminismRule(Rule):
     def _measures_wallclock(self) -> bool:
         """The local execution backend times real worker processes —
         wall-clock measurement is its contract (the RNG checks still
-        apply to it).  Mirrors R008's sanctioned-module list."""
+        apply to it)."""
         return self.ctx.is_module("runtime", "local")
+
+    def _report_clock(self, node: ast.AST, message: str) -> None:
+        self.report(node, message, fix_hint=self.clock_hint)
 
     def visit_Import(self, node: ast.Import) -> None:
         for alias in node.names:
-            if alias.name == "random" or alias.name.startswith("random."):
-                self.report(node, "import of the global-state 'random' module")
+            root = alias.name.split(".")[0]
+            if root in ENTROPY_MODULES:
+                self.report(node, "import of the entropy module '{}'".format(root))
+            elif root in WALLCLOCK_MODULES and not self._measures_wallclock():
+                self._report_clock(node, "import of the wall-clock module '{}'".format(root))
 
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
         module = node.module or ""
-        if module == "random":
-            self.report(node, "import from the global-state 'random' module")
+        if module in ENTROPY_MODULES:
+            self.report(node, "import from the entropy module '{}'".format(module))
         elif module == "numpy.random":
             bad = [a.name for a in node.names if a.name not in ALLOWED_NP_RANDOM]
             if bad:
@@ -87,7 +104,7 @@ class DeterminismRule(Rule):
         elif module == "time" and not self._measures_wallclock():
             bad = [a.name for a in node.names if a.name in WALLCLOCK_TIME_FUNCS]
             if bad:
-                self.report(node, "import of wall-clock function(s) {}".format(bad))
+                self._report_clock(node, "import of wall-clock function(s) {}".format(bad))
 
     def visit_Call(self, node: ast.Call) -> None:
         chain = dotted_name(node.func)
@@ -99,167 +116,15 @@ class DeterminismRule(Rule):
                     node,
                     "call to {} — global/unseeded numpy entropy".format(".".join(chain)),
                 )
-        elif chain[0] == "random" and len(chain) >= 2:
-            self.report(node, "call to {} — global-state RNG".format(".".join(chain)))
-        elif chain[0] == "time" and len(chain) == 2 and chain[1] in WALLCLOCK_TIME_FUNCS:
-            if not self._measures_wallclock():
-                self.report(
-                    node, "call to {} — wall-clock entropy".format(".".join(chain))
-                )
+        elif chain[0] in ENTROPY_MODULES and len(chain) >= 2:
+            self.report(node, "call to {} — unseeded entropy".format(".".join(chain)))
+        elif chain in OS_ENTROPY_CALLS:
+            self.report(node, "call to {} — OS entropy".format(".".join(chain)))
         elif (
-            chain[0] in ("datetime", "date")
-            and chain[-1] in DATETIME_NOW_FUNCS
-        ):
-            if not self._measures_wallclock():
-                self.report(
-                    node, "call to {} — wall-clock entropy".format(".".join(chain))
-                )
-
-
-@register
-class MessageAccountingRule(Rule):
-    """R002: ``Message.size_bytes`` must come from serialization helpers.
-
-    Table I validation compares the simulator's measured bytes against
-    the paper's formulas; a hand-typed byte literal silently breaks that
-    audit.  Sizes must be computed from :mod:`repro.storage.serialization`
-    helpers or named constants.
-    """
-
-    rule_id = "R002"
-    title = "hard-coded message size"
-    severity = "error"
-    fix_hint = "compute size_bytes via repro.storage.serialization helpers or a named constant"
-
-    _TRACE_DEPTH = 3
-
-    def applies(self) -> bool:
-        return not self.ctx.is_test_code()
-
-    def check_tree(self, tree: ast.Module) -> None:
-        scopes: List[ast.AST] = [tree] + [
-            node
-            for node in ast.walk(tree)
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        ]
-        for scope in scopes:
-            assigns = self._local_assignments(scope)
-            for node in _shallow_walk(scope):
-                if isinstance(node, ast.Call) and self._is_message_call(node):
-                    self._check_size_argument(node, assigns)
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _is_message_call(node: ast.Call) -> bool:
-        chain = dotted_name(node.func)
-        return bool(chain) and chain[-1] == "Message"
-
-    @staticmethod
-    def _local_assignments(scope: ast.AST) -> Dict[str, List[ast.AST]]:
-        assigns: Dict[str, List[ast.AST]] = {}
-        for node in _shallow_walk(scope):
-            if isinstance(node, ast.Assign):
-                for target in node.targets:
-                    if isinstance(target, ast.Name):
-                        assigns.setdefault(target.id, []).append(node.value)
-            elif isinstance(node, ast.AnnAssign) and node.value is not None:
-                if isinstance(node.target, ast.Name):
-                    assigns.setdefault(node.target.id, []).append(node.value)
-        return assigns
-
-    def _size_argument(self, node: ast.Call) -> Optional[ast.AST]:
-        for keyword in node.keywords:
-            if keyword.arg == "size_bytes":
-                return keyword.value
-        if len(node.args) >= 4:
-            return node.args[3]
-        return None
-
-    def _check_size_argument(self, call: ast.Call, assigns: Dict[str, List[ast.AST]]) -> None:
-        size = self._size_argument(call)
-        if size is None:
-            return
-        offender = self._find_literal(size, assigns, self._TRACE_DEPTH)
-        if offender is not None:
-            self.report(
-                call,
-                "Message size_bytes built from bare numeric literal {!r}".format(
-                    offender.value
-                ),
-            )
-
-    def _find_literal(
-        self, expr: ast.AST, assigns: Dict[str, List[ast.AST]], depth: int
-    ) -> Optional[ast.Constant]:
-        """Bare non-zero numeric literal inside ``expr``, tracing simple
-        local names (and ``int(name)`` wrappers) up to ``depth`` hops."""
-        for node in ast.walk(expr):
-            if (
-                isinstance(node, ast.Constant)
-                and isinstance(node.value, (int, float))
-                and not isinstance(node.value, bool)
-                and node.value != 0
-            ):
-                return node
-        if depth <= 0:
-            return None
-        names: List[str] = []
-        if isinstance(expr, ast.Name):
-            names.append(expr.id)
-        elif (
-            isinstance(expr, ast.Call)
-            and isinstance(expr.func, ast.Name)
-            and expr.func.id == "int"
-            and len(expr.args) == 1
-            and isinstance(expr.args[0], ast.Name)
-        ):
-            names.append(expr.args[0].id)
-        for name in names:
-            for value in assigns.get(name, ()):
-                offender = self._find_literal(value, assigns, depth - 1)
-                if offender is not None:
-                    return offender
-        return None
-
-
-@register
-class SimTimePurityRule(Rule):
-    """R003: no wall-clock time or sleeping in the simulator's core.
-
-    Simulated time is the *output* of the cost models; importing ``time``
-    or ``datetime`` in a protocol path means wall-clock is leaking into
-    (or stalling) the simulation, corrupting every reported duration.
-    """
-
-    rule_id = "R003"
-    title = "wall-clock usage in simulated-time code"
-    severity = "error"
-    fix_hint = "advance repro.sim.clock.SimClock with cost-model durations instead"
-
-    def applies(self) -> bool:
-        return self.ctx.in_protocol_path()
-
-    def visit_Import(self, node: ast.Import) -> None:
-        for alias in node.names:
-            root = alias.name.split(".")[0]
-            if root in ("time", "datetime"):
-                self.report(node, "import of '{}' in a protocol path".format(alias.name))
-
-    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        root = (node.module or "").split(".")[0]
-        if root in ("time", "datetime"):
-            self.report(node, "import from '{}' in a protocol path".format(node.module))
-
-    def visit_Call(self, node: ast.Call) -> None:
-        chain = dotted_name(node.func)
-        if not chain:
-            return
-        if chain[0] == "time" and len(chain) == 2:
-            self.report(node, "call to {} in a protocol path".format(".".join(chain)))
-        elif chain[0] in ("datetime", "date") and chain[-1] in DATETIME_NOW_FUNCS:
-            self.report(node, "call to {} in a protocol path".format(".".join(chain)))
-        elif chain == ("sleep",):
-            self.report(node, "call to sleep() in a protocol path")
+            (chain[0] == "time" and len(chain) == 2 and chain[1] in WALLCLOCK_TIME_FUNCS)
+            or (chain[0] in ("datetime", "date") and chain[-1] in DATETIME_NOW_FUNCS)
+        ) and not self._measures_wallclock():
+            self._report_clock(node, "call to {} — wall-clock entropy".format(".".join(chain)))
 
 
 @register

@@ -1,12 +1,11 @@
-"""Sparsity-safety abstract interpretation (rules R015-R017).
+"""Sparsity-safety abstract interpretation (rules R015-R016).
 
 ColumnSGD's headline claim is that per-iteration work is O(nnz of the
 mini-batch), not O(d) — the simulator *charges* time accordingly via
 ``ComputeCostModel.sparse_work``/``dense_work``, but nothing stops a
 regression from densifying a gradient or looping over ``dim`` inside a
 hot path while the charges (and therefore every reproduced figure)
-still claim sparse cost.  This module closes that gap statically,
-following the R010 declaration-vs-reality pattern:
+still claim sparse cost.  This module closes that gap statically:
 
 * every RoundSpec executor (reconstructed by
   :func:`repro.lint.specs.extract_round_specs` under each trainer's
@@ -19,8 +18,8 @@ following the R010 declaration-vs-reality pattern:
   trip classes (``range(dim)`` is O(d), ``iter_rows()`` is O(nnz)),
   the axiomatized classes of the ``SparseVector``/``CSRMatrix``/ops
   primitives it calls, the size classes of its dense numpy allocations,
-  and the classes of the project functions it calls (via the PR 2/3
-  call graph, depth-capped);
+  and the classes of the project functions it calls (via the
+  :class:`~repro.lint.program.ProgramIndex` call graph, depth-capped);
 * a small **sparsity lattice** (sparse / dense / scalar) classifies
   value expressions, so sparse→dense coercions (``np.asarray`` of a
   ``SparseVector``-producing expression) are recognised as
@@ -32,7 +31,7 @@ never descends into their bodies (their internal ``np.zeros`` is what
 instead, by the op counters in :mod:`repro.linalg.counters` and the
 engine's ``check_cost`` audit.
 
-Three rules consume the result:
+Two rules consume the result:
 
 * **R015** — hot-path densification: a ``to_dense()`` call, an
   O(d)-sized dense allocation, or a sparse→dense coercion reachable
@@ -41,10 +40,7 @@ Three rules consume the result:
 * **R016** — charged-vs-actual cost drift: an executor whose inferred
   cost class exceeds the class of its ``sparse_work``/``dense_work``
   charges (one free class of O(B) bookkeeping is allowed), reported at
-  every top-class contributing site;
-* **R017** — quadratic sparse accumulation: an immutable
-  ``SparseVector`` rebuilt from itself inside a loop is O(nnz²);
-  accumulate in a dict or dense buffer and construct once.
+  every top-class contributing site.
 
 Everything here over-approximates: unknown loop bounds default to O(B),
 unknown allocations to O(B), and findings anchor at concrete syntactic
@@ -621,79 +617,3 @@ class CostDriftRule(ProgramRule):
                             " -> ".join(contrib.path),
                         ),
                     )
-
-
-# ----------------------------------------------------------------------
-# R017: quadratic sparse accumulation
-# ----------------------------------------------------------------------
-@register_program
-class QuadraticAccumulationRule(ProgramRule):
-    """R017: an immutable SparseVector rebuilt from itself in a loop.
-
-    ``SparseVector`` operations copy their inputs, so ``acc =
-    SparseVector(...acc...)`` (or any ``SparseVector`` factory fed the
-    accumulator) inside a loop does O(nnz) copying per iteration —
-    O(nnz²) total.  Accumulate into a dict or dense buffer and construct
-    the vector once after the loop.
-    """
-
-    rule_id = "R017"
-    title = "quadratic sparse accumulation in a loop"
-    severity = "error"
-    fix_hint = (
-        "accumulate into a dict or dense buffer inside the loop and build "
-        "the SparseVector once afterwards"
-    )
-
-    def run(self) -> None:
-        for func in self.index.functions:
-            if func.module.name in PRIMITIVE_MODULES:
-                continue
-            if func.module.ctx.is_test_code():
-                continue
-            for loop in ast.walk(func.node):
-                if not isinstance(loop, (ast.For, ast.AsyncFor, ast.While)):
-                    continue
-                for stmt in ast.walk(loop):
-                    target = self._accumulation_target(stmt)
-                    if target is None:
-                        continue
-                    value = stmt.value
-                    if not self._builds_sparse(value):
-                        continue
-                    if isinstance(stmt, ast.AugAssign) or self._references(
-                        value, target
-                    ):
-                        self.report(
-                            func.module,
-                            stmt,
-                            "SparseVector rebuilt from accumulator {!r} every "
-                            "iteration of a loop in {}() — O(nnz^2); build it "
-                            "once after the loop".format(target, func.name),
-                        )
-
-    @staticmethod
-    def _accumulation_target(stmt: ast.AST) -> Optional[str]:
-        if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1 and isinstance(
-            stmt.targets[0], ast.Name
-        ):
-            return stmt.targets[0].id
-        if isinstance(stmt, ast.AugAssign) and isinstance(stmt.target, ast.Name):
-            return stmt.target.id
-        return None
-
-    @staticmethod
-    def _builds_sparse(expr: ast.AST) -> bool:
-        for node in ast.walk(expr):
-            if isinstance(node, ast.Call):
-                chain = _chain(node)
-                if chain and "SparseVector" in chain:
-                    return True
-        return False
-
-    @staticmethod
-    def _references(expr: ast.AST, name: str) -> bool:
-        return any(
-            isinstance(node, ast.Name) and node.id == name
-            for node in ast.walk(expr)
-        )

@@ -25,12 +25,10 @@ from repro.lint.program import (
     FunctionInfo,
     ModuleInfo,
     ProgramIndex,
-    _call_kwarg,
-    _string_value,
 )
 
 #: phase constructor names, matched by the trailing call-chain segment
-#: (fixtures need no resolvable import, same as R010's extraction)
+#: (so fixtures need no resolvable import)
 PHASE_CTORS = ("ComputePhase", "CommPhase", "MasterPhase")
 
 #: dataclass field order per constructor, for positional arguments
@@ -69,6 +67,19 @@ class SpecDecl:
 
     def phase_names(self) -> Tuple[str, ...]:
         return tuple(p.name for p in self.phases)
+
+
+def _call_kwarg(call: ast.Call, name: str) -> Optional[ast.AST]:
+    for keyword in call.keywords:
+        if keyword.arg == name:
+            return keyword.value
+    return None
+
+
+def _string_value(expr: Optional[ast.AST]) -> Optional[str]:
+    if isinstance(expr, ast.Constant) and isinstance(expr.value, str):
+        return expr.value
+    return None
 
 
 def _ctor_arg(call: ast.Call, ctor: str, field: str) -> Optional[ast.AST]:

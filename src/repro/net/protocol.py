@@ -29,11 +29,12 @@ Trainers enable this behind their configs' ``check_protocol`` flag; a
 violation raises :class:`~repro.errors.ProtocolViolationError` listing
 every broken invariant of the round.
 
-The ``expected`` declarations themselves are audited *statically* by
-lint rule R010 (:mod:`repro.lint.program`): it walks each declaring
-trainer's round loop at lint time and fails the build if the emitted
-message kinds drift from the declared ones — so a checked run can never
-be green merely because the declaration drifted along with a bug.
+The ``expected`` declarations cannot drift along with a bug: the engine
+derives them from the same ``CommPhase`` objects it emits, and a kind
+sent behind the spec's back (a rogue ``network.send`` in an executor)
+is *undeclared* here and raises.  That is why the static extractor
+that used to shadow this check (lint rule R010) is retired;
+``tests/test_trainer_contract.py`` runs every trainer under the checker.
 """
 
 from __future__ import annotations

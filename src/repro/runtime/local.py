@@ -40,8 +40,8 @@ Division of labour — who knows what about a local round:
   ``sim``.  No other module knows the phase order.
 * This runtime owns processes, pipes, measurement, fault injection and
   recovery mechanics, and traffic accounting — and is the only module
-  in the tree allowed to touch ``time`` (it lives outside the
-  protocol-path lint scope, and rule R008 sanctions calls into it).
+  in the tree allowed to touch ``time`` (lint rule R001 flags the
+  import anywhere else).
 * The master-side programs in ``repro.core.localexec`` /
   ``repro.baselines.localexec`` supply the phase *bodies* the spec
   names (which op a compute phase issues, how the master reduces, the
@@ -98,6 +98,10 @@ _DELAY = "__delay__"
 _RESTORE = "restore"
 #: bounded death-recovery attempts per exchange before escalating
 MAX_RECOVERY_ROUNDS = 3
+#: How worker processes are created.  ``fork`` is the only method any
+#: test proves; ROADMAP direction 3(e) brings back a choice together
+#: with its ``spawn`` test, or not at all.
+_PROCESS_START = "fork"
 
 
 @dataclass(frozen=True)
@@ -225,7 +229,9 @@ def _process_main(conn, programs: Dict[int, object]) -> None:
                     result, reply_payload = programs[worker_id].handle(
                         op, args, payload
                     )
-                except Exception as exc:  # surfaced at the master, see run_all
+                # Not swallowed: the error text travels to the master in
+                # the reply frame and run_all raises it there.
+                except Exception as exc:  # lint: noqa[R005]
                     reply = (
                         seq,
                         worker_id,
@@ -267,21 +273,14 @@ class LocalRuntime(Runtime):
         self,
         n_workers: int,
         processes: int = 0,
-        start_method: str = "fork",
         bandwidth: float = 1e9 / 8,
         latency: float = 0.0,
         timeout: Optional[TimeoutPolicy] = None,
     ):
         check_positive(n_workers, "n_workers")
         check_non_negative(processes, "processes")
-        if start_method not in ("fork", "spawn", "forkserver"):
-            raise ConfigurationError(
-                "unknown start_method {!r}; expected fork, spawn or "
-                "forkserver".format(start_method)
-            )
         self._n_workers = int(n_workers)
         self.n_processes = min(int(processes) or self._n_workers, self._n_workers)
-        self.start_method = start_method
         self.timeout = timeout if timeout is not None else TimeoutPolicy()
         self._clock = WallClock()
         # Counter set only — transfer_time() is never consulted here.
@@ -390,7 +389,7 @@ class LocalRuntime(Runtime):
             raise ConfigurationError(
                 "no program for worker(s) {}".format(sorted(missing))
             )
-        context = multiprocessing.get_context(self.start_method)
+        context = multiprocessing.get_context(_PROCESS_START)
         bounds = [
             self._n_workers * i // self.n_processes
             for i in range(self.n_processes + 1)
@@ -520,7 +519,7 @@ class LocalRuntime(Runtime):
         programs = programs if programs is not None else self._programs
         start = time.perf_counter()
         self._refresh_liveness()
-        context = multiprocessing.get_context(self.start_method)
+        context = multiprocessing.get_context(_PROCESS_START)
         for i in sorted(self._dead_procs):
             hosted = self._workers_of_proc[i]
             missing = [w for w in hosted if w not in programs]

@@ -1,4 +1,4 @@
-"""Tests for the sparsity-safety analysis (rules R015-R017) and the
+"""Tests for the sparsity-safety analysis (rules R015-R016) and the
 lint CLI additions that rode along (--stats, rule-id ranges)."""
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src"
 PROGRAM_FIXTURES = Path(__file__).resolve().parent / "lint_fixtures" / "program"
 
-SPARSITY_RULES = ("R015", "R016", "R017")
+SPARSITY_RULES = ("R015", "R016")
 
 
 def lint_program_fixture(name: str, rule_id: str):
@@ -133,7 +133,7 @@ def test_pass_fixture_is_clean(rule_id):
 
 def test_trigger_counts():
     """Pin the exact violation count each trigger fixture encodes."""
-    expected = {"R015": 3, "R016": 1, "R017": 2}
+    expected = {"R015": 3, "R016": 1}
     for rule_id, count in expected.items():
         name = "{}_trigger.py".format(rule_id.lower())
         findings = lint_program_fixture(name, rule_id)
@@ -155,7 +155,7 @@ def test_r016_message_names_both_classes():
 
 
 def test_source_tree_is_sparsity_clean():
-    """The real tree passes R015-R017 (reviewed sites carry noqa)."""
+    """The real tree passes R015-R016 (reviewed sites carry noqa)."""
     engine = LintEngine(select=list(SPARSITY_RULES))
     assert engine.lint_paths([str(SRC)]) == []
 
@@ -165,7 +165,7 @@ def test_source_tree_is_sparsity_clean():
 # ----------------------------------------------------------------------
 def test_split_ids_expands_ranges():
     assert _split_ids("R012-R014") == ["R012", "R013", "R014"]
-    assert _split_ids("R001,R015-R017") == ["R001", "R015", "R016", "R017"]
+    assert _split_ids("R001,R015-R016") == ["R001", "R015", "R016"]
     assert _split_ids("R012-14") == ["R012", "R013", "R014"]
     # malformed ranges pass through and hit the unknown-id usage error
     assert _split_ids("R014-R012") == ["R014-R012"]
@@ -175,7 +175,7 @@ def test_split_ids_expands_ranges():
 
 def test_cli_accepts_rule_ranges(capsys):
     rc = lint_main(
-        [str(PROGRAM_FIXTURES / "r016_pass.py"), "--select", "R015-R017"]
+        [str(PROGRAM_FIXTURES / "r016_pass.py"), "--select", "R015-R016"]
     )
     capsys.readouterr()
     assert rc == 0
@@ -183,7 +183,7 @@ def test_cli_accepts_rule_ranges(capsys):
 
 def test_cli_rejects_malformed_range(capsys):
     rc = lint_main(
-        [str(PROGRAM_FIXTURES / "r016_pass.py"), "--select", "R017-R015"]
+        [str(PROGRAM_FIXTURES / "r016_pass.py"), "--select", "R016-R015"]
     )
     captured = capsys.readouterr()
     assert rc == 2

@@ -537,10 +537,6 @@ class TestLocalRuntimeMechanics:
         with pytest.raises(ConfigurationError, match="worker"):
             runtime.start({0: EchoProgram()})
 
-    def test_unknown_start_method_rejected(self):
-        with pytest.raises(ConfigurationError, match="start_method"):
-            LocalRuntime(2, start_method="thread")
-
     def test_close_is_idempotent(self):
         runtime = started_runtime()
         runtime.close()

@@ -15,6 +15,7 @@ import pytest
 
 from repro.core.trainer import Trainer
 from repro.errors import TrainingError
+from repro.net.protocol import ProtocolChecker
 from tests.conftest import TRAINER_NAMES, trainer_builders
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
@@ -60,6 +61,26 @@ def test_fit_records_two_rounds_on_one_time_axis(name, build, cluster4):
     assert result.n_workers == 4 and result.system and result.model
     # the last round of a run is always evaluated, when anything is
     assert (result.records[-1].loss is not None) == bool(trainer.eval_every)
+
+
+@pytest.mark.parametrize("name", TRAINER_NAMES)
+def test_fit_passes_the_protocol_checker(name, build, monkeypatch):
+    """Every trainer's round, as the engine emits it, survives the
+    runtime BSP audit: barrier isolation, push/bcast pairing, and exact
+    per-kind counts and bytes against the declared ``CommPhase``s (an
+    undeclared kind raises ``ProtocolViolationError`` out of ``fit``)."""
+    audited = []
+    end_round = ProtocolChecker.end_round
+    monkeypatch.setattr(
+        ProtocolChecker, "end_round",
+        lambda self, t, expected=None: (
+            audited.append((t, bool(expected))) or end_round(self, t, expected=expected)
+        ),
+    )
+    trainer = build(name)
+    trainer.check_protocol = True
+    trainer.fit()
+    assert audited == [(0, True), (1, True)]
 
 
 @pytest.mark.parametrize("name", TRAINER_NAMES)
