@@ -3,8 +3,8 @@
 ``benchmarks/e2e`` puts assembly on the clock as a share of a whole
 round; this file times the three pieces on their own — the
 ``CSRMatrix.take_rows`` gather, the in-memory store's one-gather
-``assemble_batch`` and the shard store's block-grouped walk through an
-LRU that holds half a shard — at three batch sizes, so a regression of
+``assemble_batch`` and the shard store's block-grouped walk over its
+mapped blocks — at three batch sizes, so a regression of
 the gather back to per-row or per-block work shows up as a jump in
 ``BENCH_assembly.json`` at the size where it bites.
 """
@@ -39,7 +39,7 @@ def shape(tmp_path_factory):
         data, tmp_path_factory.mktemp("bench_assembly") / "store",
         n_workers=WORKERS, block_size=BLOCK,
     )
-    shard = on_disk.worker_store(0, cache_budget_bytes=memory[0].stored_bytes() // 2)
+    shard = on_disk.worker_store(0)
     yield memory[0], shard, TwoPhaseIndex(block_sizes, base_seed=1)
     shard.clear()
 

@@ -121,9 +121,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "column-shard store here and train out-of-core "
                             "(columnsgd only; see docs/storage.md)")
     train.add_argument("--memory-budget-mb", type=float, default=0.0,
-                       help="bound the store shuffle buffers and each "
-                            "worker's block cache to this many MiB "
-                            "(0 = unbounded; needs --store-dir)")
+                       help="bound the store shuffle writer's buffers "
+                            "to this many MiB (0 = unbounded; needs "
+                            "--store-dir)")
     train.add_argument("--save", default=None, help="checkpoint path (.npz)")
 
     compare = sub.add_parser("compare", help="run all five systems")

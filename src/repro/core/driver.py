@@ -116,8 +116,8 @@ class ColumnSGDConfig:
                                   # read their shards out-of-core (see
                                   # repro.store and docs/storage.md)
     memory_budget_bytes: int = 0  # bounds the shuffle writer's tracked
-                                  # buffers and each worker's decoded-
-                                  # block LRU cache (0 = unbounded)
+                                  # buffers (0 = unbounded); reading
+                                  # maps views, nothing to budget
 
     def __post_init__(self):
         check_positive(self.batch_size, "batch_size")

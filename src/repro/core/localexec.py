@@ -114,10 +114,10 @@ class ColumnWorkerProgram:
             draws = self.index.sample(int(args["t"]), self.batch_size)
             return {"draws": [tuple(map(int, d)) for d in draws]}, None
         if op == "store_stats":
-            # Shard cache counters of each owned partition (zeros for
+            # Shard read counters of each owned partition (zeros for
             # in-memory stores).  Out-of-band like "params": the store
             # readers live in *this* process, so the master can only
-            # learn their hit/miss/bytes tallies through a reply.
+            # learn their first-touch/hit/bytes tallies through a reply.
             return {
                 "stats": {
                     pid: state.store.cache_stats()

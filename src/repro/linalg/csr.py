@@ -41,7 +41,7 @@ def _column_slots(n_cols: int) -> np.ndarray:
 
 
 class CSRMatrix:
-    """CSR matrix with float64 data and int64 indices.
+    """CSR matrix with float64 data and int64 indices (:meth:`over` aside).
 
     Rows keep their column indices sorted; explicit zeros are allowed in
     ``data`` only if the caller constructs the arrays directly (the
@@ -55,9 +55,33 @@ class CSRMatrix:
     )
 
     def __init__(self, indptr, indices, data, n_cols: int):
-        indptr = np.asarray(indptr, dtype=np.int64)
-        indices = np.asarray(indices, dtype=np.int64)
-        data = np.asarray(data, dtype=np.float64)
+        self._adopt(
+            np.asarray(indptr, dtype=np.int64),
+            np.asarray(indices, dtype=np.int64),
+            np.asarray(data, dtype=np.float64),
+            n_cols,
+        )
+
+    @classmethod
+    def over(cls, indptr, indices, data, n_cols: int) -> "CSRMatrix":
+        """A matrix *over* the caller's arrays: validated, nothing copied.
+
+        For buffers this library does not own — a mapped shard record —
+        whose index arrays may have any integer dtype and whose ``data``
+        (float64) may be read-only or unaligned.  Every check of the
+        plain constructor runs; every method works on the result and
+        returns int64-indexed matrices as usual.
+        """
+        if indptr.dtype.kind not in "iu" or indices.dtype.kind not in "iu":
+            raise ValueError("indptr and indices must be integer arrays")
+        if data.dtype != np.float64:
+            raise ValueError("data must be float64, got {}".format(data.dtype))
+        self = cls.__new__(cls)
+        self._adopt(indptr, indices, data, n_cols)
+        return self
+
+    def _adopt(self, indptr, indices, data, n_cols: int) -> None:
+        """Validate the three arrays and take them as they are."""
         if indptr.ndim != 1 or indices.ndim != 1 or data.ndim != 1:
             raise ValueError("indptr, indices, data must be 1-D arrays")
         if indptr.size == 0 or indptr[0] != 0:
@@ -68,7 +92,7 @@ class CSRMatrix:
             raise ValueError(
                 "indptr[-1]={} does not match nnz={}".format(indptr[-1], indices.size)
             )
-        if np.any(np.diff(indptr) < 0):
+        if np.any(indptr[1:] < indptr[:-1]):  # not diff: unsigned ids wrap
             raise ValueError("indptr must be non-decreasing")
         if n_cols < 0:
             raise ValueError("n_cols must be >= 0")
@@ -241,7 +265,7 @@ class CSRMatrix:
             )
         row_ids = row_ids.astype(np.int64, copy=False)
         starts = self.indptr[row_ids]
-        lengths = self.indptr[row_ids + 1] - starts
+        lengths = np.subtract(self.indptr[row_ids + 1], starts, dtype=np.int64)
         indptr = np.zeros(row_ids.size + 1, dtype=np.int64)
         np.cumsum(lengths, out=indptr[1:])
         nnz = int(indptr[-1])

@@ -396,14 +396,14 @@ class BlockingWaitRule(Rule):
 class StoreZeroCopyRule(Rule):
     """R019: ``repro.store`` must stay zero-copy and out-of-core.
 
-    The store's contract (docs/storage.md) is that shard reads cost one
-    page-cache-backed mmap slice plus the codec's documented index
-    widenings — nothing else.  Two classes of call silently break that:
+    The store's contract (docs/storage.md) is that a shard read is a
+    view of the page-cache-backed mapping and a batch copies out only
+    the rows it names — nothing else.  Two classes of call silently
+    break that:
 
     * densification/copy helpers (``.toarray()``, ``.todense()``,
       ``np.asarray``, ``np.ascontiguousarray``) turn a zero-copy view
-      into a resident copy, unbounding the memory the block cache
-      budgets; and
+      into a resident copy the size of a block or a shard; and
     * whole-file reads (``.read()`` / ``.readlines()`` with no size)
       pull an entire shard into memory, defeating out-of-core loading.
 

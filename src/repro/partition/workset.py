@@ -234,11 +234,12 @@ class WorksetStore:
         return sum(ws.serialized_bytes() for ws in self._worksets.values())
 
     def cache_stats(self) -> Dict[str, int]:
-        """Block-cache counters; an in-memory store never misses.
+        """Read counters; an in-memory store reads nothing from disk.
 
         The shard-backed store (:class:`repro.store.ShardWorksetStore`)
-        overrides this with real hit/miss/eviction/bytes-read tallies —
-        the shared shape lets accounting code treat both uniformly.
+        overrides this with real first-touch (``misses``) / table-hit /
+        bytes-read tallies — the shared shape lets accounting code treat
+        both uniformly.
         """
         return {
             "hits": 0,

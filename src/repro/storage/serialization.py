@@ -264,15 +264,18 @@ def encode_payload(payload) -> bytes:
     raise TypeError("cannot encode payload of type {}".format(type(payload).__name__))
 
 
-def decode_payload(data: bytes):
+def decode_payload(data: bytes, copy: bool = True):
     """Decode bytes produced by :func:`encode_payload`.
 
     Dense fp32 payloads decode back to float64 values that went through
     float32 rounding — the same semantics the simulated wire applies.
+    With ``copy=False`` every array that sits in ``data`` in its decoded
+    dtype already is a read-only view of it (possibly unaligned) instead
+    of a copy: how a mapped shard record is read.
     """
     if len(data) >= 8 + OBJECT_OVERHEAD_BYTES and data[8:12] == _HEADER_MAGIC:
         (block_id,) = struct.unpack_from("<q", data, 0)
-        return WorksetPayload(block_id=block_id, block=decode_payload(data[8:]))
+        return WorksetPayload(block_id=block_id, block=decode_payload(data[8:], copy))
     if len(data) < OBJECT_OVERHEAD_BYTES:
         raise ValueError("truncated payload: {} byte(s)".format(len(data)))
     magic, version, type_code, flags, a, b, _c, _d = _HEADER_STRUCT.unpack_from(
@@ -287,36 +290,38 @@ def decode_payload(data: bytes):
         if flags & _FLAG_FP32:
             values = np.frombuffer(body, dtype="<f4", count=a).astype(np.float64)
             return DenseVectorPayload(values=values, precision="fp32")
-        values = np.frombuffer(body, dtype="<f8", count=a).astype(np.float64)
+        values = np.frombuffer(body, dtype="<f8", count=a).astype(np.float64, copy=copy)
         return DenseVectorPayload(values=values, precision="fp64")
     if type_code == _TYPE_SPARSE:
-        indices = np.frombuffer(body, dtype="<i4", count=a).astype(np.int32)
+        indices = np.frombuffer(body, dtype="<i4", count=a).astype(np.int32, copy=copy)
         values = np.frombuffer(body, dtype="<f8", offset=a * 4, count=a).astype(
-            np.float64
+            np.float64, copy=copy
         )
         return SparseVectorPayload(indices=indices, values=values)
     if type_code == _TYPE_CSR:
         n_rows, nnz = a, b
         offset = 0
-        indptr = np.frombuffer(body, dtype="<i4", count=n_rows + 1).astype(np.int32)
+        indptr = np.frombuffer(body, dtype="<i4", count=n_rows + 1).astype(
+            np.int32, copy=copy
+        )
         offset += (n_rows + 1) * 4
         indices = np.frombuffer(body, dtype="<i4", offset=offset, count=nnz).astype(
-            np.int32
+            np.int32, copy=copy
         )
         offset += nnz * 4
         data_vals = np.frombuffer(body, dtype="<f8", offset=offset, count=nnz).astype(
-            np.float64
+            np.float64, copy=copy
         )
         offset += nnz * 8
         labels = None
         if flags & _FLAG_LABELS:
             labels = np.frombuffer(
                 body, dtype="<f8", offset=offset, count=n_rows
-            ).astype(np.float64)
+            ).astype(np.float64, copy=copy)
         return CSRBlockPayload(
             indptr=indptr, indices=indices, data=data_vals, labels=labels
         )
     if type_code == _TYPE_INTS:
-        values = np.frombuffer(body, dtype="<i8", count=a).astype(np.int64)
+        values = np.frombuffer(body, dtype="<i8", count=a).astype(np.int64, copy=copy)
         return IntVectorPayload(values=values)
     raise ValueError("unknown payload type code {}".format(type_code))

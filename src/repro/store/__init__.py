@@ -13,8 +13,9 @@ Pieces
     streams labelled rows through the transformation under a memory
     budget, producing the shard files out-of-core.
 :class:`ShardReader` / :class:`ShardWorksetStore`
-    mmap-backed zero-copy readers; the workset store is the lazy,
-    LRU-cached drop-in the training loop reads from.
+    mmap-backed readers; the workset store is the lazy drop-in the
+    training loop reads from: worksets are views of the mapping,
+    validated on first touch, and a batch copies out only its rows.
 :class:`StoreModel`
     replays the block-dispatch load cost from footer metadata so
     store-backed sim runs stay bit-identical.
@@ -22,7 +23,7 @@ Pieces
     the facade the driver calls when ``config.store_dir`` is set.
 """
 
-from repro.store.cache import CacheCounters, LRUBlockCache, STORE_LEDGER, StoreLedger
+from repro.store.cache import CacheCounters, STORE_LEDGER, StoreLedger
 from repro.store.format import (
     HEADER_BYTES,
     KIND_SHARD,
@@ -49,7 +50,6 @@ __all__ = [
     "HEADER_BYTES",
     "KIND_SHARD",
     "KIND_SIDECAR",
-    "LRUBlockCache",
     "MANIFEST_FILENAME",
     "MemoryMeter",
     "STORE_LEDGER",

@@ -1,124 +1,61 @@
-"""Budgeted LRU block cache and the store-wide read ledger.
+"""Read counters of one shard store and the store-wide read ledger.
 
-The cache holds *decoded* worksets keyed by block id, weighted by their
-byte-model size (``workset_bytes``), so the ``memory_budget_bytes`` knob
-bounds the same quantity the simulator's memory accounting tracks.  The
+A shard-backed store maps its blocks and copies out only the rows a
+batch names, so there is no cache to budget: :class:`CacheCounters`
+counts first touches, table hits and the bytes both move.  The
 module-level :data:`STORE_LEDGER` mirrors
-:data:`repro.sim.cost.WORK_LEDGER`: every cache miss charges the bytes
-actually fetched from disk, which tests reconcile against the per-store
+:data:`repro.sim.cost.WORK_LEDGER`: it is charged at the same sites
+with the same byte counts, which tests reconcile against the per-store
 counters and the footer arithmetic.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.utils.validation import check_non_negative
 
 
 @dataclass
 class CacheCounters:
-    """Hit/miss/eviction and traffic counters of one shard cache."""
+    """First-touch / table-hit and traffic counters of one shard store."""
 
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-    bytes_read: int = 0      # file bytes fetched on misses
-    bytes_evicted: int = 0   # cached weight dropped by evictions
-
-    @property
-    def reads(self) -> int:
-        """Total ``get`` calls served (hits + misses)."""
-        return self.hits + self.misses
+    hits: int = 0        # ``get`` calls served from the block table
+    misses: int = 0      # first touches: a block mapped and validated
+    bytes_read: int = 0  # record bytes of first touches + rows copied out
 
     def as_dict(self) -> Dict[str, int]:
+        """The ``cache_stats()`` keys; mapped views are never evicted."""
         return {
             "hits": self.hits,
             "misses": self.misses,
-            "evictions": self.evictions,
+            "evictions": 0,
             "bytes_read": self.bytes_read,
-            "bytes_evicted": self.bytes_evicted,
+            "bytes_evicted": 0,
         }
-
-
-class LRUBlockCache:
-    """LRU map ``block_id -> value`` bounded by a byte budget.
-
-    ``budget_bytes == 0`` disables eviction (unbounded cache).  The most
-    recently used entry always stays resident even when it alone exceeds
-    the budget — evicting the block being read would thrash forever.
-    """
-
-    def __init__(self, budget_bytes: int = 0):
-        check_non_negative(budget_bytes, "budget_bytes")
-        self.budget_bytes = int(budget_bytes)
-        self.counters = CacheCounters()
-        self._entries: "OrderedDict[int, tuple]" = OrderedDict()
-        self._resident_bytes = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, block_id: int) -> bool:
-        return block_id in self._entries
-
-    @property
-    def resident_bytes(self) -> int:
-        """Sum of cached entry weights."""
-        return self._resident_bytes
-
-    def get(self, block_id: int):
-        """Return the cached value (refreshing recency) or ``None``."""
-        entry = self._entries.get(block_id)
-        if entry is None:
-            self.counters.misses += 1
-            return None
-        self._entries.move_to_end(block_id)
-        self.counters.hits += 1
-        return entry[0]
-
-    def put(self, block_id: int, value, weight: int) -> None:
-        """Insert a decoded block, evicting LRU entries over budget."""
-        check_non_negative(weight, "weight")
-        if block_id in self._entries:
-            _, old_weight = self._entries.pop(block_id)
-            self._resident_bytes -= old_weight
-        self._entries[block_id] = (value, int(weight))
-        self._resident_bytes += int(weight)
-        if self.budget_bytes:
-            while self._resident_bytes > self.budget_bytes and len(self._entries) > 1:
-                _, (_, evicted_weight) = self._entries.popitem(last=False)
-                self._resident_bytes -= evicted_weight
-                self.counters.evictions += 1
-                self.counters.bytes_evicted += evicted_weight
-
-    def clear(self) -> None:
-        """Drop every cached entry (counters are preserved)."""
-        self._entries.clear()
-        self._resident_bytes = 0
 
 
 @dataclass
 class StoreLedger:
-    """Process-wide record of shard bytes fetched from disk.
+    """Process-wide record of shard bytes read.
 
     The store-side analogue of :data:`repro.sim.cost.WORK_LEDGER`:
-    always on (a handful of integer adds per miss), reset per test.  The
-    acceptance reconciliation reads it from the master side after a
-    local-backend run — the per-store cache counters, this ledger, and
-    the footer lengths must all tell the same byte story.
+    always on (a handful of integer adds per first touch and per batch),
+    reset per test.  The acceptance reconciliation reads it from the
+    master side after a local-backend run — the per-store counters, this
+    ledger, and the footer lengths must all tell the same byte story.
     """
 
     bytes_read: int = 0
     blocks_read: int = 0
     by_worker: Dict[int, int] = field(default_factory=dict)
 
-    def charge_read(self, worker_id: int, n_bytes: int) -> None:
+    def charge_read(self, worker_id: int, n_bytes: int, blocks: int = 1) -> None:
+        """``n_bytes`` read for ``worker_id``; ``blocks`` of them first touches."""
         check_non_negative(n_bytes, "n_bytes")
         self.bytes_read += int(n_bytes)
-        self.blocks_read += 1
+        self.blocks_read += blocks
         self.by_worker[worker_id] = self.by_worker.get(worker_id, 0) + int(n_bytes)
 
     def reset(self) -> None:
@@ -126,14 +63,7 @@ class StoreLedger:
         self.blocks_read = 0
         self.by_worker.clear()
 
-    def snapshot(self) -> Dict[str, int]:
-        return {"bytes_read": self.bytes_read, "blocks_read": self.blocks_read}
-
 
 #: the process-wide ledger shard readers charge into.
 STORE_LEDGER = StoreLedger()
 
-
-def worker_ledger(store) -> Optional[int]:
-    """Bytes this ledger attributes to ``store.worker_id`` (or ``None``)."""
-    return STORE_LEDGER.by_worker.get(getattr(store, "worker_id", None))

@@ -1,50 +1,110 @@
 """mmap-backed shard readers and the lazy shard-backed workset store.
 
-Reads are zero-copy at the I/O boundary: a shard file is mapped once
-(``mmap.ACCESS_READ``) and every record is a :class:`memoryview` slice
-of the mapping, decoded straight off the page cache with
-``np.frombuffer`` views — no ``read()`` into intermediate buffers, no
-densification (lint rule R019 enforces both for this package).  The
-only copies are the codec's documented index widenings (i4 on disk →
-int64 in-memory CSR), paid once per cache miss.
+A shard file is mapped once (``mmap.ACCESS_READ``) and every record is
+read where it lies: ``np.frombuffer`` views of the mapping, int32 index
+arrays and (possibly 4-byte-misaligned) float64 values exactly as format
+v1 stores them — no ``read()`` into intermediate buffers, no widening,
+no densification (lint rule R019).  The page cache is the cache.
 
 :class:`ShardWorksetStore` is the out-of-core drop-in for
-:class:`~repro.partition.workset.WorksetStore`: it answers every
-metadata query (block sizes, nnz, stored bytes) from the footer tables
-without touching record data, opens the mmap lazily on the first
-workset fetch, and keeps decoded worksets in a budgeted
-:class:`~repro.store.cache.LRUBlockCache`.  Laziness is the
-local-backend integration contract — the driver process builds these
-stores without mapping a single data byte, so forked/spawned workers
-each open their *own* shard view instead of inheriting a parent copy.
+:class:`~repro.partition.workset.WorksetStore`: metadata comes from the
+footer tables, the mmap opens lazily on the first fetch (so a forked or
+spawned worker maps its *own* view; the driver process maps nothing),
+a block is validated once per process, on first touch, and a
+mini-batch copies out only the rows it names.
+
+Everything read from a file is input: footers are checked against the
+byte model before they are used as offsets, record headers against the
+footers, CSR structure with the checks every :class:`CSRMatrix` gets —
+and every way any of it can fail is a :class:`~repro.errors.DataError`.
 """
 
 from __future__ import annotations
 
 import mmap
 from pathlib import Path
-from typing import Dict, Optional, Union
+from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.errors import DataError, PartitionError
+from repro.errors import DataError, DimensionMismatchError, PartitionError
 from repro.linalg import CSRMatrix
 from repro.partition.indexing import rows_of_draws
 from repro.partition.workset import Workset, WorksetStore
-from repro.store.cache import LRUBlockCache, STORE_LEDGER, StoreLedger
+from repro.store.cache import CacheCounters, STORE_LEDGER
 from repro.store.format import (
     HEADER_BYTES,
     KIND_SHARD,
     KIND_SIDECAR,
     StoreHeader,
     check_sizes,
+    shard_record_bytes,
+    sidecar_record_bytes,
 )
 from repro.storage.serialization import (
+    INDEX_BYTES,
+    LABEL_BYTES,
+    VALUE_BYTES,
     CSRBlockPayload,
     DenseVectorPayload,
+    IntVectorPayload,
     decode_payload,
     workset_bytes,
 )
+
+#: bytes a batch copies out of the mapping: per row two ``indptr`` reads
+#: and a label (16), per stored entry a column id and a value (12).
+ROW_READ_BYTES = 2 * INDEX_BYTES + LABEL_BYTES
+ENTRY_READ_BYTES = INDEX_BYTES + VALUE_BYTES
+
+
+def _decode(data, kind: type, what: str, copy: bool = True):
+    """``decode_payload`` on file input: however it fails, a DataError."""
+    try:
+        payload = decode_payload(data, copy)
+    except (ValueError, OverflowError) as exc:  # OverflowError: a count past 2**63
+        raise DataError("{} does not decode: {}".format(what, exc)) from exc
+    if not isinstance(payload, kind):
+        raise DataError(
+            "{} holds a {}, not a {}".format(what, type(payload).__name__, kind.__name__)
+        )
+    return payload
+
+
+def _record_model(kind: int, counts: np.ndarray) -> np.ndarray:
+    """The record size function of ``kind`` over a whole footer (it is affine)."""
+    if kind == KIND_SHARD:
+        base = shard_record_bytes(0, 0)
+        return (
+            base
+            + counts[:, 0] * (shard_record_bytes(1, 0) - base)
+            + counts[:, 1] * (shard_record_bytes(0, 1) - base)
+        )
+    base = sidecar_record_bytes(0)
+    return base + counts[:, 0] * (sidecar_record_bytes(1) - base)
+
+
+def _check_table(path: Path, header: StoreHeader, table: np.ndarray) -> None:
+    """A footer is checked before it is trusted as offsets.
+
+    Records start right after the header and are contiguous, every
+    length is the byte model's for its ``(n_rows, nnz)``, the lengths
+    add up to ``data_bytes`` — so every record lies inside the file and
+    no two overlap.  O(n_blocks), no record data read.
+    """
+    offsets, lengths = table[:, 0], table[:, 1]
+    end = HEADER_BYTES + header.data_bytes  # inside the file: check_sizes ran
+    if table.size and (table.min() < 0 or table.max() > end):
+        problem = "a field outside [0, {}]".format(end)  # also: no overflow below
+    elif not np.array_equal(lengths, _record_model(header.kind, table[:, 2:])):
+        problem = "a record length that is not the byte model's"
+    elif not np.array_equal(offsets, HEADER_BYTES + np.cumsum(lengths) - lengths):
+        problem = "records that are not contiguous from the header"
+    elif int(lengths.sum()) != header.data_bytes:
+        problem = "record lengths that do not add up to its data_bytes"
+    else:
+        return
+    raise DataError("footer of {} has {}".format(path.name, problem))
 
 
 class ShardIndex:
@@ -54,7 +114,7 @@ class ShardIndex:
     a few hundred bytes — so the master can hold every shard's metadata
     without paging any record data.  The table is an int64 array of
     shape ``(n_blocks, fields)`` in footer row order (block ids dense
-    from 0).
+    from 0), checked against the byte model (:func:`_check_table`).
     """
 
     __slots__ = ("path", "header", "table")
@@ -70,9 +130,23 @@ class ShardIndex:
         with open(path, "rb") as handle:
             header = StoreHeader.unpack(handle.read(HEADER_BYTES))
             check_sizes(header, path.stat().st_size)
+            if header.footer_offset != HEADER_BYTES + header.data_bytes:
+                raise DataError(
+                    "footer of {} at {}, not after its {} data byte(s)".format(
+                        path.name, header.footer_offset, header.data_bytes
+                    )
+                )
             handle.seek(header.footer_offset)
-            footer = decode_payload(handle.read(header.footer_length))
+            footer = handle.read(header.footer_length)
+        footer = _decode(footer, IntVectorPayload, "footer of {}".format(path.name))
+        if footer.values.size != header.n_blocks * header.footer_fields:
+            raise DataError(
+                "footer of {} holds {} field(s) for {} block(s)".format(
+                    path.name, footer.values.size, header.n_blocks
+                )
+            )
         table = footer.values.reshape(header.n_blocks, header.footer_fields)
+        _check_table(path, header, table)
         return cls(path, header, table)
 
     @property
@@ -96,17 +170,23 @@ class ShardIndex:
 
 
 class ShardReader:
-    """One mmap'ed store file with zero-copy record access."""
+    """One mmap'ed store file; records are read as views of the mapping.
+
+    Views keep the mapping alive (``mmap.close()`` under a live
+    ``np.frombuffer`` view raises ``BufferError``), so :meth:`close`
+    unmaps now if it can and otherwise when the last view dies.
+    """
 
     def __init__(self, index: ShardIndex):
         self.index = index
-        self._handle = open(index.path, "rb")
-        self._mm = mmap.mmap(self._handle.fileno(), 0, access=mmap.ACCESS_READ)
-        self._view = memoryview(self._mm)
-
-    @classmethod
-    def open(cls, path: Union[str, Path]) -> "ShardReader":
-        return cls(ShardIndex.load(path))
+        with open(index.path, "rb") as handle:  # the mapping outlives the handle
+            self._mm = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
+        if len(self._mm) != index.header.expected_file_bytes():
+            raise DataError(
+                "{} is {} byte(s), was {} when its footer was read".format(
+                    index.path.name, len(self._mm), index.header.expected_file_bytes()
+                )
+            )
 
     def record(self, block_id: int) -> memoryview:
         """Zero-copy view of one record's bytes."""
@@ -115,46 +195,59 @@ class ShardReader:
                 "block {} out of range [0, {})".format(block_id, self.index.n_blocks)
             )
         start = self.index.offset(block_id)
-        return self._view[start:start + self.index.length(block_id)]
+        return memoryview(self._mm)[start:start + self.index.length(block_id)]
+
+    def _views(self, block_id: int, kind: type):
+        what = "record {} of {}".format(block_id, self.index.path.name)
+        return _decode(self.record(block_id), kind, what, copy=False), what
 
     def csr_block(self, block_id: int) -> CSRBlockPayload:
-        """Decode one shard record (shard files only)."""
-        payload = decode_payload(self.record(block_id))
-        if not isinstance(payload, CSRBlockPayload):
+        """One shard record as int32 / float64 views (shard files only).
+
+        The record header must say what the footer says; the CSR
+        structure is not looked at here.
+        """
+        payload, what = self._views(block_id, CSRBlockPayload)
+        found = (payload.n_rows, payload.nnz)
+        expected = (self.index.n_rows(block_id), self.index.nnz(block_id))
+        if found != expected or payload.labels is not None:
             raise DataError(
-                "record {} is not a CSR block (sidecar file?)".format(block_id)
+                "{} is headed (n_rows, nnz) = {}, labelled: {}; its footer says "
+                "{}, unlabelled".format(what, found, payload.labels is not None, expected)
             )
         return payload
 
     def labels(self, block_id: int) -> np.ndarray:
-        """Decode one sidecar record (sidecar files only)."""
-        payload = decode_payload(self.record(block_id))
-        if not isinstance(payload, DenseVectorPayload):
+        """One sidecar record's labels as a view (sidecar files only)."""
+        payload, what = self._views(block_id, DenseVectorPayload)
+        n_rows = self.index.n_rows(block_id)
+        if payload.precision != "fp64" or payload.values.size != n_rows:
             raise DataError(
-                "record {} is not a label vector (shard file?)".format(block_id)
+                "{} is headed {} {} label(s); its footer says {} fp64".format(
+                    what, payload.values.size, payload.precision, n_rows
+                )
             )
         return payload.values
 
     def close(self) -> None:
-        if self._view is not None:
-            self._view.release()
-            self._view = None
-        if self._mm is not None:
-            self._mm.close()
-            self._mm = None
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
+        mapping, self._mm = self._mm, None
+        try:
+            if mapping is not None:
+                mapping.close()
+        except BufferError:
+            pass  # views are alive: the pages go when the last of them does
 
 
 class ShardWorksetStore(WorksetStore):
     """A :class:`WorksetStore` whose worksets live in a shard file.
 
-    Construction takes only paths + footer indexes (cheap, picklable);
-    the mmap opens on the first :meth:`get`.  Decoded worksets are
-    cached under an LRU byte budget; every miss charges the fetched
-    record bytes (shard + sidecar) to the cache counters and the
-    process-wide :data:`~repro.store.cache.STORE_LEDGER`.
+    Construction takes only paths + footer indexes (cheap, picklable).
+    A workset is a set of views of the mapping — it costs no memory, so
+    the block table that keeps it never evicts.  The first touch of a
+    block checks its record header and CSR structure and charges the
+    record bytes (shard + sidecar) to the counters and the process-wide
+    :data:`~repro.store.cache.STORE_LEDGER`; every batch charges the
+    bytes of the rows it copies out.
     """
 
     def __init__(
@@ -163,67 +256,68 @@ class ShardWorksetStore(WorksetStore):
         local_dim: int,
         shard_index: ShardIndex,
         sidecar_index: ShardIndex,
-        cache_budget_bytes: int = 0,
-        ledger: Optional[StoreLedger] = None,
     ):
         super().__init__(worker_id, local_dim)
         if shard_index.header.kind != KIND_SHARD:
             raise DataError("shard_index does not describe a shard file")
         if sidecar_index.header.kind != KIND_SIDECAR:
             raise DataError("sidecar_index does not describe a sidecar file")
-        if shard_index.n_blocks != sidecar_index.n_blocks:
+        sizes = shard_index.table[:, 2]
+        if not np.array_equal(sizes, sidecar_index.table[:, 2]):
             raise DataError(
-                "shard has {} block(s) but sidecar has {}".format(
-                    shard_index.n_blocks, sidecar_index.n_blocks
+                "shard {} and the sidecar disagree on rows per block "
+                "({} vs {} block(s))".format(
+                    shard_index.path.name, shard_index.n_blocks, sidecar_index.n_blocks
                 )
             )
         self._shard_index = shard_index
         self._sidecar_index = sidecar_index
-        self._cache_budget_bytes = int(cache_budget_bytes)
-        self._cache = LRUBlockCache(self._cache_budget_bytes)
-        self._ledger = ledger if ledger is not None else STORE_LEDGER
-        self._reader: Optional[ShardReader] = None
-        self._sidecar_reader: Optional[ShardReader] = None
-        sizes = shard_index.table[:, 2]
+        self.counters = CacheCounters()
+        self._readers: Optional[Tuple[ShardReader, ShardReader]] = None  # shard, sidecar
+        #: block id -> validated workset of views, filled on first touch
+        self._blocks: Dict[int, Workset] = {}
         #: (block ids, rows per block, first row per block) from the footer
         self._layout = (np.arange(sizes.size), sizes, np.cumsum(sizes) - sizes)
 
     # ------------------------------------------------------------------
     # the out-of-core fetch path
     # ------------------------------------------------------------------
-    def _open_readers(self) -> None:
-        if self._reader is None:
-            self._reader = ShardReader(self._shard_index)
-        if self._sidecar_reader is None:
-            self._sidecar_reader = ShardReader(self._sidecar_index)
-
     def get(self, block_id: int) -> Workset:
+        workset = self._blocks.get(block_id)
+        if workset is None:
+            return self._first_touch(block_id)
+        self.counters.hits += 1
+        return workset
+
+    def _first_touch(self, block_id: int) -> Workset:
+        """Map one block, validate it once, and table it."""
         if not 0 <= block_id < self._shard_index.n_blocks:
             raise PartitionError(
-                "worker {} has no workset for block {}".format(
-                    self.worker_id, block_id
-                )
+                "worker {} has no workset for block {}".format(self.worker_id, block_id)
             )
-        cached = self._cache.get(block_id)
-        if cached is not None:
-            return cached
-        self._open_readers()
-        payload = self._reader.csr_block(block_id)
-        labels = self._sidecar_reader.labels(block_id)
-        workset = Workset(
-            block_id,
-            CSRMatrix(
+        if self._readers is None:  # the first fetch of this process maps the files
+            self._readers = ShardReader(self._shard_index), ShardReader(self._sidecar_index)
+        payload = self._readers[0].csr_block(block_id)
+        labels = self._readers[1].labels(block_id)
+        try:
+            features = CSRMatrix.over(
                 payload.indptr, payload.indices, payload.data, self.local_dim
-            ),
-            labels,
-        )
-        fetched = self._shard_index.length(block_id) + self._sidecar_index.length(
-            block_id
-        )
-        self._cache.counters.bytes_read += fetched
-        self._ledger.charge_read(self.worker_id, fetched)
-        self._cache.put(block_id, workset, weight=workset.serialized_bytes())
+            )
+        except (ValueError, DimensionMismatchError) as exc:
+            raise DataError(
+                "block {} of {} is not a CSR matrix of {} column(s): {}".format(
+                    block_id, self._shard_index.path.name, self.local_dim, exc
+                )
+            ) from exc
+        workset = self._blocks[block_id] = Workset(block_id, features, labels)
+        self.counters.misses += 1
+        record_bytes = self._shard_index.length(block_id) + self._sidecar_index.length(block_id)
+        self._charge(record_bytes, blocks=1)
         return workset
+
+    def _charge(self, n_bytes: int, blocks: int = 0) -> None:
+        self.counters.bytes_read += n_bytes
+        STORE_LEDGER.charge_read(self.worker_id, n_bytes, blocks)
 
     def _seal(self):
         raise PartitionError(
@@ -231,11 +325,11 @@ class ShardWorksetStore(WorksetStore):
         )
 
     def _gather(self, draws: np.ndarray):
-        """Block by block, since blocks come and go under the LRU.
+        """Block by block, copying only the drawn rows out of the mapping.
 
-        Draws are grouped by block so each touched block is fetched once
-        and contributes one ``take_rows``; the pieces are stacked and a
-        final gather restores draw order.
+        Draws are grouped by block so each touched block is looked up
+        once and contributes one ``take_rows``; the pieces are stacked
+        and a final gather restores draw order.
         """
         # every draw is checked against the footers before any block is read
         rows_of_draws(draws, *self._layout)
@@ -253,6 +347,7 @@ class ShardWorksetStore(WorksetStore):
         stacked = CSRMatrix.vstack(parts)
         inverse = np.empty(order.size, dtype=np.int64)
         inverse[order] = np.arange(order.size)
+        self._charge(ROW_READ_BYTES * order.size + ENTRY_READ_BYTES * stacked.nnz)
         return stacked.take_rows(inverse), np.concatenate(labels)[inverse]
 
     # ------------------------------------------------------------------
@@ -267,10 +362,7 @@ class ShardWorksetStore(WorksetStore):
         return list(range(self._shard_index.n_blocks))
 
     def block_sizes(self) -> Dict[int, int]:
-        return {
-            b: self._shard_index.n_rows(b)
-            for b in range(self._shard_index.n_blocks)
-        }
+        return dict(enumerate(self._shard_index.table[:, 2].tolist()))
 
     @property
     def n_rows(self) -> int:
@@ -287,36 +379,34 @@ class ShardWorksetStore(WorksetStore):
         per block), so the driver's Table-I memory shape is unchanged
         by where the shard physically lives.
         """
-        return sum(
-            workset_bytes(self._shard_index.n_rows(b), self._shard_index.nnz(b))
-            for b in range(self._shard_index.n_blocks)
-        )
+        counts = self._shard_index.table[:, 2:].tolist()
+        return sum(workset_bytes(n_rows, nnz) for n_rows, nnz in counts)
 
     def cache_stats(self) -> Dict[str, int]:
-        stats = self._cache.counters.as_dict()
-        stats["resident_bytes"] = self._cache.resident_bytes
+        """``misses`` are first touches, ``hits`` fetches the block table
+        served; mapped views are never evicted and hold no memory."""
+        stats = self.counters.as_dict()
+        stats["resident_bytes"] = 0
         return stats
 
     def clear(self) -> None:
-        """Drop the cache and close the file views."""
-        self._cache.clear()
-        if self._reader is not None:
-            self._reader.close()
-            self._reader = None
-        if self._sidecar_reader is not None:
-            self._sidecar_reader.close()
-            self._sidecar_reader = None
+        """Drop the block table and let go of the mappings.
+
+        Safe while a caller still holds a workset: its views keep the
+        pages mapped until they die.
+        """
+        self._blocks = {}
+        for reader in self._readers or ():
+            reader.close()
+        self._readers = None
 
     # ------------------------------------------------------------------
-    # spawn/fork safety: file views never cross process boundaries
+    # spawn/fork safety: mappings and views never cross a pickle
     # ------------------------------------------------------------------
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
-        state["_reader"] = None
-        state["_sidecar_reader"] = None
-        state["_cache"] = None
+        state.update(_readers=None, _blocks={}, counters=CacheCounters())
         return state
 
     def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._cache = LRUBlockCache(self._cache_budget_bytes)
+        self.__dict__.update(state)  # nothing to rebuild: the table refills lazily

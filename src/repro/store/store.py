@@ -41,7 +41,7 @@ from repro.store.format import (
     shard_filename,
 )
 from repro.store.model import StoreModel
-from repro.store.reader import ShardIndex, ShardReader, ShardWorksetStore
+from repro.store.reader import ShardIndex, ShardWorksetStore
 from repro.store.writer import ShuffleWriter
 
 MANIFEST_VERSION = 1
@@ -112,19 +112,13 @@ class ColumnShardStore:
             for w in range(manifest.n_workers)
         ]
         sidecar_index = ShardIndex.load(store_dir / SIDECAR_FILENAME)
-        for w, index in enumerate(shard_indexes):
+        for index in shard_indexes + [sidecar_index]:
             if index.n_blocks != manifest.n_blocks:
                 raise DataError(
-                    "shard {} has {} block(s); manifest says {}".format(
-                        w, index.n_blocks, manifest.n_blocks
+                    "{} has {} block(s); manifest says {}".format(
+                        index.path.name, index.n_blocks, manifest.n_blocks
                     )
                 )
-        if sidecar_index.n_blocks != manifest.n_blocks:
-            raise DataError(
-                "sidecar has {} block(s); manifest says {}".format(
-                    sidecar_index.n_blocks, manifest.n_blocks
-                )
-            )
         return cls(store_dir, manifest, shard_indexes, sidecar_index)
 
     @classmethod
@@ -242,14 +236,9 @@ class ColumnShardStore:
 
     def block_sizes(self) -> Dict[int, int]:
         """Rows per block — the two-phase index input."""
-        return {
-            b: self.sidecar_index.n_rows(b)
-            for b in range(self.manifest.n_blocks)
-        }
+        return dict(enumerate(self.sidecar_index.table[:, 2].tolist()))
 
-    def worker_store(
-        self, worker_id: int, cache_budget_bytes: int = 0
-    ) -> ShardWorksetStore:
+    def worker_store(self, worker_id: int) -> ShardWorksetStore:
         """A lazy shard-backed workset store for one worker."""
         if not 0 <= worker_id < self.manifest.n_workers:
             raise ConfigurationError(
@@ -262,16 +251,11 @@ class ColumnShardStore:
             self.assignment().local_dim(worker_id),
             self.shard_indexes[worker_id],
             self.sidecar_index,
-            cache_budget_bytes=cache_budget_bytes,
         )
 
     def store_model(self) -> StoreModel:
         """The footer-driven load-cost model for this store."""
-        nnz_by_worker = np.stack(
-            [index.table[:, 3] for index in self.shard_indexes]
-        ) if self.manifest.n_blocks else np.zeros(
-            (self.manifest.n_workers, 0), dtype=np.int64
-        )
+        nnz_by_worker = np.stack([index.table[:, 3] for index in self.shard_indexes])
         return StoreModel(self.sidecar_index.table[:, 2], nnz_by_worker)
 
     def total_stored_bytes(self) -> int:
@@ -302,28 +286,21 @@ class ColumnShardStore:
         row_base = np.zeros(manifest.n_blocks + 1, dtype=np.int64)
         np.cumsum(block_rows, out=row_base[1:])
 
-        readers = [ShardReader(index) for index in self.shard_indexes]
-        sidecar = ShardReader(self.sidecar_index)
+        stores = [self.worker_store(w) for w in range(manifest.n_workers)]
         rows_parts: List[np.ndarray] = []
         cols_parts: List[np.ndarray] = []
         vals_parts: List[np.ndarray] = []
         labels_parts: List[np.ndarray] = []
-        try:
-            for b in range(manifest.n_blocks):
-                labels_parts.append(sidecar.labels(b))
-                for w, reader in enumerate(readers):
-                    payload = reader.csr_block(b)
-                    local_rows = np.repeat(
-                        np.arange(payload.n_rows, dtype=np.int64),
-                        np.diff(payload.indptr),
-                    )
-                    rows_parts.append(row_base[b] + local_rows)
-                    cols_parts.append(columns[w][payload.indices])
-                    vals_parts.append(payload.data)
-        finally:
-            for reader in readers:
-                reader.close()
-            sidecar.close()
+        for b in range(manifest.n_blocks):
+            labels_parts.append(stores[0].get(b).labels)
+            for worker_columns, worker_store in zip(columns, stores):
+                features = worker_store.get(b).features  # validated views
+                local_rows = np.repeat(
+                    np.arange(features.n_rows, dtype=np.int64), features.row_nnz()
+                )
+                rows_parts.append(row_base[b] + local_rows)
+                cols_parts.append(worker_columns[features.indices])
+                vals_parts.append(features.data)
 
         n_rows = int(row_base[-1])
         if rows_parts:
@@ -382,10 +359,7 @@ def store_backed_dispatch(
             memory_budget_bytes=memory_budget_bytes,
         )
     report = store.store_model().charge_load(cluster, costs=costs)
-    stores = [
-        store.worker_store(w, cache_budget_bytes=memory_budget_bytes)
-        for w in range(cluster.n_workers)
-    ]
+    stores = [store.worker_store(w) for w in range(cluster.n_workers)]
     return store, stores, store.block_sizes(), report
 
 

@@ -23,8 +23,8 @@ from repro.partition.column import make_assignment
 from repro.partition.dispatch import dispatch_block_based, dispatch_naive
 from repro.sim.cluster import SimulatedCluster
 from repro.sim.presets import CLUSTER1
-from repro.storage.serialization import workset_bytes
 from repro.store import ColumnShardStore
+from repro.store.reader import ENTRY_READ_BYTES, ROW_READ_BYTES
 
 WORKERS = 3
 BLOCK = 16
@@ -148,9 +148,7 @@ def layout(tmp_path_factory):
         data, tmp_path_factory.mktemp("assembly") / "store",
         n_workers=WORKERS, block_size=BLOCK,
     )
-    # an LRU that holds about two of the ten blocks: the walk outruns it
-    budget = 2 * workset_bytes(BLOCK, BLOCK * 5)
-    shard = [on_disk.worker_store(k, cache_budget_bytes=budget) for k in range(WORKERS)]
+    shard = [on_disk.worker_store(k) for k in range(WORKERS)]
     yield data, assignment, memory, shard, TwoPhaseIndex(block_sizes, base_seed=3)
     for store in shard:
         store.clear()
@@ -179,13 +177,19 @@ class TestAssembleBatch:
                 assert np.array_equal(labels, want_labels)
                 assert np.array_equal(labels, reference.labels)
 
-    def test_the_shard_walk_outruns_its_lru(self, layout):
+    def test_the_shard_walk_copies_only_its_rows(self, layout):
         _, _, memory, shard, index = layout
         draws = index.sample(2, 64)
-        before = shard[2].cache_stats()["evictions"]
-        features, labels = shard[2].assemble_batch(draws)
         assert np.unique(draws[:, 0]).size > 4
-        assert shard[2].cache_stats()["evictions"] > before
+        shard[2].assemble_batch(draws)  # every block it walks is now tabled
+        before = shard[2].cache_stats()
+        features, labels = shard[2].assemble_batch(draws)
+        after = shard[2].cache_stats()
+        assert after["misses"] == before["misses"] and after["evictions"] == 0
+        assert after["hits"] - before["hits"] == np.unique(draws[:, 0]).size
+        assert after["bytes_read"] - before["bytes_read"] == (
+            ROW_READ_BYTES * 64 + ENTRY_READ_BYTES * features.nnz
+        )
         want, want_labels = memory[2].assemble_batch(draws)
         assert_same_arrays(features, want)
         assert np.array_equal(labels, want_labels)

@@ -1,11 +1,11 @@
 """Tests for repro.store: the on-disk column-shard store.
 
 Covers the file format's byte-model invariants, the out-of-core shuffle
-writer, the mmap readers and budgeted block cache, the footer-driven
-load-cost model, and — the acceptance test — a full out-of-core
-ColumnSGD run on ``backend='local'`` whose final model is *exactly*
-the in-memory simulator's, with cache counters that reconcile against
-the byte ledger.
+writer, the mmap readers and the block table of mapped worksets, the
+footer-driven load-cost model, and — the acceptance test — a full
+out-of-core ColumnSGD run on ``backend='local'`` whose final model is
+*exactly* the in-memory simulator's, with read counters that reconcile
+against the byte ledger.  Hostile files are ``test_store_hostile.py``.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import hashlib
 import os
 import pickle
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,7 @@ from repro.models import make_model
 from repro.optim import make_optimizer
 from repro.partition.column import ColumnAssignment, make_assignment
 from repro.partition.dispatch import dispatch_block_based
+from repro.partition.indexing import TwoPhaseIndex
 from repro.sim.cluster import SimulatedCluster
 from repro.sim.presets import CLUSTER1
 from repro.storage.serialization import (
@@ -41,7 +43,6 @@ from repro.storage.serialization import (
 from repro.store import (
     STORE_LEDGER,
     ColumnShardStore,
-    LRUBlockCache,
     MemoryMeter,
     ShardIndex,
     ShardReader,
@@ -57,6 +58,7 @@ from repro.store.format import (
     MANIFEST_FILENAME,
     SIDECAR_FILENAME,
 )
+from repro.store.reader import ENTRY_READ_BYTES, ROW_READ_BYTES
 
 WORKERS = 4
 BLOCK = 64
@@ -432,40 +434,36 @@ class TestReaders:
         stats = ws.cache_stats()
         n = store.manifest.n_blocks
         assert stats["misses"] == n and stats["hits"] == n
-        expected = sum(
+        assert stats["evictions"] == 0 and stats["bytes_evicted"] == 0
+        assert stats["resident_bytes"] == 0  # views hold no memory
+        # cold pass: the record bytes of every block, shard + sidecar
+        cold = sum(
             store.shard_indexes[2].length(b) + store.sidecar_index.length(b)
             for b in range(n)
         )
-        assert stats["bytes_read"] == expected
-        assert STORE_LEDGER.by_worker[2] == expected
+        assert stats["bytes_read"] == cold
+        assert STORE_LEDGER.by_worker[2] == cold
         assert STORE_LEDGER.blocks_read == n
-        ws.clear()
-
-    def test_budget_evicts_lru(self, store):
-        weights = [
-            workset_bytes(
-                store.sidecar_index.n_rows(b), store.shard_indexes[0].nnz(b)
-            )
-            for b in range(store.manifest.n_blocks)
-        ]
-        budget = 2 * max(weights)
-        ws = store.worker_store(0, cache_budget_bytes=budget)
-        for b in ws.block_ids():
-            ws.get(b)
-        stats = ws.cache_stats()
-        assert stats["evictions"] > 0
-        assert stats["bytes_evicted"] > 0
-        # over-budget only by the MRU entry that must stay resident
-        assert stats["resident_bytes"] <= budget + max(weights)
+        # a batch then reads the rows it copies out, and nothing else
+        draws = np.array([[0, 1], [3, 5], [0, 1], [n - 1, 0]])
+        features, labels = ws.assemble_batch(draws)
+        copied = ROW_READ_BYTES * labels.size + ENTRY_READ_BYTES * features.nnz
+        assert ws.cache_stats()["bytes_read"] == cold + copied
+        assert STORE_LEDGER.bytes_read == STORE_LEDGER.by_worker[2] == cold + copied
+        assert STORE_LEDGER.blocks_read == n  # counts first touches only
+        assert ws.cache_stats()["misses"] == n
         ws.clear()
 
     def test_pickle_drops_file_state(self, store):
-        ws = store.worker_store(1, cache_budget_bytes=4096)
-        ws.get(0)
-        clone = pickle.loads(pickle.dumps(ws))
-        assert clone.cache_stats()["hits"] == 0  # fresh cache
+        ws = store.worker_store(1)
+        held = ws.get(0)
+        clone = pickle.loads(pickle.dumps(ws))  # with a live block table
+        assert clone.cache_stats()["hits"] == 0  # fresh counters
+        assert clone.cache_stats()["misses"] == 0  # and a table of its own
         got = clone.get(0)
-        np.testing.assert_array_equal(got.labels, ws.get(0).labels)
+        assert not np.shares_memory(got.labels, held.labels)  # its own mapping
+        np.testing.assert_array_equal(got.labels, held.labels)
+        assert clone.cache_stats()["misses"] == 1
         ws.clear()
         clone.clear()
 
@@ -478,33 +476,147 @@ class TestReaders:
             )
 
 
-class TestLRUBlockCache:
-    def test_hit_miss_counters(self):
-        cache = LRUBlockCache()
-        assert cache.get(0) is None
-        cache.put(0, "x", weight=10)
-        assert cache.get(0) == "x"
-        assert cache.counters.misses == 1 and cache.counters.hits == 1
+class TestBlockTable:
+    """What the LRU tests pinned, restated for worksets that are views."""
 
-    def test_eviction_order_is_lru(self):
-        cache = LRUBlockCache(budget_bytes=25)
-        cache.put(0, "a", weight=10)
-        cache.put(1, "b", weight=10)
-        cache.get(0)  # refresh 0; 1 becomes LRU
-        cache.put(2, "c", weight=10)
-        assert 1 not in cache and 0 in cache and 2 in cache
+    def test_get_is_a_view_of_the_mapping(self, store):
+        ws = store.worker_store(1)
+        index = store.shard_indexes[1]
+        reader = ShardReader(index)
+        for b in (0, store.manifest.n_blocks - 1):
+            workset = ws.get(b)
+            features = workset.features
+            assert features.indptr.dtype == features.indices.dtype == np.int32
+            assert features.data.dtype == workset.labels.dtype == np.float64
+            for array in (features.indptr, features.indices, features.data, workset.labels):
+                assert not array.flags.writeable and not array.flags.owndata
+            # the same file bytes, seen through a second mapping
+            record = np.frombuffer(reader.record(b), dtype=np.uint8)
+            body = record[HEADER_BYTES:]
+            assert features.indptr.tobytes() == body[:features.indptr.nbytes].tobytes()
+            assert features.data.tobytes() == body[-features.data.nbytes:].tobytes()
+            assert ws.get(b) is workset
+        ws.clear()
 
-    def test_mru_survives_even_over_budget(self):
-        cache = LRUBlockCache(budget_bytes=5)
-        cache.put(0, "big", weight=50)
-        assert 0 in cache  # never evict the block being read
+    def test_first_touch_validates_once_then_hits(self, store, monkeypatch):
+        validated = []
+        over = CSRMatrix.over
+        monkeypatch.setattr(
+            CSRMatrix, "over",
+            classmethod(lambda cls, *args: validated.append(1) or over(*args)),
+        )
+        ws = store.worker_store(0)
+        n = store.manifest.n_blocks
+        index = TwoPhaseIndex(store.block_sizes(), base_seed=6)
+        for t in range(5):  # every batch walks every block
+            draws = index.sample(t, 40 * n)
+            assert np.unique(draws[:, 0]).size == n
+            ws.assemble_batch(draws)
+        stats = ws.cache_stats()
+        assert len(validated) == stats["misses"] == n
+        assert stats["hits"] == 4 * n
+        assert stats["evictions"] == 0
+        ws.clear()  # the table goes with the mapping: touched again, validated again
+        ws.get(0)
+        assert len(validated) == n + 1 and ws.cache_stats()["misses"] == n + 1
 
-    def test_zero_budget_never_evicts(self):
-        cache = LRUBlockCache(budget_bytes=0)
-        for i in range(100):
-            cache.put(i, i, weight=1000)
-        assert len(cache) == 100
-        assert cache.counters.evictions == 0
+    def test_a_batch_allocates_nothing_block_sized(self, tmp_path):
+        # one worker, 16 blocks of 2,048 rows; a batch of ~20 rows of each
+        ds = make_classification(16 * 2048, 60, nnz_per_row=12, seed=2)
+        wide = ColumnShardStore.from_dataset(ds, tmp_path / "wide", n_workers=1)
+        ws = wide.worker_store(0)
+        draws = TwoPhaseIndex(wide.block_sizes(), base_seed=1).sample(0, 320)
+        assert np.unique(draws[:, 0]).size == 16
+        ws.assemble_batch(draws)  # first touches done: what is left is the walk
+        tracemalloc.start()
+        features, labels = ws.assemble_batch(draws)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        batch_bytes = (
+            features.indptr.nbytes + features.indices.nbytes
+            + features.data.nbytes + labels.nbytes
+        )
+        assert wide.shard_indexes[0].header.data_bytes > 50 * batch_bytes
+        block_bytes = wide.shard_indexes[0].length(0)
+        assert peak < 4 * batch_bytes < block_bytes
+        ws.clear()
+
+    def test_misaligned_values_assemble_bit_identically(self, tmp_path):
+        # rows with an even entry count make n_rows + 1 + nnz odd for a
+        # block of an even number of rows: its float64 values then sit
+        # 4 bytes off an 8-byte boundary in the file and in the mapping
+        rng = np.random.default_rng(0)
+        dense = np.zeros((96, 9))
+        for row in dense:
+            row[rng.choice(9, size=2 * rng.integers(0, 4), replace=False)] = rng.normal()
+        ds = Dataset(CSRMatrix.from_dense(dense), np.sign(rng.normal(size=96)), name="odd")
+        on_disk = ColumnShardStore.from_dataset(ds, tmp_path / "odd", n_workers=1, block_size=32)
+        index = on_disk.shard_indexes[0]
+        assert all((index.n_rows(b) + 1 + index.nnz(b)) % 2 for b in range(3))
+        memory, sizes, _ = dispatch_block_based(
+            ds, make_assignment("round_robin", 9, 1), cluster(1), block_size=32
+        )
+        ws = on_disk.worker_store(0)
+        assert not all(ws.get(b).features.data.flags.aligned for b in range(3))
+        sampler = TwoPhaseIndex(sizes, base_seed=4)
+        for t in range(6):
+            draws = sampler.sample(t, 20)
+            ours, our_labels = ws.assemble_batch(draws)
+            theirs, their_labels = memory[0].assemble_batch(draws)
+            assert ours.indptr.dtype == ours.indices.dtype == np.int64
+            assert ours.data.flags.aligned
+            for a, b in ((ours.indptr, theirs.indptr), (ours.indices, theirs.indices),
+                         (ours.data, theirs.data), (our_labels, their_labels)):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        ws.clear()
+
+
+class TestClosingWithLiveViews:
+    """``mmap.close()`` raises BufferError under an ``np.frombuffer``
+    view; the store lets go of the mapping and the views keep it."""
+
+    def test_reader_close_under_a_live_view(self, store):
+        reader = ShardReader(store.shard_indexes[0])
+        payload = reader.csr_block(1)
+        labels = ShardReader(store.sidecar_index).labels(1)  # reader already gone
+        reader.close()
+        reader.close()  # idempotent
+        assert payload.indptr[0] == 0 and payload.indptr[-1] == payload.nnz
+        assert labels.size == payload.n_rows
+
+    def test_clear_while_a_workset_is_held(self, store):
+        ws = store.worker_store(3)
+        held = ws.get(2)
+        before = held.features.data.copy(), held.labels.copy()
+        ws.clear()
+        ws.clear()
+        # the pages stay mapped for as long as the views live
+        np.testing.assert_array_equal(held.features.data, before[0])
+        np.testing.assert_array_equal(held.labels, before[1])
+        again = ws.get(2)  # a fresh mapping and a fresh first touch
+        assert again is not held and ws.cache_stats()["misses"] == 2
+        np.testing.assert_array_equal(again.features.indices, held.features.indices)
+        ws.clear()
+
+    def test_forked_worker_builds_its_own_table(self, tmp_path):
+        ds = make_classification(600, 60, nnz_per_row=6, seed=9)
+        d_ref = _driver()
+        d_ref.load(ds)
+        d_ref.fit()
+        d_local = _driver("local", store_dir=tmp_path / "s")
+        d_local.load(ds)
+        # the parent maps and tables a block before the workers fork
+        d_local._partitions[0].store.get(0)
+        assert d_local._partitions[0].store.cache_stats()["misses"] == 1
+        d_local.fit()
+        assert np.abs(d_ref.current_params() - d_local.current_params()).max() == 0.0
+        n = len(d_local._partitions[0].store.block_ids())
+        for per_pid in d_local.store_read_stats.values():
+            for pid, stats in per_pid.items():
+                # every worker process validated every block it walked itself,
+                # the inherited entry of partition 0 included in its count
+                assert 1 <= stats["misses"] <= n
+                assert stats["hits"] > 0 and stats["evictions"] == 0
 
 
 # ----------------------------------------------------------------------
@@ -700,10 +812,13 @@ class TestOutOfCoreAcceptance:
         diff = np.abs(d_ref.current_params() - d_local.current_params()).max()
         assert diff == 0.0
 
-        # (c) per-partition cache counters, pulled out of the worker
-        # processes, reconcile with the shard/sidecar record lengths
+        # (c) per-partition read counters, pulled out of the worker
+        # processes: every block first-touched once (the record bytes of
+        # the whole shard, as a cold pass always cost), then only the
+        # rows each batch copied — what replaying the draws here reads
         assert sorted(d_local.store_read_stats) == list(range(WORKERS))
         n = store.manifest.n_blocks
+        index = TwoPhaseIndex(store.block_sizes(), base_seed=5)
         for w, per_pid in d_local.store_read_stats.items():
             for pid, stats in per_pid.items():
                 cold = sum(
@@ -711,15 +826,16 @@ class TestOutOfCoreAcceptance:
                     + store.sidecar_index.length(b)
                     for b in range(n)
                 )
-                assert stats["misses"] >= 1
-                if stats["evictions"] == 0:
-                    # every block fetched exactly once -> bytes_read is
-                    # the whole shard's record bytes
-                    assert stats["misses"] == n
-                    assert stats["bytes_read"] == cold
-                else:
-                    assert stats["bytes_read"] >= cold
-                assert stats["hits"] + stats["misses"] >= n
+                replay = store.worker_store(pid)
+                copied = 0
+                for t in range(10):
+                    features, labels = replay.assemble_batch(index.sample(t, 100))
+                    copied += ROW_READ_BYTES * labels.size + ENTRY_READ_BYTES * features.nnz
+                assert stats["misses"] == n
+                assert stats["evictions"] == 0
+                assert stats["bytes_read"] == cold + copied
+                assert stats == replay.cache_stats()
+                replay.clear()
 
     def test_in_memory_local_run_reports_zero_stats(self):
         ds = make_classification(800, 100, nnz_per_row=6, seed=7)
