@@ -12,10 +12,10 @@ varied over 1e5, 1e6, 1e7:
   optimizer + batch assembly;
 * ``columnsgd-lr`` vs ``mllib-lr`` on ``backend="local"`` — real pipes
   and codec: ColumnSGD ships ``B`` statistics, MLlib ships the dense
-  model and a dense gradient per worker.  One process per worker:
-  ``LocalRuntime.run_all`` issues every request before it reads a reply,
-  so two co-hosted workers deadlock once a frame outgrows the pipe
-  buffer (MLlib's do from m ~ 1e4; ROADMAP item 5).
+  model and a dense gradient per worker.  One process per worker,
+  because that is Fig 10's shape (one worker per machine) and it keeps
+  ``benchmarks/results/model_width.txt`` comparable between runs;
+  co-hosted workers run too (``tests/test_local_transport.py``).
 
 Every point is a pytest-benchmark test measured in a fresh interpreter
 (CI runs the 1e5 / 1e6 points and uploads ``BENCH_model_width.json``,

@@ -5,15 +5,13 @@ of two-phase index sampling — are held by things that *run*
 (:class:`repro.net.protocol.ProtocolChecker`, the codec-length and
 Table-I tests, the golden trajectories).  This package keeps only the
 static rules that catch something those checks cannot, or catch it
-before a run exists.  Six per-file AST rules:
+before a run exists.  Five per-file AST rules:
 
 * **R001** — all randomness flows through :mod:`repro.utils.rng`; no
   OS entropy, and no host clock outside ``runtime/local.py``;
 * **R004** — no exact equality against inexact float literals;
 * **R005** — no bare/over-broad ``except`` on the round's path;
 * **R006** — public config dataclasses validate their numeric fields;
-* **R018** — no unbounded ``recv``/``poll``/``join``/``wait`` in
-  ``repro.runtime``;
 * **R019** — no copy or whole-file read in ``repro.store``;
 
 and three whole-program rules over one
@@ -31,7 +29,7 @@ and three whole-program rules over one
 
 Run it with ``python -m repro.lint src``; ``docs/linting.md`` has one
 row per rule id ever issued — what it caught, what enforces the same
-thing at runtime, and why R002/R003/R007-R010/R012-R014/R017 are
+thing at runtime, and why R002/R003/R007-R010/R012-R014/R017/R018 are
 retired.
 """
 

@@ -1,4 +1,4 @@
-"""The project-specific per-file rules (R001, R004-R006, R018, R019).
+"""The project-specific per-file rules (R001, R004-R006, R019).
 
 Each rule enforces one invariant the reproduction's correctness
 arguments rest on; ``docs/linting.md`` explains the why of each.  Rules
@@ -303,93 +303,6 @@ class ConfigValidationRule(Rule):
             if is_numeric:
                 fields[stmt.target.id] = stmt
         return fields
-
-
-@register
-class BlockingWaitRule(Rule):
-    """R018: runtime transport must never block without a deadline.
-
-    The fault-tolerance argument for ``backend='local'`` (docs/faults.md)
-    rests on every master<->worker wait being bounded: a SIGKILLed or
-    hung worker is *detected* only because the wait expires.  One bare
-    ``conn.recv()`` reintroduces the infinite hang the deadline layer
-    exists to remove, so inside ``repro.runtime`` every blocking
-    primitive must go through the sanctioned helpers in
-    ``repro.runtime.deadline`` (``wait_ready`` / ``recv_ready`` /
-    ``recv_within`` / ``recv_command`` / ``join_within``), which is the
-    one module allowed to touch the raw calls.
-    """
-
-    rule_id = "R018"
-    title = "unbounded blocking wait in runtime transport"
-    severity = "error"
-    fix_hint = (
-        "use the deadline-bounded helpers in repro.runtime.deadline "
-        "(wait_ready / recv_ready / recv_within / recv_command / join_within)"
-    )
-
-    #: attribute calls that park the caller until the peer acts
-    BLOCKING_NOARG = {"recv", "recv_bytes", "accept"}
-
-    def applies(self) -> bool:
-        if "lint_fixtures" in _Path(self.ctx.path).parts:
-            return True
-        parts = self.ctx.package_parts
-        return (
-            len(parts) >= 1
-            and parts[0] == "runtime"
-            and parts != ("runtime", "deadline")
-        )
-
-    def visit_Call(self, node: ast.Call) -> None:
-        chain = dotted_name(node.func)
-        if not chain:
-            return
-        name = chain[-1]
-        has_args = bool(node.args or node.keywords)
-        if len(chain) >= 2 and name in self.BLOCKING_NOARG:
-            self.report(
-                node,
-                ".{}() blocks until the peer responds — a dead worker "
-                "hangs the master forever".format(name),
-            )
-        elif len(chain) >= 2 and name == "poll" and not self._bounded(node):
-            self.report(node, ".poll() without a timeout blocks indefinitely")
-        elif len(chain) >= 2 and name == "join" and not has_args:
-            self.report(
-                node,
-                ".join() without a timeout never returns if the process "
-                "is wedged",
-            )
-        elif name == "wait" and self._is_connection_wait(chain) and not self._bounded(node):
-            self.report(
-                node,
-                "connection.wait() without timeout= blocks until a pipe "
-                "becomes ready",
-            )
-
-    @staticmethod
-    def _bounded(node: ast.Call) -> bool:
-        """A positional or keyword timeout that is not the literal None.
-
-        ``wait``'s first positional is the connection list, so the
-        timeout is the second; ``poll``'s is the first."""
-        skip = 1 if dotted_name(node.func)[-1] == "wait" else 0
-        candidates = list(node.args[skip:])
-        candidates += [kw.value for kw in node.keywords if kw.arg == "timeout"]
-        for value in candidates:
-            if not (isinstance(value, ast.Constant) and value.value is None):
-                return True
-        return False
-
-    @staticmethod
-    def _is_connection_wait(chain) -> bool:
-        # multiprocessing.connection.wait / connection.wait / a bare
-        # `wait(conns)` imported from it; `self.wait`, `event.wait` and
-        # friends are someone else's semantics.
-        if len(chain) == 1:
-            return True
-        return chain[-2] in ("connection", "multiprocessing")
 
 
 @register

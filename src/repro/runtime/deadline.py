@@ -1,11 +1,13 @@
-"""Deadline-bounded waiting — the only sanctioned blocking primitives.
+"""Deadline-bounded waiting — the runtime's blocking primitives.
 
 Every wait in :mod:`repro.runtime` must be bounded: a hung or SIGKILLed
 worker process must surface as a structured outcome, never as a parent
-that blocks forever on ``conn.recv()``.  Lint rule R018 enforces this
-mechanically — bare ``recv``/``poll``/``join``/``wait`` calls are
-rejected everywhere in the runtime layer except inside this module,
-which wraps each of them with an explicit timeout.
+that blocks forever on ``conn.recv()``.  This module wraps each raw
+``recv``/``poll``/``join``/``wait`` with an explicit timeout, and the
+runtime layer reads, waits and joins only through it;
+``tests/test_local_transport.py`` and the kill/stall cases of
+``tests/test_local_faults.py`` fail, inside a hard bound, on a wait
+that is not.
 
 The *length* of the bound comes from :class:`TimeoutPolicy`, the local
 backend's port of the simulator's :class:`~repro.engine.policy.TimeoutSync`
@@ -70,8 +72,8 @@ class TimeoutPolicy:
 
 
 # ----------------------------------------------------------------------
-# sanctioned blocking primitives (R018: nothing else in repro.runtime
-# may call recv / poll / join / wait directly)
+# blocking primitives (nothing else in repro.runtime calls
+# recv / poll / join / wait directly)
 # ----------------------------------------------------------------------
 def wait_ready(conns: Sequence[object], timeout_s: float) -> List[object]:
     """Bounded ``multiprocessing.connection.wait``.
@@ -95,21 +97,6 @@ def recv_ready(conn) -> Tuple[bool, object]:
     established by the bounded wait.
     """
     try:
-        return True, conn.recv()
-    except (EOFError, OSError, ConnectionResetError):
-        return False, None
-
-
-def recv_within(conn, timeout_s: float) -> Tuple[bool, Optional[object]]:
-    """Bounded receive on one connection.
-
-    ``(True, frame)`` on data, ``(False, None)`` on deadline expiry
-    *or* EOF — callers distinguish the two by checking the peer process.
-    """
-    check_non_negative(timeout_s, "timeout_s")
-    try:
-        if not conn.poll(timeout_s):
-            return False, None
         return True, conn.recv()
     except (EOFError, OSError, ConnectionResetError):
         return False, None

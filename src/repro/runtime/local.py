@@ -12,11 +12,13 @@ accumulator with the measured seconds.
 
 Fault tolerance (the real-process port of ``docs/faults.md``):
 
-* every wait is **deadline-bounded** through the sanctioned helpers in
-  :mod:`repro.runtime.deadline` (lint rule R018); the deadline follows
-  the simulator's TimeoutSync alpha x median rule over *measured*
-  exchange durations;
-* command frames carry **sequence numbers** and workers replay their
+* every wait is **deadline-bounded** through the helpers in
+  :mod:`repro.runtime.deadline`; the deadline follows the simulator's
+  TimeoutSync alpha x median rule over *measured* exchange durations;
+* the master **writes to a process only while it owes no reply**
+  (:meth:`LocalRuntime._pump`, the one place a pipe is touched), so a
+  write never waits on a process that is itself blocked writing;
+* requests carry **sequence numbers** and workers replay their
   cached reply on a duplicate, so deadline-expiry resends are
   at-most-once — a retried ``update`` op cannot double-apply a gradient;
 * resends are accounted as :data:`~repro.net.message.MessageKind.RETRY`
@@ -64,6 +66,7 @@ import multiprocessing
 import os
 import signal
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
@@ -195,14 +198,37 @@ class Exchange:
         return max(0.0, self.seconds - self.max_worker_seconds())
 
 
+@dataclass
+class _Host:
+    """One worker process as the master sees it."""
+
+    proc: multiprocessing.process.BaseProcess
+    conn: object
+    #: the logical workers it hosts
+    workers: List[int]
+    dead: bool = False
+    #: replies it has been asked for that the master has not read yet
+    owed: int = 0
+    #: request frames not yet written, oldest first: the tail of the pipe
+    outbox: deque = field(default_factory=deque)
+
+    def bury(self) -> None:
+        """The process is gone: nothing is owed, nothing will be written."""
+        self.dead, self.owed = True, 0
+        self.outbox.clear()
+
+
 def _process_main(conn, programs: Dict[int, object]) -> None:
     """Worker-process loop: handle ops for the hosted logical workers.
 
-    Frames are ``(seq, op, worker_id, args, payload)``; each worker's
-    last reply is cached by sequence number, and a duplicate frame
-    (a master resend after a lost or late reply) replays the cache
-    instead of re-executing — the at-most-once half of the ARQ, so a
-    retried ``update`` cannot double-apply its gradient.
+    A request frame is ``(op, payload, [(seq, worker, args), ...])`` —
+    one per op for all the hosted workers it targets, the shared
+    payload once — answered by one ``(seq, worker, result, payload,
+    seconds)`` reply per request, in order.  Each worker's last reply
+    is cached by sequence number, and a duplicate request (a master
+    resend after a lost or late reply) replays the cache instead of
+    re-executing — the at-most-once half of the ARQ, so a retried
+    ``update`` cannot double-apply its gradient.
     """
     last: Dict[int, Tuple[int, tuple]] = {}
     try:
@@ -210,45 +236,34 @@ def _process_main(conn, programs: Dict[int, object]) -> None:
             ok, frame = recv_command(conn)
             if not ok:
                 break  # master gone (EOF): exit rather than linger
-            seq, op, worker_id, args, payload = frame
+            op, payload, requests = frame
             if op == _STOP:
                 break
-            args = dict(args) if args else {}
-            cached = last.get(worker_id)
-            if cached is not None and cached[0] == seq:
-                conn.send(cached[1])
-                continue
-            delay = float(args.pop(_DELAY, 0.0))
-            if delay > 0.0:
-                time.sleep(delay)  # injected straggler (FaultKind.STALL)
-            if op == _PING:
-                reply = (seq, worker_id, {"pong": True}, None, 0.0)
-            else:
-                start = time.perf_counter()
-                try:
-                    result, reply_payload = programs[worker_id].handle(
-                        op, args, payload
-                    )
-                # Not swallowed: the error text travels to the master in
-                # the reply frame and run_all raises it there.
-                except Exception as exc:  # lint: noqa[R005]
-                    reply = (
-                        seq,
-                        worker_id,
-                        {"__error__": "{}: {}".format(type(exc).__name__, exc)},
-                        None,
-                        time.perf_counter() - start,
-                    )
-                else:
-                    reply = (
-                        seq,
-                        worker_id,
-                        result,
-                        reply_payload,
-                        time.perf_counter() - start,
-                    )
-            last[worker_id] = (seq, reply)
-            conn.send(reply)
+            for seq, worker_id, args in requests:
+                cached = last.get(worker_id)
+                if cached is not None and cached[0] == seq:
+                    conn.send(cached[1])
+                    continue
+                args = dict(args)
+                delay = float(args.pop(_DELAY, 0.0))
+                if delay > 0.0:
+                    time.sleep(delay)  # injected straggler (FaultKind.STALL)
+                result, reply_payload, seconds = {"pong": True}, None, 0.0
+                if op != _PING:
+                    start = time.perf_counter()
+                    try:
+                        result, reply_payload = programs[worker_id].handle(
+                            op, args, payload
+                        )
+                    # Not swallowed: the error text travels to the master
+                    # in the reply frame and run_all raises it there.
+                    except Exception as exc:  # lint: noqa[R005]
+                        result = {"__error__": "{}: {}".format(type(exc).__name__, exc)}
+                        reply_payload = None
+                    seconds = time.perf_counter() - start
+                reply = (seq, worker_id, result, reply_payload, seconds)
+                last[worker_id] = (seq, reply)
+                conn.send(reply)
     except (EOFError, BrokenPipeError, OSError, KeyboardInterrupt):
         pass
     finally:
@@ -262,9 +277,10 @@ class LocalRuntime(Runtime):
     process; smaller values pack contiguous worker ranges into shared
     processes (useful on small machines — the numerics are identical
     either way because each logical worker keeps its own program
-    state).  ``timeout`` bounds every exchange (see
-    :class:`~repro.runtime.deadline.TimeoutPolicy`); no call into this
-    class blocks indefinitely.
+    state).  ``timeout`` bounds every wait for a reply (see
+    :class:`~repro.runtime.deadline.TimeoutPolicy`), and a request is
+    written only to a process that owes no reply — one that is reading —
+    so no exchange waits on a peer that is itself blocked writing.
     """
 
     name = "local"
@@ -285,10 +301,9 @@ class LocalRuntime(Runtime):
         self._clock = WallClock()
         # Counter set only — transfer_time() is never consulted here.
         self._network = NetworkModel(bandwidth=bandwidth, latency=latency)
-        self._procs: List[multiprocessing.process.BaseProcess] = []
-        self._conns: List[object] = []
-        self._workers_of_proc: List[List[int]] = []
-        self._dead_procs: set = set()
+        self._hosts: List[_Host] = []
+        #: logical worker -> the process record hosting it
+        self._host_of: Dict[int, _Host] = {}
         #: the programs given to :meth:`start`, kept for :meth:`respawn`
         self._programs: Dict[int, object] = {}
         #: pending one-shot reply mangling per worker: 'drop' | 'garble'
@@ -378,9 +393,8 @@ class LocalRuntime(Runtime):
         """Launch the worker processes hosting ``programs``.
 
         ``programs`` maps every logical worker id ``0..K-1`` to an
-        object with ``handle(op, args, payload) -> (result, payload)``.
-        With the default ``fork`` start method the programs are
-        inherited copy-on-write; with ``spawn`` they must pickle.
+        object with ``handle(op, args, payload) -> (result, payload)``;
+        the forked processes inherit them copy-on-write.
         """
         if self._started:
             raise SimulationError("LocalRuntime already started")
@@ -396,10 +410,9 @@ class LocalRuntime(Runtime):
         ]
         for i in range(self.n_processes):
             hosted = list(range(bounds[i], bounds[i + 1]))
-            proc, conn = self._launch(context, hosted, programs)
-            self._procs.append(proc)
-            self._conns.append(conn)
-            self._workers_of_proc.append(hosted)
+            host = _Host(*self._launch(context, hosted, programs), hosted)
+            self._hosts.append(host)
+            self._host_of.update((w, host) for w in hosted)
         self._programs = dict(programs)
         self._started = True
         return self
@@ -420,50 +433,53 @@ class LocalRuntime(Runtime):
         if not self._started:
             return
         self._refresh_liveness()
-        for i, conn in enumerate(self._conns):
-            if i in self._dead_procs:
+        for host in self._hosts:
+            host.outbox.clear()
+            if host.dead:
                 continue
             try:
-                conn.send((0, _STOP, -1, None, None))
+                # Never waits: every earlier frame was written while the
+                # process owed nothing and has since been read whole, so
+                # the pipe towards it is empty and this fits.
+                host.conn.send((_STOP, None, ()))
             except (BrokenPipeError, OSError):
                 pass
-        for proc in self._procs:
-            if not join_within(proc, 10.0):
-                proc.terminate()
-                if not join_within(proc, 5.0):
-                    proc.kill()
-                    join_within(proc, 5.0)
-        for conn in self._conns:
+        # Keep reading while they wind down, so a process still writing
+        # a late reply reaches the stop frame; EOF marks each exit.
+        give_up = time.perf_counter() + 10.0
+        while not all(host.dead for host in self._hosts):
+            remaining = give_up - time.perf_counter()
+            if remaining <= 0:
+                break
+            self._pump(remaining)
+        for host in self._hosts:
+            if not join_within(host.proc, 1.0):
+                host.proc.terminate()
+                if not join_within(host.proc, 5.0):
+                    host.proc.kill()
+                    join_within(host.proc, 5.0)
             try:
-                conn.close()
+                host.conn.close()
             except OSError:
                 pass
-        self._procs, self._conns, self._workers_of_proc = [], [], []
-        self._dead_procs, self._mangle, self._stalls = set(), {}, {}
+        self._hosts, self._host_of = [], {}
+        self._mangle, self._stalls = {}, {}
         self._started = False
 
     # ------------------------------------------------------------------
     # fault injection and recovery surface
     # ------------------------------------------------------------------
     def _refresh_liveness(self) -> None:
-        for i, proc in enumerate(self._procs):
-            if i not in self._dead_procs and not proc.is_alive():
-                self._dead_procs.add(i)
-
-    def _proc_of(self, worker: int) -> int:
-        for i, hosted in enumerate(self._workers_of_proc):
-            if worker in hosted:
-                return i
-        raise ConfigurationError("no process hosts worker {}".format(worker))
+        for host in self._hosts:
+            if not host.dead and not host.proc.is_alive():
+                host.bury()
 
     def dead_workers(self) -> List[int]:
         """Logical workers whose host process is currently dead."""
         if not self._started:
             return []
         self._refresh_liveness()
-        return sorted(
-            w for i in self._dead_procs for w in self._workers_of_proc[i]
-        )
+        return sorted(w for host in self._hosts if host.dead for w in host.workers)
 
     def kill_worker(self, worker: int) -> None:
         """SIGKILL the process hosting ``worker`` (a real crash).
@@ -473,12 +489,13 @@ class LocalRuntime(Runtime):
         """
         if not self._started:
             raise SimulationError("LocalRuntime not started; call start()")
-        i = self._proc_of(worker)
-        proc = self._procs[i]
-        if proc.is_alive():
-            os.kill(proc.pid, signal.SIGKILL)
-            join_within(proc, 5.0)
-        self._dead_procs.add(i)
+        host = self._host_of.get(worker)
+        if host is None:
+            raise ConfigurationError("no process hosts worker {}".format(worker))
+        if host.proc.is_alive():
+            os.kill(host.proc.pid, signal.SIGKILL)
+            join_within(host.proc, 5.0)
+        host.bury()
 
     def inject_faults(self, events: Iterable[FaultEvent]) -> None:
         """Apply a fault schedule's events for the coming round.
@@ -520,28 +537,60 @@ class LocalRuntime(Runtime):
         start = time.perf_counter()
         self._refresh_liveness()
         context = multiprocessing.get_context(_PROCESS_START)
-        for i in sorted(self._dead_procs):
-            hosted = self._workers_of_proc[i]
-            missing = [w for w in hosted if w not in programs]
+        for host in self._hosts:
+            if not host.dead:
+                continue
+            missing = [w for w in host.workers if w not in programs]
             if missing:
                 raise ConfigurationError(
                     "respawn needs a program for worker(s) {}".format(missing)
                 )
             try:
-                self._conns[i].close()
+                host.conn.close()
             except OSError:
                 pass
-            proc, conn = self._launch(context, hosted, programs)
-            self._procs[i] = proc
-            self._conns[i] = conn
-            for w in hosted:
+            host.proc, host.conn = self._launch(context, host.workers, programs)
+            host.dead = False
+            for w in host.workers:
                 self._mangle.pop(w, None)
-        self._dead_procs = set()
         return time.perf_counter() - start
 
     # ------------------------------------------------------------------
     # real transport
     # ------------------------------------------------------------------
+    def _pump(self, timeout_s: float) -> List[tuple]:
+        """Write what may be written, then one bounded read per pipe.
+
+        The only master-side code that touches a worker pipe.  The head
+        of a process's outbox is written only while that process owes
+        no reply: it has answered everything it was sent, so it is
+        reading and the write cannot wait on a peer that is itself
+        blocked writing.  Then one bounded wait over every live pipe —
+        the master is reading whenever a process writes — and one frame
+        read from each ready one.  A pipe error or EOF buries the
+        process.  Returns the reply frames read.
+        """
+        live = [host for host in self._hosts if not host.dead]
+        for host in live:
+            if host.outbox and not host.owed:
+                frame = host.outbox.popleft()
+                try:
+                    host.conn.send(frame)
+                    host.owed = len(frame[2])
+                except (BrokenPipeError, OSError):
+                    host.bury()
+        ready = wait_ready([host.conn for host in live if not host.dead], timeout_s)
+        frames = []
+        for host in live:
+            if host.conn in ready:
+                ok, frame = recv_ready(host.conn)
+                if ok:
+                    host.owed -= 1
+                    frames.append(frame)
+                else:
+                    host.bury()
+        return frames
+
     def run_all(
         self,
         op: str,
@@ -554,23 +603,27 @@ class LocalRuntime(Runtime):
     ) -> Exchange:
         """Issue ``op`` to the targeted workers and collect the replies.
 
-        ``payload`` (one blob for everyone — a broadcast) and ``args``
-        are shared; ``per_worker_args`` entries are merged over ``args``
-        for the targeted worker; ``workers`` restricts the exchange to a
-        subset (default: all).  The exchange is measured wall-clock at
-        the master and every wait is deadline-bounded: when the
-        timeout policy's deadline expires the frame is resent with
-        exponential backoff (accounted as RETRY traffic and recorded as
-        a :class:`~repro.engine.trace.RetryEvent` under ``iteration``),
+        ``payload`` (one blob for everyone — a broadcast, written once
+        per process) and ``args`` are shared; ``per_worker_args``
+        entries are merged over ``args`` for the targeted worker;
+        ``workers`` restricts the exchange to a subset (default: all).
+        The exchange is measured wall-clock at the master and every
+        wait is deadline-bounded: when the timeout policy's deadline
+        expires the request is resent with exponential backoff
+        (accounted as RETRY traffic and recorded as a
+        :class:`~repro.engine.trace.RetryEvent` under ``iteration``),
         and a worker still silent after ``max_retries`` resends — or
-        whose process died — lands in ``Exchange.failures``.
+        whose process died — lands in ``Exchange.failures``.  A resend
+        is one more frame queued behind whatever its process has not
+        been sent yet: nothing queued is dropped or reordered, so a
+        worker left silent still handles it before its next op.
 
         With ``raise_on_fault=True`` (the default) such failures raise
         :class:`~repro.errors.WorkerUnresponsiveError`; :meth:`exchange`,
         which runs the recovery pipeline, passes ``False`` and consumes
         the structured outcomes.  Worker-side exceptions always raise
-        :class:`~repro.errors.SimulationError` — after every in-flight
-        reply has been drained, so the shared pipes stay synchronized.
+        :class:`~repro.errors.SimulationError` — after every other
+        targeted worker has answered or failed.
         """
         if not self._started:
             raise SimulationError("LocalRuntime not started; call start()")
@@ -584,45 +637,42 @@ class LocalRuntime(Runtime):
             raise ConfigurationError("unknown worker(s) {}".format(unknown))
         resend_bytes = OBJECT_OVERHEAD_BYTES + len(payload or b"")
 
-        frames: Dict[int, tuple] = {}
+        requests: Dict[int, tuple] = {}  # worker -> (seq, worker, args)
         pending: Dict[int, int] = {}  # worker -> awaited seq
-        conn_index = {id(conn): i for i, conn in enumerate(self._conns)}
         failures: Dict[int, object] = {}
         errors: Dict[int, str] = {}
         replies: Dict[int, WorkerReply] = {}
         retries = 0
         retry_log: List[Tuple[int, Tuple[int, ...], float]] = []
 
-        def mark_proc_dead(i: int) -> None:
-            self._dead_procs.add(i)
-            for w in self._workers_of_proc[i]:
-                if w in pending:
-                    del pending[w]
-                    failures[w] = WorkerDied(worker=w, op=op)
+        def resend(w: int) -> None:
+            nonlocal retries
+            self._host_of[w].outbox.append((op, payload, [requests[w]]))
+            self._network.send(
+                Message(MessageKind.RETRY, Message.MASTER, w, resend_bytes)
+            )
+            retries += 1
 
-        # issue phase -----------------------------------------------------
-        for i, (conn, hosted) in enumerate(
-            zip(self._conns, self._workers_of_proc)
-        ):
-            for w in hosted:
+        # issue: one frame per process, queued for the pump -----------------
+        for host in self._hosts:
+            batch = []
+            for w in host.workers:
                 if w not in targets:
                     continue
                 merged = dict(args) if args else {}
                 if per_worker_args and w in per_worker_args:
                     merged.update(per_worker_args[w])
                 self._seq += 1
-                frames[w] = (self._seq, op, w, merged, payload)
-                if i in self._dead_procs:
+                requests[w] = (self._seq, w, merged)
+                if host.dead:
                     failures[w] = WorkerDied(worker=w, op=op)
-                    continue
-                try:
-                    conn.send(frames[w])
+                else:
                     pending[w] = self._seq
-                except (BrokenPipeError, OSError):
-                    failures[w] = WorkerDied(worker=w, op=op)
-                    mark_proc_dead(i)
+                    batch.append(requests[w])
+            if batch:
+                host.outbox.append((op, payload, batch))
 
-        # collect phase: deadline-bounded ARQ -----------------------------
+        # collect: deadline-bounded ARQ -----------------------------------
         attempt = 0
         deadline = self.timeout.deadline_s(attempt)
         while pending:
@@ -631,17 +681,7 @@ class LocalRuntime(Runtime):
                 remaining = deadline_end - time.perf_counter()
                 if remaining <= 0:
                     break
-                watched = {
-                    id(self._conns[self._proc_of(w)]): self._conns[self._proc_of(w)]
-                    for w in pending
-                }
-                for conn in wait_ready(list(watched.values()), remaining):
-                    i = conn_index[id(conn)]
-                    ok, frame = recv_ready(conn)
-                    if not ok:
-                        mark_proc_dead(i)
-                        continue
-                    seq, w, result, reply_payload, seconds = frame
+                for seq, w, result, reply_payload, seconds in self._pump(remaining):
                     if pending.get(w) != seq:
                         continue  # stale reply from a prior exchange/resend
                     mangle = self._mangle.pop(w, None)
@@ -659,19 +699,7 @@ class LocalRuntime(Runtime):
                                 OBJECT_OVERHEAD_BYTES + len(reply_payload or b""),
                             )
                         )
-                        try:
-                            conn.send(frames[w])
-                            self._network.send(
-                                Message(
-                                    MessageKind.RETRY,
-                                    Message.MASTER,
-                                    w,
-                                    resend_bytes,
-                                )
-                            )
-                            retries += 1
-                        except (BrokenPipeError, OSError):
-                            mark_proc_dead(i)
+                        resend(w)
                         continue
                     del pending[w]
                     if "__error__" in result:
@@ -683,6 +711,9 @@ class LocalRuntime(Runtime):
                         payload=reply_payload,
                         seconds=float(seconds),
                     )
+                for w in [w for w in pending if self._host_of[w].dead]:
+                    del pending[w]
+                    failures[w] = WorkerDied(worker=w, op=op)
             if not pending:
                 break
             # deadline expired with stragglers
@@ -690,7 +721,7 @@ class LocalRuntime(Runtime):
             if attempt >= self.timeout.max_retries:
                 self._refresh_liveness()
                 for w in sorted(pending):
-                    if self._proc_of(w) in self._dead_procs:
+                    if self._host_of[w].dead:
                         failures[w] = WorkerDied(worker=w, op=op)
                     else:
                         failures[w] = WorkerTimeout(
@@ -703,16 +734,8 @@ class LocalRuntime(Runtime):
                 break
             attempt += 1
             deadline = self.timeout.deadline_s(attempt)
-            for w in list(pending):
-                i = self._proc_of(w)
-                try:
-                    self._conns[i].send(frames[w])
-                    self._network.send(
-                        Message(MessageKind.RETRY, Message.MASTER, w, resend_bytes)
-                    )
-                    retries += 1
-                except (BrokenPipeError, OSError):
-                    mark_proc_dead(i)
+            for w in pending:
+                resend(w)
 
         # trace + bookkeeping ---------------------------------------------
         if self.engine_trace is not None and iteration is not None:
@@ -735,8 +758,6 @@ class LocalRuntime(Runtime):
         if not failures and not retry_log:
             self.timeout.observe(elapsed)
         if errors:
-            # satellite fix: every in-flight reply was drained above, so
-            # raising here cannot desynchronize the shared pipes.
             raise SimulationError(
                 "; ".join(
                     "op {!r} failed on worker {}: {}".format(op, w, errors[w])

@@ -1,5 +1,5 @@
 """Tests for the repro.lint static-analysis framework (R001, R004-R006,
-R018, R019).
+R019).
 
 The whole-program rules (R011, R015, R016) are covered in
 ``tests/test_lint_program.py`` and ``tests/test_lint_sparsity.py``; this
@@ -23,7 +23,7 @@ from repro.lint.findings import Finding
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = Path(__file__).resolve().parent / "lint_fixtures"
-ALL_RULE_IDS = ("R001", "R004", "R005", "R006", "R018", "R019")
+ALL_RULE_IDS = ("R001", "R004", "R005", "R006", "R019")
 PROGRAM_RULE_IDS = ("R011", "R015", "R016")
 
 
@@ -53,7 +53,7 @@ def test_pass_fixture_is_clean(rule_id):
 def test_trigger_counts():
     """Pin the exact number of violations each trigger fixture encodes."""
     expected = {
-        "R001": 9, "R004": 3, "R005": 2, "R006": 2, "R018": 7, "R019": 6,
+        "R001": 9, "R004": 3, "R005": 2, "R006": 2, "R019": 6,
     }
     for rule_id, count in expected.items():
         name = "{}_trigger.py".format(rule_id.lower())

@@ -1,0 +1,166 @@
+"""The local transport cannot hang: size x co-hosting x fault matrix.
+
+``LocalRuntime`` writes a request frame to a worker process only while
+that process owes no reply, so the master is never stuck writing to a
+process that is itself stuck writing.  These tests drive the shapes
+that used to wedge it — large requests *and* large replies, several
+logical workers behind one pipe, resends in flight — and every case is
+hard-bounded by an interval timer, so a regression fails the case
+instead of hanging the suite.
+"""
+
+import contextlib
+import multiprocessing
+import signal
+
+import numpy as np
+import pytest
+
+from repro.baselines.registry import make_trainer
+from repro.datasets import make_classification
+from repro.faults import FaultEvent, FaultKind
+from repro.models import LogisticRegression
+from repro.optim import SGD
+from repro.runtime import LocalRuntime, TimeoutPolicy
+from repro.sim import CLUSTER1, SimulatedCluster
+
+BOUND_S = 10.0
+PROCESSES = 2
+SIZES = {"1kB": 1 << 10, "256kB": 1 << 18, "4MB": 1 << 22}
+FLOOR_S, STALL_S = 0.2, 0.3
+FAULTS = {
+    "none": None,
+    "drop": FaultKind.DROP,
+    "garble": FaultKind.GARBLE,
+    "stall": FaultKind.STALL,
+}
+
+
+@contextlib.contextmanager
+def hard_bound(seconds):
+    """Fail (not hang) when the body outlives ``seconds``.
+
+    The processes the body started are SIGKILLed *before* the timeout is
+    raised — and on any other failure — so whatever is blocked on them,
+    the body's own cleanup included, returns instead of hanging again."""
+    before = set(multiprocessing.active_children())
+
+    def reap():
+        for child in set(multiprocessing.active_children()) - before:
+            child.kill()
+
+    def expired(signum, frame):
+        reap()
+        # not an OSError (TimeoutError is one): the transport catches those
+        pytest.fail("still running after {} s".format(seconds), pytrace=False)
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    except BaseException:
+        reap()
+        raise
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class EchoProgram:
+    """Reports the request's length, replies with the asked size, and
+    remembers the ops it handled, in order."""
+
+    def __init__(self):
+        self.handled = []
+
+    def handle(self, op, args, payload):
+        self.handled.append(op)
+        result = {"request": len(payload or b""), "handled": list(self.handled)}
+        return result, bytes(args.get("reply", 0))
+
+
+def test_mllib_cohosted_wide_model_finishes_and_matches_sim():
+    """RowSGD's O(m) frames both ways, two workers behind each pipe: the
+    shape that never returned (ROADMAP direction 3's acceptance line)."""
+    data = make_classification(400, 100_000, nnz_per_row=10, seed=5)
+    final = {}
+    for backend in ("sim", "local"):
+        trainer = make_trainer(
+            "mllib",
+            LogisticRegression(),
+            SGD(0.5),
+            SimulatedCluster(CLUSTER1.with_workers(4)),
+            batch_size=64,
+            iterations=3,
+            eval_every=0,
+            seed=3,
+            backend=backend,
+            local_processes=PROCESSES,
+            local_timeout_s=2.0,
+        )
+        trainer.load(data)
+        with hard_bound(BOUND_S):
+            final[backend] = trainer.fit().final_params
+    assert float(np.max(np.abs(final["local"] - final["sim"]))) == 0.0
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+@pytest.mark.parametrize("per_process", [1, 2, 4])
+@pytest.mark.parametrize("reply", sorted(SIZES, key=SIZES.get))
+@pytest.mark.parametrize("request_size", sorted(SIZES, key=SIZES.get))
+def test_exchange_and_close_stay_inside_the_bound(
+    request_size, reply, per_process, fault
+):
+    workers = PROCESSES * per_process
+    runtime = LocalRuntime(
+        workers,
+        processes=PROCESSES,
+        timeout=TimeoutPolicy(floor_s=FLOOR_S, max_retries=2),
+    )
+    with hard_bound(BOUND_S):
+        runtime.start({w: EchoProgram() for w in range(workers)})
+        if FAULTS[fault] is not None:
+            runtime.inject_faults(
+                [FaultEvent(0, FAULTS[fault], worker=0, stall_s=STALL_S)]
+            )
+        exchange = runtime.exchange(
+            "echo",
+            iteration=0,
+            args={"reply": SIZES[reply]},
+            payload=bytes(SIZES[request_size]),
+            tolerate_silent=True,
+        )
+        runtime.close()
+    assert sorted(exchange.replies) == list(range(workers))
+    for answer in exchange.replies.values():
+        assert answer.result["request"] == SIZES[request_size]
+        assert answer.result["handled"] == ["echo"]
+        assert len(answer.payload) == SIZES[reply]
+    if FAULTS[fault] is not None:
+        assert exchange.retries >= 1
+
+
+def test_a_silent_workers_next_frame_waits_for_its_late_reply():
+    """The outbox is the tail of the pipe.  A worker left silent by a
+    tolerated exchange still owes its reply, so its queued resend and
+    the next op are written only after that reply is read — and it
+    handles the ops in order, the duplicate not at all."""
+    runtime = LocalRuntime(
+        2, processes=2, timeout=TimeoutPolicy(floor_s=0.15, max_retries=1)
+    )
+    with hard_bound(BOUND_S):
+        runtime.start({w: EchoProgram() for w in range(2)})
+        runtime.inject_faults([FaultEvent(0, FaultKind.STALL, worker=0, stall_s=0.9)])
+        first = runtime.exchange("a", iteration=0, tolerate_silent=True)
+        assert first.silent_workers() == [0] and sorted(first.replies) == [1]
+        assert first.retries == 1
+        sleeper = runtime._hosts[0]
+        assert sleeper.owed == 1 and len(sleeper.outbox) == 1  # the resend
+        # a deadline the nap cannot reach: "b" must simply wait its turn
+        runtime.timeout = TimeoutPolicy(floor_s=BOUND_S)
+        second = runtime.exchange("b", iteration=1)
+        assert second.retries == 0
+        assert second.replies[0].result["handled"] == ["a", "b"]
+        assert second.replies[1].result["handled"] == ["a", "b"]
+        assert sleeper.owed == 0 and not sleeper.outbox
+        runtime.close()
