@@ -10,7 +10,9 @@ the first touch of every block (map + page-ins + the one validation
 scan) and warm is a lookup in the block table, and (3) what training
 reads: bytes read per round over the batch's own byte-model size (read
 amplification — the whole shard's worth on the rounds that first touch
-blocks, ~1 after), then an end-to-end run from the store on the local
+blocks, ~1 after), what assembling a B = 1000 batch out of the mapped
+blocks costs against the in-memory gather (rows/s over rows/s, blocks
+already touched), then an end-to-end run from the store on the local
 multiprocess backend, checked bit-identical against the in-memory
 simulator run and reporting the workers' first touches, table hits and
 bytes read.
@@ -54,6 +56,9 @@ NNZ_PER_ROW = 12
 #: block-fed shuffle rows/s over per-row shuffle rows/s, at least
 MIN_BLOCK_FED_GAIN = 5.0
 SHUFFLE_REPEATS = 3
+#: batch size (the e2e workloads') and rounds of the assembly comparison
+ASSEMBLY_BATCH = 1000
+ASSEMBLY_ROUNDS = 20
 
 
 def make_data():
@@ -120,6 +125,20 @@ def read_amplification(store):
     return ratios, touched
 
 
+def assembly_rows_per_s(store, index):
+    """Best-of-3 rows/s of ``assemble_batch`` over fixed rounds, blocks touched."""
+    rounds = [index.sample(t, ASSEMBLY_BATCH) for t in range(ASSEMBLY_ROUNDS)]
+    for draws in rounds:  # first touches stay off the clock
+        store.assemble_batch(draws)
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        for draws in rounds:
+            store.assemble_batch(draws)
+        best = min(best, time.perf_counter() - start)
+    return ASSEMBLY_ROUNDS * ASSEMBLY_BATCH / best
+
+
 def test_store_out_of_core(emit, tmp_path):
     data = make_data()
     dataset_bytes = csr_matrix_bytes(data.n_rows, data.nnz, with_labels=True)
@@ -158,7 +177,7 @@ def test_store_out_of_core(emit, tmp_path):
 
     shuffle_s, store = best_seconds(block_fed, "store")
     per_row_s, writer = best_seconds(per_row, "per_row")
-    dispatch_s, _ = best_seconds(in_memory, "memory")
+    dispatch_s, (memory, block_sizes, _) = best_seconds(in_memory, "memory")
     assert writer.meter.peak <= budget
     assert per_row_s >= MIN_BLOCK_FED_GAIN * shuffle_s, (per_row_s, shuffle_s)
 
@@ -173,6 +192,15 @@ def test_store_out_of_core(emit, tmp_path):
     # -- what a round reads: the rows it copies, once blocks are touched --
     amplification, touched = read_amplification(store)
     assert amplification[-1] < 2.0 or touched < WORKERS * n_blocks
+
+    # -- assembly: the shard walk against the in-memory gather, B = 1000 --
+    index = TwoPhaseIndex(block_sizes, base_seed=SEED)
+    shard0 = store.worker_store(0)
+    draws = index.sample(0, ASSEMBLY_BATCH)
+    assert shard0.assemble_batch(draws)[0] == memory[0].assemble_batch(draws)[0]
+    memory_rows_per_s = assembly_rows_per_s(memory[0], index)
+    shard_rows_per_s = assembly_rows_per_s(shard0, index)
+    shard0.clear()
 
     # -- training: store-backed local run vs in-memory simulator --------
     ref = make_driver("sim")
@@ -226,6 +254,12 @@ def test_store_out_of_core(emit, tmp_path):
             "per_round": amplification,
             "blocks_touched": touched,
         },
+        "assembly": {
+            "batch": ASSEMBLY_BATCH,
+            "shard_rows_per_s": shard_rows_per_s,
+            "in_memory_rows_per_s": memory_rows_per_s,
+            "shard_over_in_memory": shard_rows_per_s / memory_rows_per_s,
+        },
         "training": {
             "backend": "local",
             "seconds": train_s,
@@ -256,6 +290,8 @@ def test_store_out_of_core(emit, tmp_path):
                 ("cold scan MB/s", "{:.1f}".format(report["scan"]["cold_mb_per_s"])),
                 ("read amplification, round 0", "{:.1f}x".format(amplification[0])),
                 ("read amplification, last round", "{:.2f}x".format(amplification[-1])),
+                ("assemble_batch rows/s, shard / in memory (B=1000)", "{:.2f}x".format(
+                    report["assembly"]["shard_over_in_memory"])),
                 ("train s (local, store)", "{:.2f}".format(train_s)),
                 ("train first touches / table hits", "{:,} / {:,}".format(misses, hits)),
                 ("train bytes read", "{:,}".format(fetched)),

@@ -40,6 +40,31 @@ def _column_slots(n_cols: int) -> np.ndarray:
     return _SLOTS
 
 
+def _check(indptr, indices, data, n_cols: int) -> None:
+    """The structural checks every matrix a public method returns passes."""
+    if indptr.ndim != 1 or indices.ndim != 1 or data.ndim != 1:
+        raise ValueError("indptr, indices, data must be 1-D arrays")
+    if indptr.size == 0 or indptr[0] != 0:
+        raise ValueError("indptr must start with 0")
+    if indices.shape != data.shape:
+        raise DimensionMismatchError(indices.shape, data.shape, "indices/data length")
+    if indptr[-1] != indices.size:
+        raise ValueError(
+            "indptr[-1]={} does not match nnz={}".format(indptr[-1], indices.size)
+        )
+    if np.any(indptr[1:] < indptr[:-1]):  # not diff: unsigned ids wrap
+        raise ValueError("indptr must be non-decreasing")
+    if n_cols < 0:
+        raise ValueError("n_cols must be >= 0")
+    if indices.size and (indices.min() < 0 or indices.max() >= n_cols):
+        raise ValueError(
+            "column indices must lie in [0, {}), got [{}, {}]".format(
+                n_cols, indices.min(), indices.max()
+            )
+        )
+    OP_COUNTERS.add_flops(indices.size + indptr.size)  # validation scans
+
+
 class CSRMatrix:
     """CSR matrix with float64 data and int64 indices (:meth:`over` aside).
 
@@ -55,12 +80,11 @@ class CSRMatrix:
     )
 
     def __init__(self, indptr, indices, data, n_cols: int):
-        self._adopt(
-            np.asarray(indptr, dtype=np.int64),
-            np.asarray(indices, dtype=np.int64),
-            np.asarray(data, dtype=np.float64),
-            n_cols,
-        )
+        indptr = np.asarray(indptr, dtype=np.int64)
+        indices = np.asarray(indices, dtype=np.int64)
+        data = np.asarray(data, dtype=np.float64)
+        _check(indptr, indices, data, n_cols)
+        self._adopt(indptr, indices, data, n_cols)
 
     @classmethod
     def over(cls, indptr, indices, data, n_cols: int) -> "CSRMatrix":
@@ -76,32 +100,13 @@ class CSRMatrix:
             raise ValueError("indptr and indices must be integer arrays")
         if data.dtype != np.float64:
             raise ValueError("data must be float64, got {}".format(data.dtype))
+        _check(indptr, indices, data, n_cols)
         self = cls.__new__(cls)
         self._adopt(indptr, indices, data, n_cols)
         return self
 
     def _adopt(self, indptr, indices, data, n_cols: int) -> None:
-        """Validate the three arrays and take them as they are."""
-        if indptr.ndim != 1 or indices.ndim != 1 or data.ndim != 1:
-            raise ValueError("indptr, indices, data must be 1-D arrays")
-        if indptr.size == 0 or indptr[0] != 0:
-            raise ValueError("indptr must start with 0")
-        if indices.shape != data.shape:
-            raise DimensionMismatchError(indices.shape, data.shape, "indices/data length")
-        if indptr[-1] != indices.size:
-            raise ValueError(
-                "indptr[-1]={} does not match nnz={}".format(indptr[-1], indices.size)
-            )
-        if np.any(indptr[1:] < indptr[:-1]):  # not diff: unsigned ids wrap
-            raise ValueError("indptr must be non-decreasing")
-        if n_cols < 0:
-            raise ValueError("n_cols must be >= 0")
-        if indices.size and (indices.min() < 0 or indices.max() >= n_cols):
-            raise ValueError(
-                "column indices must lie in [0, {}), got [{}, {}]".format(
-                    n_cols, indices.min(), indices.max()
-                )
-            )
+        """Take the three arrays as they are; the caller has checked them."""
         self.indptr = indptr
         self.indices = indices
         self.data = data
@@ -110,7 +115,6 @@ class CSRMatrix:
         self._row_nnz = None
         self._row_segments = None
         self._touched = None
-        OP_COUNTERS.add_flops(indices.size + indptr.size)  # validation scans
 
     # ------------------------------------------------------------------
     # constructors
@@ -263,7 +267,18 @@ class CSRMatrix:
                     self.n_rows, row_ids.min(), row_ids.max()
                 )
             )
-        row_ids = row_ids.astype(np.int64, copy=False)
+        taken = self._gather_rows(row_ids.astype(np.int64, copy=False))
+        _check(taken.indptr, taken.indices, taken.data, taken.n_cols)
+        return taken
+
+    def _gather_rows(self, row_ids: np.ndarray) -> "CSRMatrix":
+        """:meth:`take_rows` without its checks, for callers that made them.
+
+        ``row_ids`` must be int64 and inside ``[0, n_rows)``.  The result
+        is built valid — its rows are rows of this (validated) matrix —
+        so it is not scanned again; the arrays are fresh copies, aligned,
+        with int64 ``indices`` whatever this matrix's index dtype.
+        """
         starts = self.indptr[row_ids]
         lengths = np.subtract(self.indptr[row_ids + 1], starts, dtype=np.int64)
         indptr = np.zeros(row_ids.size + 1, dtype=np.int64)
@@ -273,7 +288,11 @@ class CSRMatrix:
         # Source position of every output entry: a ramp over the output,
         # shifted per row by how far that row moved.
         source = np.repeat(starts - indptr[:-1], lengths) + np.arange(nnz)
-        taken = CSRMatrix(indptr, self.indices[source], self.data[source], self.n_cols)
+        taken = CSRMatrix.__new__(CSRMatrix)
+        taken._adopt(
+            indptr, self.indices[source].astype(np.int64, copy=False),
+            self.data[source], self.n_cols,
+        )
         taken._row_nnz = _frozen(lengths)
         return taken
 

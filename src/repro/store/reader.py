@@ -327,22 +327,25 @@ class ShardWorksetStore(WorksetStore):
     def _gather(self, draws: np.ndarray):
         """Block by block, copying only the drawn rows out of the mapping.
 
-        Draws are grouped by block so each touched block is looked up
-        once and contributes one ``take_rows``; the pieces are stacked
-        and a final gather restores draw order.
+        Draws are sorted by row, which groups them by block, so each
+        touched block is looked up once and contributes one piece; the
+        pieces are stacked and a final ``take_rows`` restores draw order.
+        A piece is gathered unchecked: its offsets were checked against
+        the footers and its block at first touch, so it is valid by
+        construction — the ``vstack`` and the final ``take_rows`` check
+        the batch once, as it leaves the store.
         """
         # every draw is checked against the footers before any block is read
-        rows_of_draws(draws, *self._layout)
-        block_ids, offsets = draws[:, 0], draws[:, 1]
-        order = np.argsort(block_ids, kind="stable")
-        grouped = block_ids[order]
-        bounds = np.flatnonzero(grouped[1:] != grouped[:-1]) + 1
+        rows = rows_of_draws(draws, *self._layout)
+        order = np.argsort(rows)
+        block_ids, offsets = draws[order, 0], draws[order, 1]
+        bounds = np.flatnonzero(block_ids[1:] != block_ids[:-1]) + 1
         parts = []
         labels = []
         for start, end in zip([0, *bounds], [*bounds, order.size]):
-            workset = self.get(int(grouped[start]))
-            offs = offsets[order[start:end]]
-            parts.append(workset.features.take_rows(offs))
+            workset = self.get(int(block_ids[start]))
+            offs = offsets[start:end]
+            parts.append(workset.features._gather_rows(offs))
             labels.append(workset.labels[offs])
         stacked = CSRMatrix.vstack(parts)
         inverse = np.empty(order.size, dtype=np.int64)

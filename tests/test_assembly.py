@@ -90,6 +90,18 @@ def csr_matrices(draw):
     return CSRMatrix(np.concatenate([[0], np.cumsum(lengths)]), indices, values, n_cols)
 
 
+def mapped_like(matrix: CSRMatrix) -> CSRMatrix:
+    """``matrix`` as a shard record maps it: int32 ids, f8 data 4 bytes off."""
+    raw = bytearray(4 + matrix.data.nbytes)
+    raw[4:] = matrix.data.tobytes()
+    data = np.frombuffer(bytes(raw), dtype=np.float64, offset=4)
+    assert not data.size or not data.flags.aligned
+    return CSRMatrix.over(
+        matrix.indptr.astype(np.int32), matrix.indices.astype(np.int32), data,
+        matrix.n_cols,
+    )
+
+
 # ----------------------------------------------------------------------
 # take_rows
 # ----------------------------------------------------------------------
@@ -102,6 +114,25 @@ class TestTakeRows:
             if matrix.n_rows else []
         )
         assert_same_arrays(matrix.take_rows(ids), loop_take_rows(matrix, ids))
+
+    @given(csr_matrices(), st.booleans(), st.data())
+    @settings(max_examples=150)
+    def test_the_unchecked_gather_is_take_rows(self, matrix, mapped, data):
+        """What the shard walk builds its pieces with, unchecked, is a valid
+        int64 copy equal to the checked gather, from either kind of source."""
+        ids = (
+            data.draw(st.lists(st.integers(0, matrix.n_rows - 1), max_size=20))
+            if matrix.n_rows else []
+        )
+        ids += ids[:1]  # always a repeat when there is a row
+        source = mapped_like(matrix) if mapped else matrix
+        got = source._gather_rows(np.asarray(ids, dtype=np.int64))
+        assert_same_arrays(got, source.take_rows(ids))
+        assert got.indices.dtype == np.int64
+        for mine in (got.indptr, got.indices, got.data):
+            for theirs in (source.indptr, source.indices, source.data):
+                assert not np.shares_memory(mine, theirs)
+        CSRMatrix(got.indptr, got.indices, got.data, got.n_cols)
 
     def test_repeated_empty_and_zero_nnz_rows(self):
         matrix = CSRMatrix([0, 2, 2, 3], [0, 3, 1], [1.0, 2.0, 3.0], 4)
@@ -206,29 +237,74 @@ class TestAssembleBatch:
                 assert np.array_equal(labels, want_labels)
 
     def test_one_take_rows_and_no_vstack_in_memory(self, layout, monkeypatch):
-        """Structural guard: the in-memory gather is a single pass."""
+        """Structural guard: the in-memory gather is a single pass, and the
+        shard walk checks its batch once, on the way out."""
         _, _, memory, shard, index = layout
-        calls = {"take_rows": 0, "vstack": 0}
-        take_rows, vstack = CSRMatrix.take_rows, CSRMatrix.vstack.__func__
+        calls = {"take_rows": 0, "_gather_rows": 0, "vstack": 0}
+        take_rows, gather_rows = CSRMatrix.take_rows, CSRMatrix._gather_rows
+        vstack = CSRMatrix.vstack.__func__
 
         def counted_take_rows(self, row_ids):
             calls["take_rows"] += 1
             return take_rows(self, row_ids)
+
+        def counted_gather_rows(self, row_ids):
+            calls["_gather_rows"] += 1
+            return gather_rows(self, row_ids)
 
         def counted_vstack(cls, parts):
             calls["vstack"] += 1
             return vstack(cls, parts)
 
         monkeypatch.setattr(CSRMatrix, "take_rows", counted_take_rows)
+        monkeypatch.setattr(CSRMatrix, "_gather_rows", counted_gather_rows)
         monkeypatch.setattr(CSRMatrix, "vstack", classmethod(counted_vstack))
         draws = index.sample(0, 64)
-        assert np.unique(draws[:, 0]).size > 3
+        touched = np.unique(draws[:, 0]).size
+        assert touched > 3
         memory[0].assemble_batch(draws)
-        assert calls == {"take_rows": 1, "vstack": 0}
-        # the out-of-core walk: one per touched block, a stack, a reorder
-        calls.update(take_rows=0, vstack=0)
+        assert calls == {"take_rows": 1, "_gather_rows": 1, "vstack": 0}
+        # the out-of-core walk: an unchecked piece per touched block, one
+        # checked stack, one checked reorder (whose own gather is the +1)
+        calls.update(take_rows=0, _gather_rows=0, vstack=0)
         shard[0].assemble_batch(draws)
-        assert calls == {"take_rows": np.unique(draws[:, 0]).size + 1, "vstack": 1}
+        assert calls == {"take_rows": 1, "_gather_rows": touched + 1, "vstack": 1}
+
+    @pytest.mark.parametrize(
+        "damage, match",
+        [
+            ("column", r"column indices must lie in \[0, "),
+            ("indptr", "indptr must be non-decreasing"),
+        ],
+    )
+    def test_a_bad_piece_is_caught_at_the_stores_exit(
+        self, layout, monkeypatch, damage, match
+    ):
+        """The per-block pieces are not checked; the batch leaving the store is."""
+        _, _, _, shard, _ = layout
+        store = shard[1]
+        draws = [(0, 0), (0, 1), (0, 2), (3, 1), (1, 4)]
+        gather_rows = CSRMatrix._gather_rows
+        pieces = []
+
+        def damaging_gather_rows(self, row_ids):
+            piece = gather_rows(self, row_ids)
+            if not pieces:  # the first piece of the walk: block 0, three rows
+                assert piece.n_rows == 3
+                if damage == "column":
+                    piece.indices[-1] = piece.n_cols
+                else:
+                    piece.indptr[1] = piece.indptr[-1] + 1
+            pieces.append(piece)
+            return piece
+
+        monkeypatch.setattr(CSRMatrix, "_gather_rows", damaging_gather_rows)
+        with pytest.raises(ValueError, match=match):
+            store.assemble_batch(draws)
+        # ... with the error the constructor raises for that piece on its own
+        bad = pieces[0]
+        with pytest.raises(ValueError, match=match):
+            CSRMatrix(bad.indptr, bad.indices, bad.data, bad.n_cols)
 
     def test_both_dispatchers_fill_the_same_shard(self, layout):
         data, assignment, memory, _, _ = layout
