@@ -29,6 +29,7 @@ import numpy as np
 
 from repro.errors import DataError, DimensionMismatchError, PartitionError
 from repro.linalg import CSRMatrix
+from repro.linalg.counters import OP_COUNTERS
 from repro.partition.indexing import rows_of_draws
 from repro.partition.workset import Workset, WorksetStore
 from repro.store.cache import CacheCounters, STORE_LEDGER
@@ -244,10 +245,19 @@ class ShardWorksetStore(WorksetStore):
     Construction takes only paths + footer indexes (cheap, picklable).
     A workset is a set of views of the mapping — it costs no memory, so
     the block table that keeps it never evicts.  The first touch of a
-    block checks its record header and CSR structure and charges the
-    record bytes (shard + sidecar) to the counters and the process-wide
+    block checks its record header and CSR structure, copies its
+    validated ``indptr`` into the row table, and charges the record
+    bytes (shard + sidecar) to the counters and the process-wide
     :data:`~repro.store.cache.STORE_LEDGER`; every batch charges the
     bytes of the rows it copies out.
+
+    The **row table** is every block's ``indptr`` laid end to end in
+    footer order, ``n_rows + n_blocks`` int32 entries allocated when
+    the process maps the files: block ``b``'s ``n_rows(b) + 1`` entries
+    start at ``first_row(b) + b``, so shard row ``r`` of block ``b``
+    spans ``[table[r + b], table[r + b + 1])`` of that block's arrays.
+    Only blocks in the block table are filled, and only after
+    ``CSRMatrix.over`` accepted them.
     """
 
     def __init__(
@@ -276,6 +286,8 @@ class ShardWorksetStore(WorksetStore):
         self._readers: Optional[Tuple[ShardReader, ShardReader]] = None  # shard, sidecar
         #: block id -> validated workset of views, filled on first touch
         self._blocks: Dict[int, Workset] = {}
+        #: the row table (class docstring); lives and dies with the readers
+        self._row_table: Optional[np.ndarray] = None
         #: (block ids, rows per block, first row per block) from the footer
         self._layout = (np.arange(sizes.size), sizes, np.cumsum(sizes) - sizes)
 
@@ -291,12 +303,15 @@ class ShardWorksetStore(WorksetStore):
 
     def _first_touch(self, block_id: int) -> Workset:
         """Map one block, validate it once, and table it."""
-        if not 0 <= block_id < self._shard_index.n_blocks:
+        n_blocks = self._shard_index.n_blocks
+        if not 0 <= block_id < n_blocks:
             raise PartitionError(
                 "worker {} has no workset for block {}".format(self.worker_id, block_id)
             )
         if self._readers is None:  # the first fetch of this process maps the files
             self._readers = ShardReader(self._shard_index), ShardReader(self._sidecar_index)
+            # format v1 stores indptr as int32
+            self._row_table = np.empty(self.n_rows + n_blocks, dtype=np.int32)
         payload = self._readers[0].csr_block(block_id)
         labels = self._readers[1].labels(block_id)
         try:
@@ -309,6 +324,8 @@ class ShardWorksetStore(WorksetStore):
                     block_id, self._shard_index.path.name, self.local_dim, exc
                 )
             ) from exc
+        slot = self._layout[2][block_id] + block_id
+        self._row_table[slot:slot + features.n_rows + 1] = features.indptr
         workset = self._blocks[block_id] = Workset(block_id, features, labels)
         self.counters.misses += 1
         record_bytes = self._shard_index.length(block_id) + self._sidecar_index.length(block_id)
@@ -325,32 +342,56 @@ class ShardWorksetStore(WorksetStore):
         )
 
     def _gather(self, draws: np.ndarray):
-        """Block by block, copying only the drawn rows out of the mapping.
+        """Size every drawn row in one pass, then read each block's map once.
 
-        Draws are sorted by row, which groups them by block, so each
-        touched block is looked up once and contributes one piece; the
-        pieces are stacked and a final ``take_rows`` restores draw order.
-        A piece is gathered unchecked: its offsets were checked against
-        the footers and its block at first touch, so it is valid by
-        construction — the ``vstack`` and the final ``take_rows`` check
-        the batch once, as it leaves the store.
+        Draws are sorted by row, which groups them by block, and each
+        touched block is looked up once (so its ``indptr`` is in the row
+        table).  One whole-batch pass over the table then gives every
+        drawn row's start and length, the batch ``indptr`` and the ramp
+        of entry positions; per block there is left only the read of its
+        ids and values at its slice of the ramp, its labels, and one
+        piece for the ``vstack``.  A final ``take_rows`` restores draw
+        order.  The pieces are not checked: the draws were checked
+        against the footers and every table entry by ``CSRMatrix.over``
+        at first touch — the ``vstack`` (which widens the int32 ids once)
+        and the final ``take_rows`` check the batch as it leaves the store.
         """
         # every draw is checked against the footers before any block is read
         rows = rows_of_draws(draws, *self._layout)
         order = np.argsort(rows)
         block_ids, offsets = draws[order, 0], draws[order, 1]
-        bounds = np.flatnonzero(block_ids[1:] != block_ids[:-1]) + 1
-        parts = []
-        labels = []
-        for start, end in zip([0, *bounds], [*bounds, order.size]):
-            workset = self.get(int(block_ids[start]))
-            offs = offsets[start:end]
-            parts.append(workset.features._gather_rows(offs))
-            labels.append(workset.labels[offs])
+        bounds = [0, *(np.flatnonzero(block_ids[1:] != block_ids[:-1]) + 1), order.size]
+        worksets = [self.get(int(block_id)) for block_id in block_ids[bounds[:-1]]]
+        slots = rows[order] + block_ids
+        starts = self._row_table[slots]
+        lengths = np.subtract(self._row_table[slots + 1], starts, dtype=np.int64)
+        indptr = np.zeros(order.size + 1, dtype=np.int64)
+        np.cumsum(lengths, out=indptr[1:])
+        nnz = int(indptr[-1])
+        OP_COUNTERS.add_alloc(2 * nnz)  # the pieces' ids + values
+        # position of every batch entry in its block's arrays: a ramp over
+        # the batch, shifted per row by how far that row moved
+        ramp = np.repeat(starts - indptr[:-1], lengths)
+        ramp += np.arange(nnz)
+        parts, labels = [], []
+        for workset, start, end in zip(worksets, bounds, bounds[1:]):
+            features = workset.features
+            lo, hi = indptr[start], indptr[end]
+            piece = CSRMatrix.__new__(CSRMatrix)
+            piece._adopt(
+                indptr[start:end + 1] - lo, features.indices[ramp[lo:hi]],
+                features.data[ramp[lo:hi]], self.local_dim,
+            )
+            parts.append(piece)
+            labels.append(workset.labels[offsets[start:end]])
+        # the stack and the reorder are the walk's peak: the ramp goes
+        # before the one, the pieces before the other
+        del ramp
         stacked = CSRMatrix.vstack(parts)
+        del parts
         inverse = np.empty(order.size, dtype=np.int64)
         inverse[order] = np.arange(order.size)
-        self._charge(ROW_READ_BYTES * order.size + ENTRY_READ_BYTES * stacked.nnz)
+        self._charge(ROW_READ_BYTES * order.size + ENTRY_READ_BYTES * nnz)
         return stacked.take_rows(inverse), np.concatenate(labels)[inverse]
 
     # ------------------------------------------------------------------
@@ -393,12 +434,13 @@ class ShardWorksetStore(WorksetStore):
         return stats
 
     def clear(self) -> None:
-        """Drop the block table and let go of the mappings.
+        """Drop the block and row tables and let go of the mappings.
 
         Safe while a caller still holds a workset: its views keep the
         pages mapped until they die.
         """
         self._blocks = {}
+        self._row_table = None
         for reader in self._readers or ():
             reader.close()
         self._readers = None
@@ -408,8 +450,8 @@ class ShardWorksetStore(WorksetStore):
     # ------------------------------------------------------------------
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
-        state.update(_readers=None, _blocks={}, counters=CacheCounters())
+        state.update(_readers=None, _blocks={}, _row_table=None, counters=CacheCounters())
         return state
 
     def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)  # nothing to rebuild: the table refills lazily
+        self.__dict__.update(state)  # nothing to rebuild: the tables refill lazily

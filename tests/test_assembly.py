@@ -9,6 +9,8 @@ must all reproduce it array for array.
 from __future__ import annotations
 
 import pickle
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +25,14 @@ from repro.partition.column import make_assignment
 from repro.partition.dispatch import dispatch_block_based, dispatch_naive
 from repro.sim.cluster import SimulatedCluster
 from repro.sim.presets import CLUSTER1
-from repro.store import ColumnShardStore
+from repro.store import (
+    ColumnShardStore,
+    ShardIndex,
+    ShardWorksetStore,
+    ShuffleWriter,
+    shard_filename,
+)
+from repro.store.format import SIDECAR_FILENAME
 from repro.store.reader import ENTRY_READ_BYTES, ROW_READ_BYTES
 
 WORKERS = 3
@@ -88,6 +97,60 @@ def csr_matrices(draw):
         )
     )
     return CSRMatrix(np.concatenate([[0], np.cumsum(lengths)]), indices, values, n_cols)
+
+
+@st.composite
+def uneven_blocks(draw):
+    """``(features, labels, sizes)``: blocks of 1-5 rows, one of them a
+    single row; rows of 0 to ``n_cols`` entries, the last one empty; and
+    an odd ``n_rows + 1 + nnz`` in block 0, so that its float64 values
+    sit 4 bytes off an 8-byte boundary in a shard file."""
+    n_cols = draw(st.integers(2, 6))
+    sizes = draw(st.lists(st.integers(1, 5), min_size=1, max_size=6))
+    sizes.insert(draw(st.integers(0, len(sizes))), 1)
+    lengths = draw(
+        st.lists(st.integers(0, n_cols), min_size=sum(sizes), max_size=sum(sizes))
+    )
+    lengths[-1] = 0  # never row 0: there are at least two blocks
+    rest = sum(lengths[1:sizes[0]])
+    lengths[0] = 1 if (sizes[0] + 1 + 1 + rest) % 2 else 2
+    indices = [
+        c for n in lengths
+        for c in sorted(draw(st.permutations(range(n_cols)))[:n])
+    ]
+    values = draw(
+        st.lists(
+            st.floats(-1e3, 1e3, allow_nan=False),
+            min_size=len(indices), max_size=len(indices),
+        )
+    )
+    labels = np.asarray(
+        draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=len(lengths),
+                      max_size=len(lengths)))
+    )
+    features = CSRMatrix(np.concatenate([[0], np.cumsum(lengths)]), indices, values, n_cols)
+    return features, labels, sizes
+
+
+def shard_and_memory_stores(directory: Path, features, labels, sizes):
+    """One worker's shard store over exactly these blocks, and its in-memory twin."""
+    writer = ShuffleWriter(
+        directory, n_features=features.n_cols, n_workers=1, block_size=max(sizes)
+    )
+    memory = WorksetStore(0, features.n_cols)
+    bounds = np.concatenate([[0], np.cumsum(sizes)])
+    for block_id, (row0, row1) in enumerate(zip(bounds, bounds[1:])):
+        block = features.slice_rows(row0, row1)
+        writer.add_rows(labels[row0:row1], block)
+        writer._flush_block()  # cut here (a no-op when block_size already did)
+        memory.put(Workset(block_id, block, labels[row0:row1]))
+    writer.close()
+    shard = ShardWorksetStore(
+        0, features.n_cols,
+        ShardIndex.load(directory / shard_filename(0)),
+        ShardIndex.load(directory / SIDECAR_FILENAME),
+    )
+    return shard, memory
 
 
 def mapped_like(matrix: CSRMatrix) -> CSRMatrix:
@@ -208,6 +271,43 @@ class TestAssembleBatch:
                 assert np.array_equal(labels, want_labels)
                 assert np.array_equal(labels, reference.labels)
 
+    @given(uneven_blocks(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_the_row_table_walk_is_the_in_memory_gather(self, shard_data, data):
+        """Any block layout, any draws: the shard walk (one whole-batch pass
+        over the row table, one read per block map) returns the in-memory
+        store's arrays, cold, warm, and cold again after ``clear()``."""
+        features, labels, sizes = shard_data
+        last = len(sizes) - 1
+        single = data.draw(st.integers(0, last), label="single block")
+        pairs = st.integers(0, last).flatmap(
+            lambda b: st.tuples(st.just(b), st.integers(0, sizes[b] - 1))
+        )
+        anywhere = data.draw(st.lists(pairs, min_size=1, max_size=12), label="anywhere")
+        batches = [
+            anywhere + anywhere[:2],  # repeated draws
+            data.draw(st.lists(
+                st.integers(0, sizes[single] - 1).map(lambda o: (single, o)),
+                min_size=1, max_size=6,
+            ), label="inside one block"),
+            data.draw(st.permutations(
+                [(b, data.draw(st.integers(0, n - 1))) for b, n in enumerate(sizes)]
+                + anywhere
+            ), label="every block"),
+        ]
+        with tempfile.TemporaryDirectory() as tmp:
+            shard, memory = shard_and_memory_stores(Path(tmp), features, labels, sizes)
+            assert not shard.get(0).features.data.flags.aligned
+            for _ in range(2):
+                for draws in batches + batches:  # cold, then warm
+                    got, got_labels = shard.assemble_batch(draws)
+                    want, want_labels = memory.assemble_batch(draws)
+                    assert_same_arrays(got, want)
+                    assert got.indices.dtype == np.int64
+                    assert got_labels.dtype == np.float64
+                    assert np.array_equal(got_labels, want_labels)
+                shard.clear()
+
     def test_the_shard_walk_copies_only_its_rows(self, layout):
         _, _, memory, shard, index = layout
         draws = index.sample(2, 64)
@@ -264,11 +364,12 @@ class TestAssembleBatch:
         assert touched > 3
         memory[0].assemble_batch(draws)
         assert calls == {"take_rows": 1, "_gather_rows": 1, "vstack": 0}
-        # the out-of-core walk: an unchecked piece per touched block, one
-        # checked stack, one checked reorder (whose own gather is the +1)
+        # the out-of-core walk: no row gather per touched block (the row
+        # table sizes the rows), one checked stack, one checked reorder
+        # whose own gather is the only one
         calls.update(take_rows=0, _gather_rows=0, vstack=0)
         shard[0].assemble_batch(draws)
-        assert calls == {"take_rows": 1, "_gather_rows": touched + 1, "vstack": 1}
+        assert calls == {"take_rows": 1, "_gather_rows": 1, "vstack": 1}
 
     @pytest.mark.parametrize(
         "damage, match",
@@ -284,21 +385,20 @@ class TestAssembleBatch:
         _, _, _, shard, _ = layout
         store = shard[1]
         draws = [(0, 0), (0, 1), (0, 2), (3, 1), (1, 4)]
-        gather_rows = CSRMatrix._gather_rows
+        vstack = CSRMatrix.vstack.__func__
         pieces = []
 
-        def damaging_gather_rows(self, row_ids):
-            piece = gather_rows(self, row_ids)
-            if not pieces:  # the first piece of the walk: block 0, three rows
-                assert piece.n_rows == 3
-                if damage == "column":
-                    piece.indices[-1] = piece.n_cols
-                else:
-                    piece.indptr[1] = piece.indptr[-1] + 1
+        def damaging_vstack(cls, parts):
+            piece = parts[0]  # the first piece of the walk: block 0, three rows
+            assert piece.n_rows == 3 and not pieces
+            if damage == "column":
+                piece.indices[-1] = piece.n_cols
+            else:
+                piece.indptr[1] = piece.indptr[-1] + 1
             pieces.append(piece)
-            return piece
+            return vstack(cls, parts)
 
-        monkeypatch.setattr(CSRMatrix, "_gather_rows", damaging_gather_rows)
+        monkeypatch.setattr(CSRMatrix, "vstack", classmethod(damaging_vstack))
         with pytest.raises(ValueError, match=match):
             store.assemble_batch(draws)
         # ... with the error the constructor raises for that piece on its own

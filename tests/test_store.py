@@ -27,7 +27,7 @@ from repro.datasets import make_classification
 from repro.datasets.dataset import Dataset
 from repro.datasets.libsvm import write_libsvm
 from repro.errors import ConfigurationError, DataError, PartitionError
-from repro.linalg import CSRMatrix
+from repro.linalg import OP_COUNTERS, CSRMatrix
 from repro.models import make_model
 from repro.optim import make_optimizer
 from repro.partition.column import ColumnAssignment, make_assignment
@@ -568,6 +568,85 @@ class TestBlockTable:
             for a, b in ((ours.indptr, theirs.indptr), (ours.indices, theirs.indices),
                          (ours.data, theirs.data), (our_labels, their_labels)):
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        ws.clear()
+
+
+class TestRowTable:
+    """Every touched block's validated ``indptr``, end to end, one per process."""
+
+    def test_allocated_once_filled_per_block(self, store):
+        ws = store.worker_store(1)
+        n = store.manifest.n_blocks
+        assert ws._row_table is None  # the driver process maps nothing
+        ws.get(2)
+        table = ws._row_table
+        assert table.dtype == ws.get(2).features.indptr.dtype == np.int32
+        assert table.size == ws.n_rows + n
+        index = TwoPhaseIndex(store.block_sizes(), base_seed=2)
+        for t in range(4):  # first touches and warm batches: the same array
+            ws.assemble_batch(index.sample(t, 30))
+            assert ws._row_table is table
+        for b in range(n):
+            ws.get(b)
+        first = 0
+        for b in range(n):  # block b's indptr starts at first_row(b) + b
+            indptr = ws.get(b).features.indptr
+            assert np.array_equal(table[first + b:first + b + indptr.size], indptr)
+            first += indptr.size - 1
+        assert first + n == table.size
+        ws.clear()
+
+    def test_filled_only_from_an_accepted_indptr(self, store, monkeypatch):
+        ws = store.worker_store(0)
+        ws.get(0)
+        before = ws._row_table.copy()
+
+        def rejecting_over(cls, *args):
+            raise ValueError("rejected")
+
+        monkeypatch.setattr(CSRMatrix, "over", classmethod(rejecting_over))
+        with pytest.raises(DataError, match="rejected"):
+            ws.get(1)
+        assert np.array_equal(ws._row_table, before)  # not one entry written
+        assert ws.cache_stats()["misses"] == 1
+        ws.clear()
+
+    def test_clear_and_pickle_drop_it(self, store):
+        ws = store.worker_store(3)
+        ws.assemble_batch([(0, 0), (2, 1)])
+        assert ws._row_table is not None
+        assert ws.__getstate__()["_row_table"] is None
+        clone = pickle.loads(pickle.dumps(ws))
+        assert clone._row_table is None
+        assert ws._row_table is not None  # pickling left the original alone
+        ws.clear()
+        assert ws._row_table is None
+        features, _ = ws.assemble_batch([(0, 0), (2, 1)])  # refilled on first touch
+        assert features == clone.assemble_batch([(0, 0), (2, 1)])[0]
+        ws.clear()
+        clone.clear()
+
+    def test_the_walk_charges_what_the_row_gathers_charged(self, store):
+        """Pieces (2 per entry) + stack (2) + reorder (2), and the two exit
+        checks' scans: the counts the per-block ``_gather_rows`` gave."""
+        ws = store.worker_store(2)
+        draws = TwoPhaseIndex(store.block_sizes(), base_seed=4).sample(0, 60)
+        ws.assemble_batch(draws)  # first touches: their validation scans stay out
+        OP_COUNTERS.reset()
+        OP_COUNTERS.enable()
+        try:
+            features, labels = ws.assemble_batch(draws)
+            counts = OP_COUNTERS.snapshot()
+        finally:
+            OP_COUNTERS.disable()
+            OP_COUNTERS.reset()
+        nnz = features.nnz
+        assert counts == {
+            "flops": 2 * (nnz + labels.size + 1),
+            "alloc_elements": 6 * nnz,
+            "densify_events": 0,
+            "peak_alloc_elements": 2 * nnz,
+        }
         ws.clear()
 
 
