@@ -42,9 +42,9 @@ def main():
     )
     print("  final loss {:.4f} (log 2 = 0.6931 is chance)".format(lr.final_loss()))
 
-    print("\ncolumn-partitioned MLP (hidden=8, tanh):")
+    print("\ncolumn-partitioned MLP (one hidden layer of 8, tanh):")
     trainer = MLPColumnTrainer(
-        ColumnMLP(hidden=8), SGD(0.5), SimulatedCluster(CLUSTER1),
+        ColumnMLP([8], out_std=0.5), SGD(0.5), SimulatedCluster(CLUSTER1),
         batch_size=500, iterations=400, eval_every=50, seed=0,
     )
     trainer.load(data)

@@ -3,18 +3,15 @@
 The paper's Section III-C sketches how ColumnSGD can support neural
 networks whose first layer is fully connected: partition the FC weight
 matrix by input columns and synchronise per-layer statistics.
-:mod:`repro.extensions.mlp` implements that sketch for a one-hidden-
-layer binary classifier.
+:mod:`repro.extensions.mlp` implements that sketch for a binary
+classifier of any depth, the first layer partitioned and the rest
+replicated.  Beside it, two optimizer families from Section VI:
+Hydra-style coordinate descent and CoCoA+.
 """
 
 from repro.extensions.mlp import ColumnMLP, MLPColumnTrainer, SequentialMLP
 from repro.extensions.coordinate_descent import RidgeCDTrainer
 from repro.extensions.cocoa import CoCoATrainer
-from repro.extensions.deep_mlp import (
-    DeepColumnMLP,
-    DeepMLPColumnTrainer,
-    SequentialDeepMLP,
-)
 
 __all__ = [
     "ColumnMLP",
@@ -22,7 +19,4 @@ __all__ = [
     "SequentialMLP",
     "RidgeCDTrainer",
     "CoCoATrainer",
-    "DeepColumnMLP",
-    "DeepMLPColumnTrainer",
-    "SequentialDeepMLP",
 ]

@@ -1,56 +1,52 @@
-"""Column-partitioned multi-layer perceptron (Section III-C sketch).
+"""Column-partitioned multi-layer perceptron (Section III-C).
 
-Architecture: one hidden layer of width ``H`` with tanh activation and a
-scalar logistic head — ``score(x) = w2 . tanh(W1^T x + b1) + b2`` with
-labels in {-1, +1}.
+Architecture: ``score = tail(tanh(W1^T x + b1))`` where ``tail`` is a
+stack of tanh layers (``hidden_sizes = [H1, H2, ...]``) ending in a
+scalar logistic output ``w_out . a + b_out``; labels in {-1, +1}.
 
 Distribution strategy, following the paper's FC-layer discussion:
 
-* ``W1`` (m x H) is the large tensor — partitioned by *input feature*
-  (rows of W1), collocated with the column-partitioned data, exactly
-  like a GLM model;
-* the per-example hidden pre-activations ``Z = X W1`` are additive over
-  column shards, so they are the *statistics* — ``B * H`` values per
-  iteration, independent of m;
-* the head ``(w2, b1, b2)`` is tiny (2H + 1 scalars) and *replicated* on
-  every worker.  Given the broadcast ``Z``, every worker computes the
-  identical head gradient locally, so the replicas stay bit-identical
-  with no extra communication — the reason the paper deems FC layers
-  supportable but conv/pool layers not.
+* ``W1`` (m x H1, the only tensor that scales with the feature
+  dimension) is partitioned by *input feature* (rows of W1), collocated
+  with the column-partitioned data, exactly like a GLM model;
+* the per-example pre-activations ``Z = X W1`` are additive over column
+  shards, so they are the *statistics* — ``B * H1`` values per
+  iteration, independent of m and of the depth;
+* the tail ``(b1, W2/b2, ..., w_out, b_out)`` is small and *replicated*
+  on every worker.  Given the broadcast ``Z``, every worker computes the
+  identical tail gradient locally, so the replicas stay bit-identical
+  with no extra communication — the paper's argument that "the width of
+  each individual layer in DNN is usually not large in practice".
 
-Backward pass, all local given complete ``Z``::
+Backward pass with one hidden layer, all local given complete ``Z``::
 
     A      = tanh(Z + b1)
-    s_i    = A_i . w2 + b2
-    c_i    = -y_i / (1 + exp(y_i s_i))         # logistic, as LR
-    delta  = (c  outer w2) * (1 - A^2)          # B x H
+    s_i    = A_i . w_out + b_out
+    c_i    = -y_i / (1 + exp(y_i s_i))          # logistic, as LR
+    delta  = (c outer w_out) * (1 - A^2)        # B x H1
     dW1_k  = X_k^T delta / B                    # local shard gradient
-    dw2    = A^T c / B ;  db1 = sum(delta)/B ;  db2 = sum(c)/B
+    dw_out = A^T c / B ;  db1 = sum(delta)/B ;  db_out = sum(c)/B
 
+Deeper tails carry ``delta`` back through each ``W_l`` first.
 :class:`MLPColumnTrainer` runs this on the simulated cluster with the
-same loading, indexing, timing, and straggler machinery as the GLM
-driver; :class:`SequentialMLP` is the single-machine reference the
-exactness tests compare against.
+same loading, indexing and timing machinery as the GLM driver;
+:class:`SequentialMLP` is the single-machine reference the exactness
+tests compare against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.trainer import Trainer
 from repro.datasets.dataset import Dataset
-from repro.engine import (
-    BarrierSync,
-    CommPhase,
-    ComputePhase,
-    MasterPhase,
-    RoundSpec,
-)
+from repro.engine import BarrierSync, CommPhase, ComputePhase, MasterPhase, RoundSpec
+from repro.errors import TrainingError
 from repro.linalg import CSRMatrix, row_dots
 from repro.linalg.ops import accumulate_rows
+from repro.models.losses import LogisticLoss, _sigmoid
 from repro.net.message import MessageKind
 from repro.optim.base import Optimizer
 from repro.partition.column import make_assignment
@@ -61,115 +57,156 @@ from repro.storage.serialization import dense_vector_bytes
 from repro.utils.rng import rng_from_seed
 from repro.utils.validation import check_positive
 
+_LOGISTIC = LogisticLoss()
 
-@dataclass
+
 class ColumnMLP:
-    """Model hyper-parameters and the shared math of the column MLP."""
+    """Model math for the column-partitioned network.
 
-    hidden: int
-    init_std: float = 0.5
+    ``hidden_sizes = [H1, H2, ...]``: H1 is the partitioned first-layer
+    width (the statistics width); the rest are replicated tail layers.
+    ``W1`` starts at ``N(0, init_std)`` and every tail weight at
+    ``N(0, init_std / sqrt(fan_in))``; ``out_std``, when given, is the
+    output weights' standard deviation instead.
+    """
 
-    def __post_init__(self):
-        check_positive(self.hidden, "hidden")
-        check_positive(self.init_std, "init_std")
+    def __init__(
+        self,
+        hidden_sizes: Sequence[int],
+        init_std: float = 0.5,
+        out_std: Optional[float] = None,
+    ):
+        if not hidden_sizes:
+            raise ValueError("need at least one hidden layer")
+        for h in hidden_sizes:
+            check_positive(h, "hidden size")
+        check_positive(init_std, "init_std")
+        if out_std is not None:
+            check_positive(out_std, "out_std")
+        self.hidden_sizes = [int(h) for h in hidden_sizes]
+        self.init_std = float(init_std)
+        self.out_std = None if out_std is None else float(out_std)
 
-    # -- initialisation -------------------------------------------------
+    @property
+    def statistics_width(self) -> int:
+        """Values synchronised per example: the first hidden width."""
+        return self.hidden_sizes[0]
+
+    # -- initialisation ---------------------------------------------------
     def init_w1(self, n_features: int, seed=None) -> np.ndarray:
         rng = rng_from_seed(seed)
-        return rng.normal(0.0, self.init_std, size=(n_features, self.hidden))
+        return rng.normal(0.0, self.init_std, size=(n_features, self.hidden_sizes[0]))
 
-    def init_head(self, seed=None) -> Dict[str, np.ndarray]:
+    def init_tail(self, seed=None) -> Dict[str, np.ndarray]:
+        """Replicated parameters: per tail layer a weight matrix and
+        bias, plus the scalar output."""
         rng = rng_from_seed(None if seed is None else seed + 1)
-        return {
-            "w2": rng.normal(0.0, self.init_std, size=self.hidden),
-            "b1": np.zeros(self.hidden),
-            "b2": np.zeros(1),
-        }
+        tail: Dict[str, np.ndarray] = {"b1": np.zeros(self.hidden_sizes[0])}
+        widths = self.hidden_sizes
+        for layer in range(1, len(widths)):
+            fan_in = widths[layer - 1]
+            tail["W{}".format(layer + 1)] = rng.normal(
+                0.0, self.init_std / np.sqrt(fan_in), size=(fan_in, widths[layer])
+            )
+            tail["b{}".format(layer + 1)] = np.zeros(widths[layer])
+        fan_in = widths[-1]
+        out_std = self.out_std
+        if out_std is None:
+            out_std = self.init_std / np.sqrt(fan_in)
+        tail["w_out"] = rng.normal(0.0, out_std, size=fan_in)
+        tail["b_out"] = np.zeros(1)
+        return tail
 
-    # -- forward/backward given complete statistics ----------------------
+    # -- forward / backward -------------------------------------------------
     def partial_statistics(self, shard: CSRMatrix, w1_part: np.ndarray) -> np.ndarray:
-        """Shard's contribution to Z = X W1 (additive across shards)."""
+        """Shard's contribution to ``Z = X W1`` (additive)."""
         return row_dots(shard, w1_part)
 
-    def forward(self, z: np.ndarray, head: Dict[str, np.ndarray]):
-        """Hidden activations and scalar scores from complete Z."""
-        a = np.tanh(z + head["b1"])
-        scores = a @ head["w2"] + head["b2"][0]
-        return a, scores
+    def forward(self, z: np.ndarray, tail: Dict[str, np.ndarray]):
+        """Activations per layer and scalar scores, from complete Z."""
+        activations = [np.tanh(np.asarray(z) + tail["b1"])]
+        for layer in range(2, len(self.hidden_sizes) + 1):
+            pre = activations[-1] @ tail["W{}".format(layer)] + tail["b{}".format(layer)]
+            activations.append(np.tanh(pre))
+        scores = activations[-1] @ tail["w_out"] + tail["b_out"][0]
+        return activations, scores
 
-    def loss_from_statistics(self, z, labels, head) -> float:
-        _, scores = self.forward(np.asarray(z), head)
-        margins = np.asarray(labels) * scores
-        stable = np.where(
-            margins > 0,
-            np.log1p(np.exp(-np.abs(margins))),
-            -margins + np.log1p(np.exp(-np.abs(margins))),
-        )
-        return float(np.mean(stable)) if stable.size else 0.0
+    def loss_from_statistics(self, z, labels, tail) -> float:
+        _, scores = self.forward(z, tail)
+        losses = _LOGISTIC.loss(scores, labels)
+        return float(np.mean(losses)) if losses.size else 0.0
 
-    def backward(self, z, labels, head):
-        """Per-example coefficients and hidden deltas (identical on all
-        workers given the broadcast Z)."""
-        labels = np.asarray(labels)
-        a, scores = self.forward(np.asarray(z), head)
-        margins = labels * scores
-        c = -labels * _sigmoid(-margins)
-        delta = (c[:, None] * head["w2"][None, :]) * (1.0 - a ** 2)
-        return a, c, delta
+    def backward(
+        self, z: np.ndarray, labels: np.ndarray, tail: Dict[str, np.ndarray]
+    ) -> Tuple[Dict[str, np.ndarray], np.ndarray]:
+        """Gradients of the replicated tail and the delta feeding W1.
 
-    def head_gradients(self, a, c, delta, batch_size):
-        """Gradients of the replicated head — no communication needed."""
-        b = max(batch_size, 1)
-        return {
-            "w2": a.T @ c / b,
-            "b1": delta.sum(axis=0) / b,
-            "b2": np.array([c.sum() / b]),
+        Returns ``(tail_grads, delta1)`` where ``delta1`` (B x H1) is
+        d(loss)/d(Z): every worker computes the identical values from
+        the broadcast Z, then its own ``dW1_k = X_k^T delta1 / B``.
+        """
+        labels = np.asarray(labels, dtype=np.float64)
+        batch = max(labels.size, 1)
+        activations, scores = self.forward(z, tail)
+        c = _LOGISTIC.derivative(scores, labels)  # dl/dscore
+
+        grads: Dict[str, np.ndarray] = {
+            "w_out": activations[-1].T @ c / batch,
+            "b_out": np.array([c.sum() / batch]),
         }
+        # delta at the top tail activation
+        delta = (c[:, None] * tail["w_out"][None, :]) * (1.0 - activations[-1] ** 2)
+        for layer in range(len(self.hidden_sizes), 1, -1):
+            w_key = "W{}".format(layer)
+            grads[w_key] = activations[layer - 2].T @ delta / batch
+            grads["b{}".format(layer)] = delta.sum(axis=0) / batch
+            delta = (delta @ tail[w_key].T) * (1.0 - activations[layer - 2] ** 2)
+        grads["b1"] = delta.sum(axis=0) / batch
+        return grads, delta
 
-    def w1_gradient(self, shard: CSRMatrix, delta: np.ndarray, batch_size: int):
-        """Local W1-partition gradient ``X_k^T delta / B``, over the rows
+    def w1_gradient(self, shard: CSRMatrix, delta1: np.ndarray, batch: int):
+        """Local first-layer gradient ``X_k^T delta1 / B``, over the rows
         the shard touches (a :class:`~repro.linalg.RowGradient`)."""
-        gradient = accumulate_rows(shard, delta)
-        gradient.values /= max(batch_size, 1)
+        gradient = accumulate_rows(shard, delta1)
+        gradient.values /= max(batch, 1)
         return gradient
 
 
 class SequentialMLP:
-    """Single-machine reference implementation (exactness baseline)."""
+    """Single-machine reference used by the exactness tests."""
 
     def __init__(self, model: ColumnMLP, optimizer: Optimizer, n_features: int, seed=0):
         self.model = model
         self.w1 = model.init_w1(n_features, seed=seed)
-        self.head = model.init_head(seed=seed)
+        self.tail = model.init_tail(seed=seed)
         self._opt_w1 = optimizer.spawn()
-        self._opt_head = {k: optimizer.spawn() for k in self.head}
+        self._opt_tail = {k: optimizer.spawn() for k in self.tail}
 
     def loss(self, features: CSRMatrix, labels) -> float:
         z = self.model.partial_statistics(features, self.w1)
-        return self.model.loss_from_statistics(z, labels, self.head)
+        return self.model.loss_from_statistics(z, labels, self.tail)
 
     def step(self, features: CSRMatrix, labels, iteration: int) -> None:
         z = self.model.partial_statistics(features, self.w1)
-        a, c, delta = self.model.backward(z, labels, self.head)
-        grad_w1 = self.model.w1_gradient(features, delta, features.n_rows)
-        head_grads = self.model.head_gradients(a, c, delta, features.n_rows)
+        tail_grads, delta1 = self.model.backward(z, labels, self.tail)
+        grad_w1 = self.model.w1_gradient(features, delta1, features.n_rows)
         self._opt_w1.step(self.w1, grad_w1, iteration)
-        for key, grad in head_grads.items():
-            self._opt_head[key].step(self.head[key], grad, iteration)
+        for key, grad in tail_grads.items():
+            self._opt_tail[key].step(self.tail[key], grad, iteration)
 
     def predict_proba(self, features: CSRMatrix) -> np.ndarray:
         z = self.model.partial_statistics(features, self.w1)
-        _, scores = self.model.forward(z, self.head)
+        _, scores = self.model.forward(z, self.tail)
         return _sigmoid(scores)
 
 
 class MLPColumnTrainer(Trainer):
     """ColumnSGD-style distributed training of :class:`ColumnMLP`.
 
-    Statistics per iteration: ``B * hidden`` values gathered and
-    broadcast once (one synchronisation per layer, as Section III-C
-    prescribes for FC layers).  The head is replicated; every worker
-    applies the identical head update, so replicas never diverge.
+    One ``B x H1`` statistics round per iteration (one synchronisation
+    for the FC layer, as Section III-C prescribes); the replicated tail
+    is updated identically on every worker from the broadcast Z, so a
+    single logical copy stands in for the replicas.
     """
 
     def __init__(
@@ -193,19 +230,17 @@ class MLPColumnTrainer(Trainer):
         self.eval_every = int(eval_every)
         self.seed = int(seed)
         self.block_size = int(block_size)
-
         self._dataset: Optional[Dataset] = None
         self._assignment = None
         self._stores = None
         self._index: Optional[TwoPhaseIndex] = None
         self._w1_parts: List[np.ndarray] = []
         self._w1_optimizers: List[Optimizer] = []
-        self._head: Dict[str, np.ndarray] = {}
-        self._head_optimizers: Dict[str, Optimizer] = {}
+        self._tail: Dict[str, np.ndarray] = {}
+        self._tail_optimizers: Dict[str, Optimizer] = {}
 
-    # ------------------------------------------------------------------
     def load(self, dataset: Dataset):
-        """Column-partition the data and W1; replicate the head."""
+        """Column-partition the data and W1; replicate the tail."""
         K = self.cluster.n_workers
         self._dataset = dataset
         self._assignment = make_assignment("round_robin", dataset.n_features, K)
@@ -219,26 +254,22 @@ class MLPColumnTrainer(Trainer):
             for k in range(K)
         ]
         self._w1_optimizers = [self.optimizer.spawn() for _ in range(K)]
-        # One logical head; replicas would stay identical, so a single
-        # array stands in for all of them (same trick as model replicas
-        # in backup computation).
-        self._head = self.model.init_head(seed=self.seed)
-        self._head_optimizers = {k: self.optimizer.spawn() for k in self._head}
+        self._tail = self.model.init_tail(seed=self.seed)
+        self._tail_optimizers = {k: self.optimizer.spawn() for k in self._tail}
         return report
 
     def _result_header(self) -> Dict[str, object]:
         return dict(
             system="ColumnSGD-MLP",
-            model="mlp{}".format(self.model.hidden),
+            model="mlp-{}".format("x".join(map(str, self.model.hidden_sizes))),
             dataset=self._dataset.name,
             batch_size=self.batch_size,
         )
 
     # ------------------------------------------------------------------
     def round_spec(self) -> RoundSpec:
-        """One statistics round per iteration (Section III-C, FC layer):
-        gather/broadcast the ``B x H`` pre-activations, then local
-        backward on each W1 partition plus the replicated head."""
+        """One ``B x H1`` statistics round; the replicated tail updates
+        identically on every worker from the broadcast Z."""
         return RoundSpec(
             system="ColumnSGD-MLP",
             sync=BarrierSync(),
@@ -262,15 +293,15 @@ class MLPColumnTrainer(Trainer):
                     sizes="_statistics_size",
                 ),
                 ComputePhase("update_model", run="_phase_update_model"),
-                MasterPhase("update_head", run="_phase_update_head"),
+                MasterPhase("update_tail", run="_phase_update_tail"),
             ),
         )
 
     def _phase_partial_statistics(self, ctx) -> Dict[int, float]:
         """Each worker's partial Z over its shard."""
         cost = self.cluster.cost
+        width = self.model.statistics_width
         draws = self._index.sample(ctx.t, self.batch_size)
-        H = self.model.hidden
         shards = []
         labels = None
         z_total = None
@@ -281,72 +312,67 @@ class MLPColumnTrainer(Trainer):
             labels = shard_labels
             part = self.model.partial_statistics(shard, self._w1_parts[k])
             z_total = part if z_total is None else z_total + part
-            per_worker[k] = cost.task_overhead + cost.sparse_work(shard.nnz, passes=H)
+            per_worker[k] = cost.task_overhead + cost.sparse_work(
+                shard.nnz, passes=width
+            )
         ctx.scratch["shards"] = shards
         ctx.scratch["labels"] = labels
         ctx.scratch["z_total"] = z_total
         return per_worker
 
     def _statistics_size(self, ctx) -> int:
-        return dense_vector_bytes(self.batch_size * self.model.hidden)
+        return dense_vector_bytes(self.batch_size * self.model.statistics_width)
 
     def _statistics_push_sizes(self, ctx) -> List[int]:
         return [self._statistics_size(ctx)] * self.cluster.n_workers
 
     def _phase_reduce(self, ctx) -> float:
         return self.cluster.cost.dense_work(
-            self.cluster.n_workers * self.batch_size * self.model.hidden
+            self.cluster.n_workers * self.batch_size * self.model.statistics_width
         )
 
     def _phase_update_model(self, ctx) -> Dict[int, float]:
         """Local backward; W1 partitions step their optimizers."""
         cost = self.cluster.cost
-        H = self.model.hidden
+        width = self.model.statistics_width
         shards = ctx.scratch["shards"]
-        a, c, delta = self.model.backward(
-            ctx.scratch["z_total"], ctx.scratch["labels"], self._head
+        tail_grads, delta1 = self.model.backward(
+            ctx.scratch["z_total"], ctx.scratch["labels"], self._tail
         )
-        ctx.scratch["backward"] = (a, c, delta)
+        ctx.scratch["tail_grads"] = tail_grads
         per_worker: Dict[int, float] = {}
         for k in range(self.cluster.n_workers):
-            grad = self.model.w1_gradient(shards[k], delta, self.batch_size)
+            grad = self.model.w1_gradient(shards[k], delta1, self.batch_size)
             self._w1_optimizers[k].step(self._w1_parts[k], grad, ctx.t)
             per_worker[k] = cost.task_overhead + cost.sparse_work(
-                shards[k].nnz, passes=H
+                shards[k].nnz, passes=width
             )
         return per_worker
 
-    def _phase_update_head(self, ctx) -> float:
-        """The replicated head's identical update (no communication)."""
-        a, c, delta = ctx.scratch["backward"]
-        head_grads = self.model.head_gradients(a, c, delta, self.batch_size)
-        for key, grad in head_grads.items():
-            self._head_optimizers[key].step(self._head[key], grad, ctx.t)
-        return self.cluster.cost.dense_work(2 * self.model.hidden + 1)
+    def _phase_update_tail(self, ctx) -> float:
+        """The replicated tail's identical update (no communication)."""
+        for key, grad in ctx.scratch["tail_grads"].items():
+            self._tail_optimizers[key].step(self._tail[key], grad, ctx.t)
+        tail_elements = sum(v.size for v in self._tail.values())
+        return self.cluster.cost.dense_work(tail_elements)
 
     # ------------------------------------------------------------------
     def current_w1(self) -> np.ndarray:
-        """Reassemble the full W1 from the partitions."""
-        full = np.zeros((self._dataset.n_features, self.model.hidden))
+        """Reassemble the full first-layer matrix from the partitions."""
+        if self._dataset is None:
+            raise TrainingError("no dataset to evaluate; call load() first")
+        full = np.zeros((self._dataset.n_features, self.model.statistics_width))
         for k in range(self.cluster.n_workers):
             full[self._assignment.columns_of(k)] = self._w1_parts[k]
         return full
 
-    def head(self) -> Dict[str, np.ndarray]:
-        """The replicated head parameters."""
-        return {k: v.copy() for k, v in self._head.items()}
+    def tail(self) -> Dict[str, np.ndarray]:
+        """The replicated tail parameters."""
+        return {k: v.copy() for k, v in self._tail.items()}
 
     def evaluate_loss(self, dataset: Optional[Dataset] = None) -> float:
         """Full-train loss (not charged to simulated time)."""
+        w1 = self.current_w1()
         data = dataset if dataset is not None else self._dataset
-        z = self.model.partial_statistics(data.features, self.current_w1())
-        return self.model.loss_from_statistics(z, data.labels, self._head)
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+        z = self.model.partial_statistics(data.features, w1)
+        return self.model.loss_from_statistics(z, data.labels, self._tail)

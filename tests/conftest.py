@@ -18,8 +18,6 @@ from repro.datasets import make_classification, make_multiclass, make_regression
 from repro.extensions import (
     CoCoATrainer,
     ColumnMLP,
-    DeepColumnMLP,
-    DeepMLPColumnTrainer,
     MLPColumnTrainer,
     RidgeCDTrainer,
 )
@@ -89,7 +87,8 @@ def fast_cluster4():
 
 
 # ----------------------------------------------------------------------
-# the ten engine trainers, built one way for every suite that walks them
+# the nine engine trainers, built one way for every suite that walks
+# them; the MLP twice, at one and at two hidden layers
 # ----------------------------------------------------------------------
 TRAINER_NAMES = (
     "ColumnSGDDriver",
@@ -101,13 +100,14 @@ TRAINER_NAMES = (
     "CoCoATrainer",
     "RidgeCDTrainer",
     "MLPColumnTrainer",
-    "DeepMLPColumnTrainer",
+    "4x3/MLPColumnTrainer",
 )
 
 
 def trainer_builders(cluster, data):
-    """``{class name: build}``; each ``build()`` returns that trainer,
-    loaded with ``data`` on ``cluster`` and configured for two rounds."""
+    """``{name: build}``, the name a class name (a ``variant/`` prefix
+    marks a second build of that class); each ``build()`` returns that trainer, loaded with ``data`` on
+    ``cluster`` and configured for two rounds."""
 
     def row(cls, **kw):
         def build():
@@ -127,9 +127,9 @@ def trainer_builders(cluster, data):
         driver.load(data)
         return driver
 
-    def mlp(cls, model):
+    def mlp(model):
         def build():
-            trainer = cls(
+            trainer = MLPColumnTrainer(
                 model, SGD(0.1), cluster, batch_size=64, iterations=2,
                 eval_every=0, seed=3,
             )
@@ -153,8 +153,6 @@ def trainer_builders(cluster, data):
         "StaleSyncPSTrainer": row(StaleSyncPSTrainer, staleness=2),
         "CoCoATrainer": local(CoCoATrainer, lam=0.1, local_steps=10),
         "RidgeCDTrainer": local(RidgeCDTrainer, lam=0.1),
-        "MLPColumnTrainer": mlp(MLPColumnTrainer, ColumnMLP(hidden=4)),
-        "DeepMLPColumnTrainer": mlp(
-            DeepMLPColumnTrainer, DeepColumnMLP([4, 3])
-        ),
+        "MLPColumnTrainer": mlp(ColumnMLP([4])),
+        "4x3/MLPColumnTrainer": mlp(ColumnMLP([4, 3])),
     }

@@ -94,8 +94,6 @@ def record_all() -> Dict[str, dict]:
     from repro.extensions import (
         CoCoATrainer,
         ColumnMLP,
-        DeepColumnMLP,
-        DeepMLPColumnTrainer,
         MLPColumnTrainer,
         RidgeCDTrainer,
     )
@@ -175,10 +173,16 @@ def record_all() -> Dict[str, dict]:
         result = trainer.fit()
         entry("ssp{}/lr/sgd".format(staleness), result, result.final_params)
 
-    # --- column-partitioned MLPs
-    for opt_name in ("sgd", "adam"):
+    # --- column-partitioned MLPs: one hidden layer with every weight at
+    # N(0, 0.5), and two hidden layers with the fan-in-scaled tail
+    mlps = [
+        ("mlp8/sgd", ColumnMLP([8], out_std=0.5), "sgd"),
+        ("mlp8/adam", ColumnMLP([8], out_std=0.5), "adam"),
+        ("deep_mlp8x4/sgd", ColumnMLP([8, 4]), "sgd"),
+    ]
+    for key, model, opt_name in mlps:
         mlp = MLPColumnTrainer(
-            ColumnMLP(hidden=8),
+            model,
             optimizers[opt_name](),
             _cluster(),
             batch_size=BATCH,
@@ -188,28 +192,11 @@ def record_all() -> Dict[str, dict]:
         )
         mlp.load(_data())
         result = mlp.fit()
+        tail = mlp.tail()
         params = np.concatenate(
-            [mlp.current_w1().ravel()]
-            + [mlp.head()[k].ravel() for k in sorted(mlp.head())]
+            [mlp.current_w1().ravel()] + [tail[k].ravel() for k in sorted(tail)]
         )
-        entry("mlp8/{}".format(opt_name), result, params)
-
-    deep = DeepMLPColumnTrainer(
-        DeepColumnMLP([8, 4]),
-        optimizers["sgd"](),
-        _cluster(),
-        batch_size=BATCH,
-        iterations=ITERATIONS,
-        eval_every=2,
-        seed=3,
-    )
-    deep.load(_data())
-    result = deep.fit()
-    params = np.concatenate(
-        [deep.current_w1().ravel()]
-        + [deep.tail()[k].ravel() for k in sorted(deep.tail())]
-    )
-    entry("deep_mlp8x4/sgd", result, params)
+        entry(key, result, params)
 
     # --- CoCoA and coordinate descent (their own optimizers)
     cocoa = CoCoATrainer(_cluster(), lam=0.1, local_steps=40, iterations=ITERATIONS,

@@ -1,13 +1,19 @@
-"""Tests for the column-partitioned MLP extension (Section III-C)."""
+"""Tests for the column-partitioned MLP extension (Section III-C), at one
+and at two hidden layers."""
 
 import numpy as np
 import pytest
 
 from repro.datasets import Dataset
+from repro.errors import TrainingError
 from repro.extensions import ColumnMLP, MLPColumnTrainer, SequentialMLP
 from repro.linalg import CSRMatrix
 from repro.optim import SGD
 from repro.sim import CLUSTER1, SimulatedCluster
+
+DEPTHS = pytest.mark.parametrize(
+    "sizes", [[4], [4, 3]], ids=lambda sizes: "x".join(map(str, sizes))
+)
 
 
 def xor_like_dataset(n_rows=600, seed=0):
@@ -21,9 +27,23 @@ def xor_like_dataset(n_rows=600, seed=0):
     return Dataset(CSRMatrix.from_dense(dense), labels, name="xor")
 
 
+def trainer_for(sizes, cluster, lr=0.1, **kw):
+    return MLPColumnTrainer(ColumnMLP(sizes), SGD(lr), cluster, **kw)
+
+
+def last_round_bytes(sizes, data):
+    trainer = trainer_for(
+        sizes, SimulatedCluster(CLUSTER1.with_workers(4)), batch_size=32,
+        iterations=3, eval_every=0, seed=1, block_size=64,
+    )
+    trainer.load(data)
+    return trainer.fit().records[-1].bytes_sent
+
+
 class TestColumnMLPMath:
-    def test_statistics_additive_over_column_shards(self, tiny_gaussian):
-        model = ColumnMLP(hidden=4)
+    @DEPTHS
+    def test_statistics_additive_over_column_shards(self, sizes, tiny_gaussian):
+        model = ColumnMLP(sizes)
         w1 = model.init_w1(tiny_gaussian.n_features, seed=1)
         full = model.partial_statistics(tiny_gaussian.features, w1)
         cols_a = np.arange(0, tiny_gaussian.n_features, 2)
@@ -35,56 +55,71 @@ class TestColumnMLPMath:
         )
         assert np.allclose(full, part, atol=1e-10)
 
-    def test_gradients_match_finite_differences(self):
+    @DEPTHS
+    def test_gradients_match_finite_differences(self, sizes):
         data = xor_like_dataset(50, seed=2)
-        model = ColumnMLP(hidden=3)
+        model = ColumnMLP(sizes)
         w1 = model.init_w1(data.n_features, seed=3)
-        head = model.init_head(seed=3)
+        tail = model.init_tail(seed=3)
 
-        def loss_at(w1_, head_):
+        def loss_at(w1_, tail_):
             z = model.partial_statistics(data.features, w1_)
-            return model.loss_from_statistics(z, data.labels, head_)
+            return model.loss_from_statistics(z, data.labels, tail_)
 
         z = model.partial_statistics(data.features, w1)
-        a, c, delta = model.backward(z, data.labels, head)
-        grad_w1 = model.w1_gradient(data.features, delta, data.n_rows).to_dense()
-        head_grads = model.head_gradients(a, c, delta, data.n_rows)
+        tail_grads, delta1 = model.backward(z, data.labels, tail)
+        grad_w1 = model.w1_gradient(data.features, delta1, data.n_rows).to_dense()
+        assert set(tail_grads) == set(tail)
 
         eps = 1e-6
-        # W1 entries
         for idx in [(0, 0), (1, 2), (5, 1)]:
             up = w1.copy(); up[idx] += eps
             down = w1.copy(); down[idx] -= eps
-            numeric = (loss_at(up, head) - loss_at(down, head)) / (2 * eps)
+            numeric = (loss_at(up, tail) - loss_at(down, tail)) / (2 * eps)
             assert grad_w1[idx] == pytest.approx(numeric, abs=1e-6)
-        # head entries
-        for key in ("w2", "b1", "b2"):
-            for i in range(head[key].size):
-                up = {k: v.copy() for k, v in head.items()}
-                down = {k: v.copy() for k, v in head.items()}
-                up[key][i] += eps
-                down[key][i] -= eps
+        for key, grad in tail_grads.items():
+            for i in range(min(grad.size, 4)):
+                up = {k: v.copy() for k, v in tail.items()}
+                down = {k: v.copy() for k, v in tail.items()}
+                up[key].reshape(-1)[i] += eps
+                down[key].reshape(-1)[i] -= eps
                 numeric = (loss_at(w1, up) - loss_at(w1, down)) / (2 * eps)
-                assert head_grads[key][i] == pytest.approx(numeric, abs=1e-6)
+                assert grad.reshape(-1)[i] == pytest.approx(numeric, abs=1e-6), key
+
+    def test_out_std_is_the_output_weights_std(self):
+        scaled = ColumnMLP([8]).init_tail(seed=1)
+        assert set(scaled) == {"b1", "w_out", "b_out"}
+        same = ColumnMLP([8], out_std=0.5 / np.sqrt(8)).init_tail(seed=1)
+        assert np.array_equal(scaled["w_out"], same["w_out"])
+        deep = ColumnMLP([8, 4], out_std=2.0).init_tail(seed=1)
+        assert np.array_equal(deep["W2"], ColumnMLP([8, 4]).init_tail(seed=1)["W2"])
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            ColumnMLP(hidden=0)
+        for sizes, kw in [([0], {}), ([4], {"init_std": 0}),
+                          ([4], {"out_std": -1.0})]:
+            with pytest.raises(ValueError):
+                ColumnMLP(sizes, **kw)
+
+    def test_hidden_sizes_validation(self):
+        for sizes in ([], [4, 0]):
+            with pytest.raises(ValueError):
+                ColumnMLP(sizes)
 
 
 class TestDistributedMLP:
-    def test_matches_sequential_reference(self, tiny_gaussian):
-        model = ColumnMLP(hidden=4)
+    @DEPTHS
+    def test_matches_sequential_reference(self, sizes, tiny_gaussian):
         cluster = SimulatedCluster(CLUSTER1.with_workers(4))
-        trainer = MLPColumnTrainer(
-            model, SGD(0.1), cluster, batch_size=32, iterations=10,
-            eval_every=0, seed=7, block_size=64,
+        trainer = trainer_for(
+            sizes, cluster, batch_size=32, iterations=10, eval_every=0, seed=7,
+            block_size=64,
         )
         trainer.load(tiny_gaussian)
         trainer.fit()
 
-        reference = SequentialMLP(ColumnMLP(hidden=4), SGD(0.1),
-                                  tiny_gaussian.n_features, seed=7)
+        reference = SequentialMLP(
+            ColumnMLP(sizes), SGD(0.1), tiny_gaussian.n_features, seed=7
+        )
         index = trainer._index
         for t in range(10):
             rows = index.to_global_rows(index.sample(t, 32))
@@ -92,19 +127,18 @@ class TestDistributedMLP:
             reference.step(batch.features, batch.labels, t)
 
         assert np.allclose(trainer.current_w1(), reference.w1, atol=1e-9)
-        for key in ("w2", "b1", "b2"):
-            assert np.allclose(trainer.head()[key], reference.head[key], atol=1e-9)
+        for key in reference.tail:
+            assert np.allclose(trainer.tail()[key], reference.tail[key], atol=1e-9)
 
-    def test_solves_xor_where_lr_cannot(self):
+    @DEPTHS
+    def test_solves_xor_where_lr_cannot(self, sizes):
         data = xor_like_dataset(600, seed=4)
-        cluster = SimulatedCluster(CLUSTER1.with_workers(2))
-        trainer = MLPColumnTrainer(
-            ColumnMLP(hidden=8), SGD(0.5), cluster, batch_size=128,
-            iterations=400, eval_every=50, seed=4, block_size=128,
+        trainer = trainer_for(
+            sizes, SimulatedCluster(CLUSTER1.with_workers(2)), lr=0.5,
+            batch_size=128, iterations=400, eval_every=50, seed=4, block_size=128,
         )
         trainer.load(data)
-        result = trainer.fit()
-        assert result.final_loss() < 0.3  # LR stalls at ~log(2)=0.69
+        assert trainer.fit().final_loss() < 0.3  # LR stalls at ~log(2)=0.69
 
         from repro.core import train_columnsgd
         from repro.models import LogisticRegression
@@ -117,23 +151,22 @@ class TestDistributedMLP:
         assert lr_result.final_loss() > 0.6
 
     def test_statistics_traffic_is_batch_times_hidden(self, tiny_gaussian):
-        hidden_sizes = (2, 8)
-        traffic = {}
-        for hidden in hidden_sizes:
-            cluster = SimulatedCluster(CLUSTER1.with_workers(4))
-            trainer = MLPColumnTrainer(
-                ColumnMLP(hidden=hidden), SGD(0.1), cluster, batch_size=32,
-                iterations=3, eval_every=0, seed=1, block_size=64,
-            )
-            trainer.load(tiny_gaussian)
-            result = trainer.fit()
-            traffic[hidden] = result.records[-1].bytes_sent
-        assert traffic[8] > 3 * traffic[2]
+        """``B x H1`` values a round."""
+        narrow = last_round_bytes([2], tiny_gaussian)
+        assert last_round_bytes([8], tiny_gaussian) > 3 * narrow
 
-    def test_fit_without_load_raises(self):
-        from repro.errors import TrainingError
+    def test_tail_layers_add_no_traffic(self, tiny_gaussian):
+        wide = last_round_bytes([8], tiny_gaussian)
+        assert last_round_bytes([8, 8, 8], tiny_gaussian) == wide
 
-        cluster = SimulatedCluster(CLUSTER1.with_workers(2))
-        trainer = MLPColumnTrainer(ColumnMLP(hidden=2), SGD(0.1), cluster)
+    @DEPTHS
+    def test_fit_without_load_raises(self, sizes):
+        trainer = trainer_for(sizes, SimulatedCluster(CLUSTER1.with_workers(2)))
         with pytest.raises(TrainingError):
             trainer.fit()
+
+    def test_evaluating_before_load_raises(self):
+        trainer = trainer_for([2], SimulatedCluster(CLUSTER1.with_workers(2)))
+        for call in (trainer.evaluate_loss, trainer.current_w1):
+            with pytest.raises(TrainingError, match="call load\\(\\) first"):
+                call()

@@ -108,8 +108,12 @@ def static_specs():
     return out
 
 
+def _class_name(name: str) -> str:
+    return name.split("/")[-1]
+
+
 def test_static_extraction_covers_every_trainer(static_specs):
-    assert set(TRAINER_NAMES) <= set(static_specs)
+    assert {_class_name(name) for name in TRAINER_NAMES} <= set(static_specs)
 
 
 @pytest.mark.parametrize("name", TRAINER_NAMES)
@@ -118,7 +122,8 @@ def test_static_spec_matches_the_runtime_spec(
 ):
     trainer = trainer_builders(cluster4, tiny_binary)[name]()
     runtime_names = tuple(p.name for p in trainer.round_spec().phases)
-    assert runtime_names in {s.phase_names() for s in static_specs[name]}
+    specs = static_specs[_class_name(name)]
+    assert runtime_names in {s.phase_names() for s in specs}
 
 
 def test_driver_spec_is_reconstructed_with_its_executors(static_specs):

@@ -1,6 +1,6 @@
 """One ``Trainer``, one ``fit``: the contract every engine trainer meets.
 
-All ten trainers run the base's loop (``repro.core.trainer``) and
+All nine trainers run the base's loop (``repro.core.trainer``) and
 differ in their declared round; this suite walks the shared builders
 table (``tests/conftest.py``) and pins what "the same loop" means.
 """
