@@ -10,7 +10,8 @@ Beyond the paper, this bench also exercises the chaos-grade pipeline:
   with ``RecoveryPolicy(master_restart=True)`` the job survives and the
   recovery cost is broken down into detect / reload / replay);
 * a seeded chaos matrix — a FaultSchedule's Poisson worker/task crashes
-  on top of a 1 %-drop :class:`~repro.net.FaultPlan`, protocol-checked every round.
+  plus scripted lost (DROP) and garbled (GARBLE) replies, protocol-checked
+  every round.
 
 Wall-clock benchmark: one worker-failure recovery.
 """
@@ -20,7 +21,7 @@ from repro.datasets import load_profile
 from repro.experiments import fault_timeline, loss_series, render_engine_trace
 from repro.faults import FaultEvent, FaultKind, FaultSchedule
 from repro.models import LogisticRegression
-from repro.net import FaultPlan, LinkFaults
+from repro.net import MessageKind
 from repro.optim import SGD
 from repro.sim import CLUSTER1, SimulatedCluster
 from repro.utils import ascii_table, format_duration
@@ -30,8 +31,8 @@ def fault(iteration, kind, worker=None):
     return FaultSchedule([FaultEvent(iteration, kind, worker)])
 
 
-def run(data, failures=None, recovery=None, fault_plan=None, check_protocol=False):
-    cluster = SimulatedCluster(CLUSTER1, fault_plan=fault_plan)
+def run(data, failures=None, recovery=None, check_protocol=False):
+    cluster = SimulatedCluster(CLUSTER1)
     config = ColumnSGDConfig(
         batch_size=500, iterations=80, eval_every=4, seed=10,
         check_protocol=check_protocol,
@@ -136,19 +137,23 @@ def master_restart_report(data):
 
 # one worker/task crash roughly every CHAOS_MTBF_ROUNDS rounds
 CHAOS_MTBF_ROUNDS = 25.0
+# a lost or garbled reply every REPLY_LOSS_EVERY rounds, on rotating workers
+REPLY_LOSS_EVERY = 4
 
 
 def chaos_matrix(data, seeds=(1, 2, 3)):
-    """Seeded chaos runs: Poisson worker/task crashes + 1 % link drop,
-    protocol-checked every round (raises on any Table-I violation)."""
+    """Seeded chaos runs: Poisson worker/task crashes plus scripted
+    DROP / GARBLE replies, protocol-checked every round (raises on any
+    Table-I violation)."""
     clean, _ = run(data)
-    plan = FaultPlan(default=LinkFaults(drop=0.01), seed=0)
+    losses = [
+        FaultEvent(t, (FaultKind.DROP, FaultKind.GARBLE)[k % 2], k % CLUSTER1.n_workers)
+        for k, t in enumerate(range(REPLY_LOSS_EVERY, 80, REPLY_LOSS_EVERY))
+    ]
     rows = []
     for seed in seeds:
-        chaos = FaultSchedule(mtbf_rounds=CHAOS_MTBF_ROUNDS, seed=seed)
-        result, driver = run(
-            data, failures=chaos, fault_plan=plan, check_protocol=True
-        )
+        chaos = FaultSchedule(losses, mtbf_rounds=CHAOS_MTBF_ROUNDS, seed=seed)
+        result, driver = run(data, failures=chaos, check_protocol=True)
         net = driver.cluster.network
         trace = driver.cluster.engine_trace
         rows.append((
@@ -156,13 +161,13 @@ def chaos_matrix(data, seeds=(1, 2, 3)):
             "{:.4f}".format(result.final_loss()),
             "{:+.4f}".format(result.final_loss() - clean.final_loss()),
             str(len(trace.recoveries)),
-            str(net.dropped),
-            str(net.retry_messages()),
+            str(net.losses),
+            str(net.messages_by_kind[MessageKind.RETRY]),
             format_duration(result.total_sim_time),
         ))
     return ascii_table(
         ["chaos seed", "final loss", "vs clean", "recoveries",
-         "drops", "retransmits", "total sim time"],
+         "lost/garbled replies", "RETRY messages", "total sim time"],
         rows,
     )
 

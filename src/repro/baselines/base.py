@@ -33,7 +33,7 @@ from repro.engine import (
     RoundSpec,
 )
 from repro.errors import MasterFailedError, TrainingError
-from repro.faults import FaultKind, FaultSchedule
+from repro.faults import REPLY_LOSSES, FaultKind, FaultSchedule
 from repro.linalg import CSRMatrix
 from repro.models.base import StatisticsModel
 from repro.optim.base import Optimizer
@@ -234,9 +234,14 @@ class BaselineTrainer(Trainer):
     def _strike(self, t: int, events) -> float:
         """RowSGD fault semantics, simulated: the model lives at the
         center, so a worker crash costs only a shard reload (no numeric
-        effect); a master crash loses the model and aborts the job."""
+        effect); a master crash loses the model and aborts the job; a
+        lost or garbled reply is a retransmit the round's comm phase
+        pays."""
         extra = 0.0
         for event in events:
+            if event.kind in REPLY_LOSSES:
+                self.cluster.network.lose_next(event.worker)
+                continue
             if event.kind is FaultKind.MASTER:
                 raise MasterFailedError(
                     "master failed at iteration {} — the model is lost; "

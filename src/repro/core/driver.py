@@ -51,7 +51,7 @@ from repro.engine import (
 )
 from repro.engine.policy import check_deadline_factors
 from repro.errors import ConfigurationError, MasterFailedError, TrainingError
-from repro.faults import FaultKind, FaultSchedule
+from repro.faults import REPLY_LOSSES, FaultKind, FaultSchedule
 from repro.models.base import StatisticsModel
 from repro.net.message import MessageKind
 from repro.optim.base import Optimizer
@@ -615,11 +615,15 @@ class ColumnSGDDriver(Trainer):
 
     def _strike(self, t: int, events) -> float:
         """Simulated faults: heartbeat upkeep, then each event's
-        Section X recovery, charged in simulated seconds."""
+        Section X recovery, charged in simulated seconds; a lost or
+        garbled reply is a retransmit the round's comm phase pays."""
         manager = self.recovery_manager
-        extra = manager.heartbeats()
+        manager.heartbeats()
+        extra = 0.0
         for event in events:
-            if event.kind is FaultKind.MASTER:
+            if event.kind in REPLY_LOSSES:
+                self.cluster.network.lose_next(event.worker)
+            elif event.kind is FaultKind.MASTER:
                 if not self.recovery_policy.master_restart:
                     raise MasterFailedError(
                         "master failed at iteration {}".format(t)

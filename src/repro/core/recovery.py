@@ -292,12 +292,12 @@ class RecoveryManager:
         every = self.policy.checkpoint_every
         return bool(every) and t % every == 0
 
-    def heartbeats(self) -> float:
-        """Per-iteration probes from every live worker; they ride the
-        existing RPC fabric, so only a lossy link's retransmissions
-        cost seconds."""
+    def heartbeats(self) -> None:
+        """Per-iteration probes from every live worker.  They ride the
+        existing RPC fabric and are an unchecked kind no scheduled loss
+        ever hits, so they cost bytes, never seconds."""
         if self.policy.heartbeat_interval_s <= 0:
-            return 0.0
+            return
         network = self.cluster.network
         for worker in self.workers:
             if worker.failed:
@@ -310,7 +310,6 @@ class RecoveryManager:
                     OBJECT_OVERHEAD_BYTES,
                 )
             )
-        return network.consume_extra_seconds()
 
     def partition_bytes(self, state: PartitionState) -> int:
         """Charged wire/disk footprint of one snapshot (params + state)."""
@@ -348,14 +347,10 @@ class RecoveryManager:
             )
             per_worker_bytes[primary] = per_worker_bytes.get(primary, 0) + size
         if not per_worker_bytes:
-            return network.consume_extra_seconds()
+            return 0.0
         slowest = max(per_worker_bytes.values())
         disk = self.cluster.spec.disk_bandwidth_bytes_per_s
-        return (
-            slowest / disk
-            + slowest / network.bandwidth
-            + network.consume_extra_seconds()
-        )
+        return slowest / disk + slowest / network.bandwidth
 
     # ------------------------------------------------------------------
     def restart_task(self, t: int) -> float:

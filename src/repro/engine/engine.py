@@ -152,6 +152,7 @@ class RoundEngine:
         sync.before_round(ctx)
 
         round_start = self.runtime.clock.now()
+        losses_before = self.runtime.network.losses
         phase_seconds: Dict[str, float] = {}
         worker_seconds: Dict[str, Dict[int, float]] = {}
         expected: Dict[MessageKind, tuple] = {}
@@ -196,6 +197,8 @@ class RoundEngine:
             return RoundOutcome(duration, phase_seconds, worker_seconds)
         if self.spec.envelopes is not None:
             expected.update(getattr(self.trainer, self.spec.envelopes)(ctx))
+        # a simulated lost reply is one retransmit, like a measured resend
+        ctx.resends += self.runtime.network.losses - losses_before
         self._expect_retries(expected, ctx.resends)
         return RoundOutcome(
             duration=duration,
@@ -259,45 +262,26 @@ class RoundEngine:
         have_count, have_bytes = expected.get(kind, (0, 0))
         expected[kind] = (have_count + count, have_bytes + total_bytes)
 
-    def _expect_retries(self, expected, resends: int) -> None:
-        """Bound RETRY traffic when the fabric is lossy.
+    @staticmethod
+    def _expect_retries(expected, resends: int) -> None:
+        """Bound the round's RETRY traffic by its ``resends``.
 
-        The fault layer retransmits under :data:`MessageKind.RETRY`, so
-        every base-kind expectation above stays *exact*; this derives
-        the matching retry envelope — at most ``max_attempts`` extra
-        copies of every declared message (stop-and-wait retries plus one
-        duplicate), at least zero.  A measured transport counted its
-        ``resends`` instead: each is one RETRY frame, two when a garbled
-        reply also wasted its arrival, none bigger than a frame header
-        on top of the round's largest declared transfer.  On a lossless
-        network no envelope is added and any stray RETRY message is
-        flagged as undeclared.
+        Retransmits travel under :data:`MessageKind.RETRY`, so every
+        base-kind expectation above stays *exact*.  Each resend — a
+        measured transport's, or a simulated lost reply's — is one RETRY
+        copy, two when a garbled reply also wasted its arrival, none
+        bigger than a frame header on top of the round's largest
+        declared transfer.  With no resend no envelope is added and any
+        stray RETRY message is flagged as undeclared.
         """
-        if resends:
-            frame = OBJECT_OVERHEAD_BYTES + max(
-                total for _, total in expected.values()
-            )
-            expected[MessageKind.RETRY] = TrafficEnvelope(
-                resends, 2 * resends, 0, 2 * resends * frame
-            )
+        if not resends:
             return
-        plan = getattr(self.runtime.network, "fault_plan", None)
-        if plan is None or not plan.any_faults():
-            return
-
-        max_messages = 0
-        max_bytes = 0
-        for want in expected.values():
-            if isinstance(want, TrafficEnvelope):
-                max_messages += want.max_messages
-                max_bytes += want.max_bytes
-            else:
-                count, total = want
-                max_messages += count
-                max_bytes += total
-        cap = plan.max_attempts
+        frame = OBJECT_OVERHEAD_BYTES + max(
+            want.max_bytes if isinstance(want, TrafficEnvelope) else want[1]
+            for want in expected.values()
+        )
         expected[MessageKind.RETRY] = TrafficEnvelope(
-            0, cap * max_messages, 0, cap * max_bytes
+            resends, 2 * resends, 0, 2 * resends * frame
         )
 
 

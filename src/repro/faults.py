@@ -13,9 +13,8 @@ make happen, ``docs/faults.md`` what physically happens and what it
 costs.  A kind a backend cannot inject is a
 :class:`~repro.errors.ConfigurationError` when the trainer is built
 (:meth:`FaultSchedule.validate`), never a surprise in round ``t``.  The
-simulated fabric's stragglers and lossy links are cost-model inputs,
-not scheduled events: see :class:`repro.sim.StragglerModel` and
-:class:`repro.net.FaultPlan`.
+simulated fabric's stragglers are a cost-model input, not scheduled
+events: see :class:`repro.sim.StragglerModel`.
 """
 
 from __future__ import annotations
@@ -43,7 +42,10 @@ class FaultKind(enum.Enum):
 
 #: kinds each backend can make happen
 SUPPORTED_KINDS: Dict[str, Tuple[FaultKind, ...]] = {
-    "sim": (FaultKind.TASK, FaultKind.WORKER, FaultKind.MASTER),
+    "sim": (
+        FaultKind.TASK, FaultKind.WORKER, FaultKind.MASTER,
+        FaultKind.DROP, FaultKind.GARBLE,
+    ),
     "local": (FaultKind.WORKER, FaultKind.STALL, FaultKind.DROP, FaultKind.GARBLE),
 }
 
@@ -53,15 +55,17 @@ BACKGROUND_KINDS: Dict[str, Tuple[FaultKind, ...]] = {
     "local": SUPPORTED_KINDS["local"],
 }
 
+#: kinds that lose the victim's next reply; the simulator arms one
+#: retransmit on its network (``NetworkModel.lose_next``) for either
+REPLY_LOSSES = (FaultKind.DROP, FaultKind.GARBLE)
+
 #: where to turn when a backend cannot inject a kind
 _ON_SIM = "run it on backend='sim'"
-_ON_LOCAL = "run it on backend='local', or on the simulated fabric use "
 _ALTERNATIVE: Dict[FaultKind, str] = {
     FaultKind.TASK: _ON_SIM,
     FaultKind.MASTER: _ON_SIM,
-    FaultKind.STALL: _ON_LOCAL + "repro.sim.StragglerModel (straggler=)",
-    FaultKind.DROP: _ON_LOCAL + "repro.net.FaultPlan (lossy links)",
-    FaultKind.GARBLE: _ON_LOCAL + "repro.net.FaultPlan (corrupting links)",
+    FaultKind.STALL: "run it on backend='local', or on the simulated fabric "
+    "use repro.sim.StragglerModel (straggler=)",
 }
 
 

@@ -3,22 +3,18 @@
 All "time" in the reproduction's distributed experiments comes from this
 package plus the compute cost model in :mod:`repro.sim.cost`.  A
 :class:`NetworkModel` turns byte counts into seconds using the classic
-latency + size/bandwidth model; :class:`Topology` composes link transfers
-into the gather/broadcast/AllReduce patterns the five systems use.
-:mod:`repro.net.faults` layers seeded per-link loss on top
-(:class:`LossyNetworkModel`) without disturbing the lossless accounting.
+latency + size/bandwidth model (and executes a fault schedule's lost
+replies as one-shot retransmits); :class:`Topology` composes link
+transfers into the gather/broadcast/AllReduce patterns the five systems
+use.
 """
 
-from repro.net.faults import FaultPlan, LinkFaults, LossyNetworkModel
 from repro.net.message import Message, MessageKind
 from repro.net.network import NetworkModel
 from repro.net.protocol import ProtocolChecker, TrafficEnvelope
 from repro.net.topology import StarTopology, allreduce_time
 
 __all__ = [
-    "FaultPlan",
-    "LinkFaults",
-    "LossyNetworkModel",
     "Message",
     "MessageKind",
     "NetworkModel",

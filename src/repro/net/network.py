@@ -4,9 +4,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Set
 
 from repro.net.message import Message, MessageKind
+from repro.net.protocol import UNCHECKED_KINDS
 from repro.utils.validation import check_non_negative, check_positive
 
 
@@ -21,6 +22,13 @@ class NetworkModel:
 
     The model also keeps per-kind and per-node traffic counters, which is
     what the Table I validation tests read back.
+
+    A scheduled DROP / GARBLE (:mod:`repro.faults`) arms a one-shot
+    loss on its victim (:meth:`lose_next`): the victim's next message
+    of a checked kind is accounted under its own kind as usual, then
+    retransmitted once — one :data:`MessageKind.RETRY` copy on the same
+    link at the same size, whose transfer time waits in
+    :meth:`consume_extra_seconds`.  ``losses`` counts the fired ones.
     """
 
     bandwidth: float = 1e9 / 8  # bytes/second (1 Gbps default)
@@ -31,6 +39,9 @@ class NetworkModel:
     bytes_received_by_node: Counter = field(default_factory=Counter)
     log: List[Message] = field(default_factory=list)
     keep_log: bool = False
+    losses: int = field(default=0, init=False)
+    _armed: Set[int] = field(default_factory=set, init=False, repr=False)
+    _pending_extra: float = field(default=0.0, init=False, repr=False)
 
     def __post_init__(self):
         check_positive(self.bandwidth, "bandwidth")
@@ -50,18 +61,27 @@ class NetworkModel:
         self.bytes_received_by_node[message.dst] += message.size_bytes
         if self.keep_log:
             self.log.append(message)
+        if message.src in self._armed and message.kind not in UNCHECKED_KINDS:
+            self._armed.discard(message.src)
+            self.losses += 1
+            self._pending_extra += self.send(
+                Message(MessageKind.RETRY, message.src, message.dst, message.size_bytes)
+            )
         return self.transfer_time(message.size_bytes)
 
-    def consume_extra_seconds(self) -> float:
-        """Drain any pending fault-induced delay (retransmits, link delay).
+    def lose_next(self, node: int) -> None:
+        """Arm a one-shot loss of ``node``'s next checked-kind message."""
+        self._armed.add(node)
 
-        The base model is lossless, so this is always ``0.0``; the
-        :class:`~repro.net.faults.LossyNetworkModel` override returns the
-        seconds accrued by faults since the last drain.  Communication
-        patterns add this to their returned times — adding ``0.0`` keeps
-        the lossless path bit-identical.
+    def consume_extra_seconds(self) -> float:
+        """Drain the retransmit seconds accrued since the last drain.
+
+        Communication patterns add this to their returned times; with no
+        loss fired it is exactly ``0.0``, which keeps the lossless path
+        bit-identical.
         """
-        return 0.0
+        extra, self._pending_extra = self._pending_extra, 0.0
+        return extra
 
     # ------------------------------------------------------------------
     def total_bytes(self) -> int:
@@ -95,6 +115,9 @@ class NetworkModel:
         self.bytes_sent_by_node.clear()
         self.bytes_received_by_node.clear()
         self.log.clear()
+        self.losses = 0
+        self._armed.clear()
+        self._pending_extra = 0.0
 
     def snapshot(self) -> Dict[str, int]:
         """Small summary dict for reports."""

@@ -51,8 +51,7 @@ from repro.net.message import Message, MessageKind
 #: :class:`~repro.core.recovery.RecoveryPolicy` rather than the trainer's
 #: Table-I cost model.  Retransmissions of *checked* kinds are logged
 #: under :data:`MessageKind.RETRY`, which stays checked — the engine
-#: derives a retry envelope from the declared traffic (at most
-#: ``max_attempts`` extra copies per declared message), so lossy runs
+#: bounds it by the round's resend count — so runs with lost replies
 #: remain auditable without loosening the base-kind exact counts.
 UNCHECKED_KINDS = (
     MessageKind.CONTROL,

@@ -22,7 +22,7 @@ Fault tolerance (the real-process port of ``docs/faults.md``):
   cached reply on a duplicate, so deadline-expiry resends are
   at-most-once — a retried ``update`` op cannot double-apply a gradient;
 * resends are accounted as :data:`~repro.net.message.MessageKind.RETRY`
-  traffic exactly like the sim's lossy-link ARQ, and each expired
+  traffic exactly like the sim's scheduled lost replies, and each expired
   deadline records a :class:`~repro.engine.trace.RetryEvent`;
 * a silent worker becomes a :class:`WorkerTimeout` and a SIGKILLed /
   crashed process a :class:`WorkerDied` in ``Exchange.failures``, or a

@@ -12,7 +12,6 @@ from dataclasses import dataclass, replace
 from typing import Dict, Optional
 
 from repro.errors import OutOfMemoryError
-from repro.net.faults import FaultPlan, LossyNetworkModel
 from repro.net.network import NetworkModel, gbps
 from repro.net.topology import StarTopology
 from repro.sim.clock import SimClock
@@ -76,26 +75,12 @@ class SimulatedCluster:
 
     MASTER = -1
 
-    def __init__(
-        self,
-        spec: ClusterSpec,
-        cost: Optional[ComputeCostModel] = None,
-        fault_plan: Optional[FaultPlan] = None,
-    ):
+    def __init__(self, spec: ClusterSpec, cost: Optional[ComputeCostModel] = None):
         self.spec = spec
         self.clock = SimClock()
-        if fault_plan is not None and fault_plan.any_faults():
-            self.network: NetworkModel = LossyNetworkModel(
-                fault_plan=fault_plan,
-                bandwidth=spec.bandwidth_bytes_per_s,
-                latency=spec.latency_s,
-            )
-        else:
-            # FaultPlan.none() (or no plan) gets the plain model — the
-            # fault layer is pay-for-use, bit-identical when lossless.
-            self.network = NetworkModel(
-                bandwidth=spec.bandwidth_bytes_per_s, latency=spec.latency_s
-            )
+        self.network = NetworkModel(
+            bandwidth=spec.bandwidth_bytes_per_s, latency=spec.latency_s
+        )
         self.topology = StarTopology(self.network, spec.n_workers)
         self.cost = cost if cost is not None else ComputeCostModel()
         #: per-phase trace of the most recent engine-driven run; set by

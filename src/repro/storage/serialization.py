@@ -264,6 +264,19 @@ def encode_payload(payload) -> bytes:
     raise TypeError("cannot encode payload of type {}".format(type(payload).__name__))
 
 
+def _body_bytes(type_code: int, flags: int, a: int, b: int) -> int:
+    """Body bytes a header's counts promise (0 for an unknown type)."""
+    if type_code == _TYPE_DENSE:
+        return a * (4 if flags & _FLAG_FP32 else 8)
+    if type_code == _TYPE_SPARSE:
+        return a * 12
+    if type_code == _TYPE_CSR:
+        return (a + 1) * 4 + b * 12 + (a * 8 if flags & _FLAG_LABELS else 0)
+    if type_code == _TYPE_INTS:
+        return a * 8
+    return 0
+
+
 def decode_payload(data: bytes, copy: bool = True):
     """Decode bytes produced by :func:`encode_payload`.
 
@@ -286,6 +299,14 @@ def decode_payload(data: bytes, copy: bool = True):
     if version != _HEADER_VERSION:
         raise ValueError("unsupported codec version {}".format(version))
     body = data[OBJECT_OVERHEAD_BYTES:]
+    # checked before any count reaches np.frombuffer, which overflows on
+    # a count past 2**63 instead of reporting a short buffer
+    need = _body_bytes(type_code, flags, a, b)
+    if need > len(body):
+        raise ValueError(
+            "truncated payload: the header promises {} body byte(s), "
+            "{} follow".format(need, len(body))
+        )
     if type_code == _TYPE_DENSE:
         if flags & _FLAG_FP32:
             values = np.frombuffer(body, dtype="<f4", count=a).astype(np.float64)

@@ -1,0 +1,140 @@
+"""Hostile codec bytes: a payload or a snapshot record, damaged any way.
+
+A single-bit flip, a byte overwritten with any value, or a cut at any
+length, applied to an encoding of every payload type and to a snapshot
+record on disk:
+
+* ``decode_payload`` raises only ``ValueError`` — never the
+  ``OverflowError`` numpy gives for a header count past ``2**63``;
+* ``CheckpointStore.read`` raises only ``DataError``, or returns a
+  record whose layout header is the original one (the damage hit a
+  value, or padding the decoder never reads).
+
+Anything else propagates and fails the test.
+"""
+
+from __future__ import annotations
+
+import re
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.recovery import CheckpointStore, snapshot_partition
+from repro.core.worker import PartitionState
+from repro.errors import DataError
+from repro.optim import Adam
+from repro.storage.serialization import (
+    CSRBlockPayload,
+    DenseVectorPayload,
+    IntVectorPayload,
+    SparseVectorPayload,
+    WorksetPayload,
+    decode_payload,
+    encode_payload,
+)
+
+fuzz = settings(deadline=5000)
+
+
+def _csr(labels: bool) -> CSRBlockPayload:
+    return CSRBlockPayload(
+        indptr=np.array([0, 2, 2, 5], dtype=np.int32),
+        indices=np.array([1, 4, 0, 2, 3], dtype=np.int32),
+        data=np.linspace(-1.0, 1.0, 5),
+        labels=np.array([1.0, -1.0, 1.0]) if labels else None,
+    )
+
+
+ENCODED = {
+    name: encode_payload(payload)
+    for name, payload in {
+        "dense": DenseVectorPayload(np.linspace(0.0, 1.0, 6)),
+        "dense-fp32": DenseVectorPayload(np.linspace(0.0, 1.0, 6), precision="fp32"),
+        "sparse": SparseVectorPayload(
+            np.array([0, 3, 7], dtype=np.int32), np.array([0.5, -2.0, 4.0])
+        ),
+        "csr": _csr(labels=False),
+        "csr-labels": _csr(labels=True),
+        "workset": WorksetPayload(block_id=3, block=_csr(labels=True)),
+        "ints": IntVectorPayload(np.arange(4, dtype=np.int64)),
+    }.items()
+}
+
+
+def damages(content: bytes):
+    """A strategy over one damaged copy of ``content``.
+
+    Half the positions are the most significant bytes of the headers'
+    four little-endian uint64 counts (bytes 8..39 of each header), where
+    one damaged byte turns a count into one no body can hold.
+    """
+    n = len(content)
+    msbs = [
+        header + 15 + 8 * field
+        for header in (m.start() for m in re.finditer(b"RPRO", content))
+        for field in range(4)
+    ]
+    at = st.sampled_from(msbs) | st.integers(0, n - 1)
+
+    def flip(at_bit):
+        at, bit = at_bit
+        return content[:at] + bytes([content[at] ^ (1 << bit)]) + content[at + 1:]
+
+    def overwrite(at_value):
+        at, value = at_value
+        return content[:at] + bytes([value]) + content[at + 1:]
+
+    return st.one_of(
+        st.tuples(at, st.integers(0, 7)).map(flip),
+        st.tuples(at, st.integers(0, 255)).map(overwrite),
+        st.integers(0, n - 1).map(lambda cut: content[:cut]),
+    )
+
+
+@fuzz
+@given(data=st.data())
+def test_decode_raises_only_value_error(data):
+    name = data.draw(st.sampled_from(sorted(ENCODED)), label="payload")
+    damaged = data.draw(damages(ENCODED[name]), label="damaged")
+    try:
+        decode_payload(damaged)
+    except ValueError:
+        pass
+
+
+class Snapshot:
+    """One Adam partition's record in an on-disk store."""
+
+    def __init__(self, directory):
+        rng = np.random.default_rng(4)
+        optimizer = Adam(0.05)
+        state = PartitionState(
+            partition_id=0, store=None, columns=None,
+            params=rng.normal(size=(5, 2)), optimizer=optimizer,
+        )
+        for t in range(2):
+            optimizer.step(state.params, rng.normal(size=(5, 2)), t)
+        self.record = snapshot_partition(state)
+        self.layout = decode_payload(self.record).values.tolist()
+        self.store = CheckpointStore(str(directory))
+        self.store.write(1, 0, self.record)
+        self.path = directory / "p00000.ckpt"
+
+
+@pytest.fixture(scope="module")
+def snapshot(tmp_path_factory):
+    return Snapshot(tmp_path_factory.mktemp("snapshot"))
+
+
+@fuzz
+@given(data=st.data())
+def test_store_read_raises_data_error_or_keeps_the_layout(snapshot, data):
+    snapshot.path.write_bytes(data.draw(damages(snapshot.record), label="damaged"))
+    try:
+        record = snapshot.store.read(0)
+    except DataError:
+        return
+    assert decode_payload(record).values.tolist() == snapshot.layout

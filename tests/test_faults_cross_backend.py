@@ -17,6 +17,7 @@ from repro.core import ColumnSGDConfig, ColumnSGDDriver, RecoveryPolicy
 from repro.datasets import make_classification
 from repro.faults import FaultEvent, FaultKind, FaultSchedule
 from repro.models import LogisticRegression
+from repro.net import MessageKind
 from repro.optim import SGD
 
 from repro.sim import CLUSTER1, SimulatedCluster
@@ -41,7 +42,24 @@ def recoveries(cluster):
     ]
 
 
-def run_columnsgd(data, backend, failures, checkpoint_every):
+def keep_network(trainer, networks):
+    """Append the network the run's traffic is accounted on to
+    ``networks``: the cluster's on ``sim``, the runtime's on ``local``
+    (whose runtime is gone once ``fit`` returns)."""
+    if trainer.backend == "sim":
+        networks.append(trainer.cluster.network)
+        return
+    make = trainer._make_local_runtime
+
+    def make_and_keep():
+        runtime, programs = make()
+        networks.append(runtime.network)
+        return runtime, programs
+
+    trainer._make_local_runtime = make_and_keep
+
+
+def run_columnsgd(data, backend, failures, checkpoint_every, networks=None):
     cluster = SimulatedCluster(CLUSTER1.with_workers(WORKERS))
     local = backend == "local"
     driver = ColumnSGDDriver(
@@ -56,10 +74,12 @@ def run_columnsgd(data, backend, failures, checkpoint_every):
         recovery=RecoveryPolicy(checkpoint_every=checkpoint_every),
     )
     driver.load(data)
+    if networks is not None:
+        keep_network(driver, networks)
     return driver.fit(), recoveries(cluster)
 
 
-def run_mllib(data, backend, failures):
+def run_mllib(data, backend, failures, networks=None):
     cluster = SimulatedCluster(CLUSTER1.with_workers(WORKERS))
     trainer = MLlibTrainer(
         LogisticRegression(), SGD(0.5, momentum=0.9), cluster,
@@ -72,6 +92,8 @@ def run_mllib(data, backend, failures):
         failures=failures,
     )
     trainer.load(data)
+    if networks is not None:
+        keep_network(trainer, networks)
     return trainer.fit(), recoveries(cluster)
 
 
@@ -107,3 +129,37 @@ def test_mllib_kill_is_a_reload_and_numerically_invisible(data):
     assert np.max(np.abs(sim.final_params - local.final_params)) == 0.0
     clean, _ = run_mllib(data, "sim", None)
     assert np.max(np.abs(sim.final_params - clean.final_params)) == 0.0
+
+
+@pytest.mark.parametrize("system", ["columnsgd", "mllib"])
+def test_lost_and_garbled_replies_are_retransmits_on_both_backends(data, system):
+    """DROP and GARBLE cost RETRY traffic and nothing else: the sim run
+    passes the Table-I audit with them, and both backends end on the
+    clean sim run's model, to the bit."""
+    failures = FaultSchedule(
+        [FaultEvent(3, FaultKind.DROP, 1), FaultEvent(6, FaultKind.GARBLE, 2)]
+    )
+
+    def run(backend, failures, networks=None):
+        if system == "mllib":
+            return run_mllib(data, backend, failures, networks)
+        return run_columnsgd(data, backend, failures, 0, networks)
+
+    def base_traffic(network):
+        return {
+            kind: (network.messages_by_kind[kind], total)
+            for kind, total in network.bytes_by_kind.items()
+            if kind is not MessageKind.RETRY
+        }
+
+    networks = []
+    sim, _ = run("sim", failures, networks)
+    local, _ = run("local", failures, networks)
+    clean, _ = run("sim", None, networks)
+    assert np.max(np.abs(sim.final_params - local.final_params)) == 0.0
+    assert np.max(np.abs(sim.final_params - clean.final_params)) == 0.0
+    sim_net, local_net, clean_net = networks
+    assert sim_net.bytes_of_kind(MessageKind.RETRY) > 0
+    assert local_net.bytes_of_kind(MessageKind.RETRY) > 0
+    assert clean_net.bytes_of_kind(MessageKind.RETRY) == 0
+    assert base_traffic(sim_net) == base_traffic(clean_net)

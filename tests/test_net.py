@@ -62,6 +62,48 @@ class TestNetworkModel:
             NetworkModel(latency=-1)
 
 
+class TestScheduledLoss:
+    """A scheduled DROP / GARBLE on ``sim``: one armed retransmit."""
+
+    PUSH = Message(MessageKind.STATISTICS_PUSH, 2, Message.MASTER, 1000)
+
+    def test_one_armed_loss_is_one_retry_copy(self):
+        net = NetworkModel(bandwidth=1e6, latency=0.01)
+        net.lose_next(2)
+        assert net.send(self.PUSH) == net.transfer_time(1000)
+        net.send(self.PUSH)  # the arm is spent
+        assert net.messages_by_kind[MessageKind.STATISTICS_PUSH] == 2
+        assert net.bytes_of_kind(MessageKind.STATISTICS_PUSH) == 2000
+        assert net.messages_by_kind[MessageKind.RETRY] == 1
+        assert net.bytes_of_kind(MessageKind.RETRY) == 1000
+        assert net.losses == 1
+        assert net.consume_extra_seconds() == net.transfer_time(1000)
+        assert net.consume_extra_seconds() == 0.0
+
+    def test_an_unarmed_network_drains_exact_zero(self):
+        net = NetworkModel()
+        net.send(self.PUSH)
+        assert net.consume_extra_seconds() == 0.0
+        assert net.losses == 0
+
+    def test_unchecked_kinds_do_not_consume_the_arm(self):
+        net = NetworkModel()
+        net.lose_next(2)
+        for kind in (MessageKind.HEARTBEAT, MessageKind.CHECKPOINT, MessageKind.CONTROL):
+            net.send(Message(kind, 2, Message.MASTER, 10))
+        net.send(Message(MessageKind.STATISTICS_BCAST, Message.MASTER, 2, 10))
+        assert net.losses == 0 and net.consume_extra_seconds() == 0.0
+        net.send(self.PUSH)
+        assert net.losses == 1
+
+    def test_reset_counters_disarms(self):
+        net = NetworkModel()
+        net.lose_next(2)
+        net.reset_counters()
+        net.send(self.PUSH)
+        assert net.losses == 0 and net.consume_extra_seconds() == 0.0
+
+
 class TestStarTopology:
     @pytest.fixture
     def star(self):

@@ -1,5 +1,7 @@
 """Heartbeats, checkpoints, and the RecoveryManager (repro.core.recovery)."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -411,9 +413,10 @@ class TestCheckpointStoreFiles:
             lambda r: r[:64] + bytes([r[64] ^ 2]) + r[65:],  # n_arrays
             lambda r: r[:72] + bytes([r[72] ^ 4]) + r[73:],  # params ndim
             lambda r: r[:5] + b"\x01" + r[6:],       # payload type code
+            lambda r: r[:15] + bytes([r[15] ^ 0x80]) + r[16:],  # count MSB
         ],
         ids=["cut-tail", "cut-header", "trailing", "magic", "count",
-             "n-arrays", "ndim", "type"],
+             "n-arrays", "ndim", "type", "count-msb"],
     )
     def test_damaged_file_raises_data_error(self, tmp_path, damage):
         store = CheckpointStore(str(tmp_path))
@@ -433,3 +436,24 @@ class TestCheckpointStoreFiles:
         assert store.read(0) == record
         store.write(4, 0, record)  # a later spill reuses the tmp name
         assert store.read(0) == record and store.snapshot_iteration(0) == 4
+
+    def test_write_killed_at_replace_keeps_last_good(self, tmp_path, monkeypatch):
+        store = CheckpointStore(str(tmp_path))
+        good = snapshot_partition(stepped_state(SGD(0.5), 1))
+        store.write(2, 0, good)
+        before = (store.read(0), store.snapshot_iteration(0),
+                  store.last_iteration, store.writes, store.bytes_written)
+
+        def killed(src, dst):
+            raise OSError("killed before the rename")
+
+        newer = snapshot_partition(stepped_state(SGD(0.5), 3))
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "replace", killed)
+            with pytest.raises(OSError, match="killed"):
+                store.write(4, 0, newer)
+        assert before == (store.read(0), store.snapshot_iteration(0),
+                          store.last_iteration, store.writes, store.bytes_written)
+        store.write(6, 0, newer)
+        assert store.read(0) == newer and store.snapshot_iteration(0) == 6
+        assert store.writes == 2

@@ -6,6 +6,8 @@ defined by the same size functions the simulator charges — so the bytes
 that cross a real pipe are exactly the bytes the cost model predicts.
 """
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -219,6 +221,16 @@ class TestErrors:
         encoded[4] = 9
         with pytest.raises(ValueError, match="version"):
             decode_payload(bytes(encoded))
+
+    @pytest.mark.parametrize("count", [2**62, 2**63, 2**64 - 1])
+    @pytest.mark.parametrize(
+        "type_code", [1, 2, 3, 5], ids=["dense", "sparse", "csr", "ints"]
+    )
+    def test_a_huge_header_count_is_a_value_error(self, type_code, count):
+        header = struct.pack("<4sBBH4Q", b"RPRO", 1, type_code, 0, count, 0, 0, 0)
+        data = header.ljust(OBJECT_OVERHEAD_BYTES, b"\x00") + b"\x00" * 16
+        with pytest.raises(ValueError, match="truncated"):
+            decode_payload(data)
 
     def test_unencodable_type_rejected(self):
         with pytest.raises(TypeError, match="cannot encode"):
