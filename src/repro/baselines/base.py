@@ -41,7 +41,7 @@ from repro.partition.dispatch import load_row_partitioned
 from repro.partition.row import RowPartitioner
 from repro.sim.cluster import SimulatedCluster
 from repro.sim.straggler import StragglerModel
-from repro.runtime.base import BACKENDS
+from repro.runtime import BACKENDS
 from repro.utils.validation import check_in, check_non_negative, check_positive
 
 

@@ -58,7 +58,7 @@ from repro.optim.base import Optimizer
 from repro.partition.column import make_assignment
 from repro.partition.dispatch import dispatch_block_based, dispatch_naive, LoadReport
 from repro.partition.indexing import TwoPhaseIndex
-from repro.runtime.base import BACKENDS
+from repro.runtime import BACKENDS
 from repro.sim.cluster import SimulatedCluster
 from repro.sim.straggler import StragglerModel
 from repro.storage.serialization import OBJECT_OVERHEAD_BYTES, dense_vector_bytes

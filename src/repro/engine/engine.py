@@ -3,12 +3,11 @@
 One :class:`RoundEngine` executes a trainer's
 :class:`~repro.engine.spec.RoundSpec` round by round: it runs the
 phases one after another in declaration order, calls the compute and
-master executors on the trainer, emits
-communication through the :class:`~repro.runtime.Runtime` transport
-surface (clock + gather/broadcast/allreduce + traffic counters — the
-simulated star topology behind :class:`~repro.runtime.SimRuntime`),
-lets the spec's :class:`~repro.engine.policy.SyncPolicy` resolve
-synchronized phases and the round duration, and records one
+master executors on the trainer, emits communication through the
+substrate's :class:`~repro.net.topology.StarTopology` (the simulated
+cluster's, or a :class:`~repro.runtime.LocalRuntime`'s), lets the
+spec's :class:`~repro.engine.policy.SyncPolicy` resolve synchronized
+phases and the round duration, and records one
 :class:`~repro.engine.trace.PhaseEvent` per phase.
 
 Because the engine both *emits* a comm phase's messages and *derives*
@@ -35,6 +34,7 @@ from repro.engine.spec import (
 )
 from repro.engine.trace import EngineTrace, PhaseEvent
 from repro.net.message import MessageKind
+from repro.net.topology import ring_allreduce_shards
 from repro.storage.serialization import OBJECT_OVERHEAD_BYTES
 
 
@@ -70,9 +70,8 @@ class RoundContext:
         #: (SSP's version selection reads the commit history)
         self.sync = None
         #: measured seconds of comm phases, set by the compute executor
-        #: whose exchange carried their frames: a measuring runtime's
-        #: transport only accounts bytes (the simulator's returns
-        #: modelled seconds and leaves this empty)
+        #: whose exchange carried their frames; they replace the
+        #: topology's modelled seconds (empty on the simulator)
         self.comm_seconds: Dict[str, float] = {}
         #: frames that measured transport had to resend this round
         self.resends = 0
@@ -93,29 +92,27 @@ class RoundOutcome:
 
 
 class RoundEngine:
-    """Execute a trainer's RoundSpec on an execution runtime.
+    """Execute a trainer's RoundSpec on an execution substrate.
 
-    The engine talks to the substrate only through the
-    :class:`~repro.runtime.Runtime` surface; by default it uses the
-    cluster's :attr:`~repro.sim.cluster.SimulatedCluster.runtime`
-    (a :class:`~repro.runtime.SimRuntime`), which forwards every call
-    to the same topology/clock objects the engine used to touch
-    directly — so trajectories are bit-identical to the pre-runtime
-    code path.  Pass ``runtime=`` to run the spec on another backend:
-    with a :class:`~repro.runtime.LocalRuntime`, ``trainer`` is the
-    master-side program whose executors exchange with the worker
-    processes and report measured seconds.
+    A substrate is anything with ``n_workers``, ``clock``, ``network``
+    and ``topology`` (a :class:`~repro.net.topology.StarTopology` over
+    that network).  By default it is ``cluster`` itself; pass
+    ``runtime=`` to run the spec on worker processes: with a
+    :class:`~repro.runtime.LocalRuntime`, ``trainer`` is the master-side
+    program whose executors exchange with the workers and report the
+    measured seconds of the comm phases their exchanges carried.
 
     Construction attaches a fresh :class:`EngineTrace` to
-    ``cluster.engine_trace`` and ``runtime.engine_trace`` (replacing any
-    previous run's trace; ``SimulatedCluster.reset()`` clears it).
+    ``cluster.engine_trace`` and the substrate's ``engine_trace``
+    (replacing any previous run's trace; ``SimulatedCluster.reset()``
+    clears it).
     """
 
     def __init__(self, trainer, cluster, spec: Optional[RoundSpec] = None,
                  straggler=None, check_cost: bool = False, runtime=None):
         self.trainer = trainer
         self.cluster = cluster
-        self.runtime = runtime if runtime is not None else cluster.runtime
+        self.substrate = runtime or cluster
         self.spec = spec if spec is not None else trainer.round_spec()
         self.straggler = straggler
         self.trace = EngineTrace(system=self.spec.system)
@@ -125,7 +122,7 @@ class RoundEngine:
             CostAuditor() if check_cost else None
         )
         cluster.engine_trace = self.trace
-        self.runtime.engine_trace = self.trace
+        self.substrate.engine_trace = self.trace
 
     # ------------------------------------------------------------------
     def run_round(self, t: int, replay: bool = False) -> RoundOutcome:
@@ -142,7 +139,7 @@ class RoundEngine:
         slowdowns = None
         if self.straggler is not None:
             slowdowns = (
-                dict.fromkeys(range(self.runtime.n_workers), 1.0)
+                dict.fromkeys(range(self.substrate.n_workers), 1.0)
                 if replay
                 else self.straggler.slowdowns(t)
             )
@@ -151,8 +148,8 @@ class RoundEngine:
         ctx.sync = sync
         sync.before_round(ctx)
 
-        round_start = self.runtime.clock.now()
-        losses_before = self.runtime.network.losses
+        round_start = self.substrate.clock.now()
+        losses_before = self.substrate.network.losses
         phase_seconds: Dict[str, float] = {}
         worker_seconds: Dict[str, Dict[int, float]] = {}
         expected: Dict[MessageKind, tuple] = {}
@@ -168,8 +165,7 @@ class RoundEngine:
             phase_seconds[phase.name] = self._execute(
                 phase, ctx, expected, worker_seconds
             )
-        for name, seconds in ctx.comm_seconds.items():
-            phase_seconds[name] += seconds
+        phase_seconds.update(ctx.comm_seconds)
 
         if audit is not None:
             audit.finish_round(t)
@@ -198,7 +194,7 @@ class RoundEngine:
         if self.spec.envelopes is not None:
             expected.update(getattr(self.trainer, self.spec.envelopes)(ctx))
         # a simulated lost reply is one retransmit, like a measured resend
-        ctx.resends += self.runtime.network.losses - losses_before
+        ctx.resends += self.substrate.network.losses - losses_before
         self._expect_retries(expected, ctx.resends)
         return RoundOutcome(
             duration=duration,
@@ -224,37 +220,25 @@ class RoundEngine:
         return self._execute_comm(phase, ctx, expected)
 
     def _execute_comm(self, phase: CommPhase, ctx, expected) -> float:
-        runtime = self.runtime
         trainer = self.trainer
+        n = self.substrate.n_workers
         kind = MessageKind.CHECKPOINT if ctx.replay else phase.kind
         sizes = getattr(trainer, phase.sizes)(ctx)
-        if phase.pattern == "gather":
+        if phase.pattern.endswith("gather"):
             sizes = [int(s) for s in sizes]
-            seconds = runtime.gather(kind, sizes)
-            self._expect(expected, kind, len(sizes), sum(sizes))
-        elif phase.pattern == "sharded_gather":
-            sizes = [int(s) for s in sizes]
-            servers = getattr(trainer, phase.servers)
-            seconds = runtime.sharded_gather(kind, sizes, servers)
-            self._expect(expected, kind, len(sizes), sum(sizes))
-        elif phase.pattern == "broadcast":
-            size = int(sizes)
-            seconds = runtime.broadcast(kind, size)
-            self._expect(expected, kind, runtime.n_workers,
-                         runtime.n_workers * size)
-        elif phase.pattern == "sharded_broadcast":
-            size = int(sizes)
-            servers = getattr(trainer, phase.servers)
-            seconds = runtime.sharded_broadcast(kind, size, servers)
-            self._expect(expected, kind, runtime.n_workers,
-                         runtime.n_workers * size)
-        else:  # allreduce
-            size = int(sizes)
-            n = runtime.n_workers
-            seconds = runtime.allreduce(kind, size)
-            steps = 2 * (n - 1)
-            if steps:
-                self._expect(expected, kind, steps, steps * int(size / n))
+            count, total = len(sizes), sum(sizes)
+        elif phase.pattern.endswith("broadcast"):
+            sizes = int(sizes)
+            count, total = n, n * sizes
+        else:  # allreduce, over the exact split the ring sends
+            sizes = int(sizes)
+            shards = ring_allreduce_shards(sizes, n)
+            count, total = len(shards), sum(shards)
+        args = (kind, sizes)
+        if phase.pattern.startswith("sharded"):
+            args += (getattr(trainer, phase.servers),)
+        seconds = getattr(self.substrate.topology, phase.pattern)(*args)
+        self._expect(expected, kind, count, total)
         return seconds
 
     @staticmethod

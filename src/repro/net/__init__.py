@@ -4,7 +4,7 @@ All "time" in the reproduction's distributed experiments comes from this
 package plus the compute cost model in :mod:`repro.sim.cost`.  A
 :class:`NetworkModel` turns byte counts into seconds using the classic
 latency + size/bandwidth model (and executes a fault schedule's lost
-replies as one-shot retransmits); :class:`Topology` composes link
+replies as one-shot retransmits); :class:`StarTopology` composes link
 transfers into the gather/broadcast/AllReduce patterns the five systems
 use.
 """
@@ -12,7 +12,7 @@ use.
 from repro.net.message import Message, MessageKind
 from repro.net.network import NetworkModel
 from repro.net.protocol import ProtocolChecker, TrafficEnvelope
-from repro.net.topology import StarTopology, allreduce_time
+from repro.net.topology import StarTopology
 
 __all__ = [
     "Message",
@@ -21,5 +21,4 @@ __all__ = [
     "ProtocolChecker",
     "StarTopology",
     "TrafficEnvelope",
-    "allreduce_time",
 ]

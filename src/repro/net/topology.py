@@ -8,6 +8,11 @@ The five systems use three patterns:
 * ring AllReduce (MLlib*'s model averaging), for which we use the classic
   2(K-1)/K * size bandwidth term.
 
+:class:`StarTopology` implements all three over one
+:class:`~repro.net.network.NetworkModel`; every execution substrate (the
+simulated cluster and the local runtime alike) owns one, so a comm
+phase logs the same messages on either backend.
+
 Times assume the master's NIC is the bottleneck for star patterns (it
 sends/receives K messages serially over one link), matching the paper's
 argument that multiple PS simply spread the same bytes over more NICs.
@@ -109,24 +114,22 @@ class StarTopology:
             + self.network.consume_extra_seconds()
         )
 
+    def allreduce(self, kind: MessageKind, size: int) -> float:
+        """Ring AllReduce of ``size`` bytes across the workers.
 
-def allreduce_time(network: NetworkModel, size_bytes: int, n_workers: int) -> float:
-    """Ring AllReduce of ``size_bytes`` across ``n_workers`` nodes.
-
-    Classic cost: ``2 (K-1) steps of latency + 2 (K-1)/K * size / bandwidth``
-    (reduce-scatter + all-gather).  Used by the MLlib* baseline.
-    """
-    check_positive(n_workers, "n_workers")
-    if n_workers == 1:
-        return 0.0
-    steps = 2 * (n_workers - 1)
-    per_step_bytes = size_bytes / n_workers
-    for step, step_bytes in enumerate(ring_allreduce_shards(size_bytes, n_workers)):
-        src = step % n_workers
-        dst = (step + 1) % n_workers
-        network.send(Message(MessageKind.MODEL_AVG, src, dst, step_bytes))
-    return (
-        steps * network.latency
-        + steps * per_step_bytes / network.bandwidth
-        + network.consume_extra_seconds()
-    )
+        Step ``k`` sends shard ``k % K`` from worker ``k % K`` to its
+        ring successor, over the exact :func:`ring_allreduce_shards`
+        split.  Classic cost: ``2 (K-1)`` steps of latency plus
+        ``2 (K-1)/K * size / bandwidth`` (reduce-scatter + all-gather).
+        """
+        n = self.n_workers
+        if n == 1:
+            return 0.0
+        steps = 2 * (n - 1)
+        for step, step_bytes in enumerate(ring_allreduce_shards(int(size), n)):
+            self.network.send(Message(kind, step % n, (step + 1) % n, step_bytes))
+        return (
+            steps * self.network.latency
+            + steps * (size / n) / self.network.bandwidth
+            + self.network.consume_extra_seconds()
+        )

@@ -1,20 +1,21 @@
-"""Pluggable execution substrates (see ``docs/runtime.md``).
+"""Execution backends (see ``docs/runtime.md``).
 
-The :class:`Runtime` contract covers the four things a training round
-needs from the machine it runs on — clock, typed transport, barrier,
-and RNG-stream routing.  Two backends implement it:
+A training round runs on a *substrate*: anything with ``n_workers``, a
+``clock`` (:class:`~repro.sim.clock.SimClock`), a ``network``
+(:class:`~repro.net.network.NetworkModel` counters) and a ``topology``
+(:class:`~repro.net.topology.StarTopology` over that network).  Two
+backends supply one:
 
-* :class:`SimRuntime` — the discrete-event simulator (bit-identical
-  adapter over ``repro.sim`` + ``repro.net``);
-* :class:`LocalRuntime` — real ``multiprocessing`` workers exchanging
-  codec-encoded payloads, timed wall-clock, deadline-bounded transport
-  (:class:`TimeoutPolicy`), and real fault injection (a
+* ``sim`` — the :class:`~repro.sim.cluster.SimulatedCluster` itself,
+  whose seconds come from the cost model;
+* ``local`` — :class:`LocalRuntime`: real ``multiprocessing`` workers
+  exchanging codec-encoded payloads, timed wall-clock, deadline-bounded
+  transport (:class:`TimeoutPolicy`), and real fault injection (a
   :class:`repro.faults.FaultSchedule`: SIGKILL, stragglers,
   dropped/garbled replies) with respawn recovery (see
   ``docs/faults.md``).
 """
 
-from repro.runtime.base import BACKENDS, Runtime, WallClock
 from repro.runtime.deadline import TimeoutPolicy
 from repro.runtime.local import (
     Exchange,
@@ -23,16 +24,15 @@ from repro.runtime.local import (
     WorkerReply,
     WorkerTimeout,
 )
-from repro.runtime.sim import SimRuntime
+
+#: Names of the built-in backends, as accepted by trainer configs.
+BACKENDS = ("sim", "local")
 
 __all__ = [
     "BACKENDS",
     "Exchange",
     "LocalRuntime",
-    "Runtime",
-    "SimRuntime",
     "TimeoutPolicy",
-    "WallClock",
     "WorkerDied",
     "WorkerReply",
     "WorkerTimeout",

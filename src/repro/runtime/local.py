@@ -7,8 +7,8 @@ produced by the codec in :mod:`repro.storage.serialization`, so the
 bytes accounted per :class:`~repro.net.message.Message` are exactly
 ``len(encode_payload(...))`` — which equals the simulator's byte model
 by construction.  Time is *measured*: every exchange is bracketed by a
-monotonic counter and the round loop advances a :class:`WallClock`
-accumulator with the measured seconds.
+monotonic counter and the round loop advances the runtime's
+:class:`~repro.sim.clock.SimClock` with the measured seconds.
 
 Fault tolerance (the real-process port of ``docs/faults.md``):
 
@@ -50,14 +50,16 @@ Division of labour — who knows what about a local round:
   encoded lengths a comm phase accounts) and the trainer's one say in
   recovery: the restore step handed to :meth:`LocalRuntime.exchange`.
 
-The size-based :class:`Runtime` transport methods are **accounting
-primitives**: they record the per-kind/per-node
-:class:`~repro.net.message.Message` counters and return ``0.0``.  A
-comm phase's frames ride the exchange of a neighbouring compute phase,
-so its seconds are that exchange's transport remainder
+A :class:`LocalRuntime` is a substrate like the simulated cluster:
+``n_workers``, ``clock``, ``network`` and a
+:class:`~repro.net.topology.StarTopology` over that network, through
+which the engine accounts every comm phase's messages exactly as on
+``sim``.  A comm phase's frames ride the exchange of a neighbouring
+compute phase, so its seconds are that exchange's transport remainder
 (:meth:`Exchange.comm_seconds`: measured exchange seconds minus the
-slowest handler), which the master program reports to the engine on
-``ctx.comm_seconds``.
+slowest handler), which the master program reports on
+``ctx.comm_seconds`` and the engine uses in place of the topology's
+modelled seconds.
 """
 
 from __future__ import annotations
@@ -79,8 +81,7 @@ from repro.errors import (
 from repro.faults import FaultEvent, FaultKind
 from repro.net.message import Message, MessageKind
 from repro.net.network import NetworkModel
-from repro.net.topology import ring_allreduce_shards
-from repro.runtime.base import Runtime, WallClock
+from repro.net.topology import StarTopology
 from repro.runtime.deadline import (
     TimeoutPolicy,
     join_within,
@@ -88,6 +89,7 @@ from repro.runtime.deadline import (
     recv_ready,
     wait_ready,
 )
+from repro.sim.clock import SimClock
 from repro.storage.serialization import OBJECT_OVERHEAD_BYTES
 from repro.utils.validation import check_non_negative, check_positive
 
@@ -270,7 +272,7 @@ def _process_main(conn, programs: Dict[int, object]) -> None:
         conn.close()
 
 
-class LocalRuntime(Runtime):
+class LocalRuntime:
     """Execution substrate backed by real OS processes.
 
     ``processes=0`` (the default) gives every logical worker its own
@@ -281,26 +283,31 @@ class LocalRuntime(Runtime):
     :class:`~repro.runtime.deadline.TimeoutPolicy`), and a request is
     written only to a process that owes no reply — one that is reading —
     so no exchange waits on a peer that is itself blocked writing.
+
+    It has the simulated cluster's substrate attributes: ``clock``
+    accumulates measured seconds, and ``topology`` accounts the engine's
+    comm phases on ``network`` (its modelled seconds are replaced by the
+    measured ones the master programs report).
     """
 
-    name = "local"
+    #: the trace of the :class:`~repro.engine.RoundEngine` driving this
+    #: runtime, where it records its retry/recovery episodes
+    engine_trace = None
 
     def __init__(
         self,
         n_workers: int,
         processes: int = 0,
-        bandwidth: float = 1e9 / 8,
-        latency: float = 0.0,
         timeout: Optional[TimeoutPolicy] = None,
     ):
         check_positive(n_workers, "n_workers")
         check_non_negative(processes, "processes")
-        self._n_workers = int(n_workers)
-        self.n_processes = min(int(processes) or self._n_workers, self._n_workers)
+        self.n_workers = int(n_workers)
+        self.n_processes = min(int(processes) or self.n_workers, self.n_workers)
         self.timeout = timeout if timeout is not None else TimeoutPolicy()
-        self._clock = WallClock()
-        # Counter set only — transfer_time() is never consulted here.
-        self._network = NetworkModel(bandwidth=bandwidth, latency=latency)
+        self.clock = SimClock()
+        self.network = NetworkModel()
+        self.topology = StarTopology(self.network, self.n_workers)
         self._hosts: List[_Host] = []
         #: logical worker -> the process record hosting it
         self._host_of: Dict[int, _Host] = {}
@@ -312,69 +319,6 @@ class LocalRuntime(Runtime):
         self._stalls: Dict[int, dict] = {}
         self._seq = 0
         self._started = False
-
-    # ------------------------------------------------------------------
-    # Runtime surface
-    # ------------------------------------------------------------------
-    @property
-    def n_workers(self) -> int:
-        return self._n_workers
-
-    @property
-    def clock(self) -> WallClock:
-        return self._clock
-
-    @property
-    def network(self) -> NetworkModel:
-        return self._network
-
-    def gather(self, kind: MessageKind, sizes: Sequence[int]) -> float:
-        """Account a workers -> master exchange (sizes in worker order)."""
-        for worker_id, size in enumerate(sizes):
-            self._network.send(Message(kind, worker_id, Message.MASTER, int(size)))
-        return 0.0
-
-    def broadcast(self, kind: MessageKind, size: int) -> float:
-        """Account a master -> every-worker exchange."""
-        for worker_id in range(self._n_workers):
-            self._network.send(Message(kind, Message.MASTER, worker_id, int(size)))
-        return 0.0
-
-    def sharded_gather(
-        self, kind: MessageKind, sizes: Sequence[int], n_servers: int
-    ) -> float:
-        check_positive(n_servers, "n_servers")
-        return self.gather(kind, sizes)
-
-    def sharded_broadcast(
-        self, kind: MessageKind, size: int, n_servers: int
-    ) -> float:
-        check_positive(n_servers, "n_servers")
-        return self.broadcast(kind, size)
-
-    def allreduce(self, kind: MessageKind, size: int) -> float:
-        """Ring allreduce accounting over the exact shard split.
-
-        Uses the same :func:`~repro.net.topology.ring_allreduce_shards`
-        split as the simulator's ``allreduce_time`` (last shard takes
-        the remainder), and asserts the accounted total matches the
-        closed-form byte model so the two backends can never drift.
-        """
-        n = self._n_workers
-        size = int(size)
-        if n == 1:
-            return 0.0
-        total = 0
-        for step, step_bytes in enumerate(ring_allreduce_shards(size, n)):
-            self._network.send(Message(kind, step % n, (step + 1) % n, step_bytes))
-            total += step_bytes
-        expected = 2 * (n - 1) * (size // n) + size % n
-        if total != expected:
-            raise SimulationError(
-                "allreduce accounted {} bytes for size={} n={}; byte model "
-                "expects {}".format(total, size, n, expected)
-            )
-        return 0.0
 
     def barrier(self) -> None:
         """Round-trip a ping through every worker process.
@@ -398,14 +342,14 @@ class LocalRuntime(Runtime):
         """
         if self._started:
             raise SimulationError("LocalRuntime already started")
-        missing = set(range(self._n_workers)) - set(programs)
+        missing = set(range(self.n_workers)) - set(programs)
         if missing:
             raise ConfigurationError(
                 "no program for worker(s) {}".format(sorted(missing))
             )
         context = multiprocessing.get_context(_PROCESS_START)
         bounds = [
-            self._n_workers * i // self.n_processes
+            self.n_workers * i // self.n_processes
             for i in range(self.n_processes + 1)
         ]
         for i in range(self.n_processes):
@@ -465,6 +409,12 @@ class LocalRuntime(Runtime):
         self._hosts, self._host_of = [], {}
         self._mangle, self._stalls = {}, {}
         self._started = False
+
+    def __enter__(self) -> "LocalRuntime":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.close()
 
     # ------------------------------------------------------------------
     # fault injection and recovery surface
@@ -630,9 +580,9 @@ class LocalRuntime(Runtime):
         start = time.perf_counter()
         self._refresh_liveness()
         targets = (
-            list(range(self._n_workers)) if workers is None else sorted(workers)
+            list(range(self.n_workers)) if workers is None else sorted(workers)
         )
-        unknown = [w for w in targets if not 0 <= w < self._n_workers]
+        unknown = [w for w in targets if not 0 <= w < self.n_workers]
         if unknown:
             raise ConfigurationError("unknown worker(s) {}".format(unknown))
         resend_bytes = OBJECT_OVERHEAD_BYTES + len(payload or b"")
@@ -648,7 +598,7 @@ class LocalRuntime(Runtime):
         def resend(w: int) -> None:
             nonlocal retries
             self._host_of[w].outbox.append((op, payload, [requests[w]]))
-            self._network.send(
+            self.network.send(
                 Message(MessageKind.RETRY, Message.MASTER, w, resend_bytes)
             )
             retries += 1
@@ -691,7 +641,7 @@ class LocalRuntime(Runtime):
                     if mangle == "garble":
                         # checksum failure at receipt: account the wasted
                         # arrival and resend immediately
-                        self._network.send(
+                        self.network.send(
                             Message(
                                 MessageKind.RETRY,
                                 w,
@@ -849,7 +799,7 @@ class LocalRuntime(Runtime):
             mode, restore_s = "reload", 0.0
             if restore is not None:
                 mode, restore_args, blob = restore(w)
-                self._network.send(
+                self.network.send(
                     Message(
                         MessageKind.CHECKPOINT,
                         Message.MASTER,

@@ -1,4 +1,4 @@
-"""Simulated wall clock."""
+"""The round clock every execution substrate keeps."""
 
 from __future__ import annotations
 
@@ -6,11 +6,12 @@ from repro.utils.validation import check_non_negative
 
 
 class SimClock:
-    """Monotone simulated time in seconds.
+    """Monotone time in seconds.
 
-    Trainers advance it by the duration of each BSP phase; convergence
-    recorders read it to put "seconds" on the x-axis of Fig 8-style
-    curves.
+    Trainers advance it by the duration of each BSP phase — simulated
+    on the simulated cluster, measured on a
+    :class:`~repro.runtime.LocalRuntime`; convergence recorders read it
+    to put "seconds" on the x-axis of Fig 8-style curves.
     """
 
     def __init__(self, start: float = 0.0):

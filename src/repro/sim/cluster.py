@@ -66,6 +66,10 @@ CLUSTER2 = ClusterSpec(
 class SimulatedCluster:
     """One master + K workers with shared clock, network, and cost model.
 
+    This is the ``sim`` backend's execution substrate: the engine reads
+    ``n_workers`` / ``clock`` / ``network`` and sends every comm phase
+    through ``topology`` (``docs/runtime.md``).
+
     Node ids: workers are ``0..K-1``; the master is
     :attr:`~repro.net.message.Message.MASTER` (-1).  Memory is tracked as a
     high-water ledger per node; exceeding a node's capacity raises
@@ -87,7 +91,6 @@ class SimulatedCluster:
         #: :class:`repro.engine.RoundEngine` (kept as a plain attribute so
         #: the sim layer does not import the engine layer)
         self.engine_trace = None
-        self._runtime = None
         self._memory: Dict[int, float] = {self.MASTER: 0.0}
         self._memory.update({w: 0.0 for w in range(spec.n_workers)})
         self._memory_peak: Dict[int, float] = dict(self._memory)
@@ -96,21 +99,6 @@ class SimulatedCluster:
     def n_workers(self) -> int:
         """Number of workers K."""
         return self.spec.n_workers
-
-    @property
-    def runtime(self):
-        """This cluster's :class:`~repro.runtime.SimRuntime` adapter.
-
-        Cached and stateless: it forwards to the very clock/topology
-        objects above, so engine rounds through the runtime surface are
-        bit-identical to direct topology calls.  Imported lazily to keep
-        the sim layer importable without the runtime package.
-        """
-        if self._runtime is None:
-            from repro.runtime.sim import SimRuntime
-
-            self._runtime = SimRuntime(self)
-        return self._runtime
 
     def workers(self) -> range:
         """Iterable of worker ids."""
@@ -149,19 +137,6 @@ class SimulatedCluster:
     def memory_peak(self, node: int) -> float:
         """High-water mark of charged bytes on ``node``."""
         return self._memory_peak[node]
-
-    # ------------------------------------------------------------------
-    # time helpers
-    # ------------------------------------------------------------------
-    def bsp_compute(self, per_worker_seconds: Dict[int, float]) -> float:
-        """Duration of one BSP compute phase: the slowest participant.
-
-        Adds the cost model's task overhead once (tasks launch in
-        parallel).  Returns the phase duration without advancing the
-        clock; callers combine phases before advancing.
-        """
-        slowest = max(per_worker_seconds.values()) if per_worker_seconds else 0.0
-        return self.cost.task_overhead + slowest
 
     def reset(self) -> None:
         """Fresh clock, counters, ledgers and engine trace for a new run."""

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.net import Message, MessageKind, NetworkModel, StarTopology, allreduce_time
+from repro.net import Message, MessageKind, NetworkModel, StarTopology
 from repro.net.network import gbps
 
 
@@ -132,19 +132,28 @@ class TestStarTopology:
         assert t1 == pytest.approx(t2)
 
 
+def allreduce(network, size, n_workers, kind=MessageKind.MODEL_AVG):
+    return StarTopology(network, n_workers).allreduce(kind, size)
+
+
 class TestAllReduce:
     def test_single_node_is_free(self):
-        assert allreduce_time(NetworkModel(), 1000, 1) == 0.0
+        assert allreduce(NetworkModel(), 1000, 1) == 0.0
 
     def test_ring_cost_formula(self):
         net = NetworkModel(bandwidth=1e6, latency=0.001)
-        t = allreduce_time(net, 8000, 4)
+        t = allreduce(net, 8000, 4)
         steps = 2 * 3
         assert t == pytest.approx(steps * 0.001 + steps * 2000 / 1e6)
 
     def test_bandwidth_term_nearly_size_independent_of_k(self):
         """Ring AllReduce moves ~2*size regardless of K (for K large)."""
         net = NetworkModel(bandwidth=1e6, latency=0.0)
-        t4 = allreduce_time(net, 1_000_000, 4)
-        t8 = allreduce_time(net, 1_000_000, 8)
+        t4 = allreduce(net, 1_000_000, 4)
+        t8 = allreduce(net, 1_000_000, 8)
         assert t8 / t4 == pytest.approx((2 * 7 / 8) / (2 * 3 / 4), rel=1e-6)
+
+    def test_sends_under_the_given_kind(self):
+        net = NetworkModel()
+        allreduce(net, 1000, 4, kind=MessageKind.CHECKPOINT)
+        assert net.messages_by_kind == {MessageKind.CHECKPOINT: 6}

@@ -12,11 +12,13 @@ from repro.baselines.sparse_ps import SparsePSTrainer
 from repro.baselines.ssp import StaleSyncPSTrainer
 from repro.baselines.base import RowSGDConfig
 from repro.core.driver import ColumnSGDConfig, ColumnSGDDriver
+from repro.datasets import make_classification
 from repro.errors import ProtocolViolationError
 from repro.models.linear import LogisticRegression
 from repro.net.message import Message, MessageKind
 from repro.net.protocol import ProtocolChecker
 from repro.optim.sgd import SGD
+from repro.sim.cluster import CLUSTER1, SimulatedCluster
 
 
 def make_driver(cluster, data, **config_kwargs):
@@ -75,8 +77,6 @@ class TestCheckedRuns:
 
     def test_driver_checked_trajectory_unchanged(self, cluster4, tiny_binary):
         checked = make_driver(cluster4, tiny_binary).fit()
-        from repro.sim.cluster import CLUSTER1, SimulatedCluster
-
         plain_cluster = SimulatedCluster(CLUSTER1.with_workers(4))
         config = ColumnSGDConfig(batch_size=64, iterations=6, eval_every=3)
         plain = ColumnSGDDriver(
@@ -98,6 +98,18 @@ class TestCheckedRuns:
         trainer.load(tiny_binary)
         result = trainer.fit()
         assert len(result.records) > 0
+
+    @pytest.mark.parametrize("workers, features", [(3, 11), (5, 13), (7, 10)])
+    def test_mllib_star_uneven_ring_split_passes_checks(self, workers, features):
+        """K does not divide the model's byte size (64 + 8m): the ring
+        accounts the exact split, and so must the expectation."""
+        cluster = SimulatedCluster(CLUSTER1.with_workers(workers))
+        config = RowSGDConfig(
+            batch_size=32, iterations=2, eval_every=2, check_protocol=True
+        )
+        trainer = MLlibStarTrainer(LogisticRegression(), SGD(0.1), cluster, config=config)
+        trainer.load(make_classification(120, features, nnz_per_row=3, seed=1))
+        assert len(trainer.fit().records) > 0
 
     def test_ssp_checked_run_passes(self, cluster4, tiny_binary):
         """SSP's sparse pushes vary per round, so it declares bounded
@@ -122,8 +134,6 @@ class TestCheckedRuns:
         )
         checked.load(tiny_binary)
         checked_result = checked.fit()
-
-        from repro.sim.cluster import CLUSTER1, SimulatedCluster
 
         plain_cluster = SimulatedCluster(CLUSTER1.with_workers(4))
         plain_config = RowSGDConfig(batch_size=64, iterations=6, eval_every=3)

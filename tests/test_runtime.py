@@ -1,154 +1,148 @@
-"""Runtime-layer tests: the contract, the clock, and the sim adapter.
+"""The substrate contract: one transport on both backends.
 
-The load-bearing property is adapter transparency: every SimRuntime
-call must produce the same seconds and the same network accounting as
-calling the ``sim``/``net`` stack directly, because the engine now goes
-through the runtime on every round (the golden-trajectory suite pins
-the end-to-end consequence; these tests pin each call).
+A substrate is anything with ``n_workers``, ``clock``, ``network`` and
+``topology``; the simulated cluster is one and a :class:`LocalRuntime`
+is one.  The engine sends every comm phase through the substrate's
+:class:`StarTopology`, so the same phase must log the same messages on
+either backend — the load-bearing property here.  (The golden
+trajectories and the sim-vs-local diffs pin the end-to-end consequence.)
 """
 
 import pytest
 
+from repro.engine import CommPhase, RoundEngine, RoundSpec
 from repro.net.message import MessageKind
-from repro.net.topology import StarTopology, allreduce_time
 from repro.net.network import NetworkModel
-from repro.runtime import BACKENDS, Runtime, SimRuntime, WallClock
-from repro.sim import CLUSTER1, SimulatedCluster
-from repro.utils.rng import iteration_seed
+from repro.net.topology import StarTopology
+from repro.runtime import BACKENDS, LocalRuntime
+from repro.sim import CLUSTER1, SimClock, SimulatedCluster
+
+WORKERS = 4
 
 
-def make_cluster(workers=4):
-    return SimulatedCluster(CLUSTER1.with_workers(workers))
+def substrate(backend):
+    if backend == "sim":
+        return SimulatedCluster(CLUSTER1.with_workers(WORKERS))
+    return LocalRuntime(WORKERS)
 
 
 # ----------------------------------------------------------------------
-# WallClock
+# the four attributes
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_backend_supplies_the_four_substrate_attributes(backend):
+    sub = substrate(backend)
+    assert sub.n_workers == WORKERS
+    assert isinstance(sub.clock, SimClock)
+    assert isinstance(sub.network, NetworkModel)
+    assert isinstance(sub.topology, StarTopology)
+    assert sub.topology.network is sub.network
+    assert sub.topology.n_workers == WORKERS
+
+
+# ----------------------------------------------------------------------
+# the local backend's wall clock: measured seconds on a SimClock
 # ----------------------------------------------------------------------
 class TestWallClock:
     def test_accumulates(self):
-        clock = WallClock()
+        clock = LocalRuntime(2).clock
         assert clock.now() == 0.0
         assert clock.advance(1.5) == 1.5
         assert clock.advance(0.25) == 1.75
         assert clock.now() == 1.75
 
     def test_reset(self):
-        clock = WallClock(2.0)
+        """A local run continues the cluster's time axis (``_attached``
+        resets the runtime clock to the simulated load offset)."""
+        clock = LocalRuntime(2).clock
+        clock.reset(2.0)
         clock.advance(1.0)
+        assert clock.now() == 3.0
         clock.reset()
         assert clock.now() == 0.0
-        clock.reset(5.0)
-        assert clock.now() == 5.0
 
     def test_negative_advance_rejected(self):
         with pytest.raises(ValueError, match="negative"):
-            WallClock().advance(-0.1)
+            LocalRuntime(2).clock.advance(-0.1)
 
     def test_negative_start_rejected(self):
         with pytest.raises(ValueError):
-            WallClock(-1.0)
+            LocalRuntime(2).clock.reset(-1.0)
 
 
 # ----------------------------------------------------------------------
-# the abstract contract
+# the contract around the backends
 # ----------------------------------------------------------------------
+class _Echo:
+    def handle(self, op, args, payload):
+        return {}, payload
+
+
 class TestRuntimeContract:
     def test_backends_names(self):
         assert BACKENDS == ("sim", "local")
 
-    def test_abstract_runtime_cannot_instantiate(self):
-        with pytest.raises(TypeError):
-            Runtime()
-
-    def test_round_seed_is_iteration_seed(self):
-        runtime = SimRuntime(make_cluster())
-        for t in (0, 1, 17):
-            assert runtime.round_seed(123, t) == iteration_seed(123, t)
-
     def test_context_manager_closes(self):
-        closed = []
-
-        class Probe(SimRuntime):
-            def close(self):
-                closed.append(True)
-
-        with Probe(make_cluster()) as runtime:
-            assert runtime.name == "sim"
-        assert closed == [True]
-
-    def test_repr_names_the_backend(self):
-        text = repr(SimRuntime(make_cluster(3)))
-        assert "sim" in text and "3" in text
+        with LocalRuntime(2, processes=1) as runtime:
+            runtime.start({w: _Echo() for w in range(2)})
+            assert runtime.dead_workers() == []
+        with pytest.raises(Exception, match="not started"):
+            runtime.run_all("echo")
 
 
 # ----------------------------------------------------------------------
-# SimRuntime: transparent adapter over the simulator stack
+# one comm phase, two substrates, the same messages
 # ----------------------------------------------------------------------
-class TestSimRuntimeTransparency:
-    def test_cluster_runtime_property_is_cached(self):
-        cluster = make_cluster()
-        runtime = cluster.runtime
-        assert isinstance(runtime, SimRuntime)
-        assert cluster.runtime is runtime
-        assert runtime.cluster is cluster
+class _CommProbe:
+    """A one-phase round: ``pattern`` of ``sizes`` under ``kind``."""
 
-    def test_delegates_clock_network_workers(self):
-        cluster = make_cluster(5)
-        runtime = cluster.runtime
-        assert runtime.n_workers == 5
-        assert runtime.clock is cluster.clock
-        assert runtime.network is cluster.network
+    servers = 2
 
-    def test_gather_matches_direct_topology_call(self):
-        sizes = [100, 200, 300, 400]
-        cluster = make_cluster()
-        direct = StarTopology(
-            NetworkModel(
-                bandwidth=cluster.network.bandwidth,
-                latency=cluster.network.latency,
+    def __init__(self, pattern, sizes):
+        self.pattern, self.sizes = pattern, sizes
+
+    def round_spec(self):
+        return RoundSpec(
+            system="probe",
+            phases=(
+                CommPhase(
+                    "comm",
+                    kind=MessageKind.MODEL_AVG,
+                    pattern=self.pattern,
+                    sizes="_sizes",
+                    servers="servers" if self.pattern.startswith("sharded") else None,
+                ),
             ),
-            4,
         )
-        expected = direct.gather(MessageKind.STATISTICS_PUSH, sizes)
-        got = cluster.runtime.gather(MessageKind.STATISTICS_PUSH, sizes)
-        assert got == expected
-        assert cluster.network.total_bytes() == sum(sizes)
 
-    def test_broadcast_matches_direct_topology_call(self):
-        cluster = make_cluster()
-        direct = StarTopology(
-            NetworkModel(
-                bandwidth=cluster.network.bandwidth,
-                latency=cluster.network.latency,
-            ),
-            4,
-        )
-        expected = direct.broadcast(MessageKind.STATISTICS_BCAST, 512)
-        got = cluster.runtime.broadcast(MessageKind.STATISTICS_BCAST, 512)
-        assert got == expected
-        assert cluster.network.total_bytes() == 4 * 512
+    def _sizes(self, ctx):
+        return self.sizes
 
-    def test_sharded_variants_delegate(self):
-        cluster = make_cluster()
-        runtime = cluster.runtime
-        t1 = runtime.sharded_gather(MessageKind.GRADIENT_PUSH, [64] * 4, 2)
-        t2 = runtime.sharded_broadcast(MessageKind.MODEL_PULL, 64, 2)
-        assert t1 > 0 and t2 > 0
-        assert cluster.network.total_bytes() == 4 * 64 + 4 * 64
 
-    def test_allreduce_matches_helper(self):
-        cluster = make_cluster()
-        reference = NetworkModel(
-            bandwidth=cluster.network.bandwidth, latency=cluster.network.latency
-        )
-        expected = allreduce_time(reference, 4096, 4)
-        got = cluster.runtime.allreduce(MessageKind.MODEL_AVG, 4096)
-        assert got == expected
-        assert cluster.network.total_bytes() == reference.total_bytes()
+COMM_CASES = {
+    "gather": [10, 0, 30, 7],
+    "broadcast": 50,
+    "sharded_gather": [64] * WORKERS,
+    "sharded_broadcast": 64,
+    # 1001 % 4 == 1: the last ring shard carries the remainder
+    "allreduce": 1001,
+}
 
-    def test_barrier_is_a_noop(self):
-        cluster = make_cluster()
-        before = cluster.clock.now()
-        cluster.runtime.barrier()
-        assert cluster.clock.now() == before
-        assert cluster.network.total_bytes() == 0
+
+@pytest.mark.parametrize("pattern", sorted(COMM_CASES))
+def test_comm_phase_logs_identical_messages_on_both_backends(pattern):
+    logs, expectations = {}, {}
+    for backend in BACKENDS:
+        cluster = substrate("sim")
+        runtime = substrate("local") if backend == "local" else None
+        sub = runtime or cluster
+        sub.network.keep_log = True
+        probe = _CommProbe(pattern, COMM_CASES[pattern])
+        outcome = RoundEngine(probe, cluster, runtime=runtime).run_round(0)
+        logs[backend] = list(sub.network.log)
+        expectations[backend] = outcome.expected
+        count, total = outcome.expected[MessageKind.MODEL_AVG]
+        assert count == len(logs[backend])
+        assert total == sub.network.total_bytes()
+    assert logs["local"] == logs["sim"]
+    assert expectations["local"] == expectations["sim"]

@@ -297,6 +297,32 @@ class TestRunRoundOnLocal:
         finally:
             runtime.close()
 
+    def test_comm_phase_seconds_are_the_carrying_exchange_remainder(self, data):
+        """A measured comm phase's seconds replace the topology's modelled
+        ones: ``gather`` is the compute exchange's transport remainder
+        and ``broadcast`` the update exchange's, exactly."""
+        driver = make_driver(data, "local")
+        runtime, programs = make_local_runtime(driver)
+        runtime.start(programs)
+        carried = {}
+        exchange = runtime.exchange
+
+        def recording_exchange(op, **kwargs):
+            result = exchange(op, **kwargs)
+            carried[op] = result.comm_seconds()
+            return result
+
+        runtime.exchange = recording_exchange
+        try:
+            driver.local_runtime = runtime
+            outcome = driver.run_round(0)
+        finally:
+            runtime.close()
+        events = {e.phase: e for e in driver.cluster.engine_trace.round_events(0)}
+        for phase, op in (("gather", "compute"), ("broadcast", "update")):
+            assert outcome.phase_seconds[phase] == carried[op]
+            assert events[phase].end == events[phase].start + carried[op]
+
     def test_mllib_round_runs_on_the_worker_processes(self, data):
         reference = make_mllib(data, "sim")
         reference.run_round(0)
@@ -496,19 +522,19 @@ class TestLocalRuntimeMechanics:
         remainder to the last shard (2(n-1)·(size//n) + size%n total)."""
         for workers, size in ((3, 1000), (4, 1001), (5, 7), (2, 0)):
             runtime = LocalRuntime(workers)
-            runtime.allreduce(MessageKind.MODEL_AVG, size)
+            runtime.topology.allreduce(MessageKind.MODEL_AVG, size)
             expected = 2 * (workers - 1) * (size // workers) + size % workers
             assert runtime.network.total_bytes() == expected, (workers, size)
 
     def test_allreduce_single_worker_sends_nothing(self):
         runtime = LocalRuntime(1)
-        assert runtime.allreduce(MessageKind.MODEL_AVG, 512) == 0.0
+        assert runtime.topology.allreduce(MessageKind.MODEL_AVG, 512) == 0.0
         assert runtime.network.total_bytes() == 0
 
     def test_transport_methods_account_without_advancing_time(self):
         runtime = LocalRuntime(3)
-        assert runtime.gather(MessageKind.STATISTICS_PUSH, [10, 20, 30]) == 0.0
-        assert runtime.broadcast(MessageKind.STATISTICS_BCAST, 50) == 0.0
+        runtime.topology.gather(MessageKind.STATISTICS_PUSH, [10, 20, 30])
+        runtime.topology.broadcast(MessageKind.STATISTICS_BCAST, 50)
         assert runtime.network.total_bytes() == 60 + 3 * 50
         assert runtime.clock.now() == 0.0
 

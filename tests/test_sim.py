@@ -274,10 +274,6 @@ class TestSimulatedCluster:
         cluster4.release_memory(0, 100)
         assert cluster4.memory_in_use(0) == 0.0
 
-    def test_bsp_compute_is_slowest_plus_overhead(self, cluster4):
-        t = cluster4.bsp_compute({0: 0.1, 1: 0.4, 2: 0.2, 3: 0.0})
-        assert t == pytest.approx(cluster4.cost.task_overhead + 0.4)
-
     def test_reset(self, cluster4):
         cluster4.clock.advance(5)
         cluster4.charge_memory(0, 100)
