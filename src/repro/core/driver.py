@@ -271,9 +271,8 @@ class ColumnSGDDriver(Trainer):
         """Load straight from an existing column-shard store, no dataset.
 
         The store's manifest supplies the shapes; the simulated load
-        cost replays from shard footers (:class:`~repro.store.StoreModel`),
-        so the run is indistinguishable from :meth:`load` on the original
-        dataset.  Full-loss evaluation (``eval_every``) reassembles the
+        cost is charged from the shard footers' block table, so the run
+        is indistinguishable from :meth:`load` on the original dataset.  Full-loss evaluation (``eval_every``) reassembles the
         dataset lazily on first use.
         """
         from repro.store import store_backed_dispatch

@@ -18,9 +18,13 @@ Three loaders are modelled, matching Fig 7's contenders:
 
 The two column dispatchers produce the *identical logical result* (same
 worksets, same block layout) — only their simulated cost differs, which
-is exactly the paper's point.  Every loader returns a
-:class:`LoadReport` with simulated seconds and traffic so Fig 7 and
-Fig 11(a) can be regenerated.
+is exactly the paper's point.  That cost is a function of one table —
+the rows of each block and the non-zeros each destination stores from
+it (:func:`block_table`) — and :func:`charge_column_load` is the one
+place that turns the table into seconds and traffic; the column-shard
+store charges its loads through it from its footers.  Every loader
+returns a :class:`LoadReport` with simulated seconds and traffic so
+Fig 7 and Fig 11(a) can be regenerated.
 """
 
 from __future__ import annotations
@@ -31,21 +35,23 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from repro.datasets.dataset import Dataset
+from repro.errors import ConfigurationError
 from repro.net.message import Message, MessageKind
 from repro.partition.column import ColumnAssignment
 from repro.partition.row import RowPartitioner
 from repro.partition.workset import Workset, WorksetStore
 from repro.sim.cluster import SimulatedCluster
-from repro.storage.hdfs import SimulatedHDFS
+from repro.storage.blocks import split_into_blocks
 from repro.storage.serialization import (
     INDEX_BYTES,
     LABEL_BYTES,
     OBJECT_OVERHEAD_BYTES,
     SHUFFLE_RECORD_OVERHEAD_BYTES,
     VALUE_BYTES,
+    csr_matrix_bytes,
     sparse_row_bytes,
+    workset_bytes,
 )
-from repro.utils.validation import check_positive
 
 
 @dataclass(frozen=True)
@@ -64,6 +70,10 @@ class LoadCostModel:
     deserialize_seconds_per_object: float = 1e-6
     deserialize_seconds_per_nnz: float = 10e-9
     row_object_create_seconds: float = 3e-6  # building one row object in memory
+
+
+#: The calibrated constants every loader charges.
+LOAD_COSTS = LoadCostModel()
 
 
 @dataclass
@@ -88,69 +98,65 @@ def _balance(per_worker: List[float]) -> float:
     return max(per_worker) if per_worker else 0.0
 
 
-def _build_stores(
-    dataset: Dataset,
-    assignment: ColumnAssignment,
-    hdfs: SimulatedHDFS,
-) -> Tuple[List[WorksetStore], Dict[int, int], List[List[Workset]]]:
-    """Materialise every workset once; shared by both dispatchers.
+def _report(
+    cluster: SimulatedCluster,
+    strategy: str,
+    phases: Dict[str, float],
+    bytes_shuffled: int,
+    n_objects: int,
+) -> LoadReport:
+    """Charge the task overhead plus every phase, advance the clock."""
+    seconds = cluster.cost.task_overhead + sum(phases.values())
+    cluster.clock.advance(seconds)
+    return LoadReport(strategy, seconds, bytes_shuffled, n_objects, phases)
 
-    Returns the per-destination stores, the block-size layout for the
-    two-phase index, and ``worksets_by_block[block_id][dest]`` so cost
-    models can read sizes without recomputing projections.
 
-    Each store's resident shard is sized exactly up front — one
-    bincount of column owners per block — and each block is then cut K
-    ways in one :meth:`ColumnAssignment.split` pass whose pieces are
-    copied straight into place and dropped; the worksets handed back
-    are views of the shards.
+def block_table(
+    dataset: Dataset, assignment: ColumnAssignment, block_size: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(block_rows, nnz_by_dest)`` of a load: the whole cost input.
+
+    ``block_rows`` is ``(n_blocks,)`` rows per block and ``nnz_by_dest``
+    is ``(K, n_blocks)`` non-zeros each destination stores from each
+    block — one bincount of column owners per block, read from
+    ``indptr`` / ``indices`` without materialising any rows.
     """
     K = assignment.n_workers
-    stores = [WorksetStore(k, assignment.local_dim(k)) for k in range(K)]
+    blocks = split_into_blocks(dataset.n_rows, block_size)
     indptr, indices = dataset.features.indptr, dataset.features.indices
-    nnz_of = np.zeros(K, dtype=np.int64)
-    for block in hdfs.blocks:
+    block_rows = np.array([block.n_rows for block in blocks], dtype=np.int64)
+    nnz_by_dest = np.zeros((K, len(blocks)), dtype=np.int64)
+    for block in blocks:
         owners = assignment.worker_of(indices[indptr[block.start]:indptr[block.stop]])
-        nnz_of += np.bincount(owners, minlength=K)
-    for dest in range(K):
-        stores[dest].reserve(dataset.n_rows, int(nnz_of[dest]))
-    block_sizes: Dict[int, int] = {}
-    worksets_by_block: List[List[Workset]] = []
-    for block in hdfs.blocks:
-        rows = block.materialize(dataset)
-        block_sizes[block.block_id] = rows.n_rows
-        per_dest = []
-        for dest, shard in enumerate(assignment.split(rows.features)):
-            stores[dest].put(Workset(block.block_id, shard, rows.labels))
-            per_dest.append(stores[dest].get(block.block_id))
-        worksets_by_block.append(per_dest)
-    return stores, block_sizes, worksets_by_block
+        nnz_by_dest[:, block.block_id] = np.bincount(owners, minlength=K)
+    return block_rows, nnz_by_dest
 
 
-def dispatch_block_based(
-    dataset: Dataset,
-    assignment: ColumnAssignment,
+def charge_column_load(
     cluster: SimulatedCluster,
-    block_size: int = 2048,
-    costs: LoadCostModel = None,
-) -> Tuple[List[WorksetStore], Dict[int, int], LoadReport]:
-    """Algorithm 4: block-based column dispatching.
+    block_rows: np.ndarray,
+    nnz_by_dest: np.ndarray,
+    naive: bool = False,
+) -> LoadReport:
+    """Charge the cluster one row-to-column load of a block table.
 
-    Returns ``(stores, block_sizes, report)`` where ``stores[k]`` is
-    worker k's workset store, ``block_sizes`` feeds the two-phase index,
-    and ``report`` carries the simulated loading time.
+    Block dispatch (Algorithm 4) ships one CSR workset per (block,
+    destination); the naive dispatcher ships every (row, destination)
+    pair as its own object and parses instead of splitting.  The two
+    differ only in the per-nnz constant and each piece's bytes, objects
+    and (de)serialize seconds; reads, WORKSET messages, the phase
+    balance and the clock are the same accounting.
     """
-    check_positive(block_size, "block_size")
-    costs = costs or LoadCostModel()
     K = cluster.n_workers
-    hdfs = SimulatedHDFS(
-        dataset,
-        block_size=block_size,
-        n_locations=K,
-        read_bandwidth=cluster.spec.disk_bandwidth_bytes_per_s,
-    )
-    stores, block_sizes, worksets_by_block = _build_stores(dataset, assignment, hdfs)
-
+    if nnz_by_dest.shape[0] != K:
+        raise ConfigurationError(
+            "load was split for {} worker(s) but the cluster has {}".format(
+                nnz_by_dest.shape[0], K
+            )
+        )
+    costs = LOAD_COSTS
+    read_bandwidth = float(cluster.spec.disk_bandwidth_bytes_per_s)
+    per_nnz = costs.parse_seconds_per_nnz if naive else costs.split_seconds_per_nnz
     dispatch_busy = [0.0] * K   # read + split + serialize per dispatcher
     receive_busy = [0.0] * K    # deserialize per destination
     send_bytes = [0] * K
@@ -159,23 +165,35 @@ def dispatch_block_based(
 
     # The master hands blocks to idle workers; with homogeneous workers
     # that degenerates to round-robin by block id.
-    for i, block in enumerate(hdfs.blocks):
+    for i, (rows, piece_nnz) in enumerate(zip(block_rows.tolist(), nnz_by_dest.T.tolist())):
         dispatcher = i % K
-        block_nnz = sum(ws.features.nnz for ws in worksets_by_block[i])
-        dispatch_busy[dispatcher] += hdfs.read_time(block.block_id)
-        dispatch_busy[dispatcher] += block_nnz * costs.split_seconds_per_nnz
-        for dest, workset in enumerate(worksets_by_block[i]):
-            size = workset.serialized_bytes()
-            n_objects += 1
-            dispatch_busy[dispatcher] += costs.serialize_seconds_per_object
-            receive_busy[dest] += (
-                costs.deserialize_seconds_per_object
-                + workset.features.nnz * costs.deserialize_seconds_per_nnz
-            )
+        block_nnz = sum(piece_nnz)
+        dispatch_busy[dispatcher] += (
+            csr_matrix_bytes(rows, block_nnz, with_labels=True) / read_bandwidth
+        )
+        dispatch_busy[dispatcher] += block_nnz * per_nnz
+        for dest, nnz in enumerate(piece_nnz):
+            if naive:
+                # Row-by-row: headers and serialize calls scale with rows * K.
+                size = rows * (OBJECT_OVERHEAD_BYTES + LABEL_BYTES) + nnz * (
+                    INDEX_BYTES + VALUE_BYTES
+                )
+                objects = rows
+                deserialize = rows * costs.deserialize_seconds_per_object
+            else:
+                size = workset_bytes(rows, nnz)
+                objects = 1
+                deserialize = (
+                    costs.deserialize_seconds_per_object
+                    + nnz * costs.deserialize_seconds_per_nnz
+                )
+            n_objects += objects
+            dispatch_busy[dispatcher] += objects * costs.serialize_seconds_per_object
+            receive_busy[dest] += deserialize
             if dest != dispatcher:
-                # The dispatcher's own workset is a local shuffle fetch:
-                # it is serialized and deserialized, but never crosses
-                # the network.
+                # The dispatcher's own piece is a local shuffle fetch: it
+                # is serialized and deserialized, but never crosses the
+                # network.
                 send_bytes[dispatcher] += size
                 recv_bytes[dest] += size
                 cluster.network.send(Message(MessageKind.WORKSET, dispatcher, dest, size))
@@ -189,16 +207,53 @@ def dispatch_block_based(
         ),
         "receive": _balance(receive_busy),
     }
-    seconds = cluster.cost.task_overhead + sum(phases.values())
-    cluster.clock.advance(seconds)
-    report = LoadReport(
-        strategy="ColumnSGD",
-        seconds=seconds,
-        bytes_shuffled=sum(send_bytes),
-        n_objects_shipped=n_objects,
-        phase_seconds=phases,
+    strategy = "Naive-ColumnSGD" if naive else "ColumnSGD"
+    return _report(cluster, strategy, phases, sum(send_bytes), n_objects)
+
+
+def _build_stores(
+    dataset: Dataset,
+    assignment: ColumnAssignment,
+    block_size: int,
+) -> Tuple[List[WorksetStore], Dict[int, int], np.ndarray, np.ndarray]:
+    """Materialise every workset once; shared by both dispatchers.
+
+    Returns the per-destination stores, the block-size layout for the
+    two-phase index, and the :func:`block_table` the load is charged
+    from.  Each store's resident shard is sized exactly up front from
+    the table, and each block is then cut K ways in one
+    :meth:`ColumnAssignment.split` pass whose pieces are copied straight
+    into place.
+    """
+    block_rows, nnz_by_dest = block_table(dataset, assignment, block_size)
+    stores = [
+        WorksetStore(k, assignment.local_dim(k)) for k in range(assignment.n_workers)
+    ]
+    for dest, store in enumerate(stores):
+        store.reserve(dataset.n_rows, int(nnz_by_dest[dest].sum()))
+    for block in split_into_blocks(dataset.n_rows, block_size):
+        rows = block.materialize(dataset)
+        for dest, shard in enumerate(assignment.split(rows.features)):
+            stores[dest].put(Workset(block.block_id, shard, rows.labels))
+    return stores, dict(enumerate(block_rows.tolist())), block_rows, nnz_by_dest
+
+
+def dispatch_block_based(
+    dataset: Dataset,
+    assignment: ColumnAssignment,
+    cluster: SimulatedCluster,
+    block_size: int = 2048,
+) -> Tuple[List[WorksetStore], Dict[int, int], LoadReport]:
+    """Algorithm 4: block-based column dispatching.
+
+    Returns ``(stores, block_sizes, report)`` where ``stores[k]`` is
+    worker k's workset store, ``block_sizes`` feeds the two-phase index,
+    and ``report`` carries the simulated loading time.
+    """
+    stores, block_sizes, block_rows, nnz_by_dest = _build_stores(
+        dataset, assignment, block_size
     )
-    return stores, block_sizes, report
+    return stores, block_sizes, charge_column_load(cluster, block_rows, nnz_by_dest)
 
 
 def dispatch_naive(
@@ -206,7 +261,6 @@ def dispatch_naive(
     assignment: ColumnAssignment,
     cluster: SimulatedCluster,
     block_size: int = 2048,
-    costs: LoadCostModel = None,
 ) -> Tuple[List[WorksetStore], Dict[int, int], LoadReport]:
     """Naive-ColumnSGD: split and ship every row as K standalone objects.
 
@@ -214,65 +268,10 @@ def dispatch_naive(
     is unaffected); only the simulated cost differs — K per-object
     serializations and K object headers *per row*.
     """
-    check_positive(block_size, "block_size")
-    costs = costs or LoadCostModel()
-    K = cluster.n_workers
-    hdfs = SimulatedHDFS(
-        dataset,
-        block_size=block_size,
-        n_locations=K,
-        read_bandwidth=cluster.spec.disk_bandwidth_bytes_per_s,
+    stores, block_sizes, block_rows, nnz_by_dest = _build_stores(
+        dataset, assignment, block_size
     )
-    stores, block_sizes, worksets_by_block = _build_stores(dataset, assignment, hdfs)
-
-    dispatch_busy = [0.0] * K
-    receive_busy = [0.0] * K
-    send_bytes = [0] * K
-    recv_bytes = [0] * K
-    n_objects = 0
-
-    for i, block in enumerate(hdfs.blocks):
-        dispatcher = i % K
-        rows = block.n_rows
-        block_nnz = sum(ws.features.nnz for ws in worksets_by_block[i])
-        dispatch_busy[dispatcher] += hdfs.read_time(block.block_id)
-        dispatch_busy[dispatcher] += block_nnz * costs.parse_seconds_per_nnz
-        for dest, workset in enumerate(worksets_by_block[i]):
-            # Row-by-row: every (row, dest) pair is its own serialized
-            # object, so headers and serialize calls scale with rows * K.
-            piece_bytes = (
-                rows * (OBJECT_OVERHEAD_BYTES + LABEL_BYTES)
-                + workset.features.nnz * (INDEX_BYTES + VALUE_BYTES)
-            )
-            n_objects += rows
-            dispatch_busy[dispatcher] += rows * costs.serialize_seconds_per_object
-            receive_busy[dest] += rows * costs.deserialize_seconds_per_object
-            if dest != dispatcher:
-                # As in block dispatch, the local pieces never hit the wire.
-                send_bytes[dispatcher] += piece_bytes
-                recv_bytes[dest] += piece_bytes
-                cluster.network.send(
-                    Message(MessageKind.WORKSET, dispatcher, dest, piece_bytes)
-                )
-
-    bandwidth = cluster.network.bandwidth
-    phases = {
-        "dispatch": _balance(dispatch_busy),
-        "network": max(
-            _balance([b / bandwidth for b in send_bytes]),
-            _balance([b / bandwidth for b in recv_bytes]),
-        ),
-        "receive": _balance(receive_busy),
-    }
-    seconds = cluster.cost.task_overhead + sum(phases.values())
-    cluster.clock.advance(seconds)
-    report = LoadReport(
-        strategy="Naive-ColumnSGD",
-        seconds=seconds,
-        bytes_shuffled=sum(send_bytes),
-        n_objects_shipped=n_objects,
-        phase_seconds=phases,
-    )
+    report = charge_column_load(cluster, block_rows, nnz_by_dest, naive=True)
     return stores, block_sizes, report
 
 
@@ -281,33 +280,27 @@ def load_row_partitioned(
     cluster: SimulatedCluster,
     repartition: bool = False,
     block_size: int = 2048,
-    costs: LoadCostModel = None,
     seed: int = 0,
 ) -> Tuple[RowPartitioner, LoadReport]:
     """MLlib-style loading: parse local row blocks, optionally repartition.
 
     Without repartition, workers parse the blocks already local to them
-    (HDFS locality) and no shuffle happens.  With repartition, every row
-    crosses the network once as a per-row shuffle record, modelling
-    MLlib-Repartition in Fig 7.
+    (blocks sit round-robin on the workers) and no shuffle happens.
+    With repartition, every row is one shuffle record that crosses the
+    network once, modelling MLlib-Repartition in Fig 7; a single worker
+    still pays the record CPU but sends nothing.
     """
-    costs = costs or LoadCostModel()
+    costs = LOAD_COSTS
     K = cluster.n_workers
-    hdfs = SimulatedHDFS(
-        dataset,
-        block_size=block_size,
-        n_locations=K,
-        read_bandwidth=cluster.spec.disk_bandwidth_bytes_per_s,
-    )
+    read_bandwidth = float(cluster.spec.disk_bandwidth_bytes_per_s)
+    indptr = dataset.features.indptr
     parse_busy = [0.0] * K
-    nnz_by_block = []
-    for block in hdfs.blocks:
-        owner = hdfs.location(block.block_id)
-        rows = block.materialize(dataset)
-        nnz_by_block.append(rows.nnz)
-        parse_busy[owner] += hdfs.read_time(block.block_id)
-        parse_busy[owner] += rows.nnz * costs.parse_seconds_per_nnz
-        parse_busy[owner] += rows.n_rows * costs.row_object_create_seconds
+    for block in split_into_blocks(dataset.n_rows, block_size):
+        owner = block.block_id % K
+        nnz = int(indptr[block.stop] - indptr[block.start])
+        parse_busy[owner] += csr_matrix_bytes(block.n_rows, nnz, with_labels=True) / read_bandwidth
+        parse_busy[owner] += nnz * costs.parse_seconds_per_nnz
+        parse_busy[owner] += block.n_rows * costs.row_object_create_seconds
     phases = {"parse": _balance(parse_busy)}
     bytes_shuffled = 0
     n_objects = 0
@@ -315,37 +308,25 @@ def load_row_partitioned(
     if repartition:
         # Global shuffle: each row crosses the network once as a shuffle
         # record (a compact per-record header, not a full Java object).
-        shuffle_busy = [0.0] * K
-        recv_busy = [0.0] * K
-        send_bytes = [0] * K
-        avg_nnz = dataset.nnz / max(dataset.n_rows, 1)
-        record_bytes = (
-            sparse_row_bytes(int(avg_nnz))
-            - OBJECT_OVERHEAD_BYTES
-            + SHUFFLE_RECORD_OVERHEAD_BYTES
-        )
         rows_per_worker = dataset.n_rows / K
-        for w in range(K):
-            send_bytes[w] = int(rows_per_worker * record_bytes)
-            shuffle_busy[w] = rows_per_worker * costs.serialize_seconds_per_object / 3
-            recv_busy[w] = rows_per_worker * costs.deserialize_seconds_per_object
-            if K > 1:
-                cluster.network.send(
-                    Message(MessageKind.WORKSET, w, (w + 1) % K, send_bytes[w])
-                )
-            n_objects += int(rows_per_worker)
-        bytes_shuffled = sum(send_bytes)
-        phases["shuffle_cpu"] = _balance(shuffle_busy) + _balance(recv_busy)
-        phases["network"] = _balance([b / cluster.network.bandwidth for b in send_bytes])
+        phases["shuffle_cpu"] = (
+            rows_per_worker * costs.serialize_seconds_per_object / 3
+            + rows_per_worker * costs.deserialize_seconds_per_object
+        )
+        n_objects = dataset.n_rows
+        if K > 1:
+            avg_nnz = dataset.nnz / max(dataset.n_rows, 1)
+            record_bytes = (
+                sparse_row_bytes(int(avg_nnz))
+                - OBJECT_OVERHEAD_BYTES
+                + SHUFFLE_RECORD_OVERHEAD_BYTES
+            )
+            sent = int(rows_per_worker * record_bytes)
+            for w in range(K):
+                cluster.network.send(Message(MessageKind.WORKSET, w, (w + 1) % K, sent))
+            bytes_shuffled = K * sent
+            phases["network"] = sent / cluster.network.bandwidth
 
-    seconds = cluster.cost.task_overhead + sum(phases.values())
-    cluster.clock.advance(seconds)
     partitioner = RowPartitioner(dataset, K, shuffled=repartition, seed=seed)
-    report = LoadReport(
-        strategy="MLlib-Repartition" if repartition else "MLlib",
-        seconds=seconds,
-        bytes_shuffled=bytes_shuffled,
-        n_objects_shipped=n_objects,
-        phase_seconds=phases,
-    )
-    return partitioner, report
+    strategy = "MLlib-Repartition" if repartition else "MLlib"
+    return partitioner, _report(cluster, strategy, phases, bytes_shuffled, n_objects)

@@ -104,7 +104,7 @@ _RESTORE = "restore"
 #: bounded death-recovery attempts per exchange before escalating
 MAX_RECOVERY_ROUNDS = 3
 #: How worker processes are created.  ``fork`` is the only method any
-#: test proves; ROADMAP direction 3(e) brings back a choice together
+#: test proves; ROADMAP direction 4(d) brings back a choice together
 #: with its ``spawn`` test, or not at all.
 _PROCESS_START = "fork"
 
@@ -764,7 +764,7 @@ class LocalRuntime:
         retries = 0
         targets = None
         stalls, self._stalls = self._stalls or None, {}
-        for _ in range(MAX_RECOVERY_ROUNDS):
+        for attempt in range(1, MAX_RECOVERY_ROUNDS + 1):
             ex = self.run_all(
                 op,
                 args=args,
@@ -779,13 +779,14 @@ class LocalRuntime:
             retries += ex.retries
             if not ex.dead_workers():
                 break
+            if attempt == MAX_RECOVERY_ROUNDS:
+                # the last attempt died too: report it dead, not respawned
+                raise WorkerUnresponsiveError(
+                    op, dead=ex.dead_workers(), silent=ex.silent_workers()
+                )
             seconds += self._recover(iteration, ex.seconds, restore)
             targets = sorted(ex.failures)  # everyone still missing
             stalls = None  # injected straggler delays apply once
-        else:
-            raise WorkerUnresponsiveError(
-                op, dead=self.dead_workers(), silent=sorted(ex.failures)
-            )
         if ex.failures and not tolerate_silent:
             raise WorkerUnresponsiveError(op, silent=sorted(ex.failures))
         return Exchange(replies, seconds, dict(ex.failures), retries)

@@ -1,9 +1,10 @@
-"""Simulated distributed storage (the HDFS stand-in) and block handling.
+"""Serialization sizes and the row-block layout of the source file.
 
 The paper assumes training data sits in HDFS, partitioned by rows.  Data
 loading experiments (Fig 7, Fig 11a) are dominated by bytes read, objects
-serialized, and shuffle traffic — so this package models a row-oriented
-block store with explicit byte accounting rather than real disks.
+serialized, and shuffle traffic — so this package holds the byte model
+(and the wire codec built on it) and the row blocks a load walks; the
+load cost itself is :mod:`repro.partition.dispatch`'s.
 """
 
 from repro.storage.serialization import (
@@ -14,8 +15,7 @@ from repro.storage.serialization import (
     sparse_vector_bytes,
     workset_bytes,
 )
-from repro.storage.blocks import Block, BlockQueue
-from repro.storage.hdfs import SimulatedHDFS
+from repro.storage.blocks import Block
 
 __all__ = [
     "OBJECT_OVERHEAD_BYTES",
@@ -25,6 +25,4 @@ __all__ = [
     "sparse_vector_bytes",
     "workset_bytes",
     "Block",
-    "BlockQueue",
-    "SimulatedHDFS",
 ]

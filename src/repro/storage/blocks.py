@@ -1,20 +1,18 @@
-"""Row blocks and the master's block queue (Fig 5, Step 1).
+"""Row blocks of the source file (Fig 5, Step 1).
 
 A :class:`Block` is a contiguous run of rows of the source dataset, the
 unit the master hands to idle workers during row-to-column
-transformation.  :class:`BlockQueue` is the master-side FIFO of block ids
-with a simple pull protocol (idle worker asks, master assigns).
+transformation (round-robin by block id — see
+:func:`repro.partition.dispatch.charge_column_load`).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from repro.datasets.dataset import Dataset
 from repro.errors import DataError
-from repro.storage.serialization import csr_matrix_bytes
 from repro.utils.validation import check_positive
 
 
@@ -35,17 +33,6 @@ class Block:
         """Read the block's rows out of the backing dataset."""
         return dataset.slice(self.start, self.stop)
 
-    def stored_bytes(self, dataset: Dataset) -> int:
-        """On-disk footprint of the block (CSR with labels).
-
-        The block's nnz is an indptr difference — no row copies are
-        materialized to answer a size query (the simulated HDFS asks
-        this for every block of every dispatch).
-        """
-        indptr = dataset.features.indptr
-        nnz = int(indptr[self.stop] - indptr[self.start])
-        return csr_matrix_bytes(self.n_rows, nnz, with_labels=True)
-
 
 def split_into_blocks(n_rows: int, block_size: int) -> List[Block]:
     """Cut ``n_rows`` into consecutive blocks of ``block_size`` rows.
@@ -65,42 +52,3 @@ def split_into_blocks(n_rows: int, block_size: int) -> List[Block]:
         block_id += 1
         start = stop
     return blocks
-
-
-class BlockQueue:
-    """Master-side FIFO of pending blocks with assignment tracking."""
-
-    def __init__(self, blocks: List[Block]):
-        ids = [b.block_id for b in blocks]
-        if ids != list(range(len(blocks))):
-            raise DataError("block ids must be dense and ordered from 0")
-        self._blocks = list(blocks)
-        self._pending = deque(self._blocks)
-        self._assigned = {}
-
-    def __len__(self) -> int:
-        return len(self._pending)
-
-    @property
-    def n_blocks(self) -> int:
-        """Total number of blocks ever enqueued."""
-        return len(self._blocks)
-
-    def next_for(self, worker_id: int) -> Optional[Block]:
-        """Pop the next pending block and record its assignee.
-
-        Returns ``None`` when the queue has drained — the worker is done.
-        """
-        if not self._pending:
-            return None
-        block = self._pending.popleft()
-        self._assigned[block.block_id] = worker_id
-        return block
-
-    def assignee(self, block_id: int) -> Optional[int]:
-        """Worker that was handed ``block_id`` (``None`` if unassigned)."""
-        return self._assigned.get(block_id)
-
-    def assignments(self) -> dict:
-        """Snapshot of ``{block_id: worker_id}`` for completed assignments."""
-        return dict(self._assigned)

@@ -16,11 +16,11 @@ Pieces
     mmap-backed readers; the workset store is the lazy drop-in the
     training loop reads from: worksets are views of the mapping,
     validated on first touch, and a batch copies out only its rows.
-:class:`StoreModel`
-    replays the block-dispatch load cost from footer metadata so
-    store-backed sim runs stay bit-identical.
 :class:`ColumnShardStore` / :func:`store_backed_dispatch`
-    the facade the driver calls when ``config.store_dir`` is set.
+    the facade the driver calls when ``config.store_dir`` is set; the
+    load is charged by :func:`~repro.partition.dispatch.charge_column_load`
+    from the footers' block table, so store-backed sim runs stay
+    bit-identical.
 """
 
 from repro.store.cache import CacheCounters, STORE_LEDGER, StoreLedger
@@ -35,7 +35,6 @@ from repro.store.format import (
     shard_record_bytes,
     sidecar_record_bytes,
 )
-from repro.store.model import StoreModel
 from repro.store.reader import ShardIndex, ShardReader, ShardWorksetStore
 from repro.store.store import (
     ColumnShardStore,
@@ -61,7 +60,6 @@ __all__ = [
     "StoreHeader",
     "StoreLedger",
     "StoreManifest",
-    "StoreModel",
     "shard_filename",
     "shard_record_bytes",
     "sidecar_record_bytes",

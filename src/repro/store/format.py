@@ -22,9 +22,9 @@ byte model*: the file size equals
 by construction, and each record length equals the matching size
 function (:func:`shard_record_bytes` / :func:`sidecar_record_bytes`).
 :func:`check_sizes` asserts that identity when a file is opened, which
-is what lets the sim-side :class:`~repro.store.model.StoreModel` charge
-load costs from footers alone and stay bit-identical with the in-memory
-dispatcher.
+is what lets a store-backed load be charged from the footers' block
+table alone (:meth:`~repro.store.store.ColumnShardStore.block_table`)
+and stay bit-identical with the in-memory dispatcher.
 """
 
 from __future__ import annotations

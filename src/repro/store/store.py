@@ -33,14 +33,13 @@ from repro.datasets.libsvm import iter_libsvm
 from repro.errors import ConfigurationError, DataError
 from repro.linalg import CSRMatrix
 from repro.partition.column import ColumnAssignment, make_assignment
-from repro.partition.dispatch import LoadCostModel, LoadReport
+from repro.partition.dispatch import LoadReport, charge_column_load
 from repro.sim.cluster import SimulatedCluster
 from repro.store.format import (
     MANIFEST_FILENAME,
     SIDECAR_FILENAME,
     shard_filename,
 )
-from repro.store.model import StoreModel
 from repro.store.reader import ShardIndex, ShardWorksetStore
 from repro.store.writer import ShuffleWriter
 
@@ -253,10 +252,13 @@ class ColumnShardStore:
             self.sidecar_index,
         )
 
-    def store_model(self) -> StoreModel:
-        """The footer-driven load-cost model for this store."""
-        nnz_by_worker = np.stack([index.table[:, 3] for index in self.shard_indexes])
-        return StoreModel(self.sidecar_index.table[:, 2], nnz_by_worker)
+    def block_table(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(block_rows, nnz_by_dest)`` read from the footers — the
+        :func:`~repro.partition.dispatch.block_table` of the load that
+        wrote this store, so a store-backed load charges what an
+        in-memory one does without reading any record."""
+        nnz_by_dest = np.stack([index.table[:, 3] for index in self.shard_indexes])
+        return self.sidecar_index.table[:, 2], nnz_by_dest
 
     def total_stored_bytes(self) -> int:
         """Record bytes across all shards + sidecar (headers/footers excluded)."""
@@ -333,14 +335,13 @@ def store_backed_dispatch(
     scheme: str = "round_robin",
     block_size: int = 2048,
     memory_budget_bytes: int = 0,
-    costs: Optional[LoadCostModel] = None,
 ) -> Tuple[ColumnShardStore, List[ShardWorksetStore], Dict[int, int], LoadReport]:
     """The store-backed twin of ``dispatch_block_based``.
 
     Writes the store out-of-core if the directory has none (requires
     ``dataset``), validates the manifest against the job otherwise,
-    charges the identical simulated load cost via :class:`StoreModel`,
-    and returns lazy shard-backed worker stores.
+    charges the identical simulated load cost from the footers' block
+    table, and returns lazy shard-backed worker stores.
     """
     if ColumnShardStore.exists(store_dir):
         store = ColumnShardStore.open(store_dir)
@@ -358,7 +359,7 @@ def store_backed_dispatch(
             block_size=block_size,
             memory_budget_bytes=memory_budget_bytes,
         )
-    report = store.store_model().charge_load(cluster, costs=costs)
+    report = charge_column_load(cluster, *store.block_table())
     stores = [store.worker_store(w) for w in range(cluster.n_workers)]
     return store, stores, store.block_sizes(), report
 

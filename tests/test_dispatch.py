@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.datasets import Dataset, make_classification
+from repro.net.message import MessageKind
 from repro.partition import (
     TwoPhaseIndex,
     dispatch_block_based,
@@ -10,6 +12,10 @@ from repro.partition import (
     load_row_partitioned,
     make_assignment,
 )
+from repro.partition.dispatch import block_table
+from repro.sim import CLUSTER1, SimulatedCluster
+from repro.storage.blocks import split_into_blocks
+from repro.store import store_backed_dispatch
 
 
 @pytest.fixture
@@ -122,3 +128,69 @@ class TestRowLoading:
         # task overhead both pay once)
         overhead = cluster4.cost.task_overhead
         assert block.seconds - overhead < mllib.seconds - overhead
+
+
+class TestBlockTable:
+    """``block_table`` is the whole load-cost input, read from indptr."""
+
+    @pytest.mark.parametrize("K, block_size", [(1, 64), (3, 13), (4, 64), (8, 500)])
+    def test_equals_the_nnz_of_each_split_piece(self, K, block_size):
+        data = make_classification(301, 40, nnz_per_row=6, seed=7)
+        asg = make_assignment("round_robin", data.n_features, K)
+        block_rows, nnz_by_dest = block_table(data, asg, block_size)
+        blocks = split_into_blocks(data.n_rows, block_size)
+        assert block_rows.tolist() == [block.n_rows for block in blocks]
+        assert nnz_by_dest.shape == (K, len(blocks))
+        for block in blocks:
+            pieces = asg.split(block.materialize(data).features)
+            assert nnz_by_dest[:, block.block_id].tolist() == [p.nnz for p in pieces]
+
+    def test_never_materializes_rows(self, monkeypatch):
+        data = make_classification(60, 20, seed=7)
+        asg = make_assignment("round_robin", data.n_features, 3)
+
+        def boom(*args, **kwargs):
+            raise AssertionError("block_table materialized rows")
+
+        monkeypatch.setattr(Dataset, "slice", boom)
+        block_rows, nnz_by_dest = block_table(data, asg, 13)
+        assert block_rows.sum() == data.n_rows
+        assert nnz_by_dest.sum() == data.nnz
+
+    def test_empty_dataset_has_no_blocks(self):
+        data = make_classification(10, 8, seed=9).slice(0, 0)
+        asg = make_assignment("round_robin", data.n_features, 2)
+        block_rows, nnz_by_dest = block_table(data, asg, 4)
+        assert block_rows.shape == (0,)
+        assert nnz_by_dest.shape == (2, 0)
+
+
+def _load(loader, data, cluster, tmp_path):
+    """Run one loader; return its report."""
+    asg = make_assignment("round_robin", data.n_features, cluster.n_workers)
+    if loader == "block":
+        return dispatch_block_based(data, asg, cluster, block_size=64)[2]
+    if loader == "naive":
+        return dispatch_naive(data, asg, cluster, block_size=64)[2]
+    if loader == "store":
+        return store_backed_dispatch(data, cluster, tmp_path / "s", block_size=64)[3]
+    return load_row_partitioned(data, cluster, repartition=loader == "repartition")[1]
+
+
+class TestReportedTrafficIsSent:
+    """A report's shuffle bytes are the WORKSET bytes the network saw."""
+
+    @pytest.mark.parametrize("K", [1, 3, 4])
+    @pytest.mark.parametrize("loader", ["block", "naive", "store", "row", "repartition"])
+    def test_bytes_shuffled_equal_workset_bytes(self, loader, K, tmp_path):
+        data = make_classification(1001, 50, seed=1)
+        cluster = SimulatedCluster(CLUSTER1.with_workers(K))
+        report = _load(loader, data, cluster, tmp_path)
+        assert report.bytes_shuffled == cluster.network.bytes_of_kind(MessageKind.WORKSET)
+        if K == 1:
+            assert report.bytes_shuffled == 0
+            assert report.phase_seconds.get("network", 0.0) == 0.0
+        if loader == "repartition":
+            # every row is one shuffle record, whether or not K divides n
+            assert report.n_objects_shipped == data.n_rows
+            assert report.phase_seconds["shuffle_cpu"] > 0

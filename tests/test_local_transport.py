@@ -11,6 +11,7 @@ instead of hanging the suite.
 
 import contextlib
 import multiprocessing
+import os
 import signal
 
 import numpy as np
@@ -18,10 +19,13 @@ import pytest
 
 from repro.baselines.registry import make_trainer
 from repro.datasets import make_classification
+from repro.engine.trace import EngineTrace
+from repro.errors import WorkerUnresponsiveError
 from repro.faults import FaultEvent, FaultKind
 from repro.models import LogisticRegression
 from repro.optim import SGD
 from repro.runtime import LocalRuntime, TimeoutPolicy
+from repro.runtime.local import MAX_RECOVERY_ROUNDS
 from repro.sim import CLUSTER1, SimulatedCluster
 
 BOUND_S = 10.0
@@ -164,3 +168,54 @@ def test_a_silent_workers_next_frame_waits_for_its_late_reply():
         assert second.replies[1].result["handled"] == ["a", "b"]
         assert sleeper.owed == 0 and not sleeper.outbox
         runtime.close()
+
+
+class DiesOnItsFirstAttempts:
+    """SIGKILLs its own process on its first ``deaths`` ops.
+
+    The attempts are counted in a marker file: a respawned process
+    starts from a fresh copy of the parent's program, so the program's
+    own state would forget every earlier death."""
+
+    def __init__(self, marker, deaths):
+        self.marker, self.deaths = marker, deaths
+
+    def handle(self, op, args, payload):
+        attempts = self.marker.stat().st_size if self.marker.exists() else 0
+        if attempts < self.deaths:
+            with open(self.marker, "ab") as marker:
+                marker.write(b"x")
+            os.kill(os.getpid(), signal.SIGKILL)
+        return {"op": op}, None
+
+
+@pytest.mark.parametrize("deaths", [1, 2, MAX_RECOVERY_ROUNDS])
+def test_a_second_kill_inside_the_recovery_rounds(deaths, tmp_path):
+    """A worker killed again while it is being recovered is recovered
+    again, up to ``MAX_RECOVERY_ROUNDS`` attempts; one death more than
+    the rounds allow is a ``WorkerUnresponsiveError`` naming it dead."""
+    runtime = LocalRuntime(
+        2, processes=2, timeout=TimeoutPolicy(floor_s=FLOOR_S, max_retries=2)
+    )
+    runtime.engine_trace = EngineTrace()
+    with hard_bound(BOUND_S):
+        runtime.start(
+            {0: DiesOnItsFirstAttempts(tmp_path / "attempts", deaths), 1: EchoProgram()}
+        )
+        try:
+            if deaths < MAX_RECOVERY_ROUNDS:
+                exchange = runtime.exchange("echo", iteration=0)
+            else:
+                with pytest.raises(WorkerUnresponsiveError) as raised:
+                    runtime.exchange("echo", iteration=0)
+        finally:
+            runtime.close()
+    assert (tmp_path / "attempts").stat().st_size == deaths
+    if deaths < MAX_RECOVERY_ROUNDS:
+        assert sorted(exchange.replies) == [0, 1]
+        assert exchange.replies[0].result == {"op": "echo"}
+        assert exchange.replies[1].result["handled"] == ["echo"]
+        recoveries = runtime.engine_trace.recoveries
+        assert [(e.kind, e.worker) for e in recoveries] == [("worker", 0)] * deaths
+    else:
+        assert raised.value.dead == (0,)

@@ -1,14 +1,11 @@
-"""Unit tests for repro.storage: serialization sizes, blocks, HDFS."""
+"""Unit tests for repro.storage: serialization sizes and block layout."""
 
 import pytest
 
 from repro.datasets import make_classification
-from repro.errors import DataError
 from repro.storage import (
     OBJECT_OVERHEAD_BYTES,
     Block,
-    BlockQueue,
-    SimulatedHDFS,
     csr_matrix_bytes,
     dense_vector_bytes,
     sparse_row_bytes,
@@ -65,93 +62,3 @@ class TestBlocks:
         block = Block(0, 5, 10)
         rows = block.materialize(data)
         assert rows.n_rows == 5
-
-    def test_queue_round_robin(self):
-        queue = BlockQueue(split_into_blocks(10, 3))
-        ids = []
-        while True:
-            block = queue.next_for(len(ids) % 2)
-            if block is None:
-                break
-            ids.append(block.block_id)
-        assert ids == [0, 1, 2, 3]
-        assert queue.assignee(0) == 0
-        assert queue.assignee(1) == 1
-        assert len(queue.assignments()) == 4
-
-    def test_queue_rejects_sparse_ids(self):
-        with pytest.raises(DataError):
-            BlockQueue([Block(1, 0, 5)])
-
-
-class TestSimulatedHDFS:
-    @pytest.fixture
-    def hdfs(self):
-        data = make_classification(100, 50, seed=3)
-        return SimulatedHDFS(data, block_size=16, n_locations=4, read_bandwidth=1e6)
-
-    def test_block_count(self, hdfs):
-        assert hdfs.n_blocks == 7
-
-    def test_locations_round_robin(self, hdfs):
-        assert hdfs.location(0) == 0
-        assert hdfs.location(5) == 1
-
-    def test_read_block(self, hdfs):
-        assert hdfs.read_block(0).n_rows == 16
-        assert hdfs.read_block(6).n_rows == 100 - 6 * 16
-
-    def test_total_bytes_is_sum(self, hdfs):
-        assert hdfs.total_bytes() == sum(
-            hdfs.block_bytes(i) for i in range(hdfs.n_blocks)
-        )
-
-    def test_read_time_proportional_to_bytes(self, hdfs):
-        assert hdfs.read_time(0) == pytest.approx(hdfs.block_bytes(0) / 1e6)
-
-    def test_scan_time_parallel_speedup(self):
-        data = make_classification(200, 50, seed=3)
-        slow = SimulatedHDFS(data, block_size=10, n_locations=1, read_bandwidth=1e6)
-        fast = SimulatedHDFS(data, block_size=10, n_locations=4, read_bandwidth=1e6)
-        assert fast.scan_time() < slow.scan_time()
-
-    def test_scan_time_capped_by_parallelism(self, hdfs):
-        assert hdfs.scan_time(parallelism=1) >= hdfs.scan_time(parallelism=4)
-
-    def test_scan_rejects_zero_parallelism(self, hdfs):
-        with pytest.raises(ValueError):
-            hdfs.scan_time(parallelism=0)
-
-    def test_bad_block_id(self, hdfs):
-        with pytest.raises(DataError):
-            hdfs.block(99)
-
-
-class TestBlockStoredBytes:
-    """Block.stored_bytes answers from indptr arithmetic, not row copies."""
-
-    def test_matches_materialized_rows(self):
-        data = make_classification(60, 20, seed=7)
-        for block in split_into_blocks(data.n_rows, 13):
-            rows = block.materialize(data)
-            expected = csr_matrix_bytes(rows.n_rows, rows.nnz, with_labels=True)
-            assert block.stored_bytes(data) == expected
-
-    def test_empty_tail_rows(self):
-        # rows past the last non-zero have equal indptr entries; the
-        # difference is 0 nnz and the size is header + labels only
-        data = make_classification(10, 8, seed=9)
-        block = Block(0, data.n_rows, data.n_rows)
-        assert block.stored_bytes(data) == csr_matrix_bytes(0, 0, with_labels=True)
-
-    def test_no_row_materialization(self, monkeypatch):
-        data = make_classification(30, 12, seed=11)
-        block = Block(0, 0, 30)
-
-        def boom(*args, **kwargs):
-            raise AssertionError("stored_bytes materialized rows")
-
-        monkeypatch.setattr(Block, "materialize", boom)
-        assert block.stored_bytes(data) == csr_matrix_bytes(
-            30, data.nnz, with_labels=True
-        )

@@ -2,7 +2,7 @@
 
 Covers the file format's byte-model invariants, the out-of-core shuffle
 writer, the mmap readers and the block table of mapped worksets, the
-footer-driven load-cost model, and — the acceptance test — a full
+footer-driven load cost, and — the acceptance test — a full
 out-of-core ColumnSGD run on ``backend='local'`` whose final model is
 *exactly* the in-memory simulator's, with read counters that reconcile
 against the byte ledger.  Hostile files are ``test_store_hostile.py``.
@@ -780,19 +780,51 @@ class TestColumnShardStore:
                 None, cluster(), tmp_path / "missing", block_size=BLOCK
             )
 
-    def test_load_cost_identical_to_dispatcher(self, data, store):
-        assignment = make_assignment("round_robin", data.n_features, WORKERS)
-        c_mem, c_store = cluster(), cluster()
-        _, _, mem_report = dispatch_block_based(
-            data, assignment, c_mem, block_size=BLOCK
+    def test_load_cost_identical_to_dispatcher(self, tmp_path):
+        assert_store_load_charges_like_memory(tmp_path, 500, WORKERS, BLOCK)
+
+    @pytest.mark.parametrize(
+        "n_rows, workers, block_size, reopen",
+        [
+            (500, 1, BLOCK, False),
+            (500, 8, 128, False),  # 4 blocks for 8 workers
+            (513, WORKERS, BLOCK, False),  # a one-row last block
+            (500, WORKERS, BLOCK, True),
+        ],
+        ids=["k1", "fewer-blocks-than-workers", "short-last-block", "reopen"],
+    )
+    def test_load_cost_identical_on_edge_shapes(
+        self, tmp_path, n_rows, workers, block_size, reopen
+    ):
+        assert_store_load_charges_like_memory(
+            tmp_path, n_rows, workers, block_size, reopen
         )
-        store_report = store.store_model().charge_load(c_store)
-        assert store_report.seconds == mem_report.seconds
-        assert store_report.bytes_shuffled == mem_report.bytes_shuffled
-        assert store_report.phase_seconds == mem_report.phase_seconds
-        assert store_report.n_objects_shipped == mem_report.n_objects_shipped
-        assert c_store.clock.now() == c_mem.clock.now()
-        assert c_store.network.bytes_by_kind == c_mem.network.bytes_by_kind
+
+
+def assert_store_load_charges_like_memory(
+    tmp_path, n_rows, workers, block_size, reopen=False
+):
+    """A store-backed load (built, or reopened) charges what
+    ``dispatch_block_based`` charges, to the bit."""
+    data = make_classification(n_rows, 80, nnz_per_row=6, seed=3)
+    assignment = make_assignment("round_robin", data.n_features, workers)
+    c_mem, c_store = cluster(workers), cluster(workers)
+    _, _, mem_report = dispatch_block_based(
+        data, assignment, c_mem, block_size=block_size
+    )
+    if reopen:
+        store_backed_dispatch(
+            data, cluster(workers), tmp_path / "s", block_size=block_size
+        )
+    store_report = store_backed_dispatch(
+        data, c_store, tmp_path / "s", block_size=block_size
+    )[3]
+    assert store_report.seconds == mem_report.seconds
+    assert store_report.bytes_shuffled == mem_report.bytes_shuffled
+    assert store_report.phase_seconds == mem_report.phase_seconds
+    assert store_report.n_objects_shipped == mem_report.n_objects_shipped
+    assert c_store.clock.now() == c_mem.clock.now()
+    assert c_store.network.bytes_by_kind == c_mem.network.bytes_by_kind
 
 
 # ----------------------------------------------------------------------
