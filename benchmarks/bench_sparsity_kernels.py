@@ -1,11 +1,12 @@
 """Sparse-kernel micro-benchmarks: axpy, dot, and the gradient kernel
 at three nnz scales.
 
-The R015-R017 static analysis and the ``check_cost`` audit both rest on
-the axiom that these kernels are O(nnz); this benchmark records their
-wall time (and measured element-ops) as nnz grows 10x per step, so a
-kernel regressing to O(d) shows up as super-linear scaling in
-``BENCH_sparsity.json`` long before it trips the runtime audit.
+A ColumnSGD round is O(batch nnz) only while these kernels are
+O(nnz).  The tier-1 width gate (``test_round_work_is_flat_in_m``)
+times whole rounds at m = 1e5 and 1e7; this benchmark is its kernel
+view: it records their wall time (and measured element-ops) as nnz
+grows 10x per step at a fixed m, so a kernel regressing to O(d) shows
+up as super-linear scaling in ``BENCH_sparsity.json``.
 """
 
 from __future__ import annotations

@@ -56,9 +56,6 @@ class RowSGDConfig:
     repartition: bool = False  # MLlib-Repartition loading for Fig 7
     check_protocol: bool = False  # verify BSP invariants every round
                                   # (see repro.net.protocol)
-    check_cost: bool = False      # audit measured kernel work against
-                                  # sparse_work/dense_work charges each
-                                  # round (see repro.engine.cost_audit)
     backend: str = "sim"          # 'sim' or 'local' (real worker
                                   # processes, wall-clock rounds; MLlib
                                   # only — see docs/runtime.md)
@@ -77,11 +74,6 @@ class RowSGDConfig:
         check_in(self.backend, BACKENDS, "backend")
         check_non_negative(self.local_processes, "local_processes")
         check_positive(self.local_timeout_s, "local_timeout_s")
-        if self.backend == "local" and self.check_cost:
-            raise ValueError(
-                "check_cost audits the simulated engine; "
-                "it is unavailable on backend='local'"
-            )
 
 
 class BaselineTrainer(Trainer):
@@ -109,7 +101,6 @@ class BaselineTrainer(Trainer):
         self.iterations = self.config.iterations
         self.eval_every = self.config.eval_every
         self.check_protocol = self.config.check_protocol
-        self.check_cost = self.config.check_cost
         self.backend = self.config.backend
         self.straggler = (
             straggler if straggler is not None else StragglerModel.none(cluster.n_workers)
@@ -190,7 +181,7 @@ class BaselineTrainer(Trainer):
         # O(d) footprint is the paper's argument against row-oriented
         # systems, and it is charged through the MODEL_PULL bytes and
         # the center's dense_work, not the worker gradient kernel.
-        grad_sum = np.zeros_like(self._params)  # lint: noqa[R015,R016]
+        grad_sum = np.zeros_like(self._params)
         per_worker: Dict[int, float] = {}
         batch_parts: List[Dataset] = []
         for w in range(self.cluster.n_workers):

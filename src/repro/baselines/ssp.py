@@ -116,7 +116,7 @@ class StaleSyncPSTrainer(ParameterServerTrainer):
         commits = ctx.sync.commits
         # Dense replica cost of the PS architecture, charged via the
         # MODEL_PULL bytes and server dense_work (see BaselineTrainer).
-        grad_sum = np.zeros_like(self._params)  # lint: noqa[R015,R016]
+        grad_sum = np.zeros_like(self._params)
         batch_rows = 0
         batch_nnz = 0
         per_worker: Dict[int, float] = {}

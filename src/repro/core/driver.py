@@ -93,9 +93,6 @@ class ColumnSGDConfig:
     sync_backoff: float = 2.0     # deadline multiplier per retry
     sync_on_exhausted: str = "stale"  # 'stale' reuses cached group
                                       # statistics; 'raise' escalates
-    check_cost: bool = False      # audit measured kernel work against
-                                  # sparse_work/dense_work charges each
-                                  # round (see repro.engine.cost_audit)
     backend: str = "sim"          # execution substrate: 'sim' runs the
                                   # discrete-event simulator, 'local'
                                   # runs real worker processes with
@@ -157,11 +154,6 @@ class ColumnSGDConfig:
                     "backend='local' supports backup=0 only; backup "
                     "computation is a simulator feature"
                 )
-            if self.check_cost:
-                raise ValueError(
-                    "check_cost audits the simulated engine; "
-                    "it is unavailable on backend='local'"
-                )
 
     @property
     def wire_value_bytes(self) -> int:
@@ -191,7 +183,6 @@ class ColumnSGDDriver(Trainer):
         self.iterations = self.config.iterations
         self.eval_every = self.config.eval_every
         self.check_protocol = self.config.check_protocol
-        self.check_cost = self.config.check_cost
         self.backend = self.config.backend
         self.straggler = (
             straggler if straggler is not None else StragglerModel.none(cluster.n_workers)

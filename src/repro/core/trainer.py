@@ -37,7 +37,6 @@ class Trainer:
     iterations = 100         #: rounds of a ``fit()`` without ``iterations=``
     eval_every = 10          #: full-train-loss cadence (0 = never)
     check_protocol = False   #: audit every round's traffic (repro.net.protocol)
-    check_cost = False       #: audit kernel work against its charges
     backend = "sim"          #: 'sim', or 'local' where the trainer hosts it
     straggler = None         #: per-round slowdowns, where the executors read them
     divergence_hint = ""     #: appended to the divergence error: what to turn down
@@ -209,7 +208,6 @@ class Trainer:
             self.cluster,
             spec=self.round_spec(),
             straggler=self.straggler,
-            check_cost=self.check_cost,
             runtime=self.local_runtime,
         )
 

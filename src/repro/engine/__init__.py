@@ -9,7 +9,6 @@ timeout-based suspicion) supplied by pluggable :class:`SyncPolicy`
 objects.  See ``docs/engine.md`` and ``docs/faults.md``.
 """
 
-from repro.engine.cost_audit import CostAuditor, CostReport
 from repro.engine.engine import RoundContext, RoundEngine, RoundOutcome
 from repro.engine.policy import (
     BackupSync,
@@ -33,8 +32,6 @@ __all__ = [
     "BarrierSync",
     "CommPhase",
     "ComputePhase",
-    "CostAuditor",
-    "CostReport",
     "EngineTrace",
     "MasterPhase",
     "PhaseEvent",

@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Set
 
-from repro.engine.cost_audit import CostAuditor
 from repro.engine.spec import (
     CommPhase,
     ComputePhase,
@@ -109,18 +108,13 @@ class RoundEngine:
     """
 
     def __init__(self, trainer, cluster, spec: Optional[RoundSpec] = None,
-                 straggler=None, check_cost: bool = False, runtime=None):
+                 straggler=None, runtime=None):
         self.trainer = trainer
         self.cluster = cluster
         self.substrate = runtime or cluster
         self.spec = spec if spec is not None else trainer.round_spec()
         self.straggler = straggler
         self.trace = EngineTrace(system=self.spec.system)
-        #: measured-vs-charged kernel work audit (the runtime twin of
-        #: lint rule R016); None when not requested
-        self.cost_audit: Optional[CostAuditor] = (
-            CostAuditor() if check_cost else None
-        )
         cluster.engine_trace = self.trace
         self.substrate.engine_trace = self.trace
 
@@ -134,7 +128,7 @@ class RoundEngine:
         seconds of a real round — at unit slowdowns (the straggler model
         is not consulted), its traffic accounted as unchecked
         :data:`MessageKind.CHECKPOINT` recovery chatter, and nothing
-        recorded: no phase or retry event, no expectation, no cost audit.
+        recorded: no phase or retry event, no expectation.
         """
         slowdowns = None
         if self.straggler is not None:
@@ -154,10 +148,6 @@ class RoundEngine:
         worker_seconds: Dict[str, Dict[int, float]] = {}
         expected: Dict[MessageKind, tuple] = {}
 
-        audit = None if replay else self.cost_audit
-        if audit is not None:
-            audit.begin_round()
-
         # Execute first, lay out on the time axis afterwards, because a
         # measured comm phase learns its seconds only once the exchange
         # that carries it has run (a broadcast precedes its carrier).
@@ -166,9 +156,6 @@ class RoundEngine:
                 phase, ctx, expected, worker_seconds
             )
         phase_seconds.update(ctx.comm_seconds)
-
-        if audit is not None:
-            audit.finish_round(t)
 
         end = 0.0
         for phase in self.spec.phases:

@@ -10,10 +10,8 @@ times combine into phase durations.
 
 Phases name their executors as *method names on the trainer* rather
 than bound callables, for two reasons: the spec stays a pure
-declaration (picklable, comparable, printable), and the lint's spec
-reconstruction (:mod:`repro.lint.specs`, feeding rules R015/R016) can
-resolve the named methods in the AST and infer their cost class
-without running anything.
+declaration (picklable, comparable, printable), and a reader can find
+every executor of a round by name without running anything.
 
 The engine derives the per-round expected traffic — the dict the
 runtime :class:`~repro.net.protocol.ProtocolChecker` verifies — from

@@ -125,25 +125,6 @@ class ProtocolViolationError(SimulationError):
         )
 
 
-class CostDriftError(SimulationError):
-    """Raised by the engine's ``check_cost`` kernel audit when the work
-    the linalg kernels actually performed in a round (op counters:
-    flops + allocated elements) exceeds the work volume the round
-    *charged* through ``sparse_work``/``dense_work`` by more than a
-    constant factor — the dynamic twin of lint rule R016.  A trainer
-    that densifies a gradient or loops over ``dim`` instead of ``nnz``
-    trips this long before it shows up in reproduced figures."""
-
-    def __init__(self, iteration, problems):
-        self.iteration = iteration
-        self.problems = tuple(problems)
-        super().__init__(
-            "kernel cost drift at iteration {}: {}".format(
-                iteration, "; ".join(self.problems)
-            )
-        )
-
-
 class StatisticsRecoveryError(SimulationError):
     """Raised when backup computation cannot recover complete statistics.
 
@@ -162,16 +143,3 @@ class StatisticsRecoveryError(SimulationError):
 
 class TrainingError(ReproError):
     """Raised for invalid training configurations or diverged runs."""
-
-
-class ConvergenceError(TrainingError):
-    """Raised when the optimizer produced non-finite loss or parameters."""
-
-    def __init__(self, iteration: int, loss: float):
-        self.iteration = iteration
-        self.loss = loss
-        super().__init__(
-            "training diverged at iteration {} (loss={!r}); lower the learning rate".format(
-                iteration, loss
-            )
-        )

@@ -175,14 +175,14 @@ class CoCoATrainer(Trainer):
         # CoCoA workers keep dense local model replicas by design; the
         # O(d) maintenance is charged in _phase_combine's dense_work
         # (K * w.size), not in the per-row SDCA kernel charged below.
-        total_delta_w = np.zeros_like(self._w)  # lint: noqa[R015,R016]
+        total_delta_w = np.zeros_like(self._w)
         per_worker = {}
         for k in range(K):
             shard = self._partitioner.shard(k)
             alphas = self._alphas[k]
             sq_norms = self._shard_sq_norms[k]
             local_w = self._w.copy()
-            delta_w = np.zeros_like(self._w)  # lint: noqa[R015,R016] — dense replica, charged in _phase_combine
+            delta_w = np.zeros_like(self._w)  # dense replica, charged in _phase_combine
             picks = self._rngs[k].integers(0, shard.n_rows, size=self.local_steps)
             nnz_touched = 0
             for i in picks:

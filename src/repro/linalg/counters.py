@@ -1,18 +1,15 @@
-"""Kernel op counters — the dynamic mirror of ``repro.lint.sparsity``.
+"""Kernel op counters: the work the ``repro.linalg`` primitives did.
 
-The static analysis (rules R015-R016) axiomatizes the complexity of the
-``repro.linalg`` primitives: it never descends into their bodies, it
-trusts a table saying ``row_dots`` is O(nnz) and ``to_dense`` is O(d).
-This module is where that trust is *checked*: every primitive reports
-the work it actually did — flops, elements allocated, densification
-events — to one module-level :class:`OpCounters` singleton, and the
-engine's ``check_cost`` audit (:mod:`repro.engine.cost_audit`) compares
-the measured totals against the ``sparse_work``/``dense_work`` seconds
-the simulator charged for the same round.
+Every primitive reports the work it actually did — flops, elements
+allocated, densification events — to one module-level
+:class:`OpCounters` singleton.  Tests pin the counts (a round's are the
+same at m = 1e5 and 1e7) and the e2e bench reads ``flops``; whether a
+round's *time* is flat in m is the wall-clock gate's job
+(``docs/sparsity.md``).
 
 Counting is off by default and the enabled check is the first branch of
 every recording method, so the instrumented kernels pay one attribute
-load and a predictable branch when auditing is off — and nothing here
+load and a predictable branch when counting is off — and nothing here
 ever touches the numeric payloads, so trajectories are bit-identical
 with counting on or off.
 """

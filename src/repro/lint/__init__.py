@@ -14,23 +14,17 @@ before a run exists.  Five per-file AST rules:
 * **R006** — public config dataclasses validate their numeric fields;
 * **R019** — no copy or whole-file read in ``repro.store``;
 
-and three whole-program rules over one
-:class:`~repro.lint.program.ProgramIndex` (call graph + import graph):
+and one whole-program rule over the import graph of the file set
+(:class:`~repro.lint.program.ProgramIndex`):
 
 * **R011** — ``models``/``linalg``/``optim`` never import (even
-  transitively) the executing system, nor ``runtime`` the trainers;
-* **R015** — no densification (``to_dense``, O(d) allocations,
-  sparse→dense coercion) reachable from a per-round executor of a
-  statically reconstructed ``RoundSpec`` (:mod:`repro.lint.specs`);
-* **R016** — an executor's inferred cost class, on the lattice
-  O(1) ⊑ O(B) ⊑ O(nnz) ⊑ O(d), never exceeds the class of its
-  ``sparse_work``/``dense_work`` charges (dynamic twin: the engine's
-  ``check_cost`` audit).
+  transitively) the executing system, nor ``runtime`` the trainers.
 
 Run it with ``python -m repro.lint src``; ``docs/linting.md`` has one
 row per rule id ever issued — what it caught, what enforces the same
-thing at runtime, and why R002/R003/R007-R010/R012-R014/R017/R018 are
-retired.
+thing at runtime, and why R002/R003/R007-R010/R012-R018 are retired
+(an O(m) slip on a round's path, R015/R016's bug class, is caught by
+the wall-clock width gate, ``docs/sparsity.md``).
 """
 
 from repro.lint.engine import (
@@ -46,7 +40,6 @@ from repro.lint.findings import Finding
 # Importing the rule modules populates both registries.
 from repro.lint import rules as _rules  # noqa: F401
 from repro.lint import program as _program  # noqa: F401
-from repro.lint import sparsity as _sparsity  # noqa: F401
 from repro.lint.program import (
     ProgramAnalyzer,
     ProgramRule,

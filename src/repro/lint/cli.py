@@ -81,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--select",
         metavar="IDS",
         help="comma-separated rule ids or ranges to run, e.g. "
-        "R001,R015-R016 (default: all)",
+        "R001,R004-R006 (default: all)",
     )
     parser.add_argument(
         "--ignore",
@@ -97,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--program",
         action=argparse.BooleanOptionalAction,
         default=True,
-        help="run whole-program rules (R011, R015, R016) over the file set (default: on)",
+        help="run the whole-program rule (R011) over the file set (default: on)",
     )
     parser.add_argument(
         "--format",

@@ -231,7 +231,7 @@ class LintEngine:
     """Run a selected set of rules over files, sources, or directories.
 
     ``program=True`` (the default) additionally runs the whole-program
-    rules (R011, R015, R016) over the full file set
+    rule (R011) over the full file set
     of each :meth:`lint_paths` call; per-file entry points
     (:meth:`lint_source`, :meth:`lint_file`) never run them.
     """
@@ -271,6 +271,12 @@ class LintEngine:
     # ------------------------------------------------------------------
     def lint_source(self, source: str, path: str = "<string>") -> List[Finding]:
         """Lint one source string; syntax errors become E001 findings."""
+        return self._lint_source(source, path)[0]
+
+    def _lint_source(
+        self, source: str, path: str
+    ) -> Tuple[List[Finding], Optional[ast.Module]]:
+        """``(findings, tree)``; the tree is None on a syntax error."""
         ctx = FileContext(path, source)
         try:
             tree = ast.parse(source, filename=path)
@@ -284,7 +290,7 @@ class LintEngine:
                     severity="error",
                     message="syntax error: {}".format(exc.msg),
                 )
-            ]
+            ], None
         rules = [cls(ctx) for cls in self.rule_classes]
         active = [rule for rule in rules if rule.applies()]
         # Single shared traversal: dispatch each node to every rule that
@@ -308,7 +314,7 @@ class LintEngine:
         findings: List[Finding] = []
         for rule in active:
             findings.extend(rule.findings)
-        return sorted(findings)
+        return sorted(findings), tree
 
     def lint_file(self, path: str) -> List[Finding]:
         """Lint one file from disk."""
@@ -318,24 +324,27 @@ class LintEngine:
     def lint_paths(self, paths: Sequence[str]) -> List[Finding]:
         """Lint files and/or directories (recursing into ``*.py``),
         then run the whole-program rules over the same file set."""
-        sources = discover_sources(paths)
         findings: List[Finding] = []
-        for path, source in sources:
-            findings.extend(self.lint_source(source, path))
-        findings.extend(self.lint_program(sources))
+        parsed: List[Tuple[str, str, ast.Module]] = []
+        for path, source in discover_sources(paths):
+            file_findings, tree = self._lint_source(source, path)
+            findings.extend(file_findings)
+            if tree is not None:
+                parsed.append((path, source, tree))
+        findings.extend(self.lint_program(parsed))
         return sorted(findings)
 
-    def lint_program(self, sources: Sequence[Tuple[str, str]]) -> List[Finding]:
-        """Run the selected whole-program rules over ``(path, source)``
-        pairs — one shared parse and call graph for all of them."""
+    def lint_program(self, parsed: Sequence[Tuple[str, str, ast.Module]]) -> List[Finding]:
+        """Run the selected whole-program rules over ``(path, source,
+        tree)`` triples — the trees the per-file pass already parsed."""
         if not self.program_rule_classes:
             return []
         from repro.lint.program import ProgramAnalyzer
 
         if not self.collect_stats:
-            analyzer = ProgramAnalyzer(sources)
+            analyzer = ProgramAnalyzer(parsed)
             return analyzer.run(self.program_rule_classes)
-        analyzer = self._timed("<program-index>", ProgramAnalyzer, sources)
+        analyzer = self._timed("<program-index>", ProgramAnalyzer, parsed)
         findings: List[Finding] = []
         for cls in self.program_rule_classes:
             findings.extend(self._timed(cls.rule_id, analyzer.run, [cls]))

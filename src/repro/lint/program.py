@@ -1,37 +1,30 @@
-"""The whole-program view: one parse, a call graph and an import graph.
+"""The whole-program view: the import graph of the file set.
 
 The per-file rules in :mod:`repro.lint.rules` see one AST at a time.
-This module parses every file of the lint run once into a
-:class:`ProgramIndex` — a module import graph plus an *approximate*
-call graph — for the rules that need more than one file:
+This module indexes every ``repro`` module of the lint run — the trees
+the per-file pass parsed — into a :class:`ProgramIndex`, the module
+import graph, for the one rule that needs more than one file:
 
 * **R011** (here) — import layering: ``models``/``linalg``/``optim``
   must never import (directly or transitively) the executing system,
-  and ``runtime`` must never import the trainers it serves;
-* **R015/R016** (:mod:`repro.lint.sparsity`) — cost-class inference
-  over the executors of every statically reconstructed ``RoundSpec``
-  (:mod:`repro.lint.specs`).
-
-The call graph is deliberately approximate: bare names resolve within
-the defining module and its imports, ``self.method()`` resolves through
-a statically-derived MRO, and other attribute calls fall back to a
-global match on the method name (capped, to bound over-linking).
+  and ``runtime`` must never import the trainers it serves.
 
 What the index is *not* used for any more (docs/linting.md, "Retired"):
 entropy and wall-clock reachability (R007/R008 — R001 lints the helper
 itself), ``Message`` byte provenance (R009 — the codec-length and
-Table-I tests pin the bytes) and static protocol extraction (R010 —
+Table-I tests pin the bytes), static protocol extraction (R010 —
 :class:`~repro.net.protocol.ProtocolChecker` raises on any undeclared
-kind at runtime).
+kind at runtime) and cost-class inference over a call graph (R015/R016
+— the wall-clock width gate times the round itself).
 """
 
 from __future__ import annotations
 
 import ast
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Type
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Type
 
-from repro.lint.engine import FileContext, dotted_name
+from repro.lint.engine import FileContext
 from repro.lint.findings import Finding
 
 #: Import-layering contract (R011): modules in a pure layer must never
@@ -43,276 +36,43 @@ PURE_LAYERS = ("models", "linalg", "optim")
 SIMULATOR_LAYERS = ("sim", "net", "core", "engine", "runtime")
 TRAINER_LAYERS = ("core", "baselines", "extensions")
 
-#: Attribute-call fallback resolution gives up beyond this many
-#: same-named candidates — over-linking ubiquitous names would make the
-#: cost inference meaninglessly broad.
-MAX_NAME_CANDIDATES = 8
 
-
-def _shallow_walk(scope: ast.AST) -> Iterator[ast.AST]:
-    """Walk ``scope`` without descending into nested def/class bodies."""
-    stack = list(ast.iter_child_nodes(scope))
-    while stack:
-        node = stack.pop()
-        yield node
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            stack.extend(ast.iter_child_nodes(node))
-
-
-def _module_name_for(path: str) -> str:
-    """Dotted module name: real for ``repro`` files, stem otherwise."""
+def _module_name_for(path: str) -> Optional[str]:
+    """Dotted module name of a ``repro`` file, else None."""
     parts = Path(path).parts
-    if "repro" in parts:
-        tail = [p[:-3] if p.endswith(".py") else p for p in parts[parts.index("repro") + 1:]]
-        if tail and tail[-1] == "__init__":
-            tail = tail[:-1]
-        return ".".join(["repro"] + tail)
-    stem = Path(path).stem
-    return stem
-
-
-class FunctionInfo:
-    """One function or method: its AST, calls, and returns."""
-
-    def __init__(
-        self,
-        module: "ModuleInfo",
-        node: ast.AST,
-        class_name: Optional[str] = None,
-    ):
-        self.module = module
-        self.node = node
-        self.name = node.name
-        self.class_name = class_name
-        self.is_method = class_name is not None
-        #: every Call in the body (including nested defs), with its chain
-        self.calls: List[Tuple[ast.Call, Tuple[str, ...]]] = []
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.Call):
-                chain = dotted_name(sub.func)
-                if chain:
-                    self.calls.append((sub, chain))
-        #: return-value expressions of *this* function (not nested defs)
-        self.returns: List[ast.AST] = [
-            sub.value
-            for sub in _shallow_walk(node)
-            if isinstance(sub, ast.Return) and sub.value is not None
-        ]
-        self._env: Optional[Dict[str, List[ast.AST]]] = None
-
-    # ------------------------------------------------------------------
-    def env(self) -> Dict[str, List[ast.AST]]:
-        """Local name -> assigned value expressions (incl. loop targets)."""
-        if self._env is None:
-            env: Dict[str, List[ast.AST]] = {}
-            for sub in ast.walk(self.node):
-                if isinstance(sub, ast.Assign):
-                    for target in sub.targets:
-                        _bind_target(env, target, sub.value)
-                elif isinstance(sub, ast.AnnAssign) and sub.value is not None:
-                    _bind_target(env, sub.target, sub.value)
-                elif isinstance(sub, ast.AugAssign):
-                    _bind_target(env, sub.target, sub.value)
-                elif isinstance(sub, (ast.For, ast.AsyncFor)):
-                    _bind_target(env, sub.target, sub.iter)
-            self._env = env
-        return self._env
-
-
-def _bind_target(env: Dict[str, List[ast.AST]], target: ast.AST, value: ast.AST) -> None:
-    if isinstance(target, ast.Name):
-        env.setdefault(target.id, []).append(value)
-    elif isinstance(target, (ast.Tuple, ast.List)):
-        elts = getattr(value, "elts", None)
-        if elts is not None and len(elts) == len(target.elts):
-            for t, v in zip(target.elts, elts):
-                _bind_target(env, t, v)
-        else:
-            for t in target.elts:
-                _bind_target(env, t, value)
-    elif isinstance(target, (ast.Subscript, ast.Starred)):
-        _bind_target(env, target.value, value)
-
-
-class ClassInfo:
-    """One class: its methods and base-class names (for the static MRO)."""
-
-    def __init__(self, module: "ModuleInfo", node: ast.ClassDef):
-        self.module = module
-        self.node = node
-        self.name = node.name
-        self.qualname = "{}.{}".format(module.name, node.name)
-        self.bases: List[str] = []
-        for base in node.bases:
-            chain = dotted_name(base)
-            if chain:
-                self.bases.append(chain[-1])
-        self.methods: Dict[str, FunctionInfo] = {}
+    if "repro" not in parts:
+        return None
+    tail = [p[:-3] if p.endswith(".py") else p for p in parts[parts.index("repro") + 1:]]
+    if tail and tail[-1] == "__init__":
+        tail = tail[:-1]
+    return ".".join(["repro"] + tail)
 
 
 class ModuleInfo:
-    """Everything the program analyses need to know about one file."""
+    """One ``repro`` module: where it is and what it imports."""
 
-    def __init__(self, path: str, source: str, tree: ast.Module):
+    def __init__(self, path: str, name: str, source: str, tree: ast.Module):
         self.path = str(path)
-        self.source = source
-        self.tree = tree
+        self.name = name
         self.ctx = FileContext(self.path, source)
-        self.name = _module_name_for(self.path)
-        #: local alias -> fully dotted imported name
-        self.imports: Dict[str, str] = {}
         #: (target module, import statement node) for every repro import
         self.import_edges: List[Tuple[str, ast.AST]] = []
-        self.functions: Dict[str, FunctionInfo] = {}
-        self.classes: Dict[str, ClassInfo] = {}
-        self._collect()
-
-    # ------------------------------------------------------------------
-    def _collect(self) -> None:
-        for node in ast.walk(self.tree):
+        for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
-                    bound = alias.asname or alias.name.split(".")[0]
-                    self.imports[bound] = alias.name if alias.asname else alias.name.split(".")[0]
                     if alias.name.split(".")[0] == "repro":
                         self.import_edges.append((alias.name, node))
             elif isinstance(node, ast.ImportFrom) and node.module:
-                for alias in node.names:
-                    bound = alias.asname or alias.name
-                    self.imports[bound] = "{}.{}".format(node.module, alias.name)
                 if node.module.split(".")[0] == "repro":
                     self.import_edges.append((node.module, node))
-        for stmt in self.tree.body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                info = FunctionInfo(self, stmt)
-                self.functions[stmt.name] = info
-            elif isinstance(stmt, ast.ClassDef):
-                cls = ClassInfo(self, stmt)
-                for sub in stmt.body:
-                    if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                        cls.methods[sub.name] = FunctionInfo(self, sub, class_name=stmt.name)
-                self.classes[stmt.name] = cls
-
-    def all_functions(self) -> Iterator[FunctionInfo]:
-        yield from self.functions.values()
-        for cls in self.classes.values():
-            yield from cls.methods.values()
 
 
 class ProgramIndex:
-    """The whole-program view: modules and call resolution."""
+    """The whole-program view: modules by dotted name."""
 
     def __init__(self, modules: Sequence[ModuleInfo]):
         self.modules = list(modules)
         self.by_name: Dict[str, ModuleInfo] = {m.name: m for m in self.modules}
-        self.functions: List[FunctionInfo] = []
-        self.functions_by_name: Dict[str, List[FunctionInfo]] = {}
-        self.classes_by_name: Dict[str, List[ClassInfo]] = {}
-        for module in self.modules:
-            for func in module.all_functions():
-                self.functions.append(func)
-                self.functions_by_name.setdefault(func.name, []).append(func)
-            for cls in module.classes.values():
-                self.classes_by_name.setdefault(cls.name, []).append(cls)
-
-    # ------------------------------------------------------------------
-    # name resolution
-    # ------------------------------------------------------------------
-    def external_name(self, chain: Tuple[str, ...], module: ModuleInfo) -> Optional[str]:
-        """Fully-dotted name of a call chain, resolved through imports."""
-        root = chain[0]
-        if root in module.imports:
-            return ".".join([module.imports[root]] + list(chain[1:]))
-        if len(chain) > 1:
-            return ".".join(chain)
-        return None
-
-    def resolve_internal(self, dotted: str) -> List[FunctionInfo]:
-        """Resolve ``repro.pkg.mod.func`` by longest module-name prefix."""
-        parts = dotted.split(".")
-        for cut in range(len(parts) - 1, 0, -1):
-            module = self.by_name.get(".".join(parts[:cut]))
-            if module is None:
-                continue
-            rest = parts[cut:]
-            if len(rest) == 1 and rest[0] in module.functions:
-                return [module.functions[rest[0]]]
-            if len(rest) == 2 and rest[0] in module.classes:
-                method = module.classes[rest[0]].methods.get(rest[1])
-                return [method] if method else []
-            return []
-        return []
-
-    def mro(self, cls: ClassInfo) -> List[ClassInfo]:
-        """Static linearisation: the class, then bases by declared order."""
-        order: List[ClassInfo] = []
-        seen: Set[str] = set()
-        queue = [cls]
-        while queue:
-            current = queue.pop(0)
-            if current.qualname in seen:
-                continue
-            seen.add(current.qualname)
-            order.append(current)
-            for base_name in current.bases:
-                for candidate in self.classes_by_name.get(base_name, ()):
-                    queue.append(candidate)
-        return order
-
-    def resolve_self_method(self, name: str, mro: Sequence[ClassInfo]) -> Optional[FunctionInfo]:
-        for cls in mro:
-            if name in cls.methods:
-                return cls.methods[name]
-        return None
-
-    def resolve_call(
-        self,
-        chain: Tuple[str, ...],
-        func: Optional[FunctionInfo],
-        module: ModuleInfo,
-        view_class: Optional[ClassInfo] = None,
-    ) -> List[FunctionInfo]:
-        """Candidate targets of one call, in the context of ``func``.
-
-        ``view_class`` selects the MRO used for ``self.method()`` calls
-        (the analysed trainer subclass for the sparsity rules' per-class
-        walks; the defining class otherwise).
-        """
-        if chain[0] == "self" and len(chain) == 2:
-            klass = view_class
-            if klass is None and func is not None and func.class_name:
-                klass = module.classes.get(func.class_name)
-                if klass is None:
-                    for candidate in self.classes_by_name.get(func.class_name, ()):
-                        klass = candidate
-                        break
-            if klass is not None:
-                target = self.resolve_self_method(chain[1], self.mro(klass))
-                if target is not None:
-                    return [target]
-            return []
-        if len(chain) == 1:
-            name = chain[0]
-            if name in module.imports:
-                dotted = module.imports[name]
-                if dotted.split(".")[0] == "repro":
-                    return self.resolve_internal(dotted)
-                return []
-            local = module.functions.get(name)
-            return [local] if local is not None else []
-        # attribute call: imported-module chains are external ...
-        if chain[0] in module.imports:
-            dotted = self.external_name(chain, module)
-            if dotted and dotted.split(".")[0] == "repro":
-                return self.resolve_internal(dotted)
-            return []
-        # ... everything else falls back to a capped global name match.
-        candidates = self.functions_by_name.get(chain[-1], [])
-        methods = [c for c in candidates if c.is_method]
-        pool = methods if methods else candidates
-        if 0 < len(pool) <= MAX_NAME_CANDIDATES:
-            return list(pool)
-        return []
 
 
 # ----------------------------------------------------------------------
@@ -471,25 +231,20 @@ class ImportLayeringRule(ProgramRule):
 # the analyzer facade
 # ----------------------------------------------------------------------
 class ProgramAnalyzer:
-    """Parse a file set once and run whole-program rules over it.
+    """Index parsed files once and run whole-program rules over them.
 
-    Test modules are excluded from the index: they are exempt from the
-    invariants and their helpers would otherwise bleed into the
-    approximate call graph.  Files with syntax errors are skipped —
-    the per-file pass already reports them as E001.
+    Only ``repro`` modules are indexed: nothing else can import into a
+    layer or be reached from one.  Test modules are excluded too (they
+    are exempt from the invariants).
     """
 
-    def __init__(self, sources: Sequence[Tuple[str, str]]):
+    def __init__(self, parsed: Sequence[Tuple[str, str, ast.Module]]):
         modules: List[ModuleInfo] = []
-        for path, source in sources:
-            ctx = FileContext(str(path), source)
-            if ctx.is_test_code():
+        for path, source, tree in parsed:
+            name = _module_name_for(str(path))
+            if name is None or FileContext(str(path), source).is_test_code():
                 continue
-            try:
-                tree = ast.parse(source, filename=str(path))
-            except SyntaxError:
-                continue
-            modules.append(ModuleInfo(str(path), source, tree))
+            modules.append(ModuleInfo(str(path), name, source, tree))
         self.index = ProgramIndex(modules)
 
     def run(self, rule_classes: Sequence[Type[ProgramRule]]) -> List[Finding]:

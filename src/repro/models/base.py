@@ -118,7 +118,7 @@ class StatisticsModel:
         if isinstance(self.regularizer, NoRegularizer):
             return gradient
         # The penalty is O(d/K) by nature: one dense pass per update.
-        dense = self.add_penalty(gradient.to_dense(), params)  # lint: noqa[R015,R016]
+        dense = self.add_penalty(gradient.to_dense(), params)
         return RowGradient(EVERY_ROW, dense, dense.shape)
 
     def add_penalty(self, gradient: np.ndarray, params: np.ndarray) -> np.ndarray:

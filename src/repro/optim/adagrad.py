@@ -24,7 +24,7 @@ class AdaGrad(Optimizer):
         rows, gradient = self._rows_of(params, gradient)
         if self._accumulator is None:
             # Lazy one-time state allocation, amortized O(1) per round.
-            self._accumulator = np.zeros_like(params)  # lint: noqa[R015,R016]
+            self._accumulator = np.zeros_like(params)
         self._accumulator[rows] += gradient ** 2
         rate = self.effective_rate(iteration)
         params[rows] -= rate * gradient / (np.sqrt(self._accumulator[rows]) + self.epsilon)

@@ -37,8 +37,8 @@ class Adam(Optimizer):
         gradient = self._dense(params, gradient)
         if self._m is None:
             # Lazy one-time state allocation, amortized O(1) per round.
-            self._m = np.zeros_like(params)  # lint: noqa[R015,R016]
-            self._v = np.zeros_like(params)  # lint: noqa[R015,R016]
+            self._m = np.zeros_like(params)
+            self._v = np.zeros_like(params)
         self._t += 1
         self._m *= self.beta1
         self._m += (1.0 - self.beta1) * gradient

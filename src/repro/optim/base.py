@@ -81,7 +81,7 @@ class Optimizer:
         self._check_shapes(params, gradient)
         if isinstance(gradient, RowGradient):
             # Decaying state moves every row every step: O(d/K) by nature.
-            return gradient.to_dense()  # lint: noqa[R015,R016]
+            return gradient.to_dense()
         return gradient
 
     def _check_shapes(self, params: np.ndarray, gradient) -> None:

@@ -30,7 +30,7 @@ class SGD(Optimizer):
         if self._velocity is None:
             # Lazy one-time state allocation (amortized O(1) per round);
             # every SGD system keeps dense optimizer state of model size.
-            self._velocity = np.zeros_like(params)  # lint: noqa[R015,R016]
+            self._velocity = np.zeros_like(params)
         self._velocity *= self.momentum
         self._velocity += gradient
         params -= rate * self._velocity

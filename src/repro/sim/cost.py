@@ -14,7 +14,6 @@ reproducing that crossover.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
 
 from repro.utils.validation import check_non_negative
 
@@ -24,64 +23,6 @@ SPARK_TASK_OVERHEAD = 0.025
 
 #: Per-iteration overhead of a parameter-server runtime (seconds).
 PS_TASK_OVERHEAD = 0.001
-
-
-class WorkLedger:
-    """Records the *work volumes* behind every cost-model charge.
-
-    :meth:`ComputeCostModel.sparse_work` and :meth:`~ComputeCostModel.dense_work`
-    convert element counts into seconds; while this ledger is enabled they
-    also report the raw counts here, so the engine's ``check_cost`` audit
-    (:mod:`repro.engine.cost_audit`) can compare what a round *charged*
-    against what the :data:`repro.linalg.counters.OP_COUNTERS` kernels
-    *measured* — units against units, independent of the per-element
-    second constants.  Off by default; recording never affects the
-    returned seconds.
-    """
-
-    __slots__ = ("enabled", "sparse_units", "dense_units", "charges")
-
-    def __init__(self):
-        self.enabled = False
-        self.sparse_units = 0.0  # sum of nnz * passes over sparse_work calls
-        self.dense_units = 0.0   # sum of n_elements over dense_work calls
-        self.charges = 0         # number of charge calls recorded
-
-    def enable(self) -> None:
-        self.enabled = True
-
-    def disable(self) -> None:
-        self.enabled = False
-
-    def reset(self) -> None:
-        self.sparse_units = 0.0
-        self.dense_units = 0.0
-        self.charges = 0
-
-    def snapshot(self) -> Dict[str, float]:
-        return {
-            "sparse_units": self.sparse_units,
-            "dense_units": self.dense_units,
-            "charges": self.charges,
-        }
-
-    def record_sparse(self, units: float) -> None:
-        if not self.enabled:
-            return
-        self.sparse_units += units
-        self.charges += 1
-
-    def record_dense(self, units: float) -> None:
-        if not self.enabled:
-            return
-        self.dense_units += units
-        self.charges += 1
-
-
-#: Process-wide charge ledger (the cost model is a frozen dataclass, so
-#: the mutable recording state lives at module level, mirroring
-#: ``repro.linalg.counters.OP_COUNTERS``).
-WORK_LEDGER = WorkLedger()
 
 
 @dataclass(frozen=True)
@@ -113,13 +54,11 @@ class ComputeCostModel:
         """Seconds for kernels touching ``nnz`` stored entries ``passes`` times."""
         check_non_negative(nnz, "nnz")
         check_non_negative(passes, "passes")
-        WORK_LEDGER.record_sparse(nnz * passes)
         return self.seconds_per_nnz * nnz * passes
 
     def dense_work(self, n_elements: float) -> float:
         """Seconds for touching ``n_elements`` dense values once."""
         check_non_negative(n_elements, "n_elements")
-        WORK_LEDGER.record_dense(n_elements)
         return self.seconds_per_dense_element * n_elements
 
     def with_overhead(self, overhead: float) -> "ComputeCostModel":

@@ -3,10 +3,9 @@
 A shard-backed store maps its blocks and copies out only the rows a
 batch names, so there is no cache to budget: :class:`CacheCounters`
 counts first touches, table hits and the bytes both move.  The
-module-level :data:`STORE_LEDGER` mirrors
-:data:`repro.sim.cost.WORK_LEDGER`: it is charged at the same sites
-with the same byte counts, which tests reconcile against the per-store
-counters and the footer arithmetic.
+module-level :data:`STORE_LEDGER` is charged at the same sites with the
+same byte counts, which tests reconcile against the per-store counters
+and the footer arithmetic.
 """
 
 from __future__ import annotations
@@ -40,8 +39,7 @@ class CacheCounters:
 class StoreLedger:
     """Process-wide record of shard bytes read.
 
-    The store-side analogue of :data:`repro.sim.cost.WORK_LEDGER`:
-    always on (a handful of integer adds per first touch and per batch),
+    Always on (a handful of integer adds per first touch and per batch),
     reset per test.  The acceptance reconciliation reads it from the
     master side after a local-backend run — the per-store counters, this
     ledger, and the footer lengths must all tell the same byte story.

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.errors import (
-    ConvergenceError,
     DataError,
     DimensionMismatchError,
     LibsvmFormatError,
@@ -24,7 +23,6 @@ class TestHierarchy:
             DataError, PartitionError, SimulationError, TrainingError,
             DimensionMismatchError, LibsvmFormatError, WorkerFailedError,
             MasterFailedError, OutOfMemoryError, StatisticsRecoveryError,
-            ConvergenceError,
         ):
             assert issubclass(exc, ReproError)
 
@@ -32,7 +30,6 @@ class TestHierarchy:
         assert issubclass(LibsvmFormatError, DataError)
         assert issubclass(WorkerFailedError, SimulationError)
         assert issubclass(OutOfMemoryError, SimulationError)
-        assert issubclass(ConvergenceError, TrainingError)
 
 
 class TestMessages:
@@ -63,11 +60,6 @@ class TestMessages:
         err = StatisticsRecoveryError([1, 3])
         assert err.missing_groups == (1, 3)
         assert "[1, 3]" in str(err)
-
-    def test_convergence_error(self):
-        err = ConvergenceError(42, float("nan"))
-        assert err.iteration == 42
-        assert "learning rate" in str(err)
 
     def test_catchable_as_base(self):
         with pytest.raises(ReproError):

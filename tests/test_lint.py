@@ -1,10 +1,10 @@
 """Tests for the repro.lint static-analysis framework (R001, R004-R006,
 R019).
 
-The whole-program rules (R011, R015, R016) are covered in
-``tests/test_lint_program.py`` and ``tests/test_lint_sparsity.py``; this
-file owns the per-file rules, the engine/CLI plumbing (discovery, exit
-codes, noqa), and the self-clean meta-test.
+The whole-program rule (R011) is covered in
+``tests/test_lint_program.py``; this file owns the per-file rules, the
+engine/CLI plumbing (discovery, exit codes, noqa, rule-id ranges,
+``--stats``), and the self-clean meta-test.
 """
 
 from __future__ import annotations
@@ -17,14 +17,15 @@ from pathlib import Path
 import pytest
 
 from repro.lint import LintEngine, registered_rules
-from repro.lint.cli import main as lint_main
+from repro.lint.cli import _split_ids, main as lint_main
 from repro.lint.engine import FileContext
 from repro.lint.findings import Finding
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = Path(__file__).resolve().parent / "lint_fixtures"
 ALL_RULE_IDS = ("R001", "R004", "R005", "R006", "R019")
-PROGRAM_RULE_IDS = ("R011", "R015", "R016")
+PROGRAM_RULE_IDS = ("R011",)
+LAYERING = FIXTURES / "program" / "layering"
 
 
 def lint_fixture(name: str, rule_id: str):
@@ -224,18 +225,17 @@ def test_cli_json_format(capsys):
 
 def test_cli_sarif_format(capsys):
     rc = lint_main(
-        [str(FIXTURES / "program" / "r016_trigger.py"),
-         "--select", "R016", "--format", "sarif"]
+        [str(LAYERING), "--select", "R011", "--format", "sarif"]
     )
     assert rc == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["version"] == "2.1.0"
     (run,) = payload["runs"]
     assert run["tool"]["driver"]["name"] == "repro.lint"
-    assert [r["id"] for r in run["tool"]["driver"]["rules"]] == ["R016"]
+    assert [r["id"] for r in run["tool"]["driver"]["rules"]] == ["R011"]
     assert run["results"], "trigger fixture must produce SARIF results"
     for result in run["results"]:
-        assert result["ruleId"] == "R016"
+        assert result["ruleId"] == "R011"
         assert result["level"] == "error"
         region = result["locations"][0]["physicalLocation"]["region"]
         # SARIF regions are 1-based
@@ -244,8 +244,8 @@ def test_cli_sarif_format(capsys):
 
 def test_cli_sarif_clean_is_valid(capsys):
     rc = lint_main(
-        [str(FIXTURES / "program" / "r016_pass.py"),
-         "--select", "R016", "--format", "sarif"]
+        [str(LAYERING / "repro" / "models" / "good_model.py"),
+         "--select", "R011", "--format", "sarif"]
     )
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
@@ -310,6 +310,52 @@ def test_cli_json_reports_executed_rules(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["program"] is True
     assert set(ALL_RULE_IDS + PROGRAM_RULE_IDS) == set(payload["rules"])
+
+
+# ----------------------------------------------------------------------
+# CLI: rule-id ranges and --stats
+# ----------------------------------------------------------------------
+def test_split_ids_expands_ranges():
+    assert _split_ids("R012-R014") == ["R012", "R013", "R014"]
+    assert _split_ids("R001,R004-R006") == ["R001", "R004", "R005", "R006"]
+    assert _split_ids("R012-14") == ["R012", "R013", "R014"]
+    # malformed ranges pass through and hit the unknown-id usage error
+    assert _split_ids("R014-R012") == ["R014-R012"]
+    assert _split_ids("R012-E014") == ["R012-E014"]
+    assert _split_ids(None) is None
+
+
+def test_cli_accepts_rule_ranges(capsys):
+    rc = lint_main([str(FIXTURES / "r005_pass.py"), "--select", "R004-R006"])
+    capsys.readouterr()
+    assert rc == 0
+
+
+def test_cli_rejects_malformed_range(capsys):
+    rc = lint_main([str(FIXTURES / "r005_pass.py"), "--select", "R006-R004"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "unknown rule id" in captured.err
+
+
+def test_cli_stats_prints_per_rule_timings(capsys):
+    rc = lint_main(
+        [str(LAYERING / "repro" / "models" / "good_model.py"),
+         "--select", "R001,R011", "--stats"]
+    )
+    captured = capsys.readouterr()
+    assert rc == 0
+    assert "rule timings" in captured.err
+    assert "R001" in captured.err and "R011" in captured.err
+    assert "<program-index>" in captured.err and "total" in captured.err
+    # stdout stays clean for machine formats
+    assert "rule timings" not in captured.out
+
+
+def test_stats_off_by_default():
+    engine = LintEngine(select=["R011"])
+    engine.lint_paths([str(LAYERING)])
+    assert engine.stats == {}
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Tests for the whole-program layer: the import-layering rule (R011),
 the program/per-file split of the engine, and — since R007/R008 are
 retired — that R001 alone reports a draw or a clock read hidden in a
-helper, at the helper.  R015/R016 live in ``tests/test_lint_sparsity.py``."""
+helper, at the helper."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from repro.lint import LintEngine, registered_program_rules
 from repro.lint.cli import main as lint_main
 
 PROGRAM_FIXTURES = Path(__file__).resolve().parent / "lint_fixtures" / "program"
-PROGRAM_RULE_IDS = ("R011", "R015", "R016")
+PROGRAM_RULE_IDS = ("R011",)
 
 
 def test_layering_fixture():
@@ -191,7 +191,8 @@ def test_program_registry_is_complete():
 
 
 def test_per_file_entry_points_never_run_program_rules():
-    path = PROGRAM_FIXTURES / "r015_trigger.py"
-    engine = LintEngine(select=["R015"])
+    path = PROGRAM_FIXTURES / "layering" / "repro" / "models" / "bad_model.py"
+    engine = LintEngine(select=["R011"])
     assert engine.lint_paths([str(path)])
     assert engine.lint_source(path.read_text(encoding="utf-8"), str(path)) == []
+    assert engine.lint_file(str(path)) == []

@@ -1,9 +1,9 @@
 """Op-counter semantics and the sparse-kernel edge cases they exposed.
 
-The counters (:mod:`repro.linalg.counters`) are the dynamic check of
-the R015/R016 primitive-cost axioms: disabled they must cost nothing
-and count nothing; enabled they must accumulate across kernel calls
-and never perturb numeric results.
+The counters (:mod:`repro.linalg.counters`) record the work the
+kernels did: disabled they must cost nothing and count nothing; enabled
+they must accumulate across kernel calls and never perturb numeric
+results.
 """
 
 from __future__ import annotations
@@ -12,21 +12,16 @@ import numpy as np
 import pytest
 
 from repro.linalg import CSRMatrix, OP_COUNTERS, OpCounters, SparseVector
-from repro.sim.cost import WORK_LEDGER
 
 
 @pytest.fixture(autouse=True)
 def _quiesce_counters():
-    """Leave the process-wide singletons disabled and zeroed."""
+    """Leave the process-wide singleton disabled and zeroed."""
     OP_COUNTERS.reset()
     OP_COUNTERS.disable()
-    WORK_LEDGER.reset()
-    WORK_LEDGER.disable()
     yield
     OP_COUNTERS.reset()
     OP_COUNTERS.disable()
-    WORK_LEDGER.reset()
-    WORK_LEDGER.disable()
 
 
 # ----------------------------------------------------------------------
@@ -95,20 +90,6 @@ def test_counters_never_change_numerics():
     OP_COUNTERS.enable()
     counted = v.dot(dense)
     assert counted == quiet
-
-
-def test_work_ledger_records_and_resets():
-    WORK_LEDGER.enable()
-    WORK_LEDGER.record_sparse(100)
-    WORK_LEDGER.record_dense(40)
-    snap = WORK_LEDGER.snapshot()
-    assert snap["sparse_units"] == 100
-    assert snap["dense_units"] == 40
-    WORK_LEDGER.reset()
-    assert WORK_LEDGER.snapshot()["sparse_units"] == 0
-    WORK_LEDGER.disable()
-    WORK_LEDGER.record_sparse(5)
-    assert WORK_LEDGER.snapshot()["sparse_units"] == 0
 
 
 # ----------------------------------------------------------------------

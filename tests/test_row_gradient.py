@@ -12,14 +12,19 @@ included.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from time import perf_counter
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import ColumnSGDConfig, ColumnSGDDriver
+from repro.core.worker import ColumnWorker
 from repro.datasets.dataset import Dataset
 from repro.errors import DimensionMismatchError
+from repro.extensions import ColumnMLP, MLPColumnTrainer
 from repro.linalg import (
     EVERY_ROW,
     OP_COUNTERS,
@@ -568,13 +573,20 @@ class TestShapeValidation:
 
 
 # ----------------------------------------------------------------------
-# (c) Fig 10 as a count: a round's work does not depend on m
+# (c) Fig 10 as a count and as a time: a round's work does not depend on m
 # ----------------------------------------------------------------------
-def counted_round(make_model, n_features: int):
-    """Op counters of ColumnSGD round 1 on one fixed batch at width m."""
+NARROW, WIDE = 100_000, 10_000_000
+
+#: the wall-clock gate: a round at m = 1e7 may take at most this many
+#: times the same round at m = 1e5 (p05 over ``GATE_ROUNDS`` rounds)
+WIDTH_RATIO_BOUND = 2.0
+GATE_ROUNDS = 100
+
+
+def flat_in_m_dataset(n_features: int, zero_one_labels: bool = False) -> Dataset:
+    """The same 400 rows whatever m is: columns drawn once, below 1e5."""
     rng = np.random.default_rng(11)
     n_rows, per_row = 400, 12
-    # the same rows whatever m is: columns drawn once, below 1e5
     indices = np.concatenate(
         [np.sort(rng.choice(100_000, size=per_row, replace=False)) for _ in range(n_rows)]
     )
@@ -583,34 +595,124 @@ def counted_round(make_model, n_features: int):
         rng.normal(size=indices.size), n_features,
     )
     labels = np.where(rng.random(n_rows) < 0.5, 1.0, -1.0)
-    driver = ColumnSGDDriver(
-        make_model(), SGD(0.1), SimulatedCluster(CLUSTER1.with_workers(4)),
-        config=ColumnSGDConfig(batch_size=100, eval_every=0, seed=3),
+    if zero_one_labels:
+        labels = (labels > 0).astype(np.float64)
+    return Dataset(features, labels, name="flat-in-m")
+
+
+def column_driver(make_model, backend="sim"):
+    def build():
+        return ColumnSGDDriver(
+            make_model(), SGD(0.1), SimulatedCluster(CLUSTER1.with_workers(4)),
+            config=ColumnSGDConfig(
+                batch_size=100, eval_every=0, seed=3, backend=backend,
+                local_processes=2 if backend == "local" else 0,
+            ),
+        )
+    return build
+
+
+def mlp_trainer():
+    return MLPColumnTrainer(
+        ColumnMLP([1]), SGD(0.1), SimulatedCluster(CLUSTER1.with_workers(4)),
+        batch_size=100, eval_every=0, seed=3,
     )
-    driver.load(Dataset(features, labels, name="flat-in-m"))
-    driver.run_round(0)  # first use sizes the per-process column scratch
+
+
+#: every ColumnSGD trainer that claims O(batch) rounds, each at <= 2
+#: params per column: id -> (build, labels in {0, 1}, backend)
+FLAT_IN_M = {
+    "lr": (column_driver(LogisticRegression), False, "sim"),
+    "fm": (column_driver(lambda: FactorizationMachine(n_factors=1)), False, "sim"),
+    "mlr": (column_driver(lambda: MultinomialLogisticRegression(2)), True, "sim"),
+    "mlp": (mlp_trainer, False, "sim"),
+    "lr-local": (column_driver(LogisticRegression, backend="local"), False, "local"),
+}
+
+
+@contextmanager
+def loaded(name: str, n_features: int):
+    """One trainer of ``FLAT_IN_M`` loaded at width m, with its worker
+    processes started when it runs on ``local``."""
+    build, zero_one_labels, backend = FLAT_IN_M[name]
+    trainer = build()
+    trainer.load(flat_in_m_dataset(n_features, zero_one_labels))
+    if backend != "local":
+        yield trainer
+        return
+    runtime, programs = trainer._make_local_runtime()
+    runtime.start(programs)
+    try:
+        trainer.local_runtime = runtime
+        yield trainer
+    finally:
+        runtime.close()
+
+
+def counted_round(trainer):
+    """Op counters of round 1, after round 0 sized the per-process
+    column scratch (they count this process only: zeros on ``local``)."""
+    trainer.run_round(0)
     OP_COUNTERS.reset()
     OP_COUNTERS.enable()
     try:
-        driver.run_round(1)
+        trainer.run_round(1)
     finally:
         OP_COUNTERS.disable()
     return OP_COUNTERS.snapshot()
 
 
-@pytest.mark.parametrize("make_model", [
-    LogisticRegression, lambda: FactorizationMachine(n_factors=1),  # 2 x 1e7 params
-], ids=["lr", "fm"])
-def test_round_work_is_flat_in_m(make_model):
-    narrow = counted_round(make_model, 100_000)
-    wide = counted_round(make_model, 10_000_000)
-    assert narrow["flops"] > 0
-    assert wide["flops"] == narrow["flops"]
-    assert wide["alloc_elements"] == narrow["alloc_elements"]
-    assert wide["peak_alloc_elements"] == narrow["peak_alloc_elements"]
-    assert wide["densify_events"] == narrow["densify_events"] == 0
-    # nothing partition-sized (m / K = 25,000 columns at the narrow end)
-    assert narrow["peak_alloc_elements"] < 25_000
+def round_p05(trainers, rounds: int = GATE_ROUNDS, first: int = 2):
+    """p05 ``run_round`` wall seconds of each trainer, interleaved round
+    by round so that every width sees the same load on the box."""
+    seconds = [[] for _ in trainers]
+    for t in range(first, first + rounds):
+        for trainer, times in zip(trainers, seconds):
+            start = perf_counter()
+            trainer.run_round(t)
+            times.append(perf_counter() - start)
+    return [float(np.percentile(times, 5)) for times in seconds]
+
+
+def flat_in_m_readings(name: str):
+    """``(counters, p05 seconds)`` of one trainer, each as
+    ``(narrow, wide)``."""
+    with loaded(name, NARROW) as narrow, loaded(name, WIDE) as wide:
+        counts = [counted_round(trainer) for trainer in (narrow, wide)]
+        seconds = round_p05([narrow, wide])
+    return counts, seconds
+
+
+@pytest.mark.parametrize("name", list(FLAT_IN_M))
+def test_round_work_is_flat_in_m(name):
+    (narrow, wide), (narrow_s, wide_s) = flat_in_m_readings(name)
+    if FLAT_IN_M[name][2] == "sim":
+        assert narrow["flops"] > 0
+        assert wide["flops"] == narrow["flops"]
+        assert wide["alloc_elements"] == narrow["alloc_elements"]
+        assert wide["peak_alloc_elements"] == narrow["peak_alloc_elements"]
+        assert wide["densify_events"] == narrow["densify_events"] == 0
+        # nothing partition-sized (m / K = 25,000 columns at the narrow end)
+        assert narrow["peak_alloc_elements"] < 25_000
+    assert wide_s <= WIDTH_RATIO_BOUND * narrow_s, (
+        "round p05 {:.3f} ms at m = 1e7 vs {:.3f} ms at m = 1e5".format(
+            wide_s * 1e3, narrow_s * 1e3)
+    )
+
+
+def test_flat_in_m_gate_fires_on_a_partition_sized_allocation(monkeypatch):
+    """A slip the op counters cannot see — one ``np.zeros(params.shape)``
+    per partition per round — fails the wall-clock half."""
+    update_model = ColumnWorker.update_model
+
+    def seeded(self, statistics, iteration, only_partitions=None):
+        for partition in self.partitions.values():
+            np.zeros(partition.params.shape)
+        return update_model(self, statistics, iteration, only_partitions)
+
+    monkeypatch.setattr(ColumnWorker, "update_model", seeded)
+    _, (narrow_s, wide_s) = flat_in_m_readings("lr")
+    assert wide_s > WIDTH_RATIO_BOUND * narrow_s
 
 
 # ----------------------------------------------------------------------

@@ -399,10 +399,6 @@ class TestConfigValidation:
         assert store.writes > 0
         assert store.bytes_written > 0
 
-    def test_local_rejects_engine_audits(self):
-        with pytest.raises(ValueError, match="check_cost"):
-            ColumnSGDConfig(backend="local", check_cost=True)
-
     def test_local_rejects_failure_injection(self, data):
         from repro.faults import FaultEvent, FaultKind, FaultSchedule
 
