@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.trainer import Trainer
+from repro.core.trainer import Trainer, straggler_model
 from repro.datasets.dataset import Dataset
 from repro.engine import (
     BarrierSync,
@@ -102,9 +102,7 @@ class BaselineTrainer(Trainer):
         self.eval_every = self.config.eval_every
         self.check_protocol = self.config.check_protocol
         self.backend = self.config.backend
-        self.straggler = (
-            straggler if straggler is not None else StragglerModel.none(cluster.n_workers)
-        )
+        self.straggler = straggler_model(straggler, cluster.n_workers, self.backend)
         self.failures = failures if failures is not None else FaultSchedule()
         self.failures.validate(cluster.n_workers, self.config.backend)
         self._dataset: Optional[Dataset] = None

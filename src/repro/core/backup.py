@@ -59,10 +59,6 @@ class BackupGroups:
         g = self.group_of(worker)
         return self._groups[g]
 
-    def partitions_of_group(self, group: int) -> Tuple[int, ...]:
-        """Partition ids owned by ``group``."""
-        return self._groups[group]
-
     def replicas_of_partition(self, partition: int) -> Tuple[int, ...]:
         """Workers holding a replica of ``partition``."""
         return self._groups[partition // self.group_size]

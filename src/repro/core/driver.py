@@ -1,16 +1,15 @@
 """The ColumnSGD driver: load, partition, and run Algorithm 3.
 
-The driver executes the real numerics (statistics, gradients, updates)
-in-process while charging simulated time for compute (cost model x
-straggler slowdowns), network (statistics gather/broadcast through the
-master), and BSP barriers (two Spark-scheduled stages per iteration:
-computeStatistics and updateModel).
-
-The round itself is declared as a :class:`~repro.engine.RoundSpec` —
-computeStatistics, gather, reduce, broadcast, updateModel — and
-executed by :class:`~repro.engine.RoundEngine`; S-backup recovery is
-the spec's :class:`~repro.engine.BackupSync` policy (S = 0 degenerates
-to the plain barrier).
+The driver owns the job — the row-to-column load, model init, master,
+workers, faults and recovery — and declares the round as a
+:class:`~repro.engine.RoundSpec` (computeStatistics, gather, reduce,
+broadcast, updateModel) that :class:`~repro.engine.RoundEngine` runs;
+S-backup recovery is the spec's :class:`~repro.engine.BackupSync`
+policy (S = 0 degenerates to the plain barrier).  The phase bodies are
+:mod:`repro.core.localexec`'s master and worker programs on both
+backends: on ``sim`` the cluster hosts the workers in-process and
+charges simulated compute (cost model x straggler slowdowns), network
+and barrier time; on ``local`` worker processes run them, measured.
 
 Exactness invariant: with no failures, the parameter trajectory is
 identical (to float tolerance) to single-machine mini-batch SGD on the
@@ -32,11 +31,12 @@ from repro.core.localexec import (
     collect_store_stats,
     make_local_runtime,
     sync_params,
+    worker_programs,
 )
 from repro.core.master import ColumnMaster
 from repro.core.recovery import CheckpointStore, RecoveryManager, RecoveryPolicy
 from repro.core.results import TrainingResult
-from repro.core.trainer import Trainer
+from repro.core.trainer import Trainer, straggler_model
 from repro.core.worker import ColumnWorker, PartitionState
 from repro.datasets.dataset import Dataset
 from repro.engine import (
@@ -61,7 +61,7 @@ from repro.partition.indexing import TwoPhaseIndex
 from repro.runtime import BACKENDS
 from repro.sim.cluster import SimulatedCluster
 from repro.sim.straggler import StragglerModel
-from repro.storage.serialization import OBJECT_OVERHEAD_BYTES, dense_vector_bytes
+from repro.storage.serialization import dense_vector_bytes
 from repro.utils.validation import check_in, check_non_negative, check_positive
 
 
@@ -90,7 +90,7 @@ class ColumnSGDConfig:
                                   # (timeout + backoff retries)
     sync_alpha: float = 3.0       # deadline = alpha * median(finish)
     sync_max_retries: int = 2     # gather retries before degrading
-    sync_backoff: float = 2.0     # deadline multiplier per retry
+                                  # (each retry doubles the deadline)
     sync_on_exhausted: str = "stale"  # 'stale' reuses cached group
                                       # statistics; 'raise' escalates
     backend: str = "sim"          # execution substrate: 'sim' runs the
@@ -104,9 +104,8 @@ class ColumnSGDConfig:
     local_timeout_s: float = 30.0  # deadline floor for local-backend
                                    # exchanges; the effective deadline is
                                    # max(floor, sync_alpha * median of
-                                   # measured exchange seconds), backed
-                                   # off by sync_backoff per retry (see
-                                   # repro.runtime.deadline)
+                                   # measured exchange seconds), doubled
+                                   # per retry (see repro.runtime.deadline)
     store_dir: str = ""           # when set, load() shuffles the data
                                   # into (or reopens) an on-disk
                                   # column-shard store there and workers
@@ -130,8 +129,7 @@ class ColumnSGDConfig:
         check_in(self.sync_policy, ("backup", "timeout", "retry"), "sync_policy")
         check_positive(self.sync_alpha, "sync_alpha")
         check_non_negative(self.sync_max_retries, "sync_max_retries")
-        check_positive(self.sync_backoff, "sync_backoff")
-        check_deadline_factors(self.sync_alpha, self.sync_backoff)
+        check_deadline_factors(self.sync_alpha)
         check_in(self.sync_on_exhausted, ("raise", "stale"), "sync_on_exhausted")
         check_in(self.backend, BACKENDS, "backend")
         check_non_negative(self.local_processes, "local_processes")
@@ -144,16 +142,14 @@ class ColumnSGDConfig:
             )
         if self.early_stop_patience and not self.eval_every:
             raise ValueError("early stopping requires eval_every > 0")
-        if self.backend == "local":
-            # sync_policy, checkpointing (RecoveryPolicy), and faults
-            # (repro.faults.FaultSchedule) all run for real on the local
-            # backend; only genuinely simulator-bound features remain
-            # rejected.
-            if self.backup:
-                raise ValueError(
-                    "backend='local' supports backup=0 only; backup "
-                    "computation is a simulator feature"
-                )
+        if self.backend == "local" and self.backup:
+            # the round bodies carry S-backup's rules on both backends;
+            # the local transport does not complete a group on its first
+            # replica yet
+            raise ValueError(
+                "backend='local' supports backup=0 only; backup "
+                "computation runs on the simulator"
+            )
 
     @property
     def wire_value_bytes(self) -> int:
@@ -184,9 +180,7 @@ class ColumnSGDDriver(Trainer):
         self.eval_every = self.config.eval_every
         self.check_protocol = self.config.check_protocol
         self.backend = self.config.backend
-        self.straggler = (
-            straggler if straggler is not None else StragglerModel.none(cluster.n_workers)
-        )
+        self.straggler = straggler_model(straggler, cluster.n_workers, self.backend)
         self.failures = failures if failures is not None else FaultSchedule()
         self.failures.validate(cluster.n_workers, self.config.backend)
         self.recovery_policy = recovery if recovery is not None else RecoveryPolicy.disabled()
@@ -322,6 +316,7 @@ class ColumnSGDDriver(Trainer):
             for w in range(K)
         ]
         self._charge_setup_memory()
+        self._engine = None  # its programs hold the previous load's workers
         self.recovery_manager = RecoveryManager(
             self.cluster,
             self.groups,
@@ -362,6 +357,14 @@ class ColumnSGDDriver(Trainer):
 
     def _make_local_runtime(self):
         return make_local_runtime(self)
+
+    def _executor(self):
+        """The master program on either backend; on ``sim`` the cluster
+        hosts the worker programs in-process."""
+        if self.backend == "local":
+            return super()._executor()
+        self.cluster.host(worker_programs(self))
+        return ColumnMasterProgram(self, self.cluster)
 
     @contextmanager
     def _local_run(self, runtime):
@@ -440,7 +443,6 @@ class ColumnSGDDriver(Trainer):
                 if self.config.sync_policy == "retry"
                 else 0
             ),
-            backoff=self.config.sync_backoff,
             on_exhausted=self.config.sync_on_exhausted,
         )
 
@@ -456,110 +458,6 @@ class ColumnSGDDriver(Trainer):
         }
         self.last_killed = set(outcome.killed)
         return outcome
-
-    def _phase_compute_statistics(self, ctx) -> Dict[int, float]:
-        """Step 1: computeStatistics on every worker.
-
-        A worker's task time is task launch + kernel time; the paper's
-        StragglerLevel is the ratio of a straggler's *whole task* time
-        to a normal worker's, so the slowdown multiplies both.
-        """
-        B, width = self.config.batch_size, self.model.statistics_width
-        draws = self._index.sample(ctx.t, B)
-        cost = self.cluster.cost
-        stats_by_worker: Dict[int, Optional[np.ndarray]] = {}
-        per_worker: Dict[int, float] = {}
-        for worker in self._workers:
-            if worker.failed:
-                stats_by_worker[worker.worker_id] = None
-                per_worker[worker.worker_id] = float("inf")
-                continue
-            stats, nnz = worker.compute_statistics(draws)
-            stats_by_worker[worker.worker_id] = self._through_wire(stats)
-            task = cost.task_overhead + cost.sparse_work(nnz, passes=width)
-            per_worker[worker.worker_id] = task * ctx.slowdowns[worker.worker_id]
-        ctx.failed = frozenset(
-            w.worker_id for w in self._workers if w.failed
-        )
-        ctx.scratch["stats_by_worker"] = stats_by_worker
-        ctx.scratch["finish"] = [
-            per_worker[w] for w in range(self.cluster.n_workers)
-        ]
-        return per_worker
-
-    def _statistics_size(self, ctx) -> int:
-        """Wire bytes of one statistics buffer (B * width values)."""
-        B, width = self.config.batch_size, self.model.statistics_width
-        return OBJECT_OVERHEAD_BYTES + B * width * self.config.wire_value_bytes
-
-    def _statistics_push_sizes(self, ctx) -> List[int]:
-        """One push per worker the sync policy selected."""
-        return [self._statistics_size(ctx)] * len(ctx.chosen)
-
-    def _phase_reduce(self, ctx) -> float:
-        """Master sums one contribution per group (reduceStatistics)."""
-        reduced = self._through_wire(
-            self.master.reduce(
-                ctx.scratch["stats_by_worker"],
-                finish_times=ctx.scratch["finish"],
-                stale_groups=ctx.stale_groups or None,
-            )
-        )
-        ctx.scratch["reduced"] = reduced
-        B, width = self.config.batch_size, self.model.statistics_width
-        return self.cluster.cost.dense_work(len(ctx.chosen) * B * width)
-
-    def _phase_update_model(self, ctx) -> Dict[int, float]:
-        """Step 3: updateModel.
-
-        Each partition is numerically updated exactly once, by its
-        first live, non-killed replica; every live replica is charged
-        the update time for the partitions it maintains.
-        """
-        width = self.model.statistics_width
-        cost = self.cluster.cost
-        reduced = ctx.scratch["reduced"]
-        updater_of: Dict[int, int] = {}
-        for p in range(self.cluster.n_workers):
-            if p // self.groups.group_size in ctx.stale_groups:
-                # the group never reported this round; its partitions
-                # skip the update and catch up when the group rejoins
-                continue
-            for w in self.groups.replicas_of_partition(p):
-                if not self._workers[w].failed and w not in ctx.killed:
-                    updater_of[p] = w
-                    break
-            else:
-                raise TrainingError(
-                    "partition {} has no live replica to update".format(p)
-                )
-        update_times: Dict[int, float] = {}
-        for worker in self._workers:
-            if worker.failed or worker.worker_id in ctx.killed:
-                continue
-            mine = {p for p, w in updater_of.items() if w == worker.worker_id}
-            worker.update_model(reduced, ctx.t, only_partitions=mine)
-            # Time is charged for every replica the worker maintains (in
-            # the real system each group member updates all S+1 copies);
-            # numerically each partition was touched exactly once above
-            # because PartitionState objects are shared between replicas.
-            task = cost.task_overhead + cost.sparse_work(
-                worker.cached_batch_nnz(), passes=width
-            )
-            update_times[worker.worker_id] = task * ctx.slowdowns[worker.worker_id]
-        return update_times
-
-    def _through_wire(self, statistics: np.ndarray) -> np.ndarray:
-        """Apply the configured wire precision to a statistics buffer.
-
-        ``fp32`` rounds values through float32 — an honest model of
-        lossy compression: the traffic halves *and* the numerics see the
-        rounding, so the exactness invariant intentionally weakens to
-        float32 resolution.
-        """
-        if self.config.wire_precision == "fp32":
-            return statistics.astype(np.float32).astype(np.float64)
-        return statistics
 
     # ------------------------------------------------------------------
     # manual worker control (the paper's footnote 6 scenario)
@@ -591,13 +489,13 @@ class ColumnSGDDriver(Trainer):
         The one place the order is decided: **strike, then checkpoint**
         — a process killed at the top of round ``t`` writes nothing in
         round ``t``, so its partitions keep their previous snapshot.
-        What a strike and a checkpoint physically are is the executor's
-        business (this driver on ``sim``, its master program on
-        ``local``).  Runs inside the protocol checker's round window, so
-        heartbeat, checkpoint, and replay traffic is audited (as
+        What a strike and a checkpoint physically are differs by
+        backend: simulated here on ``sim``, real in the master program
+        on ``local``.  Runs inside the protocol checker's round window,
+        so heartbeat, checkpoint, and replay traffic is audited (as
         unchecked kinds) rather than crossing the barrier.
         """
-        executor = self._engine.trainer
+        executor = self._engine.trainer if self.backend == "local" else self
         extra = executor._strike(t, self.failures.events_at(t))
         if self.recovery_manager.checkpoint_due(t):
             extra += executor._checkpoint(t)

@@ -19,7 +19,23 @@ from repro.datasets.dataset import Dataset
 from repro.engine import RoundEngine, RoundOutcome, RoundSpec
 from repro.errors import ConfigurationError, TrainingError
 from repro.net.protocol import ProtocolChecker
+from repro.sim.straggler import StragglerModel
 from repro.utils.validation import check_positive
+
+
+def straggler_model(straggler: Optional[StragglerModel], n_workers: int,
+                    backend: str) -> StragglerModel:
+    """A trainer's straggler model, none by default; only the simulator
+    applies one, so on ``backend='local'`` it is a ConfigurationError."""
+    if straggler is None:
+        return StragglerModel.none(n_workers)
+    if backend == "local" and straggler.mode != "none":
+        raise ConfigurationError(
+            "straggler models are simulated slowdowns and backend='local' "
+            "measures real processes; stall one with a FaultSchedule STALL "
+            "event instead"
+        )
+    return straggler
 
 
 class Trainer:
@@ -192,24 +208,28 @@ class Trainer:
                 runtime.close()
 
     def _make_engine(self) -> RoundEngine:
-        """A fresh engine over :meth:`round_spec`, executed by the
-        trainer itself or, on ``backend='local'``, its master program."""
-        executor = self
-        if self.backend == "local":
-            if self.local_runtime is None:
-                raise ConfigurationError(
-                    "backend='local' rounds run on worker processes and none "
-                    "are attached: call fit(), or assign a started runtime to "
-                    "local_runtime"
-                )
-            executor = self.master_program(self, self.local_runtime)
+        """A fresh engine over :meth:`round_spec`, run by :meth:`_executor`."""
         return RoundEngine(
-            executor,
+            self._executor(),
             self.cluster,
             spec=self.round_spec(),
             straggler=self.straggler,
             runtime=self.local_runtime,
         )
+
+    def _executor(self):
+        """Who carries the spec's executor names: the trainer itself,
+        or on ``backend='local'`` its master program over the attached
+        runtime."""
+        if self.backend != "local":
+            return self
+        if self.local_runtime is None:
+            raise ConfigurationError(
+                "backend='local' rounds run on worker processes and none "
+                "are attached: call fit(), or assign a started runtime to "
+                "local_runtime"
+            )
+        return self.master_program(self, self.local_runtime)
 
     def run_round(self, t: int) -> RoundOutcome:
         """Execute one engine round (public: benches and tests drive it

@@ -42,11 +42,11 @@ class PartitionState:
 
 
 class ColumnWorker:
-    """One simulated worker process.
+    """One logical worker.
 
     The worker caches the assembled local batch between the statistics
     and update phases (Algorithm 3 reuses ``XB``), and reports the
-    non-zeros it touched so the driver can charge compute time.  The
+    non-zeros it touched so the simulator can charge compute time.  The
     cached batch matrix also carries what the kernels derive from it
     once — row segments, and the compaction onto the columns it touches
     — so the update phase neither recomputes them nor does anything
@@ -106,16 +106,14 @@ class ColumnWorker:
     # ------------------------------------------------------------------
     def update_model(
         self, statistics: np.ndarray, iteration: int, only_partitions: Optional[set] = None
-    ) -> int:
+    ) -> None:
         """Compute local gradients from complete statistics and update.
 
-        ``only_partitions`` restricts the update (the driver uses it so
-        each replicated partition is numerically updated exactly once,
-        while time is still charged for every replica).  Returns the
-        non-zeros touched by the partitions actually updated.
+        ``only_partitions`` restricts the update (the round body uses it
+        so each replicated partition is numerically updated exactly once,
+        while time is still charged for every replica).
         """
         self._check_alive()
-        nnz = 0
         for pid in self.partition_ids():
             if only_partitions is not None and pid not in only_partitions:
                 continue
@@ -127,8 +125,6 @@ class ColumnWorker:
                 features, labels, statistics, partition.params
             )
             partition.optimizer.step(partition.params, gradient, iteration)
-            nnz += features.nnz
-        return nnz
 
     # ------------------------------------------------------------------
     # bookkeeping used by the driver's cost model

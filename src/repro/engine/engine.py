@@ -137,6 +137,9 @@ class RoundEngine:
                 if replay
                 else self.straggler.slowdowns(t)
             )
+        # the simulated cluster scales the task seconds its in-process
+        # exchanges model by them
+        self.cluster.slowdowns = slowdowns
         ctx = RoundContext(t, self.trainer, self.cluster, slowdowns, replay)
         sync = self.spec.sync
         ctx.sync = sync

@@ -29,10 +29,11 @@ from repro.errors import ConfigurationError, StatisticsRecoveryError
 from repro.utils.validation import check_non_negative
 
 
-def check_deadline_factors(alpha: float, backoff: float) -> None:
-    """Range check of the ``alpha x median`` deadline rule, shared by
-    every place the two factors are configured (:class:`TimeoutSync`,
-    ``ColumnSGDConfig.sync_*``, ``runtime.deadline.TimeoutPolicy``)."""
+def check_deadline_factors(alpha: float, backoff: float = 2.0) -> None:
+    """Range check of the ``alpha x median`` deadline rule and its
+    per-retry ``backoff``, shared by every place they are configured
+    (:class:`TimeoutSync`, ``ColumnSGDConfig.sync_alpha``,
+    ``runtime.deadline.TimeoutPolicy``)."""
     if alpha < 1.0:
         raise ConfigurationError(
             "alpha must be >= 1 (a deadline below the median finish "

@@ -33,33 +33,16 @@ Fault tolerance (the real-process port of ``docs/faults.md``):
   the op to whoever is still missing, bounded attempts, one
   :class:`~repro.engine.trace.RecoveryEvent` per worker.
 
-Division of labour — who knows what about a local round:
-
-* :class:`~repro.engine.RoundEngine` **sequences** it: the trainer's
-  sequential ``RoundSpec`` runs phase by phase with this runtime passed
-  as ``runtime=``, and ``PhaseEvent``s, ``RoundOutcome``, expected
-  traffic and the RETRY envelope come from the engine exactly as on
-  ``sim``.  No other module knows the phase order.
-* This runtime owns processes, pipes, measurement, fault injection and
-  recovery mechanics, and traffic accounting — and is the only module
-  in the tree allowed to touch ``time`` (lint rule R001 flags the
-  import anywhere else).
-* The master-side programs in ``repro.core.localexec`` /
-  ``repro.baselines.localexec`` supply the phase *bodies* the spec
-  names (which op a compute phase issues, how the master reduces, the
-  encoded lengths a comm phase accounts) and the trainer's one say in
-  recovery: the restore step handed to :meth:`LocalRuntime.exchange`.
-
-A :class:`LocalRuntime` is a substrate like the simulated cluster:
-``n_workers``, ``clock``, ``network`` and a
-:class:`~repro.net.topology.StarTopology` over that network, through
-which the engine accounts every comm phase's messages exactly as on
-``sim``.  A comm phase's frames ride the exchange of a neighbouring
-compute phase, so its seconds are that exchange's transport remainder
-(:meth:`Exchange.comm_seconds`: measured exchange seconds minus the
-slowest handler), which the master program reports on
-``ctx.comm_seconds`` and the engine uses in place of the topology's
-modelled seconds.
+The engine sequences a local round exactly as on ``sim``; this runtime
+owns processes, pipes, measurement (it is the only module allowed to
+touch ``time``, lint rule R001), fault injection and recovery
+mechanics; the master programs in ``repro.core.localexec`` /
+``repro.baselines.localexec`` supply the phase bodies and the restore
+step.  Like the simulated cluster it is a substrate (``n_workers``,
+``clock``, ``network``, a :class:`~repro.net.topology.StarTopology`);
+a comm phase's seconds are the transport remainder of the exchange
+that carried its frames (:meth:`Exchange.comm_seconds`), reported on
+``ctx.comm_seconds`` in place of the modelled ones.
 """
 
 from __future__ import annotations
@@ -79,6 +62,7 @@ from repro.errors import (
     WorkerUnresponsiveError,
 )
 from repro.faults import FaultEvent, FaultKind
+from repro.net.exchange import Exchange, WorkerDied, WorkerReply, WorkerTimeout
 from repro.net.message import Message, MessageKind
 from repro.net.network import NetworkModel
 from repro.net.topology import StarTopology
@@ -107,97 +91,6 @@ MAX_RECOVERY_ROUNDS = 3
 #: test proves; ROADMAP direction 4(d) brings back a choice together
 #: with its ``spawn`` test, or not at all.
 _PROCESS_START = "fork"
-
-
-@dataclass(frozen=True)
-class WorkerReply:
-    """One logical worker's answer to an op."""
-
-    worker: int
-    result: dict
-    payload: Optional[bytes]
-    #: seconds the worker's process spent inside the op handler
-    seconds: float
-
-
-@dataclass(frozen=True)
-class WorkerDied:
-    """The process hosting ``worker`` was gone mid-exchange (EOF/SIGKILL)."""
-
-    worker: int
-    op: str
-
-    def __str__(self) -> str:
-        return "worker {} process died during op {!r}".format(self.worker, self.op)
-
-
-@dataclass(frozen=True)
-class WorkerTimeout:
-    """``worker`` stayed silent past every retry deadline."""
-
-    worker: int
-    op: str
-    deadline_s: float
-    attempts: int
-
-    def __str__(self) -> str:
-        return "worker {} silent on op {!r} after {} attempt(s) ({:.3f}s deadline)".format(
-            self.worker, self.op, self.attempts, self.deadline_s
-        )
-
-
-@dataclass(frozen=True)
-class Exchange:
-    """One full master <-> workers exchange.
-
-    ``seconds`` is the wall-clock duration of the whole exchange
-    (issue every command, workers handle them, collect every reply) as
-    measured at the master; per-worker handler times are on the
-    replies.  ``failures`` maps workers that produced no reply to their
-    structured outcome (:class:`WorkerDied` / :class:`WorkerTimeout`);
-    ``retries`` counts deadline-expiry and garble resends, each already
-    accounted as RETRY traffic.
-    """
-
-    replies: Dict[int, WorkerReply]
-    seconds: float
-    failures: Dict[int, object] = field(default_factory=dict)
-    retries: int = 0
-
-    def ok(self) -> bool:
-        """True when every targeted worker replied."""
-        return not self.failures
-
-    def dead_workers(self) -> List[int]:
-        """Workers whose host process died during the exchange."""
-        return sorted(
-            w for w, f in self.failures.items() if isinstance(f, WorkerDied)
-        )
-
-    def silent_workers(self) -> List[int]:
-        """Workers that timed out (alive but past every deadline)."""
-        return sorted(
-            w for w, f in self.failures.items() if isinstance(f, WorkerTimeout)
-        )
-
-    def payloads(self) -> Dict[int, bytes]:
-        """Per-worker reply payloads (workers that sent one)."""
-        return {
-            w: r.payload for w, r in self.replies.items() if r.payload is not None
-        }
-
-    def max_worker_seconds(self) -> float:
-        """Slowest worker's handler time (0.0 with no replies)."""
-        return max((r.seconds for r in self.replies.values()), default=0.0)
-
-    def comm_seconds(self) -> float:
-        """Exchange time not explained by the slowest handler.
-
-        The master issues commands and drains replies while workers
-        run, so ``total - max(handler)`` is the (non-negative) transport
-        + scheduling share of the exchange.
-        """
-        return max(0.0, self.seconds - self.max_worker_seconds())
 
 
 @dataclass
@@ -830,13 +723,15 @@ class LocalRuntime:
             total += restore_s
         return total
 
-    def measure(self, fn: Callable[[], T]) -> Tuple[T, float]:
+    def measure(self, fn: Callable[[], T], elements: int = 0) -> Tuple[T, float]:
         """Run ``fn`` and return ``(result, wall seconds)``.
 
         The master-side counterpart of worker handler timing: the
         master programs wrap their reduce/update steps in this instead
         of importing ``time`` themselves (wall-clock access stays
-        confined to this module).
+        confined to this module).  ``elements`` declares the step's
+        dense work for a substrate that models it
+        (:meth:`repro.sim.SimulatedCluster.measure`); this one times it.
         """
         start = time.perf_counter()
         result = fn()

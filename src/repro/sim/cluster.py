@@ -9,14 +9,17 @@ and ``CLUSTER2`` are the two testbeds of Section V-A.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional, Tuple, TypeVar
 
-from repro.errors import OutOfMemoryError
+from repro.errors import OutOfMemoryError, WorkerFailedError
+from repro.net.exchange import Exchange, WorkerDied, WorkerReply
 from repro.net.network import NetworkModel, gbps
 from repro.net.topology import StarTopology
 from repro.sim.clock import SimClock
 from repro.sim.cost import ComputeCostModel
 from repro.utils.validation import check_non_negative, check_positive
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -68,7 +71,10 @@ class SimulatedCluster:
 
     This is the ``sim`` backend's execution substrate: the engine reads
     ``n_workers`` / ``clock`` / ``network`` and sends every comm phase
-    through ``topology`` (``docs/runtime.md``).
+    through ``topology`` (``docs/runtime.md``).  Worker programs given
+    to :meth:`host` run in-process under :meth:`exchange`, with
+    :class:`~repro.runtime.LocalRuntime`'s signature and modelled
+    seconds.
 
     Node ids: workers are ``0..K-1``; the master is
     :attr:`~repro.net.message.Message.MASTER` (-1).  Memory is tracked as a
@@ -91,6 +97,10 @@ class SimulatedCluster:
         #: :class:`repro.engine.RoundEngine` (kept as a plain attribute so
         #: the sim layer does not import the engine layer)
         self.engine_trace = None
+        #: per-worker straggler multipliers of the round being executed
+        #: (set by the engine; ``None`` when the trainer has no model)
+        self.slowdowns: Optional[Dict[int, float]] = None
+        self._programs: Dict[int, object] = {}
         self._memory: Dict[int, float] = {self.MASTER: 0.0}
         self._memory.update({w: 0.0 for w in range(spec.n_workers)})
         self._memory_peak: Dict[int, float] = dict(self._memory)
@@ -100,9 +110,47 @@ class SimulatedCluster:
         """Number of workers K."""
         return self.spec.n_workers
 
-    def workers(self) -> range:
-        """Iterable of worker ids."""
-        return range(self.n_workers)
+    # ------------------------------------------------------------------
+    # in-process worker programs
+    # ------------------------------------------------------------------
+    def host(self, programs: Dict[int, object]) -> None:
+        """Host one worker program per logical worker (replacing any)."""
+        self._programs = dict(programs)
+
+    def exchange(self, op: str, *, iteration: int, args: Optional[dict] = None,
+                 payload: Optional[bytes] = None, restore=None,
+                 tolerate_silent: bool = False) -> Exchange:
+        """Run ``op`` on every hosted program, in worker order.
+
+        A reply's seconds are ``(task overhead + nnz x passes)`` from
+        the work it declares, times the worker's slowdown this round.  A
+        failed worker (:class:`~repro.errors.WorkerFailedError`) is a
+        ``WorkerDied``.  Nothing is silent or respawned here, so
+        ``restore`` and ``tolerate_silent`` are unused, and ``seconds``
+        is ``None``: the comm phases keep their modelled time.
+        """
+        cost, slowdowns = self.cost, self.slowdowns
+        args = args or {}
+        replies: Dict[int, WorkerReply] = {}
+        failures: Dict[int, object] = {}
+        for w, program in self._programs.items():
+            try:
+                result, reply_payload = program.handle(op, args, payload)
+            except WorkerFailedError:
+                failures[w] = WorkerDied(worker=w, op=op)
+                continue
+            task = cost.task_overhead + cost.sparse_work(
+                result["nnz"], passes=result["passes"]
+            )
+            if slowdowns is not None:
+                task = task * slowdowns[w]
+            replies[w] = WorkerReply(w, result, reply_payload, task)
+        return Exchange(replies, None, failures)
+
+    def measure(self, fn: Callable[[], T], elements: int = 0) -> Tuple[T, float]:
+        """Run ``fn`` at the master; its seconds are the modelled cost of
+        touching ``elements`` dense values once."""
+        return fn(), self.cost.dense_work(elements)
 
     # ------------------------------------------------------------------
     # memory ledger

@@ -102,11 +102,11 @@ def int_vector_bytes(count: int) -> int:
 # the codec: byte-model-exact wire encoding
 # ======================================================================
 #: header layout: magic, version, payload-type code, flags, reserved,
-#: then four uint64 shape fields; zero-padded to OBJECT_OVERHEAD_BYTES.
-_HEADER_STRUCT = struct.Struct("<4sBBH4Q")
+#: then four uint64 shape fields (40 bytes), zero-padded to
+#: OBJECT_OVERHEAD_BYTES.
+_HEADER_STRUCT = struct.Struct("<4sBBH4Q24x")
 _HEADER_MAGIC = b"RPRO"
 _HEADER_VERSION = 1
-_HEADER_PAD = OBJECT_OVERHEAD_BYTES - _HEADER_STRUCT.size
 
 _TYPE_DENSE = 1
 _TYPE_SPARSE = 2
@@ -127,8 +127,9 @@ class DenseVectorPayload:
 
     ``precision='fp32'`` writes values as float32 — the honest model of
     the driver's ``wire_precision`` knob: the payload halves *and* a
-    decode returns the float32-rounded values, exactly like
-    ``ColumnSGDDriver._through_wire``.
+    decode returns the float32-rounded values.  ColumnSGD's round bodies
+    encode their statistics with this on both backends, so the rounding
+    happens in one place.
     """
 
     values: np.ndarray
@@ -217,10 +218,9 @@ class IntVectorPayload:
 
 def _header(type_code: int, flags: int, a: int = 0, b: int = 0,
             c: int = 0, d: int = 0) -> bytes:
-    packed = _HEADER_STRUCT.pack(
+    return _HEADER_STRUCT.pack(
         _HEADER_MAGIC, _HEADER_VERSION, type_code, flags, a, b, c, d
     )
-    return packed + b"\x00" * _HEADER_PAD
 
 
 def encode_payload(payload) -> bytes:
@@ -234,8 +234,8 @@ def encode_payload(payload) -> bytes:
     if isinstance(payload, DenseVectorPayload):
         flags = _FLAG_FP32 if payload.precision == "fp32" else 0
         dtype = "<f4" if payload.precision == "fp32" else "<f8"
-        body = np.ascontiguousarray(payload.values.ravel(), dtype=dtype).tobytes()
-        return _header(_TYPE_DENSE, flags, payload.values.size) + body
+        body = np.ascontiguousarray(payload.values.ravel(), dtype=dtype)
+        return b"".join((_header(_TYPE_DENSE, flags, payload.values.size), body))
     if isinstance(payload, SparseVectorPayload):
         idx = np.ascontiguousarray(payload.indices.ravel(), dtype="<i4").tobytes()
         val = np.ascontiguousarray(payload.values.ravel(), dtype="<f8").tobytes()
@@ -298,51 +298,48 @@ def decode_payload(data: bytes, copy: bool = True):
         raise ValueError("bad payload magic {!r}".format(magic))
     if version != _HEADER_VERSION:
         raise ValueError("unsupported codec version {}".format(version))
-    body = data[OBJECT_OVERHEAD_BYTES:]
-    # checked before any count reaches np.frombuffer, which overflows on
-    # a count past 2**63 instead of reporting a short buffer
+    # arrays are read at offsets into ``data``, never out of a sliced
+    # copy; the counts are checked before any reaches np.frombuffer,
+    # which overflows on a count past 2**63 instead of reporting a short
+    # buffer
+    at = OBJECT_OVERHEAD_BYTES
     need = _body_bytes(type_code, flags, a, b)
-    if need > len(body):
+    if need > len(data) - at:
         raise ValueError(
             "truncated payload: the header promises {} body byte(s), "
-            "{} follow".format(need, len(body))
+            "{} follow".format(need, len(data) - at)
         )
     if type_code == _TYPE_DENSE:
         if flags & _FLAG_FP32:
-            values = np.frombuffer(body, dtype="<f4", count=a).astype(np.float64)
+            values = np.frombuffer(data, "<f4", a, at).astype(np.float64)
             return DenseVectorPayload(values=values, precision="fp32")
-        values = np.frombuffer(body, dtype="<f8", count=a).astype(np.float64, copy=copy)
+        values = np.frombuffer(data, "<f8", a, at).astype(np.float64, copy=copy)
         return DenseVectorPayload(values=values, precision="fp64")
     if type_code == _TYPE_SPARSE:
-        indices = np.frombuffer(body, dtype="<i4", count=a).astype(np.int32, copy=copy)
-        values = np.frombuffer(body, dtype="<f8", offset=a * 4, count=a).astype(
+        indices = np.frombuffer(data, "<i4", a, at).astype(np.int32, copy=copy)
+        values = np.frombuffer(data, "<f8", a, at + a * 4).astype(
             np.float64, copy=copy
         )
         return SparseVectorPayload(indices=indices, values=values)
     if type_code == _TYPE_CSR:
         n_rows, nnz = a, b
-        offset = 0
-        indptr = np.frombuffer(body, dtype="<i4", count=n_rows + 1).astype(
+        indptr = np.frombuffer(data, "<i4", n_rows + 1, at).astype(
             np.int32, copy=copy
         )
-        offset += (n_rows + 1) * 4
-        indices = np.frombuffer(body, dtype="<i4", offset=offset, count=nnz).astype(
-            np.int32, copy=copy
-        )
-        offset += nnz * 4
-        data_vals = np.frombuffer(body, dtype="<f8", offset=offset, count=nnz).astype(
-            np.float64, copy=copy
-        )
-        offset += nnz * 8
+        at += (n_rows + 1) * 4
+        indices = np.frombuffer(data, "<i4", nnz, at).astype(np.int32, copy=copy)
+        at += nnz * 4
+        data_vals = np.frombuffer(data, "<f8", nnz, at).astype(np.float64, copy=copy)
+        at += nnz * 8
         labels = None
         if flags & _FLAG_LABELS:
-            labels = np.frombuffer(
-                body, dtype="<f8", offset=offset, count=n_rows
-            ).astype(np.float64, copy=copy)
+            labels = np.frombuffer(data, "<f8", n_rows, at).astype(
+                np.float64, copy=copy
+            )
         return CSRBlockPayload(
             indptr=indptr, indices=indices, data=data_vals, labels=labels
         )
     if type_code == _TYPE_INTS:
-        values = np.frombuffer(body, dtype="<i8", count=a).astype(np.int64, copy=copy)
+        values = np.frombuffer(data, "<i8", a, at).astype(np.int64, copy=copy)
         return IntVectorPayload(values=values)
     raise ValueError("unknown payload type code {}".format(type_code))

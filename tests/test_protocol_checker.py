@@ -12,6 +12,7 @@ from repro.baselines.sparse_ps import SparsePSTrainer
 from repro.baselines.ssp import StaleSyncPSTrainer
 from repro.baselines.base import RowSGDConfig
 from repro.core.driver import ColumnSGDConfig, ColumnSGDDriver
+from repro.core.localexec import ColumnMasterProgram
 from repro.datasets import make_classification
 from repro.errors import ProtocolViolationError
 from repro.models.linear import LogisticRegression
@@ -217,22 +218,27 @@ class TestViolations:
         with pytest.raises(ProtocolViolationError, match="predicts 100 byte"):
             checker.end_round(0, expected={MessageKind.MODEL_PULL: (1, 100)})
 
-    def test_rogue_emission_raises_in_driver(self, cluster4, tiny_binary):
+    @pytest.mark.parametrize("backend", ["sim", "local"])
+    def test_rogue_emission_raises_in_driver(self, cluster4, tiny_binary, backend):
         """End-to-end: the engine derives its expectation from the
         RoundSpec, so the only way to drift is a rogue emission from an
-        executor body — which the checker must catch."""
-        driver = make_driver(cluster4, tiny_binary)
-        original = ColumnSGDDriver._phase_reduce
+        executor body — which the checker must catch on either backend,
+        since both run the one reduce body."""
+        driver = make_driver(
+            cluster4, tiny_binary, backend=backend,
+            local_processes=2 if backend == "local" else 0,
+        )
+        original = ColumnMasterProgram._phase_reduce
 
         def rogue_reduce(self, ctx):
             seconds = original(self, ctx)
-            self.cluster.network.send(
+            self.runtime.network.send(
                 Message(MessageKind.STATISTICS_PUSH, 0, Message.MASTER, 1)
             )
             return seconds
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(ColumnSGDDriver, "_phase_reduce", rogue_reduce)
+            mp.setattr(ColumnMasterProgram, "_phase_reduce", rogue_reduce)
             with pytest.raises(ProtocolViolationError, match="statistics_push"):
                 driver.fit()
 

@@ -131,12 +131,12 @@ class TestCrossBackendDeterminism:
         )
 
     def test_fp32_wire_matches_sim_exactly(self, data):
-        """The codec's float32 encode must round exactly like the
-        simulator's _through_wire."""
+        """Both backends round fp32 statistics in the same codec call, so
+        the models agree to the last bit."""
         sim_result = make_driver(data, "sim", wire_precision="fp32").fit()
         local_result = make_driver(data, "local", wire_precision="fp32").fit()
-        np.testing.assert_allclose(
-            local_result.final_params, sim_result.final_params, atol=1e-9
+        np.testing.assert_array_equal(
+            local_result.final_params, sim_result.final_params
         )
         assert local_result.total_bytes() == sim_result.total_bytes()
 
@@ -369,6 +369,34 @@ class TestConfigValidation:
     def test_local_rejects_backup_computation(self):
         with pytest.raises(ValueError, match="backup"):
             ColumnSGDConfig(backend="local", backup=1)
+
+    @pytest.mark.parametrize("system", ["columnsgd", "mllib"])
+    def test_local_rejects_straggler_models(self, system):
+        """Straggler slowdowns are a simulator cost-model input; on real
+        processes they used to be silently ignored."""
+        from repro.baselines.base import RowSGDConfig
+        from repro.baselines.mllib import MLlibTrainer
+        from repro.sim import StragglerModel
+
+        cluster = SimulatedCluster(CLUSTER1.with_workers(WORKERS))
+        straggler = StragglerModel(WORKERS, level=10.0, mode="permanent")
+        with pytest.raises(ConfigurationError, match="straggler"):
+            if system == "columnsgd":
+                ColumnSGDDriver(
+                    LogisticRegression(), SGD(0.5), cluster,
+                    config=ColumnSGDConfig(backend="local"), straggler=straggler,
+                )
+            else:
+                MLlibTrainer(
+                    LogisticRegression(), SGD(0.5), cluster,
+                    config=RowSGDConfig(backend="local"), straggler=straggler,
+                )
+        # the no-straggler model is no request for slowdowns
+        ColumnSGDDriver(
+            LogisticRegression(), SGD(0.5), cluster,
+            config=ColumnSGDConfig(backend="local"),
+            straggler=StragglerModel.none(WORKERS),
+        )
 
     def test_local_accepts_timeout_sync_policies(self):
         """Deadline-bounded transport made the relaxed-barrier policies

@@ -61,7 +61,8 @@ class TestRoundTrip:
         payload = DenseVectorPayload(values, precision="fp32")
         out = decode_payload(encode_payload(payload))
         assert out.precision == "fp32"
-        # float64 values that went through float32 — _through_wire's rule
+        # float64 values that went through float32: what every backend's
+        # round bodies see of an fp32 statistics buffer
         np.testing.assert_array_equal(
             out.values, values.astype(np.float32).astype(np.float64)
         )

@@ -40,13 +40,16 @@ class TestValidation:
     def test_rejects_backoff_below_one(self):
         with pytest.raises(ConfigurationError):
             TimeoutSync(BackupGroups(4, 0), backoff=0.9)
+        with pytest.raises(ConfigurationError, match="backoff must be >= 1"):
+            TimeoutPolicy(backoff=0.5)
 
     @pytest.mark.parametrize("backend", ["sim", "local"])
     @pytest.mark.parametrize(
         "factors, message",
         [
+            # the backoff is not a config knob: both backends double the
+            # deadline per retry (TimeoutSync / TimeoutPolicy defaults)
             (dict(alpha=0.5), "alpha must be >= 1"),
-            (dict(backoff=0.5), "backoff must be >= 1"),
         ],
     )
     def test_both_backends_reject_the_same_factors_at_construction(
