@@ -71,3 +71,26 @@ class TestTwoPhaseIndex:
     def test_batch_size_positive(self, index):
         with pytest.raises(ValueError):
             index.sample(0, 0)
+
+    @pytest.mark.parametrize(
+        "sizes", [{0: 10, 1: 10, 2: 5}, {0: 5, 3: 1, 7: 900, 9: 13}, {4: 1}]
+    )
+    def test_draws_are_generator_choice_draw_for_draw(self, sizes):
+        """The precomputed inverse CDF reproduces ``rng.choice(p=...)``
+        exactly, so every trajectory keeps its batches."""
+        from repro.utils.rng import iteration_seed, rng_from_seed
+
+        index = TwoPhaseIndex(sizes, base_seed=11)
+        ids = np.asarray(sorted(sizes))
+        rows = np.asarray([sizes[b] for b in ids])
+        for t in range(200):
+            rng = rng_from_seed(iteration_seed(11, t))
+            pos = rng.choice(ids.size, size=257, p=rows / rows.sum())
+            expected = np.stack([ids[pos], rng.integers(0, rows[pos])], axis=1)
+            np.testing.assert_array_equal(index.sample(t, 257), expected)
+
+    def test_a_round_is_sampled_once_and_read_only(self, index):
+        draws = index.sample(4, 20)
+        assert index.sample(4, 20) is draws
+        assert not draws.flags.writeable
+        assert index.sample(4, 21) is not draws
