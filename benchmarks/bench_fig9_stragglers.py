@@ -78,19 +78,18 @@ def iteration_gantts():
 
 
 def sync_policy_table():
-    """Straggler mitigation without replicas: TimeoutSync/RetrySync
-    suspect workers past ``alpha * median(finish)`` and degrade to the
-    cached group statistics instead of waiting (or killing anyone)."""
+    """Straggler mitigation without replicas: the timeout and retry
+    policies suspect workers past ``alpha * median(finish)`` and degrade
+    to the cached group statistics instead of waiting (or killing
+    anyone)."""
     data = load_profile("avazu").generate(seed=7, rows=3000)
     rows = []
-    for policy, alpha, retries in (
-        ("backup", 3.0, 0), ("timeout", 1.5, 0), ("retry", 1.5, 2)
-    ):
+    for policy, alpha in (("backup", 3.0), ("timeout", 1.5), ("retry", 1.5)):
         cluster = SimulatedCluster(CLUSTER1)
         config = ColumnSGDConfig(
             batch_size=500, iterations=10, eval_every=5, seed=7,
             backup=1 if policy == "backup" else 0,
-            sync_policy=policy, sync_alpha=alpha, sync_max_retries=retries,
+            sync_policy=policy, sync_alpha=alpha,
         )
         driver = ColumnSGDDriver(
             LogisticRegression(), SGD(1.0), cluster, config=config,

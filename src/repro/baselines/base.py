@@ -39,7 +39,7 @@ from repro.models.base import StatisticsModel
 from repro.optim.base import Optimizer
 from repro.partition.dispatch import load_row_partitioned
 from repro.partition.row import RowPartitioner
-from repro.sim.cluster import SimulatedCluster
+from repro.sim.cluster import DISK_BANDWIDTH_BYTES_PER_S, SimulatedCluster
 from repro.sim.straggler import StragglerModel
 from repro.runtime import BACKENDS
 from repro.utils.validation import check_in, check_non_negative, check_positive
@@ -243,7 +243,7 @@ class BaselineTrainer(Trainer):
             reload_bytes = shard.nnz * 12 + shard.n_rows * 8
             reload_s = (
                 self.cluster.cost.task_overhead
-                + reload_bytes / self.cluster.spec.disk_bandwidth_bytes_per_s
+                + reload_bytes / DISK_BANDWIDTH_BYTES_PER_S
                 + reload_bytes / self.cluster.network.bandwidth
             )
             extra += reload_s

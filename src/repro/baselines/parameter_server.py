@@ -10,7 +10,7 @@ about PS architectures.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 from repro.baselines.base import BaselineTrainer
 from repro.core.analysis import SERVER_SCAN_SECONDS_PER_ELEMENT, SPARSE_PAIR_BYTES
@@ -22,9 +22,10 @@ from repro.storage.serialization import dense_vector_bytes
 class ParameterServerTrainer(BaselineTrainer):
     """Petuum-style PS RowSGD (full pull, sparse push)."""
 
-    def __init__(self, *args, n_servers: Optional[int] = None, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.n_servers = n_servers if n_servers is not None else self.cluster.n_workers
+    @property
+    def n_servers(self) -> int:
+        """One server shard colocated with every worker."""
+        return self.cluster.n_workers
 
     def _system_name(self) -> str:
         return "Petuum"

@@ -21,6 +21,7 @@ from typing import List, Optional
 from repro.baselines.registry import TRAINER_REGISTRY, make_trainer
 from repro.datasets import PROFILES, load_profile, read_libsvm
 from repro.datasets.dataset import Dataset
+from repro.errors import ConfigurationError
 from repro.experiments.report import convergence_table, iteration_time_table, loss_series
 from repro.io import load_model, save_model
 from repro.metrics import evaluate_classifier, train_test_split
@@ -184,23 +185,28 @@ def _build_cluster(args) -> SimulatedCluster:
 
 
 def _run_one(args, system: str, data: Dataset):
+    """Build, load and fit one system; a configuration the system
+    rejects ends the command with a one-line ``error: ...``."""
     cluster = _build_cluster(args)
-    trainer = make_trainer(
-        system,
-        _build_model(args, data),
-        make_optimizer(args.optimizer, _resolve_rate(args)),
-        cluster,
-        batch_size=args.batch_size,
-        iterations=args.iterations,
-        eval_every=args.eval_every,
-        seed=args.seed,
-        backend=getattr(args, "backend", "sim"),
-        local_processes=getattr(args, "local_processes", 0),
-        **_fault_extras(args, system),
-        **_columnsgd_extras(args, system),
-    )
-    trainer.load(data)
-    return trainer, trainer.fit()
+    try:
+        trainer = make_trainer(
+            system,
+            _build_model(args, data),
+            make_optimizer(args.optimizer, _resolve_rate(args)),
+            cluster,
+            batch_size=args.batch_size,
+            iterations=args.iterations,
+            eval_every=args.eval_every,
+            seed=args.seed,
+            backend=getattr(args, "backend", "sim"),
+            local_processes=getattr(args, "local_processes", 0),
+            **_fault_extras(args, system),
+            **_columnsgd_extras(args, system),
+        )
+        trainer.load(data)
+        return trainer, trainer.fit()
+    except ConfigurationError as err:
+        raise SystemExit("error: {}".format(err))
 
 
 def _fault_extras(args, system: str) -> dict:

@@ -27,8 +27,6 @@ Calibrated constants (documented in EXPERIMENTS.md):
 
 from __future__ import annotations
 
-from typing import Optional
-
 from dataclasses import dataclass
 
 from repro.net.network import NetworkModel
@@ -122,10 +120,8 @@ def predict_iteration_time(
     n_workers: int,
     avg_nnz_per_row: float,
     network: NetworkModel = None,
-    cost: ComputeCostModel = None,
     statistics_width: int = 1,
     params_per_feature: int = 1,
-    n_servers: Optional[int] = None,
 ) -> float:
     """Predicted per-iteration seconds for one system at given scale.
 
@@ -136,8 +132,8 @@ def predict_iteration_time(
       (``m' = m * params_per_feature``), plus a dense master update.
     * ``mllib*`` — model averaging over a ring AllReduce of the dense
       model: ``2 (K-1)/K * m'`` bytes per link.
-    * ``petuum`` — PS with full pulls: ``K m'`` pull bytes spread over S
-      server NICs, sparse gradient pushes, dense server scan.
+    * ``petuum`` — PS with full pulls: ``K m'`` pull bytes spread over K
+      colocated server NICs, sparse gradient pushes, dense server scan.
     * ``mxnet`` — PS with sparse pulls: only the batch's non-zero
       coordinates move, but the dense server scan remains.
     * ``columnsgd`` — two statistics transfers of ``B * width`` values
@@ -149,10 +145,9 @@ def predict_iteration_time(
     check_positive(n_workers, "n_workers")
     check_positive(avg_nnz_per_row, "avg_nnz_per_row")
     network = network if network is not None else NetworkModel()
-    cost = cost if cost is not None else ComputeCostModel()
+    cost = ComputeCostModel()
     key = system.lower()
-    K = n_workers
-    servers = n_servers if n_servers is not None else K
+    K = servers = n_workers
     model_elements = m * params_per_feature
     model_bytes = model_elements * VALUE_BYTES
     batch_nnz = batch_size * avg_nnz_per_row

@@ -11,7 +11,7 @@ tolerated.
 
 from __future__ import annotations
 
-from typing import FrozenSet, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.errors import PartitionError, StatisticsRecoveryError
 from repro.utils.validation import check_non_negative, check_positive
@@ -64,26 +64,6 @@ class BackupGroups:
         return self._groups[partition // self.group_size]
 
     # ------------------------------------------------------------------
-    def select_survivors(self, dead: FrozenSet[int]) -> List[int]:
-        """Pick one live reporter per group.
-
-        ``dead`` are workers whose statistics never arrive (permanent
-        stragglers that were killed, or crashed workers).  Raises
-        :class:`StatisticsRecoveryError` when some group has no live
-        member — the statistics cannot be recovered then.
-        """
-        survivors: List[int] = []
-        missing: List[int] = []
-        for g, members in enumerate(self._groups):
-            alive = [w for w in members if w not in dead]
-            if alive:
-                survivors.append(alive[0])
-            else:
-                missing.append(g)
-        if missing:
-            raise StatisticsRecoveryError(missing)
-        return survivors
-
     def fastest_per_group(self, finish_times: Sequence[float]) -> List[int]:
         """Per group, the member finishing first (Fig 6's recovery rule).
 

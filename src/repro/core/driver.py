@@ -49,20 +49,24 @@ from repro.engine import (
     RoundSpec,
     TimeoutSync,
 )
-from repro.engine.policy import check_deadline_factors
+from repro.engine.policy import SYNC_RETRIES, check_deadline_factors
 from repro.errors import ConfigurationError, MasterFailedError, TrainingError
 from repro.faults import REPLY_LOSSES, FaultKind, FaultSchedule
 from repro.models.base import StatisticsModel
 from repro.net.message import MessageKind
 from repro.optim.base import Optimizer
 from repro.partition.column import make_assignment
-from repro.partition.dispatch import dispatch_block_based, dispatch_naive, LoadReport
+from repro.partition.dispatch import dispatch_block_based, LoadReport
 from repro.partition.indexing import TwoPhaseIndex
 from repro.runtime import BACKENDS
 from repro.sim.cluster import SimulatedCluster
 from repro.sim.straggler import StragglerModel
 from repro.storage.serialization import dense_vector_bytes
 from repro.utils.validation import check_in, check_non_negative, check_positive
+
+#: Loss drop an evaluation must beat the best earlier loss by to count
+#: as progress for ``early_stop_patience``.
+EARLY_STOP_MIN_IMPROVEMENT = 1e-4
 
 
 @dataclass(frozen=True)
@@ -76,23 +80,20 @@ class ColumnSGDConfig:
     seed: int = 0
     block_size: int = 2048
     scheme: str = "round_robin"
-    loader: str = "block"    # 'block' (Algorithm 4) or 'naive'
     wire_precision: str = "fp64"  # 'fp32' halves statistics traffic
                                   # (values are rounded through float32)
     early_stop_patience: int = 0  # stop after this many consecutive
-                                  # evaluations without min_improvement
+                                  # evaluations without an
+                                  # EARLY_STOP_MIN_IMPROVEMENT gain
                                   # (0 disables; needs eval_every > 0)
-    early_stop_min_improvement: float = 1e-4
     check_protocol: bool = False  # verify BSP invariants every round
                                   # (see repro.net.protocol)
     sync_policy: str = "backup"   # 'backup' (Fig 6 recovery), 'timeout'
                                   # (suspect by deadline), or 'retry'
-                                  # (timeout + backoff retries)
+                                  # (timeout + SYNC_RETRIES doubling
+                                  # retries); an uncovered group past
+                                  # the last deadline goes stale
     sync_alpha: float = 3.0       # deadline = alpha * median(finish)
-    sync_max_retries: int = 2     # gather retries before degrading
-                                  # (each retry doubles the deadline)
-    sync_on_exhausted: str = "stale"  # 'stale' reuses cached group
-                                      # statistics; 'raise' escalates
     backend: str = "sim"          # execution substrate: 'sim' runs the
                                   # discrete-event simulator, 'local'
                                   # runs real worker processes with
@@ -122,39 +123,25 @@ class ColumnSGDConfig:
         check_non_negative(self.eval_every, "eval_every")
         check_non_negative(self.seed, "seed")
         check_positive(self.block_size, "block_size")
-        check_in(self.loader, ("block", "naive"), "loader")
         check_in(self.wire_precision, ("fp64", "fp32"), "wire_precision")
         check_non_negative(self.early_stop_patience, "early_stop_patience")
-        check_non_negative(self.early_stop_min_improvement, "early_stop_min_improvement")
         check_in(self.sync_policy, ("backup", "timeout", "retry"), "sync_policy")
         check_positive(self.sync_alpha, "sync_alpha")
-        check_non_negative(self.sync_max_retries, "sync_max_retries")
         check_deadline_factors(self.sync_alpha)
-        check_in(self.sync_on_exhausted, ("raise", "stale"), "sync_on_exhausted")
         check_in(self.backend, BACKENDS, "backend")
         check_non_negative(self.local_processes, "local_processes")
         check_positive(self.local_timeout_s, "local_timeout_s")
         check_non_negative(self.memory_budget_bytes, "memory_budget_bytes")
-        if self.store_dir and self.loader != "block":
-            raise ValueError(
-                "store_dir requires loader='block'; the shard store is "
-                "laid out block by block"
-            )
         if self.early_stop_patience and not self.eval_every:
-            raise ValueError("early stopping requires eval_every > 0")
+            raise ConfigurationError("early stopping requires eval_every > 0")
         if self.backend == "local" and self.backup:
             # the round bodies carry S-backup's rules on both backends;
             # the local transport does not complete a group on its first
             # replica yet
-            raise ValueError(
+            raise ConfigurationError(
                 "backend='local' supports backup=0 only; backup "
                 "computation runs on the simulator"
             )
-
-    @property
-    def wire_value_bytes(self) -> int:
-        """Bytes per statistics value on the wire."""
-        return 4 if self.wire_precision == "fp32" else 8
 
 
 class ColumnSGDDriver(Trainer):
@@ -187,7 +174,7 @@ class ColumnSGDDriver(Trainer):
         self.recovery_manager: Optional[RecoveryManager] = None
         self.groups = BackupGroups(cluster.n_workers, self.config.backup)
         self.master = ColumnMaster(self.groups)
-        if self.config.sync_policy != "backup" and self.config.sync_on_exhausted == "stale":
+        if self.config.sync_policy != "backup":
             self.master.cache_contributions = True
 
         self._dataset: Optional[Dataset] = None
@@ -242,53 +229,15 @@ class ColumnSGDDriver(Trainer):
                 memory_budget_bytes=self.config.memory_budget_bytes,
             )
         else:
-            dispatch = (
-                dispatch_block_based if self.config.loader == "block" else dispatch_naive
-            )
-            stores, block_sizes, report = dispatch(
+            stores, block_sizes, report = dispatch_block_based(
                 dataset, self._assignment, self.cluster, block_size=self.config.block_size
             )
         self.load_report = report
         self._init_partitions(stores, block_sizes)
         return report
 
-    def load_from_store(self, store_dir: Optional[str] = None) -> LoadReport:
-        """Load straight from an existing column-shard store, no dataset.
-
-        The store's manifest supplies the shapes; the simulated load
-        cost is charged from the shard footers' block table, so the run
-        is indistinguishable from :meth:`load` on the original dataset.  Full-loss evaluation (``eval_every``) reassembles the
-        dataset lazily on first use.
-        """
-        from repro.store import store_backed_dispatch
-
-        target = store_dir if store_dir is not None else self.config.store_dir
-        if not target:
-            raise ConfigurationError(
-                "load_from_store() needs a store directory (argument or "
-                "config.store_dir)"
-            )
-        self._store, stores, block_sizes, report = store_backed_dispatch(
-            None,
-            self.cluster,
-            target,
-            scheme=self.config.scheme,
-            block_size=self.config.block_size,
-            memory_budget_bytes=self.config.memory_budget_bytes,
-        )
-        manifest = self._store.manifest
-        self._dataset = None
-        self._n_features = manifest.n_features
-        self._dataset_name = manifest.name
-        self._assignment = make_assignment(
-            self.config.scheme, manifest.n_features, self.cluster.n_workers
-        )
-        self.load_report = report
-        self._init_partitions(stores, block_sizes)
-        return report
-
     def _init_partitions(self, stores, block_sizes) -> None:
-        """Shared load tail: index, initModel, workers, memory, recovery."""
+        """Load tail: index, initModel, workers, memory, recovery."""
         K = self.cluster.n_workers
         self._index = TwoPhaseIndex(block_sizes, base_seed=self.config.seed)
 
@@ -342,10 +291,6 @@ class ColumnSGDDriver(Trainer):
     # ------------------------------------------------------------------
     # training loop (Algorithm 3 lines 4-8): Trainer.fit, with these hooks
     # ------------------------------------------------------------------
-    def _loaded(self) -> bool:
-        # load_from_store() leaves no dataset behind, only the index
-        return self._index is not None
-
     def _result_header(self) -> Dict[str, object]:
         backup = self.config.backup
         return dict(
@@ -386,7 +331,7 @@ class ColumnSGDDriver(Trainer):
             return False
         best_before = min(losses[:-patience])
         recent_best = min(losses[-patience:])
-        return recent_best > best_before - self.config.early_stop_min_improvement
+        return recent_best > best_before - EARLY_STOP_MIN_IMPROVEMENT
 
     # ------------------------------------------------------------------
     # the round, declared (Algorithm 3's phases) and executed by the engine
@@ -438,12 +383,7 @@ class ColumnSGDDriver(Trainer):
         return TimeoutSync(
             self.groups,
             alpha=self.config.sync_alpha,
-            max_retries=(
-                self.config.sync_max_retries
-                if self.config.sync_policy == "retry"
-                else 0
-            ),
-            on_exhausted=self.config.sync_on_exhausted,
+            max_retries=SYNC_RETRIES if self.config.sync_policy == "retry" else 0,
         )
 
     def run_round(self, t: int) -> RoundOutcome:
@@ -557,38 +497,11 @@ class ColumnSGDDriver(Trainer):
             full[state.columns] = state.params
         return full
 
-    def set_params(self, full_params: np.ndarray) -> None:
-        """Scatter a full parameter array into the column partitions.
-
-        Warm-starts training from a checkpoint (see :mod:`repro.io`).
-        Optimizer state (momenta, accumulators) is reset, matching what
-        restarting a job from a saved model does in practice.
-        """
-        if self._index is None:
-            raise TrainingError("call load() before set_params()")
-        full_params = np.asarray(full_params, dtype=np.float64)
-        expected = self.model.param_shape(self._n_features)
-        if full_params.shape != tuple(expected):
-            raise TrainingError(
-                "params shape {} does not match model shape {}".format(
-                    full_params.shape, tuple(expected)
-                )
-            )
-        for state in self._partitions:
-            state.params[...] = full_params[state.columns]
-            state.optimizer.reset()
-
     def evaluate_loss(self, dataset: Optional[Dataset] = None) -> float:
-        """Full objective on the (training) dataset — not charged to time.
-
-        After a dataset-less :meth:`load_from_store`, the training data
-        is reassembled from the shards once, on first evaluation.
-        """
+        """Full objective on the (training) dataset — not charged to time."""
         data = dataset if dataset is not None else self._dataset
         if data is None:
-            if self._store is None:
-                raise TrainingError("no dataset to evaluate; call load() first")
-            self._dataset = data = self._store.materialize_dataset()
+            raise TrainingError("no dataset to evaluate; call load() first")
         return self.model.loss(data.features, data.labels, self.current_params())
 
 

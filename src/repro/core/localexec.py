@@ -19,8 +19,8 @@ same model on either.  S-backup lives in the bodies: the sync policy
 picks the first finisher per group, the master reduces one contribution
 per group, and the update exchange names each partition's one updater.
 Every failure an exchange reports is an ``inf`` finish; a worker silent
-past every deadline (local, ``sync_on_exhausted='stale'``) leaves its
-group stale for the round.  Real faults (``docs/faults.md``) are the
+past every deadline (local, ``timeout`` / ``retry`` policies) leaves
+its group stale for the round.  Real faults (``docs/faults.md``) are the
 runtime's; this side adds the restore step: the partition's record in
 the job's :class:`~repro.core.recovery.CheckpointStore`, else zero-init.
 """
@@ -35,6 +35,7 @@ import numpy as np
 from repro.core.recovery import restore_partition, snapshot_partition
 from repro.core.results import TrainingResult
 from repro.core.worker import ColumnWorker
+from repro.engine.policy import SYNC_RETRIES
 from repro.errors import ConfigurationError, TrainingError
 from repro.net.message import Message, MessageKind
 from repro.partition.indexing import TwoPhaseIndex
@@ -219,9 +220,7 @@ class ColumnMasterProgram:
             iteration=ctx.t,
             args={"t": ctx.t},
             restore=self._restore,
-            tolerate_silent=(
-                config.sync_policy != "backup" and config.sync_on_exhausted == "stale"
-            ),
+            tolerate_silent=config.sync_policy != "backup",
         )
         replies = exchange.replies
         finish = [
@@ -340,9 +339,7 @@ def make_local_runtime(driver) -> Tuple[LocalRuntime, Dict[int, ColumnWorkerProg
     timeout = TimeoutPolicy(
         alpha=config.sync_alpha,
         floor_s=config.local_timeout_s,
-        max_retries=(
-            config.sync_max_retries if config.sync_policy == "retry" else 0
-        ),
+        max_retries=SYNC_RETRIES if config.sync_policy == "retry" else 0,
     )
     runtime = LocalRuntime(
         driver.cluster.n_workers,

@@ -5,9 +5,9 @@ point): it never sees the model, only per-batch statistics buffers of
 shape ``(B, statistics_width)``.  With backup computation it additionally
 runs the recovery rule: inspect arrivals until every group is covered,
 then kill the rest.  Under timeout-based suspicion
-(:class:`~repro.engine.policy.TimeoutSync` with ``on_exhausted='stale'``)
-the master may also substitute a group's *previous* contribution for one
-that never arrived — enabled by setting :attr:`cache_contributions`.
+(:class:`~repro.engine.policy.TimeoutSync`) the master may also
+substitute a group's *previous* contribution for one that never arrived
+— enabled by setting :attr:`cache_contributions`.
 """
 
 from __future__ import annotations

@@ -9,8 +9,8 @@ third.  :class:`RecoveryManager` centralises all three behind one
 * **detection** — a heartbeat failure detector: every live worker sends
   one :data:`~repro.net.message.MessageKind.HEARTBEAT` probe per
   iteration; a failure is *observed* only after
-  ``heartbeat_timeout_beats`` silent intervals, so every recovery pays a
-  detection delay of ``heartbeat_interval_s x heartbeat_timeout_beats``
+  :data:`HEARTBEAT_TIMEOUT_BEATS` silent intervals, so every recovery pays
+  a detection delay of ``heartbeat_interval_s x HEARTBEAT_TIMEOUT_BEATS``
   seconds (zero when heartbeats are disabled — the legacy omniscient
   detector).
 * **checkpointing** — every ``checkpoint_every`` iterations each model
@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set
 
 import numpy as np
 
@@ -51,6 +51,7 @@ from repro.core.worker import ColumnWorker, PartitionState
 from repro.engine.trace import RecoveryEvent
 from repro.errors import ConfigurationError, DataError, MasterFailedError
 from repro.net.message import Message, MessageKind
+from repro.sim.cluster import DISK_BANDWIDTH_BYTES_PER_S
 from repro.storage.serialization import (
     OBJECT_OVERHEAD_BYTES,
     DenseVectorPayload,
@@ -68,6 +69,9 @@ from repro.utils.validation import check_non_negative
 #: accumulator, ...).
 CHECKPOINT_VECTORS = 2
 
+#: Silent heartbeat probes before the master suspects a worker.
+HEARTBEAT_TIMEOUT_BEATS = 3
+
 
 @dataclass(frozen=True)
 class RecoveryPolicy:
@@ -75,18 +79,11 @@ class RecoveryPolicy:
 
     checkpoint_every: int = 0       #: snapshot cadence in iterations (0 = never)
     heartbeat_interval_s: float = 0.0  #: probe period in sim-seconds (0 = disabled)
-    heartbeat_timeout_beats: int = 3   #: silent probes before suspicion
     master_restart: bool = False       #: restart-from-checkpoint on MASTER failure
 
     def __post_init__(self):
         check_non_negative(self.checkpoint_every, "checkpoint_every")
         check_non_negative(self.heartbeat_interval_s, "heartbeat_interval_s")
-        if self.heartbeat_timeout_beats < 1:
-            raise ConfigurationError(
-                "heartbeat_timeout_beats must be >= 1, got {}".format(
-                    self.heartbeat_timeout_beats
-                )
-            )
         if self.master_restart and not self.checkpoint_every:
             raise ConfigurationError(
                 "master_restart requires checkpoint_every > 0 — with no "
@@ -101,7 +98,7 @@ class RecoveryPolicy:
     @property
     def detection_delay_s(self) -> float:
         """Seconds between a crash and the master observing it."""
-        return self.heartbeat_interval_s * self.heartbeat_timeout_beats
+        return self.heartbeat_interval_s * HEARTBEAT_TIMEOUT_BEATS
 
 
 def snapshot_partition(state: PartitionState) -> bytes:
@@ -210,7 +207,7 @@ class CheckpointStore:
         if directory is not None:
             os.makedirs(directory, exist_ok=True)
         self._records: Dict[int, bytes] = {}
-        self._iterations: Dict[int, int] = {}
+        self._written: Set[int] = set()
         self.last_iteration: Optional[int] = None
         self.writes = 0
         self.bytes_written = 0
@@ -228,16 +225,13 @@ class CheckpointStore:
             with open(path + ".tmp", "wb") as fh:
                 fh.write(record)
             os.replace(path + ".tmp", path)
-        self._iterations[partition_id] = int(iteration)
+        self._written.add(partition_id)
         self.last_iteration = int(iteration)
         self.writes += 1
         self.bytes_written += len(record)
 
     def has_snapshot(self, partition_id: int) -> bool:
-        return partition_id in self._iterations
-
-    def snapshot_iteration(self, partition_id: int) -> Optional[int]:
-        return self._iterations.get(partition_id)
+        return partition_id in self._written
 
     def read(self, partition_id: int) -> bytes:
         """The partition's latest record; one read back from a file is
@@ -318,7 +312,7 @@ class RecoveryManager:
     def read_seconds(self, num_bytes: int) -> float:
         """Charge for pulling ``num_bytes`` back from stable storage."""
         return (
-            num_bytes / self.cluster.spec.disk_bandwidth_bytes_per_s
+            num_bytes / DISK_BANDWIDTH_BYTES_PER_S
             + num_bytes / self.cluster.network.bandwidth
         )
 
@@ -349,7 +343,7 @@ class RecoveryManager:
         if not per_worker_bytes:
             return 0.0
         slowest = max(per_worker_bytes.values())
-        disk = self.cluster.spec.disk_bandwidth_bytes_per_s
+        disk = DISK_BANDWIDTH_BYTES_PER_S
         return slowest / disk + slowest / network.bandwidth
 
     # ------------------------------------------------------------------
@@ -381,7 +375,7 @@ class RecoveryManager:
         seconds = (
             self.policy.detection_delay_s
             + self.cluster.cost.task_overhead
-            + reload_bytes / self.cluster.spec.disk_bandwidth_bytes_per_s
+            + reload_bytes / DISK_BANDWIDTH_BYTES_PER_S
             + reload_bytes / self.cluster.network.bandwidth
         )
         partitions = []

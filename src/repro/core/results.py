@@ -35,10 +35,10 @@ class TrainingResult:
     dataset: str
     batch_size: int
     n_workers: int
-    records: List[IterationRecord] = field(default_factory=list)
-    final_params: Optional[np.ndarray] = None
-    total_sim_time: float = 0.0
-    notes: str = ""
+    records: List[IterationRecord] = field(default_factory=list, init=False)
+    final_params: Optional[np.ndarray] = field(default=None, init=False)
+    total_sim_time: float = field(default=0.0, init=False)
+    notes: str = field(default="", init=False)
 
     # ------------------------------------------------------------------
     def add(self, record: IterationRecord) -> None:
@@ -62,13 +62,13 @@ class TrainingResult:
         evaluated = self.losses()
         return evaluated[-1][2] if evaluated else None
 
-    def avg_iteration_seconds(self, skip_first: int = 1) -> float:
+    def avg_iteration_seconds(self) -> float:
         """Mean simulated per-iteration time (Table IV/V's metric).
 
-        Skips warm-up iterations (loading/first-touch effects), as the
-        paper's averages do.
+        Skips the warm-up iteration (loading/first-touch effects), as
+        the paper's averages do.
         """
-        durations = [r.duration for r in self.records[skip_first:]]
+        durations = [r.duration for r in self.records[1:]]
         if not durations:
             durations = [r.duration for r in self.records]
         return float(np.mean(durations)) if durations else 0.0
@@ -95,67 +95,6 @@ class TrainingResult:
     def total_bytes(self) -> int:
         """Total network bytes over the run."""
         return sum(r.bytes_sent for r in self.records)
-
-    # ------------------------------------------------------------------
-    # persistence
-    # ------------------------------------------------------------------
-    def to_csv(self, path) -> None:
-        """Write the per-iteration trace as CSV (metadata in # comments).
-
-        Columns: iteration, sim_time, duration, loss, bytes_sent,
-        eval_loss.  Unevaluated losses are empty cells.
-        """
-        with open(str(path), "w", encoding="utf-8") as stream:
-            stream.write("# system={}\n# model={}\n# dataset={}\n".format(
-                self.system, self.model, self.dataset))
-            stream.write("# batch_size={}\n# n_workers={}\n".format(
-                self.batch_size, self.n_workers))
-            stream.write("iteration,sim_time,duration,loss,bytes_sent,eval_loss\n")
-            for r in self.records:
-                stream.write("{},{:.9f},{:.9f},{},{},{}\n".format(
-                    r.iteration, r.sim_time, r.duration,
-                    "" if r.loss is None else repr(r.loss),
-                    r.bytes_sent,
-                    "" if r.eval_loss is None else repr(r.eval_loss),
-                ))
-
-    @classmethod
-    def from_csv(cls, path) -> "TrainingResult":
-        """Reload a trace written by :meth:`to_csv` (no final_params)."""
-        meta = {}
-        records = []
-        with open(str(path), "r", encoding="utf-8") as stream:
-            for line in stream:
-                line = line.strip()
-                if not line:
-                    continue
-                if line.startswith("#"):
-                    key, _, value = line[1:].strip().partition("=")
-                    meta[key.strip()] = value.strip()
-                    continue
-                if line.startswith("iteration,"):
-                    continue
-                cells = line.split(",")
-                records.append(
-                    IterationRecord(
-                        iteration=int(cells[0]),
-                        sim_time=float(cells[1]),
-                        duration=float(cells[2]),
-                        loss=float(cells[3]) if cells[3] else None,
-                        bytes_sent=int(cells[4]),
-                        eval_loss=float(cells[5]) if len(cells) > 5 and cells[5] else None,
-                    )
-                )
-        result = cls(
-            system=meta.get("system", "?"),
-            model=meta.get("model", "?"),
-            dataset=meta.get("dataset", "?"),
-            batch_size=int(meta.get("batch_size", 0)),
-            n_workers=int(meta.get("n_workers", 0)),
-        )
-        for record in records:
-            result.add(record)
-        return result
 
     def describe(self) -> str:
         """One-line summary for reports."""

@@ -55,7 +55,6 @@ class Trainer:
     check_protocol = False   #: audit every round's traffic (repro.net.protocol)
     backend = "sim"          #: 'sim', or 'local' where the trainer hosts it
     straggler = None         #: per-round slowdowns, where the executors read them
-    divergence_hint = ""     #: appended to the divergence error: what to turn down
     #: the started LocalRuntime a ``backend='local'`` trainer's rounds run
     #: on: attached by :meth:`_train` for the length of a run, or assigned
     #: by a caller that drives :meth:`run_round` itself
@@ -249,8 +248,8 @@ class Trainer:
             loss = self.evaluate_loss()
             if not np.isfinite(loss):
                 raise TrainingError(
-                    "training diverged at iteration {} (loss={}){}".format(
-                        iteration, loss, self.divergence_hint
+                    "training diverged at iteration {} (loss={})".format(
+                        iteration, loss
                     )
                 )
             if self._eval_dataset is not None:

@@ -133,10 +133,6 @@ class ColumnWorker:
         """Non-zeros in the currently cached mini-batch, all partitions."""
         return sum(features.nnz for features, _ in self._cached_batches.values())
 
-    def stored_nnz(self) -> int:
-        """Total non-zeros across stored shards (memory model input)."""
-        return sum(p.store.nnz for p in self.partitions.values())
-
     def stored_bytes(self) -> int:
         """Data-shard footprint in bytes."""
         return sum(p.store.stored_bytes() for p in self.partitions.values())

@@ -13,7 +13,6 @@ from repro.engine.engine import RoundContext, RoundEngine, RoundOutcome
 from repro.engine.policy import (
     BackupSync,
     BarrierSync,
-    RetrySync,
     StaleSync,
     SyncPolicy,
     TimeoutSync,
@@ -37,7 +36,6 @@ __all__ = [
     "PhaseEvent",
     "RecoveryEvent",
     "RetryEvent",
-    "RetrySync",
     "RoundContext",
     "RoundEngine",
     "RoundOutcome",

@@ -60,8 +60,7 @@ class RoundContext:
         #: permanently failed workers (set by the compute executor)
         self.failed: frozenset = frozenset()
         #: backup groups whose statistics never arrived this round; the
-        #: master substitutes their previous contribution (TimeoutSync /
-        #: RetrySync with ``on_exhausted='stale'``)
+        #: master substitutes their previous contribution (TimeoutSync)
         self.stale_groups: Set[int] = set()
         #: per-worker start offsets (set by StaleSync.before_round)
         self.start_times = None

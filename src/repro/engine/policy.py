@@ -13,11 +13,11 @@ trainer shares one engine and swaps the policy:
   round ``t`` once round ``t - 1 - staleness`` has committed; the
   policy carries the pipeline recurrence (per-worker free times and
   commit times) across rounds.
-* :class:`TimeoutSync` / :class:`RetrySync` — timeout-based failure
-  suspicion: the master waits ``alpha x median(finish)``, suspects
-  missing workers, optionally retries the gather with exponential
-  backoff, then degrades to group recovery / stale statistics instead
-  of hanging on a dead worker.
+* :class:`TimeoutSync` — timeout-based failure suspicion: the master
+  waits ``alpha x median(finish)``, suspects missing workers,
+  optionally retries the gather with a doubling deadline, then degrades
+  to group recovery / stale statistics instead of hanging on a dead
+  worker.
 """
 
 from __future__ import annotations
@@ -25,23 +25,23 @@ from __future__ import annotations
 from statistics import median
 from typing import Dict, List
 
-from repro.errors import ConfigurationError, StatisticsRecoveryError
+from repro.errors import ConfigurationError
 from repro.utils.validation import check_non_negative
 
+#: Deadline stretch per gather retry, on both backends.
+BACKOFF = 2.0
+#: Gather retries under ``sync_policy='retry'`` (``'timeout'`` has none).
+SYNC_RETRIES = 2
 
-def check_deadline_factors(alpha: float, backoff: float = 2.0) -> None:
-    """Range check of the ``alpha x median`` deadline rule and its
-    per-retry ``backoff``, shared by every place they are configured
-    (:class:`TimeoutSync`, ``ColumnSGDConfig.sync_alpha``,
-    ``runtime.deadline.TimeoutPolicy``)."""
+
+def check_deadline_factors(alpha: float) -> None:
+    """Range check of the ``alpha x median`` deadline rule, shared by
+    every place it is configured (:class:`TimeoutSync`,
+    ``ColumnSGDConfig.sync_alpha``, ``runtime.deadline.TimeoutPolicy``)."""
     if alpha < 1.0:
         raise ConfigurationError(
             "alpha must be >= 1 (a deadline below the median finish "
             "would suspect half the cluster), got {}".format(alpha)
-        )
-    if backoff < 1.0:
-        raise ConfigurationError(
-            "backoff must be >= 1, got {}".format(backoff)
         )
 
 
@@ -118,45 +118,29 @@ class TimeoutSync(SyncPolicy):
        group (Fig 6's recovery rule, reached by timeout rather than
        omniscience);
     3. otherwise retries the gather up to ``max_retries`` times,
-       stretching the deadline by ``backoff`` each attempt (late
+       stretching the deadline by :data:`BACKOFF` each attempt (late
        stragglers arrive during a retry window; crashed workers never
-       do), and finally either raises
-       :class:`~repro.errors.StatisticsRecoveryError`
-       (``on_exhausted='raise'``) or marks the uncovered groups stale
-       (``on_exhausted='stale'``) so the master reuses their previous
-       round's contribution.
+       do), and finally marks the uncovered groups stale so the master
+       reuses their previous round's contribution.
 
     Every deadline expiry is recorded as a
     :class:`~repro.engine.trace.RetryEvent` on ``cluster.engine_trace``
     (``resolved``: ``'retry'`` for an expiry that triggered another
-    attempt, ``'arrived'`` / ``'stale'`` / ``'failed'`` for the final
-    one).  Workers are never killed by suspicion — a late straggler
-    keeps its partitions and rejoins the next round.
+    attempt, ``'arrived'`` / ``'stale'`` for the final one).  Workers
+    are never killed by suspicion — a late straggler keeps its
+    partitions and rejoins the next round.
 
     All times here are **phase-relative**: the per-worker finish times
     are durations measured from the synchronized phase's start, so the
     deadline and the returned phase duration are too.
     """
 
-    def __init__(
-        self,
-        groups,
-        alpha: float = 3.0,
-        max_retries: int = 0,
-        backoff: float = 2.0,
-        on_exhausted: str = "raise",
-    ):
-        check_deadline_factors(alpha, backoff)
+    def __init__(self, groups, alpha: float = 3.0, max_retries: int = 0):
+        check_deadline_factors(alpha)
         check_non_negative(max_retries, "max_retries")
-        if on_exhausted not in ("raise", "stale"):
-            raise ConfigurationError(
-                "on_exhausted must be 'raise' or 'stale', got {!r}".format(on_exhausted)
-            )
         self.groups = groups
         self.alpha = float(alpha)
         self.max_retries = int(max_retries)
-        self.backoff = float(backoff)
-        self.on_exhausted = on_exhausted
 
     # ------------------------------------------------------------------
     def _coverage(self, arrived):
@@ -202,7 +186,7 @@ class TimeoutSync(SyncPolicy):
             if len(arrived) == self.groups.n_workers:
                 # nobody missing: plain barrier, no suspicion episode
                 ctx.chosen = set(arrived)
-                return max(finite) if attempt == 0 else max(deadline / self.backoff, max(finite))
+                return max(finite) if attempt == 0 else max(deadline / BACKOFF, max(finite))
             suspects = [w for w in range(self.groups.n_workers) if w not in arrived]
             chosen, missing = self._coverage(arrived)
             if not missing:
@@ -210,35 +194,13 @@ class TimeoutSync(SyncPolicy):
                 ctx.chosen = set(chosen)
                 return deadline
             if attempt >= self.max_retries:
-                if self.on_exhausted == "stale":
-                    self._record(ctx, attempt, suspects, deadline, "stale")
-                    ctx.chosen = set(chosen)
-                    ctx.stale_groups = set(missing)
-                    return deadline
-                self._record(ctx, attempt, suspects, deadline, "failed")
-                raise StatisticsRecoveryError(missing)
+                self._record(ctx, attempt, suspects, deadline, "stale")
+                ctx.chosen = set(chosen)
+                ctx.stale_groups = set(missing)
+                return deadline
             self._record(ctx, attempt, suspects, deadline, "retry")
             attempt += 1
-            deadline *= self.backoff
-
-
-class RetrySync(TimeoutSync):
-    """:class:`TimeoutSync` preconfigured to retry before giving up.
-
-    The shorthand the chaos suite and the driver's
-    ``sync_policy='retry'`` use: two exponential-backoff retries, then
-    stale-statistics degradation instead of aborting the job.
-    """
-
-    def __init__(self, groups, alpha: float = 3.0, max_retries: int = 2,
-                 backoff: float = 2.0, on_exhausted: str = "stale"):
-        super().__init__(
-            groups,
-            alpha=alpha,
-            max_retries=max_retries,
-            backoff=backoff,
-            on_exhausted=on_exhausted,
-        )
+            deadline *= BACKOFF
 
 
 class StaleSync(SyncPolicy):

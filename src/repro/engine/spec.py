@@ -122,11 +122,3 @@ class RoundSpec:
             if phase.name in seen:
                 raise ValueError("duplicate phase name {!r}".format(phase.name))
             seen.add(phase.name)
-
-    def comm_kinds(self) -> Tuple[MessageKind, ...]:
-        """Message kinds this round declares, in phase order."""
-        kinds = []
-        for phase in self.phases:
-            if isinstance(phase, CommPhase) and phase.kind not in kinds:
-                kinds.append(phase.kind)
-        return tuple(kinds)

@@ -40,9 +40,8 @@ class RetryEvent:
 
     Recorded by :class:`~repro.engine.policy.TimeoutSync` every time the
     master's deadline expires with workers still missing.  ``resolved``
-    tells how the episode ended: ``'arrived'`` (a retry succeeded),
-    ``'stale'`` (the policy substituted cached statistics), or
-    ``'failed'`` (escalated to :class:`StatisticsRecoveryError`).
+    tells how the episode ended: ``'arrived'`` (a retry succeeded) or
+    ``'stale'`` (the policy substituted cached statistics).
 
     ``deadline_s`` is **phase-relative**: ``alpha x median(per-worker
     finish)`` measured from the start of the synchronized phase, not
@@ -87,8 +86,8 @@ class EngineTrace:
     """
 
     system: str = ""
-    retries: List[RetryEvent] = field(default_factory=list)
-    recoveries: List[RecoveryEvent] = field(default_factory=list)
+    retries: List[RetryEvent] = field(default_factory=list, init=False)
+    recoveries: List[RecoveryEvent] = field(default_factory=list, init=False)
 
     def __post_init__(self):
         self._rounds = array("q")
@@ -142,13 +141,6 @@ class EngineTrace:
         return self._events(
             i for i, r in enumerate(self._rounds) if r == round_index
         )
-
-    def phase_totals(self) -> Dict[str, float]:
-        """Total seconds per phase name across all rounds (time breakdown)."""
-        totals: Dict[str, float] = {}
-        for event in self.events:
-            totals[event.phase] = totals.get(event.phase, 0.0) + event.duration
-        return totals
 
     def __len__(self) -> int:
         return len(self._rounds)

@@ -10,7 +10,6 @@ from repro.experiments.runner import (
     ExperimentSpec,
     run_system,
     run_comparison,
-    per_iteration_seconds,
 )
 from repro.experiments.report import (
     convergence_table,
@@ -24,28 +23,15 @@ from repro.experiments.gantt import (
     render_iteration_gantt,
 )
 from repro.experiments.paper_report import build_report, collect_results, write_report
-from repro.experiments.sweeps import (
-    sweep,
-    sweep_batch_sizes,
-    sweep_workers,
-    sweep_learning_rates,
-    best_learning_rate,
-)
 
 __all__ = [
     "ExperimentSpec",
     "run_system",
     "run_comparison",
-    "per_iteration_seconds",
     "convergence_table",
     "iteration_time_table",
     "loss_series",
     "render_curve",
-    "sweep",
-    "sweep_batch_sizes",
-    "sweep_workers",
-    "sweep_learning_rates",
-    "best_learning_rate",
     "fault_timeline",
     "render_engine_trace",
     "render_iteration_gantt",

@@ -53,9 +53,13 @@ def collect_results(results_dir) -> List[Path]:
     return ordered
 
 
-def build_report(results_dir, title: str = "ColumnSGD reproduction report") -> str:
+#: Header line of the stitched report.
+REPORT_TITLE = "ColumnSGD reproduction report"
+
+
+def build_report(results_dir) -> str:
     """Concatenate all result blocks under one header."""
-    parts = [title, "=" * len(title), ""]
+    parts = [REPORT_TITLE, "=" * len(REPORT_TITLE), ""]
     files = collect_results(results_dir)
     if not files:
         parts.append(

@@ -12,9 +12,9 @@ from repro.core.results import TrainingResult
 from repro.utils.format import ascii_table, format_duration
 
 
-def iteration_time_table(results: Dict[str, TrainingResult], reference: str = "columnsgd") -> str:
-    """Table IV/V style: per-iteration seconds + speedup vs reference."""
-    ref_key = _find_key(results, reference)
+def iteration_time_table(results: Dict[str, TrainingResult]) -> str:
+    """Table IV/V style: per-iteration seconds + speedup vs ColumnSGD."""
+    ref_key = _find_key(results, "columnsgd")
     ref = results[ref_key].avg_iteration_seconds() if ref_key else None
     rows = []
     for name, result in results.items():

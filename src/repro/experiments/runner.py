@@ -37,7 +37,6 @@ class ExperimentSpec:
     optimizer: str = "sgd"
     cluster: ClusterSpec = CLUSTER1
     seed: int = 0
-    model_kwargs: Dict = field(default_factory=dict)
     explicit_data: Optional[Dataset] = None
 
     def __post_init__(self):
@@ -62,7 +61,7 @@ class ExperimentSpec:
 def run_system(spec: ExperimentSpec, system: str, data: Optional[Dataset] = None) -> TrainingResult:
     """Run one system under ``spec`` on a fresh simulated cluster."""
     data = data if data is not None else spec.materialize_data()
-    model = make_model(spec.model, **spec.model_kwargs)
+    model = make_model(spec.model)
     optimizer = make_optimizer(spec.optimizer, spec.resolve_learning_rate())
     cluster = SimulatedCluster(spec.cluster)
     trainer = make_trainer(
@@ -83,8 +82,3 @@ def run_comparison(spec: ExperimentSpec) -> Dict[str, TrainingResult]:
     """Run every system in ``spec.systems`` on the same data."""
     data = spec.materialize_data()
     return {system: run_system(spec, system, data) for system in spec.systems}
-
-
-def per_iteration_seconds(spec: ExperimentSpec, system: str, data: Optional[Dataset] = None) -> float:
-    """Average simulated per-iteration time (Table IV/V metric)."""
-    return run_system(spec, system, data).avg_iteration_seconds()

@@ -62,16 +62,12 @@ class CoCoATrainer(Trainer):
     local_steps:
         SDCA coordinate updates per worker per round; more local work
         means fewer (expensive, O(m)) synchronisations.
-    aggregation:
-        ``'safe'`` (default) — CoCoA+'s sigma' = K subproblem scaling:
-        each local quadratic term is inflated K-fold, making the summed
-        updates provably safe however strongly the row shards couple
-        through shared features; ``'naive'`` — sigma' = 1 adding, stable
-        only on nearly-decoupled data (kept to demonstrate *why* the
-        scaling exists).
-    """
 
-    divergence_hint = "; use aggregation='safe'"
+    The K local updates are combined with CoCoA+'s sigma' = K subproblem
+    scaling: each local quadratic term is inflated K-fold, making the
+    summed updates provably safe however strongly the row shards couple
+    through shared features.
+    """
 
     def __init__(
         self,
@@ -80,20 +76,16 @@ class CoCoATrainer(Trainer):
         local_steps: int = 50,
         iterations: int = 50,
         eval_every: int = 5,
-        aggregation: str = "safe",
         seed: int = 0,
     ):
         check_positive(lam, "lam")
         check_positive(local_steps, "local_steps")
         check_positive(iterations, "iterations")
-        if aggregation not in ("safe", "naive"):
-            raise ValueError("aggregation must be 'safe' or 'naive'")
         self.cluster = cluster
         self.lam = float(lam)
         self.local_steps = int(local_steps)
         self.iterations = int(iterations)
         self.eval_every = int(eval_every)
-        self.aggregation = aggregation
         self.seed = int(seed)
 
         self._dataset: Optional[Dataset] = None
@@ -125,7 +117,7 @@ class CoCoATrainer(Trainer):
         return None
 
     def _system_name(self) -> str:
-        return "CoCoA+" if self.aggregation == "safe" else "CoCoA-naive"
+        return "CoCoA+"
 
     def _result_header(self) -> Dict[str, object]:
         # the per-round work knob stands in for a batch size
@@ -170,7 +162,7 @@ class CoCoATrainer(Trainer):
         cost = self.cluster.cost
         # CoCoA+'s safe subproblem scaling: inflate each local quadratic
         # term sigma-fold so the K summed updates cannot overshoot.
-        sigma = float(K) if self.aggregation == "safe" else 1.0
+        sigma = float(K)
 
         # CoCoA workers keep dense local model replicas by design; the
         # O(d) maintenance is charged in _phase_combine's dense_work
@@ -223,22 +215,6 @@ class CoCoATrainer(Trainer):
         if self._w is None:
             raise TrainingError("call load() first")
         return self._w.copy()
-
-    def primal_dual_consistency(self) -> float:
-        """Max abs deviation of ``w`` from ``X^T alpha / (lam n)``.
-
-        Exact (to float) under both modes: the global delta always uses
-        the unscaled step, sigma only inflates the worker's *local view*.
-        """
-        n = self._dataset.n_rows
-        reconstructed = np.zeros_like(self._w)
-        for k in range(self.cluster.n_workers):
-            shard = self._partitioner.shard(k)
-            from repro.linalg.ops import accumulate_rows
-
-            accumulate_rows(shard.features, self._alphas[k]).add_to(reconstructed)
-        reconstructed /= self.lam * n
-        return float(np.max(np.abs(reconstructed - self._w)))
 
     def evaluate_loss(self, dataset: Optional[Dataset] = None) -> float:
         """Primal objective P(w)."""

@@ -16,8 +16,7 @@ total — communication is ``O(N)`` per round versus ColumnSGD's
 
 Because the residual is linear in ``w``, the synchronized residual stays
 *exactly* ``X w - y`` regardless of cross-worker staleness inside a
-round (tests assert this); staleness only affects update quality, which
-``step_scale`` can damp on dense data.
+round (tests assert this); staleness only affects update quality.
 """
 
 from __future__ import annotations
@@ -76,39 +75,27 @@ class RidgeCDTrainer(Trainer):
     ----------
     lam:
         L2 regularisation strength (0 = plain least squares).
-    coords_per_round:
-        Coordinates each worker updates per round; defaults to 1/4 of
-        its local dimension.  More coordinates = more progress per sync
-        but more cross-worker staleness.
-    step_scale:
-        Damping on each coordinate step (Hydra's safe step size); 1.0 is
-        fine for sparse data where cross-worker columns rarely collide.
-    """
 
-    divergence_hint = "; lower step_scale"
+    Each worker updates 1/4 of its local coordinates per round, with
+    undamped steps: fine for sparse data where cross-worker columns
+    rarely collide.
+    """
 
     def __init__(
         self,
         cluster: SimulatedCluster,
         lam: float = 0.0,
-        coords_per_round: Optional[int] = None,
-        step_scale: float = 1.0,
         iterations: int = 100,
         eval_every: int = 10,
         seed: int = 0,
-        block_size: int = 2048,
     ):
         check_non_negative(lam, "lam")
-        check_positive(step_scale, "step_scale")
         check_positive(iterations, "iterations")
         self.cluster = cluster
         self.lam = float(lam)
-        self.coords_per_round = coords_per_round
-        self.step_scale = float(step_scale)
         self.iterations = int(iterations)
         self.eval_every = int(eval_every)
         self.seed = int(seed)
-        self.block_size = int(block_size)
 
         self._dataset: Optional[Dataset] = None
         self._assignment = None
@@ -125,7 +112,7 @@ class RidgeCDTrainer(Trainer):
         self._dataset = dataset
         self._assignment = make_assignment("round_robin", dataset.n_features, K)
         stores, _, report = dispatch_block_based(
-            dataset, self._assignment, self.cluster, block_size=self.block_size
+            dataset, self._assignment, self.cluster
         )
         # Blocks are dispatched in row order, so each store's resident
         # shard already is the worker's column slice of the whole dataset.
@@ -178,7 +165,7 @@ class RidgeCDTrainer(Trainer):
         total_delta = np.zeros(n)
         per_worker = {}
         for k, shard in enumerate(self._shards):
-            want = self.coords_per_round or max(1, shard.local_dim // 4)
+            want = max(1, shard.local_dim // 4)
             want = min(want, shard.local_dim)
             coords = self._rngs[k].choice(shard.local_dim, size=want, replace=False)
             local_residual = self._residual.copy()
@@ -192,7 +179,7 @@ class RidgeCDTrainer(Trainer):
                     continue
                 gradient = float(np.dot(vals, local_residual[rows])) / n
                 gradient += self.lam * self._weights[k][j]
-                delta = -self.step_scale * gradient / curvature
+                delta = -gradient / curvature
                 self._weights[k][j] += delta
                 local_residual[rows] += delta * vals
                 local_delta[rows] += delta * vals

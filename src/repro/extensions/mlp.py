@@ -46,7 +46,7 @@ from repro.engine import BarrierSync, CommPhase, ComputePhase, MasterPhase, Roun
 from repro.errors import TrainingError
 from repro.linalg import CSRMatrix, row_dots
 from repro.linalg.ops import accumulate_rows
-from repro.models.losses import LogisticLoss, _sigmoid
+from repro.models.losses import LogisticLoss
 from repro.net.message import MessageKind
 from repro.optim.base import Optimizer
 from repro.partition.column import make_assignment
@@ -59,32 +59,32 @@ from repro.utils.validation import check_positive
 
 _LOGISTIC = LogisticLoss()
 
+#: Standard deviation of the first-layer weights at init.
+INIT_STD = 0.5
+
 
 class ColumnMLP:
     """Model math for the column-partitioned network.
 
     ``hidden_sizes = [H1, H2, ...]``: H1 is the partitioned first-layer
     width (the statistics width); the rest are replicated tail layers.
-    ``W1`` starts at ``N(0, init_std)`` and every tail weight at
-    ``N(0, init_std / sqrt(fan_in))``; ``out_std``, when given, is the
+    ``W1`` starts at ``N(0, INIT_STD)`` and every tail weight at
+    ``N(0, INIT_STD / sqrt(fan_in))``; ``out_std``, when given, is the
     output weights' standard deviation instead.
     """
 
     def __init__(
         self,
         hidden_sizes: Sequence[int],
-        init_std: float = 0.5,
         out_std: Optional[float] = None,
     ):
         if not hidden_sizes:
             raise ValueError("need at least one hidden layer")
         for h in hidden_sizes:
             check_positive(h, "hidden size")
-        check_positive(init_std, "init_std")
         if out_std is not None:
             check_positive(out_std, "out_std")
         self.hidden_sizes = [int(h) for h in hidden_sizes]
-        self.init_std = float(init_std)
         self.out_std = None if out_std is None else float(out_std)
 
     @property
@@ -95,7 +95,7 @@ class ColumnMLP:
     # -- initialisation ---------------------------------------------------
     def init_w1(self, n_features: int, seed=None) -> np.ndarray:
         rng = rng_from_seed(seed)
-        return rng.normal(0.0, self.init_std, size=(n_features, self.hidden_sizes[0]))
+        return rng.normal(0.0, INIT_STD, size=(n_features, self.hidden_sizes[0]))
 
     def init_tail(self, seed=None) -> Dict[str, np.ndarray]:
         """Replicated parameters: per tail layer a weight matrix and
@@ -106,13 +106,13 @@ class ColumnMLP:
         for layer in range(1, len(widths)):
             fan_in = widths[layer - 1]
             tail["W{}".format(layer + 1)] = rng.normal(
-                0.0, self.init_std / np.sqrt(fan_in), size=(fan_in, widths[layer])
+                0.0, INIT_STD / np.sqrt(fan_in), size=(fan_in, widths[layer])
             )
             tail["b{}".format(layer + 1)] = np.zeros(widths[layer])
         fan_in = widths[-1]
         out_std = self.out_std
         if out_std is None:
-            out_std = self.init_std / np.sqrt(fan_in)
+            out_std = INIT_STD / np.sqrt(fan_in)
         tail["w_out"] = rng.normal(0.0, out_std, size=fan_in)
         tail["b_out"] = np.zeros(1)
         return tail
@@ -194,11 +194,6 @@ class SequentialMLP:
         for key, grad in tail_grads.items():
             self._opt_tail[key].step(self.tail[key], grad, iteration)
 
-    def predict_proba(self, features: CSRMatrix) -> np.ndarray:
-        z = self.model.partial_statistics(features, self.w1)
-        _, scores = self.model.forward(z, self.tail)
-        return _sigmoid(scores)
-
 
 class MLPColumnTrainer(Trainer):
     """ColumnSGD-style distributed training of :class:`ColumnMLP`.
@@ -218,7 +213,6 @@ class MLPColumnTrainer(Trainer):
         iterations: int = 100,
         eval_every: int = 10,
         seed: int = 0,
-        block_size: int = 2048,
     ):
         check_positive(batch_size, "batch_size")
         check_positive(iterations, "iterations")
@@ -229,7 +223,6 @@ class MLPColumnTrainer(Trainer):
         self.iterations = int(iterations)
         self.eval_every = int(eval_every)
         self.seed = int(seed)
-        self.block_size = int(block_size)
         self._dataset: Optional[Dataset] = None
         self._assignment = None
         self._stores = None
@@ -245,7 +238,7 @@ class MLPColumnTrainer(Trainer):
         self._dataset = dataset
         self._assignment = make_assignment("round_robin", dataset.n_features, K)
         self._stores, block_sizes, report = dispatch_block_based(
-            dataset, self._assignment, self.cluster, block_size=self.block_size
+            dataset, self._assignment, self.cluster
         )
         self._index = TwoPhaseIndex(block_sizes, base_seed=self.seed)
         full_w1 = self.model.init_w1(dataset.n_features, seed=self.seed)

@@ -2,8 +2,8 @@
 
 The paper's system deliberately runs without checkpoints (Section X:
 SGD's robustness substitutes for them), but a library user still wants
-to persist a trained model and warm-start later runs.  Checkpoints are
-``.npz`` files carrying the parameter array plus a small metadata
+to persist a trained model and score it later (``repro evaluate``).
+Checkpoints are ``.npz`` files carrying the parameter array plus a small metadata
 record (model name, dimensions, arbitrary user fields).
 """
 

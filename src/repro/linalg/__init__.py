@@ -25,7 +25,6 @@ from repro.linalg.ops import (
     accumulate_rows,
     accumulate_rows_squared,
     row_dots_squared,
-    column_scale,
 )
 
 __all__ = [
@@ -39,5 +38,4 @@ __all__ = [
     "accumulate_rows",
     "accumulate_rows_squared",
     "row_dots_squared",
-    "column_scale",
 ]

@@ -10,7 +10,7 @@ stitching for reassembly tests, and the SGD kernels in
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -224,11 +224,6 @@ class CSRMatrix:
             self._touched = (_frozen(cols), _frozen(slots[self.indices]))
         return self._touched
 
-    def iter_rows(self) -> Iterable[SparseVector]:
-        """Iterate rows lazily as sparse vectors."""
-        for i in range(self.n_rows):
-            yield self.row(i)
-
     def density(self) -> float:
         """Fraction of stored entries: ``nnz / (n_rows * n_cols)``."""
         cells = self.n_rows * self.n_cols
@@ -402,28 +397,6 @@ class CSRMatrix:
             )
             for k in range(K)
         ]
-
-    def hstack_from_partitions(
-        self, parts: Sequence["CSRMatrix"], assignments: Sequence[np.ndarray], n_cols: int
-    ) -> "CSRMatrix":
-        """Reassemble column partitions back into global coordinates.
-
-        Inverse of ``select_columns`` applied per partition: ``parts[k]``
-        holds local columns whose global ids are ``assignments[k]``.  Exists
-        mainly to state the round-trip invariant in tests.  ``self`` is the
-        template for the row count.
-        """
-        if len(parts) != len(assignments):
-            raise ValueError("parts and assignments must align")
-        OP_COUNTERS.add_densify(self.n_rows * n_cols)
-        dense = np.zeros((self.n_rows, n_cols), dtype=np.float64)
-        for part, mapping in zip(parts, assignments):
-            mapping = np.asarray(mapping, dtype=np.int64)
-            if part.n_rows != self.n_rows:
-                raise DimensionMismatchError(self.n_rows, part.n_rows, "row count")
-            rows = np.repeat(np.arange(part.n_rows), part.row_nnz())
-            dense[rows, mapping[part.indices]] = part.data
-        return CSRMatrix.from_dense(dense)
 
     # ------------------------------------------------------------------
     # dunder protocol

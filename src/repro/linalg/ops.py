@@ -9,7 +9,6 @@ workloads:
 * :func:`accumulate_rows` — ``X^T C``: linear combination of rows, which
   is exactly the gradient of every GLM (``g = X^T coefficients``);
 * :func:`accumulate_rows_squared` — the same over squared data;
-* :func:`column_scale` — scale each column by a dense factor.
 
 Every dense operand may carry a trailing *width* axis — one column per
 class (MLR) or per factor (FM) — and the whole width is one gather of
@@ -192,18 +191,3 @@ def accumulate_rows_squared(matrix: CSRMatrix, coefficients: np.ndarray) -> RowG
     # x^2 once per entry; expand + multiply + scatter-add per width
     OP_COUNTERS.add_flops(matrix.nnz * (1 + 3 * width))
     return _column_sums(matrix, coefficients, width, squared=True)
-
-
-def column_scale(matrix: CSRMatrix, factors: np.ndarray) -> CSRMatrix:
-    """Return a copy of ``matrix`` with column ``j`` scaled by ``factors[j]``."""
-    factors = np.asarray(factors, dtype=np.float64)
-    if factors.shape != (matrix.n_cols,):
-        raise DimensionMismatchError((matrix.n_cols,), factors.shape, "model shape")
-    OP_COUNTERS.add_flops(2 * matrix.nnz)  # gather + multiply
-    OP_COUNTERS.add_alloc(3 * matrix.nnz)  # copied indptr/indices/data
-    return CSRMatrix(
-        matrix.indptr.copy(),
-        matrix.indices.copy(),
-        matrix.data * factors[matrix.indices],
-        matrix.n_cols,
-    )

@@ -65,16 +65,6 @@ class SparseVector:
     # constructors
     # ------------------------------------------------------------------
     @classmethod
-    def from_dict(cls, mapping: dict, dim: int) -> "SparseVector":
-        """Build from a ``{index: value}`` mapping."""
-        if not mapping:
-            return cls.empty(dim)
-        items = sorted(mapping.items())
-        idx = [k for k, _ in items]
-        val = [v for _, v in items]
-        return cls(idx, val, dim)
-
-    @classmethod
     def from_dense(cls, dense) -> "SparseVector":
         """Build from a dense array, keeping non-zero entries."""
         dense = np.asarray(dense, dtype=np.float64)
@@ -122,27 +112,6 @@ class SparseVector:
         OP_COUNTERS.add_flops(self.nnz)
         OP_COUNTERS.add_alloc(2 * self.nnz)
         return SparseVector(self.indices.copy(), self.values * alpha, self.dim)
-
-    def norm_sq(self) -> float:
-        """Squared Euclidean norm."""
-        OP_COUNTERS.add_flops(2 * self.nnz)
-        return float(np.dot(self.values, self.values))
-
-    def restrict(self, global_indices: np.ndarray, local_dim: int) -> "SparseVector":
-        """Project onto a column subset, re-indexing to local coordinates.
-
-        ``global_indices`` maps local position -> global column and must be
-        sorted ascending.  Entries of ``self`` outside the subset are
-        dropped.  Used when splitting a row across column partitions.
-        """
-        global_indices = np.asarray(global_indices, dtype=np.int64)
-        OP_COUNTERS.add_flops(2 * self.nnz)  # binary searches + filter
-        pos = np.searchsorted(global_indices, self.indices)
-        pos = np.clip(pos, 0, max(global_indices.size - 1, 0))
-        if global_indices.size == 0:
-            return SparseVector.empty(local_dim)
-        hit = global_indices[pos] == self.indices
-        return SparseVector(pos[hit], self.values[hit], local_dim)
 
     def items(self) -> Iterable[Tuple[int, float]]:
         """Iterate ``(index, value)`` pairs in index order."""

@@ -84,12 +84,6 @@ class Exchange:
             w for w, f in self.failures.items() if isinstance(f, WorkerTimeout)
         )
 
-    def payloads(self) -> Dict[int, bytes]:
-        """Per-worker reply payloads (workers that sent one)."""
-        return {
-            w: r.payload for w, r in self.replies.items() if r.payload is not None
-        }
-
     def comm_seconds(self) -> float:
         """Exchange time not explained by the slowest handler.
 

@@ -63,7 +63,3 @@ class Message:
                     self.src
                 )
             )
-
-    def involves_master(self) -> bool:
-        """True when one endpoint is the master."""
-        return self.src == Message.MASTER or self.dst == Message.MASTER

@@ -33,12 +33,13 @@ class NetworkModel:
 
     bandwidth: float = 1e9 / 8  # bytes/second (1 Gbps default)
     latency: float = 0.5e-3     # seconds per message
-    bytes_by_kind: Counter = field(default_factory=Counter)
-    messages_by_kind: Counter = field(default_factory=Counter)
-    bytes_sent_by_node: Counter = field(default_factory=Counter)
-    bytes_received_by_node: Counter = field(default_factory=Counter)
-    log: List[Message] = field(default_factory=list)
-    keep_log: bool = False
+    bytes_by_kind: Counter = field(default_factory=Counter, init=False)
+    messages_by_kind: Counter = field(default_factory=Counter, init=False)
+    bytes_sent_by_node: Counter = field(default_factory=Counter, init=False)
+    bytes_received_by_node: Counter = field(default_factory=Counter, init=False)
+    log: List[Message] = field(default_factory=list, init=False)
+    #: set by :class:`~repro.net.protocol.ProtocolChecker`
+    keep_log: bool = field(default=False, init=False)
     losses: int = field(default=0, init=False)
     _armed: Set[int] = field(default_factory=set, init=False, repr=False)
     _pending_extra: float = field(default=0.0, init=False, repr=False)
@@ -100,13 +101,6 @@ class NetworkModel:
         """Bytes the master sent plus received (Table I's master column)."""
         master = Message.MASTER
         return self.bytes_sent_by_node.get(master, 0) + self.bytes_received_by_node.get(master, 0)
-
-    def worker_bytes(self, worker_id: int) -> int:
-        """Bytes one worker sent plus received (Table I's worker column)."""
-        return (
-            self.bytes_sent_by_node.get(worker_id, 0)
-            + self.bytes_received_by_node.get(worker_id, 0)
-        )
 
     def reset_counters(self) -> None:
         """Zero all counters and drop the log (e.g. between iterations)."""

@@ -40,7 +40,7 @@ from repro.net.message import Message, MessageKind
 from repro.partition.column import ColumnAssignment
 from repro.partition.row import RowPartitioner
 from repro.partition.workset import Workset, WorksetStore
-from repro.sim.cluster import SimulatedCluster
+from repro.sim.cluster import DISK_BANDWIDTH_BYTES_PER_S, SimulatedCluster
 from repro.storage.blocks import split_into_blocks
 from repro.storage.serialization import (
     INDEX_BYTES,
@@ -54,7 +54,6 @@ from repro.storage.serialization import (
 )
 
 
-@dataclass(frozen=True)
 class LoadCostModel:
     """CPU constants of the loading path (seconds).
 
@@ -155,7 +154,7 @@ def charge_column_load(
             )
         )
     costs = LOAD_COSTS
-    read_bandwidth = float(cluster.spec.disk_bandwidth_bytes_per_s)
+    read_bandwidth = DISK_BANDWIDTH_BYTES_PER_S
     per_nnz = costs.parse_seconds_per_nnz if naive else costs.split_seconds_per_nnz
     dispatch_busy = [0.0] * K   # read + split + serialize per dispatcher
     receive_busy = [0.0] * K    # deserialize per destination
@@ -292,7 +291,7 @@ def load_row_partitioned(
     """
     costs = LOAD_COSTS
     K = cluster.n_workers
-    read_bandwidth = float(cluster.spec.disk_bandwidth_bytes_per_s)
+    read_bandwidth = DISK_BANDWIDTH_BYTES_PER_S
     indptr = dataset.features.indptr
     parse_busy = [0.0] * K
     for block in split_into_blocks(dataset.n_rows, block_size):

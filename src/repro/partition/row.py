@@ -44,20 +44,6 @@ class RowPartitioner:
         """Worker ``worker``'s horizontal slice."""
         return self._shards[worker]
 
-    def shard_sizes(self) -> List[int]:
-        """Rows per shard."""
-        return [shard.n_rows for shard in self._shards]
-
-    def batch_share(self, batch_size: int, worker: int) -> int:
-        """Rows worker ``worker`` contributes to a batch of ``batch_size``.
-
-        Spreads the remainder over the first ``B mod K`` workers so the
-        shares always sum to exactly ``batch_size``.
-        """
-        check_positive(batch_size, "batch_size")
-        base, extra = divmod(batch_size, self.n_workers)
-        return base + (1 if worker < extra else 0)
-
     def sample_local_batch(self, iteration: int, batch_size: int, worker: int) -> Dataset:
         """Worker-local mini-batch for iteration ``iteration``.
 

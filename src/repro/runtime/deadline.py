@@ -14,8 +14,8 @@ backend's port of the simulator's :class:`~repro.engine.policy.TimeoutSync`
 rule: the deadline for an exchange is ``alpha x median`` of recently
 *measured* exchange durations (the sim uses the median of modeled
 per-worker finish times), floored at ``floor_s`` so cold starts and
-first exchanges are not suspected spuriously.  Retries back off
-exponentially, exactly like ``RetrySync``.
+first exchanges are not suspected spuriously.  Each retry doubles the
+deadline (:data:`~repro.engine.policy.BACKOFF`), exactly like the sim's.
 """
 
 from __future__ import annotations
@@ -25,11 +25,13 @@ from multiprocessing import connection as _mp_connection
 from statistics import median
 from typing import List, Optional, Sequence, Tuple
 
-from repro.engine.policy import check_deadline_factors
+from repro.engine.policy import BACKOFF, check_deadline_factors
 from repro.utils.validation import check_non_negative, check_positive
 
 #: Measured exchange durations retained for the alpha x median rule.
 HISTORY_WINDOW = 32
+#: Slice a worker process polls its command pipe in while idle.
+COMMAND_POLL_S = 1.0
 
 
 @dataclass
@@ -38,23 +40,21 @@ class TimeoutPolicy:
 
     ``deadline_s()`` returns ``max(floor_s, alpha * median(history))``
     where the history holds the last :data:`HISTORY_WINDOW` measured
-    exchange durations (fed via :meth:`observe`).  ``max_retries`` and
-    ``backoff`` mirror the simulator's ``RetrySync`` knobs: attempt
-    ``k`` waits ``deadline_s() * backoff**k`` before resending.
+    exchange durations (fed via :meth:`observe`).  ``max_retries``
+    mirrors the simulator's ``TimeoutSync``: attempt ``k`` waits
+    ``deadline_s() * BACKOFF**k`` before resending.
     """
 
     alpha: float = 3.0
     floor_s: float = 30.0
     max_retries: int = 2
-    backoff: float = 2.0
-    history: List[float] = field(default_factory=list)
+    history: List[float] = field(default_factory=list, init=False)
 
     def __post_init__(self):
         check_positive(self.alpha, "alpha")
         check_positive(self.floor_s, "floor_s")
         check_non_negative(self.max_retries, "max_retries")
-        check_positive(self.backoff, "backoff")
-        check_deadline_factors(self.alpha, self.backoff)
+        check_deadline_factors(self.alpha)
 
     def observe(self, seconds: float) -> None:
         """Record one successful exchange's measured duration."""
@@ -68,7 +68,7 @@ class TimeoutPolicy:
         base = self.floor_s
         if self.history:
             base = max(self.floor_s, self.alpha * median(self.history))
-        return base * self.backoff ** attempt
+        return base * BACKOFF ** attempt
 
 
 # ----------------------------------------------------------------------
@@ -102,19 +102,18 @@ def recv_ready(conn) -> Tuple[bool, object]:
         return False, None
 
 
-def recv_command(conn, poll_s: float = 1.0) -> Tuple[bool, Optional[object]]:
+def recv_command(conn) -> Tuple[bool, Optional[object]]:
     """Child-side command wait: poll in bounded slices until a frame.
 
     Worker processes idle here between exchanges.  Polling in
-    ``poll_s`` slices (instead of a bare ``recv``) keeps every wait in
-    the runtime bounded and lets an orphaned child notice the master's
+    :data:`COMMAND_POLL_S` slices (instead of a bare ``recv``) keeps
+    every wait in the runtime bounded and lets an orphaned child notice the master's
     EOF and exit: returns ``(True, frame)`` on data, ``(False, None)``
     when the master side of the pipe is gone.
     """
-    check_positive(poll_s, "poll_s")
     while True:
         try:
-            if conn.poll(poll_s):
+            if conn.poll(COMMAND_POLL_S):
                 return True, conn.recv()
         except (EOFError, OSError, ConnectionResetError):
             return False, None

@@ -365,34 +365,28 @@ class LocalRuntime:
                     "processes".format(event.kind.name)
                 )
 
-    def respawn(self, programs: Optional[Dict[int, object]] = None) -> float:
+    def respawn(self) -> float:
         """Relaunch every dead process; returns measured seconds.
 
-        The relaunched processes host ``programs`` (default: the ones
-        given to :meth:`start` — the parent's copies, whose state is
-        whatever the master last pulled back); a stateful trainer then
-        restores them through :meth:`exchange`'s restore step.  Live
-        processes are untouched.
+        The relaunched processes host the programs given to
+        :meth:`start` — the parent's copies, whose state is whatever the
+        master last pulled back; a stateful trainer then restores them
+        through :meth:`exchange`'s restore step.  Live processes are
+        untouched.
         """
         if not self._started:
             raise SimulationError("LocalRuntime not started; call start()")
-        programs = programs if programs is not None else self._programs
         start = time.perf_counter()
         self._refresh_liveness()
         context = multiprocessing.get_context(_PROCESS_START)
         for host in self._hosts:
             if not host.dead:
                 continue
-            missing = [w for w in host.workers if w not in programs]
-            if missing:
-                raise ConfigurationError(
-                    "respawn needs a program for worker(s) {}".format(missing)
-                )
             try:
                 host.conn.close()
             except OSError:
                 pass
-            host.proc, host.conn = self._launch(context, host.workers, programs)
+            host.proc, host.conn = self._launch(context, host.workers, self._programs)
             host.dead = False
             for w in host.workers:
                 self._mangle.pop(w, None)

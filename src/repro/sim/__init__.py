@@ -12,7 +12,7 @@ from repro.sim.clock import SimClock
 from repro.sim.cost import ComputeCostModel
 from repro.sim.straggler import StragglerModel
 from repro.sim.cluster import ClusterSpec, SimulatedCluster, CLUSTER1, CLUSTER2
-from repro.sim.presets import PRESETS, load_preset, MODERN_RACK, CROSS_AZ, EDGE
+from repro.sim.presets import PRESETS, MODERN_RACK, CROSS_AZ, EDGE
 
 __all__ = [
     "SimClock",
@@ -23,7 +23,6 @@ __all__ = [
     "CLUSTER1",
     "CLUSTER2",
     "PRESETS",
-    "load_preset",
     "MODERN_RACK",
     "CROSS_AZ",
     "EDGE",

@@ -14,9 +14,8 @@ class SimClock:
     to put "seconds" on the x-axis of Fig 8-style curves.
     """
 
-    def __init__(self, start: float = 0.0):
-        check_non_negative(start, "start")
-        self._now = float(start)
+    def __init__(self):
+        self._now = 0.0
 
     def now(self) -> float:
         """Current simulated time in seconds."""

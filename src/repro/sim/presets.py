@@ -51,13 +51,3 @@ PRESETS: Dict[str, ClusterSpec] = {
     "cross-az": CROSS_AZ,
     "edge": EDGE,
 }
-
-
-def load_preset(name: str) -> ClusterSpec:
-    """Look up a preset by name (case-insensitive)."""
-    key = name.lower()
-    if key not in PRESETS:
-        raise KeyError(
-            "unknown cluster preset {!r}; available: {}".format(name, sorted(PRESETS))
-        )
-    return PRESETS[key]

@@ -29,7 +29,6 @@ from typing import Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from repro.datasets.dataset import Dataset
-from repro.datasets.libsvm import iter_libsvm
 from repro.errors import ConfigurationError, DataError
 from repro.linalg import CSRMatrix
 from repro.partition.column import ColumnAssignment, make_assignment
@@ -148,52 +147,6 @@ class ColumnShardStore:
             name=dataset.name,
         ) as writer:
             writer.add_rows(dataset.labels, dataset.features)
-        return cls.finish(writer)
-
-    @classmethod
-    def from_libsvm(
-        cls,
-        source: Union[str, Path],
-        store_dir: Union[str, Path],
-        n_workers: int,
-        n_features: Optional[int] = None,
-        zero_based: Optional[bool] = None,
-        scheme: str = "round_robin",
-        block_size: int = 2048,
-        memory_budget_bytes: int = 0,
-        name: Optional[str] = None,
-    ) -> "ColumnShardStore":
-        """Shuffle a LIBSVM file (``.gz`` transparent) into shards.
-
-        Never materializes the dataset: when the dimension or index
-        base is unknown a first streaming pass scans only the index
-        range, then the second pass feeds rows straight to the writer.
-        """
-        source = Path(source)
-        if n_features is None or zero_based is None:
-            min_index: Optional[int] = None
-            max_index = -1
-            for _, indices, _ in iter_libsvm(source):
-                if indices.size:
-                    low = int(indices.min())
-                    min_index = low if min_index is None else min(min_index, low)
-                    max_index = max(max_index, int(indices.max()))
-            if zero_based is None:
-                zero_based = min_index == 0 if min_index is not None else True
-            if n_features is None:
-                n_features = max(max_index + 1 - (0 if zero_based else 1), 1)
-        shift = 0 if zero_based else 1
-        with ShuffleWriter(
-            store_dir,
-            n_features=n_features,
-            n_workers=n_workers,
-            scheme=scheme,
-            block_size=block_size,
-            memory_budget_bytes=memory_budget_bytes,
-            name=name if name is not None else source.stem,
-        ) as writer:
-            for label, indices, values in iter_libsvm(source):
-                writer.add_row(label, indices - shift, values)
         return cls.finish(writer)
 
     @classmethod
@@ -329,7 +282,7 @@ class ColumnShardStore:
 
 
 def store_backed_dispatch(
-    dataset: Optional[Dataset],
+    dataset: Dataset,
     cluster: SimulatedCluster,
     store_dir: Union[str, Path],
     scheme: str = "round_robin",
@@ -338,19 +291,15 @@ def store_backed_dispatch(
 ) -> Tuple[ColumnShardStore, List[ShardWorksetStore], Dict[int, int], LoadReport]:
     """The store-backed twin of ``dispatch_block_based``.
 
-    Writes the store out-of-core if the directory has none (requires
-    ``dataset``), validates the manifest against the job otherwise,
-    charges the identical simulated load cost from the footers' block
-    table, and returns lazy shard-backed worker stores.
+    Writes the store out-of-core if the directory has none, validates
+    the manifest against the job otherwise, charges the identical
+    simulated load cost from the footers' block table, and returns lazy
+    shard-backed worker stores.
     """
     if ColumnShardStore.exists(store_dir):
         store = ColumnShardStore.open(store_dir)
         _check_manifest(store.manifest, dataset, cluster, scheme, block_size)
     else:
-        if dataset is None:
-            raise ConfigurationError(
-                "no store at {} and no dataset to shuffle into one".format(store_dir)
-            )
         store = ColumnShardStore.from_dataset(
             dataset,
             store_dir,
@@ -366,7 +315,7 @@ def store_backed_dispatch(
 
 def _check_manifest(
     manifest: StoreManifest,
-    dataset: Optional[Dataset],
+    dataset: Dataset,
     cluster: SimulatedCluster,
     scheme: str,
     block_size: int,
@@ -388,7 +337,7 @@ def _check_manifest(
                 manifest.block_size, block_size
             )
         )
-    if dataset is not None and (
+    if (
         manifest.n_rows != dataset.n_rows
         or manifest.n_features != dataset.n_features
         or manifest.nnz != dataset.nnz

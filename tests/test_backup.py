@@ -6,6 +6,8 @@ import pytest
 from repro.core import BackupGroups, ColumnMaster
 from repro.errors import PartitionError, StatisticsRecoveryError
 
+INF = float("inf")
+
 
 class TestBackupGroups:
     def test_no_backup_singletons(self):
@@ -34,14 +36,16 @@ class TestBackupGroups:
             groups.group_of(8)
 
     def test_select_survivors_prefers_first_alive(self):
+        """On a tie the group's first live member reports; a dead one
+        (``inf``) never does."""
         groups = BackupGroups(4, backup=1)
-        assert groups.select_survivors(frozenset()) == [0, 2]
-        assert groups.select_survivors(frozenset({0})) == [1, 2]
+        assert groups.fastest_per_group([1.0] * 4) == [0, 2]
+        assert groups.fastest_per_group([INF, 1.0, 1.0, 1.0]) == [1, 2]
 
     def test_select_survivors_raises_on_dead_group(self):
         groups = BackupGroups(4, backup=1)
         with pytest.raises(StatisticsRecoveryError) as err:
-            groups.select_survivors(frozenset({2, 3}))
+            groups.fastest_per_group([1.0, 1.0, INF, INF])
         assert err.value.missing_groups == (1,)
 
     def test_fastest_per_group(self):

@@ -72,6 +72,21 @@ class TestTrain:
             run_cli(["train", "--dataset", "/no/such/file.libsvm",
                      "--iterations", "1"])
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--backend", "local", "--backup", "1"],  # rejected by the config
+            ["--backend", "local", "--system", "petuum"],  # rejected by fit()
+        ],
+        ids=["local-backup", "local-petuum"],
+    )
+    def test_bad_configuration_is_a_one_line_error(self, flags):
+        with pytest.raises(SystemExit) as exited:
+            run_cli(["train", "--dataset", "avazu", "--rows", "400",
+                     "--iterations", "2", *flags])
+        message = str(exited.value.code)
+        assert message.startswith("error: ") and "\n" not in message
+
     def test_mlr_requires_classes(self):
         with pytest.raises(SystemExit):
             run_cli(["train", "--dataset", "avazu", "--rows", "400",

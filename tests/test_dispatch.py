@@ -107,7 +107,8 @@ class TestRowLoading:
         partitioner, report = load_row_partitioned(data, cluster, repartition=False)
         assert report.strategy == "MLlib"
         assert report.bytes_shuffled == 0
-        assert sum(partitioner.shard_sizes()) == data.n_rows
+        shards = [partitioner.shard(w) for w in range(partitioner.n_workers)]
+        assert sum(shard.n_rows for shard in shards) == data.n_rows
 
     def test_repartition_shuffles(self, setup):
         data, _, cluster = setup

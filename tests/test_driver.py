@@ -97,17 +97,6 @@ class TestExactness:
         for params in finals[1:]:
             assert np.allclose(finals[0], params, atol=1e-9)
 
-    def test_naive_loader_same_numerics(self, tiny_binary):
-        finals = []
-        for loader in ("block", "naive"):
-            cluster = SimulatedCluster(CLUSTER1.with_workers(4))
-            config = ColumnSGDConfig(batch_size=32, iterations=8, eval_every=0,
-                                     seed=5, block_size=64, loader=loader)
-            driver = ColumnSGDDriver(LogisticRegression(), SGD(0.5), cluster, config)
-            driver.load(tiny_binary)
-            finals.append(driver.fit().final_params)
-        assert np.allclose(finals[0], finals[1], atol=1e-12)
-
 
 class TestConvergence:
     def test_loss_decreases(self, small_binary):
@@ -217,8 +206,6 @@ class TestDriverApi:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ColumnSGDConfig(batch_size=0)
-        with pytest.raises(ValueError):
-            ColumnSGDConfig(loader="magic")
         with pytest.raises(ValueError):
             ColumnSGDConfig(iterations=-1)
 

@@ -8,12 +8,11 @@ from repro.optim import SGD
 from repro.sim import CLUSTER1, SimulatedCluster
 
 
-def run(data, patience, iterations=200, lr=1.0, min_improvement=1e-4):
+def run(data, patience, iterations=200, lr=1.0):
     cluster = SimulatedCluster(CLUSTER1.with_workers(4))
     config = ColumnSGDConfig(
         batch_size=100, iterations=iterations, eval_every=5, seed=4,
         block_size=256, early_stop_patience=patience,
-        early_stop_min_improvement=min_improvement,
     )
     driver = ColumnSGDDriver(LogisticRegression(), SGD(lr), cluster, config)
     driver.load(data)

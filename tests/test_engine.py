@@ -60,29 +60,6 @@ class TestRoundSpec:
                 sizes="_s",
             )
 
-    def test_comm_kinds_in_phase_order(self):
-        spec = RoundSpec(
-            system="x",
-            phases=(
-                CommPhase(
-                    "push",
-                    kind=MessageKind.GRADIENT_PUSH,
-                    pattern="gather",
-                    sizes="_s",
-                ),
-                CommPhase(
-                    "pull",
-                    kind=MessageKind.MODEL_PULL,
-                    pattern="broadcast",
-                    sizes="_z",
-                ),
-            ),
-        )
-        assert spec.comm_kinds() == (
-            MessageKind.GRADIENT_PUSH,
-            MessageKind.MODEL_PULL,
-        )
-
 
 # ----------------------------------------------------------------------
 # engine execution on a stub trainer: scheduling, expectations
@@ -272,7 +249,9 @@ class TestEngineTrace:
     def test_phase_totals_cover_every_phase(self, cluster4, tiny_binary):
         driver = make_driver(cluster4, tiny_binary)
         driver.fit()
-        totals = cluster4.engine_trace.phase_totals()
+        totals = {}
+        for event in cluster4.engine_trace.events:
+            totals[event.phase] = totals.get(event.phase, 0.0) + event.duration
         assert set(totals) == {
             "compute_statistics", "gather", "reduce", "broadcast",
             "update_model",

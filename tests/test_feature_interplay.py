@@ -7,7 +7,7 @@ import pytest
 
 from repro.core import ColumnSGDConfig, ColumnSGDDriver
 from repro.errors import DataError
-from repro.io import load_model, save_model
+from repro.io import load_model
 from repro.models import LogisticRegression
 from repro.optim import SGD
 from repro.sim import CLUSTER1, SimulatedCluster, StragglerModel
@@ -44,33 +44,6 @@ class TestFeatureInterplay:
         driver.load(tiny_gaussian)
         result = driver.fit(eval_dataset=tiny_gaussian)
         assert len(result.eval_losses()) == len(result.losses())
-
-    def test_warm_start_plus_early_stop(self, small_binary, tmp_path):
-        first = driver_for(small_binary, iterations=40, eval_every=5,
-                           block_size=256, batch_size=100)
-        trained = first.fit()
-        save_model(tmp_path / "m.npz", "lr", trained.final_params)
-        _, params, _ = load_model(tmp_path / "m.npz")
-
-        resumed = driver_for(small_binary, iterations=200, eval_every=5,
-                             block_size=256, batch_size=100,
-                             early_stop_patience=3,
-                             early_stop_min_improvement=0.05)
-        resumed.set_params(params)
-        result = resumed.fit()
-        # warm-started near convergence, the 5%-improvement bar trips fast
-        assert result.n_iterations < 200
-
-    def test_csv_roundtrip_preserves_eval_losses(self, tiny_gaussian, tmp_path):
-        from repro.core import TrainingResult
-
-        driver = driver_for(tiny_gaussian)
-        result = driver.fit(eval_dataset=tiny_gaussian)
-        result.to_csv(tmp_path / "t.csv")
-        loaded = TrainingResult.from_csv(tmp_path / "t.csv")
-        assert [round(l, 9) for _, _, l in loaded.eval_losses()] == [
-            round(l, 9) for _, _, l in result.eval_losses()
-        ]
 
 
 class TestCheckpointEdges:

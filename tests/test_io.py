@@ -1,14 +1,10 @@
-"""Tests for checkpoint save/load and driver warm start."""
+"""Tests for checkpoint save/load."""
 
 import numpy as np
 import pytest
 
-from repro.core import ColumnSGDConfig, ColumnSGDDriver
-from repro.errors import DataError, TrainingError
+from repro.errors import DataError
 from repro.io import load_model, save_model
-from repro.models import LogisticRegression
-from repro.optim import SGD
-from repro.sim import CLUSTER1, SimulatedCluster
 
 
 class TestCheckpointRoundTrip:
@@ -44,47 +40,3 @@ class TestCheckpointRoundTrip:
         np.savez(str(tmp_path / "junk.npz"), stuff=np.zeros(3))
         with pytest.raises(DataError):
             load_model(tmp_path / "junk.npz")
-
-
-class TestWarmStart:
-    def make_driver(self, data, iterations=10):
-        cluster = SimulatedCluster(CLUSTER1.with_workers(4))
-        config = ColumnSGDConfig(batch_size=64, iterations=iterations,
-                                 eval_every=0, seed=6, block_size=64)
-        driver = ColumnSGDDriver(LogisticRegression(), SGD(0.5), cluster, config)
-        driver.load(data)
-        return driver
-
-    def test_set_params_roundtrip(self, tiny_binary, rng):
-        driver = self.make_driver(tiny_binary)
-        params = rng.normal(size=tiny_binary.n_features)
-        driver.set_params(params)
-        assert np.allclose(driver.current_params(), params)
-
-    def test_set_params_shape_checked(self, tiny_binary):
-        driver = self.make_driver(tiny_binary)
-        with pytest.raises(TrainingError, match="shape"):
-            driver.set_params(np.zeros(7))
-
-    def test_set_params_before_load(self, tiny_binary):
-        cluster = SimulatedCluster(CLUSTER1.with_workers(2))
-        driver = ColumnSGDDriver(LogisticRegression(), SGD(0.5), cluster)
-        with pytest.raises(TrainingError):
-            driver.set_params(np.zeros(3))
-
-    def test_warm_start_resumes_from_checkpoint(self, small_binary, tmp_path):
-        # train 20 iterations, checkpoint, resume 20 more
-        first = self.make_driver(small_binary, iterations=20)
-        result1 = first.fit()
-        save_model(tmp_path / "ckpt.npz", "lr", result1.final_params)
-
-        _, params, _ = load_model(tmp_path / "ckpt.npz")
-        resumed = self.make_driver(small_binary, iterations=20)
-        resumed.set_params(params)
-        warm_loss = resumed.evaluate_loss()
-        cold_loss = self.make_driver(small_binary).evaluate_loss()
-        assert warm_loss < cold_loss  # starts where the first run ended
-
-        result2 = resumed.fit()
-        assert result2.final_loss() is None or True  # eval_every=0 path
-        assert resumed.evaluate_loss() <= warm_loss + 1e-6

@@ -1,53 +1,15 @@
-"""Tests for the feature batch: CSV traces, held-out eval tracking,
+"""Tests for the feature batch: held-out eval tracking,
 kill_worker (footnote 6), k-fold CV, warmup schedule, phase breakdown."""
 
 import numpy as np
 import pytest
 
-from repro.core import ColumnSGDConfig, ColumnSGDDriver, TrainingResult
-from repro.core.results import IterationRecord
+from repro.core import ColumnSGDConfig, ColumnSGDDriver
 from repro.errors import StatisticsRecoveryError
 from repro.metrics import k_fold, train_test_split
 from repro.models import LogisticRegression
 from repro.optim import SGD, WarmupSchedule
 from repro.sim import CLUSTER1, SimulatedCluster
-
-
-class TestCsvTrace:
-    def make_result(self):
-        result = TrainingResult(system="ColumnSGD", model="lr", dataset="d",
-                                batch_size=10, n_workers=2)
-        result.add(IterationRecord(-1, 0.0, 0.0, 0.69, 0))
-        result.add(IterationRecord(0, 0.05, 0.05, None, 128))
-        result.add(IterationRecord(1, 0.10, 0.05, 0.61, 128, eval_loss=0.65))
-        return result
-
-    def test_roundtrip(self, tmp_path):
-        original = self.make_result()
-        path = tmp_path / "trace.csv"
-        original.to_csv(path)
-        loaded = TrainingResult.from_csv(path)
-        assert loaded.system == "ColumnSGD"
-        assert loaded.batch_size == 10
-        assert loaded.n_iterations == 3
-        assert loaded.records[1].loss is None
-        assert loaded.records[2].loss == pytest.approx(0.61)
-        assert loaded.records[2].eval_loss == pytest.approx(0.65)
-        assert loaded.total_bytes() == 256
-
-    def test_csv_from_real_run(self, tiny_binary, tmp_path):
-        from repro.core import train_columnsgd
-
-        cluster = SimulatedCluster(CLUSTER1.with_workers(2))
-        result = train_columnsgd(
-            tiny_binary, LogisticRegression(), SGD(0.5), cluster,
-            batch_size=32, iterations=6, eval_every=3, block_size=64,
-        )
-        path = tmp_path / "run.csv"
-        result.to_csv(path)
-        loaded = TrainingResult.from_csv(path)
-        assert loaded.final_loss() == pytest.approx(result.final_loss())
-        assert loaded.total_sim_time == pytest.approx(result.total_sim_time)
 
 
 class TestHeldOutEval:

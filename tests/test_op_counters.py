@@ -106,7 +106,6 @@ def test_sparse_vector_dim_zero():
 def test_sparse_vector_all_zero_construction():
     v = SparseVector.from_dense(np.zeros(8))
     assert v.nnz == 0
-    assert v.norm_sq() == 0.0
     assert np.array_equal(v.to_dense(), np.zeros(8))
 
 

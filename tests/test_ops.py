@@ -8,7 +8,6 @@ from repro.linalg import (
     CSRMatrix,
     accumulate_rows,
     accumulate_rows_squared,
-    column_scale,
     row_dots,
     row_dots_squared,
 )
@@ -79,16 +78,3 @@ class TestAccumulateRows:
         lhs = np.dot(row_dots(matrix, w), c)
         rhs = np.dot(w, accumulate_rows(matrix, c).to_dense())
         assert lhs == pytest.approx(rhs)
-
-
-class TestColumnScale:
-    def test_matches_dense(self, matrix_and_dense, rng):
-        matrix, dense = matrix_and_dense
-        f = rng.normal(size=9)
-        assert np.allclose(column_scale(matrix, f).to_dense(), dense * f)
-
-    def test_does_not_mutate_input(self, matrix_and_dense):
-        matrix, dense = matrix_and_dense
-        before = matrix.data.copy()
-        column_scale(matrix, np.full(9, 2.0))
-        assert np.array_equal(matrix.data, before)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.experiments import build_report, collect_results, write_report
 from repro.experiments.paper_report import ARTIFACT_ORDER
-from repro.sim import CROSS_AZ, EDGE, MODERN_RACK, PRESETS, SimulatedCluster, load_preset
+from repro.sim import CROSS_AZ, EDGE, MODERN_RACK, PRESETS, SimulatedCluster
 
 
 class TestPresets:
@@ -15,10 +15,9 @@ class TestPresets:
             assert cluster.network.bandwidth > 0
 
     def test_lookup(self):
-        assert load_preset("Modern-Rack") is MODERN_RACK
-        assert load_preset("cross-az") is CROSS_AZ
-        with pytest.raises(KeyError):
-            load_preset("gpu-pod")
+        assert PRESETS["modern-rack"] is MODERN_RACK
+        assert PRESETS["cross-az"] is CROSS_AZ
+        assert "gpu-pod" not in PRESETS
 
     def test_presets_span_the_design_space(self):
         assert MODERN_RACK.bandwidth_bytes_per_s > 50 * EDGE.bandwidth_bytes_per_s
@@ -30,7 +29,7 @@ class TestPresets:
         from repro.optim import SGD
 
         for name in ("modern-rack", "cross-az", "edge"):
-            cluster = SimulatedCluster(load_preset(name))
+            cluster = SimulatedCluster(PRESETS[name])
             result = train_columnsgd(
                 tiny_binary, LogisticRegression(), SGD(0.5), cluster,
                 batch_size=32, iterations=3, eval_every=0, block_size=64,

@@ -82,7 +82,8 @@ class TestBackupGroupProperties:
         # keep at least one survivor per group, else skip
         if any(set(g) <= dead for g in groups.groups()):
             return
-        survivors = groups.select_survivors(frozenset(dead))
+        finish = [float("inf") if w in dead else 1.0 for w in range(n_workers)]
+        survivors = groups.fastest_per_group(finish)
         covered = set()
         for w in survivors:
             covered |= set(groups.partitions_of_worker(w))

@@ -11,6 +11,7 @@ from repro.core import (
     RecoveryPolicy,
 )
 from repro.core.recovery import (
+    HEARTBEAT_TIMEOUT_BEATS,
     CheckpointStore,
     restore_partition,
     snapshot_partition,
@@ -47,12 +48,8 @@ class TestRecoveryPolicy:
         assert not policy.master_restart
 
     def test_detection_delay(self):
-        policy = RecoveryPolicy(heartbeat_interval_s=0.5, heartbeat_timeout_beats=4)
-        assert policy.detection_delay_s == pytest.approx(2.0)
-
-    def test_rejects_bad_beats(self):
-        with pytest.raises(ConfigurationError):
-            RecoveryPolicy(heartbeat_timeout_beats=0)
+        policy = RecoveryPolicy(heartbeat_interval_s=0.5)
+        assert policy.detection_delay_s == pytest.approx(0.5 * HEARTBEAT_TIMEOUT_BEATS)
 
     def test_master_restart_requires_checkpoints(self):
         with pytest.raises(ConfigurationError):
@@ -288,7 +285,7 @@ class TestEngineReplay:
         even when a dead worker makes TimeoutSync expire every round."""
         driver = checked_driver(
             tiny_binary, backup, recovery=RESTART,
-            sync_policy="timeout", sync_on_exhausted="stale",
+            sync_policy="timeout",
         )
         driver.fit(iterations=12)  # snapshots at 0, 5, 10
         driver.kill_worker(1)
@@ -399,7 +396,7 @@ class TestCheckpointStoreFiles:
         record = snapshot_partition(stepped_state(SGD(0.5, momentum=0.9), 2))
         store.write(4, 7, record)
         assert store.read(7) == record
-        assert store.snapshot_iteration(7) == 4
+        assert store.last_iteration == 4
         assert store.bytes_written == len(record)
 
     @pytest.mark.parametrize(
@@ -435,14 +432,14 @@ class TestCheckpointStoreFiles:
         (tmp_path / "p00000.ckpt.tmp").write_bytes(b"half a rec")
         assert store.read(0) == record
         store.write(4, 0, record)  # a later spill reuses the tmp name
-        assert store.read(0) == record and store.snapshot_iteration(0) == 4
+        assert store.read(0) == record and store.last_iteration == 4
 
     def test_write_killed_at_replace_keeps_last_good(self, tmp_path, monkeypatch):
         store = CheckpointStore(str(tmp_path))
         good = snapshot_partition(stepped_state(SGD(0.5), 1))
         store.write(2, 0, good)
-        before = (store.read(0), store.snapshot_iteration(0),
-                  store.last_iteration, store.writes, store.bytes_written)
+        before = (store.read(0), store.last_iteration, store.writes,
+                  store.bytes_written)
 
         def killed(src, dst):
             raise OSError("killed before the rename")
@@ -452,8 +449,8 @@ class TestCheckpointStoreFiles:
             patch.setattr(os, "replace", killed)
             with pytest.raises(OSError, match="killed"):
                 store.write(4, 0, newer)
-        assert before == (store.read(0), store.snapshot_iteration(0),
-                          store.last_iteration, store.writes, store.bytes_written)
+        assert before == (store.read(0), store.last_iteration, store.writes,
+                          store.bytes_written)
         store.write(6, 0, newer)
-        assert store.read(0) == newer and store.snapshot_iteration(0) == 6
+        assert store.read(0) == newer and store.last_iteration == 6
         assert store.writes == 2

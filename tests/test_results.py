@@ -32,11 +32,11 @@ class TestTrainingResult:
 
     def test_avg_iteration_skips_warmup(self):
         result = make_result([10.0, 0.1, 0.1], [None, None, None])
-        assert result.avg_iteration_seconds(skip_first=1) == pytest.approx(0.1)
+        assert result.avg_iteration_seconds() == pytest.approx(0.1)
 
     def test_avg_iteration_falls_back_when_too_short(self):
         result = make_result([0.4], [None])
-        assert result.avg_iteration_seconds(skip_first=1) == pytest.approx(0.4)
+        assert result.avg_iteration_seconds() == pytest.approx(0.4)
 
     def test_avg_iteration_empty(self):
         result = TrainingResult(system="X", model="lr", dataset="d",

@@ -7,18 +7,23 @@ from repro.errors import PartitionError
 from repro.partition import RowPartitioner
 
 
+def shard_sizes(part):
+    return [part.shard(w).n_rows for w in range(part.n_workers)]
+
+
 class TestRowPartitioner:
     def test_shards_cover_all_rows(self, tiny_binary):
         part = RowPartitioner(tiny_binary, 4)
-        assert sum(part.shard_sizes()) == tiny_binary.n_rows
+        assert sum(shard_sizes(part)) == tiny_binary.n_rows
 
     def test_shards_balanced(self, tiny_binary):
-        sizes = RowPartitioner(tiny_binary, 7).shard_sizes()
+        sizes = shard_sizes(RowPartitioner(tiny_binary, 7))
         assert max(sizes) - min(sizes) <= 1
 
     def test_contiguous_by_default(self, tiny_binary):
         part = RowPartitioner(tiny_binary, 3)
-        assert np.array_equal(part.shard(0).labels, tiny_binary.labels[: part.shard_sizes()[0]])
+        first = part.shard(0)
+        assert np.array_equal(first.labels, tiny_binary.labels[: first.n_rows])
 
     def test_shuffled_changes_layout(self, tiny_binary):
         plain = RowPartitioner(tiny_binary, 3, shuffled=False)
@@ -28,7 +33,8 @@ class TestRowPartitioner:
     def test_batch_share_sums_to_batch(self, tiny_binary):
         part = RowPartitioner(tiny_binary, 7)
         for batch in (1, 7, 100, 1001):
-            assert sum(part.batch_share(batch, w) for w in range(7)) == batch
+            shares = [part.sample_local_batch(0, batch, w).n_rows for w in range(7)]
+            assert sum(shares) == batch
 
     def test_sample_deterministic(self, tiny_binary):
         part = RowPartitioner(tiny_binary, 4, seed=3)

@@ -42,14 +42,6 @@ class TestConstruction:
         assert v.nnz == 0
         assert np.array_equal(v.to_dense(), np.zeros(7))
 
-    def test_from_dict(self):
-        v = SparseVector.from_dict({3: 1.5, 0: -2.0}, 6)
-        assert v.indices.tolist() == [0, 3]
-        assert v.values.tolist() == [-2.0, 1.5]
-
-    def test_from_dict_empty(self):
-        assert SparseVector.from_dict({}, 4).nnz == 0
-
     def test_from_dense_roundtrip(self):
         dense = np.array([0.0, 1.0, 0.0, -3.0])
         v = SparseVector.from_dense(dense)
@@ -81,21 +73,6 @@ class TestOperations:
     def test_scale_by_zero_empties(self):
         v = SparseVector([1], [2.0], 5)
         assert v.scale(0.0).nnz == 0
-
-    def test_norm_sq(self):
-        v = SparseVector([0, 1], [3.0, 4.0], 5)
-        assert v.norm_sq() == pytest.approx(25.0)
-
-    def test_restrict_reindexes(self):
-        v = SparseVector([1, 3, 5, 7], [1.0, 2.0, 3.0, 4.0], 10)
-        sub = v.restrict(np.array([3, 5, 9]), 3)
-        assert sub.dim == 3
-        assert sub.indices.tolist() == [0, 1]
-        assert sub.values.tolist() == [2.0, 3.0]
-
-    def test_restrict_empty_subset(self):
-        v = SparseVector([1], [1.0], 4)
-        assert v.restrict(np.array([], dtype=int), 0).nnz == 0
 
     def test_items_order(self):
         v = SparseVector([4, 0], [1.0, 2.0], 5)

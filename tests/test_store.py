@@ -25,7 +25,6 @@ from hypothesis import strategies as st
 from repro.core.driver import ColumnSGDConfig, ColumnSGDDriver
 from repro.datasets import make_classification
 from repro.datasets.dataset import Dataset
-from repro.datasets.libsvm import write_libsvm
 from repro.errors import ConfigurationError, DataError, PartitionError
 from repro.linalg import OP_COUNTERS, CSRMatrix
 from repro.models import make_model
@@ -699,7 +698,7 @@ class TestClosingWithLiveViews:
 
 
 # ----------------------------------------------------------------------
-# the facade: manifest validation, libsvm ingestion, reassembly
+# the facade: manifest validation, reassembly
 # ----------------------------------------------------------------------
 class TestColumnShardStore:
     def test_exists_and_open(self, store):
@@ -716,24 +715,6 @@ class TestColumnShardStore:
         back = store.materialize_dataset()
         assert back.features == data.features
         np.testing.assert_array_equal(back.labels, data.labels)
-
-    def test_from_libsvm_matches_from_dataset(self, data, tmp_path):
-        path = str(tmp_path / "data.libsvm")
-        write_libsvm(data, path)
-        store = ColumnShardStore.from_libsvm(
-            path, tmp_path / "s", n_workers=WORKERS, block_size=BLOCK
-        )
-        back = store.materialize_dataset()
-        assert back.features == data.features
-
-    def test_from_gzipped_libsvm(self, data, tmp_path):
-        path = str(tmp_path / "data.libsvm.gz")
-        write_libsvm(data, path)
-        store = ColumnShardStore.from_libsvm(
-            path, tmp_path / "s", n_workers=WORKERS, block_size=BLOCK
-        )
-        assert store.manifest.n_rows == data.n_rows
-        assert store.manifest.nnz == data.nnz
 
     def test_reuse_validates_worker_count(self, data, store):
         bad = SimulatedCluster(CLUSTER1.with_workers(WORKERS + 1))
@@ -770,15 +751,6 @@ class TestColumnShardStore:
             driver = _driver(store_dir=tmp_path / "s")
             driver.load(data)
             assert len(built) == 2, (label, built)
-        del built[:]
-        _driver(store_dir=tmp_path / "s").load_from_store()
-        assert len(built) == 2, built
-
-    def test_dispatch_without_store_or_dataset(self, tmp_path):
-        with pytest.raises(ConfigurationError, match="no dataset"):
-            store_backed_dispatch(
-                None, cluster(), tmp_path / "missing", block_size=BLOCK
-            )
 
     def test_load_cost_identical_to_dispatcher(self, tmp_path):
         assert_store_load_charges_like_memory(tmp_path, 500, WORKERS, BLOCK)
@@ -845,10 +817,6 @@ def _driver(backend="sim", store_dir="", budget=0, **kw):
 
 
 class TestDriverIntegration:
-    def test_config_rejects_naive_loader_with_store(self):
-        with pytest.raises(ValueError, match="loader"):
-            ColumnSGDConfig(store_dir="/tmp/x", loader="naive")
-
     def test_config_rejects_negative_budget(self):
         with pytest.raises(ValueError):
             ColumnSGDConfig(memory_budget_bytes=-1)
@@ -870,21 +838,20 @@ class TestDriverIntegration:
             rec.sim_time for rec in r_store.records
         ]
 
-    def test_load_from_store_no_dataset(self, tmp_path):
+    def test_reopened_store_trains_identically(self, tmp_path):
         ds = make_classification(2000, 400, nnz_per_row=10, seed=5)
         seed_driver = _driver(store_dir=tmp_path / "s")
         seed_driver.load(ds)
 
         d = _driver(store_dir=tmp_path / "s")
-        d.load_from_store()
+        d.load(ds)  # reuses the store the first load wrote
         r = d.fit()
         assert r.dataset == ds.name
         d_mem = _driver()
         d_mem.load(ds)
-        d_mem.fit()
+        r_mem = d_mem.fit()
         assert np.abs(d.current_params() - d_mem.current_params()).max() == 0.0
-        # eval_every forced lazy reassembly from the shards
-        assert [l for _, _, l in r.losses()]
+        assert r.losses() == r_mem.losses()
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Tests for experiment sweeps and dataset analysis utilities."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,13 +13,7 @@ from repro.datasets.analysis import (
     popularity_skew,
     row_length_stats,
 )
-from repro.experiments import ExperimentSpec
-from repro.experiments.sweeps import (
-    best_learning_rate,
-    sweep_batch_sizes,
-    sweep_learning_rates,
-    sweep_workers,
-)
+from repro.experiments import ExperimentSpec, run_system
 from repro.sim import CLUSTER1
 
 
@@ -33,38 +29,45 @@ def spec_and_data():
 
 
 class TestSweeps:
+    """One knob varied per run, through ``run_system`` on a derived spec."""
+
     def test_batch_size_sweep(self, spec_and_data):
         spec, data = spec_and_data
-        results = sweep_batch_sizes(spec, "columnsgd", [16, 128], data=data)
-        assert set(results) == {16, 128}
+        results = {
+            b: run_system(replace(spec, batch_size=b), "columnsgd", data)
+            for b in (16, 128)
+        }
         assert results[16].batch_size == 16
         assert results[128].batch_size == 128
 
     def test_worker_sweep(self, spec_and_data):
         spec, data = spec_and_data
-        results = sweep_workers(spec, "columnsgd", [2, 4], data=data)
+        results = {
+            k: run_system(
+                replace(spec, cluster=spec.cluster.with_workers(k)), "columnsgd", data
+            )
+            for k in (2, 4)
+        }
         assert results[2].n_workers == 2
         assert results[4].n_workers == 4
 
     def test_learning_rate_sweep_and_best(self, spec_and_data):
         spec, data = spec_and_data
-        rates = [1e-9, 1.0]
-        results = sweep_learning_rates(spec, "columnsgd", rates, data=data)
+        results = {
+            lr: run_system(replace(spec, learning_rate=lr), "columnsgd", data)
+            for lr in (1e-9, 1.0)
+        }
         assert results[1.0].final_loss() < results[1e-9].final_loss()
-        assert best_learning_rate(spec, "columnsgd", rates, data=data) == 1.0
 
     def test_sweep_does_not_mutate_spec(self, spec_and_data):
         spec, data = spec_and_data
-        sweep_batch_sizes(spec, "columnsgd", [16], data=data)
+        run_system(replace(spec, batch_size=16), "columnsgd", data)
         assert spec.batch_size == 64
 
     def test_best_rate_requires_evaluations(self, spec_and_data):
         spec, data = spec_and_data
-        from dataclasses import replace
-
         silent = replace(spec, eval_every=0)
-        with pytest.raises(ValueError):
-            best_learning_rate(silent, "columnsgd", [1.0], data=data)
+        assert run_system(silent, "columnsgd", data).final_loss() is None
 
 
 class TestAnalysis:

@@ -45,7 +45,3 @@ class TestWirePrecision:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ColumnSGDConfig(wire_precision="fp16")
-
-    def test_wire_value_bytes(self):
-        assert ColumnSGDConfig(wire_precision="fp64").wire_value_bytes == 8
-        assert ColumnSGDConfig(wire_precision="fp32").wire_value_bytes == 4
