@@ -23,7 +23,7 @@ from repro.extensions import (
 )
 from repro.models import LogisticRegression
 from repro.optim import SGD
-from repro.sim import CLUSTER1, ComputeCostModel, SimulatedCluster
+from repro.sim import CLUSTER1, SimulatedCluster
 
 
 @pytest.fixture
@@ -76,14 +76,6 @@ def cluster4():
 def cluster8():
     """The paper's Cluster 1 (8 workers)."""
     return SimulatedCluster(CLUSTER1)
-
-
-@pytest.fixture
-def fast_cluster4():
-    """Four workers with zero task overhead — for pure-comm assertions."""
-    return SimulatedCluster(
-        CLUSTER1.with_workers(4), cost=ComputeCostModel(task_overhead=0.0)
-    )
 
 
 # ----------------------------------------------------------------------

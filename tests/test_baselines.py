@@ -13,7 +13,7 @@ from repro.baselines import (
     TRAINER_REGISTRY,
 )
 from repro.core import ColumnSGDDriver
-from repro.errors import OutOfMemoryError, TrainingError
+from repro.errors import ConfigurationError, OutOfMemoryError, TrainingError
 from repro.models import FactorizationMachine, LogisticRegression
 from repro.net import MessageKind
 from repro.optim import SGD
@@ -189,3 +189,14 @@ class TestRegistry:
         cluster = SimulatedCluster(CLUSTER1.with_workers(2))
         with pytest.raises(KeyError):
             make_trainer("horovod", LogisticRegression(), SGD(0.5), cluster)
+
+    @pytest.mark.parametrize("system, extra", [
+        ("mllib*", {"local_steps": 8}),
+        ("petuum", {"n_servers": 2}),
+        ("mllib", {"backup": 1}),
+    ])
+    def test_unknown_extra_is_refused(self, system, extra):
+        """A baseline does not silently drop an extra it does not take."""
+        cluster = SimulatedCluster(CLUSTER1.with_workers(2))
+        with pytest.raises(ConfigurationError, match=next(iter(extra))):
+            make_trainer(system, LogisticRegression(), SGD(0.5), cluster, **extra)

@@ -90,13 +90,20 @@ class TestSSP:
         assert ssp.system == "Petuum-SSP2"
 
     def test_registry(self, small_binary):
+        """The registry builds SSP at its default staleness; a staleness
+        is a constructor argument, and the registry refuses it loudly."""
         cluster = SimulatedCluster(CLUSTER1.with_workers(4))
         trainer = make_trainer(
             "petuum-ssp", LogisticRegression(), SGD(0.5), cluster,
-            batch_size=32, iterations=3, eval_every=0, staleness=2,
+            batch_size=32, iterations=3, eval_every=0,
         )
         trainer.load(small_binary)
-        assert trainer.fit().n_iterations >= 3
+        result = trainer.fit()
+        assert result.n_iterations >= 3
+        assert result.system == "Petuum-SSP0"
+        with pytest.raises(ConfigurationError, match="staleness"):
+            make_trainer("petuum-ssp", LogisticRegression(), SGD(0.5),
+                         cluster, staleness=2)
 
     def test_validation(self, small_binary):
         cluster = SimulatedCluster(CLUSTER1.with_workers(2))
