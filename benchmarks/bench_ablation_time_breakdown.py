@@ -30,8 +30,7 @@ def breakdown_rows(data):
                                    seed=17),
         )
         driver.load(data)
-        driver.run_round(0)
-        phases = driver.last_phase_seconds
+        phases = driver.run_round(0).phase_seconds
         total = sum(phases.values())
         rows.append(
             (batch, format_duration(total))

@@ -67,12 +67,12 @@ def iteration_gantts():
             straggler=StragglerModel(CLUSTER1.n_workers, level=5.0, seed=7),
         )
         driver.load(data)
-        driver.run_round(0)
+        outcome = driver.run_round(0)
         blocks.append("backup S={}:\n{}".format(
             backup,
-            render_iteration_gantt(driver.last_worker_seconds,
-                                   driver.last_phase_seconds,
-                                   driver.last_killed, width=64),
+            render_iteration_gantt(outcome.worker_seconds,
+                                   outcome.phase_seconds,
+                                   outcome.killed, width=64),
         ))
     return "\n\n".join(blocks)
 

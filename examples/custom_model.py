@@ -37,7 +37,8 @@ def compute_stat(batch, local_model):
 
 
 def reduce_stat(stat1, stat2):
-    """reduceStat: the master sums partial statistics from workers."""
+    """reduceStat: the master folds the workers' partial statistics with
+    this, pairwise, every round; dot products sum."""
     return stat1 + stat2
 
 

@@ -18,11 +18,11 @@ between the compute and center-update phases and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.core.trainer import Trainer, straggler_model
+from repro.core.trainer import RunConfig, Trainer
 from repro.datasets.dataset import Dataset
 from repro.engine import (
     BarrierSync,
@@ -33,47 +33,24 @@ from repro.engine import (
     RoundSpec,
 )
 from repro.errors import MasterFailedError, TrainingError
-from repro.faults import REPLY_LOSSES, FaultKind, FaultSchedule
-from repro.linalg import CSRMatrix
+from repro.faults import FaultKind, FaultSchedule
 from repro.models.base import StatisticsModel
 from repro.optim.base import Optimizer
 from repro.partition.dispatch import load_row_partitioned
 from repro.partition.row import RowPartitioner
 from repro.sim.cluster import DISK_BANDWIDTH_BYTES_PER_S, SimulatedCluster
 from repro.sim.straggler import StragglerModel
-from repro.runtime import BACKENDS
-from repro.utils.validation import check_in, check_non_negative, check_positive
+from repro.storage.serialization import LABEL_BYTES, SPARSE_PAIR_BYTES
 
 
 @dataclass(frozen=True)
-class RowSGDConfig:
-    """Hyper-parameters shared by all RowSGD baselines."""
+class RowSGDConfig(RunConfig):
+    """Hyper-parameters shared by all RowSGD baselines: the
+    :class:`~repro.core.trainer.RunConfig` every trainer takes (its
+    ``backend='local'`` is MLlib only — see docs/runtime.md), plus the
+    loader."""
 
-    batch_size: int = 1000
-    iterations: int = 100
-    eval_every: int = 10
-    seed: int = 0
     repartition: bool = False  # MLlib-Repartition loading for Fig 7
-    check_protocol: bool = False  # verify BSP invariants every round
-                                  # (see repro.net.protocol)
-    backend: str = "sim"          # 'sim' or 'local' (real worker
-                                  # processes, wall-clock rounds; MLlib
-                                  # only — see docs/runtime.md)
-    local_processes: int = 0      # OS processes hosting the K logical
-                                  # workers on the local backend
-                                  # (0 = one process per worker)
-    local_timeout_s: float = 30.0  # deadline floor for local-backend
-                                   # exchanges (alpha x median rule, see
-                                   # repro.runtime.deadline)
-
-    def __post_init__(self):
-        check_positive(self.batch_size, "batch_size")
-        check_positive(self.iterations, "iterations")
-        check_non_negative(self.eval_every, "eval_every")
-        check_non_negative(self.seed, "seed")
-        check_in(self.backend, BACKENDS, "backend")
-        check_non_negative(self.local_processes, "local_processes")
-        check_positive(self.local_timeout_s, "local_timeout_s")
 
 
 class BaselineTrainer(Trainer):
@@ -96,15 +73,10 @@ class BaselineTrainer(Trainer):
     ):
         self.model = model
         self.optimizer = optimizer.spawn()
-        self.cluster = cluster
-        self.config = config if config is not None else RowSGDConfig()
-        self.iterations = self.config.iterations
-        self.eval_every = self.config.eval_every
-        self.check_protocol = self.config.check_protocol
-        self.backend = self.config.backend
-        self.straggler = straggler_model(straggler, cluster.n_workers, self.backend)
-        self.failures = failures if failures is not None else FaultSchedule()
-        self.failures.validate(cluster.n_workers, self.config.backend)
+        self._configure(
+            cluster, config if config is not None else RowSGDConfig(),
+            straggler, failures,
+        )
         self._dataset: Optional[Dataset] = None
         self._partitioner: Optional[RowPartitioner] = None
         self._params: Optional[np.ndarray] = None
@@ -181,12 +153,13 @@ class BaselineTrainer(Trainer):
         # the center's dense_work, not the worker gradient kernel.
         grad_sum = np.zeros_like(self._params)
         per_worker: Dict[int, float] = {}
-        batch_parts: List[Dataset] = []
+        batch_rows = batch_nnz = 0
         for w in range(self.cluster.n_workers):
             local = self._partitioner.sample_local_batch(
                 ctx.t, self.config.batch_size, w
             )
-            batch_parts.append(local)
+            batch_rows += local.n_rows
+            batch_nnz += local.nnz
             if local.n_rows:
                 stats = self.model.compute_statistics(local.features, self._params)
                 # The data gradient only: the penalty is added exactly
@@ -203,9 +176,10 @@ class BaselineTrainer(Trainer):
             )
             per_worker[w] = task * ctx.slowdowns[w]
 
-        batch = _concat_batches(batch_parts, self._dataset.n_features)
-        ctx.scratch["batch"] = batch
-        gradient = self.model.add_penalty(grad_sum / max(batch.n_rows, 1), self._params)
+        if not batch_rows:
+            raise TrainingError("empty global batch")
+        ctx.scratch["batch_nnz"] = batch_nnz
+        gradient = self.model.add_penalty(grad_sum / batch_rows, self._params)
         self.optimizer.step(self._params, gradient, ctx.t)
         return per_worker
 
@@ -215,50 +189,48 @@ class BaselineTrainer(Trainer):
     def _task_overhead(self) -> float:
         return self.cluster.cost.task_overhead
 
-    def _handle_failures(self, t: int) -> float:
-        """Strike round ``t``'s scheduled faults on the executor — this
-        trainer on ``sim``, its master program on ``local``."""
-        return self._engine.trainer._strike(t, self.failures.events_at(t))
-
     def _strike(self, t: int, events) -> float:
         """RowSGD fault semantics, simulated: the model lives at the
-        center, so a worker crash costs only a shard reload (no numeric
-        effect); a master crash loses the model and aborts the job; a
-        lost or garbled reply is a retransmit the round's comm phase
-        pays."""
+        center, so a task failure costs one relaunch and a worker crash
+        a shard reload (no numeric effect); a master crash loses the
+        model and aborts the job."""
         extra = 0.0
         for event in events:
-            if event.kind in REPLY_LOSSES:
-                self.cluster.network.lose_next(event.worker)
-                continue
             if event.kind is FaultKind.MASTER:
                 raise MasterFailedError(
                     "master failed at iteration {} — the model is lost; "
                     "RowSGD restarts from scratch".format(t)
                 )
             if event.kind is FaultKind.TASK:
-                extra += self.cluster.cost.task_overhead
+                relaunch_s = self.cluster.cost.task_overhead
+                extra += relaunch_s
+                self._record_recovery(
+                    RecoveryEvent(
+                        round=t, kind="task", mode="restart", worker=None,
+                        reload_s=relaunch_s,
+                    )
+                )
                 continue
             shard = self._partitioner.shard(event.worker)
-            reload_bytes = shard.nnz * 12 + shard.n_rows * 8
+            reload_bytes = shard.nnz * SPARSE_PAIR_BYTES + shard.n_rows * LABEL_BYTES
             reload_s = (
                 self.cluster.cost.task_overhead
                 + reload_bytes / DISK_BANDWIDTH_BYTES_PER_S
                 + reload_bytes / self.cluster.network.bandwidth
             )
             extra += reload_s
-            trace = getattr(self.cluster, "engine_trace", None)
-            if trace is not None:
-                trace.add_recovery(
-                    RecoveryEvent(
-                        round=t,
-                        kind="worker",
-                        mode="reload",
-                        worker=event.worker,
-                        reload_s=reload_s,
-                    )
+            self._record_recovery(
+                RecoveryEvent(
+                    round=t, kind="worker", mode="reload", worker=event.worker,
+                    reload_s=reload_s,
                 )
+            )
         return extra
+
+    def _record_recovery(self, event: RecoveryEvent) -> None:
+        trace = getattr(self.cluster, "engine_trace", None)
+        if trace is not None:
+            trace.add_recovery(event)
 
     # ------------------------------------------------------------------
     def current_params(self) -> np.ndarray:
@@ -272,12 +244,3 @@ class BaselineTrainer(Trainer):
         data = dataset if dataset is not None else self._dataset
         return self.model.loss(data.features, data.labels, self._params)
 
-
-def _concat_batches(parts: List[Dataset], n_features: int) -> Dataset:
-    """Stack per-worker batches into the logical global batch."""
-    nonempty = [p for p in parts if p.n_rows]
-    if not nonempty:
-        raise TrainingError("empty global batch")
-    features = CSRMatrix.vstack([p.features for p in nonempty])
-    labels = np.concatenate([p.labels for p in nonempty])
-    return Dataset(features, labels, name=nonempty[0].name)

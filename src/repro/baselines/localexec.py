@@ -106,13 +106,6 @@ class RowMasterProgram:
     trainer: object
     runtime: LocalRuntime
 
-    def _strike(self, t: int, events) -> float:
-        """Real faults, armed on the runtime; the round's exchange
-        detects and recovers, and its measured seconds carry the cost.
-        Nothing to spill (stateless workers)."""
-        self.runtime.inject_faults(events)
-        return 0.0
-
     def _phase_compute_gradients(self, ctx) -> Dict[int, float]:
         """Ship the model, collect every shard's sum gradient."""
         params = self.trainer._params

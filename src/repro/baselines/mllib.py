@@ -16,7 +16,7 @@ from repro.engine import CommPhase
 from repro.net.message import MessageKind
 from repro.runtime.deadline import TimeoutPolicy
 from repro.runtime.local import LocalRuntime
-from repro.storage.serialization import dense_vector_bytes
+from repro.storage.serialization import SPARSE_PAIR_BYTES, VALUE_BYTES, dense_vector_bytes
 
 
 class MLlibTrainer(BaselineTrainer):
@@ -77,10 +77,10 @@ class MLlibTrainer(BaselineTrainer):
         return self.cluster.cost.dense_work(2 * self.model_elements)
 
     def _charge_setup_memory(self) -> None:
-        model_bytes = self.model_elements * 8
+        model_bytes = self.model_elements * VALUE_BYTES
         # Table I master memory: the model plus the aggregation buffer.
         self.cluster.charge_memory(self.cluster.MASTER, 2 * model_bytes, "model+buffer")
-        shard_bytes = self._dataset.nnz * 12 // self.cluster.n_workers
+        shard_bytes = self._dataset.nnz * SPARSE_PAIR_BYTES // self.cluster.n_workers
         for w in range(self.cluster.n_workers):
             # shard + pulled model + computed gradient
             self.cluster.charge_memory(w, shard_bytes + 2 * model_bytes, "shard+model")

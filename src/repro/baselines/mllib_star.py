@@ -19,7 +19,7 @@ from repro.baselines.base import BaselineTrainer
 from repro.datasets.dataset import Dataset
 from repro.engine import BarrierSync, CommPhase, ComputePhase, MasterPhase, RoundSpec
 from repro.net.message import MessageKind
-from repro.storage.serialization import dense_vector_bytes
+from repro.storage.serialization import SPARSE_PAIR_BYTES, VALUE_BYTES, dense_vector_bytes
 
 
 class MLlibStarTrainer(BaselineTrainer):
@@ -106,8 +106,8 @@ class MLlibStarTrainer(BaselineTrainer):
         return self.cluster.cost.dense_work(self.model_elements)
 
     def _charge_setup_memory(self) -> None:
-        model_bytes = self.model_elements * 8
-        shard_bytes = self._dataset.nnz * 12 // self.cluster.n_workers
+        model_bytes = self.model_elements * VALUE_BYTES
+        shard_bytes = self._dataset.nnz * SPARSE_PAIR_BYTES // self.cluster.n_workers
         # no heavyweight master; each worker holds its local copy + buffers
         for w in range(self.cluster.n_workers):
             self.cluster.charge_memory(w, shard_bytes + 3 * model_bytes, "shard+copies")

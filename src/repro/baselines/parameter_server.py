@@ -13,10 +13,10 @@ from __future__ import annotations
 from typing import Tuple
 
 from repro.baselines.base import BaselineTrainer
-from repro.core.analysis import SERVER_SCAN_SECONDS_PER_ELEMENT, SPARSE_PAIR_BYTES
+from repro.core.analysis import SERVER_SCAN_SECONDS_PER_ELEMENT
 from repro.engine import CommPhase
 from repro.net.message import MessageKind
-from repro.storage.serialization import dense_vector_bytes
+from repro.storage.serialization import SPARSE_PAIR_BYTES, VALUE_BYTES, dense_vector_bytes
 
 
 class ParameterServerTrainer(BaselineTrainer):
@@ -42,14 +42,14 @@ class ParameterServerTrainer(BaselineTrainer):
             CommPhase(
                 "pull",
                 kind=MessageKind.MODEL_PULL,
-                pattern="sharded_broadcast",
+                pattern="broadcast",
                 sizes="_model_pull_size",
                 servers="n_servers",
             ),
             CommPhase(
                 "push",
                 kind=MessageKind.GRADIENT_PUSH,
-                pattern="sharded_gather",
+                pattern="gather",
                 sizes="_gradient_push_sizes",
                 servers="n_servers",
             ),
@@ -58,26 +58,24 @@ class ParameterServerTrainer(BaselineTrainer):
     def _model_pull_size(self, ctx) -> int:
         return dense_vector_bytes(self.model_elements)
 
-    def _push_sizes(self, batch) -> list:
-        """Sparse gradient push bytes per worker (its batch share's nnz)."""
-        ppf = self.model.params_per_feature()
-        per_worker_nnz = batch.nnz / self.cluster.n_workers
-        return [int(per_worker_nnz * ppf * SPARSE_PAIR_BYTES)] * self.cluster.n_workers
-
     def _gradient_push_sizes(self, ctx) -> list:
-        return self._push_sizes(ctx.scratch["batch"])
+        """Sparse gradient push bytes per worker (its share of the
+        round's batch nnz)."""
+        K = self.cluster.n_workers
+        ppf = self.model.params_per_feature()
+        return [int(ctx.scratch["batch_nnz"] / K * ppf * SPARSE_PAIR_BYTES)] * K
 
     def _center_update_seconds(self) -> float:
         # per-iteration dense maintenance of each server's shard
         return SERVER_SCAN_SECONDS_PER_ELEMENT * self.model_elements / self.n_servers
 
     def _charge_setup_memory(self) -> None:
-        model_bytes = self.model_elements * 8
+        model_bytes = self.model_elements * VALUE_BYTES
         # PS init materialises the full dense model at the driver before
         # sharding (plus a serialization buffer) — the OOM mechanism of
         # Table V's FM F=50 run.
         self.cluster.charge_memory(self.cluster.MASTER, 2 * model_bytes, "dense model init")
-        shard_bytes = self._dataset.nnz * 12 // self.cluster.n_workers
+        shard_bytes = self._dataset.nnz * SPARSE_PAIR_BYTES // self.cluster.n_workers
         server_shard = 2 * model_bytes // self.n_servers
         for w in range(self.cluster.n_workers):
             self.cluster.charge_memory(

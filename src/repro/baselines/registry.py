@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
 from typing import Dict
 
 from repro.baselines.base import RowSGDConfig
@@ -26,9 +27,9 @@ TRAINER_REGISTRY: Dict[str, type] = {
 }
 
 #: RowSGDConfig fields a baseline takes through ``make_trainer``'s extras
-_ROW_EXTRAS = frozenset(
-    ("repartition", "backend", "local_processes", "local_timeout_s", "check_protocol")
-)
+_ROW_EXTRAS = frozenset(field.name for field in fields(RowSGDConfig)) - {
+    "batch_size", "iterations", "eval_every", "seed",
+}
 
 
 def make_trainer(

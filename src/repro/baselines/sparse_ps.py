@@ -13,9 +13,9 @@ from __future__ import annotations
 from typing import Tuple
 
 from repro.baselines.parameter_server import ParameterServerTrainer
-from repro.core.analysis import SPARSE_PAIR_BYTES
 from repro.engine import CommPhase
 from repro.net.message import MessageKind
+from repro.storage.serialization import SPARSE_PAIR_BYTES, VALUE_BYTES
 
 
 class SparsePSTrainer(ParameterServerTrainer):
@@ -30,25 +30,25 @@ class SparsePSTrainer(ParameterServerTrainer):
             CommPhase(
                 "pull",
                 kind=MessageKind.MODEL_PULL,
-                pattern="sharded_gather",
+                pattern="gather",
                 sizes="_gradient_push_sizes",
                 servers="n_servers",
             ),
             CommPhase(
                 "push",
                 kind=MessageKind.GRADIENT_PUSH,
-                pattern="sharded_gather",
+                pattern="gather",
                 sizes="_gradient_push_sizes",
                 servers="n_servers",
             ),
         )
 
     def _charge_setup_memory(self) -> None:
-        model_bytes = self.model_elements * 8
+        model_bytes = self.model_elements * VALUE_BYTES
         # Same dense init at the driver as Petuum (KVStore init path);
         # workers only buffer the sparse rows they pull.
         self.cluster.charge_memory(self.cluster.MASTER, 2 * model_bytes, "dense model init")
-        shard_bytes = self._dataset.nnz * 12 // self.cluster.n_workers
+        shard_bytes = self._dataset.nnz * SPARSE_PAIR_BYTES // self.cluster.n_workers
         ppf = self.model.params_per_feature()
         batch_buffer = int(
             2

@@ -32,9 +32,7 @@ from typing import Dict, List
 import numpy as np
 
 from repro.baselines.parameter_server import ParameterServerTrainer
-from repro.core.analysis import SPARSE_PAIR_BYTES
 from repro.engine import (
-    CommPhase,
     ComputePhase,
     MasterPhase,
     RoundSpec,
@@ -43,7 +41,7 @@ from repro.engine import (
 )
 from repro.errors import ConfigurationError
 from repro.net.message import MessageKind
-from repro.storage.serialization import dense_vector_bytes
+from repro.storage.serialization import SPARSE_PAIR_BYTES, dense_vector_bytes
 from repro.utils.validation import check_non_negative
 
 
@@ -90,22 +88,9 @@ class StaleSyncPSTrainer(ParameterServerTrainer):
                     run="_phase_stale_compute",
                     synchronized=True,
                 ),
-                CommPhase(
-                    "pull",
-                    kind=MessageKind.MODEL_PULL,
-                    pattern="sharded_broadcast",
-                    sizes="_model_pull_size",
-                    servers="n_servers",
-                ),
-                CommPhase(
-                    "push",
-                    kind=MessageKind.GRADIENT_PUSH,
-                    pattern="sharded_gather",
-                    sizes="_ssp_push_sizes",
-                    servers="n_servers",
-                ),
-                MasterPhase("server_update", run="_phase_center_update"),
-            ),
+            )
+            + self._comm_phases()
+            + (MasterPhase("server_update", run="_phase_center_update"),),
             envelopes="_traffic_envelopes",
         )
 
@@ -152,15 +137,6 @@ class StaleSyncPSTrainer(ParameterServerTrainer):
         self._history.append(np.array(self._params, copy=True))
         ctx.scratch["batch_nnz"] = batch_nnz
         return per_worker
-
-    def _ssp_push_sizes(self, ctx) -> list:
-        K = self.cluster.n_workers
-        push_bytes = int(
-            ctx.scratch["batch_nnz"] / K
-            * self.model.params_per_feature()
-            * SPARSE_PAIR_BYTES
-        )
-        return [push_bytes] * K
 
     def _traffic_envelopes(self, ctx) -> Dict[MessageKind, TrafficEnvelope]:
         """Bounded-staleness traffic bounds (satisfied every round).

@@ -31,17 +31,12 @@ from dataclasses import dataclass
 
 from repro.net.network import NetworkModel
 from repro.sim.cost import PS_TASK_OVERHEAD, ComputeCostModel
+from repro.storage.serialization import SPARSE_PAIR_BYTES, VALUE_BYTES
 from repro.utils.validation import check_in, check_positive, check_probability
 
 #: Dense per-element maintenance cost on each parameter server, per
 #: iteration (seconds).  Calibrated against Table IV's MXNet column.
 SERVER_SCAN_SECONDS_PER_ELEMENT = 30e-9
-
-#: Wire bytes per transferred model/gradient element (float64).
-VALUE_BYTES = 8
-
-#: Wire bytes per sparse (index, value) pair.
-SPARSE_PAIR_BYTES = 12
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ from repro.core.localexec import (
 from repro.core.master import ColumnMaster
 from repro.core.recovery import CheckpointStore, RecoveryManager, RecoveryPolicy
 from repro.core.results import TrainingResult
-from repro.core.trainer import Trainer, straggler_model
+from repro.core.trainer import RunConfig, Trainer
 from repro.core.worker import ColumnWorker, PartitionState
 from repro.datasets.dataset import Dataset
 from repro.engine import (
@@ -45,23 +45,21 @@ from repro.engine import (
     CommPhase,
     ComputePhase,
     MasterPhase,
-    RoundOutcome,
     RoundSpec,
     TimeoutSync,
 )
 from repro.engine.policy import SYNC_RETRIES, check_deadline_factors
 from repro.errors import ConfigurationError, MasterFailedError, TrainingError
-from repro.faults import REPLY_LOSSES, FaultKind, FaultSchedule
+from repro.faults import FaultKind, FaultSchedule
 from repro.models.base import StatisticsModel
 from repro.net.message import MessageKind
 from repro.optim.base import Optimizer
 from repro.partition.column import make_assignment
 from repro.partition.dispatch import dispatch_block_based, LoadReport
 from repro.partition.indexing import TwoPhaseIndex
-from repro.runtime import BACKENDS
 from repro.sim.cluster import SimulatedCluster
 from repro.sim.straggler import StragglerModel
-from repro.storage.serialization import dense_vector_bytes
+from repro.storage.serialization import VALUE_BYTES, dense_vector_bytes
 from repro.utils.validation import check_in, check_non_negative, check_positive
 
 #: Loss drop an evaluation must beat the best earlier loss by to count
@@ -70,14 +68,11 @@ EARLY_STOP_MIN_IMPROVEMENT = 1e-4
 
 
 @dataclass(frozen=True)
-class ColumnSGDConfig:
-    """Hyper-parameters and protocol knobs of one ColumnSGD job."""
+class ColumnSGDConfig(RunConfig):
+    """Hyper-parameters and protocol knobs of one ColumnSGD job, on top
+    of the :class:`~repro.core.trainer.RunConfig` every trainer takes."""
 
-    batch_size: int = 1000
-    iterations: int = 100
     backup: int = 0          # S in S-backup computation
-    eval_every: int = 10     # full-train-loss cadence (0 = never)
-    seed: int = 0
     block_size: int = 2048
     scheme: str = "round_robin"
     wire_precision: str = "fp64"  # 'fp32' halves statistics traffic
@@ -86,27 +81,16 @@ class ColumnSGDConfig:
                                   # evaluations without an
                                   # EARLY_STOP_MIN_IMPROVEMENT gain
                                   # (0 disables; needs eval_every > 0)
-    check_protocol: bool = False  # verify BSP invariants every round
-                                  # (see repro.net.protocol)
     sync_policy: str = "backup"   # 'backup' (Fig 6 recovery), 'timeout'
                                   # (suspect by deadline), or 'retry'
                                   # (timeout + SYNC_RETRIES doubling
                                   # retries); an uncovered group past
                                   # the last deadline goes stale
-    sync_alpha: float = 3.0       # deadline = alpha * median(finish)
-    backend: str = "sim"          # execution substrate: 'sim' runs the
-                                  # discrete-event simulator, 'local'
-                                  # runs real worker processes with
-                                  # measured wall-clock rounds (see
-                                  # repro.runtime and docs/runtime.md)
-    local_processes: int = 0      # OS processes hosting the K logical
-                                  # workers on the local backend
-                                  # (0 = one process per worker)
-    local_timeout_s: float = 30.0  # deadline floor for local-backend
-                                   # exchanges; the effective deadline is
-                                   # max(floor, sync_alpha * median of
-                                   # measured exchange seconds), doubled
-                                   # per retry (see repro.runtime.deadline)
+    sync_alpha: float = 3.0       # deadline = alpha * median(finish); on
+                                  # the local backend the effective
+                                  # deadline is max(local_timeout_s,
+                                  # alpha * median of measured exchange
+                                  # seconds), doubled per retry
     store_dir: str = ""           # when set, load() shuffles the data
                                   # into (or reopens) an on-disk
                                   # column-shard store there and workers
@@ -117,20 +101,14 @@ class ColumnSGDConfig:
                                   # maps views, nothing to budget
 
     def __post_init__(self):
-        check_positive(self.batch_size, "batch_size")
-        check_positive(self.iterations, "iterations")
+        super().__post_init__()
         check_non_negative(self.backup, "backup")
-        check_non_negative(self.eval_every, "eval_every")
-        check_non_negative(self.seed, "seed")
         check_positive(self.block_size, "block_size")
         check_in(self.wire_precision, ("fp64", "fp32"), "wire_precision")
         check_non_negative(self.early_stop_patience, "early_stop_patience")
         check_in(self.sync_policy, ("backup", "timeout", "retry"), "sync_policy")
         check_positive(self.sync_alpha, "sync_alpha")
         check_deadline_factors(self.sync_alpha)
-        check_in(self.backend, BACKENDS, "backend")
-        check_non_negative(self.local_processes, "local_processes")
-        check_positive(self.local_timeout_s, "local_timeout_s")
         check_non_negative(self.memory_budget_bytes, "memory_budget_bytes")
         if self.early_stop_patience and not self.eval_every:
             raise ConfigurationError("early stopping requires eval_every > 0")
@@ -161,19 +139,14 @@ class ColumnSGDDriver(Trainer):
     ):
         self.model = model
         self.optimizer = optimizer
-        self.cluster = cluster
-        self.config = config if config is not None else ColumnSGDConfig()
-        self.iterations = self.config.iterations
-        self.eval_every = self.config.eval_every
-        self.check_protocol = self.config.check_protocol
-        self.backend = self.config.backend
-        self.straggler = straggler_model(straggler, cluster.n_workers, self.backend)
-        self.failures = failures if failures is not None else FaultSchedule()
-        self.failures.validate(cluster.n_workers, self.config.backend)
+        self._configure(
+            cluster, config if config is not None else ColumnSGDConfig(),
+            straggler, failures,
+        )
         self.recovery_policy = recovery if recovery is not None else RecoveryPolicy.disabled()
         self.recovery_manager: Optional[RecoveryManager] = None
         self.groups = BackupGroups(cluster.n_workers, self.config.backup)
-        self.master = ColumnMaster(self.groups)
+        self.master = ColumnMaster(self.groups, model)
         if self.config.sync_policy != "backup":
             self.master.cache_contributions = True
 
@@ -190,15 +163,6 @@ class ColumnSGDDriver(Trainer):
         #: backend='local' fit() (worker id -> partition id -> stats)
         self.store_read_stats: Dict[int, Dict[int, Dict[str, int]]] = {}
         self.load_report: Optional[LoadReport] = None
-        #: phase durations of the most recent iteration (seconds), keyed
-        #: by phase name — the input to time-breakdown analyses
-        self.last_phase_seconds: Dict[str, float] = {}
-        #: per-worker task times of the most recent iteration, keyed by
-        #: phase ('compute_statistics' / 'update_model'); killed or
-        #: failed workers are absent from 'update_model'
-        self.last_worker_seconds: Dict[str, Dict[int, float]] = {}
-        #: workers the master killed after recovery in the last iteration
-        self.last_killed: set = set()
 
     # ------------------------------------------------------------------
     # loading (Algorithm 3 lines 2-3 + Section IV transformation)
@@ -283,7 +247,7 @@ class ColumnSGDDriver(Trainer):
         for worker in self._workers:
             footprint = (
                 worker.stored_bytes()
-                + worker.model_elements() * 8
+                + worker.model_elements() * VALUE_BYTES
                 + 2 * stats_bytes
             )
             self.cluster.charge_memory(worker.worker_id, footprint, "shard+model")
@@ -386,19 +350,6 @@ class ColumnSGDDriver(Trainer):
             max_retries=SYNC_RETRIES if self.config.sync_policy == "retry" else 0,
         )
 
-    def run_round(self, t: int) -> RoundOutcome:
-        """:meth:`Trainer.run_round`, which also refreshes
-        ``last_phase_seconds``, ``last_worker_seconds`` and
-        ``last_killed``."""
-        outcome = super().run_round(t)
-        self.last_phase_seconds = dict(outcome.phase_seconds)
-        self.last_worker_seconds = {
-            name: dict(per_worker)
-            for name, per_worker in outcome.worker_seconds.items()
-        }
-        self.last_killed = set(outcome.killed)
-        return outcome
-
     # ------------------------------------------------------------------
     # manual worker control (the paper's footnote 6 scenario)
     # ------------------------------------------------------------------
@@ -423,35 +374,14 @@ class ColumnSGDDriver(Trainer):
     # ------------------------------------------------------------------
     # failures (Section X)
     # ------------------------------------------------------------------
-    def _handle_failures(self, t: int) -> float:
-        """Top-of-round upkeep on either backend; returns the extra seconds.
-
-        The one place the order is decided: **strike, then checkpoint**
-        — a process killed at the top of round ``t`` writes nothing in
-        round ``t``, so its partitions keep their previous snapshot.
-        What a strike and a checkpoint physically are differs by
-        backend: simulated here on ``sim``, real in the master program
-        on ``local``.  Runs inside the protocol checker's round window,
-        so heartbeat, checkpoint, and replay traffic is audited (as
-        unchecked kinds) rather than crossing the barrier.
-        """
-        executor = self._engine.trainer if self.backend == "local" else self
-        extra = executor._strike(t, self.failures.events_at(t))
-        if self.recovery_manager.checkpoint_due(t):
-            extra += executor._checkpoint(t)
-        return extra
-
     def _strike(self, t: int, events) -> float:
         """Simulated faults: heartbeat upkeep, then each event's
-        Section X recovery, charged in simulated seconds; a lost or
-        garbled reply is a retransmit the round's comm phase pays."""
+        Section X recovery, charged in simulated seconds."""
         manager = self.recovery_manager
         manager.heartbeats()
         extra = 0.0
         for event in events:
-            if event.kind in REPLY_LOSSES:
-                self.cluster.network.lose_next(event.worker)
-            elif event.kind is FaultKind.MASTER:
+            if event.kind is FaultKind.MASTER:
                 if not self.recovery_policy.master_restart:
                     raise MasterFailedError(
                         "master failed at iteration {}".format(t)
@@ -467,6 +397,13 @@ class ColumnSGDDriver(Trainer):
         return extra
 
     def _checkpoint(self, t: int) -> float:
+        """Snapshot every partition when the recovery policy says round
+        ``t`` is due: spilled by the worker processes on an attached
+        runtime, simulated otherwise."""
+        if not self.recovery_manager.checkpoint_due(t):
+            return 0.0
+        if self.local_runtime is not None:
+            return self._engine.trainer.spill_checkpoint(t)
         return self.recovery_manager.checkpoint(t)
 
     def _recover_worker(self, worker_id: int, iteration: int = -1) -> float:

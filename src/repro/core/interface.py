@@ -52,8 +52,9 @@ class UserDefinedModel(StatisticsModel):
         Statistics per example (1 for GLM-style models).
     reduce_stat:
         Master-side combiner of two partial-statistics arrays; defaults
-        to elementwise sum (Fig 12's ``reduceStat``).  Supplied for
-        completeness; the master applies it pairwise.
+        to elementwise sum (Fig 12's ``reduceStat``).  The master folds
+        the backup groups' contributions with it, pairwise in group
+        order.
     """
 
     name = "user_defined"

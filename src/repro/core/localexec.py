@@ -156,14 +156,7 @@ class ColumnMasterProgram:
     driver: object
     runtime: object
 
-    def _strike(self, t: int, events) -> float:
-        """Real faults: SIGKILL now, arm stalls/drops/garbles for the
-        round's exchanges.  The runtime detects and recovers inside
-        those exchanges, whose measured seconds carry the cost."""
-        self.runtime.inject_faults(events)
-        return 0.0
-
-    def _checkpoint(self, t: int) -> float:
+    def spill_checkpoint(self, t: int) -> float:
         """Pull every partition's snapshot record and spill it; returns
         the exchange's seconds.  A worker found dead here is recovered
         by the round's first exchange; its partitions keep the previous

@@ -1,7 +1,7 @@
 """ColumnSGD master: statistics aggregation and recovery.
 
 The master is deliberately lightweight (the paper's headline design
-point): it never sees the model, only per-batch statistics buffers of
+point): it never sees the parameters, only per-batch statistics buffers of
 shape ``(B, statistics_width)``.  With backup computation it additionally
 runs the recovery rule: inspect arrivals until every group is covered,
 then kill the rest.  Under timeout-based suspicion
@@ -18,13 +18,16 @@ import numpy as np
 
 from repro.core.backup import BackupGroups
 from repro.errors import SimulationError, StatisticsRecoveryError
+from repro.models.base import StatisticsModel
 
 
 class ColumnMaster:
     """Aggregates per-group statistics (Algorithm 3, reduceStatistics)."""
 
-    def __init__(self, groups: BackupGroups):
+    def __init__(self, groups: BackupGroups, model: StatisticsModel):
         self.groups = groups
+        #: its ``reduce_statistics`` folds the groups' contributions
+        self.model = model
         #: keep each group's last contribution so a stale round can
         #: substitute it; off by default (costs one buffer per group)
         self.cache_contributions = False
@@ -36,7 +39,8 @@ class ColumnMaster:
         finish_times: Optional[Sequence[float]] = None,
         stale_groups: Optional[Set[int]] = None,
     ) -> np.ndarray:
-        """Sum one contribution per group into the complete statistics.
+        """Fold one contribution per group, in group order, into the
+        complete statistics with the model's ``reduce_statistics``.
 
         ``stats_by_worker[w]`` is worker w's aggregated group statistics,
         or ``None`` for workers that never reported (killed stragglers,
@@ -76,7 +80,10 @@ class ColumnMaster:
         for g, contribution in contributions:
             if self.cache_contributions and g not in used_cache:
                 self._last_contribution[g] = np.array(contribution, copy=True)
-            total = contribution.copy() if total is None else total + contribution
+            total = (
+                contribution.copy() if total is None
+                else self.model.reduce_statistics(total, contribution)
+            )
         if total is None:
             raise SimulationError("no statistics to reduce")
         return total

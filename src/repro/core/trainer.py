@@ -10,6 +10,7 @@ The round is declared once, as a :class:`~repro.engine.RoundSpec`;
 from __future__ import annotations
 
 from contextlib import contextmanager, nullcontext
+from dataclasses import dataclass
 from typing import ContextManager, Dict, Iterator, Optional, Tuple
 
 import numpy as np
@@ -18,24 +19,44 @@ from repro.core.results import IterationRecord, TrainingResult
 from repro.datasets.dataset import Dataset
 from repro.engine import RoundEngine, RoundOutcome, RoundSpec
 from repro.errors import ConfigurationError, TrainingError
+from repro.faults import REPLY_LOSSES, FaultSchedule
 from repro.net.protocol import ProtocolChecker
+from repro.runtime import BACKENDS
 from repro.sim.straggler import StragglerModel
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_in, check_non_negative, check_positive
 
 
-def straggler_model(straggler: Optional[StragglerModel], n_workers: int,
-                    backend: str) -> StragglerModel:
-    """A trainer's straggler model, none by default; only the simulator
-    applies one, so on ``backend='local'`` it is a ConfigurationError."""
-    if straggler is None:
-        return StragglerModel.none(n_workers)
-    if backend == "local" and straggler.mode != "none":
-        raise ConfigurationError(
-            "straggler models are simulated slowdowns and backend='local' "
-            "measures real processes; stall one with a FaultSchedule STALL "
-            "event instead"
-        )
-    return straggler
+@dataclass(frozen=True)
+class RunConfig:
+    """The run settings every config-driven trainer takes: the batch,
+    the loop, the audit and the execution substrate."""
+
+    batch_size: int = 1000
+    iterations: int = 100
+    eval_every: int = 10          # full-train-loss cadence (0 = never)
+    seed: int = 0
+    check_protocol: bool = False  # verify BSP invariants every round
+                                  # (see repro.net.protocol)
+    backend: str = "sim"          # execution substrate: 'sim' runs the
+                                  # discrete-event simulator, 'local'
+                                  # runs real worker processes with
+                                  # measured wall-clock rounds (see
+                                  # repro.runtime and docs/runtime.md)
+    local_processes: int = 0      # OS processes hosting the K logical
+                                  # workers on the local backend
+                                  # (0 = one process per worker)
+    local_timeout_s: float = 30.0  # deadline floor for local-backend
+                                   # exchanges (alpha x median rule, see
+                                   # repro.runtime.deadline)
+
+    def __post_init__(self):
+        check_positive(self.batch_size, "batch_size")
+        check_positive(self.iterations, "iterations")
+        check_non_negative(self.eval_every, "eval_every")
+        check_non_negative(self.seed, "seed")
+        check_in(self.backend, BACKENDS, "backend")
+        check_non_negative(self.local_processes, "local_processes")
+        check_positive(self.local_timeout_s, "local_timeout_s")
 
 
 class Trainer:
@@ -55,6 +76,7 @@ class Trainer:
     check_protocol = False   #: audit every round's traffic (repro.net.protocol)
     backend = "sim"          #: 'sim', or 'local' where the trainer hosts it
     straggler = None         #: per-round slowdowns, where the executors read them
+    failures: Optional[FaultSchedule] = None  #: scheduled faults, where a trainer takes them
     #: the started LocalRuntime a ``backend='local'`` trainer's rounds run
     #: on: attached by :meth:`_train` for the length of a run, or assigned
     #: by a caller that drives :meth:`run_round` itself
@@ -106,9 +128,64 @@ class Trainer:
         that lives exactly that long."""
         return nullcontext()
 
+    def _configure(self, cluster, config: RunConfig, straggler, failures) -> None:
+        """Take ``config``'s run settings, the straggler model (none by
+        default) and the fault schedule, checked against the cluster and
+        the backend.  Only the simulator applies a straggler model."""
+        self.cluster = cluster
+        self.config = config
+        self.iterations = config.iterations
+        self.eval_every = config.eval_every
+        self.check_protocol = config.check_protocol
+        self.backend = config.backend
+        if straggler is None:
+            straggler = StragglerModel.none(cluster.n_workers)
+        elif config.backend == "local" and straggler.mode != "none":
+            raise ConfigurationError(
+                "straggler models are simulated slowdowns and backend='local' "
+                "measures real processes; stall one with a FaultSchedule STALL "
+                "event instead"
+            )
+        self.straggler = straggler
+        self.failures = failures if failures is not None else FaultSchedule()
+        self.failures.validate(cluster.n_workers, config.backend)
+
     def _handle_failures(self, t: int) -> float:
-        """Top-of-round upkeep (scheduled faults, checkpoints), inside
-        the protocol checker's round window; returns the extra seconds."""
+        """Top-of-round upkeep; returns the extra seconds.
+
+        The one place its order is decided: **strike, then checkpoint**
+        — a worker killed at the top of round ``t`` writes nothing in
+        round ``t``, so its partitions keep their previous snapshot.  On
+        an attached runtime the strike is real: the runtime kills now
+        and arms stalls, drops and garbles, and the round's exchanges
+        detect, recover and measure them.  On the simulator a lost or
+        garbled reply arms one retransmit that the round's comm phase
+        pays, and every other event is the trainer's :meth:`_strike`.
+        Runs inside the protocol checker's round window, so heartbeat,
+        checkpoint and replay traffic is audited (as unchecked kinds)
+        rather than crossing the barrier.
+        """
+        events = self.failures.events_at(t) if self.failures is not None else ()
+        if self.local_runtime is not None:
+            self.local_runtime.inject_faults(events)
+            extra = 0.0
+        else:
+            for event in events:
+                if event.kind in REPLY_LOSSES:
+                    self.cluster.network.lose_next(event.worker)
+            extra = self._strike(
+                t, [event for event in events if event.kind not in REPLY_LOSSES]
+            )
+        return extra + self._checkpoint(t)
+
+    def _strike(self, t: int, events) -> float:
+        """Round ``t``'s simulated crashes and task failures, recovered
+        and charged in simulated seconds."""
+        return 0.0
+
+    def _checkpoint(self, t: int) -> float:
+        """Snapshot the model where round ``t`` is due for one; returns
+        its seconds."""
         return 0.0
 
     def _should_stop(self, result: TrainingResult) -> bool:

@@ -213,10 +213,10 @@ class RoundEngine:
         n = self.substrate.n_workers
         kind = MessageKind.CHECKPOINT if ctx.replay else phase.kind
         sizes = getattr(trainer, phase.sizes)(ctx)
-        if phase.pattern.endswith("gather"):
+        if phase.pattern == "gather":
             sizes = [int(s) for s in sizes]
             count, total = len(sizes), sum(sizes)
-        elif phase.pattern.endswith("broadcast"):
+        elif phase.pattern == "broadcast":
             sizes = int(sizes)
             count, total = n, n * sizes
         else:  # allreduce, over the exact split the ring sends
@@ -224,7 +224,7 @@ class RoundEngine:
             shards = ring_allreduce_shards(sizes, n)
             count, total = len(shards), sum(shards)
         args = (kind, sizes)
-        if phase.pattern.startswith("sharded"):
+        if phase.servers is not None:
             args += (getattr(trainer, phase.servers),)
         seconds = getattr(self.substrate.topology, phase.pattern)(*args)
         self._expect(expected, kind, count, total)

@@ -28,15 +28,9 @@ from repro.engine.policy import BarrierSync, SyncPolicy
 from repro.net.message import MessageKind
 from repro.net.protocol import TrafficEnvelope  # noqa: F401  (re-export)
 
-#: Communication patterns a CommPhase may use; each maps onto the
-#: matching StarTopology / allreduce primitive.
-COMM_PATTERNS = (
-    "gather",
-    "broadcast",
-    "sharded_gather",
-    "sharded_broadcast",
-    "allreduce",
-)
+#: Communication patterns a CommPhase may use; each names the
+#: StarTopology method that emits and times it.
+COMM_PATTERNS = ("gather", "broadcast", "allreduce")
 
 
 @dataclass(frozen=True)
@@ -61,7 +55,8 @@ class CommPhase:
     ``sizes`` names a trainer method ``(ctx) -> Sequence[int]`` for
     gather patterns (one entry per sender) or ``(ctx) -> int`` for
     broadcast/allreduce patterns.  ``servers`` names a trainer attribute
-    holding S for the sharded patterns.
+    holding S, the parameter servers a gather or broadcast is spread
+    over (unset: the master alone).
     """
 
     name: str
@@ -77,8 +72,6 @@ class CommPhase:
                     self.pattern, COMM_PATTERNS
                 )
             )
-        if self.pattern.startswith("sharded") and self.servers is None:
-            raise ValueError("{} needs a servers attribute name".format(self.pattern))
 
 
 @dataclass(frozen=True)

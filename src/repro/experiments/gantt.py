@@ -1,8 +1,9 @@
 """ASCII Gantt rendering of one BSP iteration's worker timeline.
 
-Feeds on :attr:`ColumnSGDDriver.last_worker_seconds`: per-worker task
-times of the statistics and update phases, plus the master's
-gather/reduce/broadcast interlude.  The rendering makes straggler and
+Feeds on the :class:`~repro.engine.RoundOutcome` that
+``ColumnSGDDriver.run_round`` returns: per-worker task times of the
+statistics and update phases, plus the master's gather/reduce/broadcast
+interlude.  The rendering makes straggler and
 backup dynamics visible at a glance::
 
     worker 0 |############|--------|############|
@@ -38,14 +39,15 @@ def render_iteration_gantt(
     ----------
     worker_seconds:
         ``{'compute_statistics': {worker: seconds}, 'update_model': ...}``
-        (the driver's ``last_worker_seconds``).  ``inf`` entries (failed
-        workers) render as an empty lane.
+        (the round outcome's ``worker_seconds``).  ``inf`` entries
+        (failed workers) render as an empty lane.
     phase_seconds:
-        The driver's ``last_phase_seconds`` (for the master interlude and
-        the phase boundaries).
+        The round outcome's ``phase_seconds`` (for the master interlude
+        and the phase boundaries).
     killed:
-        Workers killed after statistics recovery (backup computation) —
-        their lane stops at their own statistics finish time.
+        The round outcome's ``killed``: workers killed after statistics
+        recovery (backup computation) — their lane stops at their own
+        statistics finish time.
     """
     stats = worker_seconds.get("compute_statistics", {})
     updates = worker_seconds.get("update_model", {})

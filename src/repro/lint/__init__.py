@@ -15,7 +15,7 @@ before a run exists.  Five per-file AST rules:
 * **R019** — no copy or whole-file read in ``repro.store``;
 
 and one whole-program rule over the import graph of the file set
-(:class:`~repro.lint.program.ProgramIndex`):
+(:func:`~repro.lint.program.check_import_layering`):
 
 * **R011** — ``models``/``linalg``/``optim`` never import (even
   transitively) the executing system, nor ``runtime`` the trainers.
@@ -37,26 +37,15 @@ from repro.lint.engine import (
 )
 from repro.lint.findings import Finding
 
-# Importing the rule modules populates both registries.
+# Importing the rule module populates the registry.
 from repro.lint import rules as _rules  # noqa: F401
-from repro.lint import program as _program  # noqa: F401
-from repro.lint.program import (
-    ProgramAnalyzer,
-    ProgramRule,
-    register_program,
-    registered_program_rules,
-)
 
 __all__ = [
     "FileContext",
     "Finding",
     "LintEngine",
-    "ProgramAnalyzer",
-    "ProgramRule",
     "Rule",
     "discover_sources",
     "register",
-    "register_program",
     "registered_rules",
-    "registered_program_rules",
 ]

@@ -5,7 +5,7 @@ Examples::
     python -m repro.lint src                      # whole tree, text output
     python -m repro.lint src --select R001,R005   # only those rules
     python -m repro.lint src --ignore R004        # all but R004
-    python -m repro.lint src --no-program         # per-file rules only
+    python -m repro.lint src --ignore R011        # per-file rules only
     python -m repro.lint src --format=json        # machine-readable
     python -m repro.lint src --format=sarif       # GitHub code scanning
     python -m repro.lint --list-rules             # what exists
@@ -26,6 +26,7 @@ from typing import List, Optional
 
 from repro.lint.engine import LintEngine, registered_rules
 from repro.lint.findings import Finding
+from repro.lint.program import IMPORT_LAYERING
 
 _RANGE_RE = re.compile(r"^([A-Za-z]+)(\d+)-([A-Za-z]+)?(\d+)$")
 
@@ -94,12 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print per-rule wall time to stderr after linting",
     )
     parser.add_argument(
-        "--program",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="run the whole-program rule (R011) over the file set (default: on)",
-    )
-    parser.add_argument(
         "--format",
         choices=("text", "json", "sarif"),
         default="text",
@@ -135,16 +130,17 @@ def _render_stats(engine: LintEngine) -> str:
     return "\n".join(lines)
 
 
-def _render_json(findings: List[Finding], engine: LintEngine, program: bool) -> str:
-    executed = [cls.rule_id for cls in engine.rule_classes] + [
-        cls.rule_id for cls in engine.program_rule_classes
-    ]
+def _executed_rules(engine: LintEngine) -> list:
+    """What ``engine`` runs: its per-file rule classes, then R011."""
+    return engine.rule_classes + ([IMPORT_LAYERING] if engine.layering else [])
+
+
+def _render_json(findings: List[Finding], engine: LintEngine) -> str:
     return json.dumps(
         {
             "findings": [f.as_dict() for f in findings],
             "count": len(findings),
-            "program": program,
-            "rules": sorted(executed),
+            "rules": sorted(rule.rule_id for rule in _executed_rules(engine)),
         },
         indent=2,
         sort_keys=True,
@@ -153,10 +149,7 @@ def _render_json(findings: List[Finding], engine: LintEngine, program: bool) -> 
 
 def _render_sarif(findings: List[Finding], engine: LintEngine) -> str:
     """SARIF 2.1.0 for GitHub code scanning (lines and columns 1-based)."""
-    rules = sorted(
-        engine.rule_classes + engine.program_rule_classes,
-        key=lambda cls: cls.rule_id,
-    )
+    rules = sorted(_executed_rules(engine), key=lambda rule: rule.rule_id)
     results = []
     for f in findings:
         text = f.message if not f.fix_hint else "{} (fix: {})".format(
@@ -191,11 +184,11 @@ def _render_sarif(findings: List[Finding], engine: LintEngine) -> str:
                         "informationUri": "docs/linting.md",
                         "rules": [
                             {
-                                "id": cls.rule_id,
-                                "shortDescription": {"text": cls.title},
-                                "defaultConfiguration": {"level": cls.severity},
+                                "id": rule.rule_id,
+                                "shortDescription": {"text": rule.title},
+                                "defaultConfiguration": {"level": rule.severity},
                             }
-                            for cls in rules
+                            for rule in rules
                         ],
                     }
                 },
@@ -212,19 +205,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     if args.list_rules:
-        from repro.lint.program import registered_program_rules
-
         for rule_id, cls in sorted(registered_rules().items()):
             print("{}  {:<50} [{}]".format(rule_id, cls.title, cls.severity))
-        for rule_id, cls in sorted(registered_program_rules().items()):
-            print("{}  {:<50} [{}, program]".format(rule_id, cls.title, cls.severity))
+        rule = IMPORT_LAYERING
+        print("{}  {:<50} [{}, program]".format(rule.rule_id, rule.title, rule.severity))
         return EXIT_CLEAN
 
     try:
         engine = LintEngine(
             select=_split_ids(args.select),
             ignore=_split_ids(args.ignore),
-            program=args.program,
             stats=args.stats,
         )
     except ValueError as exc:
@@ -243,7 +233,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_INTERNAL
 
     if args.format == "json":
-        print(_render_json(findings, engine, args.program))
+        print(_render_json(findings, engine))
     elif args.format == "sarif":
         print(_render_sarif(findings, engine))
     elif findings:

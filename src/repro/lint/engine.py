@@ -230,43 +230,36 @@ def discover_sources(paths: Sequence[str]) -> List[Tuple[str, str]]:
 class LintEngine:
     """Run a selected set of rules over files, sources, or directories.
 
-    ``program=True`` (the default) additionally runs the whole-program
-    rule (R011) over the full file set
-    of each :meth:`lint_paths` call; per-file entry points
-    (:meth:`lint_source`, :meth:`lint_file`) never run them.
+    The whole-program rule R011 (:mod:`repro.lint.program`) runs over
+    the full file set of each :meth:`lint_paths` call, unless the
+    selection leaves it out; per-file entry points (:meth:`lint_source`,
+    :meth:`lint_file`) never run it.
     """
 
     def __init__(
         self,
         select: Optional[Iterable[str]] = None,
         ignore: Optional[Iterable[str]] = None,
-        program: bool = True,
         stats: bool = False,
     ):
-        from repro.lint.program import registered_program_rules
+        from repro.lint.program import IMPORT_LAYERING
 
         #: per-rule wall-clock seconds, filled only when ``stats=True``
-        #: (the default path adds no timing overhead).  The one-off
-        #: program-index build is recorded under ``<program-index>``.
+        #: (the default path adds no timing overhead)
         self.collect_stats = stats
         self.stats: Dict[str, float] = {}
 
         rules = registered_rules()
-        program_rules = registered_program_rules()
-        known = set(rules) | set(program_rules)
+        program_id = IMPORT_LAYERING.rule_id
+        ignored = set(ignore or ())
         if select:
-            unknown = set(select) - known
+            unknown = set(select) - set(rules) - {program_id}
             if unknown:
                 raise ValueError("unknown rule id(s): {}".format(sorted(unknown)))
             rules = {rid: rules[rid] for rid in select if rid in rules}
-            program_rules = {rid: program_rules[rid] for rid in select if rid in program_rules}
-        for rid in set(ignore or ()):
-            rules.pop(rid, None)
-            program_rules.pop(rid, None)
-        self.rule_classes = [rules[rid] for rid in sorted(rules)]
-        self.program_rule_classes = (
-            [program_rules[rid] for rid in sorted(program_rules)] if program else []
-        )
+        self.rule_classes = [rules[rid] for rid in sorted(rules) if rid not in ignored]
+        #: whether :meth:`lint_paths` runs R011
+        self.layering = (not select or program_id in select) and program_id not in ignored
 
     # ------------------------------------------------------------------
     def lint_source(self, source: str, path: str = "<string>") -> List[Finding]:
@@ -323,7 +316,7 @@ class LintEngine:
 
     def lint_paths(self, paths: Sequence[str]) -> List[Finding]:
         """Lint files and/or directories (recursing into ``*.py``),
-        then run the whole-program rules over the same file set."""
+        then run the whole-program rule over the same file set."""
         findings: List[Finding] = []
         parsed: List[Tuple[str, str, ast.Module]] = []
         for path, source in discover_sources(paths):
@@ -331,24 +324,15 @@ class LintEngine:
             findings.extend(file_findings)
             if tree is not None:
                 parsed.append((path, source, tree))
-        findings.extend(self.lint_program(parsed))
+        if self.layering:
+            from repro.lint import program
+
+            findings.extend(
+                self._timed(
+                    program.IMPORT_LAYERING.rule_id, program.check_import_layering, parsed
+                )
+            )
         return sorted(findings)
-
-    def lint_program(self, parsed: Sequence[Tuple[str, str, ast.Module]]) -> List[Finding]:
-        """Run the selected whole-program rules over ``(path, source,
-        tree)`` triples — the trees the per-file pass already parsed."""
-        if not self.program_rule_classes:
-            return []
-        from repro.lint.program import ProgramAnalyzer
-
-        if not self.collect_stats:
-            analyzer = ProgramAnalyzer(parsed)
-            return analyzer.run(self.program_rule_classes)
-        analyzer = self._timed("<program-index>", ProgramAnalyzer, parsed)
-        findings: List[Finding] = []
-        for cls in self.program_rule_classes:
-            findings.extend(self._timed(cls.rule_id, analyzer.run, [cls]))
-        return findings
 
     def _timed(self, rule_id: str, fn, *fn_args):
         """Call ``fn``; when stats are on, bill its wall time to

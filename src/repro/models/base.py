@@ -85,6 +85,12 @@ class StatisticsModel:
         """
         raise NotImplementedError
 
+    def reduce_statistics(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        """Combine two partial-statistics arrays (Fig 12's
+        ``reduceStat``); the master folds the groups' contributions
+        with it.  Additive statistics sum."""
+        return left + right
+
     def data_gradient(
         self,
         features: CSRMatrix,

@@ -3,8 +3,8 @@
 The five systems use three patterns:
 
 * star gather/broadcast between master and K workers (MLlib, ColumnSGD);
-* sharded gather/broadcast against S parameter servers (Petuum, MXNet) —
-  modelled as a star where each server handles 1/S of the bytes;
+* the same gather/broadcast against S parameter servers (Petuum, MXNet)
+  — modelled as a star where each server handles 1/S of the bytes;
 * ring AllReduce (MLlib*'s model averaging), for which we use the classic
   2(K-1)/K * size bandwidth term.
 
@@ -55,62 +55,40 @@ class StarTopology:
         self.n_workers = int(n_workers)
 
     # ------------------------------------------------------------------
-    def gather(self, kind: MessageKind, sizes: Sequence[int]) -> float:
+    def gather(self, kind: MessageKind, sizes: Sequence[int], servers: int = 1) -> float:
         """Workers -> master; returns time until the *last* byte arrives.
 
         ``sizes[k]`` is worker k's message size.  Worker uplinks run in
-        parallel but the master's downlink serialises the receives, so the
+        parallel but the receiving NIC serialises the receives, so the
         gather takes ``latency + sum(sizes)/bandwidth`` — the paper's
-        ``K * (message)`` master-side cost.
+        ``K * (message)`` master-side cost.  With ``servers`` = S
+        parameter servers the bytes are split evenly across S NICs: the
+        total is unchanged (the paper's point), the serialisation is
+        divided by S.
         """
+        check_positive(servers, "servers")
         total = 0
         for worker_id, size in enumerate(sizes):
             self.network.send(Message(kind, worker_id, Message.MASTER, int(size)))
             total += int(size)
         return (
             self.network.latency
-            + total / self.network.bandwidth
+            + total / (servers * self.network.bandwidth)
             + self.network.consume_extra_seconds()
         )
 
-    def broadcast(self, kind: MessageKind, size: int) -> float:
+    def broadcast(self, kind: MessageKind, size: int, servers: int = 1) -> float:
         """Master -> all workers; time until the last worker has the data.
 
-        The master pushes K copies through its single uplink.
+        The master pushes K copies through its single uplink; S servers
+        each push their model shard, over S uplinks.
         """
+        check_positive(servers, "servers")
         for worker_id in range(self.n_workers):
             self.network.send(Message(kind, Message.MASTER, worker_id, int(size)))
         return (
             self.network.latency
-            + self.n_workers * int(size) / self.network.bandwidth
-            + self.network.consume_extra_seconds()
-        )
-
-    def sharded_gather(self, kind: MessageKind, sizes: Sequence[int], n_servers: int) -> float:
-        """Workers -> S parameter servers, bytes split evenly across servers.
-
-        Total bytes are unchanged (the paper's point), but the per-NIC
-        serialisation is divided by S.
-        """
-        check_positive(n_servers, "n_servers")
-        total = 0
-        for worker_id, size in enumerate(sizes):
-            self.network.send(Message(kind, worker_id, Message.MASTER, int(size)))
-            total += int(size)
-        return (
-            self.network.latency
-            + total / (n_servers * self.network.bandwidth)
-            + self.network.consume_extra_seconds()
-        )
-
-    def sharded_broadcast(self, kind: MessageKind, size: int, n_servers: int) -> float:
-        """S servers -> all workers, each server pushing its model shard."""
-        check_positive(n_servers, "n_servers")
-        for worker_id in range(self.n_workers):
-            self.network.send(Message(kind, Message.MASTER, worker_id, int(size)))
-        return (
-            self.network.latency
-            + self.n_workers * int(size) / (n_servers * self.network.bandwidth)
+            + self.n_workers * int(size) / (servers * self.network.bandwidth)
             + self.network.consume_extra_seconds()
         )
 

@@ -43,11 +43,10 @@ from repro.partition.workset import Workset, WorksetStore
 from repro.sim.cluster import DISK_BANDWIDTH_BYTES_PER_S, SimulatedCluster
 from repro.storage.blocks import split_into_blocks
 from repro.storage.serialization import (
-    INDEX_BYTES,
     LABEL_BYTES,
     OBJECT_OVERHEAD_BYTES,
     SHUFFLE_RECORD_OVERHEAD_BYTES,
-    VALUE_BYTES,
+    SPARSE_PAIR_BYTES,
     csr_matrix_bytes,
     sparse_row_bytes,
     workset_bytes,
@@ -174,8 +173,9 @@ def charge_column_load(
         for dest, nnz in enumerate(piece_nnz):
             if naive:
                 # Row-by-row: headers and serialize calls scale with rows * K.
-                size = rows * (OBJECT_OVERHEAD_BYTES + LABEL_BYTES) + nnz * (
-                    INDEX_BYTES + VALUE_BYTES
+                size = (
+                    rows * (OBJECT_OVERHEAD_BYTES + LABEL_BYTES)
+                    + nnz * SPARSE_PAIR_BYTES
                 )
                 objects = rows
                 deserialize = rows * costs.deserialize_seconds_per_object

@@ -99,7 +99,6 @@ class WorksetStore:
         self._labels = np.empty(0, dtype=np.float64)
         self._block_ids: List[int] = []   # arrival order
         self._row_starts: List[int] = [0]  # first shard row per block, then the end
-        self._worksets: Dict[int, Workset] = {}
         self._resident = None
 
     def reserve(self, n_rows: int, nnz: int) -> None:
@@ -120,7 +119,7 @@ class WorksetStore:
         self._indices = _resized(self._indices, nnz, nnz_used)
         self._data = _resized(self._data, nnz, nnz_used)
         self._labels = _resized(self._labels, n_rows, rows_used)
-        self._point_worksets()
+        self._resident = None
 
     def put(self, workset: Workset) -> None:
         """Append a received workset to the shard; block ids must be unique."""
@@ -131,7 +130,7 @@ class WorksetStore:
                     features.n_cols, self.worker_id, self.local_dim
                 )
             )
-        if workset.block_id in self._worksets:
+        if workset.block_id in self._block_ids:
             raise PartitionError(
                 "duplicate workset for block {} on worker {}".format(
                     workset.block_id, self.worker_id
@@ -147,29 +146,11 @@ class WorksetStore:
         self._labels[row0:row1] = workset.labels
         self._block_ids.append(int(workset.block_id))
         self._row_starts.append(row1)
-        self._worksets[workset.block_id] = self._view(workset.block_id, row0, row1)
         self._resident = None
 
-    def _view(self, block_id: int, row0: int, row1: int) -> Workset:
-        """Rows ``[row0, row1)`` of the shard as a read-only workset."""
-        lo, hi = self._indptr[row0], self._indptr[row1]
-        features = CSRMatrix(
-            _frozen(self._indptr[row0:row1 + 1] - lo),
-            _frozen(self._indices[lo:hi]),
-            _frozen(self._data[lo:hi]),
-            self.local_dim,
-        )
-        return Workset(block_id, features, _frozen(self._labels[row0:row1]))
-
-    def _point_worksets(self) -> None:
-        """(Re)build every workset as a view of the current arrays."""
-        self._worksets = {
-            block_id: self._view(block_id, row0, row1)
-            for block_id, row0, row1 in zip(
-                self._block_ids, self._row_starts, self._row_starts[1:]
-            )
-        }
-        self._resident = None
+    def _blocks(self):
+        """``(block_id, first row, end row)`` of every block, in arrival order."""
+        return zip(self._block_ids, self._row_starts, self._row_starts[1:])
 
     def _seal(self) -> _Resident:
         """The resident shard and its block layout (built once per fill)."""
@@ -204,20 +185,30 @@ class WorksetStore:
         return self._seal().labels
 
     def get(self, block_id: int) -> Workset:
-        """Look up one workset by block id."""
-        if block_id not in self._worksets:
+        """One block's workset: read-only views of its rows in the shard."""
+        try:
+            i = self._block_ids.index(block_id)
+        except ValueError:
             raise PartitionError(
                 "worker {} has no workset for block {}".format(self.worker_id, block_id)
-            )
-        return self._worksets[block_id]
+            ) from None
+        row0, row1 = self._row_starts[i], self._row_starts[i + 1]
+        lo, hi = self._indptr[row0], self._indptr[row1]
+        features = CSRMatrix(
+            _frozen(self._indptr[row0:row1 + 1] - lo),
+            _frozen(self._indices[lo:hi]),
+            _frozen(self._data[lo:hi]),
+            self.local_dim,
+        )
+        return Workset(block_id, features, _frozen(self._labels[row0:row1]))
 
     def block_ids(self) -> list:
         """Sorted block ids present in the store."""
-        return sorted(self._worksets)
+        return sorted(self._block_ids)
 
     def block_sizes(self) -> Dict[int, int]:
         """Rows per stored block (two-phase index input)."""
-        return {bid: ws.n_rows for bid, ws in self._worksets.items()}
+        return {block_id: row1 - row0 for block_id, row0, row1 in self._blocks()}
 
     @property
     def n_rows(self) -> int:
@@ -231,7 +222,11 @@ class WorksetStore:
 
     def stored_bytes(self) -> int:
         """Memory footprint of the shard (CSR + labels)."""
-        return sum(ws.serialized_bytes() for ws in self._worksets.values())
+        indptr = self._indptr
+        return sum(
+            workset_bytes(row1 - row0, int(indptr[row1] - indptr[row0]))
+            for _, row0, row1 in self._blocks()
+        )
 
     def cache_stats(self) -> Dict[str, int]:
         """Read counters; an in-memory store reads nothing from disk.
@@ -289,11 +284,6 @@ class WorksetStore:
             _indices=self._indices[:nnz],
             _data=self._data[:nnz],
             _labels=self._labels[:n_rows],
-            _worksets=None,
             _resident=None,
         )
         return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._point_worksets()

@@ -38,6 +38,9 @@ INDEX_BYTES = 4
 #: Bytes per stored value (float64).
 VALUE_BYTES = 8
 
+#: Bytes per sparse (index, value) entry.
+SPARSE_PAIR_BYTES = INDEX_BYTES + VALUE_BYTES
+
 #: Bytes per label.
 LABEL_BYTES = 8
 
@@ -50,13 +53,13 @@ SHUFFLE_RECORD_OVERHEAD_BYTES = 16
 def sparse_row_bytes(nnz: int) -> int:
     """Serialized size of one labelled sparse row as a standalone object."""
     check_non_negative(nnz, "nnz")
-    return OBJECT_OVERHEAD_BYTES + LABEL_BYTES + nnz * (INDEX_BYTES + VALUE_BYTES)
+    return OBJECT_OVERHEAD_BYTES + LABEL_BYTES + nnz * SPARSE_PAIR_BYTES
 
 
 def sparse_vector_bytes(nnz: int) -> int:
     """Serialized size of one sparse vector (no label)."""
     check_non_negative(nnz, "nnz")
-    return OBJECT_OVERHEAD_BYTES + nnz * (INDEX_BYTES + VALUE_BYTES)
+    return OBJECT_OVERHEAD_BYTES + nnz * SPARSE_PAIR_BYTES
 
 
 def dense_vector_bytes(dim: int) -> int:
@@ -71,7 +74,7 @@ def csr_matrix_bytes(n_rows: int, nnz: int, with_labels: bool = False) -> int:
     check_non_negative(nnz, "nnz")
     size = OBJECT_OVERHEAD_BYTES
     size += (n_rows + 1) * INDEX_BYTES  # indptr
-    size += nnz * (INDEX_BYTES + VALUE_BYTES)
+    size += nnz * SPARSE_PAIR_BYTES
     if with_labels:
         size += n_rows * LABEL_BYTES
     return size

@@ -45,7 +45,7 @@ from repro.store.format import (
 from repro.storage.serialization import (
     INDEX_BYTES,
     LABEL_BYTES,
-    VALUE_BYTES,
+    SPARSE_PAIR_BYTES,
     CSRBlockPayload,
     DenseVectorPayload,
     IntVectorPayload,
@@ -56,7 +56,7 @@ from repro.storage.serialization import (
 #: bytes a batch copies out of the mapping: per row two ``indptr`` reads
 #: and a label (16), per stored entry a column id and a value (12).
 ROW_READ_BYTES = 2 * INDEX_BYTES + LABEL_BYTES
-ENTRY_READ_BYTES = INDEX_BYTES + VALUE_BYTES
+ENTRY_READ_BYTES = SPARSE_PAIR_BYTES
 
 
 def _decode(data, kind: type, what: str, copy: bool = True):

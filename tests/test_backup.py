@@ -5,8 +5,10 @@ import pytest
 
 from repro.core import BackupGroups, ColumnMaster
 from repro.errors import PartitionError, StatisticsRecoveryError
+from repro.models import LogisticRegression
 
 INF = float("inf")
+LR = LogisticRegression()  # additive statistics: the master sums them
 
 
 class TestBackupGroups:
@@ -63,44 +65,44 @@ class TestMasterReduce:
         return np.full(shape, float(value))
 
     def test_sum_without_backup(self):
-        master = ColumnMaster(BackupGroups(3, backup=0))
+        master = ColumnMaster(BackupGroups(3, backup=0), LR)
         reduced = master.reduce({0: self.stats(1), 1: self.stats(2), 2: self.stats(4)})
         assert np.all(reduced == 7.0)
 
     def test_one_contribution_per_group(self):
         """With backup, replicas are NOT double-counted."""
-        master = ColumnMaster(BackupGroups(4, backup=1))
+        master = ColumnMaster(BackupGroups(4, backup=1), LR)
         stats = {w: self.stats(10 + w) for w in range(4)}
         reduced = master.reduce(stats)
         # groups (0,1) and (2,3): first member each -> 10 + 12
         assert np.all(reduced == 22.0)
 
     def test_fastest_finisher_chosen(self):
-        master = ColumnMaster(BackupGroups(4, backup=1))
+        master = ColumnMaster(BackupGroups(4, backup=1), LR)
         stats = {w: self.stats(10 + w) for w in range(4)}
         reduced = master.reduce(stats, finish_times=[9.0, 1.0, 1.0, 9.0])
         assert np.all(reduced == 11.0 + 12.0)
 
     def test_recovers_with_dead_straggler(self):
         """Fig 6: worker1 straggles, worker2's replica statistics suffice."""
-        master = ColumnMaster(BackupGroups(2, backup=1))
+        master = ColumnMaster(BackupGroups(2, backup=1), LR)
         reduced = master.reduce({0: None, 1: self.stats(5)})
         assert np.all(reduced == 5.0)
 
     def test_whole_group_dead_raises(self):
-        master = ColumnMaster(BackupGroups(2, backup=1))
+        master = ColumnMaster(BackupGroups(2, backup=1), LR)
         with pytest.raises(StatisticsRecoveryError):
             master.reduce({0: None, 1: None})
 
     def test_dead_worker_with_finish_times(self):
-        master = ColumnMaster(BackupGroups(2, backup=1))
+        master = ColumnMaster(BackupGroups(2, backup=1), LR)
         reduced = master.reduce(
             {0: None, 1: self.stats(3)}, finish_times=[0.1, 5.0]
         )
         assert np.all(reduced == 3.0)
 
     def test_does_not_mutate_contributions(self):
-        master = ColumnMaster(BackupGroups(2, backup=0))
+        master = ColumnMaster(BackupGroups(2, backup=0), LR)
         a, b = self.stats(1), self.stats(2)
         master.reduce({0: a, 1: b})
         assert np.all(a == 1.0) and np.all(b == 2.0)

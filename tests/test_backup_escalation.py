@@ -68,10 +68,9 @@ class TestKilledStragglersMidRun:
         straggler = PermanentStraggler(4, level=9.0, seed=3)
         (victim,) = straggler.victims(0)
         driver = make_driver(tiny_binary, backup=1, straggler=straggler)
-        driver.run_round(0)
-        assert victim in driver.last_killed
-        driver.run_round(1)  # replica keeps the group covered each round
-        assert victim in driver.last_killed
+        assert victim in driver.run_round(0).killed
+        # replica keeps the group covered each round
+        assert victim in driver.run_round(1).killed
         for w in driver.groups.groups()[driver.groups.group_of(victim)]:
             driver.kill_worker(w)
         with pytest.raises(StatisticsRecoveryError):

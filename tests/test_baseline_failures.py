@@ -45,6 +45,25 @@ class TestRowSGDFailures:
         extra = failed.total_sim_time - clean.total_sim_time
         assert extra == pytest.approx(SPARK_TASK_OVERHEAD, abs=1e-9)
 
+    def test_task_failure_lands_on_the_trace(self, small_binary):
+        """A relaunched task is a recovery episode like ColumnSGD's:
+        one ``restart`` RecoveryEvent charged one task launch."""
+        from repro.engine import RecoveryEvent
+        from repro.sim.cost import SPARK_TASK_OVERHEAD
+
+        cluster = SimulatedCluster(CLUSTER1.with_workers(4))
+        trainer = MLlibTrainer(
+            LogisticRegression(), SGD(1.0), cluster,
+            config=RowSGDConfig(batch_size=100, iterations=4, eval_every=0,
+                                seed=12),
+            failures=fault(2, FaultKind.TASK, 1),
+        )
+        trainer.fit(small_binary)
+        assert cluster.engine_trace.recoveries == [
+            RecoveryEvent(round=2, kind="task", mode="restart", worker=None,
+                          reload_s=SPARK_TASK_OVERHEAD)
+        ]
+
     def test_master_failure_loses_the_model(self, small_binary):
         injector = fault(5, FaultKind.MASTER)
         with pytest.raises(MasterFailedError, match="model is lost"):

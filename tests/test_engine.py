@@ -51,15 +51,6 @@ class TestRoundSpec:
                 "p", kind=MessageKind.CONTROL, pattern="gossip", sizes="_s"
             )
 
-    def test_sharded_pattern_needs_servers(self):
-        with pytest.raises(ValueError, match="servers"):
-            CommPhase(
-                "p",
-                kind=MessageKind.CONTROL,
-                pattern="sharded_gather",
-                sizes="_s",
-            )
-
 
 # ----------------------------------------------------------------------
 # engine execution on a stub trainer: scheduling, expectations

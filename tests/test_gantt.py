@@ -16,24 +16,23 @@ def run_one_iteration(data, backup=0, straggler=None):
         straggler=straggler,
     )
     driver.load(data)
-    driver.run_round(0)
-    return driver
+    return driver, driver.run_round(0)
 
 
 class TestGantt:
     def test_one_lane_per_worker(self, tiny_binary):
-        driver = run_one_iteration(tiny_binary)
+        _, outcome = run_one_iteration(tiny_binary)
         chart = render_iteration_gantt(
-            driver.last_worker_seconds, driver.last_phase_seconds
+            outcome.worker_seconds, outcome.phase_seconds
         )
         assert chart.count("worker") == 4
         assert "legend" in chart
 
     def test_straggler_lane_is_longest(self, tiny_binary):
         straggler = StragglerModel(4, level=5.0, seed=3)
-        driver = run_one_iteration(tiny_binary, straggler=straggler)
+        _, outcome = run_one_iteration(tiny_binary, straggler=straggler)
         chart = render_iteration_gantt(
-            driver.last_worker_seconds, driver.last_phase_seconds, width=60
+            outcome.worker_seconds, outcome.phase_seconds, width=60
         )
         lanes = [l for l in chart.splitlines() if l.startswith("worker")]
         lengths = [l.count("#") for l in lanes]
@@ -41,10 +40,10 @@ class TestGantt:
 
     def test_killed_straggler_annotated(self, tiny_binary):
         straggler = StragglerModel(4, level=5.0, seed=3)
-        driver = run_one_iteration(tiny_binary, backup=1, straggler=straggler)
+        _, outcome = run_one_iteration(tiny_binary, backup=1, straggler=straggler)
         chart = render_iteration_gantt(
-            driver.last_worker_seconds, driver.last_phase_seconds,
-            driver.last_killed,
+            outcome.worker_seconds, outcome.phase_seconds,
+            outcome.killed,
         )
         assert "killed after recovery" in chart
 
@@ -64,9 +63,9 @@ class TestGantt:
         assert chart == "(no live workers)"
 
     def test_fits_width(self, tiny_binary):
-        driver = run_one_iteration(tiny_binary)
+        _, outcome = run_one_iteration(tiny_binary)
         chart = render_iteration_gantt(
-            driver.last_worker_seconds, driver.last_phase_seconds, width=40
+            outcome.worker_seconds, outcome.phase_seconds, width=40
         )
         for line in chart.splitlines():
             if line.startswith("worker") and "killed" not in line:
@@ -78,14 +77,14 @@ class TestEngineTraceOverlap:
     order."""
 
     def test_sequential_spec_has_no_overlapping_bars(self, tiny_binary):
-        driver = run_one_iteration(tiny_binary)
+        driver, _ = run_one_iteration(tiny_binary)
         events = driver.cluster.engine_trace.round_events(0)
         for earlier, later in zip(events, events[1:]):
             assert later.start >= earlier.end
 
     def test_phase_event_order_is_identical_across_replays(self, tiny_binary):
         def replay():
-            driver = run_one_iteration(tiny_binary)
+            driver, _ = run_one_iteration(tiny_binary)
             return [
                 (e.phase, e.start, e.end)
                 for e in driver.cluster.engine_trace.round_events(0)

@@ -10,7 +10,7 @@ from repro.optim import SGD
 from repro.sim import CLUSTER1, SimulatedCluster
 
 
-def user_lr():
+def user_lr(reduce_stat=None):
     """Fig 12's LR ported callback-by-callback."""
 
     def init_model(local_dim):
@@ -35,20 +35,23 @@ def user_lr():
         compute_stat=compute_stat,
         compute_gradient=compute_gradient,
         loss=loss,
+        reduce_stat=reduce_stat,
     )
+
+
+def train(model, data, iterations=12):
+    cluster = SimulatedCluster(CLUSTER1.with_workers(4))
+    config = ColumnSGDConfig(batch_size=32, iterations=iterations, eval_every=0,
+                             seed=6, block_size=64)
+    driver = ColumnSGDDriver(model, SGD(0.5), cluster, config=config)
+    driver.load(data)
+    return driver.fit().final_params
 
 
 class TestUserDefinedModel:
     def test_matches_builtin_lr(self, tiny_gaussian):
         """The callback LR trains identically to the built-in LR."""
-        results = []
-        for model in (user_lr(), LogisticRegression()):
-            cluster = SimulatedCluster(CLUSTER1.with_workers(4))
-            config = ColumnSGDConfig(batch_size=32, iterations=12, eval_every=0,
-                                     seed=6, block_size=64)
-            driver = ColumnSGDDriver(model, SGD(0.5), cluster, config=config)
-            driver.load(tiny_gaussian)
-            results.append(driver.fit().final_params)
+        results = [train(m, tiny_gaussian) for m in (user_lr(), LogisticRegression())]
         assert np.allclose(results[0], results[1], atol=1e-9)
 
     def test_loss_evaluation(self, tiny_binary):
@@ -67,6 +70,21 @@ class TestUserDefinedModel:
         )
         a, b = np.array([[1.0], [5.0]]), np.array([[3.0], [2.0]])
         assert model.reduce_statistics(a, b).tolist() == [[3.0], [5.0]]
+
+    def test_master_folds_with_reduce_stat(self, tiny_gaussian):
+        """Fig 12's reduceStat takes effect: the master folds the four
+        groups' statistics with it (three calls a round), so a reducer
+        that is not a sum trains a different model."""
+        calls = []
+
+        def shifted_sum(left, right):
+            calls.append(left.shape)
+            return left + right + 1.0
+
+        summed = train(user_lr(), tiny_gaussian, iterations=5)
+        shifted = train(user_lr(shifted_sum), tiny_gaussian, iterations=5)
+        assert calls == [(32, 1)] * 3 * 5
+        assert not np.allclose(summed, shifted)
 
     def test_default_reduce_is_sum(self):
         model = user_lr()

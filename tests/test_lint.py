@@ -176,7 +176,7 @@ def test_discovery_skips_binary_nonutf8_and_generated(tmp_path):
 def test_discovery_never_recurses_into_fixture_trees():
     """Linting tests/ must not drown in the deliberately-dirty fixtures;
     naming the fixture dir explicitly (as these tests do) still works."""
-    findings = LintEngine(program=False).lint_paths([str(FIXTURES.parent)])
+    findings = LintEngine(ignore=["R011"]).lint_paths([str(FIXTURES.parent)])
     assert all("lint_fixtures" not in f.path for f in findings)
     assert LintEngine(select=["R001"]).lint_paths([str(FIXTURES / "r001_trigger.py")])
 
@@ -278,10 +278,10 @@ def test_cli_internal_crash_is_exit_3(monkeypatch, capsys):
     """A rule raising is a linter bug (exit 3), not a usage error."""
     from repro.lint import program as program_module
 
-    def boom(self):
+    def boom(parsed):
         raise RuntimeError("injected rule crash")
 
-    monkeypatch.setattr(program_module.ImportLayeringRule, "run", boom)
+    monkeypatch.setattr(program_module, "check_import_layering", boom)
     rc = lint_main([str(FIXTURES / "r006_pass.py")])
     assert rc == 3
     assert "internal error" in capsys.readouterr().err
@@ -308,7 +308,6 @@ def test_cli_json_reports_executed_rules(capsys):
     rc = lint_main([str(FIXTURES / "r006_pass.py"), "--format", "json"])
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["program"] is True
     assert set(ALL_RULE_IDS + PROGRAM_RULE_IDS) == set(payload["rules"])
 
 
@@ -347,7 +346,7 @@ def test_cli_stats_prints_per_rule_timings(capsys):
     assert rc == 0
     assert "rule timings" in captured.err
     assert "R001" in captured.err and "R011" in captured.err
-    assert "<program-index>" in captured.err and "total" in captured.err
+    assert "total" in captured.err
     # stdout stays clean for machine formats
     assert "rule timings" not in captured.out
 
@@ -363,7 +362,7 @@ def test_stats_off_by_default():
 # ----------------------------------------------------------------------
 def test_repo_source_tree_is_lint_clean():
     """src, tests, and examples all pass every live rule — the same file
-    set CI lints, program mode included."""
+    set CI lints, the whole-program rule included."""
     result = subprocess.run(
         [sys.executable, "-m", "repro.lint", "src", "tests", "examples",
          "--format", "json"],

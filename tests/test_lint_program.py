@@ -7,8 +7,9 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.lint import LintEngine, registered_program_rules
+from repro.lint import LintEngine
 from repro.lint.cli import main as lint_main
+from repro.lint.program import IMPORT_LAYERING
 
 PROGRAM_FIXTURES = Path(__file__).resolve().parent / "lint_fixtures" / "program"
 PROGRAM_RULE_IDS = ("R011",)
@@ -169,25 +170,23 @@ def test_noqa_at_sink_suppresses_program_rule(tmp_path):
 
 
 def test_program_flag_off_skips_program_rules():
-    engine = LintEngine(select=["R011"], program=False)
+    engine = LintEngine(select=["R011"], ignore=["R011"])
     assert engine.lint_paths([str(PROGRAM_FIXTURES / "layering")]) == []
 
 
-def test_cli_no_program_flag(capsys):
+def test_cli_ignore_skips_program_rule(capsys):
     rc = lint_main(
-        [str(PROGRAM_FIXTURES / "layering"), "--select", "R011", "--no-program"]
+        [str(PROGRAM_FIXTURES / "layering"), "--select", "R011", "--ignore", "R011"]
     )
     capsys.readouterr()
     assert rc == 0
 
 
-def test_program_registry_is_complete():
-    rules = registered_program_rules()
-    assert set(PROGRAM_RULE_IDS) == set(rules)
-    for rule_id, cls in rules.items():
-        assert cls.rule_id == rule_id
-        assert cls.title
-        assert cls.fix_hint
+def test_program_rule_is_described():
+    assert (IMPORT_LAYERING.rule_id,) == PROGRAM_RULE_IDS
+    assert IMPORT_LAYERING.title and IMPORT_LAYERING.severity == "error"
+    findings = LintEngine(select=["R011"]).lint_paths([str(PROGRAM_FIXTURES / "layering")])
+    assert findings and all(f.fix_hint for f in findings)
 
 
 def test_per_file_entry_points_never_run_program_rules():

@@ -115,15 +115,15 @@ class TestStarTopology:
         assert t == pytest.approx(0.001 + 4 * 1000 / 1e6)
 
     def test_sharded_divides_by_servers(self, star):
-        full = star.sharded_gather(MessageKind.GRADIENT_PUSH, [1000] * 4, n_servers=1)
+        full = star.gather(MessageKind.GRADIENT_PUSH, [1000] * 4)
         star.network.reset_counters()
-        sharded = star.sharded_gather(MessageKind.GRADIENT_PUSH, [1000] * 4, n_servers=4)
+        sharded = star.gather(MessageKind.GRADIENT_PUSH, [1000] * 4, servers=4)
         assert sharded < full
         # ... but bytes are identical — the paper's point about PS
         assert star.network.total_bytes() == 4000
 
     def test_sharded_broadcast(self, star):
-        t1 = star.sharded_broadcast(MessageKind.MODEL_PULL, 1000, n_servers=2)
+        t1 = star.broadcast(MessageKind.MODEL_PULL, 1000, servers=2)
         t2 = 0.001 + 4 * 1000 / (2 * 1e6)
         assert t1 == pytest.approx(t2)
 

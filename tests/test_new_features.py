@@ -140,8 +140,8 @@ class TestPhaseBreakdown:
                                    block_size=64),
         )
         driver.load(tiny_binary)
-        duration = driver.run_round(0).duration
-        phases = driver.last_phase_seconds
+        outcome = driver.run_round(0)
+        duration, phases = outcome.duration, outcome.phase_seconds
         assert set(phases) == {
             "compute_statistics", "gather", "reduce", "broadcast", "update_model"
         }

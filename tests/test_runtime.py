@@ -98,8 +98,11 @@ class _CommProbe:
 
     servers = 2
 
-    def __init__(self, pattern, sizes):
-        self.pattern, self.sizes = pattern, sizes
+    def __init__(self, case, sizes):
+        # a "sharded_" case spreads its pattern over the probe's servers
+        self.pattern = case.replace("sharded_", "")
+        self.sharded = case != self.pattern
+        self.sizes = sizes
 
     def round_spec(self):
         return RoundSpec(
@@ -110,7 +113,7 @@ class _CommProbe:
                     kind=MessageKind.MODEL_AVG,
                     pattern=self.pattern,
                     sizes="_sizes",
-                    servers="servers" if self.pattern.startswith("sharded") else None,
+                    servers="servers" if self.sharded else None,
                 ),
             ),
         )

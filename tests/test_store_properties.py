@@ -1,0 +1,86 @@
+"""Generated edge shapes: training from the column-shard store equals
+training in memory, on the simulator.
+
+The hand-picked store cases (``tests/test_store.py``) found K = 1 and
+uneven splits only after review; here hypothesis draws the shapes: 1 to
+8 workers, batches larger than the data, one-row blocks, columns no row
+touches, and both wire precisions, for LR and a 2-factor FM.  Either
+both paths train the same model to the bit, or both refuse with a
+structured :class:`~repro.errors.ReproError`.
+"""
+
+import tempfile
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.core import ColumnSGDConfig, ColumnSGDDriver
+from repro.datasets.dataset import Dataset
+from repro.errors import ReproError
+from repro.linalg import CSRMatrix
+from repro.models import FactorizationMachine, LogisticRegression
+from repro.optim import SGD
+from repro.sim import CLUSTER1, SimulatedCluster
+
+
+@st.composite
+def edge_shapes(draw):
+    workers = draw(st.integers(1, 8))
+    n_rows = draw(st.integers(1, 40))
+    n_features = draw(st.integers(1, 24))
+    # columns outside ``touched`` have no entries in any row
+    touched = draw(
+        st.lists(st.integers(0, n_features - 1), min_size=1, max_size=n_features,
+                 unique=True)
+    )
+    rows = [
+        sorted(draw(st.lists(st.sampled_from(touched), max_size=4, unique=True)))
+        for _ in range(n_rows)
+    ]
+    labels = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n_rows,
+                           max_size=n_rows))
+    config = dict(
+        batch_size=draw(st.integers(1, 2 * n_rows + 3)),
+        block_size=draw(st.sampled_from([1, 2, 3, 16])),
+        wire_precision=draw(st.sampled_from(["fp64", "fp32"])),
+    )
+    return workers, rows, labels, n_features, draw(st.sampled_from(["lr", "fm"])), config
+
+
+def dataset(rows, labels, n_features) -> Dataset:
+    indptr = np.cumsum([0] + [len(row) for row in rows])
+    indices = np.array([col for row in rows for col in row], dtype=np.int64)
+    values = np.linspace(0.5, 1.5, indices.size)
+    return Dataset(CSRMatrix(indptr, indices, values, n_features), labels)
+
+
+def train(data, workers, model_name, config, store_dir=""):
+    """Final parameters of three rounds, or the ReproError raised."""
+    model = LogisticRegression() if model_name == "lr" else FactorizationMachine(2)
+    driver = ColumnSGDDriver(
+        model, SGD(0.5), SimulatedCluster(CLUSTER1.with_workers(workers)),
+        config=ColumnSGDConfig(iterations=3, eval_every=0, seed=3,
+                               store_dir=store_dir, **config),
+    )
+    try:
+        driver.load(data)
+        return driver.fit().final_params
+    except ReproError as exc:
+        return exc
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(edge_shapes())
+def test_store_trains_the_in_memory_model(shape):
+    workers, rows, labels, n_features, model_name, config = shape
+    data = dataset(rows, labels, n_features)
+    in_memory = train(data, workers, model_name, config)
+    with tempfile.TemporaryDirectory() as store_dir:
+        from_store = train(data, workers, model_name, config, store_dir)
+    if isinstance(in_memory, ReproError) or isinstance(from_store, ReproError):
+        assert isinstance(in_memory, ReproError), from_store
+        assert isinstance(from_store, ReproError), in_memory
+    else:
+        assert np.abs(in_memory - from_store).max() == 0.0

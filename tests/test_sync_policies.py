@@ -213,10 +213,19 @@ class TestDriverIntegration:
             tiny_binary, "timeout", sync_alpha=1.2,
             straggler=PermanentStraggler(4, level=9.0, seed=3),
         )
+        outcomes = []
+        run_round = driver.run_round
+
+        def recorded(t):
+            outcomes.append(run_round(t))
+            return outcomes[-1]
+
+        driver.run_round = recorded  # the loop looks run_round up late
         result = driver.fit()
         trace = driver.cluster.engine_trace
         assert trace.retries  # the straggler blew the deadline
-        assert driver.last_killed == set()  # suspicion never kills
+        assert len(outcomes) == 10
+        assert not any(o.killed for o in outcomes)  # suspicion never kills
         assert result.final_loss() < result.losses()[0][2]
 
     def test_stale_survives_mid_run_kill(self, tiny_binary):
