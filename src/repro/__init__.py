@@ -51,8 +51,6 @@ from repro.models import (
     MultinomialLogisticRegression,
     FactorizationMachine,
     make_model,
-    L1,
-    L2,
 )
 from repro.optim import SGD, AdaGrad, Adam, make_optimizer
 from repro.sim import (
@@ -81,7 +79,6 @@ from repro.baselines import (
 from repro.metrics import (
     train_test_split,
     evaluate_classifier,
-    evaluate_regressor,
 )
 from repro.io import save_model, load_model
 
@@ -114,8 +111,6 @@ __all__ = [
     "MultinomialLogisticRegression",
     "FactorizationMachine",
     "make_model",
-    "L1",
-    "L2",
     # optim
     "SGD",
     "AdaGrad",
@@ -147,7 +142,6 @@ __all__ = [
     # metrics & io
     "train_test_split",
     "evaluate_classifier",
-    "evaluate_regressor",
     "save_model",
     "load_model",
 ]

@@ -4,10 +4,9 @@ The trainers differ only in who stores the model and what crosses the
 network; the numerical loop (Algorithm 2) is shared here: workers sample
 ``B/K`` rows from their horizontal shards, compute *sum* gradients
 against the current model, the center aggregates to the mean batch
-gradient, adds the regularization gradient once, and steps the
-optimizer.  With the same batch, every baseline's trajectory matches
-single-machine SGD exactly — the differences the paper measures are in
-time and memory, not math.
+gradient and steps the optimizer.  With the same batch, every
+baseline's trajectory matches single-machine SGD exactly — the
+differences the paper measures are in time and memory, not math.
 
 Each subclass declares its communication as :class:`CommPhase` entries
 (:meth:`_comm_phases`); the shared :meth:`round_spec` wraps them
@@ -162,9 +161,7 @@ class BaselineTrainer(Trainer):
             batch_nnz += local.nnz
             if local.n_rows:
                 stats = self.model.compute_statistics(local.features, self._params)
-                # The data gradient only: the penalty is added exactly
-                # once below, not once per shard.
-                mean_grad = self.model.data_gradient(
+                mean_grad = self.model.gradient_from_statistics(
                     local.features, local.labels, stats, self._params
                 )
                 mean_grad.values *= local.n_rows
@@ -179,8 +176,7 @@ class BaselineTrainer(Trainer):
         if not batch_rows:
             raise TrainingError("empty global batch")
         ctx.scratch["batch_nnz"] = batch_nnz
-        gradient = self.model.add_penalty(grad_sum / batch_rows, self._params)
-        self.optimizer.step(self._params, gradient, ctx.t)
+        self.optimizer.step(self._params, grad_sum / batch_rows)
         return per_worker
 
     def _phase_center_update(self, ctx) -> float:

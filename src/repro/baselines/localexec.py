@@ -9,9 +9,9 @@ round carries both comm phases: the master ships the full dense model
 batch deterministically (the same ``(seed, iteration, worker)`` routing
 as :func:`~repro.partition.row.sample_shard_batch`), computes its *sum*
 gradient, and pushes it back (``GRADIENT_PUSH``).  The master sums
-contributions in worker order, adds the regularizer once, and steps the
-optimizer — floating-point-identical to the simulated trainer, which
-runs the same code in-process.
+contributions in worker order and steps the optimizer —
+floating-point-identical to the simulated trainer, which runs the same
+code in-process.
 
 Fault tolerance is the easy case of the pipeline in
 ``repro.core.localexec``: RowSGD workers are *stateless* with respect
@@ -76,9 +76,8 @@ class RowWorkerProgram:
             )
             if local.n_rows:
                 stats = self.model.compute_statistics(local.features, params)
-                # The data gradient only (the penalty is added once at
-                # the master), shipped dense: RowSGD's O(m) message.
-                mean_grad = self.model.data_gradient(
+                # shipped dense: RowSGD's O(m) message
+                mean_grad = self.model.gradient_from_statistics(
                     local.features, local.labels, stats, params
                 )
                 mean_grad.values *= local.n_rows
@@ -134,7 +133,7 @@ class RowMasterProgram:
         return [len(replies[w].payload) for w in sorted(replies)]
 
     def _phase_center_update(self, ctx) -> float:
-        """Sum the contributions in worker order, regularize once, step."""
+        """Sum the contributions in worker order, then step."""
         trainer, replies = self.trainer, ctx.scratch["replies"]
         params = trainer._params
 
@@ -149,8 +148,7 @@ class RowMasterProgram:
                 batch_rows += reply.result["n_rows"]
             if batch_rows == 0:
                 raise TrainingError("empty global batch")
-            gradient = trainer.model.add_penalty(grad_sum / batch_rows, params)
-            trainer.optimizer.step(params, gradient, ctx.t)
+            trainer.optimizer.step(params, grad_sum / batch_rows)
 
         _, seconds = self.runtime.measure(center_update)
         return seconds

@@ -85,9 +85,7 @@ class MLlibStarTrainer(BaselineTrainer):
                     gradient = self.model.gradient_from_statistics(
                         local.features, local.labels, stats, self._local_params[w]
                     )
-                    self._local_optimizers[w].step(
-                        self._local_params[w], gradient, ctx.t
-                    )
+                    self._local_optimizers[w].step(self._local_params[w], gradient)
                 busy += self.cluster.cost.sparse_work(local.nnz, passes=2 * width)
             per_worker[w] = (self._task_overhead() + busy) * ctx.slowdowns[w]
 

@@ -119,7 +119,7 @@ class StaleSyncPSTrainer(ParameterServerTrainer):
             seen = self._history[min(version, len(self._history) - 1)]
             if local.n_rows:
                 stats = self.model.compute_statistics(local.features, seen)
-                mean_grad = self.model.data_gradient(
+                mean_grad = self.model.gradient_from_statistics(
                     local.features, local.labels, stats, seen
                 )
                 mean_grad.values *= local.n_rows
@@ -129,8 +129,7 @@ class StaleSyncPSTrainer(ParameterServerTrainer):
                 + self.cluster.cost.sparse_work(local.nnz, passes=2 * width)
             ) * ctx.slowdowns[w]
 
-        gradient = self.model.add_penalty(grad_sum / max(batch_rows, 1), self._params)
-        self.optimizer.step(self._params, gradient, ctx.t)
+        self.optimizer.step(self._params, grad_sum / max(batch_rows, 1))
         # Full history is kept so commit-count -> model-version indexing
         # stays direct; runs are a few hundred iterations on scaled
         # models, so this is cheap.

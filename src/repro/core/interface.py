@@ -18,7 +18,6 @@ import numpy as np
 
 from repro.linalg import EVERY_ROW, CSRMatrix, RowGradient
 from repro.models.base import StatisticsModel
-from repro.models.regularizers import Regularizer
 
 InitModelFn = Callable[[int], np.ndarray]
 ComputeStatFn = Callable[[CSRMatrix, np.ndarray], np.ndarray]
@@ -67,9 +66,7 @@ class UserDefinedModel(StatisticsModel):
         loss: LossFn,
         statistics_width: int = 1,
         reduce_stat: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None,
-        regularizer: Regularizer = None,
     ):
-        super().__init__(regularizer)
         if statistics_width < 1:
             raise ValueError("statistics_width must be >= 1")
         self._init_model = init_model
@@ -105,7 +102,7 @@ class UserDefinedModel(StatisticsModel):
             return np.asarray(self._reduce_stat(left, right), dtype=np.float64)
         return left + right
 
-    def data_gradient(self, features, labels, statistics, params):
+    def gradient_from_statistics(self, features, labels, statistics, params):
         grad = self._compute_gradient(features, labels, np.asarray(statistics), params)
         if isinstance(grad, RowGradient):
             return grad  # Optimizer.step validates it against params

@@ -87,7 +87,6 @@ class ColumnWorkerProgram:
             me = self.worker.worker_id
             self.worker.update_model(
                 reduced,
-                args["t"],
                 only_partitions={p for p, w in args["updater_of"].items() if w == me},
             )
             # every replica this worker maintains is charged, though each
@@ -274,7 +273,6 @@ class ColumnMasterProgram:
             "update",
             iteration=ctx.t,
             args={
-                "t": ctx.t,
                 "shape": ctx.scratch["shape"],
                 "updater_of": self._updaters(ctx),
             },

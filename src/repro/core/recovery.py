@@ -17,10 +17,11 @@ third.  :class:`RecoveryManager` centralises all three behind one
   partition's ``(params, optimizer state)`` becomes one snapshot record
   (:func:`snapshot_partition` / :func:`restore_partition` — the same
   pair on both backends) in the job's :class:`CheckpointStore`; the
-  simulator charges it at disk + network bandwidth and accounts it as
+  simulator charges the record's own bytes (one framed object) at
+  disk + network bandwidth and accounts them as
   :data:`~repro.net.message.MessageKind.CHECKPOINT` traffic (unchecked
   by the protocol's Table-I envelopes, like control chatter), the local
-  backend really ships and spills it.
+  backend really ships and spills the same bytes.
 * **recovery modes** — per lost model partition, in preference order:
   ``'replica'`` (a backup-group peer still holds the shared
   :class:`~repro.core.worker.PartitionState` — free), ``'checkpoint'``
@@ -62,12 +63,6 @@ from repro.storage.serialization import (
     int_vector_bytes,
 )
 from repro.utils.validation import check_non_negative
-
-#: Dense vectors per partition snapshot: the params themselves plus one
-#: params-sized optimizer slot vector (every optimizer in repro.optim
-#: keeps at most one dense slot per parameter — momentum, Adagrad
-#: accumulator, ...).
-CHECKPOINT_VECTORS = 2
 
 #: Silent heartbeat probes before the master suspects a worker.
 HEARTBEAT_TIMEOUT_BEATS = 3
@@ -124,6 +119,12 @@ def snapshot_partition(state: PartitionState) -> bytes:
             for a in arrays
         ]
     )
+
+
+def _record_bytes(record: bytes) -> int:
+    """Wire and disk footprint of one snapshot record: one framed
+    object, as the local backend ships and spills it."""
+    return OBJECT_OVERHEAD_BYTES + len(record)
 
 
 def restore_partition(state: PartitionState, record: Optional[bytes]) -> str:
@@ -305,10 +306,6 @@ class RecoveryManager:
                 )
             )
 
-    def partition_bytes(self, state: PartitionState) -> int:
-        """Charged wire/disk footprint of one snapshot (params + state)."""
-        return CHECKPOINT_VECTORS * dense_vector_bytes(int(state.params.size))
-
     def read_seconds(self, num_bytes: int) -> float:
         """Charge for pulling ``num_bytes`` back from stable storage."""
         return (
@@ -332,10 +329,9 @@ class RecoveryManager:
                     break
             if primary is None:
                 continue  # whole group dead; nothing to snapshot from
-            self.checkpoints.write(
-                t, state.partition_id, snapshot_partition(state)
-            )
-            size = self.partition_bytes(state)
+            record = snapshot_partition(state)
+            self.checkpoints.write(t, state.partition_id, record)
+            size = _record_bytes(record)
             network.send(
                 Message(MessageKind.CHECKPOINT, primary, Message.MASTER, size)
             )
@@ -385,12 +381,14 @@ class RecoveryManager:
             # with backup > 0 group peers share the PartitionState —
             # nothing lost, nothing to restore
             if self.groups.backup == 0:
-                snapshot = self.checkpoints.has_snapshot(p)
-                mode = restore_partition(
-                    state, self.checkpoints.read(p) if snapshot else None
+                record = (
+                    self.checkpoints.read(p)
+                    if self.checkpoints.has_snapshot(p)
+                    else None
                 )
-                if snapshot:
-                    seconds += self.read_seconds(self.partition_bytes(state))
+                mode = restore_partition(state, record)
+                if record is not None:
+                    seconds += self.read_seconds(_record_bytes(record))
             partitions.append(state)
         worker.recover(partitions)
         self._record(
@@ -432,8 +430,9 @@ class RecoveryManager:
         for state in self.partitions:
             if not self.checkpoints.has_snapshot(state.partition_id):
                 continue
-            restore_partition(state, self.checkpoints.read(state.partition_id))
-            size = self.partition_bytes(state)
+            record = self.checkpoints.read(state.partition_id)
+            restore_partition(state, record)
+            size = _record_bytes(record)
             for w in self.groups.replicas_of_partition(state.partition_id):
                 per_worker_bytes[w] = per_worker_bytes.get(w, 0) + size
         reload_s = restart + (

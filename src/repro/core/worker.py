@@ -105,7 +105,7 @@ class ColumnWorker:
     # Algorithm 3, Step 3
     # ------------------------------------------------------------------
     def update_model(
-        self, statistics: np.ndarray, iteration: int, only_partitions: Optional[set] = None
+        self, statistics: np.ndarray, only_partitions: Optional[set] = None
     ) -> None:
         """Compute local gradients from complete statistics and update.
 
@@ -124,7 +124,7 @@ class ColumnWorker:
             gradient = self.model.gradient_from_statistics(
                 features, labels, statistics, partition.params
             )
-            partition.optimizer.step(partition.params, gradient, iteration)
+            partition.optimizer.step(partition.params, gradient)
 
     # ------------------------------------------------------------------
     # bookkeeping used by the driver's cost model

@@ -15,6 +15,10 @@ import numpy as np
 from repro.datasets.dataset import Dataset
 from repro.utils.format import ascii_table
 
+#: Share of the features, hottest first, that :func:`popularity_skew`
+#: and the report's head line measure.
+HEAD_FRACTION = 0.01
+
 
 def feature_frequencies(dataset: Dataset) -> np.ndarray:
     """Occurrences of each feature across rows (length ``n_features``)."""
@@ -40,14 +44,12 @@ def row_length_stats(dataset: Dataset) -> Dict[str, float]:
     }
 
 
-def popularity_skew(dataset: Dataset, head_fraction: float = 0.01) -> float:
-    """Share of all non-zeros held by the hottest ``head_fraction`` of
-    features — near ``head_fraction`` for uniform data, near 1.0 for
+def popularity_skew(dataset: Dataset) -> float:
+    """Share of all non-zeros held by the hottest :data:`HEAD_FRACTION`
+    of features — near that fraction for uniform data, near 1.0 for
     heavily skewed CTR data."""
-    if not 0.0 < head_fraction <= 1.0:
-        raise ValueError("head_fraction must lie in (0, 1]")
     freq = np.sort(feature_frequencies(dataset))[::-1]
-    head = max(1, int(round(freq.size * head_fraction)))
+    head = max(1, int(round(freq.size * HEAD_FRACTION)))
     total = freq.sum()
     return float(freq[:head].sum() / total) if total else 0.0
 
@@ -93,5 +95,5 @@ def describe(dataset: Dataset) -> DatasetReport:
         sparsity=dataset.sparsity(),
         labels=label_distribution(dataset),
         row_lengths=row_length_stats(dataset),
-        head1pct_share=popularity_skew(dataset, 0.01),
+        head1pct_share=popularity_skew(dataset),
     )

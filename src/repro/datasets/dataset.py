@@ -105,10 +105,6 @@ class Dataset:
         order = rng.permutation(self.n_rows)
         return self.take(order)
 
-    def classes(self) -> np.ndarray:
-        """Sorted distinct label values."""
-        return np.unique(self.labels)
-
     def __len__(self) -> int:
         return self.n_rows
 

@@ -82,7 +82,6 @@ def iter_libsvm(source: PathOrStream) -> Iterator[Tuple[float, np.ndarray, np.nd
 def read_libsvm(
     source: PathOrStream,
     n_features: Optional[int] = None,
-    zero_based: bool = None,
     name: str = "libsvm",
 ) -> Dataset:
     """Read a whole LIBSVM file into a :class:`Dataset`.
@@ -91,10 +90,6 @@ def read_libsvm(
     ----------
     n_features:
         Model dimension; inferred as ``max index + 1`` when omitted.
-    zero_based:
-        Index convention.  When ``None`` it is auto-detected: a file whose
-        minimum index is 0 is treated as zero-based, otherwise indices are
-        shifted down by one (LIBSVM's 1-based convention).
     """
     labels = []
     rows = []
@@ -108,8 +103,9 @@ def read_libsvm(
             min_index = low if min_index is None else min(min_index, low)
             max_index = max(max_index, int(indices.max()))
 
-    if zero_based is None:
-        zero_based = min_index == 0 if min_index is not None else True
+    # a file whose minimum index is 0 is zero-based; otherwise indices
+    # shift down by one (LIBSVM's 1-based convention)
+    zero_based = min_index == 0 if min_index is not None else True
     shift = 0 if zero_based else 1
     inferred_dim = max_index + 1 - shift if max_index >= 0 else 0
     dim = n_features if n_features is not None else max(inferred_dim, 0)
@@ -127,21 +123,20 @@ def read_libsvm(
     return Dataset(features, np.asarray(labels, dtype=np.float64), name=name)
 
 
-def write_libsvm(dataset: Dataset, target: PathOrStream, zero_based: bool = False) -> None:
-    """Write a dataset in LIBSVM text format (1-based indices by default)."""
+def write_libsvm(dataset: Dataset, target: PathOrStream) -> None:
+    """Write a dataset in LIBSVM text format (1-based indices)."""
     close = False
     if isinstance(target, (str, Path)):
         stream = _open_text(target, "w")
         close = True
     else:
         stream = target
-    shift = 0 if zero_based else 1
     try:
         for i in range(dataset.n_rows):
             row = dataset.features.row(i)
             tokens = ["{:g}".format(dataset.labels[i])]
             tokens.extend(
-                "{}:{:g}".format(int(idx) + shift, val) for idx, val in row.items()
+                "{}:{:g}".format(int(idx) + 1, val) for idx, val in row.items()
             )
             stream.write(" ".join(tokens))
             stream.write("\n")

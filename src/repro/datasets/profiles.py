@@ -39,7 +39,6 @@ class DatasetProfile:
     scaled_nnz_per_row: int
     zipf_exponent: float = 1.1
     binary_features: bool = True
-    label_noise: float = 0.05
     # --- Table III learning rates, keyed by model name ---
     learning_rates: Dict[str, float] = field(default_factory=dict)
 
@@ -56,7 +55,6 @@ class DatasetProfile:
             nnz_per_row=self.scaled_nnz_per_row,
             zipf_exponent=self.zipf_exponent,
             binary_features=self.binary_features,
-            label_noise=self.label_noise,
             seed=seed,
             name=self.name,
         )

@@ -1,7 +1,7 @@
 """Synthetic sparse dataset generators with planted ground truth.
 
 Each generator draws a ground-truth model ``w*`` and sparse feature rows,
-then labels examples from the model (with configurable label noise), so
+then labels examples from the model (with :data:`LABEL_NOISE`), so
 SGD runs on these datasets show genuine convergence — the property the
 paper's Figures 4, 8 and 13 depend on.
 
@@ -19,7 +19,12 @@ from repro.datasets.dataset import Dataset
 from repro.linalg import CSRMatrix
 from repro.linalg.ops import row_dots
 from repro.utils.rng import rng_from_seed
-from repro.utils.validation import check_positive, check_probability
+from repro.utils.validation import check_positive
+
+#: Share of labels flipped (binary) or redrawn (multiclass) at random.
+LABEL_NOISE = 0.05
+#: Standard deviation of the planted model's weights.
+MODEL_SCALE = 1.0
 
 
 def _feature_distribution(n_features: int, zipf_exponent: float, rng) -> np.ndarray:
@@ -76,8 +81,8 @@ def _sample_rows(
     return CSRMatrix(indptr, all_indices, data, n_features)
 
 
-def _planted_model(n_features: int, model_scale: float, rng) -> np.ndarray:
-    return rng.normal(0.0, model_scale, size=n_features)
+def _planted_model(n_features: int, rng) -> np.ndarray:
+    return rng.normal(0.0, MODEL_SCALE, size=n_features)
 
 
 def make_classification(
@@ -86,27 +91,25 @@ def make_classification(
     nnz_per_row: int = 20,
     zipf_exponent: float = 1.1,
     binary_features: bool = True,
-    label_noise: float = 0.05,
-    model_scale: float = 1.0,
     seed=None,
     name: str = "synthetic-binary",
 ) -> Dataset:
     """Sparse binary classification with labels in {-1, +1}.
 
-    Labels are ``sign(x . w*)`` flipped with probability ``label_noise``.
+    Labels are ``sign(x . w*)`` flipped with probability
+    :data:`LABEL_NOISE`.
     ``binary_features=True`` mimics one-hot CTR data (avazu/kddb/kdd12);
     ``False`` draws Gaussian feature values.
     """
     check_positive(n_rows, "n_rows")
     check_positive(n_features, "n_features")
     check_positive(nnz_per_row, "nnz_per_row")
-    check_probability(label_noise, "label_noise")
     rng = rng_from_seed(seed)
     features = _sample_rows(n_rows, n_features, nnz_per_row, zipf_exponent, binary_features, rng)
-    truth = _planted_model(n_features, model_scale, rng)
+    truth = _planted_model(n_features, rng)
     margins = row_dots(features, truth)
     labels = np.where(margins >= 0.0, 1.0, -1.0)
-    flips = rng.random(n_rows) < label_noise
+    flips = rng.random(n_rows) < LABEL_NOISE
     labels[flips] *= -1.0
     return Dataset(features, labels, name=name)
 
@@ -117,7 +120,6 @@ def make_regression(
     nnz_per_row: int = 20,
     zipf_exponent: float = 1.1,
     noise_std: float = 0.1,
-    model_scale: float = 1.0,
     seed=None,
     name: str = "synthetic-regression",
 ) -> Dataset:
@@ -127,7 +129,7 @@ def make_regression(
     check_positive(nnz_per_row, "nnz_per_row")
     rng = rng_from_seed(seed)
     features = _sample_rows(n_rows, n_features, nnz_per_row, zipf_exponent, False, rng)
-    truth = _planted_model(n_features, model_scale, rng)
+    truth = _planted_model(n_features, rng)
     labels = row_dots(features, truth) + rng.normal(0.0, noise_std, size=n_rows)
     return Dataset(features, labels, name=name)
 
@@ -138,19 +140,17 @@ def make_multiclass(
     n_classes: int,
     nnz_per_row: int = 20,
     zipf_exponent: float = 1.1,
-    label_noise: float = 0.05,
     seed=None,
     name: str = "synthetic-multiclass",
 ) -> Dataset:
     """Sparse multiclass data with labels in {0, ..., n_classes-1}.
 
     Labels are argmax over per-class planted models, with a
-    ``label_noise`` chance of resampling uniformly.
+    :data:`LABEL_NOISE` chance of resampling uniformly.
     """
     check_positive(n_rows, "n_rows")
     check_positive(n_features, "n_features")
     check_positive(n_classes, "n_classes")
-    check_probability(label_noise, "label_noise")
     if n_classes < 2:
         raise ValueError("n_classes must be >= 2, got {}".format(n_classes))
     rng = rng_from_seed(seed)
@@ -158,6 +158,6 @@ def make_multiclass(
     truth = rng.normal(0.0, 1.0, size=(n_features, n_classes))
     scores = row_dots(features, truth)
     labels = scores.argmax(axis=1).astype(np.float64)
-    flips = rng.random(n_rows) < label_noise
+    flips = rng.random(n_rows) < LABEL_NOISE
     labels[flips] = rng.integers(0, n_classes, size=int(flips.sum()))
     return Dataset(features, labels, name=name)

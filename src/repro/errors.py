@@ -74,7 +74,7 @@ class WorkerUnresponsiveError(SimulationError):
     ``silent`` those that simply never answered in time.  Executors
     running the recovery pipeline catch structured
     ``Exchange.failures`` instead; this error is the loud path for
-    callers (``barrier``, plain ``run_all``) without one.
+    callers (a plain ``run_all``) without one.
     """
 
     def __init__(self, op: str, dead=(), silent=()):

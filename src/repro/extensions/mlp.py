@@ -186,13 +186,13 @@ class SequentialMLP:
         z = self.model.partial_statistics(features, self.w1)
         return self.model.loss_from_statistics(z, labels, self.tail)
 
-    def step(self, features: CSRMatrix, labels, iteration: int) -> None:
+    def step(self, features: CSRMatrix, labels) -> None:
         z = self.model.partial_statistics(features, self.w1)
         tail_grads, delta1 = self.model.backward(z, labels, self.tail)
         grad_w1 = self.model.w1_gradient(features, delta1, features.n_rows)
-        self._opt_w1.step(self.w1, grad_w1, iteration)
+        self._opt_w1.step(self.w1, grad_w1)
         for key, grad in tail_grads.items():
-            self._opt_tail[key].step(self.tail[key], grad, iteration)
+            self._opt_tail[key].step(self.tail[key], grad)
 
 
 class MLPColumnTrainer(Trainer):
@@ -336,7 +336,7 @@ class MLPColumnTrainer(Trainer):
         per_worker: Dict[int, float] = {}
         for k in range(self.cluster.n_workers):
             grad = self.model.w1_gradient(shards[k], delta1, self.batch_size)
-            self._w1_optimizers[k].step(self._w1_parts[k], grad, ctx.t)
+            self._w1_optimizers[k].step(self._w1_parts[k], grad)
             per_worker[k] = cost.task_overhead + cost.sparse_work(
                 shards[k].nnz, passes=width
             )
@@ -345,7 +345,7 @@ class MLPColumnTrainer(Trainer):
     def _phase_update_tail(self, ctx) -> float:
         """The replicated tail's identical update (no communication)."""
         for key, grad in ctx.scratch["tail_grads"].items():
-            self._tail_optimizers[key].step(self._tail[key], grad, ctx.t)
+            self._tail_optimizers[key].step(self._tail[key], grad)
         tail_elements = sum(v.size for v in self._tail.values())
         return self.cluster.cost.dense_work(tail_elements)
 

@@ -44,7 +44,8 @@ class RowGradient:
     ``values[i]`` is the gradient of parameter row ``cols[i]`` of an
     array of shape ``shape``; ``cols`` is an int array of distinct rows
     — or :data:`EVERY_ROW` when the gradient is dense by nature (a
-    regularized one) and ``values`` is the whole array.  This is what
+    user-defined model's dense return) and ``values`` is the whole
+    array.  This is what
     ``gradient_from_statistics`` returns and ``Optimizer.step`` applies.
     """
 

@@ -64,7 +64,7 @@ class DeterminismRule(Rule):
     rule_id = "R001"
     title = "non-deterministic entropy source"
     severity = "error"
-    fix_hint = "derive generators via repro.utils.rng (rng_from_seed / spawn_rngs / iteration_seed)"
+    fix_hint = "derive generators via repro.utils.rng (rng_from_seed / iteration_seed)"
     clock_hint = (
         "advance repro.sim.clock.SimClock with cost-model durations, or "
         "measure through repro.runtime.local (the one wall-clock boundary)"

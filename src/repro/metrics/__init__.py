@@ -1,37 +1,20 @@
-"""Evaluation metrics and data-splitting utilities.
+"""Evaluation metrics and data splitting.
 
 The paper reports training loss only; a usable library also needs
 held-out evaluation.  Metrics are plain functions over (labels,
 predictions); :func:`train_test_split` partitions a Dataset; and
-:func:`evaluate_classifier` / :func:`evaluate_regressor` bundle the
-common report for a trained model.
+:func:`evaluate_classifier` bundles the common report for a trained
+model.
 """
 
-from repro.metrics.classification import (
-    accuracy,
-    log_loss,
-    roc_auc,
-    confusion_counts,
-    precision_recall_f1,
-)
-from repro.metrics.regression import mean_squared_error, rmse, mean_absolute_error, r2_score
-from repro.metrics.split import train_test_split, k_fold
-from repro.metrics.evaluate import evaluate_classifier, evaluate_regressor
-from repro.metrics.cross_validate import cross_validate
+from repro.metrics.classification import accuracy, log_loss, roc_auc
+from repro.metrics.split import train_test_split
+from repro.metrics.evaluate import evaluate_classifier
 
 __all__ = [
     "accuracy",
     "log_loss",
     "roc_auc",
-    "confusion_counts",
-    "precision_recall_f1",
-    "mean_squared_error",
-    "rmse",
-    "mean_absolute_error",
-    "r2_score",
     "train_test_split",
-    "k_fold",
     "evaluate_classifier",
-    "evaluate_regressor",
-    "cross_validate",
 ]

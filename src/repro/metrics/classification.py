@@ -2,16 +2,21 @@
 
 Predictions are probabilities of the positive class (what
 ``LogisticRegression.predict`` and the FM return); threshold-based
-metrics cut at 0.5 unless stated otherwise.
+metrics cut at :data:`THRESHOLD`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from repro.errors import DataError
+
+#: Probability at or above which a prediction is the positive class.
+THRESHOLD = 0.5
+#: Probabilities are clipped to ``[EPS, 1 - EPS]`` before the log.
+EPS = 1e-12
 
 
 def _check_pair(labels, scores) -> Tuple[np.ndarray, np.ndarray]:
@@ -30,17 +35,17 @@ def _check_pair(labels, scores) -> Tuple[np.ndarray, np.ndarray]:
     return labels, scores
 
 
-def accuracy(labels, probabilities, threshold: float = 0.5) -> float:
-    """Fraction of correct hard decisions at ``threshold``."""
+def accuracy(labels, probabilities) -> float:
+    """Fraction of correct hard decisions at :data:`THRESHOLD`."""
     labels, probs = _check_pair(labels, probabilities)
-    predicted = np.where(probs >= threshold, 1.0, -1.0)
+    predicted = np.where(probs >= THRESHOLD, 1.0, -1.0)
     return float(np.mean(predicted == labels))
 
 
-def log_loss(labels, probabilities, eps: float = 1e-12) -> float:
+def log_loss(labels, probabilities) -> float:
     """Mean negative log likelihood of the true labels."""
     labels, probs = _check_pair(labels, probabilities)
-    probs = np.clip(probs, eps, 1.0 - eps)
+    probs = np.clip(probs, EPS, 1.0 - EPS)
     positive = (labels + 1.0) / 2.0
     return float(-np.mean(positive * np.log(probs) + (1 - positive) * np.log(1 - probs)))
 
@@ -73,25 +78,3 @@ def roc_auc(labels, scores) -> float:
     rank_sum_pos = float(ranks[positives].sum())
     u = rank_sum_pos - n_pos * (n_pos + 1) / 2.0
     return u / (n_pos * n_neg)
-
-
-def confusion_counts(labels, probabilities, threshold: float = 0.5) -> Dict[str, int]:
-    """``{tp, fp, tn, fn}`` at the given threshold."""
-    labels, probs = _check_pair(labels, probabilities)
-    predicted = np.where(probs >= threshold, 1.0, -1.0)
-    return {
-        "tp": int(np.sum((predicted == 1.0) & (labels == 1.0))),
-        "fp": int(np.sum((predicted == 1.0) & (labels == -1.0))),
-        "tn": int(np.sum((predicted == -1.0) & (labels == -1.0))),
-        "fn": int(np.sum((predicted == -1.0) & (labels == 1.0))),
-    }
-
-
-def precision_recall_f1(labels, probabilities, threshold: float = 0.5) -> Dict[str, float]:
-    """Precision, recall and F1 of the positive class (0.0 when undefined)."""
-    counts = confusion_counts(labels, probabilities, threshold)
-    tp, fp, fn = counts["tp"], counts["fp"], counts["fn"]
-    precision = tp / (tp + fp) if tp + fp else 0.0
-    recall = tp / (tp + fn) if tp + fn else 0.0
-    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-    return {"precision": precision, "recall": recall, "f1": f1}

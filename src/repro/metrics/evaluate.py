@@ -1,4 +1,4 @@
-"""Bundled evaluation reports for trained models."""
+"""Bundled evaluation report for a trained classifier."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ import numpy as np
 
 from repro.datasets.dataset import Dataset
 from repro.metrics.classification import accuracy, log_loss, roc_auc
-from repro.metrics.regression import mean_absolute_error, r2_score, rmse
 from repro.models.base import StatisticsModel
 
 
@@ -27,14 +26,3 @@ def evaluate_classifier(
         "log_loss": log_loss(dataset.labels, probabilities),
     }
 
-
-def evaluate_regressor(
-    model: StatisticsModel, params: np.ndarray, dataset: Dataset
-) -> Dict[str, float]:
-    """RMSE / MAE / R^2 of a regressor on a dataset."""
-    predictions = model.predict(dataset.features, params)
-    return {
-        "rmse": rmse(dataset.labels, predictions),
-        "mae": mean_absolute_error(dataset.labels, predictions),
-        "r2": r2_score(dataset.labels, predictions),
-    }

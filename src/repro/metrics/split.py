@@ -4,55 +4,24 @@ from __future__ import annotations
 
 from typing import Tuple
 
-import numpy as np
-
 from repro.datasets.dataset import Dataset
 from repro.utils.rng import rng_from_seed
 from repro.utils.validation import check_probability
 
 
-def k_fold(dataset: Dataset, k: int = 5, seed=None, shuffle: bool = True):
-    """Yield ``k`` ``(train, validation)`` splits covering every row once.
-
-    Folds differ in size by at most one row.  With ``shuffle=True`` the
-    assignment is a seeded permutation.
-    """
-    if k < 2:
-        raise ValueError("k must be >= 2, got {}".format(k))
-    if dataset.n_rows < k:
-        raise ValueError(
-            "cannot make {} folds from {} rows".format(k, dataset.n_rows)
-        )
-    if shuffle:
-        order = rng_from_seed(seed).permutation(dataset.n_rows)
-    else:
-        order = np.arange(dataset.n_rows)
-    bounds = np.linspace(0, dataset.n_rows, k + 1).astype(np.int64)
-    for fold in range(k):
-        val_rows = order[bounds[fold]:bounds[fold + 1]]
-        train_rows = np.concatenate(
-            [order[: bounds[fold]], order[bounds[fold + 1]:]]
-        )
-        yield dataset.take(train_rows), dataset.take(val_rows)
-
-
 def train_test_split(
-    dataset: Dataset, test_fraction: float = 0.2, seed=None, shuffle: bool = True
+    dataset: Dataset, test_fraction: float = 0.2, seed=None
 ) -> Tuple[Dataset, Dataset]:
-    """Split a dataset into (train, test).
+    """Split a seeded permutation of the rows into (train, test).
 
-    With ``shuffle=True`` (default) rows are permuted first; both splits
-    are guaranteed non-empty as long as the dataset has >= 2 rows.
+    Both splits are non-empty as long as the dataset has >= 2 rows.
     """
     check_probability(test_fraction, "test_fraction")
     if dataset.n_rows < 2:
         raise ValueError("need at least 2 rows to split, got {}".format(dataset.n_rows))
     n_test = int(round(dataset.n_rows * test_fraction))
     n_test = min(max(n_test, 1), dataset.n_rows - 1)
-    if shuffle:
-        order = rng_from_seed(seed).permutation(dataset.n_rows)
-    else:
-        order = np.arange(dataset.n_rows)
+    order = rng_from_seed(seed).permutation(dataset.n_rows)
     test_rows = order[:n_test]
     train_rows = order[n_test:]
     return dataset.take(train_rows), dataset.take(test_rows)

@@ -19,7 +19,6 @@ from repro.models.losses import (
     SquaredHingeLoss,
     HuberLoss,
 )
-from repro.models.regularizers import Regularizer, NoRegularizer, L1, L2
 from repro.models.linear import (
     GeneralizedLinearModel,
     LogisticRegression,
@@ -41,10 +40,6 @@ __all__ = [
     "SquaredLoss",
     "SquaredHingeLoss",
     "HuberLoss",
-    "Regularizer",
-    "NoRegularizer",
-    "L1",
-    "L2",
     "GeneralizedLinearModel",
     "LogisticRegression",
     "LinearSVM",

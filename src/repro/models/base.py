@@ -13,13 +13,11 @@ and the full-data batch gradient restricted to partition k equals
 ``gradient_from_statistics(X_k, y, S, w_k)`` where ``S`` is the summed
 statistics.  Every concrete model's tests assert both identities.
 
-A mini-batch's data gradient is zero outside the columns the batch
-touches, so it travels as a :class:`~repro.linalg.RowGradient` — those
-columns plus one block of values — and a round costs O(batch nnz x
-width) whatever the partition's dimension.  Models implement
-:meth:`StatisticsModel.data_gradient`; only a non-zero regularizer,
-whose gradient lives on every coordinate, densifies, and it does so
-here, once, for every model.
+A mini-batch's gradient is zero outside the columns the batch touches,
+so it travels as a :class:`~repro.linalg.RowGradient` — those columns
+plus one block of values — and a round costs O(batch nnz x width)
+whatever the partition's dimension.  Like the paper's runs (Table III),
+the objective is the mean data loss alone: no model adds a penalty.
 
 Models are *stateless*: parameters travel as plain numpy arrays whose
 first axis indexes features, so slicing rows of the array partitions the
@@ -31,8 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import DimensionMismatchError
-from repro.linalg import EVERY_ROW, CSRMatrix, RowGradient
-from repro.models.regularizers import NoRegularizer, Regularizer
+from repro.linalg import CSRMatrix, RowGradient
 from repro.utils.rng import rng_from_seed
 
 
@@ -50,9 +47,6 @@ class StatisticsModel:
 
     name = "abstract"
     statistics_width = 1
-
-    def __init__(self, regularizer: Regularizer = None):
-        self.regularizer = regularizer if regularizer is not None else NoRegularizer()
 
     # ------------------------------------------------------------------
     # model parameter layout
@@ -91,14 +85,14 @@ class StatisticsModel:
         with it.  Additive statistics sum."""
         return left + right
 
-    def data_gradient(
+    def gradient_from_statistics(
         self,
         features: CSRMatrix,
         labels: np.ndarray,
         statistics: np.ndarray,
         params: np.ndarray,
     ) -> RowGradient:
-        """Mean batch gradient of the data loss over the local partition.
+        """Mean batch gradient of the loss over the local partition.
 
         ``statistics`` must be the *complete* (summed) statistics;
         ``features``/``params`` are the local shard and partition.  The
@@ -107,40 +101,8 @@ class StatisticsModel:
         """
         raise NotImplementedError
 
-    def gradient_from_statistics(
-        self,
-        features: CSRMatrix,
-        labels: np.ndarray,
-        statistics: np.ndarray,
-        params: np.ndarray,
-    ) -> RowGradient:
-        """:meth:`data_gradient` plus the regularizer's gradient.
-
-        Without a regularizer that is the data gradient itself.  A
-        penalty's gradient is non-zero on every coordinate, so with one
-        the result covers every row of ``params``.
-        """
-        gradient = self.data_gradient(features, labels, statistics, params)
-        if isinstance(self.regularizer, NoRegularizer):
-            return gradient
-        # The penalty is O(d/K) by nature: one dense pass per update.
-        dense = self.add_penalty(gradient.to_dense(), params)
-        return RowGradient(EVERY_ROW, dense, dense.shape)
-
-    def add_penalty(self, gradient: np.ndarray, params: np.ndarray) -> np.ndarray:
-        """Add the regularizer's gradient at ``params`` to a dense
-        ``gradient`` in place (a no-op without a regularizer)."""
-        if not isinstance(self.regularizer, NoRegularizer):
-            gradient += self.regularizer.gradient(params)
-        return gradient
-
     def loss_from_statistics(self, statistics: np.ndarray, labels: np.ndarray) -> float:
-        """Mean data loss of the batch given complete statistics.
-
-        Excludes the regularization penalty (callers add
-        ``regularizer.penalty`` over the full model when reporting
-        f(w, X); the paper's plots report training loss the same way).
-        """
+        """Mean loss of the batch given complete statistics."""
         raise NotImplementedError
 
     def predict_from_statistics(self, statistics: np.ndarray) -> np.ndarray:
@@ -158,9 +120,9 @@ class StatisticsModel:
         return self.gradient_from_statistics(features, labels, stats, params).to_dense()
 
     def loss(self, features: CSRMatrix, labels: np.ndarray, params: np.ndarray) -> float:
-        """Full objective f(w, X): mean data loss + regularization penalty."""
+        """Full objective f(w, X): the mean loss over every row."""
         stats = self.compute_statistics(features, params)
-        return self.loss_from_statistics(stats, labels) + self.regularizer.penalty(params)
+        return self.loss_from_statistics(stats, labels)
 
     def predict(self, features: CSRMatrix, params: np.ndarray) -> np.ndarray:
         """Point predictions on a feature matrix."""
@@ -185,4 +147,4 @@ class StatisticsModel:
         return rng_from_seed(seed)
 
     def __repr__(self) -> str:
-        return "{}(regularizer={})".format(type(self).__name__, self.regularizer.name)
+        return "{}()".format(type(self).__name__)

@@ -20,8 +20,8 @@ Collocation trick: each feature's *field id* is stored as a frozen
 extra parameter column riding with its latent vectors, so a worker can
 compute field-restricted sums from its shard + partition alone and the
 :class:`~repro.models.base.StatisticsModel` interface stays unchanged.
-The field column receives a zero gradient (and is masked out of the
-regularizer), so no optimizer ever moves it.
+The field column receives a zero gradient, so no optimizer ever moves
+it.
 
 Parameter layout per feature: ``[field_id, w, v_{.,0,0..F-1}, ...,
 v_{.,A-1,0..F-1}]`` — shape ``(m, 2 + A*F)``.
@@ -41,8 +41,10 @@ from repro.linalg import (
 )
 from repro.models.base import StatisticsModel
 from repro.models.losses import LogisticLoss, _sigmoid
-from repro.models.regularizers import Regularizer
 from repro.utils.validation import check_positive
+
+#: Standard deviation of the Gaussian initial latent vectors.
+INIT_STD = 0.05
 
 
 class FieldAwareFM(StatisticsModel):
@@ -58,16 +60,8 @@ class FieldAwareFM(StatisticsModel):
 
     name = "ffm"
 
-    def __init__(
-        self,
-        field_of,
-        n_factors: int = 4,
-        init_std: float = 0.05,
-        regularizer: Regularizer = None,
-    ):
-        super().__init__(regularizer)
+    def __init__(self, field_of, n_factors: int = 4):
         check_positive(n_factors, "n_factors")
-        check_positive(init_std, "init_std")
         field_of = np.asarray(field_of, dtype=np.int64)
         if field_of.ndim != 1 or field_of.size == 0:
             raise ValueError("field_of must be a non-empty 1-D array")
@@ -76,7 +70,6 @@ class FieldAwareFM(StatisticsModel):
         self.field_of = field_of
         self.n_fields = int(field_of.max()) + 1
         self.n_factors = int(n_factors)
-        self.init_std = float(init_std)
         self.statistics_width = 1 + self.n_fields ** 2 * self.n_factors
         self._loss = LogisticLoss()
 
@@ -93,7 +86,7 @@ class FieldAwareFM(StatisticsModel):
         params = np.zeros(self.param_shape(n_features), dtype=np.float64)
         params[:, 0] = self.field_of.astype(np.float64)  # frozen metadata
         params[:, 2:] = rng.normal(
-            0.0, self.init_std, size=(n_features, self.n_fields * self.n_factors)
+            0.0, INIT_STD, size=(n_features, self.n_fields * self.n_factors)
         )
         return params
 
@@ -140,7 +133,7 @@ class FieldAwareFM(StatisticsModel):
                     )
         return scores
 
-    def data_gradient(self, features, labels, statistics, params):
+    def gradient_from_statistics(self, features, labels, statistics, params):
         self._check_params(features, params)
         self._check_batch(features, labels, statistics)
         A, F = self.n_fields, self.n_factors
@@ -166,12 +159,6 @@ class FieldAwareFM(StatisticsModel):
         values[:, 2:] = latent.reshape(k, A * F)
         values[:, 1:] /= max(len(labels), 1)
         return RowGradient(sums.cols, values, params.shape)
-
-    def add_penalty(self, gradient, params):
-        frozen = gradient[:, 0].copy()  # never touch the frozen field-id column
-        super().add_penalty(gradient, params)
-        gradient[:, 0] = frozen
-        return gradient
 
     def loss_from_statistics(self, statistics, labels) -> float:
         labels = np.asarray(labels, dtype=np.float64)

@@ -37,8 +37,10 @@ from repro.linalg import (
 )
 from repro.models.base import StatisticsModel
 from repro.models.losses import LogisticLoss, _sigmoid
-from repro.models.regularizers import Regularizer
 from repro.utils.validation import check_positive
+
+#: Standard deviation of the Gaussian initial factors.
+INIT_STD = 0.01
 
 
 class FactorizationMachine(StatisticsModel):
@@ -46,12 +48,9 @@ class FactorizationMachine(StatisticsModel):
 
     name = "fm"
 
-    def __init__(self, n_factors: int, init_std: float = 0.01, regularizer: Regularizer = None):
-        super().__init__(regularizer)
+    def __init__(self, n_factors: int):
         check_positive(n_factors, "n_factors")
-        check_positive(init_std, "init_std")
         self.n_factors = int(n_factors)
-        self.init_std = float(init_std)
         self.statistics_width = self.n_factors + 1
         self._loss = LogisticLoss()
 
@@ -63,7 +62,7 @@ class FactorizationMachine(StatisticsModel):
         """Zero linear weights; small Gaussian factors (symmetry breaking)."""
         rng = self._rng(seed)
         params = np.zeros((n_features, 1 + self.n_factors), dtype=np.float64)
-        params[:, 1:] = rng.normal(0.0, self.init_std, size=(n_features, self.n_factors))
+        params[:, 1:] = rng.normal(0.0, INIT_STD, size=(n_features, self.n_factors))
         return params
 
     # -- decomposition ----------------------------------------------------
@@ -83,7 +82,7 @@ class FactorizationMachine(StatisticsModel):
         stats = np.asarray(statistics, dtype=np.float64)
         return stats[:, 0] + 0.5 * np.sum(stats[:, 1:] ** 2, axis=1)
 
-    def data_gradient(self, features, labels, statistics, params):
+    def gradient_from_statistics(self, features, labels, statistics, params):
         self._check_params(features, params)
         self._check_batch(features, labels, statistics)
         stats = np.asarray(statistics, dtype=np.float64)

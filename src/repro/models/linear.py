@@ -22,7 +22,6 @@ from repro.models.losses import (
     SquaredLoss,
     _sigmoid,
 )
-from repro.models.regularizers import Regularizer
 
 
 class GeneralizedLinearModel(StatisticsModel):
@@ -30,8 +29,7 @@ class GeneralizedLinearModel(StatisticsModel):
 
     statistics_width = 1
 
-    def __init__(self, loss: PointwiseLoss, regularizer: Regularizer = None):
-        super().__init__(regularizer)
+    def __init__(self, loss: PointwiseLoss):
         self.loss_fn = loss
 
     # -- layout ---------------------------------------------------------
@@ -46,7 +44,7 @@ class GeneralizedLinearModel(StatisticsModel):
         self._check_params(features, params)
         return row_dots(features, params).reshape(-1, 1)
 
-    def data_gradient(self, features, labels, statistics, params):
+    def gradient_from_statistics(self, features, labels, statistics, params):
         self._check_batch(features, labels, statistics)
         scores = np.asarray(statistics)[:, 0]
         gradient = accumulate_rows(features, self.loss_fn.derivative(scores, labels))
@@ -68,16 +66,12 @@ class LogisticRegression(GeneralizedLinearModel):
 
     name = "lr"
 
-    def __init__(self, regularizer: Regularizer = None):
-        super().__init__(LogisticLoss(), regularizer)
+    def __init__(self):
+        super().__init__(LogisticLoss())
 
     def predict_from_statistics(self, statistics) -> np.ndarray:
         """Class probabilities P(y = +1 | x)."""
         return _sigmoid(np.asarray(statistics)[:, 0])
-
-    def predict_labels(self, features, params) -> np.ndarray:
-        """Hard {-1, +1} labels."""
-        return np.where(self.predict(features, params) >= 0.5, 1.0, -1.0)
 
 
 class LinearSVM(GeneralizedLinearModel):
@@ -85,13 +79,8 @@ class LinearSVM(GeneralizedLinearModel):
 
     name = "svm"
 
-    def __init__(self, regularizer: Regularizer = None):
-        super().__init__(HingeLoss(), regularizer)
-
-    def predict_labels(self, features, params) -> np.ndarray:
-        """Hard {-1, +1} labels from the margin sign."""
-        margins = self.predict(features, params)
-        return np.where(margins >= 0.0, 1.0, -1.0)
+    def __init__(self):
+        super().__init__(HingeLoss())
 
 
 class LeastSquares(GeneralizedLinearModel):
@@ -99,8 +88,8 @@ class LeastSquares(GeneralizedLinearModel):
 
     name = "least_squares"
 
-    def __init__(self, regularizer: Regularizer = None):
-        super().__init__(SquaredLoss(), regularizer)
+    def __init__(self):
+        super().__init__(SquaredLoss())
 
 
 class SmoothSVM(GeneralizedLinearModel):
@@ -108,13 +97,8 @@ class SmoothSVM(GeneralizedLinearModel):
 
     name = "smooth_svm"
 
-    def __init__(self, regularizer: Regularizer = None):
-        super().__init__(SquaredHingeLoss(), regularizer)
-
-    def predict_labels(self, features, params) -> np.ndarray:
-        """Hard {-1, +1} labels from the margin sign."""
-        margins = self.predict(features, params)
-        return np.where(margins >= 0.0, 1.0, -1.0)
+    def __init__(self):
+        super().__init__(SquaredHingeLoss())
 
 
 class HuberRegression(GeneralizedLinearModel):
@@ -122,6 +106,5 @@ class HuberRegression(GeneralizedLinearModel):
 
     name = "huber"
 
-    def __init__(self, delta: float = 1.0, regularizer: Regularizer = None):
-        super().__init__(HuberLoss(delta), regularizer)
-        self.delta = float(delta)
+    def __init__(self):
+        super().__init__(HuberLoss())

@@ -11,6 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
+#: Residual at which the Huber loss turns from quadratic to linear.
+HUBER_DELTA = 1.0
+
 
 def _as_batch(scores, labels):
     scores = np.asarray(scores, dtype=np.float64)
@@ -95,33 +98,29 @@ class SquaredHingeLoss(PointwiseLoss):
 
 
 class HuberLoss(PointwiseLoss):
-    """Huber-robust regression loss with transition point ``delta``.
+    """Huber-robust regression loss with transition point
+    :data:`HUBER_DELTA`.
 
-    Quadratic for residuals within ``delta``, linear beyond — bounded
+    Quadratic for residuals within the delta, linear beyond — bounded
     gradient coefficients make it robust to label outliers.
     """
 
     name = "huber"
 
-    def __init__(self, delta: float = 1.0):
-        if delta <= 0:
-            raise ValueError("delta must be > 0, got {}".format(delta))
-        self.delta = float(delta)
-
     def loss(self, scores, labels):
         scores, labels = _as_batch(scores, labels)
         residual = scores - labels
-        small = np.abs(residual) <= self.delta
+        small = np.abs(residual) <= HUBER_DELTA
         return np.where(
             small,
             0.5 * residual ** 2,
-            self.delta * (np.abs(residual) - 0.5 * self.delta),
+            HUBER_DELTA * (np.abs(residual) - 0.5 * HUBER_DELTA),
         )
 
     def derivative(self, scores, labels):
         scores, labels = _as_batch(scores, labels)
         residual = scores - labels
-        return np.clip(residual, -self.delta, self.delta)
+        return np.clip(residual, -HUBER_DELTA, HUBER_DELTA)
 
 
 class SquaredLoss(PointwiseLoss):

@@ -13,7 +13,6 @@ import numpy as np
 
 from repro.linalg import CSRMatrix, accumulate_rows, row_dots
 from repro.models.base import StatisticsModel
-from repro.models.regularizers import Regularizer
 from repro.utils.validation import check_positive
 
 
@@ -22,8 +21,7 @@ class MultinomialLogisticRegression(StatisticsModel):
 
     name = "mlr"
 
-    def __init__(self, n_classes: int, regularizer: Regularizer = None):
-        super().__init__(regularizer)
+    def __init__(self, n_classes: int):
         check_positive(n_classes, "n_classes")
         if n_classes < 2:
             raise ValueError("n_classes must be >= 2, got {}".format(n_classes))
@@ -60,7 +58,7 @@ class MultinomialLogisticRegression(StatisticsModel):
         hot[np.arange(n), labels] = 1.0
         return hot
 
-    def data_gradient(self, features, labels, statistics, params):
+    def gradient_from_statistics(self, features, labels, statistics, params):
         self._check_batch(features, labels, statistics)
         residual = self._probabilities(statistics) - self._one_hot(labels, len(labels))
         gradient = accumulate_rows(features, residual)

@@ -5,8 +5,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.optim.base import Optimizer
-from repro.optim.schedules import Schedule
-from repro.utils.validation import check_positive
+
+#: Added to the root of the squared-gradient sum before dividing.
+EPSILON = 1e-8
 
 
 class AdaGrad(Optimizer):
@@ -14,24 +15,23 @@ class AdaGrad(Optimizer):
 
     name = "adagrad"
 
-    def __init__(self, learning_rate: float, epsilon: float = 1e-8, schedule: Schedule = None):
-        super().__init__(learning_rate, schedule)
-        check_positive(epsilon, "epsilon")
-        self.epsilon = float(epsilon)
+    def __init__(self, learning_rate: float):
+        super().__init__(learning_rate)
         self._accumulator = None
 
-    def step(self, params, gradient, iteration):
+    def step(self, params, gradient):
         rows, gradient = self._rows_of(params, gradient)
         if self._accumulator is None:
             # Lazy one-time state allocation, amortized O(1) per round.
             self._accumulator = np.zeros_like(params)
         self._accumulator[rows] += gradient ** 2
-        rate = self.effective_rate(iteration)
-        params[rows] -= rate * gradient / (np.sqrt(self._accumulator[rows]) + self.epsilon)
+        params[rows] -= (
+            self.learning_rate * gradient / (np.sqrt(self._accumulator[rows]) + EPSILON)
+        )
         return params
 
     def spawn(self):
-        return AdaGrad(self.learning_rate, epsilon=self.epsilon, schedule=self.schedule)
+        return AdaGrad(self.learning_rate)
 
     def reset(self):
         self._accumulator = None

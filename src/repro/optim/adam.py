@@ -5,8 +5,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.optim.base import Optimizer
-from repro.optim.schedules import Schedule
-from repro.utils.validation import check_positive, check_probability
+
+#: Decay of the first-moment estimate.
+BETA1 = 0.9
+#: Decay of the second-moment estimate.
+BETA2 = 0.999
+#: Added to the root of the second moment before dividing.
+EPSILON = 1e-8
 
 
 class Adam(Optimizer):
@@ -14,50 +19,30 @@ class Adam(Optimizer):
 
     name = "adam"
 
-    def __init__(
-        self,
-        learning_rate: float,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        epsilon: float = 1e-8,
-        schedule: Schedule = None,
-    ):
-        super().__init__(learning_rate, schedule)
-        check_probability(beta1, "beta1")
-        check_probability(beta2, "beta2")
-        check_positive(epsilon, "epsilon")
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.epsilon = float(epsilon)
+    def __init__(self, learning_rate: float):
+        super().__init__(learning_rate)
         self._m = None
         self._v = None
         self._t = 0
 
-    def step(self, params, gradient, iteration):
+    def step(self, params, gradient):
         gradient = self._dense(params, gradient)
         if self._m is None:
             # Lazy one-time state allocation, amortized O(1) per round.
             self._m = np.zeros_like(params)
             self._v = np.zeros_like(params)
         self._t += 1
-        self._m *= self.beta1
-        self._m += (1.0 - self.beta1) * gradient
-        self._v *= self.beta2
-        self._v += (1.0 - self.beta2) * gradient ** 2
-        m_hat = self._m / (1.0 - self.beta1 ** self._t)
-        v_hat = self._v / (1.0 - self.beta2 ** self._t)
-        rate = self.effective_rate(iteration)
-        params -= rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
+        self._m *= BETA1
+        self._m += (1.0 - BETA1) * gradient
+        self._v *= BETA2
+        self._v += (1.0 - BETA2) * gradient ** 2
+        m_hat = self._m / (1.0 - BETA1 ** self._t)
+        v_hat = self._v / (1.0 - BETA2 ** self._t)
+        params -= self.learning_rate * m_hat / (np.sqrt(v_hat) + EPSILON)
         return params
 
     def spawn(self):
-        return Adam(
-            self.learning_rate,
-            beta1=self.beta1,
-            beta2=self.beta2,
-            epsilon=self.epsilon,
-            schedule=self.schedule,
-        )
+        return Adam(self.learning_rate)
 
     def reset(self):
         self._m = None

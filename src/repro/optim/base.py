@@ -8,12 +8,13 @@ hyper-parameters but blank state — one per worker partition.
 ``step`` takes the gradient in either of two forms: a dense array shaped
 like the parameters, or the :class:`~repro.linalg.RowGradient` a model's
 ``gradient_from_statistics`` returns (rows the mini-batch touched + their
-values; every row, as a plain slice, when a regularizer made it dense).  An optimizer whose update of a row depends on that row's
-gradient alone *and* is the identity for a zero gradient (plain SGD,
-AdaGrad) applies a ``RowGradient`` to its rows only — bit for bit what
-the dense step computes, since every other row would receive ``+0.0``.
-One with decaying state (momentum, Adam) moves every row every step, so
-it densifies the gradient — here, once — and runs its dense arithmetic.
+values; every row, as a plain slice, for a user-defined model's dense
+return).  An optimizer whose update of a row depends on that row's
+gradient alone *and* is the identity for a zero gradient (SGD, AdaGrad)
+applies a ``RowGradient`` to its rows only — bit for bit what the dense
+step computes, since every other row would receive ``+0.0``.  One with
+decaying state (Adam) moves every row every step, so it densifies the
+gradient — here, once — and runs its dense arithmetic.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from typing import List, Sequence, Tuple, Union
 import numpy as np
 
 from repro.linalg import EVERY_ROW, RowGradient
-from repro.optim.schedules import ConstantSchedule, Schedule
 from repro.utils.validation import check_positive
 
 
@@ -32,17 +32,12 @@ class Optimizer:
 
     name = "abstract"
 
-    def __init__(self, learning_rate: float, schedule: Schedule = None):
+    def __init__(self, learning_rate: float):
         check_positive(learning_rate, "learning_rate")
         self.learning_rate = float(learning_rate)
-        self.schedule = schedule if schedule is not None else ConstantSchedule()
-
-    def effective_rate(self, iteration: int) -> float:
-        """Base rate times the schedule factor at ``iteration``."""
-        return self.learning_rate * self.schedule.factor(iteration)
 
     def step(
-        self, params: np.ndarray, gradient: Union[np.ndarray, RowGradient], iteration: int
+        self, params: np.ndarray, gradient: Union[np.ndarray, RowGradient]
     ) -> np.ndarray:
         """Apply one update **in place** and return ``params``.
 

@@ -98,12 +98,6 @@ class ColumnAssignment:
         """Per-worker column counts."""
         return [self.local_dim(k) for k in range(self.n_workers)]
 
-    def imbalance(self) -> float:
-        """max/mean of per-worker column counts (1.0 = perfectly even)."""
-        dims = self.local_dims()
-        mean = sum(dims) / len(dims)
-        return max(dims) / mean if mean else 1.0
-
     def __repr__(self) -> str:
         return "{}(m={}, K={})".format(type(self).__name__, self.n_features, self.n_workers)
 

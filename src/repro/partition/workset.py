@@ -50,10 +50,6 @@ class Workset:
         """Rows in the originating block."""
         return self.features.n_rows
 
-    def serialized_bytes(self) -> int:
-        """Wire size of this workset (CSR-compressed, one object)."""
-        return workset_bytes(self.features.n_rows, self.features.nnz)
-
 
 def _frozen(array: np.ndarray) -> np.ndarray:
     """Mark a freshly made view (never a base array) read-only."""

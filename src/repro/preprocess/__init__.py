@@ -7,16 +7,9 @@ package provides the matching tooling for users bringing raw data:
   into ``n_buckets`` dimensions with a sign hash (Weinberger et al.),
   so any LIBSVM file can target a chosen model size;
 * :func:`normalize_rows` — L2 row normalisation (standard for
-  hinge/logistic training on count features);
-* :func:`binarize` — clamp non-zero values to 1.0 (one-hot semantics);
-* :func:`scale_features` — per-column scaling by max |value|.
+  hinge/logistic training on count features).
 """
 
-from repro.preprocess.transforms import (
-    hash_features,
-    normalize_rows,
-    binarize,
-    scale_features,
-)
+from repro.preprocess.transforms import hash_features, normalize_rows
 
-__all__ = ["hash_features", "normalize_rows", "binarize", "scale_features"]
+__all__ = ["hash_features", "normalize_rows"]

@@ -17,22 +17,19 @@ def _mix64(x: np.ndarray) -> np.ndarray:
     return x ^ (x >> np.uint64(31))
 
 
-def hash_features(dataset: Dataset, n_buckets: int, seed: int = 0, signed: bool = True) -> Dataset:
+def hash_features(dataset: Dataset, n_buckets: int, seed: int = 0) -> Dataset:
     """The hashing trick: project features into ``n_buckets`` dimensions.
 
-    Each original feature id maps to bucket ``h(id) % n_buckets``; with
-    ``signed=True`` a second hash flips the value's sign so colliding
-    features cancel in expectation (Weinberger et al., 2009).  Values of
-    features landing in the same bucket within one row are summed.
+    Each original feature id maps to bucket ``h(id) % n_buckets``; a
+    second hash flips the value's sign so colliding features cancel in
+    expectation (Weinberger et al., 2009).  Values of features landing
+    in the same bucket within one row are summed.
     """
     check_positive(n_buckets, "n_buckets")
     features = dataset.features
     mixed = _mix64(features.indices.astype(np.uint64) * np.uint64(2 * seed + 1))
     buckets = (mixed % np.uint64(n_buckets)).astype(np.int64)
-    if signed:
-        signs = np.where((mixed >> np.uint64(32)) & np.uint64(1), 1.0, -1.0)
-    else:
-        signs = np.ones(features.nnz)
+    signs = np.where((mixed >> np.uint64(32)) & np.uint64(1), 1.0, -1.0)
     values = features.data * signs
 
     # Rebuild CSR row by row, merging duplicate buckets inside each row.
@@ -78,29 +75,3 @@ def normalize_rows(dataset: Dataset) -> Dataset:
     )
     return Dataset(scaled, dataset.labels, name=dataset.name)
 
-
-def binarize(dataset: Dataset) -> Dataset:
-    """Replace every stored value with 1.0 (one-hot semantics)."""
-    features = dataset.features
-    ones = CSRMatrix(
-        features.indptr.copy(),
-        features.indices.copy(),
-        np.ones(features.nnz),
-        features.n_cols,
-    )
-    return Dataset(ones, dataset.labels, name=dataset.name)
-
-
-def scale_features(dataset: Dataset) -> Dataset:
-    """Divide each column by its max |value| (columns with none stay)."""
-    features = dataset.features
-    max_abs = np.zeros(features.n_cols)
-    np.maximum.at(max_abs, features.indices, np.abs(features.data))
-    max_abs[max_abs == 0.0] = 1.0
-    scaled = CSRMatrix(
-        features.indptr.copy(),
-        features.indices.copy(),
-        features.data / max_abs[features.indices],
-        features.n_cols,
-    )
-    return Dataset(scaled, dataset.labels, name=dataset.name)

@@ -80,7 +80,6 @@ from repro.utils.validation import check_non_negative, check_positive
 T = TypeVar("T")
 
 _STOP = "__stop__"
-_PING = "__ping__"
 #: reserved args key carrying an injected straggler delay (seconds)
 _DELAY = "__delay__"
 #: op a respawned worker's program receives with its restore blob
@@ -143,19 +142,17 @@ def _process_main(conn, programs: Dict[int, object]) -> None:
                 delay = float(args.pop(_DELAY, 0.0))
                 if delay > 0.0:
                     time.sleep(delay)  # injected straggler (FaultKind.STALL)
-                result, reply_payload, seconds = {"pong": True}, None, 0.0
-                if op != _PING:
-                    start = time.perf_counter()
-                    try:
-                        result, reply_payload = programs[worker_id].handle(
-                            op, args, payload
-                        )
-                    # Not swallowed: the error text travels to the master
-                    # in the reply frame and run_all raises it there.
-                    except Exception as exc:  # lint: noqa[R005]
-                        result = {"__error__": "{}: {}".format(type(exc).__name__, exc)}
-                        reply_payload = None
-                    seconds = time.perf_counter() - start
+                start = time.perf_counter()
+                try:
+                    result, reply_payload = programs[worker_id].handle(
+                        op, args, payload
+                    )
+                # Not swallowed: the error text travels to the master
+                # in the reply frame and run_all raises it there.
+                except Exception as exc:  # lint: noqa[R005]
+                    result = {"__error__": "{}: {}".format(type(exc).__name__, exc)}
+                    reply_payload = None
+                seconds = time.perf_counter() - start
                 reply = (seq, worker_id, result, reply_payload, seconds)
                 last[worker_id] = (seq, reply)
                 conn.send(reply)
@@ -212,16 +209,6 @@ class LocalRuntime:
         self._stalls: Dict[int, dict] = {}
         self._seq = 0
         self._started = False
-
-    def barrier(self) -> None:
-        """Round-trip a ping through every worker process.
-
-        Bounded by the timeout policy: a dead or hung process raises
-        :class:`~repro.errors.WorkerUnresponsiveError` instead of
-        blocking forever.
-        """
-        if self._started:
-            self.run_all(_PING)
 
     # ------------------------------------------------------------------
     # process lifecycle

@@ -202,8 +202,11 @@ class WorksetPayload:
     block: CSRBlockPayload = field()
 
     def __post_init__(self):
-        if self.block.labels is None:
-            raise ValueError("worksets always carry labels (see workset_bytes)")
+        # a damaged frame can nest any payload type here
+        if not isinstance(self.block, CSRBlockPayload) or self.block.labels is None:
+            raise ValueError(
+                "worksets always carry a CSR block with labels (see workset_bytes)"
+            )
 
     def encoded_bytes(self) -> int:
         return workset_bytes(self.block.n_rows, self.block.nnz)

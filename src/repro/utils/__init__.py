@@ -1,6 +1,6 @@
 """Shared utilities: seeded RNG helpers, validation, and formatting."""
 
-from repro.utils.rng import rng_from_seed, spawn_rngs
+from repro.utils.rng import rng_from_seed
 from repro.utils.validation import (
     check_positive,
     check_non_negative,
@@ -11,7 +11,6 @@ from repro.utils.format import format_bytes, format_duration, ascii_table
 
 __all__ = [
     "rng_from_seed",
-    "spawn_rngs",
     "check_positive",
     "check_non_negative",
     "check_probability",

@@ -3,8 +3,8 @@
 All stochastic components of the library (samplers, synthetic data,
 stragglers, failure injection) take either an integer seed or a
 :class:`numpy.random.Generator`.  These helpers normalise between the two
-and derive independent child generators deterministically, so a whole
-simulated cluster run is reproducible from one seed.
+and derive per-iteration seeds deterministically, so a whole simulated
+cluster run is reproducible from one seed.
 """
 
 from __future__ import annotations
@@ -26,23 +26,6 @@ def rng_from_seed(seed: SeedLike = None) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
-
-
-def spawn_rngs(seed: SeedLike, count: int) -> list:
-    """Derive ``count`` independent generators from ``seed``.
-
-    Uses :class:`numpy.random.SeedSequence` spawning so the children are
-    statistically independent and stable across runs.  When ``seed`` is an
-    existing generator, children are seeded from draws of that generator
-    (still deterministic given the generator's state).
-    """
-    if count < 0:
-        raise ValueError("count must be >= 0, got {}".format(count))
-    if isinstance(seed, np.random.Generator):
-        seeds = seed.integers(0, 2**63 - 1, size=count)
-        return [np.random.default_rng(int(s)) for s in seeds]
-    sequence = np.random.SeedSequence(seed)
-    return [np.random.default_rng(child) for child in sequence.spawn(count)]
 
 
 def iteration_seed(base_seed: int, iteration: int) -> int:

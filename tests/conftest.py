@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
+import multiprocessing
+import signal
+
 import numpy as np
 import pytest
 
@@ -13,6 +17,7 @@ from repro.baselines import (
     SparsePSTrainer,
     StaleSyncPSTrainer,
 )
+from repro.core import UserDefinedModel
 from repro.core.driver import ColumnSGDConfig, ColumnSGDDriver
 from repro.datasets import make_classification, make_multiclass, make_regression
 from repro.extensions import (
@@ -24,6 +29,51 @@ from repro.extensions import (
 from repro.models import LogisticRegression
 from repro.optim import SGD
 from repro.sim import CLUSTER1, SimulatedCluster
+
+
+@contextlib.contextmanager
+def hard_bound(seconds):
+    """Fail (not hang) when the body outlives ``seconds``.
+
+    The processes the body started are SIGKILLed *before* the timeout is
+    raised — and on any other failure — so whatever is blocked on them,
+    the body's own cleanup included, returns instead of hanging again."""
+    before = set(multiprocessing.active_children())
+
+    def reap():
+        for child in set(multiprocessing.active_children()) - before:
+            child.kill()
+
+    def expired(signum, frame):
+        reap()
+        # not an OSError (TimeoutError is one): the transport catches those
+        pytest.fail("still running after {} s".format(seconds), pytrace=False)
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    except BaseException:
+        reap()
+        raise
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def dense_gradient(model):
+    """``model`` as a :class:`UserDefinedModel` whose gradient callback
+    returns a dense array: every step then covers every row
+    (``EVERY_ROW``), the path a dense user-defined gradient takes."""
+    return UserDefinedModel(
+        init_model=lambda local_dim: model.init_params(local_dim, seed=0),
+        compute_stat=model.compute_statistics,
+        compute_gradient=lambda features, labels, statistics, params: (
+            model.gradient_from_statistics(features, labels, statistics, params).to_dense()
+        ),
+        loss=model.loss_from_statistics,
+        statistics_width=model.statistics_width,
+    )
 
 
 @pytest.fixture

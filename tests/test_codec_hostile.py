@@ -105,6 +105,15 @@ def test_decode_raises_only_value_error(data):
         pass
 
 
+def test_workset_frame_around_another_payload_is_a_value_error():
+    """One flipped type byte makes a workset frame carry a sparse
+    vector: a ValueError, not an AttributeError on its missing labels."""
+    damaged = bytearray(ENCODED["workset"])
+    damaged[13] ^= 1  # the nested header's type code: CSR -> sparse
+    with pytest.raises(ValueError, match="CSR block with labels"):
+        decode_payload(bytes(damaged))
+
+
 class Snapshot:
     """One Adam partition's record in an on-disk store."""
 
@@ -115,8 +124,8 @@ class Snapshot:
             partition_id=0, store=None, columns=None,
             params=rng.normal(size=(5, 2)), optimizer=optimizer,
         )
-        for t in range(2):
-            optimizer.step(state.params, rng.normal(size=(5, 2)), t)
+        for _ in range(2):
+            optimizer.step(state.params, rng.normal(size=(5, 2)))
         self.record = snapshot_partition(state)
         self.layout = decode_payload(self.record).values.tolist()
         self.store = CheckpointStore(str(directory))

@@ -8,13 +8,13 @@ from repro.datasets import make_classification
 from repro.errors import TrainingError
 from repro.models import (
     FactorizationMachine,
-    L2,
     LinearSVM,
     LogisticRegression,
     MultinomialLogisticRegression,
 )
 from repro.optim import SGD, AdaGrad, Adam
 from repro.sim import CLUSTER1, SimulatedCluster
+from tests.conftest import dense_gradient
 
 
 def sequential_reference(driver, data, model, optimizer, iterations, batch_size):
@@ -26,15 +26,14 @@ def sequential_reference(driver, data, model, optimizer, iterations, batch_size)
         rows = index.to_global_rows(index.sample(t, batch_size))
         batch = data.take(rows)
         gradient = model.gradient(batch.features, batch.labels, params)
-        opt.step(params, gradient, t)
+        opt.step(params, gradient)
     return params
 
 
 MODEL_OPTIMIZER_CASES = [
     ("lr", lambda: LogisticRegression(), lambda: SGD(0.5)),
-    ("lr-l2", lambda: LogisticRegression(regularizer=L2(0.01)), lambda: SGD(0.5)),
+    ("lr-dense", lambda: dense_gradient(LogisticRegression()), lambda: SGD(0.5)),
     ("svm", lambda: LinearSVM(), lambda: SGD(0.2)),
-    ("lr-momentum", lambda: LogisticRegression(), lambda: SGD(0.2, momentum=0.9)),
     ("lr-adagrad", lambda: LogisticRegression(), lambda: AdaGrad(0.5)),
     ("lr-adam", lambda: LogisticRegression(), lambda: Adam(0.1)),
     ("fm", lambda: FactorizationMachine(n_factors=3), lambda: SGD(0.1)),

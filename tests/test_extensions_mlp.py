@@ -133,7 +133,7 @@ class TestDistributedMLP:
         for t in range(10):
             rows = index.to_global_rows(index.sample(t, 32))
             batch = data.take(rows)
-            reference.step(batch.features, batch.labels, t)
+            reference.step(batch.features, batch.labels)
 
         assert np.allclose(trainer.current_w1(), reference.w1, atol=1e-9)
         for key in reference.tail:

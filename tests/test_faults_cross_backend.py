@@ -18,7 +18,7 @@ from repro.datasets import make_classification
 from repro.faults import FaultEvent, FaultKind, FaultSchedule
 from repro.models import LogisticRegression
 from repro.net import MessageKind
-from repro.optim import SGD
+from repro.optim import AdaGrad
 
 from repro.sim import CLUSTER1, SimulatedCluster
 
@@ -59,14 +59,15 @@ def keep_network(trainer, networks):
     trainer._make_local_runtime = make_and_keep
 
 
-def run_columnsgd(data, backend, failures, checkpoint_every, networks=None):
-    cluster = SimulatedCluster(CLUSTER1.with_workers(WORKERS))
+def run_columnsgd(data, backend, failures, checkpoint_every, networks=None,
+                  workers=WORKERS):
+    cluster = SimulatedCluster(CLUSTER1.with_workers(workers))
     local = backend == "local"
     driver = ColumnSGDDriver(
-        LogisticRegression(), SGD(0.5, momentum=0.9), cluster,
+        LogisticRegression(), AdaGrad(0.5), cluster,
         config=ColumnSGDConfig(
             batch_size=BATCH, iterations=ROUNDS, eval_every=0, seed=3,
-            backend=backend, local_processes=WORKERS if local else 0,
+            backend=backend, local_processes=workers if local else 0,
             sync_policy="retry" if local else "backup",
             local_timeout_s=1.0, check_protocol=True,
         ),
@@ -82,7 +83,7 @@ def run_columnsgd(data, backend, failures, checkpoint_every, networks=None):
 def run_mllib(data, backend, failures, networks=None):
     cluster = SimulatedCluster(CLUSTER1.with_workers(WORKERS))
     trainer = MLlibTrainer(
-        LogisticRegression(), SGD(0.5, momentum=0.9), cluster,
+        LogisticRegression(), AdaGrad(0.5), cluster,
         config=RowSGDConfig(
             batch_size=BATCH, iterations=ROUNDS, eval_every=0, seed=3,
             backend=backend,
@@ -119,6 +120,22 @@ def test_columnsgd_same_schedule_same_job(data, failures, checkpoint_every, expe
     # the kill really cost something: a clean run ends elsewhere
     clean, _ = run_columnsgd(data, "sim", None, checkpoint_every)
     assert np.max(np.abs(sim.final_params - clean.final_params)) > 0.0
+
+
+def test_checkpoint_bytes_agree_across_backends(data):
+    """Both backends account a checkpoint as the snapshot records they
+    hold, one framed object each (K = 2, backup 0: one partition, so
+    one record, per worker)."""
+    networks = []
+    sim, _ = run_columnsgd(data, "sim", None, 4, networks, workers=2)
+    local, _ = run_columnsgd(data, "local", None, 4, networks, workers=2)
+    assert np.max(np.abs(sim.final_params - local.final_params)) == 0.0
+    sim_net, local_net = networks
+    assert sim_net.messages_by_kind[MessageKind.CHECKPOINT] == 2 * 3  # t = 0, 4, 8
+    assert (
+        sim_net.bytes_of_kind(MessageKind.CHECKPOINT)
+        == local_net.bytes_of_kind(MessageKind.CHECKPOINT)
+    )
 
 
 def test_mllib_kill_is_a_reload_and_numerically_invisible(data):

@@ -84,14 +84,6 @@ class TestRoundTrip:
         assert np.array_equal(loaded.labels, data.labels)
         assert loaded.features == data.features
 
-    def test_zero_based_roundtrip(self):
-        data = make_classification(20, 15, seed=14)
-        buf = io.StringIO()
-        write_libsvm(data, buf, zero_based=True)
-        buf.seek(0)
-        loaded = read_libsvm(buf, n_features=15, zero_based=True)
-        assert loaded.features == data.features
-
     def test_file_path_round_trip(self, tmp_path):
         data = make_classification(10, 8, seed=15)
         path = str(tmp_path / "x.txt")

@@ -170,15 +170,6 @@ class TestDeadlineTransport:
         finally:
             runtime.close()
 
-    def test_barrier_timeout_raises_instead_of_hanging(self):
-        runtime = started_runtime(TimeoutPolicy(max_retries=0, **FAST))
-        try:
-            runtime.kill_worker(0)
-            with pytest.raises(WorkerUnresponsiveError):
-                runtime.barrier()
-        finally:
-            runtime.close()
-
     def test_close_returns_with_a_dead_process(self):
         runtime = started_runtime(TimeoutPolicy(max_retries=0, **FAST))
         runtime.kill_worker(2)

@@ -9,8 +9,6 @@ hard-bounded by an interval timer, so a regression fails the case
 instead of hanging the suite.
 """
 
-import contextlib
-import multiprocessing
 import os
 import signal
 
@@ -27,6 +25,7 @@ from repro.optim import SGD
 from repro.runtime import LocalRuntime, TimeoutPolicy
 from repro.runtime.local import MAX_RECOVERY_ROUNDS
 from repro.sim import CLUSTER1, SimulatedCluster
+from tests.conftest import hard_bound
 
 BOUND_S = 10.0
 PROCESSES = 2
@@ -38,36 +37,6 @@ FAULTS = {
     "garble": FaultKind.GARBLE,
     "stall": FaultKind.STALL,
 }
-
-
-@contextlib.contextmanager
-def hard_bound(seconds):
-    """Fail (not hang) when the body outlives ``seconds``.
-
-    The processes the body started are SIGKILLed *before* the timeout is
-    raised — and on any other failure — so whatever is blocked on them,
-    the body's own cleanup included, returns instead of hanging again."""
-    before = set(multiprocessing.active_children())
-
-    def reap():
-        for child in set(multiprocessing.active_children()) - before:
-            child.kill()
-
-    def expired(signum, frame):
-        reap()
-        # not an OSError (TimeoutError is one): the transport catches those
-        pytest.fail("still running after {} s".format(seconds), pytrace=False)
-
-    previous = signal.signal(signal.SIGALRM, expired)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    except BaseException:
-        reap()
-        raise
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 class EchoProgram:

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.metrics import accuracy, log_loss, roc_auc
 from repro.models import HingeLoss, HuberLoss, LogisticLoss, SquaredHingeLoss, SquaredLoss
+from repro.models.losses import HUBER_DELTA
 
 FINITE = st.floats(-50, 50, allow_nan=False)
 
@@ -24,7 +25,7 @@ def scored_batches(draw, regression=False, min_size=2):
 
 
 CLASSIFICATION_LOSSES = [LogisticLoss(), HingeLoss(), SquaredHingeLoss()]
-REGRESSION_LOSSES = [SquaredLoss(), HuberLoss(delta=1.0)]
+REGRESSION_LOSSES = [SquaredLoss(), HuberLoss()]
 
 
 class TestLossProperties:
@@ -69,12 +70,12 @@ class TestLossProperties:
         scores, labels = batch
         assert np.all(np.abs(LogisticLoss().derivative(scores, labels)) <= 1.0)
 
-    @given(scored_batches(regression=True), st.floats(0.1, 5.0))
+    @given(scored_batches(regression=True))
     @settings(max_examples=60)
-    def test_huber_derivative_bounded_by_delta(self, batch, delta):
+    def test_huber_derivative_bounded_by_delta(self, batch):
         scores, labels = batch
-        loss = HuberLoss(delta=delta)
-        assert np.all(np.abs(loss.derivative(scores, labels)) <= delta + 1e-12)
+        loss = HuberLoss()
+        assert np.all(np.abs(loss.derivative(scores, labels)) <= HUBER_DELTA + 1e-12)
 
 
 class TestMetricProperties:

@@ -12,7 +12,6 @@ import pytest
 
 from repro.datasets import make_classification, make_multiclass, make_regression
 from repro.models import (
-    L2,
     FactorizationMachine,
     LeastSquares,
     LinearSVM,
@@ -61,23 +60,11 @@ class TestLogisticRegression:
         numeric = finite_difference_gradient(model, data.features, data.labels, w)
         assert np.allclose(grad, numeric, atol=1e-5)
 
-    def test_gradient_with_l2_matches_finite_difference(self, data, rng):
-        model = LogisticRegression(regularizer=L2(0.1))
-        w = rng.normal(size=data.n_features) * 0.5
-        grad = model.gradient(data.features, data.labels, w)
-        numeric = finite_difference_gradient(model, data.features, data.labels, w)
-        assert np.allclose(grad, numeric, atol=1e-5)
-
     def test_predictions_are_probabilities(self, data, rng):
         model = LogisticRegression()
         w = rng.normal(size=data.n_features)
         probs = model.predict(data.features, w)
         assert np.all((probs >= 0) & (probs <= 1))
-
-    def test_predict_labels(self, data, rng):
-        model = LogisticRegression()
-        w = rng.normal(size=data.n_features)
-        assert set(np.unique(model.predict_labels(data.features, w))) <= {-1.0, 1.0}
 
     def test_statistics_width(self):
         assert LogisticRegression().statistics_width == 1

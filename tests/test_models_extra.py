@@ -12,6 +12,7 @@ from repro.models import (
     SquaredHingeLoss,
     make_model,
 )
+from repro.models.losses import HUBER_DELTA
 from tests.test_models import finite_difference_gradient
 
 
@@ -42,31 +43,27 @@ class TestSquaredHingeLoss:
 
 class TestHuberLoss:
     def test_quadratic_inside_delta(self):
-        loss = HuberLoss(delta=1.0)
+        loss = HuberLoss()
         assert loss.loss(np.array([0.5]), np.array([0.0]))[0] == pytest.approx(0.125)
 
     def test_linear_outside_delta(self):
-        loss = HuberLoss(delta=1.0)
+        loss = HuberLoss()
         assert loss.loss(np.array([3.0]), np.array([0.0]))[0] == pytest.approx(2.5)
 
     def test_gradient_bounded(self, rng):
-        loss = HuberLoss(delta=0.5)
+        loss = HuberLoss()
         scores = rng.normal(size=100) * 10
         labels = rng.normal(size=100)
-        assert np.all(np.abs(loss.derivative(scores, labels)) <= 0.5 + 1e-12)
+        assert np.all(np.abs(loss.derivative(scores, labels)) <= HUBER_DELTA + 1e-12)
 
     def test_derivative_matches_numeric(self, rng):
-        loss = HuberLoss(delta=1.3)
+        loss = HuberLoss()
         scores = rng.normal(size=60) * 3
         labels = rng.normal(size=60)
-        safe = np.abs(np.abs(scores - labels) - 1.3) > 1e-4
+        safe = np.abs(np.abs(scores - labels) - HUBER_DELTA) > 1e-4
         eps = 1e-6
         numeric = (loss.loss(scores + eps, labels) - loss.loss(scores - eps, labels)) / (2 * eps)
         assert np.allclose(loss.derivative(scores, labels)[safe], numeric[safe], atol=1e-5)
-
-    def test_rejects_bad_delta(self):
-        with pytest.raises(ValueError):
-            HuberLoss(delta=0.0)
 
 
 class TestSmoothSVM:
@@ -98,20 +95,14 @@ class TestSmoothSVM:
         for t in range(12):
             rows = index.to_global_rows(index.sample(t, 32))
             batch = tiny_gaussian.take(rows)
-            opt.step(w, SmoothSVM().gradient(batch.features, batch.labels, w), t)
+            opt.step(w, SmoothSVM().gradient(batch.features, batch.labels, w))
         assert np.allclose(result.final_params, w, atol=1e-10)
-
-    def test_predict_labels(self, tiny_binary, rng):
-        model = SmoothSVM()
-        w = rng.normal(size=tiny_binary.n_features)
-        labels = model.predict_labels(tiny_binary.features, w)
-        assert set(np.unique(labels)) <= {-1.0, 1.0}
 
 
 class TestHuberRegression:
     def test_gradient_matches_finite_difference(self, rng):
         data = make_regression(40, 12, nnz_per_row=4, seed=22)
-        model = HuberRegression(delta=1.0)
+        model = HuberRegression()
         w = rng.normal(size=12) * 0.4
         grad = model.gradient(data.features, data.labels, w)
         numeric = finite_difference_gradient(model, data.features, data.labels, w)
@@ -132,11 +123,11 @@ class TestHuberRegression:
             return w
 
         w_ls = fit(LeastSquares(), 0.02)
-        w_huber = fit(HuberRegression(delta=1.0), 0.05)
+        w_huber = fit(HuberRegression(), 0.05)
         ls_clean_loss = LeastSquares().loss(clean.features, clean.labels, w_ls)
         huber_clean_loss = LeastSquares().loss(clean.features, clean.labels, w_huber)
         assert huber_clean_loss < ls_clean_loss
 
     def test_registry(self):
         assert make_model("smooth_svm").name == "smooth_svm"
-        assert make_model("huber", delta=2.0).delta == 2.0
+        assert make_model("huber").name == "huber"

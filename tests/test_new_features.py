@@ -6,9 +6,9 @@ import pytest
 
 from repro.core import ColumnSGDConfig, ColumnSGDDriver
 from repro.errors import StatisticsRecoveryError
-from repro.metrics import k_fold, train_test_split
+from repro.metrics import train_test_split
 from repro.models import LogisticRegression
-from repro.optim import SGD, WarmupSchedule
+from repro.optim import SGD
 from repro.sim import CLUSTER1, SimulatedCluster
 
 
@@ -70,65 +70,6 @@ class TestKillWorker:
         driver = self.make_driver(tiny_binary, backup=0)
         with pytest.raises(ValueError):
             driver.kill_worker(9)
-
-
-class TestKFold:
-    def test_folds_cover_everything_once(self, tiny_binary):
-        seen = 0
-        for train, val in k_fold(tiny_binary, k=5, seed=3):
-            assert train.n_rows + val.n_rows == tiny_binary.n_rows
-            seen += val.n_rows
-        assert seen == tiny_binary.n_rows
-
-    def test_fold_sizes_balanced(self, tiny_binary):
-        sizes = [val.n_rows for _, val in k_fold(tiny_binary, k=7, seed=3)]
-        assert max(sizes) - min(sizes) <= 1
-
-    def test_validation_rows_disjoint(self, tiny_binary):
-        # without shuffle, folds are contiguous ranges -> verify label
-        # sequences reassemble the original
-        vals = [val for _, val in k_fold(tiny_binary, k=4, shuffle=False)]
-        rebuilt = np.concatenate([v.labels for v in vals])
-        assert np.array_equal(rebuilt, tiny_binary.labels)
-
-    def test_validation(self, tiny_binary):
-        with pytest.raises(ValueError):
-            list(k_fold(tiny_binary, k=1))
-        with pytest.raises(ValueError):
-            list(k_fold(tiny_binary.slice(0, 3), k=5))
-
-
-class TestWarmupSchedule:
-    def test_ramp(self):
-        sched = WarmupSchedule(10, start_factor=0.2)
-        assert sched.factor(0) == pytest.approx(0.2)
-        assert sched.factor(5) == pytest.approx(0.6)
-        assert sched.factor(10) == 1.0
-        assert sched.factor(100) == 1.0
-
-    def test_composes_with_decay(self):
-        from repro.optim import StepDecaySchedule
-
-        sched = WarmupSchedule(4, after=StepDecaySchedule(step_size=10, gamma=0.5))
-        assert sched.factor(4) == 1.0
-        assert sched.factor(14) == 0.5  # 10 post-warmup iterations
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            WarmupSchedule(0)
-        with pytest.raises(ValueError):
-            WarmupSchedule(5, start_factor=0.0)
-
-    def test_usable_in_sgd(self, tiny_binary):
-        from repro.core import train_columnsgd
-
-        cluster = SimulatedCluster(CLUSTER1.with_workers(2))
-        result = train_columnsgd(
-            tiny_binary, LogisticRegression(),
-            SGD(1.0, schedule=WarmupSchedule(5)), cluster,
-            batch_size=32, iterations=10, eval_every=10, block_size=64,
-        )
-        assert result.final_loss() < np.log(2)
 
 
 class TestPhaseBreakdown:

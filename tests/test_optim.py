@@ -1,18 +1,9 @@
-"""Unit tests for optimizers and schedules."""
+"""Unit tests for optimizers."""
 
 import numpy as np
 import pytest
 
-from repro.optim import (
-    SGD,
-    AdaGrad,
-    Adam,
-    ConstantSchedule,
-    InverseScalingSchedule,
-    StepDecaySchedule,
-    make_optimizer,
-    OPTIMIZER_REGISTRY,
-)
+from repro.optim import SGD, AdaGrad, Adam, make_optimizer, OPTIMIZER_REGISTRY
 
 
 def quadratic_descends(optimizer, steps=200):
@@ -20,80 +11,41 @@ def quadratic_descends(optimizer, steps=200):
     w = np.array([5.0, -3.0, 2.0])
     start = float(np.dot(w, w))
     for t in range(steps):
-        optimizer.step(w, w.copy(), t)
+        optimizer.step(w, w.copy())
     return float(np.dot(w, w)) < start * 0.01
-
-
-class TestSchedules:
-    def test_constant(self):
-        assert ConstantSchedule().factor(0) == 1.0
-        assert ConstantSchedule().factor(1000) == 1.0
-
-    def test_inverse_scaling_decays(self):
-        sched = InverseScalingSchedule(decay=0.1, power=1.0)
-        assert sched.factor(0) == 1.0
-        assert sched.factor(10) == pytest.approx(0.5)
-
-    def test_step_decay(self):
-        sched = StepDecaySchedule(step_size=10, gamma=0.5)
-        assert sched.factor(9) == 1.0
-        assert sched.factor(10) == 0.5
-        assert sched.factor(25) == 0.25
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            StepDecaySchedule(step_size=0)
-        with pytest.raises(ValueError):
-            InverseScalingSchedule(decay=-1)
 
 
 class TestSGD:
     def test_plain_update(self):
         opt = SGD(0.1)
         w = np.array([1.0, 2.0])
-        opt.step(w, np.array([1.0, -1.0]), 0)
+        opt.step(w, np.array([1.0, -1.0]))
         assert np.allclose(w, [0.9, 2.1])
 
     def test_updates_in_place(self):
         opt = SGD(0.1)
         w = np.zeros(2)
-        out = opt.step(w, np.ones(2), 0)
+        out = opt.step(w, np.ones(2))
         assert out is w
-
-    def test_schedule_applied(self):
-        opt = SGD(1.0, schedule=StepDecaySchedule(step_size=1, gamma=0.5))
-        w = np.zeros(1)
-        opt.step(w, np.ones(1), 2)  # factor 0.25
-        assert w[0] == pytest.approx(-0.25)
-
-    def test_momentum_accumulates(self):
-        opt = SGD(0.1, momentum=0.9)
-        w = np.zeros(1)
-        opt.step(w, np.ones(1), 0)
-        first = w[0]
-        opt.step(w, np.ones(1), 1)
-        assert (w[0] - first) < first  # second step moved further down
 
     def test_converges_on_quadratic(self):
         assert quadratic_descends(SGD(0.1))
-        assert quadratic_descends(SGD(0.05, momentum=0.9))
 
     def test_spawn_is_fresh(self):
-        opt = SGD(0.1, momentum=0.9)
-        opt.step(np.zeros(1), np.ones(1), 0)
+        opt = SGD(0.1)
+        opt.step(np.zeros(1), np.ones(1))
         clone = opt.spawn()
-        assert clone._velocity is None
-        assert clone.momentum == 0.9
+        assert clone is not opt and clone.learning_rate == 0.1
+        # SGD is stateless: nothing for a checkpoint to carry
+        assert opt.state_arrays() == [] and clone.state_arrays() == []
 
     def test_shape_check(self):
         with pytest.raises(ValueError):
-            SGD(0.1).step(np.zeros(2), np.zeros(3), 0)
+            SGD(0.1).step(np.zeros(2), np.zeros(3))
 
     def test_validation(self):
         with pytest.raises(ValueError):
             SGD(0.0)
-        with pytest.raises(ValueError):
-            SGD(0.1, momentum=1.5)
 
 
 class TestAdaGrad:
@@ -103,13 +55,13 @@ class TestAdaGrad:
     def test_per_coordinate_adaptivity(self):
         opt = AdaGrad(1.0)
         w = np.zeros(2)
-        opt.step(w, np.array([10.0, 0.1]), 0)
+        opt.step(w, np.array([10.0, 0.1]))
         # both coordinates move ~learning_rate on the first step
         assert abs(w[0]) == pytest.approx(abs(w[1]), rel=1e-4)
 
     def test_reset(self):
         opt = AdaGrad(1.0)
-        opt.step(np.zeros(1), np.ones(1), 0)
+        opt.step(np.zeros(1), np.ones(1))
         opt.reset()
         assert opt._accumulator is None
 
@@ -121,19 +73,19 @@ class TestAdam:
     def test_first_step_size_is_learning_rate(self):
         opt = Adam(0.1)
         w = np.zeros(1)
-        opt.step(w, np.array([42.0]), 0)
+        opt.step(w, np.array([42.0]))
         assert abs(w[0]) == pytest.approx(0.1, rel=1e-4)
 
     def test_spawn_preserves_hypers(self):
-        opt = Adam(0.1, beta1=0.8, beta2=0.99)
+        opt = Adam(0.1)
+        opt.step(np.zeros(1), np.ones(1))
         clone = opt.spawn()
-        assert clone.beta1 == 0.8
-        assert clone.beta2 == 0.99
-        assert clone._t == 0
+        assert clone.learning_rate == 0.1
+        assert clone._t == 0 and clone.state_arrays() == []
 
     def test_reset(self):
         opt = Adam(0.1)
-        opt.step(np.zeros(1), np.ones(1), 0)
+        opt.step(np.zeros(1), np.ones(1))
         opt.reset()
         assert opt._t == 0 and opt._m is None
 
@@ -144,7 +96,6 @@ class TestPartitionedEquivalence:
 
     @pytest.mark.parametrize("factory", [
         lambda: SGD(0.1),
-        lambda: SGD(0.1, momentum=0.9),
         lambda: AdaGrad(0.5),
         lambda: Adam(0.2),
     ])
@@ -153,11 +104,11 @@ class TestPartitionedEquivalence:
         part_opts = [factory(), factory()]
         w_full = rng.normal(size=10)
         w_parts = [w_full[0::2].copy(), w_full[1::2].copy()]
-        for t in range(20):
+        for _ in range(20):
             g = rng.normal(size=10)
-            full_opt.step(w_full, g, t)
-            part_opts[0].step(w_parts[0], g[0::2], t)
-            part_opts[1].step(w_parts[1], g[1::2], t)
+            full_opt.step(w_full, g)
+            part_opts[0].step(w_parts[0], g[0::2])
+            part_opts[1].step(w_parts[1], g[1::2])
         assert np.allclose(w_full[0::2], w_parts[0], atol=1e-12)
         assert np.allclose(w_full[1::2], w_parts[1], atol=1e-12)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.datasets import make_classification
-from repro.preprocess import binarize, hash_features, normalize_rows, scale_features
+from repro.preprocess import hash_features, normalize_rows
 
 
 class TestHashFeatures:
@@ -24,12 +24,13 @@ class TestHashFeatures:
         b = hash_features(tiny_binary, 64, seed=2)
         assert a.features != b.features
 
-    def test_row_l1_mass_preserved_unsigned(self, tiny_binary):
-        """Without sign hashing, per-row total value is preserved."""
-        hashed = hash_features(tiny_binary, 64, signed=False)
+    def test_row_l1_mass_never_grows(self, tiny_binary):
+        """Sign hashing keeps each value's magnitude; only collisions
+        inside a row can cancel some of it."""
+        hashed = hash_features(tiny_binary, 64)
         for i in range(0, tiny_binary.n_rows, 29):
-            original = tiny_binary.features.row(i).values.sum()
-            assert hashed.features.row(i).values.sum() == pytest.approx(original)
+            original = np.abs(tiny_binary.features.row(i).values).sum()
+            assert np.abs(hashed.features.row(i).values).sum() <= original + 1e-12
 
     def test_indices_within_buckets(self, tiny_binary):
         hashed = hash_features(tiny_binary, 32)
@@ -76,30 +77,3 @@ class TestNormalizeRows:
         normalize_rows(tiny_binary)
         assert np.array_equal(tiny_binary.features.data, before)
 
-
-class TestBinarize:
-    def test_all_ones(self):
-        data = make_classification(50, 30, binary_features=False, seed=5)
-        assert np.all(binarize(data).features.data == 1.0)
-
-    def test_pattern_preserved(self):
-        data = make_classification(50, 30, binary_features=False, seed=5)
-        assert np.array_equal(
-            binarize(data).features.indices, data.features.indices
-        )
-
-
-class TestScaleFeatures:
-    def test_max_abs_is_one(self):
-        data = make_classification(80, 40, binary_features=False, seed=6)
-        scaled = scale_features(data)
-        max_abs = np.zeros(40)
-        np.maximum.at(max_abs, scaled.features.indices, np.abs(scaled.features.data))
-        present = max_abs > 0
-        assert np.allclose(max_abs[present], 1.0)
-
-    def test_idempotent(self):
-        data = make_classification(80, 40, binary_features=False, seed=6)
-        once = scale_features(data)
-        twice = scale_features(once)
-        assert np.allclose(once.features.data, twice.features.data)

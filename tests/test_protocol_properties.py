@@ -48,7 +48,7 @@ class TestExactnessProperty:
             rows = index.to_global_rows(index.sample(t, batch))
             sub = DATA.take(rows)
             grad = LogisticRegression().gradient(sub.features, sub.labels, reference)
-            opt.step(reference, grad, t)
+            opt.step(reference, grad)
         assert np.allclose(params, reference, atol=1e-9)
 
     @given(

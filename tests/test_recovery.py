@@ -23,17 +23,18 @@ from repro.models import LogisticRegression
 from repro.net import MessageKind
 from repro.optim import SGD, AdaGrad, Adam
 from repro.sim import CLUSTER1, SimulatedCluster
+from repro.storage.serialization import OBJECT_OVERHEAD_BYTES
 
 
 def make_driver(data, backup=0, recovery=None, failures=None, iterations=20,
-                **config):
+                optimizer=None, **config):
     cluster = SimulatedCluster(CLUSTER1.with_workers(4))
     config = ColumnSGDConfig(
         batch_size=64, iterations=iterations, eval_every=0, seed=9,
         block_size=64, backup=backup, **config,
     )
     driver = ColumnSGDDriver(
-        LogisticRegression(), SGD(1.0), cluster, config=config,
+        LogisticRegression(), optimizer or SGD(1.0), cluster, config=config,
         failures=failures, recovery=recovery,
     )
     driver.load(data)
@@ -74,6 +75,21 @@ class TestCheckpointStore:
         )
         driver.fit()
         assert driver.cluster.network.bytes_of_kind(MessageKind.CHECKPOINT) > 0
+
+    @pytest.mark.parametrize("optimizer", [SGD(1.0), Adam(0.05)], ids=["sgd", "adam"])
+    def test_checkpoint_bytes_are_the_records(self, tiny_binary, optimizer):
+        """The simulated charge is what the store holds: each record as
+        one framed object, whatever state the optimizer keeps."""
+        driver = make_driver(
+            tiny_binary, recovery=RecoveryPolicy(checkpoint_every=2),
+            iterations=7, optimizer=optimizer,
+        )
+        driver.fit()
+        store = driver.recovery_manager.checkpoints
+        assert store.writes == 4 * 4  # 4 partitions x iterations 0, 2, 4, 6
+        assert driver.cluster.network.bytes_of_kind(MessageKind.CHECKPOINT) == (
+            store.bytes_written + store.writes * OBJECT_OVERHEAD_BYTES
+        )
 
     def test_write_charges_time(self, tiny_binary):
         with_cp = make_driver(
@@ -220,11 +236,12 @@ class TestMasterRestart:
 
     def test_checkpointed_run_costs_what_it_always_did(self, tiny_binary):
         """Simulated seconds and CHECKPOINT bytes of a checkpointed run
-        with a master restart, pinned bit-for-bit from before the
-        snapshot format and the store were unified."""
+        with a master restart, pinned bit-for-bit: snapshots are charged
+        as the records themselves (one framed object each), and the
+        replayed rounds as CHECKPOINT traffic."""
         cluster = SimulatedCluster(CLUSTER1.with_workers(4))
         driver = ColumnSGDDriver(
-            LogisticRegression(), SGD(1.0, momentum=0.9), cluster,
+            LogisticRegression(), AdaGrad(1.0), cluster,
             config=ColumnSGDConfig(
                 batch_size=64, iterations=20, eval_every=0, seed=9, block_size=64
             ),
@@ -233,9 +250,9 @@ class TestMasterRestart:
         )
         driver.load(tiny_binary)
         result = driver.fit()
-        assert result.total_sim_time.hex() == "0x1.395fa4e31b3a4p+0"
-        assert cluster.network.bytes_of_kind(MessageKind.CHECKPOINT) == 23552
-        assert float(np.abs(result.final_params).sum()) == 66.63831818322711
+        assert result.total_sim_time.hex() == "0x1.3960007da0b72p+0"
+        assert cluster.network.bytes_of_kind(MessageKind.CHECKPOINT) == 24960
+        assert float(np.abs(result.final_params).sum()) == 150.8468682264118
 
 
 # ----------------------------------------------------------------------
@@ -322,14 +339,13 @@ def stepped_state(optimizer, steps, shape=(6, 3)):
         partition_id=0, store=None, columns=None,
         params=rng.normal(size=shape), optimizer=optimizer,
     )
-    for t in range(steps):
-        optimizer.step(state.params, rng.normal(size=shape), t)
+    for _ in range(steps):
+        optimizer.step(state.params, rng.normal(size=shape))
     return state
 
 
 OPTIMIZERS = {
     "sgd": lambda: SGD(0.5),
-    "momentum": lambda: SGD(0.5, momentum=0.9),
     "adagrad": lambda: AdaGrad(0.5),
     "adam": lambda: Adam(0.05),
 }
@@ -346,17 +362,17 @@ class TestSnapshotRecord:
         assert restore_partition(restored, snapshot_partition(live)) == "checkpoint"
         assert np.array_equal(restored.params, live.params)
         gradient = np.random.default_rng(8).normal(size=live.params.shape)
-        for t in range(steps, steps + 3):
-            live.optimizer.step(live.params, gradient, t)
-            restored.optimizer.step(restored.params, gradient, t)
+        for _ in range(3):
+            live.optimizer.step(live.params, gradient)
+            restored.optimizer.step(restored.params, gradient)
         assert np.array_equal(restored.params, live.params)
 
     def test_restored_state_is_a_copy(self):
-        live = stepped_state(SGD(0.5, momentum=0.9), 3)
-        restored = stepped_state(SGD(0.5, momentum=0.9), 0)
+        live = stepped_state(AdaGrad(0.5), 3)
+        restored = stepped_state(AdaGrad(0.5), 0)
         restore_partition(restored, snapshot_partition(live))
         before = np.array(live.optimizer.state_arrays()[0], copy=True)
-        restored.optimizer.step(restored.params, np.ones_like(restored.params), 3)
+        restored.optimizer.step(restored.params, np.ones_like(restored.params))
         assert np.array_equal(live.optimizer.state_arrays()[0], before)
 
     def test_no_record_is_zero_init(self):
@@ -393,7 +409,7 @@ class TestCheckpointStoreFiles:
         return CheckpointStore(str(tmp_path) if request.param == "disk" else None)
 
     def test_roundtrip_on_both_media(self, store):
-        record = snapshot_partition(stepped_state(SGD(0.5, momentum=0.9), 2))
+        record = snapshot_partition(stepped_state(AdaGrad(0.5), 2))
         store.write(4, 7, record)
         assert store.read(7) == record
         assert store.last_iteration == 4

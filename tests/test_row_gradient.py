@@ -37,8 +37,6 @@ from repro.linalg import (
 )
 from repro.linalg.ops import BLOCK_ELEMENTS
 from repro.models import (
-    L1,
-    L2,
     FactorizationMachine,
     FieldAwareFM,
     LinearSVM,
@@ -48,6 +46,7 @@ from repro.models import (
 from repro.models.losses import HingeLoss, LogisticLoss
 from repro.optim import SGD, AdaGrad, Adam
 from repro.sim import CLUSTER1, SimulatedCluster
+from tests.conftest import dense_gradient
 
 N_FIELDS = 2
 
@@ -93,14 +92,6 @@ def old_accumulate_rows(matrix, coefficients, squared=False):
     return out
 
 
-def old_regularizer_gradient(model, params):
-    """``regularizer.gradient``; NoRegularizer returned ``zeros_like``."""
-    reg = model.regularizer
-    if isinstance(reg, (L1, L2)):
-        return reg.gradient(params)
-    return np.zeros_like(params)
-
-
 class OldGLM:
     def __init__(self, loss):
         self.loss_fn = loss
@@ -111,7 +102,7 @@ class OldGLM:
     def gradient(self, model, features, labels, statistics, params):
         coefficients = self.loss_fn.derivative(statistics[:, 0], labels)
         grad = old_accumulate_rows(features, coefficients) / max(len(labels), 1)
-        return grad + old_regularizer_gradient(model, params)
+        return grad
 
 
 class OldMLR:
@@ -125,7 +116,7 @@ class OldMLR:
         grad = np.column_stack(
             [old_accumulate_rows(features, residual[:, c]) for c in range(model.n_classes)]
         )
-        return grad / max(len(labels), 1) + old_regularizer_gradient(model, params)
+        return grad / max(len(labels), 1)
 
 
 class OldFM:
@@ -149,7 +140,7 @@ class OldFM:
                 old_accumulate_rows(features, coefficients * statistics[:, 1 + f])
                 - params[:, 1 + f] * sq_acc
             )
-        return grad / max(len(labels), 1) + old_regularizer_gradient(model, params)
+        return grad / max(len(labels), 1)
 
 
 class OldFFM:
@@ -186,30 +177,21 @@ class OldFFM:
                     if b == a:
                         grad[mask, col] -= params[:, col][mask] * sq_acc[mask]
         grad /= max(len(labels), 1)
-        reg = old_regularizer_gradient(model, params)
-        reg[:, 0] = 0.0
         grad[:, 0] = 0.0
-        return grad + reg
+        return grad
 
 
 class OldSGD:
     """The dense steps as they were; ``state`` mirrors ``state_arrays()``."""
 
-    def __init__(self, rate, momentum=0.0):
-        self.rate, self.momentum, self.velocity = rate, momentum, None
+    def __init__(self, rate):
+        self.rate = rate
 
     def step(self, params, gradient):
-        if self.momentum == 0.0:
-            params -= self.rate * gradient
-            return
-        if self.velocity is None:
-            self.velocity = np.zeros_like(params)
-        self.velocity *= self.momentum
-        self.velocity += gradient
-        params -= self.rate * self.velocity
+        params -= self.rate * gradient
 
     def state(self):
-        return [] if self.velocity is None else [self.velocity]
+        return []
 
 
 class OldAdaGrad:
@@ -261,18 +243,18 @@ def classes(rng, n):
     return rng.integers(0, 3, size=n).astype(np.float64)
 
 
-def make_case(name, n_cols, regularizer=None):
+def make_case(name, n_cols):
     """``(model, oracle, label sampler)`` for one model family."""
     if name == "lr":
-        return LogisticRegression(regularizer), OldGLM(LogisticLoss()), binary
+        return LogisticRegression(), OldGLM(LogisticLoss()), binary
     if name == "svm":
-        return LinearSVM(regularizer), OldGLM(HingeLoss()), binary
+        return LinearSVM(), OldGLM(HingeLoss()), binary
     if name == "mlr":
-        return MultinomialLogisticRegression(3, regularizer), OldMLR(), classes
+        return MultinomialLogisticRegression(3), OldMLR(), classes
     if name == "fm":
-        return FactorizationMachine(3, regularizer=regularizer), OldFM(), binary
+        return FactorizationMachine(3), OldFM(), binary
     field_of = np.arange(n_cols) % N_FIELDS
-    return FieldAwareFM(field_of, n_factors=2, regularizer=regularizer), OldFFM(), binary
+    return FieldAwareFM(field_of, n_factors=2), OldFFM(), binary
 
 
 MODEL_NAMES = ("lr", "svm", "mlr", "fm", "ffm")
@@ -415,7 +397,7 @@ class TestModelsMatchDenseOracle:
 
         for ours, theirs in ((SGD(0.3), OldSGD(0.3)), (AdaGrad(0.3), OldAdaGrad(0.3))):
             stepped, want = params.copy(), params.copy()
-            ours.step(stepped, gradient, 0)
+            ours.step(stepped, gradient)
             theirs.step(want, want_grad)
             assert same_bits(stepped, want)
 
@@ -423,11 +405,11 @@ class TestModelsMatchDenseOracle:
 # ----------------------------------------------------------------------
 # (b) sparse step == dense step, five rounds, state included
 # ----------------------------------------------------------------------
-def training_rounds(name, regularizer, rounds=5, seed=7):
+def training_rounds(name, rounds=5, seed=7):
     """Batches of one shard with the params both sides start from."""
     rng = np.random.default_rng(seed)
     n_cols = 30
-    model, oracle, sample_labels = make_case(name, n_cols, regularizer)
+    model, oracle, sample_labels = make_case(name, n_cols)
     params = random_params(model, n_cols, rng)
     batches_ = []
     for _ in range(rounds):
@@ -443,12 +425,15 @@ def training_rounds(name, regularizer, rounds=5, seed=7):
     return model, oracle, params, batches_
 
 
-def run_both(model, oracle, params, rounds, ours, theirs):
+def run_both(model, oracle, params, rounds, ours, theirs, trained=None):
+    """Step ``trained`` (``model`` unless given) with ``ours`` and the
+    oracle with ``theirs``; both must agree to the bit every round."""
+    trained = model if trained is None else trained
     got, want = params.copy(), params.copy()
     for t, (features, labels) in enumerate(rounds):
-        statistics = model.compute_statistics(features, got)
-        gradient = model.gradient_from_statistics(features, labels, statistics, got)
-        ours.step(got, gradient, t)
+        statistics = trained.compute_statistics(features, got)
+        gradient = trained.gradient_from_statistics(features, labels, statistics, got)
+        ours.step(got, gradient)
         want_stats = oracle.statistics(model, features, want)
         theirs.step(want, oracle.gradient(model, features, labels, want_stats, want))
         assert same_bits(got, want), "round {}".format(t)
@@ -466,35 +451,35 @@ class TestStepMatchesDenseStep:
         lambda: (AdaGrad(0.2), OldAdaGrad(0.2)),
     ], ids=["sgd", "adagrad"])
     def test_sparse_step_is_the_dense_step(self, name, make):
-        model, oracle, params, rounds = training_rounds(name, None)
+        model, oracle, params, rounds = training_rounds(name)
         last = run_both(model, oracle, params, rounds, *make())
         # the gradient really was compact: untouched columns never appear
         assert last.cols.size < params.shape[0]
         assert last.cols.max() < params.shape[0] // 2
 
     @pytest.mark.parametrize("make", [
-        lambda: (SGD(0.2, momentum=0.9), OldSGD(0.2, momentum=0.9)),
         lambda: (Adam(0.05), OldAdam(0.05)),
-    ], ids=["momentum", "adam"])
+    ], ids=["adam"])
     def test_decaying_state_takes_the_dense_fallback(self, name, make):
-        model, oracle, params, rounds = training_rounds(name, None)
+        model, oracle, params, rounds = training_rounds(name)
         run_both(model, oracle, params, rounds, *make())
 
-    @pytest.mark.parametrize("regularizer", [L1(0.05), L2(0.05)], ids=["l1", "l2"])
     @pytest.mark.parametrize("make", [
         lambda: (SGD(0.2), OldSGD(0.2)),
         lambda: (AdaGrad(0.2), OldAdaGrad(0.2)),
         lambda: (Adam(0.05), OldAdam(0.05)),
     ], ids=["sgd", "adagrad", "adam"])
-    def test_regularizer_densifies_once_in_the_base(self, name, regularizer, make):
-        model, oracle, params, rounds = training_rounds(name, regularizer)
-        last = run_both(model, oracle, params, rounds, *make())
-        assert last.cols is EVERY_ROW  # a penalty touches every row
+    def test_dense_user_gradient_steps_every_row(self, name, make):
+        model, oracle, params, rounds = training_rounds(name)
+        last = run_both(
+            model, oracle, params, rounds, *make(), trained=dense_gradient(model)
+        )
+        assert last.cols is EVERY_ROW  # a dense return covers every row
 
 
 class TestStepValidatesRowGradients:
-    @pytest.mark.parametrize("optimizer", [SGD(0.1), SGD(0.1, momentum=0.5), AdaGrad(0.1), Adam(0.1)],
-                             ids=["sgd", "momentum", "adagrad", "adam"])
+    @pytest.mark.parametrize("optimizer", [SGD(0.1), AdaGrad(0.1), Adam(0.1)],
+                             ids=["sgd", "adagrad", "adam"])
     def test_bad_row_gradients_are_rejected(self, optimizer):
         params = np.zeros((6, 3))
         cols = np.array([1, 4])
@@ -506,18 +491,18 @@ class TestStepValidatesRowGradients:
             RowGradient(EVERY_ROW, np.zeros((5, 3)), (6, 3)),  # "every row", one short
         ):
             with pytest.raises(ValueError, match=r"gradient shape .* != params shape"):
-                optimizer.step(params, bad, 0)
+                optimizer.step(params, bad)
         for rows in (np.array([1, 6]), np.array([-1, 2])):
             with pytest.raises(ValueError, match="outside params rows"):
-                optimizer.step(params, RowGradient(rows, np.zeros((2, 3)), (6, 3)), 0)
+                optimizer.step(params, RowGradient(rows, np.zeros((2, 3)), (6, 3)))
         assert not params.any() and optimizer.state_arrays() == []
 
     def test_dense_gradients_still_step(self):
         params = np.ones(4)
-        SGD(0.5).step(params, np.array([1.0, 0.0, -1.0, 2.0]), 0)
+        SGD(0.5).step(params, np.array([1.0, 0.0, -1.0, 2.0]))
         assert params.tolist() == [0.5, 1.0, 1.5, 0.0]
         with pytest.raises(ValueError, match=r"gradient shape \(3,\) != params shape \(4,\)"):
-            SGD(0.5).step(params, np.zeros(3), 0)
+            SGD(0.5).step(params, np.zeros(3))
 
 
 class TestRowGradient:
@@ -705,10 +690,10 @@ def test_flat_in_m_gate_fires_on_a_partition_sized_allocation(monkeypatch):
     per partition per round — fails the wall-clock half."""
     update_model = ColumnWorker.update_model
 
-    def seeded(self, statistics, iteration, only_partitions=None):
+    def seeded(self, statistics, only_partitions=None):
         for partition in self.partitions.values():
             np.zeros(partition.params.shape)
-        return update_model(self, statistics, iteration, only_partitions)
+        return update_model(self, statistics, only_partitions)
 
     monkeypatch.setattr(ColumnWorker, "update_model", seeded)
     _, (narrow_s, wide_s) = flat_in_m_readings("lr")

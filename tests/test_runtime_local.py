@@ -564,14 +564,6 @@ class TestLocalRuntimeMechanics:
         assert runtime.network.total_bytes() == 60 + 3 * 50
         assert runtime.clock.now() == 0.0
 
-    def test_barrier_round_trips_every_process(self):
-        runtime = started_runtime()
-        try:
-            runtime.barrier()  # would raise if a process were dead
-        finally:
-            runtime.close()
-        runtime.barrier()  # no-op when not started
-
     def test_run_all_requires_start(self):
         with pytest.raises(SimulationError, match="not started"):
             LocalRuntime(2).run_all("echo")

@@ -1,12 +1,14 @@
 """Generated edge shapes: training from the column-shard store equals
-training in memory, on the simulator.
+training in memory on the simulator, on both backends.
 
 The hand-picked store cases (``tests/test_store.py``) found K = 1 and
 uneven splits only after review; here hypothesis draws the shapes: 1 to
 8 workers, batches larger than the data, one-row blocks, columns no row
 touches, and both wire precisions, for LR and a 2-factor FM.  Either
 both paths train the same model to the bit, or both refuse with a
-structured :class:`~repro.errors.ReproError`.
+structured :class:`~repro.errors.ReproError`.  The ``local`` leg draws
+fewer and smaller shapes (at most 4 workers on at most 2 processes),
+each bounded in wall time so a wedged process fails instead of hanging.
 """
 
 import tempfile
@@ -22,11 +24,15 @@ from repro.linalg import CSRMatrix
 from repro.models import FactorizationMachine, LogisticRegression
 from repro.optim import SGD
 from repro.sim import CLUSTER1, SimulatedCluster
+from tests.conftest import hard_bound
+
+#: wall-clock bound of one ``local`` example (seconds)
+LOCAL_BOUND_S = 10.0
 
 
 @st.composite
-def edge_shapes(draw):
-    workers = draw(st.integers(1, 8))
+def edge_shapes(draw, max_workers=8):
+    workers = draw(st.integers(1, max_workers))
     n_rows = draw(st.integers(1, 40))
     n_features = draw(st.integers(1, 24))
     # columns outside ``touched`` have no entries in any row
@@ -55,13 +61,13 @@ def dataset(rows, labels, n_features) -> Dataset:
     return Dataset(CSRMatrix(indptr, indices, values, n_features), labels)
 
 
-def train(data, workers, model_name, config, store_dir=""):
+def train(data, workers, model_name, config, store_dir="", **backend):
     """Final parameters of three rounds, or the ReproError raised."""
     model = LogisticRegression() if model_name == "lr" else FactorizationMachine(2)
     driver = ColumnSGDDriver(
         model, SGD(0.5), SimulatedCluster(CLUSTER1.with_workers(workers)),
         config=ColumnSGDConfig(iterations=3, eval_every=0, seed=3,
-                               store_dir=store_dir, **config),
+                               store_dir=store_dir, **config, **backend),
     )
     try:
         driver.load(data)
@@ -79,8 +85,28 @@ def test_store_trains_the_in_memory_model(shape):
     in_memory = train(data, workers, model_name, config)
     with tempfile.TemporaryDirectory() as store_dir:
         from_store = train(data, workers, model_name, config, store_dir)
-    if isinstance(in_memory, ReproError) or isinstance(from_store, ReproError):
-        assert isinstance(in_memory, ReproError), from_store
-        assert isinstance(from_store, ReproError), in_memory
+    assert_same_outcome(in_memory, from_store)
+
+
+@settings(max_examples=5, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(edge_shapes(max_workers=4))
+def test_store_on_local_trains_the_in_memory_sim_model(shape):
+    workers, rows, labels, n_features, model_name, config = shape
+    data = dataset(rows, labels, n_features)
+    in_memory = train(data, workers, model_name, config)
+    with tempfile.TemporaryDirectory() as store_dir, hard_bound(LOCAL_BOUND_S):
+        from_store = train(
+            data, workers, model_name, config, store_dir,
+            backend="local", local_processes=min(workers, 2),
+        )
+    assert_same_outcome(in_memory, from_store)
+
+
+def assert_same_outcome(reference, candidate):
+    """The same parameters to the bit, or a ReproError on both sides."""
+    if isinstance(reference, ReproError) or isinstance(candidate, ReproError):
+        assert isinstance(reference, ReproError), candidate
+        assert isinstance(candidate, ReproError), reference
     else:
-        assert np.abs(in_memory - from_store).max() == 0.0
+        assert np.abs(reference - candidate).max() == 0.0

@@ -93,10 +93,6 @@ class TestAnalysis:
                                    zipf_exponent=1.4, seed=51)
         assert popularity_skew(zipf) > 2 * popularity_skew(uniform)
 
-    def test_popularity_skew_validation(self, tiny_binary):
-        with pytest.raises(ValueError):
-            popularity_skew(tiny_binary, head_fraction=0.0)
-
     def test_describe_render(self, tiny_binary):
         report = describe(tiny_binary)
         text = report.render()

@@ -12,7 +12,6 @@ from repro.utils import (
     format_bytes,
     format_duration,
     rng_from_seed,
-    spawn_rngs,
 )
 from repro.utils.rng import iteration_seed
 
@@ -26,21 +25,6 @@ class TestRng:
     def test_generator_passthrough(self):
         gen = np.random.default_rng(1)
         assert rng_from_seed(gen) is gen
-
-    def test_spawn_independent_and_stable(self):
-        first = [g.random() for g in spawn_rngs(7, 3)]
-        second = [g.random() for g in spawn_rngs(7, 3)]
-        assert first == second
-        assert len(set(first)) == 3
-
-    def test_spawn_from_generator_is_deterministic(self):
-        a = [g.random() for g in spawn_rngs(np.random.default_rng(3), 2)]
-        b = [g.random() for g in spawn_rngs(np.random.default_rng(3), 2)]
-        assert a == b
-
-    def test_spawn_rejects_negative_count(self):
-        with pytest.raises(ValueError):
-            spawn_rngs(0, -1)
 
     def test_iteration_seed_deterministic(self):
         assert iteration_seed(5, 10) == iteration_seed(5, 10)

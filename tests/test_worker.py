@@ -52,7 +52,7 @@ class TestColumnWorker:
         _, model, partitions, _ = worker_setup
         worker = ColumnWorker(0, model, [partitions[0]])
         with pytest.raises(WorkerFailedError):
-            worker.update_model(np.zeros((2, 1)), 0)
+            worker.update_model(np.zeros((2, 1)))
 
     def test_update_changes_params(self, worker_setup):
         data, model, partitions, _ = worker_setup
@@ -60,7 +60,7 @@ class TestColumnWorker:
         draws = [(0, i) for i in range(8)]
         stats, _ = worker.compute_statistics(draws)
         before = partitions[0].params.copy()
-        worker.update_model(stats, 0)
+        worker.update_model(stats)
         assert not np.array_equal(before, partitions[0].params)
 
     def test_only_partitions_filter(self, worker_setup):
@@ -69,7 +69,7 @@ class TestColumnWorker:
         draws = [(0, i) for i in range(4)]
         stats, _ = worker.compute_statistics(draws)
         before1 = partitions[1].params.copy()
-        worker.update_model(stats, 0, only_partitions={0})
+        worker.update_model(stats, only_partitions={0})
         assert np.array_equal(before1, partitions[1].params)
 
     def test_cached_batch_nnz(self, worker_setup):
