@@ -183,4 +183,4 @@ def test_fig13(benchmark, emit):
     config = ColumnSGDConfig(batch_size=500, iterations=2, eval_every=0, seed=10)
     driver = ColumnSGDDriver(LogisticRegression(), SGD(1.0), cluster, config=config)
     driver.load(data)
-    benchmark(lambda: driver._recover_worker(2))
+    benchmark(lambda: driver.recovery_manager.recover_worker(2))

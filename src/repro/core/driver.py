@@ -143,7 +143,12 @@ class ColumnSGDDriver(Trainer):
             cluster, config if config is not None else ColumnSGDConfig(),
             straggler, failures,
         )
-        self.recovery_policy = recovery if recovery is not None else RecoveryPolicy.disabled()
+        self.recovery_policy = recovery if recovery is not None else RecoveryPolicy()
+        if self.backend == "local" and self.recovery_policy.heartbeat_interval_s > 0:
+            raise ConfigurationError(
+                "heartbeats are a simulated failure detector; on backend='local' "
+                "detection is the transport's deadline (local_timeout_s)"
+            )
         self.recovery_manager: Optional[RecoveryManager] = None
         self.groups = BackupGroups(cluster.n_workers, self.config.backup)
         self.master = ColumnMaster(self.groups, model)
@@ -396,23 +401,13 @@ class ColumnSGDDriver(Trainer):
                 extra += manager.recover_worker(event.worker, iteration=t)
         return extra
 
-    def _checkpoint(self, t: int) -> float:
-        """Snapshot every partition when the recovery policy says round
-        ``t`` is due: spilled by the worker processes on an attached
-        runtime, simulated otherwise."""
+    def _checkpoint(self, t: int, struck) -> float:
+        """Spill every partition's snapshot when the recovery policy says
+        round ``t`` is due, on either backend
+        (:meth:`~repro.core.localexec.ColumnMasterProgram.spill_checkpoint`)."""
         if not self.recovery_manager.checkpoint_due(t):
             return 0.0
-        if self.local_runtime is not None:
-            return self._engine.trainer.spill_checkpoint(t)
-        return self.recovery_manager.checkpoint(t)
-
-    def _recover_worker(self, worker_id: int, iteration: int = -1) -> float:
-        """Worker crash: reload the shard; model-partition handling
-        escalates replica copy -> checkpoint restore -> zero re-init
-        (see :class:`~repro.core.recovery.RecoveryManager`)."""
-        if self.recovery_manager is None:
-            raise TrainingError("call load() before recovering workers")
-        return self.recovery_manager.recover_worker(worker_id, iteration=iteration)
+        return self._engine.trainer.spill_checkpoint(t, struck)
 
     # ------------------------------------------------------------------
     # evaluation helpers

@@ -21,8 +21,8 @@ per group, and the update exchange names each partition's one updater.
 Every failure an exchange reports is an ``inf`` finish; a worker silent
 past every deadline (local, ``timeout`` / ``retry`` policies) leaves
 its group stale for the round.  Real faults (``docs/faults.md``) are the
-runtime's; this side adds the restore step: the partition's record in
-the job's :class:`~repro.core.recovery.CheckpointStore`, else zero-init.
+runtime's; this side adds the checkpoint spill and the restore step
+(:func:`~repro.core.recovery.plan_restore`), the same on both backends.
 """
 
 from __future__ import annotations
@@ -32,11 +32,17 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.recovery import restore_partition, snapshot_partition
+from repro.core.recovery import (
+    apply_restore,
+    pack_records,
+    plan_restore,
+    snapshot_partition,
+    unpack_records,
+)
 from repro.core.results import TrainingResult
 from repro.core.worker import ColumnWorker
 from repro.engine.policy import SYNC_RETRIES
-from repro.errors import ConfigurationError, TrainingError
+from repro.errors import ConfigurationError, TrainingError, WorkerFailedError
 from repro.net.message import Message, MessageKind
 from repro.partition.indexing import TwoPhaseIndex
 from repro.runtime.deadline import TimeoutPolicy
@@ -96,26 +102,21 @@ class ColumnWorkerProgram:
                 "passes": self.worker.model.statistics_width,
             }, None
         if op == "checkpoint":
-            # one snapshot record per owned partition, back to back; the
-            # master slices them apart by the reply's lengths and spills
-            records = {
-                pid: snapshot_partition(state)
-                for pid, state in self.worker.partitions.items()
-            }
-            return {
-                "lengths": {pid: len(record) for pid, record in records.items()}
-            }, b"".join(records.values())
+            # one snapshot record per owned partition, packed; no compute
+            # work to charge, and nothing from a failed worker
+            if self.worker.failed:
+                raise WorkerFailedError(self.worker.worker_id)
+            lengths, blob = pack_records(
+                {
+                    pid: snapshot_partition(state)
+                    for pid, state in self.worker.partitions.items()
+                }
+            )
+            return {"nnz": 0, "passes": 0, "lengths": lengths}, blob
         if op == "restore":
-            # Post-respawn state reload: roll each freshly forked — and
-            # therefore stale — partition back to its record, or
-            # zero-init it when the master had none (length -1).
-            offset = 0
-            for pid, length in args["lengths"].items():
-                record = None
-                if length >= 0:
-                    record = payload[offset : offset + length]
-                    offset += length
-                restore_partition(self.worker.partitions[pid], record)
+            # Post-respawn state reload: the forked — and therefore
+            # stale — partitions take what the master shipped.
+            apply_restore(self.worker.partitions, args["lengths"], payload)
             return {}, None
         if op == "draws":
             draws = self.index.sample(int(args["t"]), self.batch_size)
@@ -155,45 +156,45 @@ class ColumnMasterProgram:
     driver: object
     runtime: object
 
-    def spill_checkpoint(self, t: int) -> float:
-        """Pull every partition's snapshot record and spill it; returns
-        the exchange's seconds.  A worker found dead here is recovered
-        by the round's first exchange; its partitions keep the previous
-        snapshot."""
-        runtime, store = self.runtime, self.driver.recovery_manager.checkpoints
+    def spill_checkpoint(self, t: int, struck) -> float:
+        """Write every partition's snapshot record to the job's
+        checkpoint store; returns the seconds.
+
+        Each partition is written once, from its first replica that
+        answered and is not in ``struck`` (round ``t``'s WORKER victims,
+        dead on ``local``, recovered at the strike on ``sim``), as one
+        CHECKPOINT message per record.  A partition with no such replica
+        keeps its previous record.  Seconds are the exchange's measured
+        ones, or modelled: the slowest writer's bytes to stable storage.
+        """
+        runtime, manager = self.runtime, self.driver.recovery_manager
         exchange = runtime.run_all("checkpoint", iteration=t, raise_on_fault=False)
-        for w, reply in exchange.replies.items():
-            runtime.network.send(
-                Message(
-                    MessageKind.CHECKPOINT,
-                    w,
-                    Message.MASTER,
-                    OBJECT_OVERHEAD_BYTES + len(reply.payload),
-                )
-            )
-            offset = 0
-            for pid, length in reply.result["lengths"].items():
-                store.write(t, pid, reply.payload[offset : offset + length])
-                offset += length
-        return exchange.seconds
+        writes: Dict[int, Tuple[int, bytes]] = {}  # partition -> (writer, record)
+        for w in sorted(exchange.replies.keys() - struck):
+            reply = exchange.replies[w]
+            for p, record in unpack_records(reply.result["lengths"], reply.payload).items():
+                writes.setdefault(p, (w, record))
+        per_worker: Dict[int, int] = {}
+        for p, (w, record) in sorted(writes.items()):
+            manager.checkpoints.write(t, p, record)
+            size = OBJECT_OVERHEAD_BYTES + len(record)
+            runtime.network.send(Message(MessageKind.CHECKPOINT, w, Message.MASTER, size))
+            per_worker[w] = per_worker.get(w, 0) + size
+        if exchange.seconds is not None:
+            return exchange.seconds
+        return manager.storage_seconds(max(per_worker.values(), default=0))
 
     def _restore(self, worker: int) -> Tuple[str, dict, bytes]:
-        """Restore step for a respawned worker: per partition its
-        snapshot record, else zero-init (backup replicas need
-        ``backup > 0``, which the local backend does not host)."""
-        store = self.driver.recovery_manager.checkpoints
-        records = {
-            pid: store.read(pid) if store.has_snapshot(pid) else None
-            for pid in self.driver.groups.partitions_of_worker(worker)
-        }
-        mode = "zero-init" if None in records.values() else "checkpoint"
-        lengths = {
-            pid: -1 if record is None else len(record)
-            for pid, record in records.items()
-        }
-        return mode, {"lengths": lengths}, b"".join(
-            record for record in records.values() if record is not None
+        """Restore step for a respawned worker (:func:`plan_restore`;
+        backup replicas need ``backup > 0``, which the local backend does
+        not host)."""
+        mode, lengths, blob, _ = plan_restore(
+            self.driver.recovery_manager.checkpoints,
+            self.runtime.network,
+            worker,
+            self.driver.groups.partitions_of_worker(worker),
         )
+        return mode, {"lengths": lengths}, blob
 
     @staticmethod
     def _carried(ctx, phase: str, exchange) -> None:

@@ -1,49 +1,49 @@
 """Heartbeat failure detection, checkpointing, and recovery execution.
 
-The paper's Section X describes three recovery behaviours (task restart,
-worker reload, master restart); PRs before this one hand-rolled the
-first two inside ``ColumnSGDDriver._handle_failures`` and aborted on the
-third.  :class:`RecoveryManager` centralises all three behind one
-:class:`RecoveryPolicy`:
+The paper's Section X recovers a lost worker by reloading its shard and
+restoring (or zero-initialising) its model partition.  Checkpoint,
+restore and master-restart reload are written once, for both backends,
+under one rule: **a record that moves between stable storage and a
+worker is one** :data:`~repro.net.message.MessageKind.CHECKPOINT`
+**message of** ``OBJECT_OVERHEAD_BYTES + len(record)`` **from the
+sender, a zero-init moves nothing, and a worker struck at the top of
+round t writes nothing in round t.**  CHECKPOINT traffic is unchecked
+by the protocol's Table-I envelopes, like control chatter.
 
-* **detection** — a heartbeat failure detector: every live worker sends
-  one :data:`~repro.net.message.MessageKind.HEARTBEAT` probe per
-  iteration; a failure is *observed* only after
-  :data:`HEARTBEAT_TIMEOUT_BEATS` silent intervals, so every recovery pays
-  a detection delay of ``heartbeat_interval_s x HEARTBEAT_TIMEOUT_BEATS``
-  seconds (zero when heartbeats are disabled — the legacy omniscient
-  detector).
-* **checkpointing** — every ``checkpoint_every`` iterations each model
-  partition's ``(params, optimizer state)`` becomes one snapshot record
-  (:func:`snapshot_partition` / :func:`restore_partition` — the same
-  pair on both backends) in the job's :class:`CheckpointStore`; the
-  simulator charges the record's own bytes (one framed object) at
-  disk + network bandwidth and accounts them as
-  :data:`~repro.net.message.MessageKind.CHECKPOINT` traffic (unchecked
-  by the protocol's Table-I envelopes, like control chatter), the local
-  backend really ships and spills the same bytes.
+* **checkpointing** — every ``checkpoint_every`` iterations the master
+  program's spill
+  (:meth:`~repro.core.localexec.ColumnMasterProgram.spill_checkpoint`)
+  writes each partition's :func:`snapshot_partition` record to the
+  job's :class:`CheckpointStore`.
+* **restoring** — :func:`plan_restore` picks what restores a worker's
+  partitions (its latest record, else zero-init) and ships it, for a
+  respawned process, :meth:`RecoveryManager.recover_worker` and
+  :meth:`RecoveryManager.recover_master` alike; :func:`apply_restore`
+  applies it.
+* **detection** (simulator) — every live worker sends one
+  :data:`~repro.net.message.MessageKind.HEARTBEAT` probe per iteration
+  and a failure is observed after :data:`HEARTBEAT_TIMEOUT_BEATS`
+  silent intervals, so every recovery pays ``heartbeat_interval_s x
+  HEARTBEAT_TIMEOUT_BEATS`` seconds of detection (zero when disabled).
 * **recovery modes** — per lost model partition, in preference order:
   ``'replica'`` (a backup-group peer still holds the shared
-  :class:`~repro.core.worker.PartitionState` — free), ``'checkpoint'``
-  (restore the last snapshot), ``'zero-init'`` (the legacy Section X
-  fallback: zeros + optimizer reset).
-* **master restart** — with ``master_restart=True`` a MASTER failure no
-  longer raises :class:`~repro.errors.MasterFailedError`: the driver
-  restarts, restores *every* partition from the last checkpoint, and
+  :class:`~repro.core.worker.PartitionState` — free), ``'checkpoint'``,
+  ``'zero-init'`` (the Section X fallback: zeros + optimizer reset).
+* **master restart** (simulator) — with ``master_restart=True`` a
+  MASTER failure restores every partition as of the last checkpoint and
   replays the missed iterations (deterministic sampling makes the
-  replay exact), charging reload + replay time and recording the
-  breakdown as a :class:`~repro.engine.trace.RecoveryEvent`.
+  replay exact) instead of raising
+  :class:`~repro.errors.MasterFailedError`.
 
-The default :meth:`RecoveryPolicy.disabled` is pay-for-use: no
-heartbeats, no checkpoints, and recovery costs bit-identical to the
-pre-manager driver formulas.
+The default :class:`RecoveryPolicy` is pay-for-use: no heartbeats, no
+checkpoints.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -85,11 +85,6 @@ class RecoveryPolicy:
                 "checkpoint there is nothing to restart from"
             )
 
-    @classmethod
-    def disabled(cls) -> "RecoveryPolicy":
-        """No heartbeats, no checkpoints: the legacy recovery behaviour."""
-        return cls()
-
     @property
     def detection_delay_s(self) -> float:
         """Seconds between a crash and the master observing it."""
@@ -119,12 +114,6 @@ def snapshot_partition(state: PartitionState) -> bytes:
             for a in arrays
         ]
     )
-
-
-def _record_bytes(record: bytes) -> int:
-    """Wire and disk footprint of one snapshot record: one framed
-    object, as the local backend ships and spills it."""
-    return OBJECT_OVERHEAD_BYTES + len(record)
 
 
 def restore_partition(state: PartitionState, record: Optional[bytes]) -> str:
@@ -191,6 +180,54 @@ def _record_arrays(record: bytes) -> List[np.ndarray]:
     return arrays
 
 
+def pack_records(records: Dict[int, Optional[bytes]]) -> Tuple[Dict[int, int], bytes]:
+    """``(lengths, blob)``: the records back to back, and each
+    partition's record length (-1 where it has none)."""
+    lengths = {pid: -1 if r is None else len(r) for pid, r in records.items()}
+    return lengths, b"".join(r for r in records.values() if r is not None)
+
+
+def unpack_records(lengths: Dict[int, int], blob: bytes) -> Dict[int, Optional[bytes]]:
+    """The inverse of :func:`pack_records`."""
+    records: Dict[int, Optional[bytes]] = {}
+    offset = 0
+    for pid, length in lengths.items():
+        records[pid] = None if length < 0 else blob[offset : offset + length]
+        offset += max(length, 0)
+    return records
+
+
+def plan_restore(
+    store, network, worker: int, partition_ids
+) -> Tuple[str, Dict[int, int], bytes, int]:
+    """The restore of ``worker``'s partitions, shipped from ``store``.
+
+    Each partition gets its latest record, else zero-init.  Every record
+    is one CHECKPOINT message of ``OBJECT_OVERHEAD_BYTES + len(record)``
+    from stable storage (the master) to ``worker`` on ``network``; a
+    zero-init ships nothing.  Returns ``(mode, lengths, blob, shipped)``:
+    ``'zero-init'`` if any partition has no record, else
+    ``'checkpoint'``; the packed records (:func:`pack_records`), which
+    :func:`apply_restore` applies; and the bytes shipped.
+    """
+    lengths, blob = pack_records(
+        {pid: store.read(pid) if store.has_snapshot(pid) else None for pid in partition_ids}
+    )
+    sizes = [OBJECT_OVERHEAD_BYTES + n for n in lengths.values() if n >= 0]
+    for size in sizes:
+        network.send(Message(MessageKind.CHECKPOINT, Message.MASTER, worker, size))
+    mode = "zero-init" if -1 in lengths.values() else "checkpoint"
+    return mode, lengths, blob, sum(sizes)
+
+
+def apply_restore(partitions: Dict[int, PartitionState], lengths: Dict[int, int],
+                  blob: bytes) -> None:
+    """Roll each partition a shipped restore names back to its record,
+    or zero-init it (:func:`plan_restore`'s ``lengths`` and ``blob``)."""
+    for pid, record in unpack_records(lengths, blob).items():
+        restore_partition(partitions[pid], record)
+
+
 class CheckpointStore:
     """Per-partition snapshot records on stable storage.
 
@@ -199,8 +236,7 @@ class CheckpointStore:
     per partition, written through a temp file and ``os.replace`` so a
     crash mid-write cannot corrupt the last good snapshot.  The
     simulated backend keeps records in memory and *charges* for stable
-    storage (:meth:`RecoveryManager.checkpoint`); the local backend
-    really spills them.
+    storage; the local backend really spills them.
     """
 
     def __init__(self, directory: Optional[str] = None):
@@ -306,41 +342,13 @@ class RecoveryManager:
                 )
             )
 
-    def read_seconds(self, num_bytes: int) -> float:
-        """Charge for pulling ``num_bytes`` back from stable storage."""
+    def storage_seconds(self, num_bytes: int) -> float:
+        """Charge for moving ``num_bytes`` between a worker and stable
+        storage: ``bytes/disk + bytes/net``."""
         return (
             num_bytes / DISK_BANDWIDTH_BYTES_PER_S
             + num_bytes / self.cluster.network.bandwidth
         )
-
-    def checkpoint(self, t: int) -> float:
-        """Snapshot every partition from its primary live replica.
-
-        Returns the charge in seconds: workers stream concurrently, so
-        the wall time is the slowest worker's ``bytes/disk + bytes/net``.
-        """
-        network = self.cluster.network
-        per_worker_bytes: Dict[int, int] = {}
-        for state in self.partitions:
-            primary = None
-            for w in self.groups.replicas_of_partition(state.partition_id):
-                if not self.workers[w].failed:
-                    primary = w
-                    break
-            if primary is None:
-                continue  # whole group dead; nothing to snapshot from
-            record = snapshot_partition(state)
-            self.checkpoints.write(t, state.partition_id, record)
-            size = _record_bytes(record)
-            network.send(
-                Message(MessageKind.CHECKPOINT, primary, Message.MASTER, size)
-            )
-            per_worker_bytes[primary] = per_worker_bytes.get(primary, 0) + size
-        if not per_worker_bytes:
-            return 0.0
-        slowest = max(per_worker_bytes.values())
-        disk = DISK_BANDWIDTH_BYTES_PER_S
-        return slowest / disk + slowest / network.bandwidth
 
     # ------------------------------------------------------------------
     def restart_task(self, t: int) -> float:
@@ -374,23 +382,17 @@ class RecoveryManager:
             + reload_bytes / DISK_BANDWIDTH_BYTES_PER_S
             + reload_bytes / self.cluster.network.bandwidth
         )
-        partitions = []
+        partitions = {p: self.partitions[p] for p in owned}
         mode = "replica"
-        for p in owned:
-            state = self.partitions[p]
-            # with backup > 0 group peers share the PartitionState —
-            # nothing lost, nothing to restore
-            if self.groups.backup == 0:
-                record = (
-                    self.checkpoints.read(p)
-                    if self.checkpoints.has_snapshot(p)
-                    else None
-                )
-                mode = restore_partition(state, record)
-                if record is not None:
-                    seconds += self.read_seconds(_record_bytes(record))
-            partitions.append(state)
-        worker.recover(partitions)
+        # with backup > 0 group peers share the PartitionState — nothing
+        # lost, nothing to restore
+        if self.groups.backup == 0:
+            mode, lengths, blob, shipped = plan_restore(
+                self.checkpoints, self.cluster.network, worker_id, owned
+            )
+            apply_restore(partitions, lengths, blob)
+            seconds += self.storage_seconds(shipped)
+        worker.recover(list(partitions.values()))
         self._record(
             RecoveryEvent(
                 round=iteration,
@@ -404,10 +406,11 @@ class RecoveryManager:
         return seconds
 
     def recover_master(self, iteration: int, engine) -> float:
-        """MASTER crash: restart the driver, restore every partition from
-        the last checkpoint, and have ``engine`` replay the missed
-        iterations (``RoundEngine.run_round(tau, replay=True)``: the
-        job's own round spec, charged what a round costs).
+        """MASTER crash: restart the driver, restore every partition as
+        of the last checkpoint (:func:`plan_restore`), and have
+        ``engine`` replay the missed iterations
+        (``RoundEngine.run_round(tau, replay=True)``: the job's own round
+        spec, charged what a round costs).
 
         The replay is numerically exact — deterministic per-iteration
         sampling means re-running iterations ``c..t-1`` from checkpoint
@@ -425,21 +428,17 @@ class RecoveryManager:
         detect = self.policy.detection_delay_s
         restart = self.cluster.cost.task_overhead
 
-        # reload: every worker pulls its partitions' snapshots in parallel
-        per_worker_bytes: Dict[int, int] = {}
-        for state in self.partitions:
-            if not self.checkpoints.has_snapshot(state.partition_id):
-                continue
-            record = self.checkpoints.read(state.partition_id)
-            restore_partition(state, record)
-            size = _record_bytes(record)
-            for w in self.groups.replicas_of_partition(state.partition_id):
-                per_worker_bytes[w] = per_worker_bytes.get(w, 0) + size
-        reload_s = restart + (
-            max(self.read_seconds(b) for b in per_worker_bytes.values())
-            if per_worker_bytes
-            else 0.0
-        )
+        # reload: every worker pulls its partitions' records in parallel;
+        # a partition with none restarts from zeros, as a worker does
+        shipped = []
+        for w in range(len(self.workers)):
+            owned = self.groups.partitions_of_worker(w)
+            _, lengths, blob, size = plan_restore(
+                self.checkpoints, self.cluster.network, w, owned
+            )
+            apply_restore({p: self.partitions[p] for p in owned}, lengths, blob)
+            shipped.append(size)
+        reload_s = restart + max(self.storage_seconds(b) for b in shipped)
 
         replay_s = 0.0
         for tau in range(c, iteration):

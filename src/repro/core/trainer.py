@@ -19,7 +19,7 @@ from repro.core.results import IterationRecord, TrainingResult
 from repro.datasets.dataset import Dataset
 from repro.engine import RoundEngine, RoundOutcome, RoundSpec
 from repro.errors import ConfigurationError, TrainingError
-from repro.faults import REPLY_LOSSES, FaultSchedule
+from repro.faults import REPLY_LOSSES, FaultKind, FaultSchedule
 from repro.net.protocol import ProtocolChecker
 from repro.runtime import BACKENDS
 from repro.sim.straggler import StragglerModel
@@ -154,16 +154,16 @@ class Trainer:
         """Top-of-round upkeep; returns the extra seconds.
 
         The one place its order is decided: **strike, then checkpoint**
-        — a worker killed at the top of round ``t`` writes nothing in
-        round ``t``, so its partitions keep their previous snapshot.  On
-        an attached runtime the strike is real: the runtime kills now
-        and arms stalls, drops and garbles, and the round's exchanges
-        detect, recover and measure them.  On the simulator a lost or
-        garbled reply arms one retransmit that the round's comm phase
-        pays, and every other event is the trainer's :meth:`_strike`.
-        Runs inside the protocol checker's round window, so heartbeat,
-        checkpoint and replay traffic is audited (as unchecked kinds)
-        rather than crossing the barrier.
+        — a worker struck at the top of round ``t`` writes nothing in
+        round ``t``, on either backend, so its partitions keep their
+        previous snapshot.  On an attached runtime the strike is real:
+        the runtime kills now and arms stalls, drops and garbles, and
+        the round's exchanges detect, recover and measure them.  On the
+        simulator a lost or garbled reply arms one retransmit that the
+        round's comm phase pays, and every other event is the trainer's
+        :meth:`_strike`.  Runs inside the protocol checker's round
+        window, so heartbeat, checkpoint and replay traffic is audited
+        (as unchecked kinds) rather than crossing the barrier.
         """
         events = self.failures.events_at(t) if self.failures is not None else ()
         if self.local_runtime is not None:
@@ -176,16 +176,18 @@ class Trainer:
             extra = self._strike(
                 t, [event for event in events if event.kind not in REPLY_LOSSES]
             )
-        return extra + self._checkpoint(t)
+        struck = {event.worker for event in events if event.kind is FaultKind.WORKER}
+        return extra + self._checkpoint(t, struck)
 
     def _strike(self, t: int, events) -> float:
         """Round ``t``'s simulated crashes and task failures, recovered
         and charged in simulated seconds."""
         return 0.0
 
-    def _checkpoint(self, t: int) -> float:
-        """Snapshot the model where round ``t`` is due for one; returns
-        its seconds."""
+    def _checkpoint(self, t: int, struck) -> float:
+        """Snapshot the model where round ``t`` is due for one, from
+        every worker but the round's ``struck`` ones; returns its
+        seconds."""
         return 0.0
 
     def _should_stop(self, result: TrainingResult) -> bool:

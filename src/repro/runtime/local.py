@@ -620,11 +620,10 @@ class LocalRuntime:
         still missing — ops are deterministic in ``(seed, iteration)``
         and at-most-once per sequence number, so the re-run is exact.
         The trainer's only say is ``restore(worker) -> (mode, args,
-        blob)``: the snapshot a respawned program receives as a
-        ``"restore"`` op (accounted as CHECKPOINT traffic) and where it
-        came from;
-        ``None`` means a forked program is whole as it is
-        (``mode='reload'``).  Each recovered worker is one
+        blob)``: the state a respawned program receives as a
+        ``"restore"`` op and where it came from — ``restore`` accounts
+        what it ships, this runtime only ships it; ``None`` means a
+        forked program is whole as it is (``mode='reload'``).  Each recovered worker is one
         :class:`~repro.engine.trace.RecoveryEvent` on the engine trace,
         and respawn + restore seconds count into the result's seconds.
 
@@ -674,14 +673,6 @@ class LocalRuntime:
             mode, restore_s = "reload", 0.0
             if restore is not None:
                 mode, restore_args, blob = restore(w)
-                self.network.send(
-                    Message(
-                        MessageKind.CHECKPOINT,
-                        Message.MASTER,
-                        w,
-                        OBJECT_OVERHEAD_BYTES + len(blob),
-                    )
-                )
                 restore_s = self.run_all(
                     _RESTORE,
                     args=restore_args,

@@ -147,6 +147,12 @@ class SimulatedCluster:
             replies[w] = WorkerReply(w, result, reply_payload, task)
         return Exchange(replies, None, failures)
 
+    def run_all(self, op: str, *, iteration: int, raise_on_fault: bool) -> Exchange:
+        """:meth:`exchange` under :class:`~repro.runtime.LocalRuntime`'s
+        name for one that recovers no one (the checkpoint spill);
+        failures are never raised, so ``raise_on_fault`` is unused."""
+        return self.exchange(op, iteration=iteration)
+
     def measure(self, fn: Callable[[], T], elements: int = 0) -> Tuple[T, float]:
         """Run ``fn`` at the master; its seconds are the modelled cost of
         touching ``elements`` dense values once."""

@@ -99,24 +99,40 @@ def run_mllib(data, backend, failures, networks=None):
 
 
 @pytest.mark.parametrize(
-    "failures, checkpoint_every, expected",
+    "failures, checkpoint_every, expected, checkpoint_traffic",
     [
-        (kills((7, 1)), 5, [(7, "worker", "checkpoint", 1)]),
-        (kills((10, 1)), 5, [(10, "worker", "checkpoint", 1)]),
+        (kills((7, 1)), 5, [(7, "worker", "checkpoint", 1)], (13, 7048)),
+        (kills((10, 1)), 5, [(10, "worker", "checkpoint", 1)], (12, 6432)),
         (
             kills((3, 2), (8, 0)),
             5,
             [(3, "worker", "checkpoint", 2), (8, "worker", "checkpoint", 0)],
+            (14, 7424),
         ),
-        (kills((4, 1)), 0, [(4, "worker", "zero-init", 1)]),
+        (kills((4, 1)), 0, [(4, "worker", "zero-init", 1)], (0, 0)),
     ],
     ids=["off-checkpoint-round", "on-checkpoint-round", "two-kills", "no-checkpoint"],
 )
-def test_columnsgd_same_schedule_same_job(data, failures, checkpoint_every, expected):
-    sim, sim_recoveries = run_columnsgd(data, "sim", failures, checkpoint_every)
-    local, local_recoveries = run_columnsgd(data, "local", failures, checkpoint_every)
+def test_columnsgd_same_schedule_same_job(
+    data, failures, checkpoint_every, expected, checkpoint_traffic
+):
+    """Same recoveries, same model, and the same CHECKPOINT traffic:
+    every record spilled or shipped to a restored worker, one framed
+    object each, and nothing for a zero-init."""
+    networks = []
+    sim, sim_recoveries = run_columnsgd(
+        data, "sim", failures, checkpoint_every, networks
+    )
+    local, local_recoveries = run_columnsgd(
+        data, "local", failures, checkpoint_every, networks
+    )
     assert sim_recoveries == local_recoveries == expected
     assert np.max(np.abs(sim.final_params - local.final_params)) == 0.0
+    assert [
+        (net.messages_by_kind[MessageKind.CHECKPOINT],
+         net.bytes_of_kind(MessageKind.CHECKPOINT))
+        for net in networks
+    ] == [checkpoint_traffic] * 2
     # the kill really cost something: a clean run ends elsewhere
     clean, _ = run_columnsgd(data, "sim", None, checkpoint_every)
     assert np.max(np.abs(sim.final_params - clean.final_params)) > 0.0

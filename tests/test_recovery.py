@@ -43,7 +43,7 @@ def make_driver(data, backup=0, recovery=None, failures=None, iterations=20,
 
 class TestRecoveryPolicy:
     def test_disabled_is_free(self):
-        policy = RecoveryPolicy.disabled()
+        policy = RecoveryPolicy()
         assert policy.checkpoint_every == 0
         assert policy.detection_delay_s == 0.0
         assert not policy.master_restart
@@ -139,12 +139,87 @@ class TestHeartbeats:
         assert slow_t - fast_t == pytest.approx(1.5)
 
 
+    def test_heartbeats_are_rejected_on_local(self):
+        """The local backend has no heartbeat detector to honour the
+        interval with: its detection is the transport's deadline."""
+        cluster = SimulatedCluster(CLUSTER1.with_workers(2))
+        with pytest.raises(ConfigurationError, match="heartbeat"):
+            ColumnSGDDriver(
+                LogisticRegression(), SGD(1.0), cluster,
+                config=ColumnSGDConfig(backend="local"),
+                recovery=RecoveryPolicy(heartbeat_interval_s=0.1),
+            )
+
+
+class TestStruckWorkerWritesNothing:
+    """A worker struck at the top of a checkpoint round writes nothing
+    in that round (``Trainer._handle_failures``), on the simulator too."""
+
+    @staticmethod
+    def logged_writes(driver):
+        """Record every ``(round, partition, record)`` the store takes."""
+        store, writes = driver.recovery_manager.checkpoints, []
+        write = store.write
+
+        def logged(t, pid, record):
+            writes.append((t, pid, record))
+            write(t, pid, record)
+
+        store.write = logged
+        return writes
+
+    def test_backup0_victim_keeps_its_previous_record(self, tiny_binary):
+        driver = make_driver(
+            tiny_binary, recovery=RecoveryPolicy(checkpoint_every=2), iterations=5,
+            failures=FaultSchedule([FaultEvent(4, FaultKind.WORKER, 1)]),
+        )
+        writes = self.logged_writes(driver)
+        driver.fit()
+        assert [pid for t, pid, _ in writes if t == 4] == [0, 2, 3]
+        (previous,) = [record for t, pid, record in writes if (t, pid) == (2, 1)]
+        assert driver.recovery_manager.checkpoints.read(1) == previous
+
+    def test_backup1_victim_partitions_are_written_by_its_peer(self, tiny_binary):
+        driver = make_driver(
+            tiny_binary, backup=1, recovery=RecoveryPolicy(checkpoint_every=2),
+            iterations=5, failures=FaultSchedule([FaultEvent(4, FaultKind.WORKER, 0)]),
+        )
+        driver.cluster.network.keep_log = True
+        writes = self.logged_writes(driver)
+        driver.fit()
+        assert [pid for t, pid, _ in writes if t == 4] == [0, 1, 2, 3]
+        spilled = [
+            m for m in driver.cluster.network.log if m.kind is MessageKind.CHECKPOINT
+        ]
+        # round 4's four records, one per partition; worker 0's group
+        # (partitions 0 and 1) is written by worker 1
+        assert [m.src for m in spilled[-4:]] == [1, 1, 2, 2]
+
+    def test_zero_init_strike_then_master_restart_replays_from_zeros(
+        self, tiny_binary
+    ):
+        """Struck at checkpoint round 0 with no record to restore,
+        partition 1 has no round-0 record either; a restart from round 0
+        zero-initialises it again and replays to the same model."""
+        strike = FaultEvent(0, FaultKind.WORKER, 1)
+        policy = RecoveryPolicy(checkpoint_every=5, master_restart=True)
+        only_strike = make_driver(
+            tiny_binary, recovery=policy, iterations=8,
+            failures=FaultSchedule([strike]),
+        ).fit()
+        restarted = make_driver(
+            tiny_binary, recovery=policy, iterations=8,
+            failures=FaultSchedule([strike, FaultEvent(3, FaultKind.MASTER)]),
+        ).fit()
+        assert np.array_equal(only_strike.final_params, restarted.final_params)
+
+
 class TestRecoverWorkerModes:
     def test_replica_mode_loses_nothing(self, tiny_binary):
         driver = make_driver(tiny_binary, backup=1)
         driver.fit(iterations=5)
         before = driver.current_params()
-        driver._recover_worker(1, iteration=5)
+        driver.recovery_manager.recover_worker(1, iteration=5)
         assert np.array_equal(driver.current_params(), before)
         event = driver.cluster.engine_trace.recoveries[-1]
         assert event.mode == "replica"
@@ -165,7 +240,7 @@ class TestRecoverWorkerModes:
             )
             assert restore_partition(scratch, store.read(p)) == "checkpoint"
             snapshots[p] = scratch.params
-        driver._recover_worker(1, iteration=6)
+        driver.recovery_manager.recover_worker(1, iteration=6)
         for p in owned:
             assert np.array_equal(driver._partitions[p].params, snapshots[p])
         assert driver.cluster.engine_trace.recoveries[-1].mode == "checkpoint"
@@ -173,7 +248,7 @@ class TestRecoverWorkerModes:
     def test_zero_init_fallback(self, tiny_binary):
         driver = make_driver(tiny_binary)
         driver.fit(iterations=5)
-        driver._recover_worker(1, iteration=5)
+        driver.recovery_manager.recover_worker(1, iteration=5)
         for p in driver.groups.partitions_of_worker(1):
             assert not driver._partitions[p].params.any()
         assert driver.cluster.engine_trace.recoveries[-1].mode == "zero-init"
@@ -181,7 +256,7 @@ class TestRecoverWorkerModes:
     def test_recovery_seconds_positive(self, tiny_binary):
         driver = make_driver(tiny_binary)
         driver.fit(iterations=2)
-        assert driver._recover_worker(2) > 0.0
+        assert driver.recovery_manager.recover_worker(2) > 0.0
 
 
 class TestMasterRestart:
@@ -237,8 +312,8 @@ class TestMasterRestart:
     def test_checkpointed_run_costs_what_it_always_did(self, tiny_binary):
         """Simulated seconds and CHECKPOINT bytes of a checkpointed run
         with a master restart, pinned bit-for-bit: snapshots are charged
-        as the records themselves (one framed object each), and the
-        replayed rounds as CHECKPOINT traffic."""
+        as the records themselves (one framed object each), and so are
+        the four records the restart reads back (4 x 776 B)."""
         cluster = SimulatedCluster(CLUSTER1.with_workers(4))
         driver = ColumnSGDDriver(
             LogisticRegression(), AdaGrad(1.0), cluster,
@@ -251,7 +326,7 @@ class TestMasterRestart:
         driver.load(tiny_binary)
         result = driver.fit()
         assert result.total_sim_time.hex() == "0x1.3960007da0b72p+0"
-        assert cluster.network.bytes_of_kind(MessageKind.CHECKPOINT) == 24960
+        assert cluster.network.bytes_of_kind(MessageKind.CHECKPOINT) == 28064
         assert float(np.abs(result.final_params).sum()) == 150.8468682264118
 
 
