@@ -1,5 +1,6 @@
 """Sparse-kernel micro-benchmarks: axpy, dot, and the gradient kernel
-at three nnz scales.
+at three nnz scales, and FM's statistics and gradient at the e2e
+``fm_sim`` per-worker shape, on one-hot and on Gaussian values.
 
 A ColumnSGD round is O(batch nnz) only while these kernels are
 O(nnz).  The tier-1 width gate (``test_round_work_is_flat_in_m``)
@@ -16,6 +17,7 @@ import pytest
 
 from repro.linalg import CSRMatrix, OP_COUNTERS, SparseVector
 from repro.linalg.ops import accumulate_rows
+from repro.models import FactorizationMachine
 from repro.utils import ascii_table
 from repro.utils.rng import rng_from_seed
 
@@ -23,6 +25,10 @@ from repro.utils.rng import rng_from_seed
 DIM = 1_000_000
 
 NNZ_SCALES = (1_000, 10_000, 100_000)
+
+#: ``fm_sim``'s per-worker batch (benchmarks/e2e): 500 rows, about 8.9k
+#: entries over a 25k-column partition, 16 factors (17-wide statistics).
+FM_ROWS, FM_ENTRIES, FM_COLS, FM_FACTORS = 500, 8_900, 25_000, 16
 
 
 def _vector(nnz: int) -> SparseVector:
@@ -42,6 +48,19 @@ def _matrix(nnz: int, rows: int = 64) -> CSRMatrix:
             SparseVector(indices, rng.standard_normal(per_row), dim=DIM)
         )
     return CSRMatrix.from_rows(row_vectors, n_cols=DIM)
+
+
+def _fm_case(values: str):
+    """FM, its params and one batch; ``values`` is ``unit`` (one-hot CTR
+    data, the kernels skip their multiplies) or ``gaussian``."""
+    rng = rng_from_seed(17)
+    lengths = rng.multinomial(FM_ENTRIES, np.full(FM_ROWS, 1.0 / FM_ROWS))
+    indices = np.concatenate([np.sort(rng.choice(FM_COLS, size=k, replace=False)) for k in lengths])
+    data = np.ones(indices.size) if values == "unit" else rng.standard_normal(indices.size)
+    features = CSRMatrix(np.concatenate(([0], np.cumsum(lengths))), indices, data, FM_COLS)
+    model = FactorizationMachine(FM_FACTORS)
+    labels = np.where(rng.random(FM_ROWS) < 0.5, 1.0, -1.0)
+    return model, model.init_params(FM_COLS, seed=1), features, labels
 
 
 def _axpy(out: np.ndarray, alpha: float, v: SparseVector) -> None:
@@ -67,6 +86,19 @@ def test_bench_gradient(benchmark, nnz):
     matrix = _matrix(nnz)
     coefficients = np.ones(matrix.n_rows)
     benchmark(accumulate_rows, matrix, coefficients)
+
+
+@pytest.mark.parametrize("values", ["unit", "gaussian"])
+def test_bench_fm_statistics(benchmark, values):
+    model, params, features, _ = _fm_case(values)
+    benchmark(model.compute_statistics, features, params)
+
+
+@pytest.mark.parametrize("values", ["unit", "gaussian"])
+def test_bench_fm_gradient(benchmark, values):
+    model, params, features, labels = _fm_case(values)
+    statistics = model.compute_statistics(features, params)
+    benchmark(model.gradient_from_statistics, features, labels, statistics, params)
 
 
 def test_measured_work_scales_with_nnz(emit):

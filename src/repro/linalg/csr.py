@@ -76,7 +76,7 @@ class CSRMatrix:
     __slots__ = (
         "indptr", "indices", "data", "n_rows", "n_cols",
         # derived structure, filled on first use: the matrix is immutable
-        "_row_nnz", "_row_segments", "_touched",
+        "_row_nnz", "_row_segments", "_touched", "_unit",
     )
 
     def __init__(self, indptr, indices, data, n_cols: int):
@@ -115,6 +115,7 @@ class CSRMatrix:
         self._row_nnz = None
         self._row_segments = None
         self._touched = None
+        self._unit = None
 
     # ------------------------------------------------------------------
     # constructors
@@ -224,6 +225,18 @@ class CSRMatrix:
             self._touched = (_frozen(cols), _frozen(slots[self.indices]))
         return self._touched
 
+    def unit_values(self) -> bool:
+        """Whether every stored value is exactly 1.0 (one-hot data).
+
+        The kernels then skip their multiplies by the values (and by
+        their squares): a product with 1.0 is exact, so no bit changes.
+        One O(nnz) scan, cached like the rest of the derived structure;
+        rows taken from a matrix that holds it hold it without a scan.
+        """
+        if self._unit is None:
+            self._unit = bool(np.all(self.data == 1.0))
+        return self._unit
+
     def density(self) -> float:
         """Fraction of stored entries: ``nnz / (n_rows * n_cols)``."""
         cells = self.n_rows * self.n_cols
@@ -289,6 +302,8 @@ class CSRMatrix:
             self.data[source], self.n_cols,
         )
         taken._row_nnz = _frozen(lengths)
+        if self._unit:  # rows of a matrix whose values are all 1.0
+            taken._unit = True
         return taken
 
     def slice_rows(self, start: int, stop: int) -> "CSRMatrix":

@@ -142,7 +142,7 @@ class FieldAwareFM(StatisticsModel):
         weighted = c[:, None] * stats  # c * T_{b->a,f} in column t_index(b, a, f)
         weighted[:, 0] = c
         sums = accumulate_rows(features, weighted)
-        squares = accumulate_rows_squared(features, c)  # sum_i c_i x_i^2
+        squares = accumulate_rows_squared(features, c, linear=sums.values[:, 0])  # sum_i c_i x_i^2
         k = sums.cols.size
         local = params[sums.cols]
         touched = np.arange(k)

@@ -20,8 +20,14 @@ are::
 
 with ``c = -y / (1 + exp(y * y(x)))`` — all local given complete stats,
 and zero for every ``j`` the batch does not touch.  Both steps run over
-the whole ``(1 + F)``-wide parameter block at once: one gather of the
-touched rows and one segmented reduction, not one kernel call per factor.
+the whole ``(1 + F)``-wide parameter block at once, not one kernel call
+per factor: the statistics gather each entry's parameter row once and
+reduce it twice, to ``x.w, s_1 .. s_F`` and to the per-factor
+``sum_j v_jf^2 x_j^2`` (``row_dots(..., squares_from=1)``); the gradient
+is one accumulate over the whole width.  On one-hot data, where every
+stored ``x`` is 1.0, the kernels skip their multiplies by ``x`` and
+``x^2`` (exact, so no bit changes) and ``sum_i c_i x_ij^2`` is the
+accumulate's linear column.
 """
 
 from __future__ import annotations
@@ -33,7 +39,6 @@ from repro.linalg import (
     accumulate_rows,
     accumulate_rows_squared,
     row_dots,
-    row_dots_squared,
 )
 from repro.models.base import StatisticsModel
 from repro.models.losses import LogisticLoss, _sigmoid
@@ -68,13 +73,14 @@ class FactorizationMachine(StatisticsModel):
     # -- decomposition ----------------------------------------------------
     def compute_statistics(self, features: CSRMatrix, params: np.ndarray) -> np.ndarray:
         self._check_params(features, params)
-        stats = row_dots(features, params)  # x.w, then s_1 .. s_F
-        squares = row_dots_squared(features, params[:, 1:])
-        bracket = stats[:, 0]
-        # factor by factor: the rounding of the running difference is
-        # part of the pinned trajectories
-        for f in range(self.n_factors):
-            bracket -= 0.5 * squares[:, f]
+        # x.w, then s_1 .. s_F; and per factor sum_j v_jf^2 x_j^2
+        stats, squares = row_dots(features, params, squares_from=1)
+        # factor-major: the bracket is x.w minus each half square in turn,
+        # the rounding order the pinned trajectories were recorded with
+        terms = np.empty((1 + self.n_factors, features.n_rows), dtype=np.float64)
+        terms[0] = stats[:, 0]
+        np.multiply(squares.T, 0.5, out=terms[1:])
+        np.subtract.reduce(terms, axis=0, out=stats[:, 0])
         return stats
 
     def _raw_scores(self, statistics: np.ndarray) -> np.ndarray:
@@ -91,9 +97,11 @@ class FactorizationMachine(StatisticsModel):
         weighted = coefficients[:, None] * stats
         weighted[:, 0] = coefficients
         gradient = accumulate_rows(features, weighted)
-        # sum_i c_i * x_i^2, shared by every factor's second term
-        squares = accumulate_rows_squared(features, coefficients)
-        correction = params[gradient.cols] * squares.values[:, None]  # v_jf * sum_i c_i x_ij^2
+        # sum_i c_i * x_i^2, shared by every factor's second term; the
+        # linear column is it when every x is 1.0
+        squares = accumulate_rows_squared(features, coefficients, linear=gradient.values[:, 0])
+        correction = np.take(params, gradient.cols, axis=0)
+        correction *= squares.values[:, None]  # v_jf * sum_i c_i x_ij^2
         correction[:, 0] = 0.0  # the linear weight has no second-order term
         gradient.values -= correction
         gradient.values /= max(len(labels), 1)

@@ -42,7 +42,8 @@ class Optimizer:
         """Apply one update **in place** and return ``params``.
 
         ``gradient`` is a dense array matching ``params`` in shape or a
-        :class:`~repro.linalg.RowGradient` over it.
+        :class:`~repro.linalg.RowGradient` over it; the step may overwrite
+        a row gradient's compact ``values``.
         """
         raise NotImplementedError
 

@@ -1,11 +1,21 @@
 """Property-based tests (hypothesis) on the sparse structures."""
 
+from unittest import mock
+
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.linalg import CSRMatrix, SparseVector, accumulate_rows, row_dots
+from repro.linalg import (
+    CSRMatrix,
+    SparseVector,
+    accumulate_rows,
+    accumulate_rows_squared,
+    row_dots,
+    row_dots_squared,
+)
 
 
 @st.composite
@@ -122,3 +132,101 @@ class TestCSRProperties:
         lhs = float(np.dot(row_dots(matrix, w), c))
         rhs = float(np.dot(w, accumulate_rows(matrix, c).to_dense()))
         assert np.isclose(lhs, rhs, rtol=1e-8, atol=1e-6)
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def binary_matrices(draw, max_rows=8, max_cols=10):
+    """0/1 matrices: empty rows and ``nnz = 0`` come up on their own."""
+    mask = draw(arrays(np.bool_, (draw(st.integers(0, max_rows)), draw(st.integers(1, max_cols)))))
+    return CSRMatrix.from_dense(mask.astype(np.float64))
+
+
+def operands(matrix, width, seed):
+    """A model and coefficients of ``width`` (0: 1-D) for ``matrix``."""
+    rng = np.random.default_rng(seed)
+    tail = () if width == 0 else (width,)
+    return rng.normal(size=(matrix.n_cols,) + tail), rng.normal(size=(matrix.n_rows,) + tail)
+
+
+def kernel_outputs(matrix, model, coefficients):
+    """What the four kernels and the fused one return on one input."""
+    linear = accumulate_rows(matrix, coefficients)
+    outs = [
+        row_dots(matrix, model), row_dots_squared(matrix, model), linear.values,
+        accumulate_rows_squared(matrix, coefficients).values,
+    ]
+    if model.ndim == 2:
+        for first in range(model.shape[1]):
+            outs.extend(row_dots(matrix, model, squares_from=first))
+        # FM's shortcut: the linear sums of a column stand in for its squared pass
+        outs.append(accumulate_rows_squared(
+            matrix, coefficients[:, 0], linear=linear.values[:, 0]).values)
+    return outs
+
+
+class TestUnitValues:
+    @settings(max_examples=80, deadline=None)
+    @given(binary_matrices(), st.sampled_from([0, 1, 4]), st.integers(0, 2 ** 32 - 1))
+    @example(CSRMatrix.empty(3, 4), 4, 0)  # nnz = 0
+    def test_skipping_the_unit_multiplies_changes_no_bit(self, matrix, width, seed):
+        model, coefficients = operands(matrix, width, seed)
+        assert matrix.unit_values()
+        skipped = kernel_outputs(matrix, model, coefficients)
+        with mock.patch.object(CSRMatrix, "unit_values", lambda self: False):
+            multiplied = kernel_outputs(matrix, model, coefficients)
+        assert len(skipped) == len(multiplied)
+        for got, want in zip(skipped, multiplied):
+            assert same_bits(got, want)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(dense_matrices(), binary_matrices().map(lambda m: m.to_dense())),
+           st.integers(1, 4), st.integers(0, 2 ** 32 - 1))
+    def test_fused_row_kernel_is_the_two_kernels(self, dense, width, seed):
+        matrix = CSRMatrix.from_dense(dense)
+        model, _ = operands(matrix, width, seed)
+        for first in range(width):
+            dots, squares = row_dots(matrix, model, squares_from=first)
+            assert same_bits(dots, row_dots(matrix, model))
+            assert same_bits(squares, row_dots_squared(matrix, model[:, first:]))
+
+    @pytest.mark.parametrize("shape, first", [((3,), 0), ((3, 2), 2), ((3, 2), -1)])
+    def test_fused_row_kernel_rejects_a_bad_first_column(self, shape, first):
+        with pytest.raises(ValueError):
+            row_dots(CSRMatrix.from_dense(np.eye(3)), np.ones(shape), squares_from=first)
+
+    @settings(max_examples=80, deadline=None)
+    @given(arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 5)),
+                  elements=st.sampled_from([0.0, 1.0, 1.0, 1.0, -1.0, 2.0])), st.data())
+    def test_derived_matrices_report_their_own_values(self, dense, data):
+        parent = CSRMatrix.from_dense(dense)
+        ids = data.draw(st.lists(st.integers(0, parent.n_rows - 1), max_size=6))
+        start = data.draw(st.integers(0, parent.n_rows))
+        check_derived(parent, ids, start, data.draw(st.integers(start, parent.n_rows)))
+
+    def test_all_ones_rows_of_a_non_unit_parent_are_unit(self):
+        parent = CSRMatrix.from_dense([[1.0, 0.0, 1.0], [0.0, 2.0, 0.0], [0.0, 1.0, 1.0]])
+        assert not parent.unit_values()
+        assert parent.take_rows([0, 2]).unit_values()
+        assert parent.slice_rows(2, 3).unit_values()
+        assert CSRMatrix.vstack([parent.take_rows([2]), parent.slice_rows(0, 1)]).unit_values()
+        check_derived(parent, [0, 2], 0, 1)
+
+
+def check_derived(parent, ids, start, stop):
+    """Every derived matrix's ``unit_values()`` is true iff its own
+    stored values are all 1.0, whatever its parent's cached answer."""
+    parent.unit_values()  # cached first, so a derived matrix could lean on it
+    cols, inverse = parent.touched_columns()
+    derived = [
+        parent.take_rows(ids),
+        parent.slice_rows(start, stop),
+        CSRMatrix.vstack([parent.take_rows(ids), parent]),
+        CSRMatrix(parent.indptr, inverse, parent.data, cols.size),  # FFM's re-index
+    ]
+    for matrix in [parent] + derived:
+        assert matrix.unit_values() == bool(np.all(matrix.data == 1.0))

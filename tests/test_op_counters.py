@@ -92,6 +92,48 @@ def test_counters_never_change_numerics():
     assert counted == quiet
 
 
+@pytest.mark.parametrize("values", ["unit", "unit-multiplied", "gaussian"])
+def test_fm_counts_what_its_four_kernel_calls_count(values, monkeypatch):
+    """FM's fused statistics gather and its unit-value shortcut are
+    counted as the four separate kernel calls they replace: a round's
+    flops, allocations and peak do not depend on how the sums are made."""
+    from repro.datasets import make_classification
+    from repro.linalg import (
+        accumulate_rows, accumulate_rows_squared, row_dots, row_dots_squared,
+    )
+    from repro.models import FactorizationMachine
+
+    data = make_classification(
+        60, 40, nnz_per_row=6, binary_features=values != "gaussian", seed=2)
+    features, model = data.features, FactorizationMachine(3)
+    params = model.init_params(40, seed=1)
+    assert features.unit_values() == (values != "gaussian")
+    features.touched_columns()  # the once-per-process column scratch is not a round's
+    if values == "unit-multiplied":
+        monkeypatch.setattr(CSRMatrix, "unit_values", lambda self: False)
+
+    def counted(work):
+        OP_COUNTERS.reset()
+        OP_COUNTERS.enable()
+        work()
+        OP_COUNTERS.disable()
+        return OP_COUNTERS.snapshot()
+
+    def fm_round():
+        stats = model.compute_statistics(features, params)
+        model.gradient_from_statistics(features, data.labels, stats, params)
+
+    def four_calls():
+        row_dots(features, params)
+        row_dots_squared(features, params[:, 1:])
+        accumulate_rows(features, np.ones((features.n_rows, 4)))
+        accumulate_rows_squared(features, np.ones(features.n_rows))
+
+    got = counted(fm_round)
+    assert got["flops"] > 0
+    assert got == counted(four_calls)
+
+
 # ----------------------------------------------------------------------
 # sparse-kernel edge cases
 # ----------------------------------------------------------------------

@@ -358,14 +358,20 @@ class TestKernelsMatchPerColumnOracle:
         lengths[[0, 57, 199]] = 0
         indptr = np.concatenate(([0], np.cumsum(lengths)))
         indices = np.concatenate([np.sort(rng.choice(80, size=k, replace=False)) for k in lengths])
-        matrix = CSRMatrix(indptr, indices, rng.normal(size=indices.size), 80)
         model = rng.normal(size=(80, 3))
-        whole, whole_squared = row_dots(matrix, model), ops.row_dots_squared(matrix, model)
-        assert matrix.nnz * 3 < ops.BLOCK_ELEMENTS  # those were one block
-        for block in (1, 7, 64, 1000):
-            monkeypatch.setattr(ops, "BLOCK_ELEMENTS", block)
-            assert same_bits(row_dots(matrix, model), whole)
-            assert same_bits(ops.row_dots_squared(matrix, model), whole_squared)
+        # Gaussian values, and the ones whose multiplies are skipped
+        for data in (rng.normal(size=indices.size), np.ones(indices.size)):
+            matrix = CSRMatrix(indptr, indices, data, 80)
+            whole, whole_squared = row_dots(matrix, model), ops.row_dots_squared(matrix, model)
+            assert matrix.nnz * 3 * 2 < BLOCK_ELEMENTS  # those were one block
+            for block in (1, 7, 64, 1000):
+                monkeypatch.setattr(ops, "BLOCK_ELEMENTS", block)
+                assert same_bits(row_dots(matrix, model), whole)
+                assert same_bits(ops.row_dots_squared(matrix, model), whole_squared)
+                dots, squares = row_dots(matrix, model, squares_from=1)
+                assert same_bits(dots, whole)
+                assert same_bits(squares, ops.row_dots_squared(matrix, model[:, 1:]))
+            monkeypatch.undo()
 
 
 @pytest.mark.parametrize("name", MODEL_NAMES)
@@ -397,7 +403,8 @@ class TestModelsMatchDenseOracle:
 
         for ours, theirs in ((SGD(0.3), OldSGD(0.3)), (AdaGrad(0.3), OldAdaGrad(0.3))):
             stepped, want = params.copy(), params.copy()
-            ours.step(stepped, gradient)
+            # a step may consume the block, so each optimizer gets its own
+            ours.step(stepped, RowGradient(gradient.cols, gradient.values.copy(), gradient.shape))
             theirs.step(want, want_grad)
             assert same_bits(stepped, want)
 
