@@ -6,7 +6,9 @@ round; this file times the three pieces on their own — the
 ``assemble_batch`` and the shard store's block-grouped walk over its
 mapped blocks — at three batch sizes, so a regression of
 the gather back to per-row or per-block work shows up as a jump in
-``BENCH_assembly.json`` at the size where it bites.
+``BENCH_assembly.json`` at the size where it bites.  Each runs on
+one-hot values (``unit``: the batch's values are fresh 1.0s, none is
+copied) and on Gaussian ones (``gaussian``: every value is gathered).
 """
 
 from __future__ import annotations
@@ -27,9 +29,12 @@ ROWS, FEATURES, NNZ_PER_ROW, WORKERS, BLOCK = 50_000, 100_000, 30, 4, 2048
 BATCH_SIZES = (100, 1_000, 10_000)
 
 
-@pytest.fixture(scope="module")
-def shape(tmp_path_factory):
-    data = make_classification(ROWS, FEATURES, nnz_per_row=NNZ_PER_ROW, seed=1)
+@pytest.fixture(scope="module", params=["unit", "gaussian"])
+def shape(request, tmp_path_factory):
+    data = make_classification(
+        ROWS, FEATURES, nnz_per_row=NNZ_PER_ROW,
+        binary_features=request.param == "unit", seed=1,
+    )
     assignment = make_assignment("round_robin", FEATURES, WORKERS)
     memory, block_sizes, _ = dispatch_block_based(
         data, assignment, SimulatedCluster(CLUSTER1.with_workers(WORKERS)),

@@ -230,8 +230,10 @@ class CSRMatrix:
 
         The kernels then skip their multiplies by the values (and by
         their squares): a product with 1.0 is exact, so no bit changes.
-        One O(nnz) scan, cached like the rest of the derived structure;
-        rows taken from a matrix that holds it hold it without a scan.
+        One O(nnz) scan, cached like the rest of the derived structure.
+        The workset stores settle it ahead of use (the in-memory shard
+        once per fill, each on-disk block at first touch); rows taken or
+        stacked from matrices known to hold it hold it without a scan.
         """
         if self._unit is None:
             self._unit = bool(np.all(self.data == 1.0))
@@ -282,10 +284,15 @@ class CSRMatrix:
     def _gather_rows(self, row_ids: np.ndarray) -> "CSRMatrix":
         """:meth:`take_rows` without its checks, for callers that made them.
 
-        ``row_ids`` must be int64 and inside ``[0, n_rows)``.  The result
-        is built valid — its rows are rows of this (validated) matrix —
-        so it is not scanned again; the arrays are fresh copies, aligned,
-        with int64 ``indices`` whatever this matrix's index dtype.
+        ``row_ids`` must be int64 and inside ``[0, n_rows)``; this runs no
+        check of its own.  The result is built valid — its rows are rows
+        of this (validated) matrix — and its arrays are fresh copies,
+        aligned, with int64 ``indices`` whatever this matrix's index
+        dtype.  :meth:`take_rows` still runs ``_check`` on it at its exit,
+        a scan of the new ``indptr`` and ``indices``.  When this matrix is
+        known to hold :meth:`unit_values`, the values are ``np.ones``
+        rather than a gather, and the result is known to hold it too; an
+        unsettled flag is left unsettled, not scanned for.
         """
         starts = self.indptr[row_ids]
         lengths = np.subtract(self.indptr[row_ids + 1], starts, dtype=np.int64)
@@ -296,13 +303,14 @@ class CSRMatrix:
         # Source position of every output entry: a ramp over the output,
         # shifted per row by how far that row moved.
         source = np.repeat(starts - indptr[:-1], lengths) + np.arange(nnz)
+        unit = self._unit is True  # rows of a matrix whose values are all 1.0
         taken = CSRMatrix.__new__(CSRMatrix)
         taken._adopt(
             indptr, self.indices[source].astype(np.int64, copy=False),
-            self.data[source], self.n_cols,
+            np.ones(nnz) if unit else self.data[source], self.n_cols,
         )
         taken._row_nnz = _frozen(lengths)
-        if self._unit:  # rows of a matrix whose values are all 1.0
+        if unit:
             taken._unit = True
         return taken
 
@@ -321,7 +329,12 @@ class CSRMatrix:
 
     @classmethod
     def vstack(cls, parts: Sequence["CSRMatrix"]) -> "CSRMatrix":
-        """Stack matrices vertically; all must share ``n_cols``."""
+        """Stack matrices vertically; all must share ``n_cols``.
+
+        When every part is known to hold :meth:`unit_values`, the stack's
+        values are ``np.ones`` rather than a concatenation, and the stack
+        is known to hold it too; otherwise its flag is left unsettled.
+        """
         if not parts:
             raise ValueError("vstack needs at least one matrix")
         n_cols = parts[0].n_cols
@@ -334,12 +347,16 @@ class CSRMatrix:
             indptr_parts.append(part.indptr[1:] + offset)
             offset += part.nnz
         OP_COUNTERS.add_alloc(2 * offset)  # concatenated indices + data
-        return cls(
+        unit = all(part._unit is True for part in parts)
+        stacked = cls(
             np.concatenate(indptr_parts),
             np.concatenate([p.indices for p in parts]),
-            np.concatenate([p.data for p in parts]),
+            np.ones(offset) if unit else np.concatenate([p.data for p in parts]),
             n_cols,
         )
+        if unit:
+            stacked._unit = True
+        return stacked
 
     # ------------------------------------------------------------------
     # column operations (the column-partitioning primitives)

@@ -158,6 +158,7 @@ class WorksetStore:
                 _frozen(self._data[:nnz]),
                 self.local_dim,
             )
+            shard.unit_values()  # settled once per fill, inherited by every batch
             block_ids = np.asarray(self._block_ids, dtype=np.int64)
             starts = np.asarray(self._row_starts, dtype=np.int64)
             order = np.argsort(block_ids)

@@ -324,6 +324,7 @@ class ShardWorksetStore(WorksetStore):
                     block_id, self._shard_index.path.name, self.local_dim, exc
                 )
             ) from exc
+        features.unit_values()  # settled once per block, read by every walk
         slot = self._layout[2][block_id] + block_id
         self._row_table[slot:slot + features.n_rows + 1] = features.indptr
         workset = self._blocks[block_id] = Workset(block_id, features, labels)
@@ -355,6 +356,9 @@ class ShardWorksetStore(WorksetStore):
         against the footers and every table entry by ``CSRMatrix.over``
         at first touch — the ``vstack`` (which widens the int32 ids once)
         and the final ``take_rows`` check the batch as it leaves the store.
+        A piece of a block whose values are all 1.0 (settled at first
+        touch) reads none of them; when every piece is such, the stack
+        and the batch are ``np.ones`` known to be unit.
         """
         # every draw is checked against the footers before any block is read
         rows = rows_of_draws(draws, *self._layout)
@@ -373,15 +377,20 @@ class ShardWorksetStore(WorksetStore):
         # the batch, shifted per row by how far that row moved
         ramp = np.repeat(starts - indptr[:-1], lengths)
         ramp += np.arange(nnz)
+        # the pieces of unit blocks read no values: theirs are cut from one array
+        ones = np.ones(nnz) if any(w.features.unit_values() for w in worksets) else None
         parts, labels = [], []
         for workset, start, end in zip(worksets, bounds, bounds[1:]):
             features = workset.features
             lo, hi = indptr[start], indptr[end]
+            unit = features.unit_values()
             piece = CSRMatrix.__new__(CSRMatrix)
             piece._adopt(
                 indptr[start:end + 1] - lo, features.indices[ramp[lo:hi]],
-                features.data[ramp[lo:hi]], self.local_dim,
+                ones[lo:hi] if unit else features.data[ramp[lo:hi]], self.local_dim,
             )
+            if unit:
+                piece._unit = True
             parts.append(piece)
             labels.append(workset.labels[offsets[start:end]])
         # the stack and the reorder are the walk's peak: the ramp goes

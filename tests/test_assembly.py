@@ -570,6 +570,36 @@ class TestResidentShard:
         assert store.n_rows == 2 and store.shard.shape == (2, 2)
         assert np.shares_memory(store.get(0).features.data, store.shard.data)
 
+    @staticmethod
+    def filled_store(binary_features: bool):
+        data = make_classification(
+            120, 30, nnz_per_row=4, binary_features=binary_features, seed=5
+        )
+        memory, block_sizes, _ = dispatch_block_based(
+            data, make_assignment("round_robin", data.n_features, WORKERS),
+            SimulatedCluster(CLUSTER1.with_workers(WORKERS)), block_size=BLOCK,
+        )
+        return memory[1], TwoPhaseIndex(block_sizes, base_seed=2)
+
+    def test_a_one_hot_shard_settles_its_flag_and_copies_no_values(self):
+        store, index = self.filled_store(binary_features=True)
+        first, _ = store.assemble_batch(index.sample(0, 40))
+        assert store.shard._unit is True
+        assert first._unit is True      # settled before any kernel asks
+        second, _ = store.assemble_batch(index.sample(1, 40))
+        for batch in (first, second):
+            assert batch.data.flags.writeable and np.all(batch.data == 1.0)
+            assert not np.shares_memory(batch.data, store.shard.data)
+        assert not np.shares_memory(first.data, second.data)
+
+    def test_a_gaussian_shard_gathers_its_values(self):
+        store, index = self.filled_store(binary_features=False)
+        draws = index.sample(0, 40)
+        batch, _ = store.assemble_batch(draws)
+        assert store.shard._unit is False and batch._unit is None
+        want = [store.get(int(b)).features.row(int(o)).values for b, o in draws]
+        assert np.array_equal(batch.data, np.concatenate(want))
+
 
 # ----------------------------------------------------------------------
 # the engine trace a 6x faster round fills 6x faster

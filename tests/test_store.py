@@ -569,6 +569,43 @@ class TestBlockTable:
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
         ws.clear()
 
+    def test_one_non_unit_block_assembles_bit_identically(self, tmp_path):
+        # one-hot data but for one stored 2.0 in block 1: that block reads
+        # its values, the unit blocks read none, the batches are the same
+        one_hot = make_classification(4 * BLOCK, 20, nnz_per_row=5, seed=8)
+        features = one_hot.features
+        data = features.data.copy()
+        entry = int(features.indptr[BLOCK + 3])  # block 1, row 3
+        data[entry] = 2.0
+        ds = Dataset(
+            CSRMatrix(features.indptr, features.indices, data, features.n_cols),
+            one_hot.labels, name="mixed",
+        )
+        owner = int(features.indices[entry]) % 2  # round robin over 2 workers
+        on_disk = ColumnShardStore.from_dataset(ds, tmp_path / "mixed", n_workers=2,
+                                                block_size=BLOCK)
+        memory, sizes, _ = dispatch_block_based(
+            ds, make_assignment("round_robin", 20, 2), cluster(2), block_size=BLOCK
+        )
+        sampler = TwoPhaseIndex(sizes, base_seed=9)
+        twos = 0
+        for w in range(2):
+            ws = on_disk.worker_store(w)
+            for t in range(8):
+                draws = sampler.sample(t, 60)
+                ours, our_labels = ws.assemble_batch(draws)
+                twos += int(np.count_nonzero(ours.data == 2.0))
+                theirs, their_labels = memory[w].assemble_batch(draws)
+                for a, b in ((ours.indptr, theirs.indptr), (ours.indices, theirs.indices),
+                             (ours.data, theirs.data), (our_labels, their_labels)):
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+                assert ours.unit_values() == theirs.unit_values()
+            flags = {b: ws.get(b).features._unit for b in ws.block_ids()}
+            assert flags == {b: not (w == owner and b == 1) for b in ws.block_ids()}
+            ws.clear()
+        assert twos  # some batch drew the 2.0
+        assert memory[owner].shard._unit is False and memory[1 - owner].shard._unit is True
+
 
 class TestRowTable:
     """Every touched block's validated ``indptr``, end to end, one per process."""

@@ -4,9 +4,10 @@ training in memory on the simulator, on both backends.
 The hand-picked store cases (``tests/test_store.py``) found K = 1 and
 uneven splits only after review; here hypothesis draws the shapes: 1 to
 8 workers, batches larger than the data, one-row blocks, columns no row
-touches, and both wire precisions, for LR and a 2-factor FM.  Either
-both paths train the same model to the bit, or both refuse with a
-structured :class:`~repro.errors.ReproError`.  The ``local`` leg draws
+touches, both wire precisions, and graded, one-hot or all-but-one
+one-hot values (the stores copy no values out of a one-hot block), for
+LR and a 2-factor FM.  Either both paths train the same model to the
+bit, or both refuse with a structured :class:`~repro.errors.ReproError`.  The ``local`` leg draws
 fewer and smaller shapes (at most 4 workers on at most 2 processes),
 each bounded in wall time so a wedged process fails instead of hanging.
 """
@@ -51,14 +52,28 @@ def edge_shapes(draw, max_workers=8):
         block_size=draw(st.sampled_from([1, 2, 3, 16])),
         wire_precision=draw(st.sampled_from(["fp64", "fp32"])),
     )
-    return workers, rows, labels, n_features, draw(st.sampled_from(["lr", "fm"])), config
+    # unit and mixed blocks take the stores' no-value-copy path
+    values = draw(st.sampled_from(VALUE_KINDS)), draw(st.integers(0, 160))
+    model_name = draw(st.sampled_from(["lr", "fm"]))
+    return workers, rows, labels, n_features, values, model_name, config
 
 
-def dataset(rows, labels, n_features) -> Dataset:
+#: the stored values: graded, all 1.0 (one-hot), or all 1.0 but one 2.0
+VALUE_KINDS = ("linspace", "unit", "one 2.0")
+
+
+def dataset(rows, labels, n_features, values) -> Dataset:
+    """``values`` is a kind of :data:`VALUE_KINDS` and where a 2.0 goes."""
+    kind, two_at = values
     indptr = np.cumsum([0] + [len(row) for row in rows])
     indices = np.array([col for row in rows for col in row], dtype=np.int64)
-    values = np.linspace(0.5, 1.5, indices.size)
-    return Dataset(CSRMatrix(indptr, indices, values, n_features), labels)
+    if kind == "linspace":
+        data = np.linspace(0.5, 1.5, indices.size)
+    else:
+        data = np.ones(indices.size)
+        if kind == "one 2.0" and indices.size:
+            data[two_at % indices.size] = 2.0
+    return Dataset(CSRMatrix(indptr, indices, data, n_features), labels)
 
 
 def train(data, workers, model_name, config, store_dir="", **backend):
@@ -80,8 +95,8 @@ def train(data, workers, model_name, config, store_dir="", **backend):
           suppress_health_check=[HealthCheck.too_slow])
 @given(edge_shapes())
 def test_store_trains_the_in_memory_model(shape):
-    workers, rows, labels, n_features, model_name, config = shape
-    data = dataset(rows, labels, n_features)
+    workers, rows, labels, n_features, values, model_name, config = shape
+    data = dataset(rows, labels, n_features, values)
     in_memory = train(data, workers, model_name, config)
     with tempfile.TemporaryDirectory() as store_dir:
         from_store = train(data, workers, model_name, config, store_dir)
@@ -92,8 +107,8 @@ def test_store_trains_the_in_memory_model(shape):
           suppress_health_check=[HealthCheck.too_slow])
 @given(edge_shapes(max_workers=4))
 def test_store_on_local_trains_the_in_memory_sim_model(shape):
-    workers, rows, labels, n_features, model_name, config = shape
-    data = dataset(rows, labels, n_features)
+    workers, rows, labels, n_features, values, model_name, config = shape
+    data = dataset(rows, labels, n_features, values)
     in_memory = train(data, workers, model_name, config)
     with tempfile.TemporaryDirectory() as store_dir, hard_bound(LOCAL_BOUND_S):
         from_store = train(
