@@ -33,6 +33,7 @@ from repro.engine import (
 )
 from repro.errors import MasterFailedError, TrainingError
 from repro.faults import FaultKind, FaultSchedule
+from repro.linalg import RowGradient
 from repro.models.base import StatisticsModel
 from repro.optim.base import Optimizer
 from repro.partition.dispatch import load_row_partitioned
@@ -50,6 +51,15 @@ class RowSGDConfig(RunConfig):
     loader."""
 
     repartition: bool = False  # MLlib-Repartition loading for Fig 7
+
+
+def shard_gradient(model: StatisticsModel, local: Dataset, params: np.ndarray) -> RowGradient:
+    """Algorithm 2's shard step: the *sum* gradient of ``local``'s
+    (non-empty) rows against ``params``."""
+    stats = model.compute_statistics(local.features, params)
+    gradient = model.gradient_from_statistics(local.features, local.labels, stats, params)
+    gradient.values *= local.n_rows
+    return gradient
 
 
 class BaselineTrainer(Trainer):
@@ -160,12 +170,8 @@ class BaselineTrainer(Trainer):
             batch_rows += local.n_rows
             batch_nnz += local.nnz
             if local.n_rows:
-                stats = self.model.compute_statistics(local.features, self._params)
-                mean_grad = self.model.gradient_from_statistics(
-                    local.features, local.labels, stats, self._params
-                )
-                mean_grad.values *= local.n_rows
-                mean_grad.add_to(grad_sum)
+                params = self._worker_params(ctx, w)
+                shard_gradient(self.model, local, params).add_to(grad_sum)
             # StragglerLevel multiplies the whole task (launch + kernel),
             # matching the ColumnSGD driver's convention.
             task = self._task_overhead() + self.cluster.cost.sparse_work(
@@ -178,6 +184,11 @@ class BaselineTrainer(Trainer):
         ctx.scratch["batch_nnz"] = batch_nnz
         self.optimizer.step(self._params, grad_sum / batch_rows)
         return per_worker
+
+    def _worker_params(self, ctx, worker: int) -> np.ndarray:
+        """The model ``worker`` computes its round-``ctx.t`` gradient
+        against: the current one under BSP."""
+        return self._params
 
     def _phase_center_update(self, ctx) -> float:
         return self._center_update_seconds()

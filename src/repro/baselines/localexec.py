@@ -40,6 +40,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro.baselines.base import shard_gradient
 from repro.datasets.dataset import Dataset
 from repro.errors import TrainingError
 from repro.models.base import StatisticsModel
@@ -74,16 +75,11 @@ class RowWorkerProgram:
                 worker=self.worker,
                 n_workers=self.n_workers,
             )
-            if local.n_rows:
-                stats = self.model.compute_statistics(local.features, params)
-                # shipped dense: RowSGD's O(m) message
-                mean_grad = self.model.gradient_from_statistics(
-                    local.features, local.labels, stats, params
-                )
-                mean_grad.values *= local.n_rows
-                contribution = mean_grad.to_dense()
-            else:
-                contribution = np.zeros_like(params)
+            # shipped dense: RowSGD's O(m) message
+            contribution = (
+                shard_gradient(self.model, local, params).to_dense()
+                if local.n_rows else np.zeros_like(params)
+            )
             encoded = encode_payload(DenseVectorPayload(contribution))
             return {
                 "n_rows": int(local.n_rows),

@@ -17,9 +17,10 @@ arrive.  ``staleness = 0`` degenerates to BSP and reproduces the exact
 synchronous trajectory (tested).
 
 The pipeline recurrence lives in :class:`~repro.engine.StaleSync`
-(per-worker free times, commit times); the executor here replays the
-same recurrence to decide which historical model version each worker
-saw.  Because batch sparsity makes exact per-round gradient bytes
+(per-worker free times, commit times); the round is the BSP shard loop
+(:meth:`~repro.baselines.base.BaselineTrainer._phase_compute_gradients`)
+with :meth:`_worker_params` replaying the recurrence to pick the
+historical model version each worker saw.  Because batch sparsity makes exact per-round gradient bytes
 unpredictable under staleness, the spec declares a
 :class:`~repro.engine.TrafficEnvelope` for ``GRADIENT_PUSH`` — so SSP
 runs are protocol-*checked* (bounded), not exempted.
@@ -85,7 +86,7 @@ class StaleSyncPSTrainer(ParameterServerTrainer):
             phases=(
                 ComputePhase(
                     "compute_gradients",
-                    run="_phase_stale_compute",
+                    run="_phase_compute_gradients",
                     synchronized=True,
                 ),
             )
@@ -94,47 +95,21 @@ class StaleSyncPSTrainer(ParameterServerTrainer):
             envelopes="_traffic_envelopes",
         )
 
-    def _phase_stale_compute(self, ctx) -> Dict[int, float]:
-        """Per-worker gradient tasks against possibly-stale models."""
-        K = self.cluster.n_workers
-        width = self.model.statistics_width
+    def _worker_params(self, ctx, worker: int) -> np.ndarray:
+        """The newest model version committed when ``worker`` started
+        round ``ctx.t``."""
         commits = ctx.sync.commits
-        # Dense replica cost of the PS architecture, charged via the
-        # MODEL_PULL bytes and server dense_work (see BaselineTrainer).
-        grad_sum = np.zeros_like(self._params)
-        batch_rows = 0
-        batch_nnz = 0
-        per_worker: Dict[int, float] = {}
-        for w in range(K):
-            local = self._partitioner.sample_local_batch(
-                ctx.t, self.config.batch_size, w
-            )
-            batch_rows += local.n_rows
-            batch_nnz += local.nnz
-            # --- numerics: which committed version had this worker seen
-            # when it started iteration t?
-            version = 0
-            while version < len(commits) and commits[version] <= ctx.start_times[w]:
-                version += 1
-            seen = self._history[min(version, len(self._history) - 1)]
-            if local.n_rows:
-                stats = self.model.compute_statistics(local.features, seen)
-                mean_grad = self.model.gradient_from_statistics(
-                    local.features, local.labels, stats, seen
-                )
-                mean_grad.values *= local.n_rows
-                mean_grad.add_to(grad_sum)
-            per_worker[w] = (
-                self._task_overhead()
-                + self.cluster.cost.sparse_work(local.nnz, passes=2 * width)
-            ) * ctx.slowdowns[w]
+        version = 0
+        while version < len(commits) and commits[version] <= ctx.start_times[worker]:
+            version += 1
+        return self._history[min(version, len(self._history) - 1)]
 
-        self.optimizer.step(self._params, grad_sum / max(batch_rows, 1))
+    def _phase_compute_gradients(self, ctx) -> Dict[int, float]:
+        per_worker = super()._phase_compute_gradients(ctx)
         # Full history is kept so commit-count -> model-version indexing
         # stays direct; runs are a few hundred iterations on scaled
         # models, so this is cheap.
         self._history.append(np.array(self._params, copy=True))
-        ctx.scratch["batch_nnz"] = batch_nnz
         return per_worker
 
     def _traffic_envelopes(self, ctx) -> Dict[MessageKind, TrafficEnvelope]:

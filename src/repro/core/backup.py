@@ -11,9 +11,10 @@ tolerated.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+import math
+from typing import Dict, List, Mapping, Tuple
 
-from repro.errors import PartitionError, StatisticsRecoveryError
+from repro.errors import PartitionError
 from repro.utils.validation import check_non_negative, check_positive
 
 
@@ -64,24 +65,23 @@ class BackupGroups:
         return self._groups[partition // self.group_size]
 
     # ------------------------------------------------------------------
-    def fastest_per_group(self, finish_times: Sequence[float]) -> List[int]:
-        """Per group, the member finishing first (Fig 6's recovery rule).
+    def cover(self, finish: Mapping[int, float]) -> Tuple[Dict[int, int], List[int]]:
+        """Fig 6's recovery rule: ``(chosen, missing)``.
 
-        ``finish_times[w]`` may be ``float('inf')`` for dead workers; a
-        group of all-inf members raises
-        :class:`StatisticsRecoveryError`.
+        ``chosen`` maps each group to its earliest finite finisher in
+        ``finish`` (worker -> seconds), ties to the lower worker id;
+        ``missing`` lists, in order, the groups with none.  A worker
+        absent from ``finish`` or finishing at ``inf`` never counts.
         """
-        chosen: List[int] = []
+        chosen: Dict[int, int] = {}
         missing: List[int] = []
         for g, members in enumerate(self._groups):
-            best = min(members, key=lambda w: finish_times[w])
-            if finish_times[best] == float("inf"):
-                missing.append(g)
+            finite = [w for w in members if finish.get(w, math.inf) < math.inf]
+            if finite:
+                chosen[g] = min(finite, key=finish.__getitem__)
             else:
-                chosen.append(best)
-        if missing:
-            raise StatisticsRecoveryError(missing)
-        return chosen
+                missing.append(g)
+        return chosen, missing
 
     def __repr__(self) -> str:
         return "BackupGroups(K={}, S={}, groups={})".format(

@@ -42,7 +42,7 @@ from repro.core.recovery import (
 from repro.core.results import TrainingResult
 from repro.core.worker import ColumnWorker
 from repro.engine.policy import SYNC_RETRIES
-from repro.errors import ConfigurationError, TrainingError, WorkerFailedError
+from repro.errors import ConfigurationError, WorkerFailedError
 from repro.net.message import Message, MessageKind
 from repro.partition.indexing import TwoPhaseIndex
 from repro.runtime.deadline import TimeoutPolicy
@@ -216,18 +216,15 @@ class ColumnMasterProgram:
             tolerate_silent=config.sync_policy != "backup",
         )
         replies = exchange.replies
-        finish = [
-            replies[w].seconds if w in replies else float("inf")
-            for w in range(self.runtime.n_workers)
-        ]
-        ctx.failed = frozenset(exchange.dead_workers())
         ctx.stale_groups = {
-            w // self.driver.groups.group_size for w in exchange.silent_workers()
+            self.driver.groups.group_of(w) for w in exchange.silent_workers()
         }
         ctx.scratch["replies"] = replies
-        ctx.scratch["finish"] = finish
         self._carried(ctx, "gather", exchange)
-        return dict(enumerate(finish))
+        return {
+            w: replies[w].seconds if w in replies else float("inf")
+            for w in range(self.runtime.n_workers)
+        }
 
     def _statistics_push_sizes(self, ctx) -> List[int]:
         """One push per worker the sync policy chose, at its encoded length."""
@@ -235,22 +232,21 @@ class ColumnMasterProgram:
         return [len(replies[w].payload) for w in sorted(ctx.chosen)]
 
     def _phase_reduce(self, ctx) -> float:
-        """Decode the arrived statistics, sum one contribution per group
+        """Decode the statistics of each group's earliest replier
+        (``BackupGroups.cover``), sum one contribution per group
         (reduceStatistics), encode the broadcast."""
         driver, replies = self.driver, ctx.scratch["replies"]
+        live, _ = driver.groups.cover({w: reply.seconds for w, reply in replies.items()})
+        ctx.scratch["live"] = live
 
         def reduce_step() -> Tuple[List[int], bytes]:
-            stats_by_worker = {
-                w: decode_payload(reply.payload, copy=False).values.reshape(
-                    reply.result["shape"]
+            stats_by_group = {
+                g: decode_payload(replies[w].payload, copy=False).values.reshape(
+                    replies[w].result["shape"]
                 )
-                for w, reply in replies.items()
+                for g, w in live.items()
             }
-            reduced = driver.master.reduce(
-                stats_by_worker,
-                finish_times=ctx.scratch["finish"],
-                stale_groups=ctx.stale_groups or None,
-            )
+            reduced = driver.master.reduce(stats_by_group, ctx.stale_groups)
             return list(reduced.shape), encode_payload(
                 DenseVectorPayload(reduced, precision=driver.config.wire_precision)
             )
@@ -289,23 +285,18 @@ class ColumnMasterProgram:
         }
 
     def _updaters(self, ctx) -> Dict[int, int]:
-        """Partition -> the one worker that updates it: its first live,
-        non-killed replica.  A stale group never reported this round, so
-        its partitions skip the update and catch up when it rejoins."""
+        """Partition -> the one worker that updates it: its group's
+        member whose statistics were reduced.  Replicas share partition
+        state and the batch, so the model does not depend on which; a
+        stale group never reported this round, so its partitions skip the
+        update and catch up when it rejoins."""
         groups = self.driver.groups
-        updater_of: Dict[int, int] = {}
-        for p in range(self.runtime.n_workers):
-            if p // groups.group_size in ctx.stale_groups:
-                continue
-            for w in groups.replicas_of_partition(p):
-                if w not in ctx.failed and w not in ctx.killed:
-                    updater_of[p] = w
-                    break
-            else:
-                raise TrainingError(
-                    "partition {} has no live replica to update".format(p)
-                )
-        return updater_of
+        return {
+            p: w
+            for g, w in ctx.scratch["live"].items()
+            if g not in ctx.stale_groups
+            for p in groups.partitions_of_worker(w)
+        }
 
 
 def worker_programs(driver) -> Dict[int, ColumnWorkerProgram]:

@@ -57,8 +57,6 @@ class RoundContext:
         self.chosen: Set[int] = set()
         #: stragglers the policy killed after recovery
         self.killed: Set[int] = set()
-        #: permanently failed workers (set by the compute executor)
-        self.failed: frozenset = frozenset()
         #: backup groups whose statistics never arrived this round; the
         #: master substitutes their previous contribution (TimeoutSync)
         self.stale_groups: Set[int] = set()

@@ -25,7 +25,7 @@ from __future__ import annotations
 from statistics import median
 from typing import Dict, List
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, StatisticsRecoveryError
 from repro.utils.validation import check_non_negative
 
 #: Deadline stretch per gather retry, on both backends.
@@ -88,19 +88,16 @@ class BackupSync(SyncPolicy):
         self.groups = groups
 
     def resolve(self, ctx, per_worker: Dict[int, float]) -> float:
-        finish = [per_worker[w] for w in range(self.groups.n_workers)]
-        chosen = self.groups.fastest_per_group(finish)
-        ctx.chosen = set(chosen)
-        ctx.killed = set()
-        if self.groups.backup > 0:
-            recovery_time = max(finish[w] for w in chosen)
-            ctx.killed = {
-                w
-                for w in range(self.groups.n_workers)
-                if finish[w] > recovery_time and w not in ctx.failed
-            }
-            return recovery_time
-        return max(f for f in finish if f != float("inf"))
+        chosen, missing = self.groups.cover(per_worker)
+        if missing:
+            raise StatisticsRecoveryError(missing)
+        ctx.chosen = set(chosen.values())
+        recovery_time = max(per_worker[w] for w in ctx.chosen)
+        # a dead worker (inf) is not a straggler to kill
+        ctx.killed = {
+            w for w, f in per_worker.items() if recovery_time < f < float("inf")
+        }
+        return recovery_time
 
 
 class TimeoutSync(SyncPolicy):
@@ -142,19 +139,6 @@ class TimeoutSync(SyncPolicy):
         self.alpha = float(alpha)
         self.max_retries = int(max_retries)
 
-    # ------------------------------------------------------------------
-    def _coverage(self, arrived):
-        """(fastest arrived member per covered group, uncovered groups)."""
-        chosen: List[int] = []
-        missing: List[int] = []
-        for g, members in enumerate(self.groups.groups()):
-            present = [w for w in members if w in arrived]
-            if present:
-                chosen.append(min(present, key=lambda w: arrived[w]))
-            else:
-                missing.append(g)
-        return chosen, missing
-
     def _record(self, ctx, attempt, suspects, deadline, resolved) -> None:
         trace = getattr(ctx.cluster, "engine_trace", None)
         # a replayed round's episodes were recorded when it first ran
@@ -188,14 +172,14 @@ class TimeoutSync(SyncPolicy):
                 ctx.chosen = set(arrived)
                 return max(finite) if attempt == 0 else max(deadline / BACKOFF, max(finite))
             suspects = [w for w in range(self.groups.n_workers) if w not in arrived]
-            chosen, missing = self._coverage(arrived)
+            chosen, missing = self.groups.cover(arrived)
             if not missing:
                 self._record(ctx, attempt, suspects, deadline, "arrived")
-                ctx.chosen = set(chosen)
+                ctx.chosen = set(chosen.values())
                 return deadline
             if attempt >= self.max_retries:
                 self._record(ctx, attempt, suspects, deadline, "stale")
-                ctx.chosen = set(chosen)
+                ctx.chosen = set(chosen.values())
                 ctx.stale_groups = set(missing)
                 return deadline
             self._record(ctx, attempt, suspects, deadline, "retry")

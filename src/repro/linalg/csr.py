@@ -19,8 +19,8 @@ from repro.linalg.counters import OP_COUNTERS
 from repro.linalg.sparse_vector import SparseVector
 
 
-def _frozen(array: np.ndarray) -> np.ndarray:
-    """Mark an array this module made (and caches) read-only."""
+def frozen(array: np.ndarray) -> np.ndarray:
+    """Mark ``array`` (a cache or a handed-out view) read-only; return it."""
     array.setflags(write=False)
     return array
 
@@ -38,6 +38,20 @@ def _column_slots(n_cols: int) -> np.ndarray:
         OP_COUNTERS.add_alloc(n_cols)
         _SLOTS = np.empty(n_cols, dtype=np.int64)
     return _SLOTS
+
+
+_ONES = frozen(np.ones(0))
+
+
+def unit_ones(n: int) -> np.ndarray:
+    """``n`` read-only 1.0s, a view of one shared buffer grown like the
+    column slots: the values of one-hot pieces and stacks, which are
+    only read.  A batch handed to a caller gets its own ``np.ones``."""
+    global _ONES
+    if _ONES.size < n:
+        OP_COUNTERS.add_alloc(n)
+        _ONES = frozen(np.ones(n))
+    return _ONES[:n]
 
 
 def _check(indptr, indices, data, n_cols: int) -> None:
@@ -192,7 +206,7 @@ class CSRMatrix:
     def row_nnz(self) -> np.ndarray:
         """nnz of every row as a read-only int64 array."""
         if self._row_nnz is None:
-            self._row_nnz = _frozen(np.diff(self.indptr))
+            self._row_nnz = frozen(np.diff(self.indptr))
         return self._row_nnz
 
     def row_segments(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -203,7 +217,7 @@ class CSRMatrix:
         """
         if self._row_segments is None:
             rows = np.flatnonzero(self.row_nnz())
-            self._row_segments = (_frozen(rows), _frozen(self.indptr[rows]))
+            self._row_segments = (frozen(rows), frozen(self.indptr[rows]))
         return self._row_segments
 
     def touched_columns(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -222,7 +236,7 @@ class CSRMatrix:
             slots[self.indices] = entry
             cols = self.indices[np.flatnonzero(slots[self.indices] == entry)]
             slots[cols] = np.arange(cols.size)
-            self._touched = (_frozen(cols), _frozen(slots[self.indices]))
+            self._touched = (frozen(cols), frozen(slots[self.indices]))
         return self._touched
 
     def unit_values(self) -> bool:
@@ -309,7 +323,7 @@ class CSRMatrix:
             indptr, self.indices[source].astype(np.int64, copy=False),
             np.ones(nnz) if unit else self.data[source], self.n_cols,
         )
-        taken._row_nnz = _frozen(lengths)
+        taken._row_nnz = frozen(lengths)
         if unit:
             taken._unit = True
         return taken
@@ -332,8 +346,9 @@ class CSRMatrix:
         """Stack matrices vertically; all must share ``n_cols``.
 
         When every part is known to hold :meth:`unit_values`, the stack's
-        values are ``np.ones`` rather than a concatenation, and the stack
-        is known to hold it too; otherwise its flag is left unsettled.
+        values are a read-only view of shared 1.0s (:func:`unit_ones`)
+        rather than a concatenation, and the stack is known to hold it
+        too; otherwise its flag is left unsettled.
         """
         if not parts:
             raise ValueError("vstack needs at least one matrix")
@@ -351,7 +366,7 @@ class CSRMatrix:
         stacked = cls(
             np.concatenate(indptr_parts),
             np.concatenate([p.indices for p in parts]),
-            np.ones(offset) if unit else np.concatenate([p.data for p in parts]),
+            unit_ones(offset) if unit else np.concatenate([p.data for p in parts]),
             n_cols,
         )
         if unit:

@@ -22,6 +22,7 @@ import numpy as np
 
 from repro.errors import PartitionError
 from repro.linalg import CSRMatrix
+from repro.utils.rng import mix64
 from repro.utils.validation import check_in, check_positive
 
 
@@ -132,14 +133,10 @@ class RangeAssignment(ColumnAssignment):
 
 
 class HashAssignment(ColumnAssignment):
-    """Column ``j`` -> ``mix(j) % K`` with a SplitMix64-style mixer."""
+    """Column ``j`` -> ``mix64(j) % K`` (SplitMix64)."""
 
     def _build_columns(self) -> List[np.ndarray]:
-        ids = np.arange(self.n_features, dtype=np.uint64)
-        x = ids + np.uint64(0x9E3779B97F4A7C15)
-        x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        x = x ^ (x >> np.uint64(31))
+        x = mix64(np.arange(self.n_features, dtype=np.uint64))
         owner = (x % np.uint64(self.n_workers)).astype(np.int64)
         return [
             np.flatnonzero(owner == k).astype(np.int64) for k in range(self.n_workers)

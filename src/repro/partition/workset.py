@@ -24,6 +24,7 @@ import numpy as np
 
 from repro.errors import PartitionError
 from repro.linalg import CSRMatrix
+from repro.linalg.csr import frozen
 from repro.partition.indexing import as_draws, rows_of_draws
 from repro.storage.serialization import workset_bytes
 
@@ -49,12 +50,6 @@ class Workset:
     def n_rows(self) -> int:
         """Rows in the originating block."""
         return self.features.n_rows
-
-
-def _frozen(array: np.ndarray) -> np.ndarray:
-    """Mark a freshly made view (never a base array) read-only."""
-    array.setflags(write=False)
-    return array
 
 
 def _resized(array: np.ndarray, size: int, used: int) -> np.ndarray:
@@ -153,9 +148,9 @@ class WorksetStore:
         if self._resident is None:
             n_rows, nnz = self.n_rows, self.nnz
             shard = CSRMatrix(
-                _frozen(self._indptr[:n_rows + 1]),
-                _frozen(self._indices[:nnz]),
-                _frozen(self._data[:nnz]),
+                frozen(self._indptr[:n_rows + 1]),
+                frozen(self._indices[:nnz]),
+                frozen(self._data[:nnz]),
                 self.local_dim,
             )
             shard.unit_values()  # settled once per fill, inherited by every batch
@@ -164,7 +159,7 @@ class WorksetStore:
             order = np.argsort(block_ids)
             self._resident = _Resident(
                 shard,
-                _frozen(self._labels[:n_rows]),
+                frozen(self._labels[:n_rows]),
                 block_ids[order],
                 np.diff(starts)[order],
                 starts[:-1][order],
@@ -192,12 +187,12 @@ class WorksetStore:
         row0, row1 = self._row_starts[i], self._row_starts[i + 1]
         lo, hi = self._indptr[row0], self._indptr[row1]
         features = CSRMatrix(
-            _frozen(self._indptr[row0:row1 + 1] - lo),
-            _frozen(self._indices[lo:hi]),
-            _frozen(self._data[lo:hi]),
+            frozen(self._indptr[row0:row1 + 1] - lo),
+            frozen(self._indices[lo:hi]),
+            frozen(self._data[lo:hi]),
             self.local_dim,
         )
-        return Workset(block_id, features, _frozen(self._labels[row0:row1]))
+        return Workset(block_id, features, frozen(self._labels[row0:row1]))
 
     def block_ids(self) -> list:
         """Sorted block ids present in the store."""

@@ -6,15 +6,8 @@ import numpy as np
 
 from repro.datasets.dataset import Dataset
 from repro.linalg import CSRMatrix
+from repro.utils.rng import mix64
 from repro.utils.validation import check_positive
-
-
-def _mix64(x: np.ndarray) -> np.ndarray:
-    """SplitMix64 mixer over uint64 arrays (deterministic, well spread)."""
-    x = x.astype(np.uint64) + np.uint64(0x9E3779B97F4A7C15)
-    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return x ^ (x >> np.uint64(31))
 
 
 def hash_features(dataset: Dataset, n_buckets: int, seed: int = 0) -> Dataset:
@@ -27,7 +20,7 @@ def hash_features(dataset: Dataset, n_buckets: int, seed: int = 0) -> Dataset:
     """
     check_positive(n_buckets, "n_buckets")
     features = dataset.features
-    mixed = _mix64(features.indices.astype(np.uint64) * np.uint64(2 * seed + 1))
+    mixed = mix64(features.indices.astype(np.uint64) * np.uint64(2 * seed + 1))
     buckets = (mixed % np.uint64(n_buckets)).astype(np.int64)
     signs = np.where((mixed >> np.uint64(32)) & np.uint64(1), 1.0, -1.0)
     values = features.data * signs

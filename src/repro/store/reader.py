@@ -29,6 +29,7 @@ import numpy as np
 
 from repro.errors import DataError, DimensionMismatchError, PartitionError
 from repro.linalg import CSRMatrix
+from repro.linalg.csr import unit_ones
 from repro.linalg.counters import OP_COUNTERS
 from repro.partition.indexing import rows_of_draws
 from repro.partition.workset import Workset, WorksetStore
@@ -357,8 +358,10 @@ class ShardWorksetStore(WorksetStore):
         at first touch — the ``vstack`` (which widens the int32 ids once)
         and the final ``take_rows`` check the batch as it leaves the store.
         A piece of a block whose values are all 1.0 (settled at first
-        touch) reads none of them; when every piece is such, the stack
-        and the batch are ``np.ones`` known to be unit.
+        touch) reads none of them: its values are a view of shared
+        read-only 1.0s (:func:`~repro.linalg.csr.unit_ones`).  When every
+        piece is such, so are the stack's, and the batch is a fresh
+        ``np.ones`` known to be unit.
         """
         # every draw is checked against the footers before any block is read
         rows = rows_of_draws(draws, *self._layout)
@@ -378,7 +381,7 @@ class ShardWorksetStore(WorksetStore):
         ramp = np.repeat(starts - indptr[:-1], lengths)
         ramp += np.arange(nnz)
         # the pieces of unit blocks read no values: theirs are cut from one array
-        ones = np.ones(nnz) if any(w.features.unit_values() for w in worksets) else None
+        ones = unit_ones(nnz) if any(w.features.unit_values() for w in worksets) else None
         parts, labels = [], []
         for workset, start, end in zip(worksets, bounds, bounds[1:]):
             features = workset.features

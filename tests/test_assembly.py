@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from repro.datasets import make_classification
 from repro.errors import PartitionError
 from repro.linalg import CSRMatrix
+from repro.linalg.csr import unit_ones
 from repro.partition import TwoPhaseIndex, Workset, WorksetStore
 from repro.partition.column import make_assignment
 from repro.partition.dispatch import dispatch_block_based, dispatch_naive
@@ -370,6 +371,29 @@ class TestAssembleBatch:
         calls.update(take_rows=0, _gather_rows=0, vstack=0)
         shard[0].assemble_batch(draws)
         assert calls == {"take_rows": 1, "_gather_rows": 1, "vstack": 1}
+
+    def test_a_one_hot_walk_cuts_its_values_from_shared_ones(self, layout, monkeypatch):
+        """The walk's pieces and their stack read their 1.0s from one
+        shared read-only buffer; only the batch leaving the store gets
+        its own, writable values."""
+        _, _, _, shard, index = layout
+        vstack = CSRMatrix.vstack.__func__
+        stacks = []
+
+        def spied_vstack(cls, parts):
+            stacks.append((list(parts), vstack(cls, parts)))
+            return stacks[-1][1]
+
+        monkeypatch.setattr(CSRMatrix, "vstack", classmethod(spied_vstack))
+        batch, _ = shard[0].assemble_batch(index.sample(0, 64))
+        ((parts, stacked),) = stacks
+        ones = unit_ones(stacked.nnz)
+        assert len(parts) > 1 and stacked._unit is True and batch._unit is True
+        for values in [stacked.data] + [part.data for part in parts]:
+            assert not values.flags.writeable
+            assert np.shares_memory(values, ones)
+        assert batch.data.flags.writeable and np.all(batch.data == 1.0)
+        assert not np.shares_memory(batch.data, ones)
 
     @pytest.mark.parametrize(
         "damage, match",

@@ -29,13 +29,18 @@ from repro.core import ColumnSGDConfig, ColumnSGDDriver
 from repro.core.recovery import CheckpointStore, RecoveryPolicy, snapshot_partition
 from repro.core.worker import PartitionState
 from repro.datasets import make_classification
-from repro.errors import ConfigurationError, WorkerUnresponsiveError
+from repro.errors import (
+    ConfigurationError,
+    StatisticsRecoveryError,
+    WorkerUnresponsiveError,
+)
 from repro.faults import FaultEvent, FaultKind, FaultSchedule
 from repro.models import LogisticRegression
 from repro.net.message import MessageKind
 from repro.optim import SGD
 from repro.runtime import LocalRuntime, TimeoutPolicy
 from repro.sim import CLUSTER1, SimulatedCluster
+from tests.conftest import hard_bound
 
 WORKERS = 4
 ITERATIONS = 10
@@ -469,6 +474,33 @@ class TestColumnSGDFaultRecovery:
             np.max(np.abs(faulted.final_params - reference.final_params))
         )
         assert diff == 0.0
+
+
+def test_a_silent_group_has_no_cache_to_substitute_at_round_0(data):
+    """A worker silent past every deadline leaves its group stale.  From
+    round 2 on, the master substitutes the group's cached contribution;
+    at round 0 there is none yet, and the run raises — where the
+    simulator reduces the late statistics instead
+    (``tests/test_sync_policies.py``; ROADMAP asks which rule both
+    backends should follow)."""
+
+    def run(stall_round):
+        driver = make_driver(
+            data, iterations=4, sync_policy="timeout", local_timeout_s=0.3,
+            failures=scripted(stalls={(stall_round, 1): 1.5}),
+        )
+        return driver, driver.fit()
+
+    with hard_bound(10.0), pytest.raises(
+        StatisticsRecoveryError, match=r"group\(s\) \[1\]"
+    ):
+        run(0)
+    with hard_bound(10.0):
+        driver, result = run(2)
+    trace = driver.cluster.engine_trace
+    assert trace.rounds() == [0, 1, 2, 3]
+    assert any(e.round == 2 and e.suspects == (1,) for e in trace.retries)
+    assert np.isfinite(result.final_loss())
 
 
 # ----------------------------------------------------------------------

@@ -5,16 +5,22 @@ the exactness invariant (distributed trajectory == sequential) and the
 statistics-recovery invariant must hold for all of them.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import BackupGroups, ColumnSGDConfig, ColumnSGDDriver
 from repro.datasets import make_classification
+from repro.engine import BackupSync, TimeoutSync
+from repro.errors import StatisticsRecoveryError
 from repro.models import LogisticRegression
 from repro.optim import SGD
 from repro.sim import CLUSTER1, SimulatedCluster
 
+INF = float("inf")
 DATA = make_classification(200, 64, nnz_per_row=6, binary_features=False, seed=42)
 
 
@@ -82,14 +88,63 @@ class TestBackupGroupProperties:
         # keep at least one survivor per group, else skip
         if any(set(g) <= dead for g in groups.groups()):
             return
-        finish = [float("inf") if w in dead else 1.0 for w in range(n_workers)]
-        survivors = groups.fastest_per_group(finish)
+        finish = {w: float("inf") if w in dead else 1.0 for w in range(n_workers)}
+        chosen, missing = groups.cover(finish)
+        assert missing == []
         covered = set()
-        for w in survivors:
+        for w in chosen.values():
             covered |= set(groups.partitions_of_worker(w))
         assert covered == set(range(n_workers))
         # exactly one survivor per group
-        assert len(survivors) == groups.n_groups
+        assert sorted(chosen) == list(range(groups.n_groups))
+
+    @given(
+        st.sampled_from(
+            [(k, s) for k in range(1, 9) for s in range(k) if k % (s + 1) == 0]
+        ),
+        st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_cover_is_fig6_rule_for_every_policy(self, shape, data):
+        """Each group's pick is its lowest-id earliest finite finisher;
+        ``missing`` is exactly the groups with none; and the policies
+        that choose workers choose those."""
+        n_workers, backup = shape
+        groups = BackupGroups(n_workers, backup)
+        # ties (few distinct times), dead (inf) and absent workers
+        outcome = st.one_of(st.none(), st.just(INF), st.sampled_from([1.0, 2.0, 3.0]))
+        drawn = data.draw(st.lists(outcome, min_size=n_workers, max_size=n_workers))
+        finish = {w: f for w, f in enumerate(drawn) if f is not None}
+
+        chosen, missing = groups.cover(finish)
+        for g, members in enumerate(groups.groups()):
+            finite = [w for w in members if finish.get(w, INF) < INF]
+            if not finite:
+                assert g in missing and g not in chosen
+                continue
+            earliest = min(finish[w] for w in finite)
+            assert chosen[g] == min(w for w in finite if finish[w] == earliest)
+        assert missing == sorted(set(range(groups.n_groups)) - set(chosen))
+
+        backup_ctx = SimpleNamespace()
+        if missing:
+            with pytest.raises(StatisticsRecoveryError) as err:
+                BackupSync(groups).resolve(backup_ctx, finish)
+            assert err.value.missing_groups == tuple(missing)
+        else:
+            BackupSync(groups).resolve(backup_ctx, finish)
+            assert backup_ctx.chosen == set(chosen.values())
+
+        # a deadline past every finite time: all of them arrive
+        timeout_ctx = SimpleNamespace(cluster=None, t=0, replay=False, stale_groups=set())
+        per_worker = {w: finish.get(w, INF) for w in range(n_workers)}
+        TimeoutSync(groups, alpha=10.0).resolve(timeout_ctx, per_worker)
+        if all(f < INF for f in per_worker.values()):
+            # nobody suspected: the plain barrier takes every worker
+            assert timeout_ctx.chosen == set(range(n_workers))
+        else:
+            assert timeout_ctx.chosen == set(chosen.values())
+            assert timeout_ctx.stale_groups == set(missing)
 
     @given(st.integers(1, 4), st.integers(0, 3))
     @settings(max_examples=30, deadline=None)

@@ -2,6 +2,7 @@
 
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from repro.core import BackupGroups, ColumnSGDConfig, ColumnSGDDriver
@@ -16,6 +17,7 @@ from repro.engine import (
 from repro.engine.policy import SYNC_RETRIES
 from repro.errors import ConfigurationError
 from repro.models import LogisticRegression
+from repro.net.message import MessageKind
 from repro.optim import SGD
 from repro.runtime.deadline import TimeoutPolicy
 from repro.sim import CLUSTER1, SimulatedCluster
@@ -28,7 +30,6 @@ def make_ctx():
     return SimpleNamespace(
         cluster=SimpleNamespace(engine_trace=EngineTrace(system="test")),
         t=0,
-        failed=set(),
         replay=False,
     )
 
@@ -251,3 +252,31 @@ class TestDriverIntegration:
             sync_alpha=1.2,
         )
         driver.fit()  # ProtocolViolation would raise here
+
+    def test_stale_group_with_nothing_cached_reduces_its_late_statistics(
+        self, tiny_binary
+    ):
+        """Round 0 has no cached contribution to substitute.  The group
+        is marked stale and the round ends at the deadline with three
+        pushes accounted, yet the late worker's statistics are reduced:
+        the other partitions step exactly as in a round without the
+        straggler, and the stale one skips its update.  (Pinned as it
+        is; ROADMAP asks which rule both backends should follow.)"""
+        driver = self.make_driver(
+            tiny_binary, "timeout", sync_alpha=1.2,
+            straggler=PermanentStraggler(4, level=9.0, seed=3),
+        )
+        clean = self.make_driver(tiny_binary, "timeout", sync_alpha=1.2)
+        start = [state.params.copy() for state in driver._partitions]
+        outcome = driver.run_round(0)
+        clean.run_round(0)
+
+        (event,) = driver.cluster.engine_trace.retries
+        assert (event.suspects, event.resolved) == ((3,), "stale")
+        assert outcome.phase_seconds["compute_statistics"] == event.deadline_s
+        assert outcome.worker_seconds["compute_statistics"][3] > event.deadline_s
+        assert outcome.chosen == {0, 1, 2}
+        assert outcome.expected[MessageKind.STATISTICS_PUSH][0] == 3
+        for p in range(3):
+            assert np.array_equal(driver._partitions[p].params, clean._partitions[p].params)
+        assert np.array_equal(driver._partitions[3].params, start[3])
