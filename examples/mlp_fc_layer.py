@@ -3,10 +3,11 @@
 The paper argues ColumnSGD can host fully-connected layers: partition
 the FC weight matrix by input column, synchronise the per-example
 pre-activations (one statistics round per layer), replicate the tiny
-head.  This example trains such a one-hidden-layer network on an
-XOR-style problem that a linear model provably cannot fit, and shows
-the statistics traffic is B x hidden — still independent of the input
-dimension.
+head.  Here the network is one more statistics model the ColumnSGD
+driver runs: W1 partitioned like a GLM, the tail kept at the master.
+This example trains a one-hidden-layer network on an XOR-style problem
+that a linear model provably cannot fit, and shows the statistics
+traffic is B x hidden — still independent of the input dimension.
 
 Run:  python examples/mlp_fc_layer.py
 """
@@ -15,7 +16,7 @@ import numpy as np
 
 from repro import CLUSTER1, LogisticRegression, SGD, SimulatedCluster, train_columnsgd
 from repro.datasets import Dataset
-from repro.extensions import ColumnMLP, MLPColumnTrainer
+from repro.extensions import ColumnMLP
 from repro.linalg import CSRMatrix
 from repro.utils.rng import rng_from_seed
 
@@ -43,12 +44,10 @@ def main():
     print("  final loss {:.4f} (log 2 = 0.6931 is chance)".format(lr.final_loss()))
 
     print("\ncolumn-partitioned MLP (one hidden layer of 8, tanh):")
-    trainer = MLPColumnTrainer(
-        ColumnMLP([8], out_std=0.5), SGD(0.5), SimulatedCluster(CLUSTER1),
+    result = train_columnsgd(
+        data, ColumnMLP([8], out_std=0.5), SGD(0.5), SimulatedCluster(CLUSTER1),
         batch_size=500, iterations=400, eval_every=50, seed=0,
     )
-    trainer.load(data)
-    result = trainer.fit()
     for iteration, sim_time, loss in result.losses():
         print("  iter {:>4}  t={:6.2f}s  loss={:.4f}".format(iteration, sim_time, loss))
 

@@ -149,6 +149,14 @@ class ColumnSGDDriver(Trainer):
                 "heartbeats are a simulated failure detector; on backend='local' "
                 "detection is the transport's deadline (local_timeout_s)"
             )
+        if self.recovery_policy.master_restart and (
+            type(model).master_step is not StatisticsModel.master_step
+        ):
+            raise ConfigurationError(
+                "master_restart replays rounds from the partitions' checkpoint, "
+                "which does not hold the state {} keeps at the master: the "
+                "replay would step it twice".format(type(model).__name__)
+            )
         self.recovery_manager: Optional[RecoveryManager] = None
         self.groups = BackupGroups(cluster.n_workers, self.config.backup)
         self.master = ColumnMaster(self.groups, model)

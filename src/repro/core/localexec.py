@@ -234,10 +234,14 @@ class ColumnMasterProgram:
     def _phase_reduce(self, ctx) -> float:
         """Decode the statistics of each group's earliest replier
         (``BackupGroups.cover``), sum one contribution per group
-        (reduceStatistics), encode the broadcast."""
+        (reduceStatistics), pass the sum through the model's
+        ``master_step`` and encode what it returns as the broadcast.
+        Only a model whose step asks for them reads the batch's labels:
+        the dataset's, at the rows every worker draws."""
         driver, replies = self.driver, ctx.scratch["replies"]
         live, _ = driver.groups.cover({w: reply.seconds for w, reply in replies.items()})
         ctx.scratch["live"] = live
+        index, B, width = driver._index, driver.config.batch_size, driver.model.statistics_width
 
         def reduce_step() -> Tuple[List[int], bytes]:
             stats_by_group = {
@@ -246,12 +250,15 @@ class ColumnMasterProgram:
                 )
                 for g, w in live.items()
             }
-            reduced = driver.master.reduce(stats_by_group, ctx.stale_groups)
+            reduced = driver.model.master_step(
+                driver.master.reduce(stats_by_group, ctx.stale_groups),
+                lambda: driver._dataset.labels[index.to_global_rows(index.sample(ctx.t, B))],
+                driver.optimizer,
+            )
             return list(reduced.shape), encode_payload(
                 DenseVectorPayload(reduced, precision=driver.config.wire_precision)
             )
 
-        B, width = driver.config.batch_size, driver.model.statistics_width
         (ctx.scratch["shape"], ctx.scratch["reduced"]), seconds = self.runtime.measure(
             reduce_step, len(ctx.chosen) * B * width
         )

@@ -64,8 +64,8 @@ class Trainer:
 
     A subclass keeps what is genuinely its own — :meth:`load`,
     :meth:`round_spec` and the executors it names,
-    :meth:`evaluate_loss`, :meth:`current_params` where a flat model
-    exists, :meth:`_result_header` — and sets ``cluster`` plus whichever
+    :meth:`evaluate_loss`, :meth:`current_params`,
+    :meth:`_result_header` — and sets ``cluster`` plus whichever
     of the attributes below it has a knob for; their class-level values
     are the defaults.  The remaining ``_hooks`` default to "nothing to
     do" (or, for the local backend, "not hosted").
@@ -103,9 +103,9 @@ class Trainer:
         never charged to the clock."""
         raise NotImplementedError
 
-    def current_params(self) -> Optional[np.ndarray]:
-        """The model as one flat array, where the trainer has one."""
-        return None
+    def current_params(self) -> np.ndarray:
+        """The model as one array, assembled at the master."""
+        raise NotImplementedError
 
     def _result_header(self) -> Dict[str, object]:
         """``system`` / ``model`` / ``dataset`` / ``batch_size`` of the

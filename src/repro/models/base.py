@@ -19,9 +19,11 @@ plus one block of values — and a round costs O(batch nnz x width)
 whatever the partition's dimension.  Like the paper's runs (Table III),
 the objective is the mean data loss alone: no model adds a penalty.
 
-Models are *stateless*: parameters travel as plain numpy arrays whose
-first axis indexes features, so slicing rows of the array partitions the
-model by columns of the data — the collocation trick.
+Parameters travel as plain numpy arrays whose first axis indexes
+features, so slicing rows of the array partitions the model by columns
+of the data — the collocation trick.  Every model but one is stateless;
+the column-partitioned MLP keeps its small tail on the model, at the
+master, where :meth:`StatisticsModel.master_step` steps it.
 """
 
 from __future__ import annotations
@@ -85,6 +87,19 @@ class StatisticsModel:
         with it.  Additive statistics sum."""
         return left + right
 
+    def master_step(self, statistics: np.ndarray, labels, optimizer=None) -> np.ndarray:
+        """What the master broadcasts for the complete ``statistics``,
+        and so what ``gradient_from_statistics`` receives: the model's
+        hook between reduceStatistics and the broadcast, run once a round.
+
+        ``labels()`` returns the batch's labels, for a model that needs
+        them; ``optimizer``, when given, is the one whose spawned copies
+        step state the model keeps at the master (the model checker
+        passes none).  The identity here: a GLM's workers need the
+        statistics alone, and it keeps no state.
+        """
+        return statistics
+
     def gradient_from_statistics(
         self,
         features: CSRMatrix,
@@ -94,7 +109,8 @@ class StatisticsModel:
     ) -> RowGradient:
         """Mean batch gradient of the loss over the local partition.
 
-        ``statistics`` must be the *complete* (summed) statistics;
+        ``statistics`` must be the *complete* (summed) statistics, as
+        :meth:`master_step` passed them on;
         ``features``/``params`` are the local shard and partition.  The
         rows are the columns ``features`` touches; nothing sized like
         ``params`` is allocated.
@@ -116,7 +132,7 @@ class StatisticsModel:
         self, features: CSRMatrix, labels: np.ndarray, params: np.ndarray
     ) -> np.ndarray:
         """Single-machine mean batch gradient, dense (statistics folded in)."""
-        stats = self.compute_statistics(features, params)
+        stats = self.master_step(self.compute_statistics(features, params), lambda: labels)
         return self.gradient_from_statistics(features, labels, stats, params).to_dense()
 
     def loss(self, features: CSRMatrix, labels: np.ndarray, params: np.ndarray) -> float:

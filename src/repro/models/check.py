@@ -9,6 +9,8 @@ training at scale:
 * :func:`check_decomposition` — the Section II-C identities: statistics
   additivity across column shards and per-partition gradient recovery.
 
+Both hand ``gradient_from_statistics`` what the driver's workers get:
+the complete statistics passed through the model's ``master_step``.
 Both raise :class:`ModelCheckError` with a pinpointed report on
 failure and return silently on success (mirroring ``np.testing``).
 """
@@ -101,7 +103,8 @@ def check_decomposition(
     """Verify the Section II-C identities over a column partitioning.
 
     1. ``sum_k compute_statistics(X_k, w_k) == compute_statistics(X, w)``
-    2. ``gradient(X, y, S, w)[cols_k] == gradient(X_k, y, S, w_k)``
+    2. ``gradient(X, y, S, w)[cols_k] == gradient(X_k, y, S, w_k)``, with
+       ``S`` the complete statistics passed through ``master_step``
     """
     if params is None:
         params = _perturbed_params(model, dataset.n_features, seed)
@@ -120,15 +123,16 @@ def check_decomposition(
             "(max abs error {:.3g})".format(np.max(np.abs(full_stats - partial)))
         )
 
+    complete = model.master_step(full_stats, lambda: dataset.labels)
     full_grad = model.gradient_from_statistics(
-        dataset.features, dataset.labels, full_stats, params
+        dataset.features, dataset.labels, complete, params
     ).to_dense()
     for k in range(n_workers):
         cols = assignment.columns_of(k)
         local = model.gradient_from_statistics(
             dataset.features.select_columns(cols),
             dataset.labels,
-            full_stats,
+            complete,
             params[cols],
         ).to_dense()
         if not np.allclose(full_grad[cols], local, atol=atol):

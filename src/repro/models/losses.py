@@ -138,10 +138,8 @@ class SquaredLoss(PointwiseLoss):
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function."""
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Numerically stable logistic function, in one pass: ``exp`` only
+    ever sees ``-|x|`` (written ``min(x, -x)``, which keeps a NaN's sign
+    bit where ``-abs`` would flip it)."""
+    e = np.exp(np.minimum(x, -x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)

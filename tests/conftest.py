@@ -20,12 +20,7 @@ from repro.baselines import (
 from repro.core import UserDefinedModel
 from repro.core.driver import ColumnSGDConfig, ColumnSGDDriver
 from repro.datasets import make_classification, make_multiclass, make_regression
-from repro.extensions import (
-    CoCoATrainer,
-    ColumnMLP,
-    MLPColumnTrainer,
-    RidgeCDTrainer,
-)
+from repro.extensions import CoCoATrainer, ColumnMLP, RidgeCDTrainer
 from repro.models import LogisticRegression
 from repro.optim import SGD
 from repro.sim import CLUSTER1, SimulatedCluster
@@ -129,8 +124,9 @@ def cluster8():
 
 
 # ----------------------------------------------------------------------
-# the nine engine trainers, built one way for every suite that walks
-# them; the MLP twice, at one and at two hidden layers
+# the eight engine trainer classes, built one way for every suite that
+# walks them; the driver twice more, running the MLP at one and at two
+# hidden layers
 # ----------------------------------------------------------------------
 TRAINER_NAMES = (
     "ColumnSGDDriver",
@@ -141,8 +137,8 @@ TRAINER_NAMES = (
     "StaleSyncPSTrainer",
     "CoCoATrainer",
     "RidgeCDTrainer",
-    "MLPColumnTrainer",
-    "4x3/MLPColumnTrainer",
+    "mlp4/ColumnSGDDriver",
+    "mlp4x3/ColumnSGDDriver",
 )
 
 
@@ -161,22 +157,14 @@ def trainer_builders(cluster, data):
             return trainer
         return build
 
-    def column():
-        driver = ColumnSGDDriver(
-            LogisticRegression(), SGD(0.1), cluster,
-            config=ColumnSGDConfig(batch_size=64, iterations=2),
-        )
-        driver.load(data)
-        return driver
-
-    def mlp(model):
+    def column(make_model=LogisticRegression, **kw):
         def build():
-            trainer = MLPColumnTrainer(
-                model, SGD(0.1), cluster, batch_size=64, iterations=2,
-                eval_every=0, seed=3,
+            driver = ColumnSGDDriver(
+                make_model(), SGD(0.1), cluster,
+                config=ColumnSGDConfig(batch_size=64, iterations=2, **kw),
             )
-            trainer.load(data)
-            return trainer
+            driver.load(data)
+            return driver
         return build
 
     def local(cls, **kw):
@@ -187,7 +175,7 @@ def trainer_builders(cluster, data):
         return build
 
     return {
-        "ColumnSGDDriver": column,
+        "ColumnSGDDriver": column(),
         "MLlibTrainer": row(MLlibTrainer),
         "MLlibStarTrainer": row(MLlibStarTrainer),
         "ParameterServerTrainer": row(ParameterServerTrainer),
@@ -195,6 +183,6 @@ def trainer_builders(cluster, data):
         "StaleSyncPSTrainer": row(StaleSyncPSTrainer, staleness=2),
         "CoCoATrainer": local(CoCoATrainer, lam=0.1, local_steps=10),
         "RidgeCDTrainer": local(RidgeCDTrainer, lam=0.1),
-        "MLPColumnTrainer": mlp(ColumnMLP([4])),
-        "4x3/MLPColumnTrainer": mlp(ColumnMLP([4, 3])),
+        "mlp4/ColumnSGDDriver": column(lambda: ColumnMLP([4]), eval_every=0, seed=3),
+        "mlp4x3/ColumnSGDDriver": column(lambda: ColumnMLP([4, 3]), eval_every=0, seed=3),
     }

@@ -91,12 +91,7 @@ def record_all() -> Dict[str, dict]:
         StaleSyncPSTrainer,
     )
     from repro.core.driver import ColumnSGDConfig, ColumnSGDDriver
-    from repro.extensions import (
-        CoCoATrainer,
-        ColumnMLP,
-        MLPColumnTrainer,
-        RidgeCDTrainer,
-    )
+    from repro.extensions import CoCoATrainer, ColumnMLP, RidgeCDTrainer
 
     models = _models()
     optimizers = _optimizers()
@@ -181,20 +176,18 @@ def record_all() -> Dict[str, dict]:
         ("deep_mlp8x4/sgd", ColumnMLP([8, 4]), "sgd"),
     ]
     for key, model, opt_name in mlps:
-        mlp = MLPColumnTrainer(
+        mlp = ColumnSGDDriver(
             model,
             optimizers[opt_name](),
             _cluster(),
-            batch_size=BATCH,
-            iterations=ITERATIONS,
-            eval_every=2,
-            seed=3,
+            config=ColumnSGDConfig(
+                batch_size=BATCH, iterations=ITERATIONS, eval_every=2, seed=3
+            ),
         )
         mlp.load(_data())
         result = mlp.fit()
-        tail = mlp.tail()
         params = np.concatenate(
-            [mlp.current_w1().ravel()] + [tail[k].ravel() for k in sorted(tail)]
+            [result.final_params.ravel()] + [model.tail[k].ravel() for k in sorted(model.tail)]
         )
         entry(key, result, params)
 

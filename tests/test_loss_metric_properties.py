@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.metrics import accuracy, log_loss, roc_auc
 from repro.models import HingeLoss, HuberLoss, LogisticLoss, SquaredHingeLoss, SquaredLoss
-from repro.models.losses import HUBER_DELTA
+from repro.models.losses import HUBER_DELTA, _sigmoid
 
 FINITE = st.floats(-50, 50, allow_nan=False)
 
@@ -76,6 +76,27 @@ class TestLossProperties:
         scores, labels = batch
         loss = HuberLoss()
         assert np.all(np.abs(loss.derivative(scores, labels)) <= HUBER_DELTA + 1e-12)
+
+
+def two_mask_sigmoid(x):
+    """The two boolean-mask passes ``_sigmoid`` replaced: the oracle."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+class TestSigmoid:
+    EDGES = [0.0, -0.0, 800.0, -800.0, np.inf, -np.inf, 1e-300, -1e-300, np.nan, -np.nan]
+
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=300))
+    @settings(max_examples=200)
+    def test_one_pass_has_the_two_mask_bits(self, values):
+        x = np.asarray(values + self.EDGES, dtype=np.float64)
+        want = two_mask_sigmoid(x).view(np.int64)
+        assert np.array_equal(_sigmoid(x).view(np.int64), want)
 
 
 class TestMetricProperties:

@@ -24,7 +24,7 @@ from repro.core import ColumnSGDConfig, ColumnSGDDriver
 from repro.core.worker import ColumnWorker
 from repro.datasets.dataset import Dataset
 from repro.errors import DimensionMismatchError
-from repro.extensions import ColumnMLP, MLPColumnTrainer
+from repro.extensions import ColumnMLP
 from repro.linalg import (
     EVERY_ROW,
     OP_COUNTERS,
@@ -604,21 +604,15 @@ def column_driver(make_model, backend="sim"):
     return build
 
 
-def mlp_trainer():
-    return MLPColumnTrainer(
-        ColumnMLP([1]), SGD(0.1), SimulatedCluster(CLUSTER1.with_workers(4)),
-        batch_size=100, eval_every=0, seed=3,
-    )
-
-
 #: every ColumnSGD trainer that claims O(batch) rounds, each at <= 2
 #: params per column: id -> (build, labels in {0, 1}, backend)
 FLAT_IN_M = {
     "lr": (column_driver(LogisticRegression), False, "sim"),
     "fm": (column_driver(lambda: FactorizationMachine(n_factors=1)), False, "sim"),
     "mlr": (column_driver(lambda: MultinomialLogisticRegression(2)), True, "sim"),
-    "mlp": (mlp_trainer, False, "sim"),
+    "mlp": (column_driver(lambda: ColumnMLP([1])), False, "sim"),
     "lr-local": (column_driver(LogisticRegression, backend="local"), False, "local"),
+    "mlp-local": (column_driver(lambda: ColumnMLP([1]), backend="local"), False, "local"),
 }
 
 
