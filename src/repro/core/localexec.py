@@ -53,6 +53,7 @@ from repro.storage.serialization import (
     decode_payload,
     encode_payload,
 )
+from repro.utils.memo import LastCall
 
 
 @dataclass
@@ -68,10 +69,10 @@ class ColumnWorkerProgram:
     index: TwoPhaseIndex
     batch_size: int
     wire_precision: str
-    #: ``[payload, statistics]`` of the last update broadcast decoded on
-    #: this host, shared by the programs hosted together
-    #: (:func:`worker_programs`) so one payload is decoded once
-    decoded: list = field(default_factory=lambda: [None, None])
+    #: the statistics of the last update broadcast decoded on this host,
+    #: keyed on its payload and shared by the programs hosted together
+    #: (:func:`worker_programs`), so one payload is decoded once
+    decoded: LastCall = field(default_factory=LastCall)
 
     def handle(self, op: str, args: dict, payload: Optional[bytes]):
         if op == "compute":
@@ -86,10 +87,9 @@ class ColumnWorkerProgram:
                 "shape": list(stats.shape),
             }, encoded
         if op == "update":
-            if payload is not self.decoded[0]:
-                values = decode_payload(payload, copy=False).values
-                self.decoded[:] = payload, values.reshape(args["shape"])
-            reduced = self.decoded[1]
+            reduced = self.decoded((payload,), lambda: decode_payload(
+                payload, copy=False
+            ).values.reshape(args["shape"]))
             me = self.worker.worker_id
             self.worker.update_model(
                 reduced,
@@ -308,7 +308,7 @@ class ColumnMasterProgram:
 
 def worker_programs(driver) -> Dict[int, ColumnWorkerProgram]:
     """One :class:`ColumnWorkerProgram` per logical worker of a loaded driver."""
-    config, decoded = driver.config, [None, None]
+    config, decoded = driver.config, LastCall()
     return {
         w: ColumnWorkerProgram(
             worker=driver._workers[w],

@@ -19,7 +19,7 @@ from repro.core.results import IterationRecord, TrainingResult
 from repro.datasets.dataset import Dataset
 from repro.engine import RoundEngine, RoundOutcome, RoundSpec
 from repro.errors import ConfigurationError, TrainingError
-from repro.faults import REPLY_LOSSES, FaultKind, FaultSchedule
+from repro.faults import BACKGROUND_KINDS, REPLY_LOSSES, FaultKind, FaultSchedule
 from repro.net.protocol import ProtocolChecker
 from repro.runtime import BACKENDS
 from repro.sim.straggler import StragglerModel
@@ -149,6 +149,17 @@ class Trainer:
         self.straggler = straggler
         self.failures = failures if failures is not None else FaultSchedule()
         self.failures.validate(cluster.n_workers, config.backend)
+        fired = [event.kind for event in self.failures.events]
+        if self.failures.mtbf_rounds:
+            fired += self.failures.kinds or BACKGROUND_KINDS[config.backend]
+        if config.backend == "local" and FaultKind.WORKER in fired and (
+                0 < config.local_processes < cluster.n_workers):
+            raise ConfigurationError(
+                "a WORKER fault on backend='local' kills its whole process: with "
+                "local_processes < workers its co-tenants would be restored too, "
+                "and the model would differ from backend='sim'; host one worker "
+                "per process (local_processes=0)"
+            )
 
     def _handle_failures(self, t: int) -> float:
         """Top-of-round upkeep; returns the extra seconds.

@@ -11,7 +11,10 @@ statistics using only local data.  Formally, for column shards
 
 and the full-data batch gradient restricted to partition k equals
 ``gradient_from_statistics(X_k, y, S, w_k)`` where ``S`` is the summed
-statistics.  Every concrete model's tests assert both identities.
+statistics.  Every concrete model's tests assert both identities.  The
+step from ``S`` and ``y`` to per-example coefficients is the same for
+every shard, so a model runs it through :meth:`StatisticsModel._per_host`,
+once per host.
 
 A mini-batch's gradient is zero outside the columns the batch touches,
 so it travels as a :class:`~repro.linalg.RowGradient` — those columns
@@ -32,7 +35,11 @@ import numpy as np
 
 from repro.errors import DimensionMismatchError
 from repro.linalg import CSRMatrix, RowGradient
+from repro.utils.memo import LastCall
 from repro.utils.rng import rng_from_seed
+
+#: the last coefficient step (:meth:`StatisticsModel._per_host`) of this process
+_COEFFICIENTS = LastCall()
 
 
 class StatisticsModel:
@@ -143,6 +150,12 @@ class StatisticsModel:
     def predict(self, features: CSRMatrix, params: np.ndarray) -> np.ndarray:
         """Point predictions on a feature matrix."""
         return self.predict_from_statistics(self.compute_statistics(features, params))
+
+    def _per_host(self, statistics, labels, compute):
+        """``compute()``, a function of this model, the complete
+        ``statistics`` and ``labels`` alone — the same on every worker of
+        a host, so it runs once there and its result is shared, read-only."""
+        return _COEFFICIENTS((self, statistics, labels), compute)
 
     # ------------------------------------------------------------------
     # shape validation shared by the concrete models

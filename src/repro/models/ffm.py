@@ -40,6 +40,7 @@ from repro.linalg import (
     row_dots_squared,
 )
 from repro.models.base import StatisticsModel
+from repro.models.fm import FactorizationMachine
 from repro.models.losses import LogisticLoss, _sigmoid
 from repro.utils.validation import check_positive
 
@@ -133,14 +134,16 @@ class FieldAwareFM(StatisticsModel):
                     )
         return scores
 
+    #: ``c``, and ``c * T_{b->a,f}`` in column ``t_index(b, a, f)``
+    _coefficients = FactorizationMachine._coefficients
+
     def gradient_from_statistics(self, features, labels, statistics, params):
         self._check_params(features, params)
         self._check_batch(features, labels, statistics)
         A, F = self.n_fields, self.n_factors
-        stats = np.asarray(statistics, dtype=np.float64)
-        c = self._loss.derivative(self._raw_scores(stats), labels)
-        weighted = c[:, None] * stats  # c * T_{b->a,f} in column t_index(b, a, f)
-        weighted[:, 0] = c
+        c, weighted = self._per_host(
+            statistics, labels, lambda: self._coefficients(statistics, labels)
+        )
         sums = accumulate_rows(features, weighted)
         squares = accumulate_rows_squared(features, c, linear=sums.values[:, 0])  # sum_i c_i x_i^2
         k = sums.cols.size

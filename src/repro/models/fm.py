@@ -88,14 +88,19 @@ class FactorizationMachine(StatisticsModel):
         stats = np.asarray(statistics, dtype=np.float64)
         return stats[:, 0] + 0.5 * np.sum(stats[:, 1:] ** 2, axis=1)
 
+    def _coefficients(self, statistics, labels):
+        """``c``, and what every shard accumulates: ``c`` for the linear
+        weight, ``c * s_f`` for factor ``f`` (FFM's step too)."""
+        stats = np.asarray(statistics, dtype=np.float64)
+        c = self._loss.derivative(self._raw_scores(stats), labels)
+        return c, np.column_stack((c, c[:, None] * stats[:, 1:]))
+
     def gradient_from_statistics(self, features, labels, statistics, params):
         self._check_params(features, params)
         self._check_batch(features, labels, statistics)
-        stats = np.asarray(statistics, dtype=np.float64)
-        coefficients = self._loss.derivative(self._raw_scores(stats), labels)
-        # c for the linear weight, c * s_f for factor f
-        weighted = coefficients[:, None] * stats
-        weighted[:, 0] = coefficients
+        coefficients, weighted = self._per_host(
+            statistics, labels, lambda: self._coefficients(statistics, labels)
+        )
         gradient = accumulate_rows(features, weighted)
         # sum_i c_i * x_i^2, shared by every factor's second term; the
         # linear column is it when every x is 1.0

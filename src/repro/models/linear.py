@@ -46,8 +46,10 @@ class GeneralizedLinearModel(StatisticsModel):
 
     def gradient_from_statistics(self, features, labels, statistics, params):
         self._check_batch(features, labels, statistics)
-        scores = np.asarray(statistics)[:, 0]
-        gradient = accumulate_rows(features, self.loss_fn.derivative(scores, labels))
+        coefficients = self._per_host(statistics, labels, lambda: self.loss_fn.derivative(
+            np.asarray(statistics)[:, 0], labels
+        ))
+        gradient = accumulate_rows(features, coefficients)
         gradient.values /= max(len(labels), 1)
         return gradient
 

@@ -60,7 +60,9 @@ class MultinomialLogisticRegression(StatisticsModel):
 
     def gradient_from_statistics(self, features, labels, statistics, params):
         self._check_batch(features, labels, statistics)
-        residual = self._probabilities(statistics) - self._one_hot(labels, len(labels))
+        residual = self._per_host(statistics, labels, lambda: (
+            self._probabilities(statistics) - self._one_hot(labels, len(labels))
+        ))
         gradient = accumulate_rows(features, residual)
         gradient.values /= max(len(labels), 1)
         return gradient

@@ -16,6 +16,7 @@ from typing import Dict
 import numpy as np
 
 from repro.errors import PartitionError
+from repro.utils.memo import LastCall
 from repro.utils.rng import iteration_seed, rng_from_seed
 from repro.utils.validation import check_positive
 
@@ -69,6 +70,28 @@ def rows_of_draws(
             )
         )
     return starts[pos] + offsets
+
+
+#: per process: the layout :func:`shared_layout` last handed out, the
+#: rows :func:`layout_rows` found last, and a store's last batch labels
+_LAYOUT, _ROWS, BATCH_LABELS = [()], LastCall(), LastCall()
+
+
+def shared_layout(*arrays) -> tuple:
+    """A store's sorted block ids, block sizes and first rows (and labels,
+    if it holds them) read-only, or the last call's arrays if equal: the
+    one check, O(blocks) per store fill, that hands every store of a
+    host the same arrays to key :func:`layout_rows` on."""
+    if len(_LAYOUT[0]) != len(arrays) or not all(map(np.array_equal, _LAYOUT[0], arrays)):
+        for array in arrays:
+            array.setflags(write=False)
+        _LAYOUT[0] = arrays
+    return _LAYOUT[0]
+
+
+def layout_rows(draws, *layout) -> np.ndarray:
+    """:func:`rows_of_draws`, once per host for a round's read-only draws."""
+    return _ROWS((draws, *layout), lambda: rows_of_draws(draws, *layout))
 
 
 class TwoPhaseIndex:
@@ -137,7 +160,8 @@ class TwoPhaseIndex:
 
         Only valid when block ids map to contiguous ranges of the source
         dataset in ascending order — true for the dispatcher's layout.
-        Nothing in the training path needs it; the equivalence tests and
-        the tutorial use it to name the rows a batch was drawn from.
+        The master reads a batch's labels with it when a model's
+        ``master_step`` asks for them; the equivalence tests and the
+        tutorial use it to name the rows a batch was drawn from.
         """
         return rows_of_draws(draws, self._block_ids, self._sizes, self._starts)

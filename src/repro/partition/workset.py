@@ -25,7 +25,7 @@ import numpy as np
 from repro.errors import PartitionError
 from repro.linalg import CSRMatrix
 from repro.linalg.csr import frozen
-from repro.partition.indexing import as_draws, rows_of_draws
+from repro.partition.indexing import BATCH_LABELS, as_draws, layout_rows, shared_layout
 from repro.storage.serialization import workset_bytes
 
 
@@ -64,9 +64,9 @@ class _Resident(NamedTuple):
 
     shard: CSRMatrix       # every stored row, blocks in arrival order
     labels: np.ndarray
-    block_ids: np.ndarray  # sorted ascending, for searchsorted
-    sizes: np.ndarray      # rows of block_ids[i]
-    starts: np.ndarray     # first shard row of block_ids[i]
+    #: :func:`shared_layout` of the sorted block ids, their rows and first
+    #: shard rows, and ``labels``
+    layout: tuple
 
 
 class WorksetStore:
@@ -157,13 +157,10 @@ class WorksetStore:
             block_ids = np.asarray(self._block_ids, dtype=np.int64)
             starts = np.asarray(self._row_starts, dtype=np.int64)
             order = np.argsort(block_ids)
-            self._resident = _Resident(
-                shard,
-                frozen(self._labels[:n_rows]),
-                block_ids[order],
-                np.diff(starts)[order],
-                starts[:-1][order],
-            )
+            labels = frozen(self._labels[:n_rows])
+            self._resident = _Resident(shard, labels, shared_layout(
+                block_ids[order], np.diff(starts)[order], starts[:-1][order], labels
+            ))
         return self._resident
 
     @property
@@ -254,12 +251,12 @@ class WorksetStore:
         return self._gather(draws)
 
     def _gather(self, draws: np.ndarray) -> Tuple[CSRMatrix, np.ndarray]:
-        """One gather over the resident shard for a non-empty draws array."""
+        """One gather over the resident shard for a non-empty draws array;
+        the rows and labels are the host's (:func:`shared_layout`)."""
         resident = self._seal()
-        rows = rows_of_draws(
-            draws, resident.block_ids, resident.sizes, resident.starts
-        )
-        return resident.shard.take_rows(rows), resident.labels[rows]
+        *layout, labels = resident.layout
+        rows = layout_rows(draws, *layout)
+        return resident.shard.take_rows(rows), BATCH_LABELS((labels, rows), lambda: labels[rows])
 
     def clear(self) -> None:
         """Drop the shard and every workset (worker failure simulation)."""

@@ -31,7 +31,7 @@ from repro.errors import DataError, DimensionMismatchError, PartitionError
 from repro.linalg import CSRMatrix
 from repro.linalg.csr import unit_ones
 from repro.linalg.counters import OP_COUNTERS
-from repro.partition.indexing import rows_of_draws
+from repro.partition.indexing import BATCH_LABELS, layout_rows, shared_layout
 from repro.partition.workset import Workset, WorksetStore
 from repro.store.cache import CacheCounters, STORE_LEDGER
 from repro.store.format import (
@@ -290,7 +290,7 @@ class ShardWorksetStore(WorksetStore):
         #: the row table (class docstring); lives and dies with the readers
         self._row_table: Optional[np.ndarray] = None
         #: (block ids, rows per block, first row per block) from the footer
-        self._layout = (np.arange(sizes.size), sizes, np.cumsum(sizes) - sizes)
+        self._layout = shared_layout(np.arange(sizes.size), sizes, np.cumsum(sizes) - sizes)
 
     # ------------------------------------------------------------------
     # the out-of-core fetch path
@@ -351,12 +351,13 @@ class ShardWorksetStore(WorksetStore):
         table).  One whole-batch pass over the table then gives every
         drawn row's start and length, the batch ``indptr`` and the ramp
         of entry positions; per block there is left only the read of its
-        ids and values at its slice of the ramp, its labels, and one
-        piece for the ``vstack``.  A final ``take_rows`` restores draw
-        order.  The pieces are not checked: the draws were checked
-        against the footers and every table entry by ``CSRMatrix.over``
-        at first touch — the ``vstack`` (which widens the int32 ids once)
-        and the final ``take_rows`` check the batch as it leaves the store.
+        ids and values at its slice of the ramp and one piece for the
+        ``vstack``.  A final ``take_rows`` restores draw order; the labels,
+        in draw order, are read once per host.  The pieces are not
+        checked: the draws were checked against the footers and every
+        table entry by ``CSRMatrix.over`` at first touch — the ``vstack``
+        (which widens the int32 ids once) and the final ``take_rows``
+        check the batch as it leaves the store.
         A piece of a block whose values are all 1.0 (settled at first
         touch) reads none of them: its values are a view of shared
         read-only 1.0s (:func:`~repro.linalg.csr.unit_ones`).  When every
@@ -364,7 +365,7 @@ class ShardWorksetStore(WorksetStore):
         ``np.ones`` known to be unit.
         """
         # every draw is checked against the footers before any block is read
-        rows = rows_of_draws(draws, *self._layout)
+        rows = layout_rows(draws, *self._layout)
         order = np.argsort(rows)
         block_ids, offsets = draws[order, 0], draws[order, 1]
         bounds = [0, *(np.flatnonzero(block_ids[1:] != block_ids[:-1]) + 1), order.size]
@@ -382,7 +383,7 @@ class ShardWorksetStore(WorksetStore):
         ramp += np.arange(nnz)
         # the pieces of unit blocks read no values: theirs are cut from one array
         ones = unit_ones(nnz) if any(w.features.unit_values() for w in worksets) else None
-        parts, labels = [], []
+        parts = []
         for workset, start, end in zip(worksets, bounds, bounds[1:]):
             features = workset.features
             lo, hi = indptr[start], indptr[end]
@@ -395,7 +396,6 @@ class ShardWorksetStore(WorksetStore):
             if unit:
                 piece._unit = True
             parts.append(piece)
-            labels.append(workset.labels[offsets[start:end]])
         # the stack and the reorder are the walk's peak: the ramp goes
         # before the one, the pieces before the other
         del ramp
@@ -404,7 +404,12 @@ class ShardWorksetStore(WorksetStore):
         inverse = np.empty(order.size, dtype=np.int64)
         inverse[order] = np.arange(order.size)
         self._charge(ROW_READ_BYTES * order.size + ENTRY_READ_BYTES * nnz)
-        return stacked.take_rows(inverse), np.concatenate(labels)[inverse]
+        # the host's stores share the label sidecar: its labels are read once
+        labels = BATCH_LABELS((self._sidecar_index, rows), lambda: np.concatenate([
+            workset.labels[offsets[start:end]]
+            for workset, start, end in zip(worksets, bounds, bounds[1:])
+        ])[inverse])
+        return stacked.take_rows(inverse), labels
 
     # ------------------------------------------------------------------
     # metadata answered from footers, no data I/O

@@ -325,6 +325,37 @@ class TestLocalChaos:
         with pytest.raises(ConfigurationError):
             chaos.validate(4, "local")
 
+    @staticmethod
+    def construct(failures, processes):
+        return ColumnSGDDriver(
+            LogisticRegression(), SGD(0.5),
+            SimulatedCluster(CLUSTER1.with_workers(WORKERS)),
+            config=ColumnSGDConfig(backend="local", local_processes=processes),
+            failures=failures,
+        )
+
+    @pytest.mark.parametrize("failures", [
+        scripted(kills={3: 1}),
+        FaultSchedule(mtbf_rounds=5.0, seed=1),  # the background's kinds hold WORKER
+        FaultSchedule(mtbf_rounds=5.0, seed=1, kinds=[FaultKind.WORKER]),
+    ], ids=["scripted", "background", "background-worker"])
+    def test_a_kill_with_co_tenants_is_refused_with_its_reason(self, failures):
+        with pytest.raises(ConfigurationError, match="co-tenants.*differ from backend='sim'"):
+            self.construct(failures, processes=2)
+
+    @pytest.mark.parametrize("processes", [0, WORKERS])
+    def test_a_kill_with_one_worker_per_process_constructs(self, processes):
+        self.construct(scripted(kills={3: 1}), processes)
+
+    @pytest.mark.parametrize("failures", [
+        scripted(stalls={(3, 1): 0.1}),
+        scripted(drops=[(3, 1)]),
+        scripted(garbles=[(3, 1)]),
+        FaultSchedule(mtbf_rounds=5.0, seed=1, kinds=[FaultKind.STALL, FaultKind.DROP]),
+    ], ids=["stall", "drop", "garble", "background"])
+    def test_faults_that_kill_nothing_share_processes(self, failures):
+        self.construct(failures, processes=2)
+
 
 # ----------------------------------------------------------------------
 # the checkpoint store, spilling to disk as the local backend uses it
