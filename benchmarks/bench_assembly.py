@@ -7,8 +7,9 @@ round; this file times the three pieces on their own — the
 mapped blocks — at three batch sizes, so a regression of
 the gather back to per-row or per-block work shows up as a jump in
 ``BENCH_assembly.json`` at the size where it bites.  Each runs on
-one-hot values (``unit``: the batch's values are fresh 1.0s, none is
-copied) and on Gaussian ones (``gaussian``: every value is gathered).
+one-hot values (``unit``: pattern matrices with no values array, so no
+value is gathered or made; the fixture asserts it) and on Gaussian
+ones (``gaussian``: every value is gathered).
 """
 
 from __future__ import annotations
@@ -45,7 +46,13 @@ def shape(request, tmp_path_factory):
         n_workers=WORKERS, block_size=BLOCK,
     )
     shard = on_disk.worker_store(0)
-    yield memory[0], shard, TwoPhaseIndex(block_sizes, base_seed=1)
+    index = TwoPhaseIndex(block_sizes, base_seed=1)
+    # what the unit case times is the pattern path, in memory and on disk
+    pattern = request.param == "unit"
+    assert (memory[0].shard.data is None) == pattern
+    assert (shard.assemble_batch(index.sample(0, 100))[0].data is None) == pattern
+    shard.clear()
+    yield memory[0], shard, index
     shard.clear()
 
 

@@ -190,7 +190,9 @@ class ColumnSGDDriver(Trainer):
         layout, same simulated load cost, bit-identical training.
         """
         K = self.cluster.n_workers
-        self._dataset = dataset
+        # one-hot features as a pattern matrix, for evaluation and the
+        # in-memory dispatch; the caller's Dataset (and the shard writer's) is untouched
+        self._dataset = Dataset(dataset.features.pattern_view(), dataset.labels, dataset.name)
         self._n_features = dataset.n_features
         self._dataset_name = dataset.name
         self._assignment = make_assignment(self.config.scheme, dataset.n_features, K)
@@ -207,7 +209,7 @@ class ColumnSGDDriver(Trainer):
             )
         else:
             stores, block_sizes, report = dispatch_block_based(
-                dataset, self._assignment, self.cluster, block_size=self.config.block_size
+                self._dataset, self._assignment, self.cluster, block_size=self.config.block_size
             )
         self.load_report = report
         self._init_partitions(stores, block_sizes)

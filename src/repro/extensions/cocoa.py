@@ -111,7 +111,7 @@ class CoCoATrainer(Trainer):
             rows_of = np.repeat(
                 np.arange(shard.n_rows), shard.features.row_nnz()
             )
-            np.add.at(norms, rows_of, shard.features.data ** 2)
+            np.add.at(norms, rows_of, shard.features.values() ** 2)
             self._shard_sq_norms.append(norms)
         self._rngs = [rng_from_seed(self.seed * 31 + k) for k in range(K)]
         return None

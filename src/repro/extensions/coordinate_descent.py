@@ -54,7 +54,7 @@ class _ColumnShard:
         rows_of_entries = np.repeat(np.arange(features.n_rows), features.row_nnz())
         cols_sorted = features.indices[order]
         self._rows = rows_of_entries[order]
-        self._vals = features.data[order]
+        self._vals = features.values()[order]
         counts = np.bincount(cols_sorted, minlength=self.local_dim)
         self._colptr = np.zeros(self.local_dim + 1, dtype=np.int64)
         np.cumsum(counts, out=self._colptr[1:])

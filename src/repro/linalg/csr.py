@@ -1,7 +1,9 @@
 """Compressed Sparse Row matrix built on three numpy arrays.
 
 ``indptr`` (n_rows + 1), ``indices`` (nnz, column ids sorted within each
-row) and ``data`` (nnz, float64).  The class supports exactly the
+row) and ``data`` (nnz, float64) — or ``data = None``: a *pattern
+matrix*, every stored value 1.0 (one-hot data, the paper's workloads),
+with no values array at all.  The class supports exactly the
 operations the reproduction needs: row slicing/gathering for mini-batch
 sampling, column-subset projection for column partitioning, horizontal
 stitching for reassembly tests, and the SGD kernels in
@@ -40,27 +42,18 @@ def _column_slots(n_cols: int) -> np.ndarray:
     return _SLOTS
 
 
-_ONES = frozen(np.ones(0))
-
-
-def unit_ones(n: int) -> np.ndarray:
-    """``n`` read-only 1.0s, a view of one shared buffer grown like the
-    column slots: the values of one-hot pieces and stacks, which are
-    only read.  A batch handed to a caller gets its own ``np.ones``."""
-    global _ONES
-    if _ONES.size < n:
-        OP_COUNTERS.add_alloc(n)
-        _ONES = frozen(np.ones(n))
-    return _ONES[:n]
+def _cut(data: Optional[np.ndarray], where) -> Optional[np.ndarray]:
+    """``data[where]``; a pattern matrix's missing values stay missing."""
+    return None if data is None else data[where]
 
 
 def _check(indptr, indices, data, n_cols: int) -> None:
     """The structural checks every matrix a public method returns passes."""
-    if indptr.ndim != 1 or indices.ndim != 1 or data.ndim != 1:
+    if indptr.ndim != 1 or indices.ndim != 1 or (data is not None and data.ndim != 1):
         raise ValueError("indptr, indices, data must be 1-D arrays")
     if indptr.size == 0 or indptr[0] != 0:
         raise ValueError("indptr must start with 0")
-    if indices.shape != data.shape:
+    if data is not None and indices.shape != data.shape:
         raise DimensionMismatchError(indices.shape, data.shape, "indices/data length")
     if indptr[-1] != indices.size:
         raise ValueError(
@@ -84,19 +77,23 @@ class CSRMatrix:
 
     Rows keep their column indices sorted; explicit zeros are allowed in
     ``data`` only if the caller constructs the arrays directly (the
-    higher-level constructors drop them).
+    higher-level constructors drop them).  ``data=None`` makes a pattern
+    matrix: every stored value is 1.0 and none is stored.  Every row and
+    column operation below returns a pattern matrix again (:meth:`vstack`
+    only when all of its parts are one).
     """
 
     __slots__ = (
         "indptr", "indices", "data", "n_rows", "n_cols",
         # derived structure, filled on first use: the matrix is immutable
-        "_row_nnz", "_row_segments", "_touched", "_unit",
+        "_row_nnz", "_row_segments", "_touched",
     )
 
     def __init__(self, indptr, indices, data, n_cols: int):
         indptr = np.asarray(indptr, dtype=np.int64)
         indices = np.asarray(indices, dtype=np.int64)
-        data = np.asarray(data, dtype=np.float64)
+        if data is not None:
+            data = np.asarray(data, dtype=np.float64)
         _check(indptr, indices, data, n_cols)
         self._adopt(indptr, indices, data, n_cols)
 
@@ -106,13 +103,13 @@ class CSRMatrix:
 
         For buffers this library does not own — a mapped shard record —
         whose index arrays may have any integer dtype and whose ``data``
-        (float64) may be read-only or unaligned.  Every check of the
-        plain constructor runs; every method works on the result and
-        returns int64-indexed matrices as usual.
+        (float64, or ``None``) may be read-only or unaligned.  Every check
+        of the plain constructor runs; every method works on the result
+        and returns int64-indexed matrices as usual.
         """
         if indptr.dtype.kind not in "iu" or indices.dtype.kind not in "iu":
             raise ValueError("indptr and indices must be integer arrays")
-        if data.dtype != np.float64:
+        if data is not None and data.dtype != np.float64:
             raise ValueError("data must be float64, got {}".format(data.dtype))
         _check(indptr, indices, data, n_cols)
         self = cls.__new__(cls)
@@ -129,7 +126,6 @@ class CSRMatrix:
         self._row_nnz = None
         self._row_segments = None
         self._touched = None
-        self._unit = None
 
     # ------------------------------------------------------------------
     # constructors
@@ -196,12 +192,30 @@ class CSRMatrix:
         """Total number of stored entries."""
         return int(self.indices.size)
 
+    def values(self) -> np.ndarray:
+        """``data``, or fresh 1.0s for a pattern matrix: for the cold paths
+        that need an array (codec, shard writer, densifying, preprocessing)."""
+        return np.ones(self.nnz) if self.data is None else self.data
+
+    def pattern_view(self) -> "CSRMatrix":
+        """This matrix without ``data`` when every stored value is exactly
+        1.0 — a pattern matrix over the same ``indptr`` and ``indices`` —
+        else this matrix itself.  One O(nnz) scan, made where values enter
+        the column pipeline: the driver's view of its dataset, the
+        in-memory dispatch and each mapped block at first touch."""
+        if self.data is None or not np.all(self.data == 1.0):
+            return self
+        view = CSRMatrix.__new__(CSRMatrix)
+        view._adopt(self.indptr, self.indices, None, self.n_cols)
+        return view
+
     def row(self, i: int) -> SparseVector:
         """Return row ``i`` as a :class:`SparseVector`."""
         if not 0 <= i < self.n_rows:
             raise IndexError("row index {} out of range [0, {})".format(i, self.n_rows))
         start, stop = self.indptr[i], self.indptr[i + 1]
-        return SparseVector(self.indices[start:stop], self.data[start:stop], self.n_cols)
+        values = np.ones(stop - start) if self.data is None else self.data[start:stop]
+        return SparseVector(self.indices[start:stop], values, self.n_cols)
 
     def row_nnz(self) -> np.ndarray:
         """nnz of every row as a read-only int64 array."""
@@ -239,20 +253,6 @@ class CSRMatrix:
             self._touched = (frozen(cols), frozen(slots[self.indices]))
         return self._touched
 
-    def unit_values(self) -> bool:
-        """Whether every stored value is exactly 1.0 (one-hot data).
-
-        The kernels then skip their multiplies by the values (and by
-        their squares): a product with 1.0 is exact, so no bit changes.
-        One O(nnz) scan, cached like the rest of the derived structure.
-        The workset stores settle it ahead of use (the in-memory shard
-        once per fill, each on-disk block at first touch); rows taken or
-        stacked from matrices known to hold it hold it without a scan.
-        """
-        if self._unit is None:
-            self._unit = bool(np.all(self.data == 1.0))
-        return self._unit
-
     def density(self) -> float:
         """Fraction of stored entries: ``nnz / (n_rows * n_cols)``."""
         cells = self.n_rows * self.n_cols
@@ -264,7 +264,7 @@ class CSRMatrix:
         OP_COUNTERS.add_flops(self.nnz)
         out = np.zeros(self.shape, dtype=np.float64)
         rows = np.repeat(np.arange(self.n_rows), self.row_nnz())
-        out[rows, self.indices] = self.data
+        out[rows, self.indices] = self.values()
         return out
 
     # ------------------------------------------------------------------
@@ -303,10 +303,8 @@ class CSRMatrix:
         of this (validated) matrix — and its arrays are fresh copies,
         aligned, with int64 ``indices`` whatever this matrix's index
         dtype.  :meth:`take_rows` still runs ``_check`` on it at its exit,
-        a scan of the new ``indptr`` and ``indices``.  When this matrix is
-        known to hold :meth:`unit_values`, the values are ``np.ones``
-        rather than a gather, and the result is known to hold it too; an
-        unsettled flag is left unsettled, not scanned for.
+        a scan of the new ``indptr`` and ``indices``.  The rows of a
+        pattern matrix are a pattern matrix: no values are gathered.
         """
         starts = self.indptr[row_ids]
         lengths = np.subtract(self.indptr[row_ids + 1], starts, dtype=np.int64)
@@ -317,15 +315,12 @@ class CSRMatrix:
         # Source position of every output entry: a ramp over the output,
         # shifted per row by how far that row moved.
         source = np.repeat(starts - indptr[:-1], lengths) + np.arange(nnz)
-        unit = self._unit is True  # rows of a matrix whose values are all 1.0
         taken = CSRMatrix.__new__(CSRMatrix)
         taken._adopt(
             indptr, self.indices[source].astype(np.int64, copy=False),
-            np.ones(nnz) if unit else self.data[source], self.n_cols,
+            _cut(self.data, source), self.n_cols,
         )
         taken._row_nnz = frozen(lengths)
-        if unit:
-            taken._unit = True
         return taken
 
     def slice_rows(self, start: int, stop: int) -> "CSRMatrix":
@@ -336,7 +331,7 @@ class CSRMatrix:
             )
         lo, hi = self.indptr[start], self.indptr[stop]
         indptr = self.indptr[start:stop + 1] - lo
-        sliced = CSRMatrix(indptr, self.indices[lo:hi], self.data[lo:hi], self.n_cols)
+        sliced = CSRMatrix(indptr, self.indices[lo:hi], _cut(self.data, slice(lo, hi)), self.n_cols)
         if self._row_nnz is not None:
             sliced._row_nnz = self._row_nnz[start:stop]
         return sliced
@@ -345,10 +340,8 @@ class CSRMatrix:
     def vstack(cls, parts: Sequence["CSRMatrix"]) -> "CSRMatrix":
         """Stack matrices vertically; all must share ``n_cols``.
 
-        When every part is known to hold :meth:`unit_values`, the stack's
-        values are a read-only view of shared 1.0s (:func:`unit_ones`)
-        rather than a concatenation, and the stack is known to hold it
-        too; otherwise its flag is left unsettled.
+        A stack of pattern matrices is a pattern matrix; a stack that
+        mixes them with valued ones holds :meth:`values` of every part.
         """
         if not parts:
             raise ValueError("vstack needs at least one matrix")
@@ -362,16 +355,13 @@ class CSRMatrix:
             indptr_parts.append(part.indptr[1:] + offset)
             offset += part.nnz
         OP_COUNTERS.add_alloc(2 * offset)  # concatenated indices + data
-        unit = all(part._unit is True for part in parts)
-        stacked = cls(
+        pattern = all(part.data is None for part in parts)
+        return cls(
             np.concatenate(indptr_parts),
             np.concatenate([p.indices for p in parts]),
-            unit_ones(offset) if unit else np.concatenate([p.data for p in parts]),
+            None if pattern else np.concatenate([p.values() for p in parts]),
             n_cols,
         )
-        if unit:
-            stacked._unit = True
-        return stacked
 
     # ------------------------------------------------------------------
     # column operations (the column-partitioning primitives)
@@ -401,7 +391,7 @@ class CSRMatrix:
         np.add.at(lengths, kept_rows, 1)
         indptr = np.zeros(self.n_rows + 1, dtype=np.int64)
         np.cumsum(lengths, out=indptr[1:])
-        return CSRMatrix(indptr, pos_clipped[hit], self.data[hit], global_indices.size)
+        return CSRMatrix(indptr, pos_clipped[hit], _cut(self.data, hit), global_indices.size)
 
     def split_columns(self, owner, local, dims: Sequence[int]) -> List["CSRMatrix"]:
         """Every column projection of the matrix at once, in one O(nnz) pass.
@@ -437,10 +427,11 @@ class CSRMatrix:
         np.cumsum(lengths.reshape(K, self.n_rows), axis=1, out=indptr[:, 1:])
         bounds = np.zeros(K + 1, dtype=np.int64)
         np.cumsum(indptr[:, -1], out=bounds[1:])
-        indices, data = local[order], self.data[order]
+        indices, data = local[order], _cut(self.data, order)
         return [
             CSRMatrix(
-                indptr[k], indices[bounds[k]:bounds[k + 1]], data[bounds[k]:bounds[k + 1]], dims[k]
+                indptr[k], indices[bounds[k]:bounds[k + 1]],
+                _cut(data, slice(bounds[k], bounds[k + 1])), dims[k],
             )
             for k in range(K)
         ]
@@ -455,7 +446,7 @@ class CSRMatrix:
             self.shape == other.shape
             and np.array_equal(self.indptr, other.indptr)
             and np.array_equal(self.indices, other.indices)
-            and np.array_equal(self.data, other.data)
+            and np.array_equal(self.values(), other.values())
         )
 
     def __hash__(self):

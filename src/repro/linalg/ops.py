@@ -17,8 +17,8 @@ class (MLR) or per factor (FM) — and the whole width is one gather of
 and returns 1-D.  Work and temporaries are O(nnz x width) and never
 depend on ``n_cols``: the accumulate pair runs in the compact space of
 the columns the matrix touches and returns a :class:`RowGradient`.  On a
-matrix whose stored values are all 1.0 (:meth:`CSRMatrix.unit_values`)
-no kernel multiplies by them: the product is exact, so no bit changes.
+pattern matrix (``data is None``, every value 1.0) no kernel multiplies
+by a value: the product is exact, so its valued twin gives the same bits.
 """
 
 from __future__ import annotations
@@ -91,9 +91,8 @@ def _segment_sums(
     ``squares_from`` on (unless ``None``).
 
     ``gathered`` is ``model[indices]`` for the block's entries, one row
-    per entry, and is overwritten.  ``data`` is ``None`` when every
-    stored value is 1.0: a product with 1.0 is exact, so skipping it
-    changes no bit.
+    per entry, and is overwritten.  ``data`` is ``None`` for a pattern
+    matrix: a product with 1.0 is exact, so skipping it changes no bit.
     """
     if data is not None and gathered.ndim == 2:
         data = data[:, None]
@@ -130,10 +129,10 @@ def _row_sums(
     for w in widths:
         OP_COUNTERS.add_alloc(matrix.n_rows * w)  # a statistics buffer
         outs.append(np.zeros((matrix.n_rows, w)[:model.ndim], dtype=np.float64))
-    unit = matrix.unit_values()
+    data = matrix.data
     # Per-entry temporaries held at once: the gathered rows, and their
     # products with the values while the squares still need the rows.
-    held = width * (2 if dots and squares_from is not None and not unit else 1)
+    held = width * (2 if dots and squares_from is not None and data is not None else 1)
     rows, starts = matrix.row_segments()
     indptr = matrix.indptr
     # Row blocks of about ``per_block`` entries: a block ends at the first
@@ -151,7 +150,7 @@ def _row_sums(
                 OP_COUNTERS.add_alloc(int(last - first) * w)
             sums = _segment_sums(
                 np.take(model, matrix.indices[first:last], axis=0),
-                None if unit else matrix.data[first:last],
+                None if data is None else data[first:last],
                 starts[a:b] - first, dots, squares_from,
             )
             for out, block in zip(outs, sums):
@@ -209,11 +208,11 @@ def _column_sums(
         return RowGradient(cols, np.zeros((0,) + shape[1:], dtype=np.float64), shape)
     OP_COUNTERS.add_alloc(matrix.nnz * width)  # per-entry products
     OP_COUNTERS.add_alloc(cols.size * width)  # the compact gradient block
-    unit = matrix.unit_values()
-    if unit and linear is not None:  # x^2 == x: the caller holds the sums
+    data = matrix.data
+    if data is None and linear is not None:  # x^2 == x: the caller holds the sums
         return RowGradient(cols, linear, shape)
-    # a product with a stored 1.0 is exact, so unit values skip it
-    data = None if unit else (matrix.data ** 2 if squared else matrix.data)
+    if data is not None and squared:
+        data = data ** 2
     if coefficients.ndim == 1:
         per_entry = np.repeat(coefficients, matrix.row_nnz())
         if data is not None:
@@ -254,9 +253,9 @@ def accumulate_rows_squared(
     FM's factor gradient (equation 13) contains a ``v_{if} x_i^2`` term;
     this kernel provides the ``x^2``-weighted accumulation.  A caller
     that already holds ``accumulate_rows(matrix, coefficients).values``
-    passes it as ``linear``: when every stored value is 1.0, ``x^2 == x``
-    and those are the result, returned without another pass (and
-    counted as the pass they replace).
+    passes it as ``linear``: on a pattern matrix ``x^2 == x`` and those
+    are the result, returned without another pass (and counted as the
+    pass they replace).
     """
     coefficients, width = _check_operand(matrix.n_rows, coefficients, "coefficients shape")
     # x^2 once per entry; expand + multiply + scatter-add per width

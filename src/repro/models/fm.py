@@ -24,8 +24,8 @@ the whole ``(1 + F)``-wide parameter block at once, not one kernel call
 per factor: the statistics gather each entry's parameter row once and
 reduce it twice, to ``x.w, s_1 .. s_F`` and to the per-factor
 ``sum_j v_jf^2 x_j^2`` (``row_dots(..., squares_from=1)``); the gradient
-is one accumulate over the whole width.  On one-hot data, where every
-stored ``x`` is 1.0, the kernels skip their multiplies by ``x`` and
+is one accumulate over the whole width.  On one-hot data, a pattern
+matrix whose every ``x`` is 1.0, the kernels skip their multiplies by ``x`` and
 ``x^2`` (exact, so no bit changes) and ``sum_i c_i x_ij^2`` is the
 accumulate's linear column.
 """
@@ -103,7 +103,7 @@ class FactorizationMachine(StatisticsModel):
         )
         gradient = accumulate_rows(features, weighted)
         # sum_i c_i * x_i^2, shared by every factor's second term; the
-        # linear column is it when every x is 1.0
+        # linear column is it on a pattern matrix (every x is 1.0)
         squares = accumulate_rows_squared(features, coefficients, linear=gradient.values[:, 0])
         correction = np.take(params, gradient.cols, axis=0)
         correction *= squares.values[:, None]  # v_jf * sum_i c_i x_ij^2

@@ -222,7 +222,8 @@ def _build_stores(
     from.  Each store's resident shard is sized exactly up front from
     the table, and each block is then cut K ways in one
     :meth:`ColumnAssignment.split` pass whose pieces are copied straight
-    into place.
+    into place — a piece whose values are all 1.0 as a pattern matrix
+    (:meth:`CSRMatrix.pattern_view`), so a one-hot store holds no values.
     """
     block_rows, nnz_by_dest = block_table(dataset, assignment, block_size)
     stores = [
@@ -233,7 +234,7 @@ def _build_stores(
     for block in split_into_blocks(dataset.n_rows, block_size):
         rows = block.materialize(dataset)
         for dest, shard in enumerate(assignment.split(rows.features)):
-            stores[dest].put(Workset(block.block_id, shard, rows.labels))
+            stores[dest].put(Workset(block.block_id, shard.pattern_view(), rows.labels))
     return stores, dict(enumerate(block_rows.tolist())), block_rows, nnz_by_dest
 
 

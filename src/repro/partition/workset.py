@@ -9,7 +9,10 @@ samples from.
 
 The store keeps what it receives in **one resident shard** — a single
 CSR plus a single label vector, blocks in arrival order — and the
-worksets it hands out are read-only row-slice views of it.  A
+worksets it hands out are read-only row-slice views of it.  While every
+workset it receives is a pattern matrix (one-hot: no values array) the
+shard is one too, so a batch copies no values; the first valued
+workset gives the shard a values array, 1.0 for the rows before it.  A
 mini-batch is therefore ``(block_id, offset) -> shard row`` arithmetic
 and one :meth:`CSRMatrix.take_rows` over the shard, however many
 blocks the draws touch.
@@ -18,7 +21,7 @@ blocks the draws touch.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -86,7 +89,8 @@ class WorksetStore:
     def _reset(self) -> None:
         self._indptr = np.zeros(1, dtype=np.int64)
         self._indices = np.empty(0, dtype=np.int64)
-        self._data = np.empty(0, dtype=np.float64)
+        #: ``None`` while every stored workset is a pattern matrix
+        self._data: Optional[np.ndarray] = None
         self._labels = np.empty(0, dtype=np.float64)
         self._block_ids: List[int] = []   # arrival order
         self._row_starts: List[int] = [0]  # first shard row per block, then the end
@@ -108,7 +112,8 @@ class WorksetStore:
             )
         self._indptr = _resized(self._indptr, n_rows + 1, rows_used + 1)
         self._indices = _resized(self._indices, nnz, nnz_used)
-        self._data = _resized(self._data, nnz, nnz_used)
+        if self._data is not None:
+            self._data = _resized(self._data, nnz, nnz_used)
         self._labels = _resized(self._labels, n_rows, rows_used)
         self._resident = None
 
@@ -133,7 +138,10 @@ class WorksetStore:
             self.reserve(max(row1, self._labels.size), max(hi, self._indices.size))
         self._indptr[row0 + 1:row1 + 1] = features.indptr[1:] + lo
         self._indices[lo:hi] = features.indices
-        self._data[lo:hi] = features.data
+        if self._data is None and features.data is not None:
+            self._data = np.ones(self._indices.size)  # the rows so far held 1.0s
+        if self._data is not None:
+            self._data[lo:hi] = 1.0 if features.data is None else features.data
         self._labels[row0:row1] = workset.labels
         self._block_ids.append(int(workset.block_id))
         self._row_starts.append(row1)
@@ -150,10 +158,9 @@ class WorksetStore:
             shard = CSRMatrix(
                 frozen(self._indptr[:n_rows + 1]),
                 frozen(self._indices[:nnz]),
-                frozen(self._data[:nnz]),
+                None if self._data is None else frozen(self._data[:nnz]),
                 self.local_dim,
             )
-            shard.unit_values()  # settled once per fill, inherited by every batch
             block_ids = np.asarray(self._block_ids, dtype=np.int64)
             starts = np.asarray(self._row_starts, dtype=np.int64)
             order = np.argsort(block_ids)
@@ -186,7 +193,7 @@ class WorksetStore:
         features = CSRMatrix(
             frozen(self._indptr[row0:row1 + 1] - lo),
             frozen(self._indices[lo:hi]),
-            frozen(self._data[lo:hi]),
+            None if self._data is None else frozen(self._data[lo:hi]),
             self.local_dim,
         )
         return Workset(block_id, features, frozen(self._labels[row0:row1]))
@@ -271,7 +278,7 @@ class WorksetStore:
         state.update(
             _indptr=self._indptr[:n_rows + 1],
             _indices=self._indices[:nnz],
-            _data=self._data[:nnz],
+            _data=None if self._data is None else self._data[:nnz],
             _labels=self._labels[:n_rows],
             _resident=None,
         )

@@ -23,7 +23,7 @@ def hash_features(dataset: Dataset, n_buckets: int, seed: int = 0) -> Dataset:
     mixed = mix64(features.indices.astype(np.uint64) * np.uint64(2 * seed + 1))
     buckets = (mixed % np.uint64(n_buckets)).astype(np.int64)
     signs = np.where((mixed >> np.uint64(32)) & np.uint64(1), 1.0, -1.0)
-    values = features.data * signs
+    values = features.values() * signs
 
     # Rebuild CSR row by row, merging duplicate buckets inside each row.
     indptr = [0]
@@ -57,13 +57,14 @@ def normalize_rows(dataset: Dataset) -> Dataset:
     features = dataset.features
     norms_sq = np.zeros(features.n_rows)
     rows_of = np.repeat(np.arange(features.n_rows), features.row_nnz())
-    np.add.at(norms_sq, rows_of, features.data ** 2)
+    values = features.values()
+    np.add.at(norms_sq, rows_of, values ** 2)
     norms = np.sqrt(norms_sq)
     norms[norms == 0.0] = 1.0
     scaled = CSRMatrix(
         features.indptr.copy(),
         features.indices.copy(),
-        features.data / norms[rows_of],
+        values / norms[rows_of],
         features.n_cols,
     )
     return Dataset(scaled, dataset.labels, name=dataset.name)

@@ -10,8 +10,9 @@ no densification (lint rule R019).  The page cache is the cache.
 :class:`~repro.partition.workset.WorksetStore`: metadata comes from the
 footer tables, the mmap opens lazily on the first fetch (so a forked or
 spawned worker maps its *own* view; the driver process maps nothing),
-a block is validated once per process, on first touch, and a
-mini-batch copies out only the rows it names.
+a block is validated once per process, on first touch (where a block
+whose values are all 1.0 becomes a pattern matrix), and a mini-batch
+copies out only the rows it names.
 
 Everything read from a file is input: footers are checked against the
 byte model before they are used as offsets, record headers against the
@@ -29,7 +30,6 @@ import numpy as np
 
 from repro.errors import DataError, DimensionMismatchError, PartitionError
 from repro.linalg import CSRMatrix
-from repro.linalg.csr import unit_ones
 from repro.linalg.counters import OP_COUNTERS
 from repro.partition.indexing import BATCH_LABELS, layout_rows, shared_layout
 from repro.partition.workset import Workset, WorksetStore
@@ -325,7 +325,9 @@ class ShardWorksetStore(WorksetStore):
                     block_id, self._shard_index.path.name, self.local_dim, exc
                 )
             ) from exc
-        features.unit_values()  # settled once per block, read by every walk
+        # format v1 records carry values: a one-hot block's are scanned
+        # once here and dropped, so the walk gathers none of them
+        features = features.pattern_view()
         slot = self._layout[2][block_id] + block_id
         self._row_table[slot:slot + features.n_rows + 1] = features.indptr
         workset = self._blocks[block_id] = Workset(block_id, features, labels)
@@ -358,11 +360,8 @@ class ShardWorksetStore(WorksetStore):
         table entry by ``CSRMatrix.over`` at first touch — the ``vstack``
         (which widens the int32 ids once) and the final ``take_rows``
         check the batch as it leaves the store.
-        A piece of a block whose values are all 1.0 (settled at first
-        touch) reads none of them: its values are a view of shared
-        read-only 1.0s (:func:`~repro.linalg.csr.unit_ones`).  When every
-        piece is such, so are the stack's, and the batch is a fresh
-        ``np.ones`` known to be unit.
+        A piece of a pattern block (decided at first touch) reads no
+        values; when every piece is one, so are the stack and the batch.
         """
         # every draw is checked against the footers before any block is read
         rows = layout_rows(draws, *self._layout)
@@ -381,20 +380,16 @@ class ShardWorksetStore(WorksetStore):
         # the batch, shifted per row by how far that row moved
         ramp = np.repeat(starts - indptr[:-1], lengths)
         ramp += np.arange(nnz)
-        # the pieces of unit blocks read no values: theirs are cut from one array
-        ones = unit_ones(nnz) if any(w.features.unit_values() for w in worksets) else None
         parts = []
         for workset, start, end in zip(worksets, bounds, bounds[1:]):
             features = workset.features
             lo, hi = indptr[start], indptr[end]
-            unit = features.unit_values()
             piece = CSRMatrix.__new__(CSRMatrix)
             piece._adopt(
                 indptr[start:end + 1] - lo, features.indices[ramp[lo:hi]],
-                ones[lo:hi] if unit else features.data[ramp[lo:hi]], self.local_dim,
+                None if features.data is None else features.data[ramp[lo:hi]],
+                self.local_dim,
             )
-            if unit:
-                piece._unit = True
             parts.append(piece)
         # the stack and the reorder are the walk's peak: the ramp goes
         # before the one, the pieces before the other

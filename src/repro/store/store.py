@@ -255,7 +255,7 @@ class ColumnShardStore:
                 )
                 rows_parts.append(row_base[b] + local_rows)
                 cols_parts.append(worker_columns[features.indices])
-                vals_parts.append(features.data)
+                vals_parts.append(features.values())
 
         n_rows = int(row_base[-1])
         if rows_parts:

@@ -197,7 +197,7 @@ class ShuffleWriter:
                     np.shape(labels), features.n_rows
                 )
             )
-        indptr, row_nnz = features.indptr, features.row_nnz()
+        indptr, row_nnz, values = features.indptr, features.row_nnz(), features.values()
         start = 0
         while start < features.n_rows:
             # the rows the open block has room for, cut after the first
@@ -213,7 +213,7 @@ class ShuffleWriter:
                 labels[start:stop],
                 row_nnz[start:stop],
                 features.indices[lo:hi],
-                features.data[lo:hi],
+                values[lo:hi],
             )
             start = stop
 
@@ -273,7 +273,7 @@ class ShuffleWriter:
         self.meter.charge(shard_bytes)  # the one-pass split holds all K at once
         for dest, shard in enumerate(shards):
             payload = CSRBlockPayload(
-                indptr=shard.indptr, indices=shard.indices, data=shard.data
+                indptr=shard.indptr, indices=shard.indices, data=shard.values()
             )
             encoded = encode_payload(payload)
             if len(encoded) != shard_record_bytes(shard.n_rows, shard.nnz):

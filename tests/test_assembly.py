@@ -19,8 +19,7 @@ from hypothesis import strategies as st
 
 from repro.datasets import make_classification
 from repro.errors import PartitionError
-from repro.linalg import CSRMatrix
-from repro.linalg.csr import unit_ones
+from repro.linalg import CSRMatrix, row_dots
 from repro.partition import TwoPhaseIndex, Workset, WorksetStore
 from repro.partition.column import make_assignment
 from repro.partition.dispatch import dispatch_block_based, dispatch_naive
@@ -70,9 +69,13 @@ def loop_assemble_batch(store, draws):
 
 
 def assert_same_arrays(got: CSRMatrix, want: CSRMatrix) -> None:
+    """Equal arrays and dtypes; a pattern matrix's values are its 1.0s."""
     assert got.shape == want.shape
-    for name in ("indptr", "indices", "data"):
-        ours, theirs = getattr(got, name), getattr(want, name)
+    for name, ours, theirs in (
+        ("indptr", got.indptr, want.indptr),
+        ("indices", got.indices, want.indices),
+        ("values", got.values(), want.values()),
+    ):
         assert ours.dtype == theirs.dtype
         assert np.array_equal(ours, theirs), name
 
@@ -372,10 +375,9 @@ class TestAssembleBatch:
         shard[0].assemble_batch(draws)
         assert calls == {"take_rows": 1, "_gather_rows": 1, "vstack": 1}
 
-    def test_a_one_hot_walk_cuts_its_values_from_shared_ones(self, layout, monkeypatch):
-        """The walk's pieces and their stack read their 1.0s from one
-        shared read-only buffer; only the batch leaving the store gets
-        its own, writable values."""
+    def test_a_one_hot_walk_gathers_no_values(self, layout, monkeypatch):
+        """Every block of a one-hot shard is a pattern matrix from first
+        touch on, and so are the walk's pieces, their stack and the batch."""
         _, _, _, shard, index = layout
         vstack = CSRMatrix.vstack.__func__
         stacks = []
@@ -387,13 +389,10 @@ class TestAssembleBatch:
         monkeypatch.setattr(CSRMatrix, "vstack", classmethod(spied_vstack))
         batch, _ = shard[0].assemble_batch(index.sample(0, 64))
         ((parts, stacked),) = stacks
-        ones = unit_ones(stacked.nnz)
-        assert len(parts) > 1 and stacked._unit is True and batch._unit is True
-        for values in [stacked.data] + [part.data for part in parts]:
-            assert not values.flags.writeable
-            assert np.shares_memory(values, ones)
-        assert batch.data.flags.writeable and np.all(batch.data == 1.0)
-        assert not np.shares_memory(batch.data, ones)
+        assert len(parts) > 1
+        for matrix in [batch, stacked] + parts:
+            assert matrix.data is None
+        assert all(shard[0].get(b).features.data is None for b in shard[0].block_ids())
 
     @pytest.mark.parametrize(
         "damage, match",
@@ -505,41 +504,60 @@ class TestHostileDraws:
 # worksets are views of one resident shard
 # ----------------------------------------------------------------------
 class TestResidentShard:
-    def test_no_write_gets_through_a_view(self, layout):
-        _, _, memory, _, _ = layout
-        store = memory[2]
+    def test_no_write_gets_through_a_view(self):
+        """A valued batch is the caller's own copy; a pattern batch has no
+        values array, so there is nothing to write."""
+        for binary_features in (False, True):
+            self.check_no_write_gets_through(binary_features)
+
+    def check_no_write_gets_through(self, binary_features):
+        store, _ = self.filled_store(binary_features)
         arrays = [store.labels, store.shard.indptr, store.shard.indices, store.shard.data]
         for block_id in store.block_ids():
             workset = store.get(block_id)
             features = workset.features
             arrays += [workset.labels, features.indptr, features.indices, features.data]
+        if binary_features:
+            assert all(array is None for array in arrays[3::4])
+            arrays = [array for array in arrays if array is not None]
         for array in arrays:
             assert not array.flags.writeable
             if array.size:
                 with pytest.raises(ValueError, match="read-only"):
                     array[0] = 1
         features, labels = store.assemble_batch([(0, 0), (1, 1)])
-        features.data[:] = 0.0      # a batch is the caller's own copy
+        dots = row_dots(features, np.ones(features.n_cols))
+        if binary_features:
+            assert features.data is None
+            features.values()[:] = 0.0  # fresh 1.0s, not the batch's
+            assert np.array_equal(row_dots(features, np.ones(features.n_cols)), dots)
+        else:
+            features.data[:] = 0.0      # a batch is the caller's own copy
+            assert store.shard.data.any()
+            assert not row_dots(features, np.ones(features.n_cols)).any() and dots.any()
         labels[:] = 0.0
-        assert store.shard.data.any() and store.labels.any()
+        assert store.labels.any()
 
-    def test_worksets_share_the_shard_memory(self, layout):
-        _, _, memory, _, _ = layout
-        store = memory[0]
-        for block_id in store.block_ids():
-            workset = store.get(block_id)
-            assert np.shares_memory(workset.features.data, store.shard.data)
-            assert np.shares_memory(workset.features.indices, store.shard.indices)
-            assert np.shares_memory(workset.labels, store.labels)
-        first = store.get(0)
-        assert_same_arrays(first.features, store.shard.slice_rows(0, first.n_rows))
+    def test_worksets_share_the_shard_memory(self):
+        for binary_features in (False, True):
+            store, _ = self.filled_store(binary_features)
+            for block_id in store.block_ids():
+                workset = store.get(block_id)
+                if binary_features:
+                    assert workset.features.data is None
+                else:
+                    assert np.shares_memory(workset.features.data, store.shard.data)
+                assert np.shares_memory(workset.features.indices, store.shard.indices)
+                assert np.shares_memory(workset.labels, store.labels)
+            first = store.get(0)
+            assert_same_arrays(first.features, store.shard.slice_rows(0, first.n_rows))
 
     def test_pickle_ships_the_shard_once(self, layout):
         _, _, memory, _, index = layout
         store = memory[1]
+        assert store.shard.data is None  # one-hot: a pattern shard ships no values
         array_bytes = sum(
-            a.nbytes for a in
-            (store.shard.indptr, store.shard.indices, store.shard.data, store.labels)
+            a.nbytes for a in (store.shard.indptr, store.shard.indices, store.labels)
         )
         blob = pickle.dumps(store, protocol=pickle.HIGHEST_PROTOCOL)
         assert len(blob) <= 1.1 * array_bytes
@@ -552,8 +570,9 @@ class TestResidentShard:
         assert_same_arrays(got, want)
         assert np.array_equal(got_labels, want_labels)
         workset = clone.get(3)
-        assert np.shares_memory(workset.features.data, clone.shard.data)
-        assert not workset.features.data.flags.writeable
+        assert clone.shard.data is None and workset.features.data is None
+        assert np.shares_memory(workset.features.indices, clone.shard.indices)
+        assert not workset.features.indices.flags.writeable
 
     def test_a_shard_backed_store_has_no_resident_shard(self, layout):
         _, _, _, shard, _ = layout
@@ -605,24 +624,31 @@ class TestResidentShard:
         )
         return memory[1], TwoPhaseIndex(block_sizes, base_seed=2)
 
-    def test_a_one_hot_shard_settles_its_flag_and_copies_no_values(self):
+    def test_a_one_hot_shard_and_its_batches_hold_no_values(self):
         store, index = self.filled_store(binary_features=True)
-        first, _ = store.assemble_batch(index.sample(0, 40))
-        assert store.shard._unit is True
-        assert first._unit is True      # settled before any kernel asks
-        second, _ = store.assemble_batch(index.sample(1, 40))
-        for batch in (first, second):
-            assert batch.data.flags.writeable and np.all(batch.data == 1.0)
-            assert not np.shares_memory(batch.data, store.shard.data)
-        assert not np.shares_memory(first.data, second.data)
+        assert store.shard.data is None
+        for t in range(2):
+            batch, _ = store.assemble_batch(index.sample(t, 40))
+            assert batch.data is None and batch.nnz
 
     def test_a_gaussian_shard_gathers_its_values(self):
         store, index = self.filled_store(binary_features=False)
         draws = index.sample(0, 40)
         batch, _ = store.assemble_batch(draws)
-        assert store.shard._unit is False and batch._unit is None
+        assert store.shard.data is not None and batch.data is not None
         want = [store.get(int(b)).features.row(int(o)).values for b, o in draws]
         assert np.array_equal(batch.data, np.concatenate(want))
+
+    def test_a_written_batch_is_read_as_written(self):
+        """A store of valued 1.0s stays valued (only the dispatch and the
+        first touch make pattern matrices), so its batch is the caller's
+        own copy: values written into it are the values the kernels read."""
+        store = WorksetStore(0, local_dim=2)
+        store.put(Workset(0, CSRMatrix.from_dense([[1.0, 1.0], [1.0, 0.0]]), np.ones(2)))
+        batch, _ = store.assemble_batch([(0, 0), (0, 1)])
+        assert np.array_equal(row_dots(batch, np.ones(2)), [2.0, 1.0])
+        batch.data[:] = 2.0
+        assert np.array_equal(row_dots(batch, np.ones(2)), [4.0, 2.0])
 
 
 # ----------------------------------------------------------------------

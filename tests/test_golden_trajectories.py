@@ -57,14 +57,15 @@ def test_trajectory_bit_identical(golden, replayed, key):
 @pytest.mark.parametrize("backend", ["sim", "local"])
 @pytest.mark.parametrize("model_name", ["fm", "lr"])
 def test_unit_value_skip_changes_no_bit(monkeypatch, backend, model_name):
-    """The fixture's Gaussian values never take the kernels' unit-value
-    path; one-hot data does, and trains the same bits with it forced off."""
+    """The fixture's Gaussian values are never a pattern matrix; one-hot
+    data is, from the dispatch on, and trains the same bits as its valued
+    twin: the same data with every pattern view refused."""
     from repro import SGD, CLUSTER1, SimulatedCluster, make_classification, train_columnsgd
     from repro.linalg import CSRMatrix
     from repro.models import FactorizationMachine, LogisticRegression
 
     data = make_classification(240, 60, nnz_per_row=8, binary_features=True, seed=11)
-    assert data.features.unit_values()
+    assert data.features.pattern_view().data is None
 
     def run():
         model = FactorizationMachine(4) if model_name == "fm" else LogisticRegression()
@@ -76,7 +77,7 @@ def test_unit_value_skip_changes_no_bit(monkeypatch, backend, model_name):
         return [r.loss for r in result.records if r.loss is not None], result.final_params
 
     losses, params = run()
-    monkeypatch.setattr(CSRMatrix, "unit_values", lambda self: False)  # before any fork
+    monkeypatch.setattr(CSRMatrix, "pattern_view", lambda self: self)  # before any fork
     multiplied_losses, multiplied_params = run()
     assert len(losses) == 4  # rounds 0, 2, 4 and the final one
     assert [x.hex() for x in losses] == [x.hex() for x in multiplied_losses]

@@ -1,7 +1,5 @@
 """Property-based tests (hypothesis) on the sparse structures."""
 
-from unittest import mock
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -146,6 +144,23 @@ def binary_matrices(draw, max_rows=8, max_cols=10):
     return CSRMatrix.from_dense(mask.astype(np.float64))
 
 
+def pattern_and_twin(matrix):
+    """``matrix``'s structure as a pattern matrix and as its valued twin,
+    whose every stored value is an explicit 1.0."""
+    pattern = CSRMatrix(matrix.indptr, matrix.indices, None, matrix.n_cols)
+    twin = CSRMatrix(matrix.indptr, matrix.indices, np.ones(matrix.nnz), matrix.n_cols)
+    return pattern, twin
+
+
+def same_int64_views(got, want) -> bool:
+    """Bit equality of two float64 arrays, compared as int64 views."""
+    got, want = np.ascontiguousarray(got), np.ascontiguousarray(want)
+    return (
+        got.dtype == want.dtype == np.float64 and got.shape == want.shape
+        and np.array_equal(got.view(np.int64), want.view(np.int64))
+    )
+
+
 def operands(matrix, width, seed):
     """A model and coefficients of ``width`` (0: 1-D) for ``matrix``."""
     rng = np.random.default_rng(seed)
@@ -174,14 +189,16 @@ class TestUnitValues:
     @given(binary_matrices(), st.sampled_from([0, 1, 4]), st.integers(0, 2 ** 32 - 1))
     @example(CSRMatrix.empty(3, 4), 4, 0)  # nnz = 0
     def test_skipping_the_unit_multiplies_changes_no_bit(self, matrix, width, seed):
+        pattern, twin = pattern_and_twin(matrix)
         model, coefficients = operands(matrix, width, seed)
-        assert matrix.unit_values()
-        skipped = kernel_outputs(matrix, model, coefficients)
-        with mock.patch.object(CSRMatrix, "unit_values", lambda self: False):
-            multiplied = kernel_outputs(matrix, model, coefficients)
+        skipped = kernel_outputs(pattern, model, coefficients)
+        multiplied = kernel_outputs(twin, model, coefficients)
         assert len(skipped) == len(multiplied)
         for got, want in zip(skipped, multiplied):
-            assert same_bits(got, want)
+            assert same_int64_views(got, want)
+        for kernel in (accumulate_rows, accumulate_rows_squared):
+            assert np.array_equal(kernel(pattern, coefficients).cols,
+                                  kernel(twin, coefficients).cols)
 
     @settings(max_examples=80, deadline=None)
     @given(st.one_of(dense_matrices(), binary_matrices().map(lambda m: m.to_dense())),
@@ -200,33 +217,50 @@ class TestUnitValues:
             row_dots(CSRMatrix.from_dense(np.eye(3)), np.ones(shape), squares_from=first)
 
     @settings(max_examples=80, deadline=None)
-    @given(arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 5)),
-                  elements=st.sampled_from([0.0, 1.0, 1.0, 1.0, -1.0, 2.0])), st.data())
-    def test_derived_matrices_report_their_own_values(self, dense, data):
-        parent = CSRMatrix.from_dense(dense)
-        ids = data.draw(st.lists(st.integers(0, parent.n_rows - 1), max_size=6))
-        start = data.draw(st.integers(0, parent.n_rows))
-        check_derived(parent, ids, start, data.draw(st.integers(start, parent.n_rows)))
+    @given(binary_matrices(), st.data())
+    def test_derived_matrices_report_their_own_values(self, matrix, data):
+        """Every derived constructor keeps ``data=None`` and derives the
+        structure its valued twin's counterpart has, with 1.0s."""
+        pattern, twin = pattern_and_twin(matrix)
+        n_rows, n_cols = matrix.shape
+        ids = data.draw(st.lists(st.integers(0, n_rows - 1), max_size=6)) if n_rows else []
+        start = data.draw(st.integers(0, n_rows))
+        stop = data.draw(st.integers(start, n_rows))
+        columns = data.draw(st.lists(st.integers(0, n_cols - 1), unique=True, min_size=1))
+        owner = data.draw(arrays(np.int64, matrix.nnz, elements=st.integers(0, 2)))
+        local = np.zeros(matrix.nnz, dtype=np.int64)  # one column per piece: any ids do
 
-    def test_all_ones_rows_of_a_non_unit_parent_are_unit(self):
-        parent = CSRMatrix.from_dense([[1.0, 0.0, 1.0], [0.0, 2.0, 0.0], [0.0, 1.0, 1.0]])
-        assert not parent.unit_values()
-        assert parent.take_rows([0, 2]).unit_values()
-        assert parent.slice_rows(2, 3).unit_values()
-        assert CSRMatrix.vstack([parent.take_rows([2]), parent.slice_rows(0, 1)]).unit_values()
-        check_derived(parent, [0, 2], 0, 1)
+        def derived(m):
+            cols, inverse = m.touched_columns()
+            return [
+                m.take_rows(ids),
+                m.slice_rows(start, stop),
+                CSRMatrix.vstack([m.take_rows(ids), m]),
+                m.select_columns(sorted(columns)),
+                *m.split_columns(owner, local, [1, 1, 1]),
+                CSRMatrix(m.indptr, inverse, m.data, cols.size),  # FFM's re-index
+            ]
 
+        for got, want in zip(derived(pattern), derived(twin)):
+            assert got.data is None
+            assert np.all(want.data == 1.0)
+            assert got.shape == want.shape
+            assert np.array_equal(got.indptr, want.indptr)
+            assert np.array_equal(got.indices, want.indices)
+            assert got == want
 
-def check_derived(parent, ids, start, stop):
-    """Every derived matrix's ``unit_values()`` is true iff its own
-    stored values are all 1.0, whatever its parent's cached answer."""
-    parent.unit_values()  # cached first, so a derived matrix could lean on it
-    cols, inverse = parent.touched_columns()
-    derived = [
-        parent.take_rows(ids),
-        parent.slice_rows(start, stop),
-        CSRMatrix.vstack([parent.take_rows(ids), parent]),
-        CSRMatrix(parent.indptr, inverse, parent.data, cols.size),  # FFM's re-index
-    ]
-    for matrix in [parent] + derived:
-        assert matrix.unit_values() == bool(np.all(matrix.data == 1.0))
+    def test_pattern_view_decides_on_every_value(self):
+        ones = CSRMatrix.from_dense([[1.0, 0.0, 1.0], [0.0, 0.0, 0.0], [0.0, 1.0, 1.0]])
+        view = ones.pattern_view()
+        assert view.data is None and ones.data is not None  # the original is untouched
+        assert view.indptr is ones.indptr and view.indices is ones.indices
+        assert view.pattern_view() is view
+        assert np.array_equal(view.values(), ones.data) and view == ones
+        valued = CSRMatrix.from_dense([[1.0, 0.0, 1.0], [0.0, 2.0, 0.0]])
+        assert valued.pattern_view() is valued
+        # rows of a valued matrix stay valued, whatever they hold
+        assert valued.take_rows([0]).data is not None
+        mixed = CSRMatrix.vstack([view, valued])
+        assert np.array_equal(mixed.data, [1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 2.0])
+        assert np.array_equal(view.to_dense(), ones.to_dense())
+        assert np.array_equal(view.row(2).values, [1.0, 1.0])

@@ -515,10 +515,16 @@ def test_a_silent_group_has_no_cache_to_substitute_at_round_0(data):
     (``tests/test_sync_policies.py``; ROADMAP asks which rule both
     backends should follow)."""
 
+    # The round-2 STALL must end well inside the run.  With no retries,
+    # every exchange waits one 0.3 s deadline floor for the silent worker:
+    # from round 2 on that is compute and update of rounds 2 and 3, then
+    # ``params``, 5 x 0.3 = 1.5 s.  A 1.5 s stall put its ``params`` reply a
+    # few ms from the last deadline; 1.0 s wakes the worker 0.5 s (more
+    # than one floor) before it.  At round 0 any stall past one floor raises.
     def run(stall_round):
         driver = make_driver(
             data, iterations=4, sync_policy="timeout", local_timeout_s=0.3,
-            failures=scripted(stalls={(stall_round, 1): 1.5}),
+            failures=scripted(stalls={(stall_round, 1): 1.0}),
         )
         return driver, driver.fit()
 

@@ -93,8 +93,8 @@ def test_counters_never_change_numerics():
 
 
 @pytest.mark.parametrize("values", ["unit", "unit-multiplied", "gaussian"])
-def test_fm_counts_what_its_four_kernel_calls_count(values, monkeypatch):
-    """FM's fused statistics gather and its unit-value shortcut are
+def test_fm_counts_what_its_four_kernel_calls_count(values):
+    """FM's fused statistics gather and its pattern-matrix shortcut are
     counted as the four separate kernel calls they replace: a round's
     flops, allocations and peak do not depend on how the sums are made."""
     from repro.datasets import make_classification
@@ -107,10 +107,10 @@ def test_fm_counts_what_its_four_kernel_calls_count(values, monkeypatch):
         60, 40, nnz_per_row=6, binary_features=values != "gaussian", seed=2)
     features, model = data.features, FactorizationMachine(3)
     params = model.init_params(40, seed=1)
-    assert features.unit_values() == (values != "gaussian")
+    if values == "unit":  # "unit-multiplied" is its valued twin
+        features = features.pattern_view()
+    assert (features.data is None) == (values == "unit")
     features.touched_columns()  # the once-per-process column scratch is not a round's
-    if values == "unit-multiplied":
-        monkeypatch.setattr(CSRMatrix, "unit_values", lambda self: False)
 
     def counted(work):
         OP_COUNTERS.reset()

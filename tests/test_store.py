@@ -486,14 +486,17 @@ class TestBlockTable:
             workset = ws.get(b)
             features = workset.features
             assert features.indptr.dtype == features.indices.dtype == np.int32
-            assert features.data.dtype == workset.labels.dtype == np.float64
-            for array in (features.indptr, features.indices, features.data, workset.labels):
+            assert workset.labels.dtype == np.float64
+            for array in (features.indptr, features.indices, workset.labels):
                 assert not array.flags.writeable and not array.flags.owndata
-            # the same file bytes, seen through a second mapping
+            # the same file bytes, seen through a second mapping; the
+            # record's values are all 1.0, so the block keeps none of them
             record = np.frombuffer(reader.record(b), dtype=np.uint8)
             body = record[HEADER_BYTES:]
+            values = body[body.size - 8 * features.nnz:].tobytes()
             assert features.indptr.tobytes() == body[:features.indptr.nbytes].tobytes()
-            assert features.data.tobytes() == body[-features.data.nbytes:].tobytes()
+            assert features.data is None
+            assert np.all(np.frombuffer(values, dtype="<f8") == 1.0)
             assert ws.get(b) is workset
         ws.clear()
 
@@ -531,9 +534,12 @@ class TestBlockTable:
         features, labels = ws.assemble_batch(draws)
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
+        # the batch as a valued matrix (8 bytes a value): a pattern batch
+        # holds no values, and the bound stays what it is in bytes
+        assert features.data is None
         batch_bytes = (
             features.indptr.nbytes + features.indices.nbytes
-            + features.data.nbytes + labels.nbytes
+            + 8 * features.nnz + labels.nbytes
         )
         assert wide.shard_indexes[0].header.data_bytes > 50 * batch_bytes
         block_bytes = wide.shard_indexes[0].length(0)
@@ -570,8 +576,9 @@ class TestBlockTable:
         ws.clear()
 
     def test_one_non_unit_block_assembles_bit_identically(self, tmp_path):
-        # one-hot data but for one stored 2.0 in block 1: that block reads
-        # its values, the unit blocks read none, the batches are the same
+        # one-hot data but for one stored 2.0 in block 1: on disk that
+        # block is valued and the others are pattern matrices; in memory
+        # its worker's whole shard is valued.  The values are the same.
         one_hot = make_classification(4 * BLOCK, 20, nnz_per_row=5, seed=8)
         features = one_hot.features
         data = features.data.copy()
@@ -594,17 +601,19 @@ class TestBlockTable:
             for t in range(8):
                 draws = sampler.sample(t, 60)
                 ours, our_labels = ws.assemble_batch(draws)
-                twos += int(np.count_nonzero(ours.data == 2.0))
+                twos += int(np.count_nonzero(ours.values() == 2.0))
                 theirs, their_labels = memory[w].assemble_batch(draws)
                 for a, b in ((ours.indptr, theirs.indptr), (ours.indices, theirs.indices),
-                             (ours.data, theirs.data), (our_labels, their_labels)):
+                             (ours.values(), theirs.values()), (our_labels, their_labels)):
                     assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-                assert ours.unit_values() == theirs.unit_values()
-            flags = {b: ws.get(b).features._unit for b in ws.block_ids()}
-            assert flags == {b: not (w == owner and b == 1) for b in ws.block_ids()}
+                valued_block = w == owner and 1 in draws[:, 0]
+                assert (ours.data is None) == (not valued_block)
+                assert (theirs.data is None) == (w != owner)
+            pattern = {b: ws.get(b).features.data is None for b in ws.block_ids()}
+            assert pattern == {b: not (w == owner and b == 1) for b in ws.block_ids()}
             ws.clear()
         assert twos  # some batch drew the 2.0
-        assert memory[owner].shard._unit is False and memory[1 - owner].shard._unit is True
+        assert memory[owner].shard.data is not None and memory[1 - owner].shard.data is None
 
 
 class TestRowTable:
@@ -702,11 +711,11 @@ class TestClosingWithLiveViews:
     def test_clear_while_a_workset_is_held(self, store):
         ws = store.worker_store(3)
         held = ws.get(2)
-        before = held.features.data.copy(), held.labels.copy()
+        before = held.features.indices.copy(), held.labels.copy()
         ws.clear()
         ws.clear()
         # the pages stay mapped for as long as the views live
-        np.testing.assert_array_equal(held.features.data, before[0])
+        np.testing.assert_array_equal(held.features.indices, before[0])
         np.testing.assert_array_equal(held.labels, before[1])
         again = ws.get(2)  # a fresh mapping and a fresh first touch
         assert again is not held and ws.cache_stats()["misses"] == 2

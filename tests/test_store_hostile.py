@@ -132,7 +132,7 @@ def _owned(features, labels):
         features.n_rows,
         features.indptr.astype(np.int64).tobytes(),
         features.indices.astype(np.int64).tobytes(),
-        features.data.tobytes(),
+        features.values().tobytes(),
         labels.tobytes(),
     )
 
