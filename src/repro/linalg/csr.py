@@ -311,7 +311,7 @@ class CSRMatrix:
         indptr = np.zeros(row_ids.size + 1, dtype=np.int64)
         np.cumsum(lengths, out=indptr[1:])
         nnz = int(indptr[-1])
-        OP_COUNTERS.add_alloc(2 * nnz)
+        OP_COUNTERS.add_alloc(nnz if self.data is None else 2 * nnz)  # ids (+ values)
         # Source position of every output entry: a ramp over the output,
         # shifted per row by how far that row moved.
         source = np.repeat(starts - indptr[:-1], lengths) + np.arange(nnz)
@@ -354,8 +354,8 @@ class CSRMatrix:
         for part in parts:
             indptr_parts.append(part.indptr[1:] + offset)
             offset += part.nnz
-        OP_COUNTERS.add_alloc(2 * offset)  # concatenated indices + data
         pattern = all(part.data is None for part in parts)
+        OP_COUNTERS.add_alloc(offset if pattern else 2 * offset)  # ids (+ values)
         return cls(
             np.concatenate(indptr_parts),
             np.concatenate([p.indices for p in parts]),
@@ -418,7 +418,8 @@ class CSRMatrix:
                 "owners must lie in [0, {}), got [{}, {}]".format(K, owner.min(), owner.max())
             )
         OP_COUNTERS.add_flops(2 * self.nnz)  # partition + row-length count
-        OP_COUNTERS.add_alloc(2 * self.nnz)  # the pieces' indices + data
+        # the pieces' ids (+ values)
+        OP_COUNTERS.add_alloc(self.nnz if self.data is None else 2 * self.nnz)
         # owners fit a narrow unsigned type, which numpy radix-sorts
         order = np.argsort(owner.astype(np.min_scalar_type(max(K - 1, 0))), kind="stable")
         row_of = np.repeat(np.arange(self.n_rows), self.row_nnz())

@@ -68,13 +68,19 @@ def dense_vector_bytes(dim: int) -> int:
     return OBJECT_OVERHEAD_BYTES + dim * VALUE_BYTES
 
 
-def csr_matrix_bytes(n_rows: int, nnz: int, with_labels: bool = False) -> int:
-    """Serialized size of a CSR block: one object, indptr + indices + data."""
+def csr_matrix_bytes(
+    n_rows: int, nnz: int, with_labels: bool = False, pattern: bool = False
+) -> int:
+    """Serialized size of a CSR block: one object, indptr + indices + data.
+
+    ``pattern=True`` sizes a pattern block (every value 1.0): it has no
+    data section, so an entry is its index alone.
+    """
     check_non_negative(n_rows, "n_rows")
     check_non_negative(nnz, "nnz")
     size = OBJECT_OVERHEAD_BYTES
     size += (n_rows + 1) * INDEX_BYTES  # indptr
-    size += nnz * SPARSE_PAIR_BYTES
+    size += nnz * (INDEX_BYTES if pattern else SPARSE_PAIR_BYTES)
     if with_labels:
         size += n_rows * LABEL_BYTES
     return size
@@ -119,6 +125,7 @@ _TYPE_INTS = 5
 
 _FLAG_FP32 = 0x01
 _FLAG_LABELS = 0x02
+_FLAG_PATTERN = 0x04  # a CSR block with no data section: every value 1.0
 
 #: value widths the codec writes, keyed by wire precision.
 WIRE_PRECISIONS = ("fp64", "fp32")
@@ -173,11 +180,16 @@ class SparseVectorPayload:
 
 @dataclass(frozen=True)
 class CSRBlockPayload:
-    """One CSR block (indptr, indices, data), optionally with labels."""
+    """One CSR block (indptr, indices, data), optionally with labels.
+
+    ``data=None`` is a *pattern* block, every stored value 1.0 (a
+    pattern :class:`~repro.linalg.CSRMatrix`): it is encoded with a
+    pattern flag and no data section, and decodes with ``data=None``.
+    """
 
     indptr: np.ndarray
     indices: np.ndarray
-    data: np.ndarray
+    data: Optional[np.ndarray]
     labels: Optional[np.ndarray] = None
 
     @property
@@ -190,7 +202,8 @@ class CSRBlockPayload:
 
     def encoded_bytes(self) -> int:
         return csr_matrix_bytes(
-            self.n_rows, self.nnz, with_labels=self.labels is not None
+            self.n_rows, self.nnz, with_labels=self.labels is not None,
+            pattern=self.data is None,
         )
 
 
@@ -209,7 +222,7 @@ class WorksetPayload:
             )
 
     def encoded_bytes(self) -> int:
-        return workset_bytes(self.block.n_rows, self.block.nnz)
+        return 8 + self.block.encoded_bytes()  # workset_bytes for a valued block
 
 
 @dataclass(frozen=True)
@@ -248,12 +261,15 @@ def encode_payload(payload) -> bytes:
         return _header(_TYPE_SPARSE, 0, payload.indices.size) + idx + val
     if isinstance(payload, CSRBlockPayload):
         flags = _FLAG_LABELS if payload.labels is not None else 0
+        if payload.data is None:
+            flags |= _FLAG_PATTERN
         parts = [
             _header(_TYPE_CSR, flags, payload.n_rows, payload.nnz),
             np.ascontiguousarray(payload.indptr.ravel(), dtype="<i4").tobytes(),
             np.ascontiguousarray(payload.indices.ravel(), dtype="<i4").tobytes(),
-            np.ascontiguousarray(payload.data.ravel(), dtype="<f8").tobytes(),
         ]
+        if payload.data is not None:
+            parts.append(np.ascontiguousarray(payload.data.ravel(), dtype="<f8").tobytes())
         if payload.labels is not None:
             parts.append(
                 np.ascontiguousarray(payload.labels.ravel(), dtype="<f8").tobytes()
@@ -277,7 +293,8 @@ def _body_bytes(type_code: int, flags: int, a: int, b: int) -> int:
     if type_code == _TYPE_SPARSE:
         return a * 12
     if type_code == _TYPE_CSR:
-        return (a + 1) * 4 + b * 12 + (a * 8 if flags & _FLAG_LABELS else 0)
+        entry = 4 if flags & _FLAG_PATTERN else 12
+        return (a + 1) * 4 + b * entry + (a * 8 if flags & _FLAG_LABELS else 0)
     if type_code == _TYPE_INTS:
         return a * 8
     return 0
@@ -335,8 +352,10 @@ def decode_payload(data: bytes, copy: bool = True):
         at += (n_rows + 1) * 4
         indices = np.frombuffer(data, "<i4", nnz, at).astype(np.int32, copy=copy)
         at += nnz * 4
-        data_vals = np.frombuffer(data, "<f8", nnz, at).astype(np.float64, copy=copy)
-        at += nnz * 8
+        data_vals = None
+        if not flags & _FLAG_PATTERN:
+            data_vals = np.frombuffer(data, "<f8", nnz, at).astype(np.float64, copy=copy)
+            at += nnz * 8
         labels = None
         if flags & _FLAG_LABELS:
             labels = np.frombuffer(data, "<f8", n_rows, at).astype(

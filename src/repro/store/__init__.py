@@ -5,7 +5,9 @@ runs in memory; this package runs it as a disk shuffle.  A store
 directory holds one shard file per worker (that worker's column
 sub-vectors, block by block) plus a shared label sidecar, all encoded
 with the :mod:`repro.storage.serialization` wire codec so on-disk
-record lengths equal the simulator's byte model by construction.
+record lengths equal a byte model by construction (format v2: a block
+piece of one-hot data is a pattern record with no value section, and
+every record carries a CRC32 in its footer row).
 
 Pieces
 ------
@@ -31,6 +33,7 @@ from repro.store.format import (
     MANIFEST_FILENAME,
     SIDECAR_FILENAME,
     StoreHeader,
+    pattern_record_bytes,
     shard_filename,
     shard_record_bytes,
     sidecar_record_bytes,
@@ -60,6 +63,7 @@ __all__ = [
     "StoreHeader",
     "StoreLedger",
     "StoreManifest",
+    "pattern_record_bytes",
     "shard_filename",
     "shard_record_bytes",
     "sidecar_record_bytes",

@@ -1,4 +1,4 @@
-"""The column-shard file format (header + records + footer).
+"""The column-shard file format v2 (header + records + footer).
 
 One shard file holds one worker's column projection of every block, one
 :class:`~repro.storage.serialization.CSRBlockPayload` record per block.
@@ -12,19 +12,29 @@ Layout of every store file::
     [ record 0 ][ record 1 ] ...      codec payloads, block ids dense from 0
     [ footer ]                        one IntVectorPayload of per-record rows
 
-The footer is a flat int64 table — ``(offset, length, n_rows, nnz)`` per
-shard record, ``(offset, length, n_rows)`` per sidecar record — encoded
-as a codec payload itself, so *every byte in the file is covered by the
-byte model*: the file size equals
+A shard record is one of two kinds, decided by the writer from the data:
+
+* a *pattern record* (:data:`RECORD_PATTERN`) for a piece whose stored
+  values are all 1.0 — one-hot data, the paper's workloads: the codec's
+  pattern flag and no value section, 4 bytes per entry
+  (:func:`pattern_record_bytes`);
+* a *valued record* (:data:`RECORD_VALUED`) for any other piece: int32
+  ids and float64 values, 12 bytes per entry (:func:`shard_record_bytes`).
+
+The footer is a flat int64 table — ``(offset, length, n_rows, nnz,
+kind, crc)`` per shard record, ``(offset, length, n_rows, crc)`` per
+sidecar record, ``crc`` the ``zlib.crc32`` of the record's bytes —
+encoded as a codec payload itself, so *every byte in the file is
+covered by the byte model*: the file size equals
 
     HEADER_BYTES + sum(record lengths) + int_vector_bytes(table size)
 
-by construction, and each record length equals the matching size
-function (:func:`shard_record_bytes` / :func:`sidecar_record_bytes`).
-:func:`check_sizes` asserts that identity when a file is opened, which
-is what lets a store-backed load be charged from the footers' block
-table alone (:meth:`~repro.store.store.ColumnShardStore.block_table`)
-and stay bit-identical with the in-memory dispatcher.
+by construction, and each record length equals the size function of its
+kind.  :func:`check_sizes` asserts that identity when a file is opened,
+which is what lets a store-backed load be charged from the footers'
+block table alone (:meth:`~repro.store.store.ColumnShardStore.block_table`)
+and stay bit-identical with the in-memory dispatcher.  The CRC is
+checked when a record is first read (:mod:`repro.store.reader`).
 """
 
 from __future__ import annotations
@@ -48,15 +58,19 @@ HEADER_BYTES = OBJECT_OVERHEAD_BYTES
 #: uint16 worker id, then four uint64 shape fields, zero-padded.
 _STORE_HEADER_STRUCT = struct.Struct("<4sBBH4Q")
 STORE_MAGIC = b"RSHD"
-STORE_VERSION = 1
+STORE_VERSION = 2
 _HEADER_PAD = HEADER_BYTES - _STORE_HEADER_STRUCT.size
 
 KIND_SHARD = 1
 KIND_SIDECAR = 2
 
-#: int64 fields per footer row.
-SHARD_FOOTER_FIELDS = 4    # offset, length, n_rows, nnz
-SIDECAR_FOOTER_FIELDS = 3  # offset, length, n_rows
+#: int64 fields per footer row; the record's CRC32 is the last of them.
+SHARD_FOOTER_FIELDS = 6    # offset, length, n_rows, nnz, kind, crc
+SIDECAR_FOOTER_FIELDS = 4  # offset, length, n_rows, crc
+
+#: shard record kinds (the footer's ``kind`` field)
+RECORD_VALUED = 0   # ids and float64 values
+RECORD_PATTERN = 1  # ids only: every stored value is 1.0
 
 SIDECAR_FILENAME = "labels.col"
 MANIFEST_FILENAME = "manifest.json"
@@ -68,8 +82,13 @@ def shard_filename(worker_id: int) -> str:
 
 
 def shard_record_bytes(n_rows: int, nnz: int) -> int:
-    """On-disk length of one shard record (unlabelled CSR payload)."""
+    """On-disk length of one valued shard record (unlabelled CSR payload)."""
     return csr_matrix_bytes(n_rows, nnz, with_labels=False)
+
+
+def pattern_record_bytes(n_rows: int, nnz: int) -> int:
+    """On-disk length of one pattern shard record (no value section)."""
+    return csr_matrix_bytes(n_rows, nnz, with_labels=False, pattern=True)
 
 
 def sidecar_record_bytes(n_rows: int) -> int:
@@ -118,7 +137,11 @@ class StoreHeader:
         if magic != STORE_MAGIC:
             raise DataError("bad store magic {!r}".format(magic))
         if version != STORE_VERSION:
-            raise DataError("unsupported store version {}".format(version))
+            raise DataError(
+                "store file format version {}; this reader reads version {}".format(
+                    version, STORE_VERSION
+                )
+            )
         if kind not in (KIND_SHARD, KIND_SIDECAR):
             raise DataError("unknown store file kind {}".format(kind))
         return cls(

@@ -3,19 +3,20 @@
 A shard file is mapped once (``mmap.ACCESS_READ``) and every record is
 read where it lies: ``np.frombuffer`` views of the mapping, int32 index
 arrays and (possibly 4-byte-misaligned) float64 values exactly as format
-v1 stores them — no ``read()`` into intermediate buffers, no widening,
+v2 stores them — no ``read()`` into intermediate buffers, no widening,
 no densification (lint rule R019).  The page cache is the cache.
 
 :class:`ShardWorksetStore` is the out-of-core drop-in for
 :class:`~repro.partition.workset.WorksetStore`: metadata comes from the
 footer tables, the mmap opens lazily on the first fetch (so a forked or
 spawned worker maps its *own* view; the driver process maps nothing),
-a block is validated once per process, on first touch (where a block
-whose values are all 1.0 becomes a pattern matrix), and a mini-batch
-copies out only the rows it names.
+a block is validated once per process, on first touch (a pattern record
+becomes a pattern matrix there, with no values to scan), and a
+mini-batch copies out only the rows it names.
 
 Everything read from a file is input: footers are checked against the
-byte model before they are used as offsets, record headers against the
+byte model of each record's kind before they are used as offsets,
+record bytes against the footers' CRC32 and record headers against the
 footers, CSR structure with the checks every :class:`CSRMatrix` gets —
 and every way any of it can fail is a :class:`~repro.errors.DataError`.
 """
@@ -23,6 +24,7 @@ and every way any of it can fail is a :class:`~repro.errors.DataError`.
 from __future__ import annotations
 
 import mmap
+import zlib
 from pathlib import Path
 from typing import Dict, Optional, Tuple, Union
 
@@ -38,8 +40,11 @@ from repro.store.format import (
     HEADER_BYTES,
     KIND_SHARD,
     KIND_SIDECAR,
+    RECORD_PATTERN,
+    RECORD_VALUED,
     StoreHeader,
     check_sizes,
+    pattern_record_bytes,
     shard_record_bytes,
     sidecar_record_bytes,
 )
@@ -55,7 +60,8 @@ from repro.storage.serialization import (
 )
 
 #: bytes a batch copies out of the mapping: per row two ``indptr`` reads
-#: and a label (16), per stored entry a column id and a value (12).
+#: and a label (16), per stored entry of a valued block a column id and a
+#: value (12), per entry of a pattern block its column id (``INDEX_BYTES``).
 ROW_READ_BYTES = 2 * INDEX_BYTES + LABEL_BYTES
 ENTRY_READ_BYTES = SPARSE_PAIR_BYTES
 
@@ -73,32 +79,42 @@ def _decode(data, kind: type, what: str, copy: bool = True):
     return payload
 
 
-def _record_model(kind: int, counts: np.ndarray) -> np.ndarray:
-    """The record size function of ``kind`` over a whole footer (it is affine)."""
-    if kind == KIND_SHARD:
-        base = shard_record_bytes(0, 0)
-        return (
-            base
-            + counts[:, 0] * (shard_record_bytes(1, 0) - base)
-            + counts[:, 1] * (shard_record_bytes(0, 1) - base)
-        )
-    base = sidecar_record_bytes(0)
-    return base + counts[:, 0] * (sidecar_record_bytes(1) - base)
+def _record_model(kind: int, table: np.ndarray) -> np.ndarray:
+    """The size function of each row's record kind over a whole footer
+    (every size function is affine)."""
+    if kind == KIND_SIDECAR:
+        base = sidecar_record_bytes(0)
+        return base + table[:, 2] * (sidecar_record_bytes(1) - base)
+
+    def affine(size):
+        base = size(0, 0)
+        return base + table[:, 2] * (size(1, 0) - base) + table[:, 3] * (size(0, 1) - base)
+
+    pattern = table[:, 4] == RECORD_PATTERN
+    return np.where(pattern, affine(pattern_record_bytes), affine(shard_record_bytes))
 
 
 def _check_table(path: Path, header: StoreHeader, table: np.ndarray) -> None:
     """A footer is checked before it is trusted as offsets.
 
     Records start right after the header and are contiguous, every
-    length is the byte model's for its ``(n_rows, nnz)``, the lengths
-    add up to ``data_bytes`` — so every record lies inside the file and
-    no two overlap.  O(n_blocks), no record data read.
+    length is the byte model's for its ``(n_rows, nnz)`` and record kind,
+    the lengths add up to ``data_bytes`` — so every record lies inside
+    the file and no two overlap — and every kind and CRC field is one a
+    writer can write.  O(n_blocks), no record data read.
     """
-    offsets, lengths = table[:, 0], table[:, 1]
+    offsets, lengths, crcs = table[:, 0], table[:, 1], table[:, -1]
+    shard = header.kind == KIND_SHARD
+    sizes = table[:, :4] if shard else table[:, :3]  # offset, length, n_rows(, nnz)
+    kinds = table[:, 4] if shard else np.zeros(0, dtype=np.int64)
     end = HEADER_BYTES + header.data_bytes  # inside the file: check_sizes ran
-    if table.size and (table.min() < 0 or table.max() > end):
+    if sizes.size and (sizes.min() < 0 or sizes.max() > end):
         problem = "a field outside [0, {}]".format(end)  # also: no overflow below
-    elif not np.array_equal(lengths, _record_model(header.kind, table[:, 2:])):
+    elif not np.isin(kinds, (RECORD_VALUED, RECORD_PATTERN)).all():
+        problem = "a record kind that is neither valued nor pattern"
+    elif crcs.size and (crcs.min() < 0 or crcs.max() > 0xFFFFFFFF):
+        problem = "a CRC32 field outside [0, 2**32)"
+    elif not np.array_equal(lengths, _record_model(header.kind, table)):
         problem = "a record length that is not the byte model's"
     elif not np.array_equal(offsets, HEADER_BYTES + np.cumsum(lengths) - lengths):
         problem = "records that are not contiguous from the header"
@@ -170,6 +186,16 @@ class ShardIndex:
             raise DataError("sidecar footers carry no nnz column")
         return int(self.table[block_id, 3])
 
+    def pattern(self, block_id: int) -> bool:
+        """Whether one record is a pattern record (shard files only)."""
+        if self.header.kind != KIND_SHARD:
+            raise DataError("sidecar footers carry no kind column")
+        return int(self.table[block_id, 4]) == RECORD_PATTERN
+
+    def crc(self, block_id: int) -> int:
+        """The ``zlib.crc32`` of one record's bytes."""
+        return int(self.table[block_id, -1])
+
 
 class ShardReader:
     """One mmap'ed store file; records are read as views of the mapping.
@@ -200,22 +226,32 @@ class ShardReader:
         return memoryview(self._mm)[start:start + self.index.length(block_id)]
 
     def _views(self, block_id: int, kind: type):
+        """One record decoded as views, once its bytes match the footer's CRC."""
         what = "record {} of {}".format(block_id, self.index.path.name)
-        return _decode(self.record(block_id), kind, what, copy=False), what
+        record = self.record(block_id)
+        if zlib.crc32(record) != self.index.crc(block_id):
+            raise DataError("{} does not match its footer's CRC32".format(what))
+        return _decode(record, kind, what, copy=False), what
 
     def csr_block(self, block_id: int) -> CSRBlockPayload:
-        """One shard record as int32 / float64 views (shard files only).
+        """One shard record as int32 / float64 views (shard files only);
+        a pattern record's ``data`` is ``None``.
 
-        The record header must say what the footer says; the CSR
-        structure is not looked at here.
+        The record header must say what the footer says, its pattern
+        flag included; the CSR structure is not looked at here.
         """
         payload, what = self._views(block_id, CSRBlockPayload)
-        found = (payload.n_rows, payload.nnz)
-        expected = (self.index.n_rows(block_id), self.index.nnz(block_id))
+        found = (payload.n_rows, payload.nnz, payload.data is None)
+        expected = (
+            self.index.n_rows(block_id), self.index.nnz(block_id),
+            self.index.pattern(block_id),
+        )
         if found != expected or payload.labels is not None:
             raise DataError(
-                "{} is headed (n_rows, nnz) = {}, labelled: {}; its footer says "
-                "{}, unlabelled".format(what, found, payload.labels is not None, expected)
+                "{} is headed (n_rows, nnz, pattern) = {}, labelled: {}; its footer "
+                "says {}, unlabelled".format(
+                    what, found, payload.labels is not None, expected
+                )
             )
         return payload
 
@@ -246,11 +282,13 @@ class ShardWorksetStore(WorksetStore):
     Construction takes only paths + footer indexes (cheap, picklable).
     A workset is a set of views of the mapping — it costs no memory, so
     the block table that keeps it never evicts.  The first touch of a
-    block checks its record header and CSR structure, copies its
+    block checks its records' CRC32s, its record header (the pattern
+    flag against the footer's kind) and its CSR structure, copies its
     validated ``indptr`` into the row table, and charges the record
     bytes (shard + sidecar) to the counters and the process-wide
     :data:`~repro.store.cache.STORE_LEDGER`; every batch charges the
-    bytes of the rows it copies out.
+    bytes of the rows it copies out (``INDEX_BYTES`` per entry of a
+    pattern block, ``ENTRY_READ_BYTES`` of a valued one).
 
     The **row table** is every block's ``indptr`` laid end to end in
     footer order, ``n_rows + n_blocks`` int32 entries allocated when
@@ -311,7 +349,7 @@ class ShardWorksetStore(WorksetStore):
             )
         if self._readers is None:  # the first fetch of this process maps the files
             self._readers = ShardReader(self._shard_index), ShardReader(self._sidecar_index)
-            # format v1 stores indptr as int32
+            # format v2 stores indptr as int32
             self._row_table = np.empty(self.n_rows + n_blocks, dtype=np.int32)
         payload = self._readers[0].csr_block(block_id)
         labels = self._readers[1].labels(block_id)
@@ -325,9 +363,6 @@ class ShardWorksetStore(WorksetStore):
                     block_id, self._shard_index.path.name, self.local_dim, exc
                 )
             ) from exc
-        # format v1 records carry values: a one-hot block's are scanned
-        # once here and dropped, so the walk gathers none of them
-        features = features.pattern_view()
         slot = self._layout[2][block_id] + block_id
         self._row_table[slot:slot + features.n_rows + 1] = features.indptr
         workset = self._blocks[block_id] = Workset(block_id, features, labels)
@@ -360,8 +395,8 @@ class ShardWorksetStore(WorksetStore):
         table entry by ``CSRMatrix.over`` at first touch — the ``vstack``
         (which widens the int32 ids once) and the final ``take_rows``
         check the batch as it leaves the store.
-        A piece of a pattern block (decided at first touch) reads no
-        values; when every piece is one, so are the stack and the batch.
+        A piece of a pattern block (a pattern record) reads no values;
+        when every piece is one, so are the stack and the batch.
         """
         # every draw is checked against the footers before any block is read
         rows = layout_rows(draws, *self._layout)
@@ -375,22 +410,25 @@ class ShardWorksetStore(WorksetStore):
         indptr = np.zeros(order.size + 1, dtype=np.int64)
         np.cumsum(lengths, out=indptr[1:])
         nnz = int(indptr[-1])
-        OP_COUNTERS.add_alloc(2 * nnz)  # the pieces' ids + values
         # position of every batch entry in its block's arrays: a ramp over
         # the batch, shifted per row by how far that row moved
         ramp = np.repeat(starts - indptr[:-1], lengths)
         ramp += np.arange(nnz)
-        parts = []
+        parts, valued = [], 0  # valued: entries read with their values
         for workset, start, end in zip(worksets, bounds, bounds[1:]):
             features = workset.features
             lo, hi = indptr[start], indptr[end]
+            data = None
+            if features.data is not None:
+                data = features.data[ramp[lo:hi]]
+                valued += int(hi - lo)
             piece = CSRMatrix.__new__(CSRMatrix)
             piece._adopt(
-                indptr[start:end + 1] - lo, features.indices[ramp[lo:hi]],
-                None if features.data is None else features.data[ramp[lo:hi]],
+                indptr[start:end + 1] - lo, features.indices[ramp[lo:hi]], data,
                 self.local_dim,
             )
             parts.append(piece)
+        OP_COUNTERS.add_alloc(nnz + valued)  # the pieces' ids + values
         # the stack and the reorder are the walk's peak: the ramp goes
         # before the one, the pieces before the other
         del ramp
@@ -398,7 +436,10 @@ class ShardWorksetStore(WorksetStore):
         del parts
         inverse = np.empty(order.size, dtype=np.int64)
         inverse[order] = np.arange(order.size)
-        self._charge(ROW_READ_BYTES * order.size + ENTRY_READ_BYTES * nnz)
+        self._charge(
+            ROW_READ_BYTES * order.size + INDEX_BYTES * (nnz - valued)
+            + ENTRY_READ_BYTES * valued
+        )
         # the host's stores share the label sidecar: its labels are read once
         labels = BATCH_LABELS((self._sidecar_index, rows), lambda: np.concatenate([
             workset.labels[offsets[start:end]]
@@ -435,7 +476,7 @@ class ShardWorksetStore(WorksetStore):
         per block), so the driver's Table-I memory shape is unchanged
         by where the shard physically lives.
         """
-        counts = self._shard_index.table[:, 2:].tolist()
+        counts = self._shard_index.table[:, 2:4].tolist()
         return sum(workset_bytes(n_rows, nnz) for n_rows, nnz in counts)
 
     def cache_stats(self) -> Dict[str, int]:

@@ -42,7 +42,7 @@ from repro.store.format import (
 from repro.store.reader import ShardIndex, ShardWorksetStore
 from repro.store.writer import ShuffleWriter
 
-MANIFEST_VERSION = 1
+MANIFEST_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,9 @@ class StoreManifest:
         version = payload.get("format_version")
         if version != MANIFEST_VERSION:
             raise DataError(
-                "unsupported store manifest version {!r}".format(version)
+                "store manifest version {!r}; this reader reads version {}".format(
+                    version, MANIFEST_VERSION
+                )
             )
         return cls(**payload)
 

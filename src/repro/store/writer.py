@@ -6,7 +6,11 @@ projections) in memory.  That is the paper's Fig 5 / Algorithm 4
 pipeline run as a disk shuffle, and it ships block-sized objects: rows
 collect in one *open block*, a full block is cut K ways in a single
 pass (:meth:`~repro.partition.column.ColumnAssignment.split`), and each
-piece is codec-encoded and appended to its worker's shard.
+piece is codec-encoded and appended to its worker's shard: as a format
+v2 *pattern record* (no value section) when every value it stores is
+1.0 — decided from the data, per piece — else as a valued record, its
+kind and ``zlib.crc32`` noted in the footer row
+(:mod:`repro.store.format`).
 
 Rows arrive through two entries that feed the same open block:
 
@@ -41,6 +45,7 @@ the block's row bytes while K stays under ~16, hence the ``3 x`` rule.
 from __future__ import annotations
 
 import os
+import zlib
 from pathlib import Path
 from typing import IO, List, Sequence, Tuple, Union
 
@@ -53,8 +58,13 @@ from repro.store.format import (
     HEADER_BYTES,
     KIND_SHARD,
     KIND_SIDECAR,
+    RECORD_PATTERN,
+    RECORD_VALUED,
+    SHARD_FOOTER_FIELDS,
     SIDECAR_FILENAME,
+    SIDECAR_FOOTER_FIELDS,
     StoreHeader,
+    pattern_record_bytes,
     shard_filename,
     shard_record_bytes,
     sidecar_record_bytes,
@@ -168,7 +178,7 @@ class ShuffleWriter:
     @property
     def n_blocks(self) -> int:
         """Blocks flushed so far."""
-        return len(self._sidecar_footer) // 3
+        return len(self._sidecar_footer) // SIDECAR_FOOTER_FIELDS
 
     def add_row(self, label: float, indices, values) -> None:
         """Add one *untrusted* labelled row, sanitising it first."""
@@ -264,7 +274,7 @@ class ShuffleWriter:
             raise DataError("sidecar record does not match the byte model")
         self._sidecar_handle.write(record)
         self._sidecar_footer.extend(
-            (self._sidecar_offset, len(record), block.n_rows)
+            (self._sidecar_offset, len(record), block.n_rows, zlib.crc32(record))
         )
         self._sidecar_offset += len(record)
 
@@ -272,17 +282,23 @@ class ShuffleWriter:
         shard_bytes = sum(shard_record_bytes(s.n_rows, s.nnz) for s in shards)
         self.meter.charge(shard_bytes)  # the one-pass split holds all K at once
         for dest, shard in enumerate(shards):
-            payload = CSRBlockPayload(
-                indptr=shard.indptr, indices=shard.indices, data=shard.values()
+            # a piece whose values are all 1.0 is written without them
+            data = shard.pattern_view().data
+            kind, model = (
+                (RECORD_PATTERN, pattern_record_bytes) if data is None
+                else (RECORD_VALUED, shard_record_bytes)
             )
-            encoded = encode_payload(payload)
-            if len(encoded) != shard_record_bytes(shard.n_rows, shard.nnz):
+            encoded = encode_payload(
+                CSRBlockPayload(indptr=shard.indptr, indices=shard.indices, data=data)
+            )
+            if len(encoded) != model(shard.n_rows, shard.nnz):
                 raise DataError("shard record does not match the byte model")
             self.meter.charge(len(encoded))
             self._shard_handles[dest].write(encoded)
-            self._shard_footers[dest].extend(
-                (self._shard_offsets[dest], len(encoded), shard.n_rows, shard.nnz)
-            )
+            self._shard_footers[dest].extend((
+                self._shard_offsets[dest], len(encoded), shard.n_rows, shard.nnz,
+                kind, zlib.crc32(encoded),
+            ))
             self._shard_offsets[dest] += len(encoded)
             self.meter.release(len(encoded))
         self.meter.release(shard_bytes + block_bytes)
@@ -302,7 +318,7 @@ class ShuffleWriter:
             IntVectorPayload(np.array(footer, dtype=np.int64))
         )
         handle.write(encoded_footer)
-        fields = 4 if kind == KIND_SHARD else 3
+        fields = SHARD_FOOTER_FIELDS if kind == KIND_SHARD else SIDECAR_FOOTER_FIELDS
         header = StoreHeader(
             kind=kind,
             worker_id=worker_id,

@@ -25,6 +25,7 @@ from repro.partition.column import make_assignment
 from repro.partition.dispatch import dispatch_block_based, dispatch_naive
 from repro.sim.cluster import SimulatedCluster
 from repro.sim.presets import CLUSTER1
+from repro.storage.serialization import INDEX_BYTES
 from repro.store import (
     ColumnShardStore,
     ShardIndex,
@@ -33,7 +34,7 @@ from repro.store import (
     shard_filename,
 )
 from repro.store.format import SIDECAR_FILENAME
-from repro.store.reader import ENTRY_READ_BYTES, ROW_READ_BYTES
+from repro.store.reader import ROW_READ_BYTES
 
 WORKERS = 3
 BLOCK = 16
@@ -322,8 +323,9 @@ class TestAssembleBatch:
         after = shard[2].cache_stats()
         assert after["misses"] == before["misses"] and after["evictions"] == 0
         assert after["hits"] - before["hits"] == np.unique(draws[:, 0]).size
+        assert features.data is None  # one-hot: an entry is read as its id
         assert after["bytes_read"] - before["bytes_read"] == (
-            ROW_READ_BYTES * 64 + ENTRY_READ_BYTES * features.nnz
+            ROW_READ_BYTES * 64 + INDEX_BYTES * features.nnz
         )
         want, want_labels = memory[2].assemble_batch(draws)
         assert_same_arrays(features, want)

@@ -58,6 +58,7 @@ ENCODED = {
         ),
         "csr": _csr(labels=False),
         "csr-labels": _csr(labels=True),
+        "csr-pattern": CSRBlockPayload(_csr(False).indptr, _csr(False).indices, None),
         "workset": WorksetPayload(block_id=3, block=_csr(labels=True)),
         "ints": IntVectorPayload(np.arange(4, dtype=np.int64)),
     }.items()

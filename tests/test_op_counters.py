@@ -92,6 +92,39 @@ def test_counters_never_change_numerics():
     assert counted == quiet
 
 
+def _pattern_and_valued(n_rows=1_000, per_row=30, n_cols=200):
+    """A pattern matrix of ``per_row`` entries a row and its valued twin."""
+    indptr = np.arange(n_rows + 1) * per_row
+    indices = (np.arange(n_rows * per_row) * 7) % n_cols
+    indices = np.sort(indices.reshape(n_rows, per_row), axis=1).ravel()
+    pattern = CSRMatrix(indptr, indices, None, n_cols)
+    return pattern, CSRMatrix(indptr, indices, pattern.values(), n_cols)
+
+
+def _allocated(work) -> int:
+    OP_COUNTERS.reset()
+    OP_COUNTERS.enable()
+    work()
+    OP_COUNTERS.disable()
+    return OP_COUNTERS.snapshot()["alloc_elements"]
+
+
+@pytest.mark.parametrize("op", ["take_rows", "vstack", "split_columns"])
+def test_a_pattern_copy_is_charged_its_ids_alone(op):
+    """A pattern matrix's row and column copies allocate column ids and
+    no values: 30,000 elements for 1,000 rows of 30 entries, where the
+    valued twin's copies allocate ids and values, 60,000."""
+    pattern, valued = _pattern_and_valued()
+    owner = pattern.indices % 3
+    copies = {
+        "take_rows": lambda m: m.take_rows(np.arange(m.n_rows)),
+        "vstack": lambda m: CSRMatrix.vstack([m.slice_rows(0, 400), m.slice_rows(400, 1_000)]),
+        "split_columns": lambda m: m.split_columns(owner, m.indices // 3, [67, 67, 66]),
+    }
+    assert _allocated(lambda: copies[op](pattern)) == 30_000
+    assert _allocated(lambda: copies[op](valued)) == 60_000
+
+
 @pytest.mark.parametrize("values", ["unit", "unit-multiplied", "gaussian"])
 def test_fm_counts_what_its_four_kernel_calls_count(values):
     """FM's fused statistics gather and its pattern-matrix shortcut are

@@ -147,6 +147,25 @@ class TestByteModel:
             == csr_matrix_bytes(9, 23, with_labels=with_labels)
         )
 
+    @pytest.mark.parametrize("with_labels", (False, True))
+    def test_pattern_csr_has_no_data_section(self, with_labels):
+        valued = make_csr(n_rows=9, nnz=23, with_labels=with_labels)
+        p = CSRBlockPayload(valued.indptr, valued.indices, None, valued.labels)
+        encoded = encode_payload(p)
+        assert (
+            len(encoded)
+            == p.encoded_bytes()
+            == csr_matrix_bytes(9, 23, with_labels=with_labels, pattern=True)
+            == len(encode_payload(valued)) - 8 * 23
+        )
+        for copy in (True, False):
+            out = decode_payload(encoded, copy)
+            assert out.data is None
+            np.testing.assert_array_equal(out.indptr, p.indptr)
+            np.testing.assert_array_equal(out.indices, p.indices)
+            if with_labels:
+                np.testing.assert_array_equal(out.labels, p.labels)
+
     def test_workset(self):
         p = WorksetPayload(block_id=3, block=make_csr(n_rows=9, nnz=23, with_labels=True))
         assert len(encode_payload(p)) == p.encoded_bytes() == workset_bytes(9, 23)

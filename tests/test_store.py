@@ -35,6 +35,7 @@ from repro.partition.indexing import TwoPhaseIndex
 from repro.sim.cluster import SimulatedCluster
 from repro.sim.presets import CLUSTER1
 from repro.storage.serialization import (
+    INDEX_BYTES,
     csr_matrix_bytes,
     sparse_row_bytes,
     workset_bytes,
@@ -56,6 +57,8 @@ from repro.store.format import (
     KIND_SHARD,
     MANIFEST_FILENAME,
     SIDECAR_FILENAME,
+    pattern_record_bytes,
+    shard_record_bytes,
 )
 from repro.store.reader import ENTRY_READ_BYTES, ROW_READ_BYTES
 
@@ -128,6 +131,22 @@ class TestFormat:
         with pytest.raises(DataError, match="magic"):
             StoreHeader.unpack(bytes(packed))
 
+    def test_a_format_v1_store_is_refused_by_version(self, store):
+        """v1 records carry values and v1 footers no kind or CRC: a v1
+        manifest or file header is refused before anything is read."""
+        manifest = store.store_dir / MANIFEST_FILENAME
+        text = manifest.read_text(encoding="utf-8")
+        assert '"format_version": 2' in text
+        manifest.write_text(text.replace('"format_version": 2', '"format_version": 1'))
+        with pytest.raises(DataError, match="manifest version 1"):
+            ColumnShardStore.open(store.store_dir)
+        path = store.store_dir / shard_filename(0)
+        content = path.read_bytes()
+        assert content[4] == 2
+        path.write_bytes(content[:4] + b"\x01" + content[5:])
+        with pytest.raises(DataError, match="format version 1"):
+            ShardIndex.load(path)
+
     def test_store_files_validate(self, store):
         # every published file re-validates against the byte model on open
         for w in range(WORKERS):
@@ -149,15 +168,24 @@ class TestFormat:
 # writer: streaming shuffle under a meter
 # ----------------------------------------------------------------------
 class TestShuffleWriter:
-    def test_record_lengths_equal_byte_model(self, store):
-        # writer already asserts this internally; verify from the footers
-        for w in range(WORKERS):
-            index = store.shard_indexes[w]
-            for b in range(index.n_blocks):
-                expected = csr_matrix_bytes(
-                    index.n_rows(b), index.nnz(b), with_labels=False
-                )
-                assert index.length(b) == expected
+    def test_record_lengths_equal_byte_model(self, tmp_path):
+        # writer already asserts this internally; verify from the footers:
+        # one-hot pieces are pattern records (4 B an entry, no value
+        # section), Gaussian ones valued records (12 B an entry)
+        for one_hot in (True, False):
+            data = make_classification(
+                500, 80, nnz_per_row=6, seed=3, binary_features=one_hot)
+            store = ColumnShardStore.from_dataset(
+                data, tmp_path / str(one_hot), n_workers=WORKERS, block_size=BLOCK
+            )
+            model = pattern_record_bytes if one_hot else shard_record_bytes
+            for index in store.shard_indexes:
+                for b in range(index.n_blocks):
+                    n_rows, nnz = index.n_rows(b), index.nnz(b)
+                    assert index.pattern(b) == one_hot
+                    assert index.length(b) == model(n_rows, nnz) == (
+                        HEADER_BYTES + 4 * (n_rows + 1) + (4 if one_hot else 12) * nnz
+                    )
 
     def test_block_layout_matches_dispatcher(self, data, store):
         sizes = store.block_sizes()
@@ -260,11 +288,13 @@ def shuffles(draw):
 
 class TestBlockFedEqualsPerRow:
     # sha256 over (name, bytes) of every store file, taken at the last
-    # commit whose from_dataset fed add_row one row at a time: format v1
+    # commit whose from_dataset fed add_row one row at a time and re-pinned
+    # once for format v2 (pattern records, a CRC32 per footer row); each
+    # store holds both record kinds
     PINNED = {
-        0: "43780a45d4e4ea3b7def3ddf31b65efe868f2b2591f064ffc8932b75f883fabe",
-        1500: "fad4720341520185226bfc662d7e84436229dbb6b9998230e476bbaa0b605615",
-        600: "24fa5355ac273324cbc5f0d56046caf6366a42eab6ba81f311f8b196317dfa82",
+        0: "f7c034c41970e3be6adcb9677674c4df62063fcccca5fafbd0901322404e50e3",
+        1500: "684e2bf41153c7a406286287190a38a75f2fb0045332c64fe48981e0d3d9e990",
+        600: "19ed97d070b9e3321e1da67528f2b0db86fe7521132570b87d70fb2d7ac07398",
     }
 
     @pytest.mark.parametrize("budget,n_blocks", [(0, 7), (1500, 9), (600, 20)])
@@ -446,7 +476,8 @@ class TestReaders:
         # a batch then reads the rows it copies out, and nothing else
         draws = np.array([[0, 1], [3, 5], [0, 1], [n - 1, 0]])
         features, labels = ws.assemble_batch(draws)
-        copied = ROW_READ_BYTES * labels.size + ENTRY_READ_BYTES * features.nnz
+        assert features.data is None  # one-hot: each entry is read as its id alone
+        copied = ROW_READ_BYTES * labels.size + INDEX_BYTES * features.nnz
         assert ws.cache_stats()["bytes_read"] == cold + copied
         assert STORE_LEDGER.bytes_read == STORE_LEDGER.by_worker[2] == cold + copied
         assert STORE_LEDGER.blocks_read == n  # counts first touches only
@@ -489,14 +520,14 @@ class TestBlockTable:
             assert workset.labels.dtype == np.float64
             for array in (features.indptr, features.indices, workset.labels):
                 assert not array.flags.writeable and not array.flags.owndata
-            # the same file bytes, seen through a second mapping; the
-            # record's values are all 1.0, so the block keeps none of them
+            # the same file bytes, seen through a second mapping; a
+            # one-hot block is a pattern record: ids and no value section
             record = np.frombuffer(reader.record(b), dtype=np.uint8)
             body = record[HEADER_BYTES:]
-            values = body[body.size - 8 * features.nnz:].tobytes()
+            assert body.size == features.indptr.nbytes + features.indices.nbytes
             assert features.indptr.tobytes() == body[:features.indptr.nbytes].tobytes()
-            assert features.data is None
-            assert np.all(np.frombuffer(values, dtype="<f8") == 1.0)
+            assert features.indices.tobytes() == body[features.indptr.nbytes:].tobytes()
+            assert features.data is None and index.pattern(b)
             assert ws.get(b) is workset
         ws.clear()
 
@@ -534,16 +565,18 @@ class TestBlockTable:
         features, labels = ws.assemble_batch(draws)
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
-        # the batch as a valued matrix (8 bytes a value): a pattern batch
-        # holds no values, and the bound stays what it is in bytes
+        # the batch and the blocks as valued matrices (8 bytes a value): a
+        # pattern batch holds no values and a pattern record stores none,
+        # and the bound stays what it is in bytes
         assert features.data is None
         batch_bytes = (
             features.indptr.nbytes + features.indices.nbytes
             + 8 * features.nnz + labels.nbytes
         )
-        assert wide.shard_indexes[0].header.data_bytes > 50 * batch_bytes
-        block_bytes = wide.shard_indexes[0].length(0)
-        assert peak < 4 * batch_bytes < block_bytes
+        index = wide.shard_indexes[0]
+        valued = [shard_record_bytes(index.n_rows(b), index.nnz(b)) for b in range(16)]
+        assert sum(valued) > 50 * batch_bytes
+        assert peak < 4 * batch_bytes < valued[0]
         ws.clear()
 
     def test_misaligned_values_assemble_bit_identically(self, tmp_path):
@@ -598,9 +631,19 @@ class TestBlockTable:
         twos = 0
         for w in range(2):
             ws = on_disk.worker_store(w)
+            blocks = [ws.get(b).features for b in ws.block_ids()]  # first touches done
             for t in range(8):
                 draws = sampler.sample(t, 60)
+                read = ws.cache_stats()["bytes_read"]
                 ours, our_labels = ws.assemble_batch(draws)
+                # each entry is charged as its block stores it: an id, or an
+                # id and a value
+                copied = ROW_READ_BYTES * len(draws) + sum(
+                    (INDEX_BYTES if blocks[b].data is None else ENTRY_READ_BYTES)
+                    * int(blocks[b].row_nnz()[o])
+                    for b, o in draws
+                )
+                assert ws.cache_stats()["bytes_read"] - read == copied
                 twos += int(np.count_nonzero(ours.values() == 2.0))
                 theirs, their_labels = memory[w].assemble_batch(draws)
                 for a, b in ((ours.indptr, theirs.indptr), (ours.indices, theirs.indices),
@@ -672,8 +715,9 @@ class TestRowTable:
         clone.clear()
 
     def test_the_walk_charges_what_the_row_gathers_charged(self, store):
-        """Pieces (2 per entry) + stack (2) + reorder (2), and the two exit
-        checks' scans: the counts the per-block ``_gather_rows`` gave."""
+        """Pieces + stack + reorder, one id per entry each (the blocks are
+        pattern matrices: no values), and the two exit checks' scans: the
+        counts the per-block ``_gather_rows`` gives."""
         ws = store.worker_store(2)
         draws = TwoPhaseIndex(store.block_sizes(), base_seed=4).sample(0, 60)
         ws.assemble_batch(draws)  # first touches: their validation scans stay out
@@ -688,9 +732,9 @@ class TestRowTable:
         nnz = features.nnz
         assert counts == {
             "flops": 2 * (nnz + labels.size + 1),
-            "alloc_elements": 6 * nnz,
+            "alloc_elements": 3 * nnz,
             "densify_events": 0,
-            "peak_alloc_elements": 2 * nnz,
+            "peak_alloc_elements": nnz,
         }
         ws.clear()
 
@@ -954,7 +998,8 @@ class TestOutOfCoreAcceptance:
                 copied = 0
                 for t in range(10):
                     features, labels = replay.assemble_batch(index.sample(t, 100))
-                    copied += ROW_READ_BYTES * labels.size + ENTRY_READ_BYTES * features.nnz
+                    assert features.data is None  # one-hot: pattern blocks
+                    copied += ROW_READ_BYTES * labels.size + INDEX_BYTES * features.nnz
                 assert stats["misses"] == n
                 assert stats["evictions"] == 0
                 assert stats["bytes_read"] == cold + copied

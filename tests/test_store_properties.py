@@ -5,8 +5,10 @@ The hand-picked store cases (``tests/test_store.py``) found K = 1 and
 uneven splits only after review; here hypothesis draws the shapes: 1 to
 8 workers, batches larger than the data, one-row blocks, columns no row
 touches, both wire precisions, and graded, one-hot or all-but-one
-one-hot values (the stores copy no values out of a one-hot block), for
-LR and a 2-factor FM.  Either both paths train the same model to the
+one-hot values, for LR and a 2-factor FM.  A column piece whose values
+are all 1.0 is a pattern record on disk and every other piece a valued
+one, so both record kinds are drawn (and the stores copy no values out
+of a pattern block).  Either both paths train the same model to the
 bit, or both refuse with a structured :class:`~repro.errors.ReproError`.  The ``local`` leg draws
 fewer and smaller shapes (at most 4 workers on at most 2 processes),
 each bounded in wall time so a wedged process fails instead of hanging.
@@ -25,6 +27,7 @@ from repro.linalg import CSRMatrix
 from repro.models import FactorizationMachine, LogisticRegression
 from repro.optim import SGD
 from repro.sim import CLUSTER1, SimulatedCluster
+from repro.store import ColumnShardStore
 from tests.conftest import hard_bound
 
 #: wall-clock bound of one ``local`` example (seconds)
@@ -100,6 +103,8 @@ def test_store_trains_the_in_memory_model(shape):
     in_memory = train(data, workers, model_name, config)
     with tempfile.TemporaryDirectory() as store_dir:
         from_store = train(data, workers, model_name, config, store_dir)
+        if ColumnShardStore.exists(store_dir):
+            assert_record_kinds(ColumnShardStore.open(store_dir), data)
     assert_same_outcome(in_memory, from_store)
 
 
@@ -116,6 +121,16 @@ def test_store_on_local_trains_the_in_memory_sim_model(shape):
             backend="local", local_processes=min(workers, 2),
         )
     assert_same_outcome(in_memory, from_store)
+
+
+def assert_record_kinds(store, data):
+    """Every shard record is a pattern record exactly when its column
+    piece of the dataset holds only 1.0s."""
+    sizes = store.sidecar_index.table[:, 2]
+    for b, (lo, hi) in enumerate(zip(np.cumsum(sizes) - sizes, np.cumsum(sizes))):
+        pieces = store.assignment().split(data.features.slice_rows(int(lo), int(hi)))
+        for index, piece in zip(store.shard_indexes, pieces):
+            assert index.pattern(b) == bool(np.all(piece.values() == 1.0))
 
 
 def assert_same_outcome(reference, candidate):
