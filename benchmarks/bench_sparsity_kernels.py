@@ -97,8 +97,8 @@ def test_bench_fm_statistics(benchmark, values):
 @pytest.mark.parametrize("values", ["unit", "gaussian"])
 def test_bench_fm_gradient(benchmark, values):
     model, params, features, labels = _fm_case(values)
-    statistics = model.compute_statistics(features, params)
-    benchmark(model.gradient_from_statistics, features, labels, statistics, params)
+    coefficients = model.coefficients(model.compute_statistics(features, params), labels)
+    benchmark(model.gradient_from_statistics, features, labels, coefficients, params)
 
 
 def test_measured_work_scales_with_nnz(emit):

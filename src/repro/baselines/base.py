@@ -57,7 +57,8 @@ def shard_gradient(model: StatisticsModel, local: Dataset, params: np.ndarray) -
     """Algorithm 2's shard step: the *sum* gradient of ``local``'s
     (non-empty) rows against ``params``."""
     stats = model.compute_statistics(local.features, params)
-    gradient = model.gradient_from_statistics(local.features, local.labels, stats, params)
+    coefficients = model.coefficients(stats, local.labels)
+    gradient = model.gradient_from_statistics(local.features, local.labels, coefficients, params)
     gradient.values *= local.n_rows
     return gradient
 

@@ -55,24 +55,28 @@ from repro.storage.serialization import (
 
 @dataclass
 class RowWorkerProgram:
-    """One RowSGD worker: a horizontal shard + deterministic sampling."""
+    """The RowSGD workers of one host: their horizontal shards and
+    deterministic sampling.  They share nothing a host could compute
+    once, so the host step is empty."""
 
     model: StatisticsModel
-    shard: Dataset
-    worker: int
+    shards: Dict[int, Dataset]
     n_workers: int
     base_seed: int
     batch_size: int
 
-    def handle(self, op: str, args: dict, payload: Optional[bytes]):
+    def host_step(self, op: str, args: dict, payload: Optional[bytes]) -> None:
+        return None
+
+    def handle(self, worker: int, op: str, args: dict, payload: Optional[bytes], shared):
         if op == "gradient":
             params = decode_payload(payload).values.reshape(args["shape"])
             local = sample_shard_batch(
-                self.shard,
+                self.shards[worker],
                 base_seed=self.base_seed,
                 iteration=int(args["t"]),
                 batch_size=self.batch_size,
-                worker=self.worker,
+                worker=worker,
                 n_workers=self.n_workers,
             )
             # shipped dense: RowSGD's O(m) message

@@ -28,25 +28,25 @@ class MLlibTrainer(BaselineTrainer):
         return "MLlib"
 
     def _make_local_runtime(self):
-        """One :class:`RowWorkerProgram` per horizontal shard."""
+        """One :class:`RowWorkerProgram` per process, over its workers'
+        horizontal shards."""
         config, K = self.config, self.cluster.n_workers
         runtime = LocalRuntime(
             K,
             processes=config.local_processes,
             timeout=TimeoutPolicy(floor_s=config.local_timeout_s),
         )
-        programs = {
-            w: RowWorkerProgram(
+
+        def host_program(workers):
+            return RowWorkerProgram(
                 model=self.model,
-                shard=self._partitioner.shard(w),
-                worker=w,
+                shards={w: self._partitioner.shard(w) for w in workers},
                 n_workers=K,
                 base_seed=config.seed,
                 batch_size=config.batch_size,
             )
-            for w in range(K)
-        }
-        return runtime, programs
+
+        return runtime, host_program
 
     def _comm_phases(self) -> Tuple[CommPhase, ...]:
         # Table I, MLlib row: 2 K m dense traffic through the master.

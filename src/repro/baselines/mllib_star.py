@@ -83,7 +83,8 @@ class MLlibStarTrainer(BaselineTrainer):
                         local.features, self._local_params[w]
                     )
                     gradient = self.model.gradient_from_statistics(
-                        local.features, local.labels, stats, self._local_params[w]
+                        local.features, local.labels,
+                        self.model.coefficients(stats, local.labels), self._local_params[w],
                     )
                     self._local_optimizers[w].step(self._local_params[w], gradient)
                 busy += self.cluster.cost.sparse_work(local.nnz, passes=2 * width)

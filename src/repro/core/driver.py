@@ -31,7 +31,7 @@ from repro.core.localexec import (
     collect_store_stats,
     make_local_runtime,
     sync_params,
-    worker_programs,
+    host_program,
 )
 from repro.core.master import ColumnMaster
 from repro.core.recovery import CheckpointStore, RecoveryManager, RecoveryPolicy
@@ -284,10 +284,10 @@ class ColumnSGDDriver(Trainer):
 
     def _executor(self):
         """The master program on either backend; on ``sim`` the cluster
-        hosts the worker programs in-process."""
+        hosts one program for every worker, in-process."""
         if self.backend == "local":
             return super()._executor()
-        self.cluster.host(worker_programs(self))
+        self.cluster.host(host_program(self, range(self.cluster.n_workers)))
         return ColumnMasterProgram(self, self.cluster)
 
     @contextmanager

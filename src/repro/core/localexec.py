@@ -1,16 +1,16 @@
-"""ColumnSGD's round, written once: the worker program and the master's bodies.
+"""ColumnSGD's round, written once: the host program and the master's bodies.
 
-:class:`ColumnWorkerProgram` is one logical worker's handler table; the
-simulated cluster hosts it in-process
-(:meth:`~repro.sim.SimulatedCluster.host`), the local backend in a
-worker process (:func:`make_local_runtime`).  :class:`ColumnMasterProgram`
+:class:`ColumnHostProgram` runs the logical workers of one host: the
+simulated cluster hosts all K in-process
+(:meth:`~repro.sim.SimulatedCluster.host`), the local backend a share
+in each worker process (:func:`make_local_runtime`).  :class:`ColumnMasterProgram`
 carries the executor names of the driver's ``RoundSpec`` — Algorithm 3's
 computeStatistics, reduceStatistics and updateModel — written against
 the substrate's ``exchange`` / ``measure``, which the simulator answers
 with modelled seconds and :class:`~repro.runtime.LocalRuntime` with
 measured ones.
 
-Every worker samples round ``t``'s batch from the shared
+Every host samples round ``t``'s batch from the shared
 :class:`~repro.partition.indexing.TwoPhaseIndex` (no batch-index
 traffic), and statistics cross the wire through the codec on both
 backends (``fp32`` rounds on encode; a comm phase accounts the encoded
@@ -27,8 +27,9 @@ runtime's; this side adds the checkpoint spill and the restore step
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from functools import partial
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -42,9 +43,10 @@ from repro.core.recovery import (
 from repro.core.results import TrainingResult
 from repro.core.worker import ColumnWorker
 from repro.engine.policy import SYNC_RETRIES
-from repro.errors import ConfigurationError, WorkerFailedError
+from repro.errors import ConfigurationError, PartitionError, WorkerFailedError
+from repro.models.base import StatisticsModel
 from repro.net.message import Message, MessageKind
-from repro.partition.indexing import TwoPhaseIndex
+from repro.partition.indexing import TwoPhaseIndex, rows_of_draws
 from repro.runtime.deadline import TimeoutPolicy
 from repro.runtime.local import LocalRuntime
 from repro.storage.serialization import (
@@ -53,70 +55,98 @@ from repro.storage.serialization import (
     decode_payload,
     encode_payload,
 )
-from repro.utils.memo import LastCall
 
 
 @dataclass
-class ColumnWorkerProgram:
-    """One logical worker's program, on either backend.
+class ColumnHostProgram:
+    """The ColumnSGD workers of one host, on either backend.
 
-    Every op is deterministic in ``(seed, iteration)``; the round's ops
-    reply with the work they did (``nnz`` stored entries, ``passes``
-    over each), which the simulator charges.
+    Per request frame the substrate runs :meth:`host_step` once — what
+    the paper makes the same on every worker: the draws, their rows and
+    labels, the broadcast's coefficients — then :meth:`handle` per
+    targeted worker with its result: that shard's features, kernels,
+    optimizer step and reply.  Every op is deterministic in ``(seed,
+    iteration)``; the round's ops reply with the work they did (``nnz``
+    stored entries, ``passes`` over each), which the simulator charges.
     """
 
-    worker: ColumnWorker
+    workers: Dict[int, ColumnWorker]
+    model: StatisticsModel
     index: TwoPhaseIndex
     batch_size: int
     wire_precision: str
-    #: the statistics of the last update broadcast decoded on this host,
-    #: keyed on its payload and shared by the programs hosted together
-    #: (:func:`worker_programs`), so one payload is decoded once
-    decoded: LastCall = field(default_factory=LastCall)
 
-    def handle(self, op: str, args: dict, payload: Optional[bytes]):
+    def __post_init__(self):
+        stores = [p.store for w in self.workers.values() for p in w.partitions.values()]
+        #: the block layout every hosted store shares, checked as each joins
+        self.layout = stores[0].block_layout()
+        for store in stores[1:]:
+            if not all(map(np.array_equal, self.layout, store.block_layout())):
+                raise PartitionError(
+                    "worker {}'s store has another block layout than its host's".format(
+                        store.worker_id
+                    )
+                )
+        #: the store the host reads a batch's labels through
+        self.labels_from = stores[0]
+        #: this round's ``(draws, rows, labels)``, from ``compute`` to
+        #: ``update`` (the workers keep their features as long)
+        self.batch: Optional[tuple] = None
+
+    def host_step(self, op: str, args: dict, payload: Optional[bytes]):
+        """The frame's shared steps; what every worker's :meth:`handle`
+        receives as ``shared``.  A host that holds no batch (a respawned
+        process sent ``update`` alone) shares nothing, and each updater
+        fails on its missing batch."""
         if op == "compute":
             draws = self.index.sample(args["t"], self.batch_size)
-            stats, nnz = self.worker.compute_statistics(draws)
+            rows = rows_of_draws(draws, *self.layout)
+            self.batch = (draws, rows, self.labels_from.batch_labels(draws, rows))
+            return self.batch
+        if op == "update" and self.batch is not None:
+            reduced = decode_payload(payload, copy=False).values.reshape(args["shape"])
+            return self.model.coefficients(reduced, self.batch[2])
+        return None
+
+    def handle(self, w: int, op: str, args: dict, payload: Optional[bytes], shared):
+        worker = self.workers[w]
+        if op == "compute":
+            stats, nnz = worker.compute_statistics(*shared)
             encoded = encode_payload(
                 DenseVectorPayload(stats, precision=self.wire_precision)
             )
             return {
                 "nnz": int(nnz),
-                "passes": self.worker.model.statistics_width,
+                "passes": self.model.statistics_width,
                 "shape": list(stats.shape),
             }, encoded
         if op == "update":
-            reduced = self.decoded((payload,), lambda: decode_payload(
-                payload, copy=False
-            ).values.reshape(args["shape"]))
-            me = self.worker.worker_id
-            self.worker.update_model(
-                reduced,
-                only_partitions={p for p, w in args["updater_of"].items() if w == me},
+            worker.update_model(
+                shared,
+                only_partitions={p for p, u in args["updater_of"].items() if u == w},
             )
             # every replica this worker maintains is charged, though each
             # partition was numerically updated once, by its updater
             return {
-                "nnz": self.worker.cached_batch_nnz(),
-                "passes": self.worker.model.statistics_width,
+                "nnz": worker.cached_batch_nnz(),
+                "passes": self.model.statistics_width,
             }, None
         if op == "checkpoint":
             # one snapshot record per owned partition, packed; no compute
             # work to charge, and nothing from a failed worker
-            if self.worker.failed:
-                raise WorkerFailedError(self.worker.worker_id)
+            if worker.failed:
+                raise WorkerFailedError(worker.worker_id)
             lengths, blob = pack_records(
                 {
                     pid: snapshot_partition(state)
-                    for pid, state in self.worker.partitions.items()
+                    for pid, state in worker.partitions.items()
                 }
             )
             return {"nnz": 0, "passes": 0, "lengths": lengths}, blob
         if op == "restore":
             # Post-respawn state reload: the forked — and therefore
             # stale — partitions take what the master shipped.
-            apply_restore(self.worker.partitions, args["lengths"], payload)
+            apply_restore(worker.partitions, args["lengths"], payload)
             return {}, None
         if op == "draws":
             draws = self.index.sample(int(args["t"]), self.batch_size)
@@ -129,7 +159,7 @@ class ColumnWorkerProgram:
             return {
                 "stats": {
                     pid: state.store.cache_stats()
-                    for pid, state in self.worker.partitions.items()
+                    for pid, state in worker.partitions.items()
                 }
             }, None
         if op == "params":
@@ -139,7 +169,7 @@ class ColumnWorkerProgram:
             return {
                 "params": {
                     pid: np.array(state.params, copy=True)
-                    for pid, state in self.worker.partitions.items()
+                    for pid, state in worker.partitions.items()
                 }
             }, None
         raise ValueError("unknown op {!r}".format(op))
@@ -148,7 +178,7 @@ class ColumnWorkerProgram:
 @dataclass
 class ColumnMasterProgram:
     """The master's side of a round, run by the engine in the trainer's
-    place.  ``runtime`` is the substrate hosting the worker programs:
+    place.  ``runtime`` is the substrate hosting the host programs:
     the :class:`~repro.sim.SimulatedCluster` or a
     :class:`~repro.runtime.LocalRuntime`.
     """
@@ -306,23 +336,20 @@ class ColumnMasterProgram:
         }
 
 
-def worker_programs(driver) -> Dict[int, ColumnWorkerProgram]:
-    """One :class:`ColumnWorkerProgram` per logical worker of a loaded driver."""
-    config, decoded = driver.config, LastCall()
-    return {
-        w: ColumnWorkerProgram(
-            worker=driver._workers[w],
-            index=driver._index,
-            batch_size=config.batch_size,
-            wire_precision=config.wire_precision,
-            decoded=decoded,
-        )
-        for w in range(driver.cluster.n_workers)
-    }
+def host_program(driver, workers) -> ColumnHostProgram:
+    """The :class:`ColumnHostProgram` of a loaded driver's ``workers``."""
+    config = driver.config
+    return ColumnHostProgram(
+        workers={w: driver._workers[w] for w in workers},
+        model=driver.model,
+        index=driver._index,
+        batch_size=config.batch_size,
+        wire_precision=config.wire_precision,
+    )
 
 
-def make_local_runtime(driver) -> Tuple[LocalRuntime, Dict[int, ColumnWorkerProgram]]:
-    """Build (but do not start) the runtime + programs for a driver."""
+def make_local_runtime(driver) -> Tuple[LocalRuntime, Callable[[List[int]], ColumnHostProgram]]:
+    """Build (but do not start) the runtime + the host programs of a driver."""
     config = driver.config
     if driver._index is None:
         raise ConfigurationError("call load() before starting the local backend")
@@ -336,7 +363,7 @@ def make_local_runtime(driver) -> Tuple[LocalRuntime, Dict[int, ColumnWorkerProg
         processes=config.local_processes,
         timeout=timeout,
     )
-    return runtime, worker_programs(driver)
+    return runtime, partial(host_program, driver)
 
 
 def run_local_columnsgd(

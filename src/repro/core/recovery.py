@@ -61,6 +61,7 @@ from repro.storage.serialization import (
     dense_vector_bytes,
     encode_payload,
     int_vector_bytes,
+    payload_length,
 )
 from repro.utils.validation import check_non_negative
 
@@ -142,7 +143,7 @@ def _record_arrays(record: bytes) -> List[np.ndarray]:
     ``store/format.py::check_sizes`` idea): a truncated write, a flipped
     magic or length byte and trailing garbage are all rejected."""
     try:
-        layout = decode_payload(record)
+        layout = decode_payload(record[:payload_length(record)])
         if not isinstance(layout, IntVectorPayload) or layout.values.size < 1:
             raise ValueError("no layout header")
         fields = [int(v) for v in layout.values]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
-from typing import ContextManager, Dict, Iterator, Optional, Tuple
+from typing import Callable, ContextManager, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -115,9 +115,10 @@ class Trainer:
     def _loaded(self) -> bool:
         return self._dataset is not None
 
-    def _make_local_runtime(self) -> Tuple[object, Dict[int, object]]:
-        """``(runtime, programs)`` hosting this trainer's workers on
-        ``backend='local'``, built but not started."""
+    def _make_local_runtime(self) -> Tuple[object, Callable[[List[int]], object]]:
+        """``(runtime, host_program)`` hosting this trainer's workers on
+        ``backend='local'``, built but not started: ``host_program(workers)``
+        is the program of one process's workers."""
         raise ConfigurationError(
             "backend='local' is implemented for ColumnSGD and the MLlib "
             "baseline only; {} is simulator-only".format(type(self).__name__)
@@ -281,8 +282,8 @@ class Trainer:
             return
         owned = runtime is None
         if owned:
-            runtime, programs = self._make_local_runtime()
-            runtime.start(programs)
+            runtime, host_program = self._make_local_runtime()
+            runtime.start(host_program)
         # Continue the recorded time axis: load() charged simulated
         # seconds to the cluster clock and the initial eval record carries
         # that offset, so measured rounds must accumulate on top of it.

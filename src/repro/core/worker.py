@@ -76,11 +76,13 @@ class ColumnWorker:
     # ------------------------------------------------------------------
     # Algorithm 3, Step 1
     # ------------------------------------------------------------------
-    def compute_statistics(self, draws) -> Tuple[np.ndarray, int]:
+    def compute_statistics(self, draws, rows=None, labels=None) -> Tuple[np.ndarray, int]:
         """Partial statistics over *all* stored partitions for the batch.
 
         ``draws`` is the ``(B, 2)`` array of ``TwoPhaseIndex.sample`` (or
-        an iterable of ``(block_id, offset)`` pairs).
+        an iterable of ``(block_id, offset)`` pairs); ``rows`` and
+        ``labels``, when the host found them, go to every store's
+        :meth:`~repro.partition.workset.WorksetStore.assemble_batch`.
         Returns ``(statistics, nnz_touched)``.  The statistics are the
         sum over this worker's partitions — with backup computation that
         is the whole group's contribution, so the master needs one
@@ -92,8 +94,8 @@ class ColumnWorker:
         nnz = 0
         for pid in self.partition_ids():
             partition = self.partitions[pid]
-            features, labels = partition.store.assemble_batch(draws)
-            self._cached_batches[pid] = (features, labels)
+            features, batch_labels = partition.store.assemble_batch(draws, rows, labels)
+            self._cached_batches[pid] = (features, batch_labels)
             part_stats = self.model.compute_statistics(features, partition.params)
             nnz += features.nnz
             stats = part_stats if stats is None else stats + part_stats
@@ -104,10 +106,9 @@ class ColumnWorker:
     # ------------------------------------------------------------------
     # Algorithm 3, Step 3
     # ------------------------------------------------------------------
-    def update_model(
-        self, statistics: np.ndarray, only_partitions: Optional[set] = None
-    ) -> None:
-        """Compute local gradients from complete statistics and update.
+    def update_model(self, coefficients, only_partitions: Optional[set] = None) -> None:
+        """Compute local gradients from the batch's coefficients (the
+        model's ``coefficients`` of the complete statistics) and update.
 
         ``only_partitions`` restricts the update (the round body uses it
         so each replicated partition is numerically updated exactly once,
@@ -122,7 +123,7 @@ class ColumnWorker:
                 raise WorkerFailedError(self.worker_id)
             features, labels = self._cached_batches[pid]
             gradient = self.model.gradient_from_statistics(
-                features, labels, statistics, partition.params
+                features, labels, coefficients, partition.params
             )
             partition.optimizer.step(partition.params, gradient)
 

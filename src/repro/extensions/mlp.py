@@ -186,11 +186,11 @@ class ColumnMLP(StatisticsModel):
                 self._tail_optimizers[key].step(self.tail[key], grad)
         return delta1
 
-    def gradient_from_statistics(self, features, labels, statistics, params):
+    def gradient_from_statistics(self, features, labels, coefficients, params):
         """The shard's ``dW1_k = X_k^T delta1 / B``, over the rows it
-        touches; ``statistics`` is the broadcast ``delta1``."""
-        self._check_batch(features, labels, statistics)
-        gradient = accumulate_rows(features, statistics)
+        touches; ``coefficients`` is the broadcast ``delta1``."""
+        self._check_labels(features, labels)
+        gradient = accumulate_rows(features, coefficients)
         gradient.values /= max(len(labels), 1)
         return gradient
 

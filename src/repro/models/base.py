@@ -10,11 +10,12 @@ statistics using only local data.  Formally, for column shards
     compute_statistics(X, w) == sum_k compute_statistics(X_k, w_k)
 
 and the full-data batch gradient restricted to partition k equals
-``gradient_from_statistics(X_k, y, S, w_k)`` where ``S`` is the summed
-statistics.  Every concrete model's tests assert both identities.  The
-step from ``S`` and ``y`` to per-example coefficients is the same for
-every shard, so a model runs it through :meth:`StatisticsModel._per_host`,
-once per host.
+``gradient_from_statistics(X_k, y, coefficients(S, y), w_k)`` where
+``S`` is the summed statistics.  Every concrete model's tests assert
+both identities.  The split is the appendix's ``X_k^T c(S, y)``: the
+coefficients ``c`` depend on the complete statistics and the labels
+alone, the same for every shard, so a host computes them once for all
+the workers it runs.
 
 A mini-batch's gradient is zero outside the columns the batch touches,
 so it travels as a :class:`~repro.linalg.RowGradient` — those columns
@@ -35,11 +36,7 @@ import numpy as np
 
 from repro.errors import DimensionMismatchError
 from repro.linalg import CSRMatrix, RowGradient
-from repro.utils.memo import LastCall
 from repro.utils.rng import rng_from_seed
-
-#: the last coefficient step (:meth:`StatisticsModel._per_host`) of this process
-_COEFFICIENTS = LastCall()
 
 
 class StatisticsModel:
@@ -96,8 +93,8 @@ class StatisticsModel:
 
     def master_step(self, statistics: np.ndarray, labels, optimizer=None) -> np.ndarray:
         """What the master broadcasts for the complete ``statistics``,
-        and so what ``gradient_from_statistics`` receives: the model's
-        hook between reduceStatistics and the broadcast, run once a round.
+        and so what :meth:`coefficients` receives: the model's hook
+        between reduceStatistics and the broadcast, run once a round.
 
         ``labels()`` returns the batch's labels, for a model that needs
         them; ``optimizer``, when given, is the one whose spawned copies
@@ -107,19 +104,27 @@ class StatisticsModel:
         """
         return statistics
 
+    def coefficients(self, statistics: np.ndarray, labels: np.ndarray):
+        """What every shard's gradient needs from the *complete*
+        ``statistics`` (as :meth:`master_step` passed them on) and the
+        batch's ``labels``: the appendix's ``c(S, y)``, computed once
+        per host.  The identity here, for a model whose broadcast
+        already is what its shards accumulate."""
+        self._check_batch(statistics, labels)
+        return statistics
+
     def gradient_from_statistics(
         self,
         features: CSRMatrix,
         labels: np.ndarray,
-        statistics: np.ndarray,
+        coefficients,
         params: np.ndarray,
     ) -> RowGradient:
         """Mean batch gradient of the loss over the local partition.
 
-        ``statistics`` must be the *complete* (summed) statistics, as
-        :meth:`master_step` passed them on;
-        ``features``/``params`` are the local shard and partition.  The
-        rows are the columns ``features`` touches; nothing sized like
+        ``coefficients`` is what :meth:`coefficients` returned for the
+        batch; ``features``/``params`` are the local shard and partition.
+        The rows are the columns ``features`` touches; nothing sized like
         ``params`` is allocated.
         """
         raise NotImplementedError
@@ -140,7 +145,8 @@ class StatisticsModel:
     ) -> np.ndarray:
         """Single-machine mean batch gradient, dense (statistics folded in)."""
         stats = self.master_step(self.compute_statistics(features, params), lambda: labels)
-        return self.gradient_from_statistics(features, labels, stats, params).to_dense()
+        coefficients = self.coefficients(stats, labels)
+        return self.gradient_from_statistics(features, labels, coefficients, params).to_dense()
 
     def loss(self, features: CSRMatrix, labels: np.ndarray, params: np.ndarray) -> float:
         """Full objective f(w, X): the mean loss over every row."""
@@ -151,12 +157,6 @@ class StatisticsModel:
         """Point predictions on a feature matrix."""
         return self.predict_from_statistics(self.compute_statistics(features, params))
 
-    def _per_host(self, statistics, labels, compute):
-        """``compute()``, a function of this model, the complete
-        ``statistics`` and ``labels`` alone — the same on every worker of
-        a host, so it runs once there and its result is shared, read-only."""
-        return _COEFFICIENTS((self, statistics, labels), compute)
-
     # ------------------------------------------------------------------
     # shape validation shared by the concrete models
     # ------------------------------------------------------------------
@@ -165,10 +165,13 @@ class StatisticsModel:
         if np.shape(params) != expected:
             raise DimensionMismatchError(expected, np.shape(params), "params shape")
 
-    def _check_batch(self, features: CSRMatrix, labels, statistics) -> None:
-        expected = (features.n_rows, self.statistics_width)
+    def _check_batch(self, statistics, labels) -> None:
+        expected = (np.size(labels), self.statistics_width)
         if np.shape(statistics) != expected:
             raise DimensionMismatchError(expected, np.shape(statistics), "statistics shape")
+
+    @staticmethod
+    def _check_labels(features: CSRMatrix, labels) -> None:
         if np.shape(labels) != (features.n_rows,):
             raise DimensionMismatchError((features.n_rows,), np.shape(labels), "labels shape")
 

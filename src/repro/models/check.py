@@ -10,7 +10,8 @@ training at scale:
   additivity across column shards and per-partition gradient recovery.
 
 Both hand ``gradient_from_statistics`` what the driver's workers get:
-the complete statistics passed through the model's ``master_step``.
+the ``coefficients`` of the complete statistics passed through the
+model's ``master_step``.
 Both raise :class:`ModelCheckError` with a pinpointed report on
 failure and return silently on success (mirroring ``np.testing``).
 """
@@ -124,15 +125,16 @@ def check_decomposition(
         )
 
     complete = model.master_step(full_stats, lambda: dataset.labels)
+    coefficients = model.coefficients(complete, dataset.labels)
     full_grad = model.gradient_from_statistics(
-        dataset.features, dataset.labels, complete, params
+        dataset.features, dataset.labels, coefficients, params
     ).to_dense()
     for k in range(n_workers):
         cols = assignment.columns_of(k)
         local = model.gradient_from_statistics(
             dataset.features.select_columns(cols),
             dataset.labels,
-            complete,
+            coefficients,
             params[cols],
         ).to_dense()
         if not np.allclose(full_grad[cols], local, atol=atol):

@@ -135,15 +135,13 @@ class FieldAwareFM(StatisticsModel):
         return scores
 
     #: ``c``, and ``c * T_{b->a,f}`` in column ``t_index(b, a, f)``
-    _coefficients = FactorizationMachine._coefficients
+    coefficients = FactorizationMachine.coefficients
 
-    def gradient_from_statistics(self, features, labels, statistics, params):
+    def gradient_from_statistics(self, features, labels, coefficients, params):
         self._check_params(features, params)
-        self._check_batch(features, labels, statistics)
+        self._check_labels(features, labels)
         A, F = self.n_fields, self.n_factors
-        c, weighted = self._per_host(
-            statistics, labels, lambda: self._coefficients(statistics, labels)
-        )
+        c, weighted = coefficients
         sums = accumulate_rows(features, weighted)
         squares = accumulate_rows_squared(features, c, linear=sums.values[:, 0])  # sum_i c_i x_i^2
         k = sums.cols.size

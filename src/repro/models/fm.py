@@ -88,23 +88,22 @@ class FactorizationMachine(StatisticsModel):
         stats = np.asarray(statistics, dtype=np.float64)
         return stats[:, 0] + 0.5 * np.sum(stats[:, 1:] ** 2, axis=1)
 
-    def _coefficients(self, statistics, labels):
+    def coefficients(self, statistics, labels):
         """``c``, and what every shard accumulates: ``c`` for the linear
         weight, ``c * s_f`` for factor ``f`` (FFM's step too)."""
+        self._check_batch(statistics, labels)
         stats = np.asarray(statistics, dtype=np.float64)
         c = self._loss.derivative(self._raw_scores(stats), labels)
         return c, np.column_stack((c, c[:, None] * stats[:, 1:]))
 
-    def gradient_from_statistics(self, features, labels, statistics, params):
+    def gradient_from_statistics(self, features, labels, coefficients, params):
         self._check_params(features, params)
-        self._check_batch(features, labels, statistics)
-        coefficients, weighted = self._per_host(
-            statistics, labels, lambda: self._coefficients(statistics, labels)
-        )
+        self._check_labels(features, labels)
+        c, weighted = coefficients
         gradient = accumulate_rows(features, weighted)
         # sum_i c_i * x_i^2, shared by every factor's second term; the
         # linear column is it on a pattern matrix (every x is 1.0)
-        squares = accumulate_rows_squared(features, coefficients, linear=gradient.values[:, 0])
+        squares = accumulate_rows_squared(features, c, linear=gradient.values[:, 0])
         correction = np.take(params, gradient.cols, axis=0)
         correction *= squares.values[:, None]  # v_jf * sum_i c_i x_ij^2
         correction[:, 0] = 0.0  # the linear weight has no second-order term

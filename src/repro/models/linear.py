@@ -44,11 +44,12 @@ class GeneralizedLinearModel(StatisticsModel):
         self._check_params(features, params)
         return row_dots(features, params).reshape(-1, 1)
 
-    def gradient_from_statistics(self, features, labels, statistics, params):
-        self._check_batch(features, labels, statistics)
-        coefficients = self._per_host(statistics, labels, lambda: self.loss_fn.derivative(
-            np.asarray(statistics)[:, 0], labels
-        ))
+    def coefficients(self, statistics, labels):
+        self._check_batch(statistics, labels)
+        return self.loss_fn.derivative(np.asarray(statistics)[:, 0], labels)
+
+    def gradient_from_statistics(self, features, labels, coefficients, params):
+        self._check_labels(features, labels)
         gradient = accumulate_rows(features, coefficients)
         gradient.values /= max(len(labels), 1)
         return gradient

@@ -58,12 +58,13 @@ class MultinomialLogisticRegression(StatisticsModel):
         hot[np.arange(n), labels] = 1.0
         return hot
 
-    def gradient_from_statistics(self, features, labels, statistics, params):
-        self._check_batch(features, labels, statistics)
-        residual = self._per_host(statistics, labels, lambda: (
-            self._probabilities(statistics) - self._one_hot(labels, len(labels))
-        ))
-        gradient = accumulate_rows(features, residual)
+    def coefficients(self, statistics, labels):
+        self._check_batch(statistics, labels)
+        return self._probabilities(statistics) - self._one_hot(labels, len(labels))
+
+    def gradient_from_statistics(self, features, labels, coefficients, params):
+        self._check_labels(features, labels)
+        gradient = accumulate_rows(features, coefficients)
         gradient.values /= max(len(labels), 1)
         return gradient
 

@@ -16,7 +16,6 @@ from typing import Dict
 import numpy as np
 
 from repro.errors import PartitionError
-from repro.utils.memo import LastCall
 from repro.utils.rng import iteration_seed, rng_from_seed
 from repro.utils.validation import check_positive
 
@@ -72,28 +71,6 @@ def rows_of_draws(
     return starts[pos] + offsets
 
 
-#: per process: the layout :func:`shared_layout` last handed out, the
-#: rows :func:`layout_rows` found last, and a store's last batch labels
-_LAYOUT, _ROWS, BATCH_LABELS = [()], LastCall(), LastCall()
-
-
-def shared_layout(*arrays) -> tuple:
-    """A store's sorted block ids, block sizes and first rows (and labels,
-    if it holds them) read-only, or the last call's arrays if equal: the
-    one check, O(blocks) per store fill, that hands every store of a
-    host the same arrays to key :func:`layout_rows` on."""
-    if len(_LAYOUT[0]) != len(arrays) or not all(map(np.array_equal, _LAYOUT[0], arrays)):
-        for array in arrays:
-            array.setflags(write=False)
-        _LAYOUT[0] = arrays
-    return _LAYOUT[0]
-
-
-def layout_rows(draws, *layout) -> np.ndarray:
-    """:func:`rows_of_draws`, once per host for a round's read-only draws."""
-    return _ROWS((draws, *layout), lambda: rows_of_draws(draws, *layout))
-
-
 class TwoPhaseIndex:
     """Deterministic (block id, offset) sampler over a block layout.
 
@@ -121,7 +98,6 @@ class TwoPhaseIndex:
         self._cdf /= self._cdf[-1]
         self._starts = np.cumsum(self._sizes) - self._sizes
         self.base_seed = int(base_seed)
-        self._last = None
 
     @property
     def n_rows(self) -> int:
@@ -139,21 +115,14 @@ class TwoPhaseIndex:
         Returns one ``(batch_size, 2)`` int64 array, a draw per row.
         Deterministic: the same (base_seed, iteration) yields the same
         draws on every caller.  Rows are sampled with replacement,
-        uniformly over the logical dataset.  The last draw is kept
-        (read-only), so the workers sharing one index in a process
-        sample a round once.
+        uniformly over the logical dataset.
         """
-        if self._last is not None and self._last[0] == (iteration, batch_size):
-            return self._last[1]
         check_positive(batch_size, "batch_size")
         rng = rng_from_seed(iteration_seed(self.base_seed, iteration))
         # rng.choice(n_blocks, size=batch_size, p=weights), draw for draw
         block_pos = self._cdf.searchsorted(rng.random(batch_size), side="right")
         offsets = rng.integers(0, self._sizes[block_pos])
-        draws = np.stack([self._block_ids[block_pos], offsets], axis=1)
-        draws.flags.writeable = False
-        self._last = ((iteration, batch_size), draws)
-        return draws
+        return np.stack([self._block_ids[block_pos], offsets], axis=1)
 
     def to_global_rows(self, draws) -> np.ndarray:
         """Convert draws into global row ids (blocks laid out in id order).

@@ -28,7 +28,7 @@ import numpy as np
 from repro.errors import PartitionError
 from repro.linalg import CSRMatrix
 from repro.linalg.csr import frozen
-from repro.partition.indexing import BATCH_LABELS, as_draws, layout_rows, shared_layout
+from repro.partition.indexing import as_draws, rows_of_draws
 from repro.storage.serialization import workset_bytes
 
 
@@ -67,9 +67,6 @@ class _Resident(NamedTuple):
 
     shard: CSRMatrix       # every stored row, blocks in arrival order
     labels: np.ndarray
-    #: :func:`shared_layout` of the sorted block ids, their rows and first
-    #: shard rows, and ``labels``
-    layout: tuple
 
 
 class WorksetStore:
@@ -94,7 +91,7 @@ class WorksetStore:
         self._labels = np.empty(0, dtype=np.float64)
         self._block_ids: List[int] = []   # arrival order
         self._row_starts: List[int] = [0]  # first shard row per block, then the end
-        self._resident = None
+        self._resident = self._layout = None
 
     def reserve(self, n_rows: int, nnz: int) -> None:
         """Size the resident arrays for ``n_rows`` rows / ``nnz`` entries in all.
@@ -115,7 +112,7 @@ class WorksetStore:
         if self._data is not None:
             self._data = _resized(self._data, nnz, nnz_used)
         self._labels = _resized(self._labels, n_rows, rows_used)
-        self._resident = None
+        self._resident = self._layout = None
 
     def put(self, workset: Workset) -> None:
         """Append a received workset to the shard; block ids must be unique."""
@@ -145,14 +142,14 @@ class WorksetStore:
         self._labels[row0:row1] = workset.labels
         self._block_ids.append(int(workset.block_id))
         self._row_starts.append(row1)
-        self._resident = None
+        self._resident = self._layout = None
 
     def _blocks(self):
         """``(block_id, first row, end row)`` of every block, in arrival order."""
         return zip(self._block_ids, self._row_starts, self._row_starts[1:])
 
     def _seal(self) -> _Resident:
-        """The resident shard and its block layout (built once per fill)."""
+        """The resident shard and its labels (built once per fill)."""
         if self._resident is None:
             n_rows, nnz = self.n_rows, self.nnz
             shard = CSRMatrix(
@@ -161,13 +158,7 @@ class WorksetStore:
                 None if self._data is None else frozen(self._data[:nnz]),
                 self.local_dim,
             )
-            block_ids = np.asarray(self._block_ids, dtype=np.int64)
-            starts = np.asarray(self._row_starts, dtype=np.int64)
-            order = np.argsort(block_ids)
-            labels = frozen(self._labels[:n_rows])
-            self._resident = _Resident(shard, labels, shared_layout(
-                block_ids[order], np.diff(starts)[order], starts[:-1][order], labels
-            ))
+            self._resident = _Resident(shard, frozen(self._labels[:n_rows]))
         return self._resident
 
     @property
@@ -241,7 +232,18 @@ class WorksetStore:
             "resident_bytes": self.stored_bytes(),
         }
 
-    def assemble_batch(self, draws) -> Tuple[CSRMatrix, np.ndarray]:
+    def block_layout(self) -> tuple:
+        """The sorted block ids, their rows and their first shard rows,
+        kept until the store changes: what
+        :func:`~repro.partition.indexing.rows_of_draws` needs."""
+        if self._layout is None:
+            block_ids = np.asarray(self._block_ids, dtype=np.int64)
+            starts = np.asarray(self._row_starts, dtype=np.int64)
+            order = np.argsort(block_ids)
+            self._layout = block_ids[order], np.diff(starts)[order], starts[:-1][order]
+        return self._layout
+
+    def assemble_batch(self, draws, rows=None, labels=None) -> Tuple[CSRMatrix, np.ndarray]:
         """Gather the rows named by ``(block_id, offset)`` draws.
 
         ``draws`` is the ``(B, 2)`` int64 array
@@ -251,19 +253,28 @@ class WorksetStore:
         this with the same draws gets row-aligned shards of the same
         logical mini-batch — the point of the two-phase index.  A draw
         outside the stored blocks raises :class:`PartitionError`.
+
+        ``rows`` (in :meth:`block_layout`) and ``labels`` are found here
+        unless a host found them once for all its stores; then only the
+        features are gathered.
         """
         draws = as_draws(draws)
         if not draws.shape[0]:
             return CSRMatrix.empty(0, self.local_dim), np.empty(0, dtype=np.float64)
-        return self._gather(draws)
+        if rows is None:
+            rows = rows_of_draws(draws, *self.block_layout())
+        return self._gather(draws, rows, labels)
 
-    def _gather(self, draws: np.ndarray) -> Tuple[CSRMatrix, np.ndarray]:
-        """One gather over the resident shard for a non-empty draws array;
-        the rows and labels are the host's (:func:`shared_layout`)."""
-        resident = self._seal()
-        *layout, labels = resident.layout
-        rows = layout_rows(draws, *layout)
-        return resident.shard.take_rows(rows), BATCH_LABELS((labels, rows), lambda: labels[rows])
+    def batch_labels(self, draws: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """The labels of a non-empty batch's ``rows``, in draw order."""
+        return self._seal().labels[rows]
+
+    def _gather(self, draws: np.ndarray, rows: np.ndarray, labels) -> Tuple[CSRMatrix, np.ndarray]:
+        """One gather over the resident shard for a non-empty batch, and
+        its labels unless given."""
+        if labels is None:
+            labels = self.batch_labels(draws, rows)
+        return self._seal().shard.take_rows(rows), labels
 
     def clear(self) -> None:
         """Drop the shard and every workset (worker failure simulation)."""
@@ -281,5 +292,6 @@ class WorksetStore:
             _data=None if self._data is None else self._data[:nnz],
             _labels=self._labels[:n_rows],
             _resident=None,
+            _layout=None,
         )
         return state

@@ -87,8 +87,8 @@ _RESTORE = "restore"
 #: bounded death-recovery attempts per exchange before escalating
 MAX_RECOVERY_ROUNDS = 3
 #: How worker processes are created.  ``fork`` is the only method any
-#: test proves; ROADMAP direction 4(d) brings back a choice together
-#: with its ``spawn`` test, or not at all.
+#: test proves; the ROADMAP's ``spawn`` direction brings back a choice
+#: together with its ``spawn`` test, or not at all.
 _PROCESS_START = "fork"
 
 
@@ -112,8 +112,8 @@ class _Host:
         self.outbox.clear()
 
 
-def _process_main(conn, programs: Dict[int, object]) -> None:
-    """Worker-process loop: handle ops for the hosted logical workers.
+def _process_main(conn, program) -> None:
+    """Worker-process loop: one host program's ops for its logical workers.
 
     A request frame is ``(op, payload, [(seq, worker, args), ...])`` —
     one per op for all the hosted workers it targets, the shared
@@ -122,7 +122,11 @@ def _process_main(conn, programs: Dict[int, object]) -> None:
     is cached by sequence number, and a duplicate request (a master
     resend after a lost or late reply) replays the cache instead of
     re-executing — the at-most-once half of the ARQ, so a retried
-    ``update`` cannot double-apply its gradient.
+    ``update`` cannot double-apply its gradient.  The program's host
+    step runs with the frame's first fresh request: its result is every
+    handler's ``shared`` argument and its seconds count in that reply; a
+    host step that raises is that request's error, and is run again for
+    the next.
     """
     last: Dict[int, Tuple[int, tuple]] = {}
     try:
@@ -133,6 +137,7 @@ def _process_main(conn, programs: Dict[int, object]) -> None:
             op, payload, requests = frame
             if op == _STOP:
                 break
+            shared = unrun = object()
             for seq, worker_id, args in requests:
                 cached = last.get(worker_id)
                 if cached is not None and cached[0] == seq:
@@ -144,8 +149,10 @@ def _process_main(conn, programs: Dict[int, object]) -> None:
                     time.sleep(delay)  # injected straggler (FaultKind.STALL)
                 start = time.perf_counter()
                 try:
-                    result, reply_payload = programs[worker_id].handle(
-                        op, args, payload
+                    if shared is unrun:
+                        shared = program.host_step(op, args, payload)
+                    result, reply_payload = program.handle(
+                        worker_id, op, args, payload, shared
                     )
                 # Not swallowed: the error text travels to the master
                 # in the reply frame and run_all raises it there.
@@ -168,8 +175,9 @@ class LocalRuntime:
     ``processes=0`` (the default) gives every logical worker its own
     process; smaller values pack contiguous worker ranges into shared
     processes (useful on small machines — the numerics are identical
-    either way because each logical worker keeps its own program
-    state).  ``timeout`` bounds every wait for a reply (see
+    either way because each logical worker keeps its own state, and a
+    host shares only what its workers would each derive alike).
+    ``timeout`` bounds every wait for a reply (see
     :class:`~repro.runtime.deadline.TimeoutPolicy`), and a request is
     written only to a process that owes no reply — one that is reading —
     so no exchange waits on a peer that is itself blocked writing.
@@ -201,8 +209,8 @@ class LocalRuntime:
         self._hosts: List[_Host] = []
         #: logical worker -> the process record hosting it
         self._host_of: Dict[int, _Host] = {}
-        #: the programs given to :meth:`start`, kept for :meth:`respawn`
-        self._programs: Dict[int, object] = {}
+        #: the host program factory given to :meth:`start`, kept for :meth:`respawn`
+        self._host_program: Optional[Callable[[List[int]], object]] = None
         #: pending one-shot reply mangling per worker: 'drop' | 'garble'
         self._mangle: Dict[int, str] = {}
         #: pending one-shot handler delay per worker (``__delay__`` args)
@@ -213,39 +221,36 @@ class LocalRuntime:
     # ------------------------------------------------------------------
     # process lifecycle
     # ------------------------------------------------------------------
-    def start(self, programs: Dict[int, object]) -> "LocalRuntime":
-        """Launch the worker processes hosting ``programs``.
+    def start(self, host_program: Callable[[List[int]], object]) -> "LocalRuntime":
+        """Launch the worker processes, each running the program
+        ``host_program(workers)`` returns for the logical workers it hosts.
 
-        ``programs`` maps every logical worker id ``0..K-1`` to an
-        object with ``handle(op, args, payload) -> (result, payload)``;
-        the forked processes inherit them copy-on-write.
+        A program has ``host_step(op, args, payload) -> shared`` and
+        ``handle(worker, op, args, payload, shared) -> (result,
+        payload)``; the forked processes inherit it copy-on-write.
         """
         if self._started:
             raise SimulationError("LocalRuntime already started")
-        missing = set(range(self.n_workers)) - set(programs)
-        if missing:
-            raise ConfigurationError(
-                "no program for worker(s) {}".format(sorted(missing))
-            )
         context = multiprocessing.get_context(_PROCESS_START)
         bounds = [
             self.n_workers * i // self.n_processes
             for i in range(self.n_processes + 1)
         ]
-        for i in range(self.n_processes):
-            hosted = list(range(bounds[i], bounds[i + 1]))
-            host = _Host(*self._launch(context, hosted, programs), hosted)
+        shares = [list(range(bounds[i], bounds[i + 1])) for i in range(self.n_processes)]
+        programs = [host_program(hosted) for hosted in shares]  # all built before any fork
+        for hosted, program in zip(shares, programs):
+            host = _Host(*self._launch(context, program), hosted)
             self._hosts.append(host)
             self._host_of.update((w, host) for w in hosted)
-        self._programs = dict(programs)
+        self._host_program = host_program
         self._started = True
         return self
 
-    def _launch(self, context, hosted: List[int], programs: Dict[int, object]):
+    def _launch(self, context, program):
         parent_conn, child_conn = context.Pipe(duplex=True)
         proc = context.Process(
             target=_process_main,
-            args=(child_conn, {w: programs[w] for w in hosted}),
+            args=(child_conn, program),
             daemon=True,
         )
         proc.start()
@@ -355,11 +360,11 @@ class LocalRuntime:
     def respawn(self) -> float:
         """Relaunch every dead process; returns measured seconds.
 
-        The relaunched processes host the programs given to
-        :meth:`start` — the parent's copies, whose state is whatever the
-        master last pulled back; a stateful trainer then restores them
-        through :meth:`exchange`'s restore step.  Live processes are
-        untouched.
+        The relaunched processes host what the factory given to
+        :meth:`start` returns now — programs over the parent's copies,
+        whose state is whatever the master last pulled back; a stateful
+        trainer then restores them through :meth:`exchange`'s restore
+        step.  Live processes are untouched.
         """
         if not self._started:
             raise SimulationError("LocalRuntime not started; call start()")
@@ -373,7 +378,7 @@ class LocalRuntime:
                 host.conn.close()
             except OSError:
                 pass
-            host.proc, host.conn = self._launch(context, host.workers, self._programs)
+            host.proc, host.conn = self._launch(context, self._host_program(host.workers))
             host.dead = False
             for w in host.workers:
                 self._mangle.pop(w, None)

@@ -72,9 +72,9 @@ class SimulatedCluster:
 
     This is the ``sim`` backend's execution substrate: the engine reads
     ``n_workers`` / ``clock`` / ``network`` and sends every comm phase
-    through ``topology`` (``docs/runtime.md``).  Worker programs given
-    to :meth:`host` run in-process under :meth:`exchange`, with
-    :class:`~repro.runtime.LocalRuntime`'s signature and modelled
+    through ``topology`` (``docs/runtime.md``).  The program given to
+    :meth:`host` runs every worker in-process under :meth:`exchange`,
+    with :class:`~repro.runtime.LocalRuntime`'s signature and modelled
     seconds.
 
     Node ids: workers are ``0..K-1``; the master is
@@ -101,7 +101,7 @@ class SimulatedCluster:
         #: per-worker straggler multipliers of the round being executed
         #: (set by the engine; ``None`` when the trainer has no model)
         self.slowdowns: Optional[Dict[int, float]] = None
-        self._programs: Dict[int, object] = {}
+        self._program = None
         self._memory: Dict[int, float] = {self.MASTER: 0.0}
         self._memory.update({w: 0.0 for w in range(spec.n_workers)})
 
@@ -113,14 +113,14 @@ class SimulatedCluster:
     # ------------------------------------------------------------------
     # in-process worker programs
     # ------------------------------------------------------------------
-    def host(self, programs: Dict[int, object]) -> None:
-        """Host one worker program per logical worker (replacing any)."""
-        self._programs = dict(programs)
+    def host(self, program) -> None:
+        """Host one program for all K workers, as the one host (replacing any)."""
+        self._program = program
 
     def exchange(self, op: str, *, iteration: int, args: Optional[dict] = None,
                  payload: Optional[bytes] = None, restore=None,
                  tolerate_silent: bool = False) -> Exchange:
-        """Run ``op`` on every hosted program, in worker order.
+        """Run ``op``'s host step once, then every worker's, in worker order.
 
         A reply's seconds are ``(task overhead + nnz x passes)`` from
         the work it declares, times the worker's slowdown this round.  A
@@ -133,9 +133,10 @@ class SimulatedCluster:
         args = args or {}
         replies: Dict[int, WorkerReply] = {}
         failures: Dict[int, object] = {}
-        for w, program in self._programs.items():
+        shared = self._program.host_step(op, args, payload)
+        for w in range(self.n_workers):
             try:
-                result, reply_payload = program.handle(op, args, payload)
+                result, reply_payload = self._program.handle(w, op, args, payload, shared)
             except WorkerFailedError:
                 failures[w] = WorkerDied(worker=w, op=op)
                 continue

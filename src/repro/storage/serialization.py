@@ -300,6 +300,15 @@ def _body_bytes(type_code: int, flags: int, a: int, b: int) -> int:
     return 0
 
 
+def payload_length(data: bytes) -> int:
+    """Bytes of the payload ``data`` starts with, as its header promises:
+    the prefix :func:`decode_payload` decodes when ``data`` holds more."""
+    if len(data) < OBJECT_OVERHEAD_BYTES:
+        raise ValueError("truncated payload: {} byte(s)".format(len(data)))
+    _, _, type_code, flags, a, b, _c, _d = _HEADER_STRUCT.unpack_from(data, 0)
+    return OBJECT_OVERHEAD_BYTES + _body_bytes(type_code, flags, a, b)
+
+
 def decode_payload(data: bytes, copy: bool = True):
     """Decode bytes produced by :func:`encode_payload`.
 
@@ -312,8 +321,7 @@ def decode_payload(data: bytes, copy: bool = True):
     if len(data) >= 8 + OBJECT_OVERHEAD_BYTES and data[8:12] == _HEADER_MAGIC:
         (block_id,) = struct.unpack_from("<q", data, 0)
         return WorksetPayload(block_id=block_id, block=decode_payload(data[8:], copy))
-    if len(data) < OBJECT_OVERHEAD_BYTES:
-        raise ValueError("truncated payload: {} byte(s)".format(len(data)))
+    length = payload_length(data)
     magic, version, type_code, flags, a, b, _c, _d = _HEADER_STRUCT.unpack_from(
         data, 0
     )
@@ -324,14 +332,14 @@ def decode_payload(data: bytes, copy: bool = True):
     # arrays are read at offsets into ``data``, never out of a sliced
     # copy; the counts are checked before any reaches np.frombuffer,
     # which overflows on a count past 2**63 instead of reporting a short
-    # buffer
-    at = OBJECT_OVERHEAD_BYTES
-    need = _body_bytes(type_code, flags, a, b)
-    if need > len(data) - at:
+    # buffer, and a payload is exactly the header and body it promises
+    if length != len(data):
         raise ValueError(
-            "truncated payload: the header promises {} body byte(s), "
-            "{} follow".format(need, len(data) - at)
+            "{} payload: the header promises {} byte(s), {} follow".format(
+                "truncated" if length > len(data) else "overlong", length, len(data)
+            )
         )
+    at = OBJECT_OVERHEAD_BYTES
     if type_code == _TYPE_DENSE:
         if flags & _FLAG_FP32:
             values = np.frombuffer(data, "<f4", a, at).astype(np.float64)

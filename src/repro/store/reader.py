@@ -33,7 +33,6 @@ import numpy as np
 from repro.errors import DataError, DimensionMismatchError, PartitionError
 from repro.linalg import CSRMatrix
 from repro.linalg.counters import OP_COUNTERS
-from repro.partition.indexing import BATCH_LABELS, layout_rows, shared_layout
 from repro.partition.workset import Workset, WorksetStore
 from repro.store.cache import CacheCounters, STORE_LEDGER
 from repro.store.format import (
@@ -59,7 +58,7 @@ from repro.storage.serialization import (
     workset_bytes,
 )
 
-#: bytes a batch copies out of the mapping: per row two ``indptr`` reads
+#: bytes a batch copies out of the mappings: per row two ``indptr`` reads
 #: and a label (16), per stored entry of a valued block a column id and a
 #: value (12), per entry of a pattern block its column id (``INDEX_BYTES``).
 ROW_READ_BYTES = 2 * INDEX_BYTES + LABEL_BYTES
@@ -281,14 +280,18 @@ class ShardWorksetStore(WorksetStore):
 
     Construction takes only paths + footer indexes (cheap, picklable).
     A workset is a set of views of the mapping — it costs no memory, so
-    the block table that keeps it never evicts.  The first touch of a
-    block checks its records' CRC32s, its record header (the pattern
-    flag against the footer's kind) and its CSR structure, copies its
+    the tables that keep it never evict.  The first touch of a block
+    checks its shard record's CRC32, its record header (the pattern flag
+    against the footer's kind) and its CSR structure, copies its
     validated ``indptr`` into the row table, and charges the record
-    bytes (shard + sidecar) to the counters and the process-wide
-    :data:`~repro.store.cache.STORE_LEDGER`; every batch charges the
-    bytes of the rows it copies out (``INDEX_BYTES`` per entry of a
-    pattern block, ``ENTRY_READ_BYTES`` of a valued one).
+    bytes to the counters and the process-wide
+    :data:`~repro.store.cache.STORE_LEDGER`; the first :meth:`get` of a
+    block does the same for its label sidecar record and copies its
+    labels into the label table.  A batch reads no labels when the host
+    hands it the rows and labels, so the stores of a host check the
+    sidecar through one of them.  Every batch charges the bytes it
+    copies out (``INDEX_BYTES`` per entry of a pattern block,
+    ``ENTRY_READ_BYTES`` of a valued one, ``LABEL_BYTES`` per label).
 
     The **row table** is every block's ``indptr`` laid end to end in
     footer order, ``n_rows + n_blocks`` int32 entries allocated when
@@ -296,7 +299,9 @@ class ShardWorksetStore(WorksetStore):
     start at ``first_row(b) + b``, so shard row ``r`` of block ``b``
     spans ``[table[r + b], table[r + b + 1])`` of that block's arrays.
     Only blocks in the block table are filled, and only after
-    ``CSRMatrix.over`` accepted them.
+    ``CSRMatrix.over`` accepted them.  The **label table** holds shard
+    row ``r``'s label at ``r``, filled only for the blocks :meth:`get`
+    read.
     """
 
     def __init__(
@@ -323,25 +328,43 @@ class ShardWorksetStore(WorksetStore):
         self._sidecar_index = sidecar_index
         self.counters = CacheCounters()
         self._readers: Optional[Tuple[ShardReader, ShardReader]] = None  # shard, sidecar
-        #: block id -> validated workset of views, filled on first touch
-        self._blocks: Dict[int, Workset] = {}
-        #: the row table (class docstring); lives and dies with the readers
-        self._row_table: Optional[np.ndarray] = None
-        #: (block ids, rows per block, first row per block) from the footer
-        self._layout = shared_layout(np.arange(sizes.size), sizes, np.cumsum(sizes) - sizes)
+        #: block id -> validated features, filled on first touch
+        self._blocks: Dict[int, CSRMatrix] = {}
+        #: block id -> validated workset (features and labels), filled by get()
+        self._worksets: Dict[int, Workset] = {}
+        #: the row and label tables (class docstring); live and die with the readers
+        self._row_table = self._label_table = None
+        #: (block ids, rows per block, first row per block) from the footer:
+        #: the :meth:`block_layout`
+        self._layout = (np.arange(sizes.size), sizes, np.cumsum(sizes) - sizes)
 
     # ------------------------------------------------------------------
     # the out-of-core fetch path
     # ------------------------------------------------------------------
     def get(self, block_id: int) -> Workset:
-        workset = self._blocks.get(block_id)
-        if workset is None:
-            return self._first_touch(block_id)
-        self.counters.hits += 1
+        workset = self._worksets.get(block_id)
+        if workset is not None:
+            self.counters.hits += 1
+            return workset
+        features = self._features(block_id)
+        labels = self._readers[1].labels(block_id)
+        self._charge(self._sidecar_index.length(block_id))
+        start = self._layout[2][block_id]
+        self._label_table[start:start + labels.size] = labels
+        workset = self._worksets[block_id] = Workset(block_id, features, labels)
         return workset
 
-    def _first_touch(self, block_id: int) -> Workset:
-        """Map one block, validate it once, and table it."""
+    def _features(self, block_id: int) -> CSRMatrix:
+        """One block's validated features: a hit of the block table, or
+        the first touch that maps and checks them."""
+        features = self._blocks.get(block_id)
+        if features is None:
+            return self._first_touch(block_id)
+        self.counters.hits += 1
+        return features
+
+    def _first_touch(self, block_id: int) -> CSRMatrix:
+        """Map one block's shard record, validate it once, and table it."""
         n_blocks = self._shard_index.n_blocks
         if not 0 <= block_id < n_blocks:
             raise PartitionError(
@@ -351,8 +374,8 @@ class ShardWorksetStore(WorksetStore):
             self._readers = ShardReader(self._shard_index), ShardReader(self._sidecar_index)
             # format v2 stores indptr as int32
             self._row_table = np.empty(self.n_rows + n_blocks, dtype=np.int32)
+            self._label_table = np.empty(self.n_rows)
         payload = self._readers[0].csr_block(block_id)
-        labels = self._readers[1].labels(block_id)
         try:
             features = CSRMatrix.over(
                 payload.indptr, payload.indices, payload.data, self.local_dim
@@ -365,11 +388,10 @@ class ShardWorksetStore(WorksetStore):
             ) from exc
         slot = self._layout[2][block_id] + block_id
         self._row_table[slot:slot + features.n_rows + 1] = features.indptr
-        workset = self._blocks[block_id] = Workset(block_id, features, labels)
+        self._blocks[block_id] = features
         self.counters.misses += 1
-        record_bytes = self._shard_index.length(block_id) + self._sidecar_index.length(block_id)
-        self._charge(record_bytes, blocks=1)
-        return workset
+        self._charge(self._shard_index.length(block_id), blocks=1)
+        return features
 
     def _charge(self, n_bytes: int, blocks: int = 0) -> None:
         self.counters.bytes_read += n_bytes
@@ -380,30 +402,40 @@ class ShardWorksetStore(WorksetStore):
             "a shard-backed store keeps no resident shard; fetch blocks with get()"
         )
 
-    def _gather(self, draws: np.ndarray):
+    def batch_labels(self, draws: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Fetch each touched block through :meth:`get`, which tables its
+        labels, then read the rows' labels from the table."""
+        for block_id in np.unique(draws[:, 0]).tolist():
+            self.get(block_id)
+        self._charge(LABEL_BYTES * rows.size)
+        return self._label_table[rows]
+
+    def _gather(self, draws: np.ndarray, rows: np.ndarray, labels):
         """Size every drawn row in one pass, then read each block's map once.
 
         Draws are sorted by row, which groups them by block, and each
-        touched block is looked up once (so its ``indptr`` is in the row
-        table).  One whole-batch pass over the table then gives every
-        drawn row's start and length, the batch ``indptr`` and the ramp
+        touched block is fetched once (so its ``indptr`` is in the row
+        table): its workset when the labels are read here too, else its
+        features alone.  One whole-batch pass over the table then gives
+        every drawn row's start and length, the batch ``indptr`` and the ramp
         of entry positions; per block there is left only the read of its
         ids and values at its slice of the ramp and one piece for the
-        ``vstack``.  A final ``take_rows`` restores draw order; the labels,
-        in draw order, are read once per host.  The pieces are not
-        checked: the draws were checked against the footers and every
-        table entry by ``CSRMatrix.over`` at first touch — the ``vstack``
-        (which widens the int32 ids once) and the final ``take_rows``
-        check the batch as it leaves the store.
+        ``vstack``.  A final ``take_rows`` restores draw order.  The
+        pieces are not checked: the draws were checked against the
+        footers and every table entry by ``CSRMatrix.over`` at first
+        touch — the ``vstack`` (which widens the int32 ids once) and the
+        final ``take_rows`` check the batch as it leaves the store.
         A piece of a pattern block (a pattern record) reads no values;
         when every piece is one, so are the stack and the batch.
         """
-        # every draw is checked against the footers before any block is read
-        rows = layout_rows(draws, *self._layout)
         order = np.argsort(rows)
-        block_ids, offsets = draws[order, 0], draws[order, 1]
+        block_ids = draws[order, 0]
         bounds = [0, *(np.flatnonzero(block_ids[1:] != block_ids[:-1]) + 1), order.size]
-        worksets = [self.get(int(block_id)) for block_id in block_ids[bounds[:-1]]]
+        fetch = self._features if labels is not None else lambda b: self.get(b).features
+        blocks = [fetch(int(block_id)) for block_id in block_ids[bounds[:-1]]]
+        if labels is None:  # what get() tabled
+            labels = self._label_table[rows]
+            self._charge(LABEL_BYTES * order.size)
         slots = rows[order] + block_ids
         starts = self._row_table[slots]
         lengths = np.subtract(self._row_table[slots + 1], starts, dtype=np.int64)
@@ -415,8 +447,7 @@ class ShardWorksetStore(WorksetStore):
         ramp = np.repeat(starts - indptr[:-1], lengths)
         ramp += np.arange(nnz)
         parts, valued = [], 0  # valued: entries read with their values
-        for workset, start, end in zip(worksets, bounds, bounds[1:]):
-            features = workset.features
+        for features, start, end in zip(blocks, bounds, bounds[1:]):
             lo, hi = indptr[start], indptr[end]
             data = None
             if features.data is not None:
@@ -437,14 +468,9 @@ class ShardWorksetStore(WorksetStore):
         inverse = np.empty(order.size, dtype=np.int64)
         inverse[order] = np.arange(order.size)
         self._charge(
-            ROW_READ_BYTES * order.size + INDEX_BYTES * (nnz - valued)
+            2 * INDEX_BYTES * order.size + INDEX_BYTES * (nnz - valued)
             + ENTRY_READ_BYTES * valued
         )
-        # the host's stores share the label sidecar: its labels are read once
-        labels = BATCH_LABELS((self._sidecar_index, rows), lambda: np.concatenate([
-            workset.labels[offsets[start:end]]
-            for workset, start, end in zip(worksets, bounds, bounds[1:])
-        ])[inverse])
         return stacked.take_rows(inverse), labels
 
     # ------------------------------------------------------------------
@@ -480,7 +506,7 @@ class ShardWorksetStore(WorksetStore):
         return sum(workset_bytes(n_rows, nnz) for n_rows, nnz in counts)
 
     def cache_stats(self) -> Dict[str, int]:
-        """``misses`` are first touches, ``hits`` fetches the block table
+        """``misses`` are first touches, ``hits`` fetches the tables
         served; mapped views are never evicted and hold no memory."""
         stats = self.counters.as_dict()
         stats["resident_bytes"] = 0
@@ -492,8 +518,8 @@ class ShardWorksetStore(WorksetStore):
         Safe while a caller still holds a workset: its views keep the
         pages mapped until they die.
         """
-        self._blocks = {}
-        self._row_table = None
+        self._blocks, self._worksets = {}, {}
+        self._row_table = self._label_table = None
         for reader in self._readers or ():
             reader.close()
         self._readers = None
@@ -503,7 +529,10 @@ class ShardWorksetStore(WorksetStore):
     # ------------------------------------------------------------------
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
-        state.update(_readers=None, _blocks={}, _row_table=None, counters=CacheCounters())
+        state.update(
+            _readers=None, _blocks={}, _worksets={}, _row_table=None, _label_table=None,
+            counters=CacheCounters(),
+        )
         return state
 
     def __setstate__(self, state: dict) -> None:

@@ -26,6 +26,26 @@ from repro.optim import SGD
 from repro.sim import CLUSTER1, SimulatedCluster
 
 
+class PerWorker:
+    """A host program over one test program per worker, each with the old
+    ``handle(op, args, payload)``: its host step shares nothing."""
+
+    def __init__(self, programs):
+        self.programs = programs
+
+    def host_step(self, op, args, payload):
+        return None
+
+    def handle(self, worker, op, args, payload, shared):
+        return self.programs[worker].handle(op, args, payload)
+
+
+def hosting(programs):
+    """:meth:`LocalRuntime.start`'s host program factory over per-worker
+    test ``programs``."""
+    return lambda workers: PerWorker({w: programs[w] for w in workers})
+
+
 @contextlib.contextmanager
 def hard_bound(seconds):
     """Fail (not hang) when the body outlives ``seconds``.
@@ -64,7 +84,9 @@ def dense_gradient(model):
         init_model=lambda local_dim: model.init_params(local_dim, seed=0),
         compute_stat=model.compute_statistics,
         compute_gradient=lambda features, labels, statistics, params: (
-            model.gradient_from_statistics(features, labels, statistics, params).to_dense()
+            model.gradient_from_statistics(
+                features, labels, model.coefficients(statistics, labels), params
+            ).to_dense()
         ),
         loss=model.loss_from_statistics,
         statistics_width=model.statistics_width,

@@ -16,6 +16,7 @@ Anything else propagates and fails the test.
 from __future__ import annotations
 
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from repro.storage.serialization import (
     WorksetPayload,
     decode_payload,
     encode_payload,
+    payload_length,
 )
 
 fuzz = settings(deadline=5000)
@@ -107,12 +109,52 @@ def test_decode_raises_only_value_error(data):
 
 
 def test_workset_frame_around_another_payload_is_a_value_error():
-    """One flipped type byte makes a workset frame carry a sparse
-    vector: a ValueError, not an AttributeError on its missing labels."""
+    """A workset frame around a whole sparse vector: a ValueError, not an
+    AttributeError on its missing labels.  (One flipped type byte in a
+    real frame is a length error first: the body is the CSR block's.)"""
+    frame = struct.pack("<q", 3) + ENCODED["sparse"]
+    with pytest.raises(ValueError, match="CSR block with labels"):
+        decode_payload(frame)
     damaged = bytearray(ENCODED["workset"])
     damaged[13] ^= 1  # the nested header's type code: CSR -> sparse
-    with pytest.raises(ValueError, match="CSR block with labels"):
+    with pytest.raises(ValueError, match="overlong payload"):
         decode_payload(bytes(damaged))
+
+
+#: byte offset of each payload's (first) flags field, and the flag bit
+#: that changes what its body holds
+FLAGS_AT, WORKSET_FLAGS_AT = 6, 8 + 6
+MEANINGFUL_FLAG = {
+    "dense": 0x01, "dense-fp32": 0x01, "csr": 0x04, "csr-labels": 0x02,
+    "csr-pattern": 0x04, "workset": 0x04,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENCODED))
+@pytest.mark.parametrize("extra", [1, 8, 20])
+def test_appended_bytes_are_a_value_error(name, extra):
+    with pytest.raises(ValueError, match="overlong payload"):
+        decode_payload(ENCODED[name] + b"\x00" * extra)
+
+
+@pytest.mark.parametrize("name", sorted(ENCODED))
+@pytest.mark.parametrize("bit", [0x01, 0x02, 0x04])
+def test_a_flag_flip_is_a_value_error_or_the_clean_payload(name, bit):
+    """A flag that changes the body's layout changes the length the header
+    promises, so the flip is caught; a flag the kind does not read
+    leaves the clean payload."""
+    at = WORKSET_FLAGS_AT if name == "workset" else FLAGS_AT
+    damaged = bytearray(ENCODED[name])
+    damaged[at] ^= bit
+    if bit == MEANINGFUL_FLAG.get(name):
+        with pytest.raises(ValueError, match="payload: the header promises"):
+            decode_payload(bytes(damaged))
+        return
+    try:
+        decoded = decode_payload(bytes(damaged))
+    except ValueError:
+        return
+    assert encode_payload(decoded) == ENCODED[name]
 
 
 class Snapshot:
@@ -128,7 +170,7 @@ class Snapshot:
         for _ in range(2):
             optimizer.step(state.params, rng.normal(size=(5, 2)))
         self.record = snapshot_partition(state)
-        self.layout = decode_payload(self.record).values.tolist()
+        self.layout = decode_payload(self.record[:payload_length(self.record)]).values.tolist()
         self.store = CheckpointStore(str(directory))
         self.store.write(1, 0, self.record)
         self.path = directory / "p00000.ckpt"
@@ -147,4 +189,4 @@ def test_store_read_raises_data_error_or_keeps_the_layout(snapshot, data):
         record = snapshot.store.read(0)
     except DataError:
         return
-    assert decode_payload(record).values.tolist() == snapshot.layout
+    assert decode_payload(record[:payload_length(record)]).values.tolist() == snapshot.layout

@@ -83,13 +83,14 @@ class TestFFMMath:
         data, model, params = small_setup()
         asg = make_assignment("hash", data.n_features, 3)
         stats = model.compute_statistics(data.features, params)
+        coefficients = model.coefficients(stats, data.labels)
         full_grad = model.gradient_from_statistics(
-            data.features, data.labels, stats, params
+            data.features, data.labels, coefficients, params
         ).to_dense()
         for k in range(3):
             cols = asg.columns_of(k)
             local = model.gradient_from_statistics(
-                data.features.select_columns(cols), data.labels, stats, params[cols]
+                data.features.select_columns(cols), data.labels, coefficients, params[cols]
             ).to_dense()
             assert np.allclose(full_grad[cols], local, atol=1e-10)
 

@@ -89,8 +89,8 @@ class TestTwoPhaseIndex:
             expected = np.stack([ids[pos], rng.integers(0, rows[pos])], axis=1)
             np.testing.assert_array_equal(index.sample(t, 257), expected)
 
-    def test_a_round_is_sampled_once_and_read_only(self, index):
+    def test_every_call_draws_afresh_the_same_batch(self, index):
         draws = index.sample(4, 20)
-        assert index.sample(4, 20) is draws
-        assert not draws.flags.writeable
-        assert index.sample(4, 21) is not draws
+        again = index.sample(4, 20)
+        assert again is not draws and again.flags.writeable  # the caller's own
+        np.testing.assert_array_equal(again, draws)

@@ -40,7 +40,7 @@ from repro.net.message import MessageKind
 from repro.optim import SGD
 from repro.runtime import LocalRuntime, TimeoutPolicy
 from repro.sim import CLUSTER1, SimulatedCluster
-from tests.conftest import hard_bound
+from tests.conftest import hard_bound, hosting
 
 WORKERS = 4
 ITERATIONS = 10
@@ -106,7 +106,7 @@ class CrashyProgram:
 
 def started_runtime(timeout, workers=3):
     runtime = LocalRuntime(workers, processes=workers, timeout=timeout)
-    runtime.start({w: CrashyProgram() for w in range(workers)})
+    runtime.start(hosting({w: CrashyProgram() for w in range(workers)}))
     return runtime
 
 

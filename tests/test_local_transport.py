@@ -25,7 +25,7 @@ from repro.optim import SGD
 from repro.runtime import LocalRuntime, TimeoutPolicy
 from repro.runtime.local import MAX_RECOVERY_ROUNDS
 from repro.sim import CLUSTER1, SimulatedCluster
-from tests.conftest import hard_bound
+from tests.conftest import hard_bound, hosting
 
 BOUND_S = 10.0
 PROCESSES = 2
@@ -91,7 +91,7 @@ def test_exchange_and_close_stay_inside_the_bound(
         timeout=TimeoutPolicy(floor_s=FLOOR_S, max_retries=2),
     )
     with hard_bound(BOUND_S):
-        runtime.start({w: EchoProgram() for w in range(workers)})
+        runtime.start(hosting({w: EchoProgram() for w in range(workers)}))
         if FAULTS[fault] is not None:
             runtime.inject_faults(
                 [FaultEvent(0, FAULTS[fault], worker=0, stall_s=STALL_S)]
@@ -122,7 +122,7 @@ def test_a_silent_workers_next_frame_waits_for_its_late_reply():
         2, processes=2, timeout=TimeoutPolicy(floor_s=0.15, max_retries=1)
     )
     with hard_bound(BOUND_S):
-        runtime.start({w: EchoProgram() for w in range(2)})
+        runtime.start(hosting({w: EchoProgram() for w in range(2)}))
         runtime.inject_faults([FaultEvent(0, FaultKind.STALL, worker=0, stall_s=0.9)])
         first = runtime.exchange("a", iteration=0, tolerate_silent=True)
         assert first.silent_workers() == [0] and sorted(first.replies) == [1]
@@ -168,9 +168,9 @@ def test_a_second_kill_inside_the_recovery_rounds(deaths, tmp_path):
     )
     runtime.engine_trace = EngineTrace()
     with hard_bound(BOUND_S):
-        runtime.start(
+        runtime.start(hosting(
             {0: DiesOnItsFirstAttempts(tmp_path / "attempts", deaths), 1: EchoProgram()}
-        )
+        ))
         try:
             if deaths < MAX_RECOVERY_ROUNDS:
                 exchange = runtime.exchange("echo", iteration=0)

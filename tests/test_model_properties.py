@@ -76,14 +76,15 @@ class TestDecomposition:
         assignment = make_assignment(scheme, data.n_features, n_workers)
 
         full_stats = model.compute_statistics(data.features, params)
+        coefficients = model.coefficients(full_stats, data.labels)
         full_grad = model.gradient_from_statistics(
-            data.features, data.labels, full_stats, params
+            data.features, data.labels, coefficients, params
         ).to_dense()
         for k in range(n_workers):
             cols = assignment.columns_of(k)
             shard = data.features.select_columns(cols)
             local_grad = model.gradient_from_statistics(
-                shard, data.labels, full_stats, params[cols]
+                shard, data.labels, coefficients, params[cols]
             ).to_dense()
             assert np.allclose(full_grad[cols], local_grad, atol=1e-10)
 

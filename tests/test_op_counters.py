@@ -154,7 +154,8 @@ def test_fm_counts_what_its_four_kernel_calls_count(values):
 
     def fm_round():
         stats = model.compute_statistics(features, params)
-        model.gradient_from_statistics(features, data.labels, stats, params)
+        coefficients = model.coefficients(stats, data.labels)
+        model.gradient_from_statistics(features, data.labels, coefficients, params)
 
     def four_calls():
         row_dots(features, params)

@@ -393,7 +393,9 @@ class TestModelsMatchDenseOracle:
         # complete statistics = this shard's plus "the other workers'"
         complete = statistics + rng.normal(0.0, 0.3, size=statistics.shape)
         complete[:2] = complete[:1]
-        gradient = model.gradient_from_statistics(features, labels, complete, params)
+        gradient = model.gradient_from_statistics(
+            features, labels, model.coefficients(complete, labels), params
+        )
         want_grad = oracle.gradient(model, features, labels, complete, params)
         assert isinstance(gradient, RowGradient)
         assert gradient.shape == params.shape
@@ -439,7 +441,9 @@ def run_both(model, oracle, params, rounds, ours, theirs, trained=None):
     got, want = params.copy(), params.copy()
     for t, (features, labels) in enumerate(rounds):
         statistics = trained.compute_statistics(features, got)
-        gradient = trained.gradient_from_statistics(features, labels, statistics, got)
+        gradient = trained.gradient_from_statistics(
+            features, labels, trained.coefficients(statistics, labels), got
+        )
         ours.step(got, gradient)
         want_stats = oracle.statistics(model, features, want)
         theirs.step(want, oracle.gradient(model, features, labels, want_stats, want))
@@ -551,17 +555,21 @@ class TestShapeValidation:
             good = np.zeros((2, width))
             label = 0.0 if isinstance(model, MultinomialLogisticRegression) else 1.0
             labels = np.full(2, label)
-            model.gradient_from_statistics(self.FEATURES, labels, good, params)
+            coefficients = model.coefficients(good, labels)
+            model.gradient_from_statistics(self.FEATURES, labels, coefficients, params)
             for bad in ((2, width + 2), (2, width - 1), (3, width)):
                 with pytest.raises(DimensionMismatchError, match="statistics shape") as err:
-                    model.gradient_from_statistics(self.FEATURES, labels, np.zeros(bad), params)
+                    model.coefficients(np.zeros(bad), labels)
                 assert err.value.expected == (2, width) and err.value.actual == bad
             with pytest.raises(DimensionMismatchError, match="labels shape") as err:
-                model.gradient_from_statistics(self.FEATURES, np.full(3, label), good, params)
+                model.gradient_from_statistics(
+                    self.FEATURES, np.full(3, label), coefficients, params)
             assert err.value.expected == (2,) and err.value.actual == (3,)
+        fm = FactorizationMachine(n_factors=2)
         with pytest.raises(DimensionMismatchError, match="params shape"):
-            FactorizationMachine(n_factors=2).gradient_from_statistics(
-                self.FEATURES, self.LABELS, np.zeros((2, 3)), np.ones((3, 5)))
+            fm.gradient_from_statistics(
+                self.FEATURES, self.LABELS, fm.coefficients(np.zeros((2, 3)), self.LABELS),
+                np.ones((3, 5)))
 
 
 # ----------------------------------------------------------------------
@@ -691,10 +699,10 @@ def test_flat_in_m_gate_fires_on_a_partition_sized_allocation(monkeypatch):
     per partition per round — fails the wall-clock half."""
     update_model = ColumnWorker.update_model
 
-    def seeded(self, statistics, only_partitions=None):
+    def seeded(self, coefficients, only_partitions=None):
         for partition in self.partitions.values():
             np.zeros(partition.params.shape)
-        return update_model(self, statistics, only_partitions)
+        return update_model(self, coefficients, only_partitions)
 
     monkeypatch.setattr(ColumnWorker, "update_model", seeded)
     _, (narrow_s, wide_s) = flat_in_m_readings("lr")

@@ -16,6 +16,7 @@ from repro.net.network import NetworkModel
 from repro.net.topology import StarTopology
 from repro.runtime import BACKENDS, LocalRuntime
 from repro.sim import CLUSTER1, SimClock, SimulatedCluster
+from tests.conftest import hosting
 
 WORKERS = 4
 
@@ -84,7 +85,7 @@ class TestRuntimeContract:
 
     def test_context_manager_closes(self):
         with LocalRuntime(2, processes=1) as runtime:
-            runtime.start({w: _Echo() for w in range(2)})
+            runtime.start(hosting({w: _Echo() for w in range(2)}))
             assert runtime.dead_workers() == []
         with pytest.raises(Exception, match="not started"):
             runtime.run_all("echo")

@@ -22,6 +22,7 @@ from repro.net.message import MessageKind
 from repro.optim import SGD
 from repro.runtime import LocalRuntime
 from repro.sim import CLUSTER1, SimulatedCluster
+from tests.conftest import hosting
 
 WORKERS = 4
 ITERATIONS = 8
@@ -478,7 +479,7 @@ class EchoProgram:
 
 def started_runtime(workers=3, processes=2):
     runtime = LocalRuntime(workers, processes=processes)
-    runtime.start({w: EchoProgram() for w in range(workers)})
+    runtime.start(hosting({w: EchoProgram() for w in range(workers)}))
     return runtime
 
 
@@ -572,14 +573,9 @@ class TestLocalRuntimeMechanics:
         runtime = started_runtime()
         try:
             with pytest.raises(SimulationError, match="already started"):
-                runtime.start({w: EchoProgram() for w in range(3)})
+                runtime.start(hosting({w: EchoProgram() for w in range(3)}))
         finally:
             runtime.close()
-
-    def test_missing_worker_program_rejected(self):
-        runtime = LocalRuntime(3)
-        with pytest.raises(ConfigurationError, match="worker"):
-            runtime.start({0: EchoProgram()})
 
     def test_close_is_idempotent(self):
         runtime = started_runtime()

@@ -36,6 +36,7 @@ from repro.sim.cluster import SimulatedCluster
 from repro.sim.presets import CLUSTER1
 from repro.storage.serialization import (
     INDEX_BYTES,
+    LABEL_BYTES,
     csr_matrix_bytes,
     sparse_row_bytes,
     workset_bytes,
@@ -983,23 +984,31 @@ class TestOutOfCoreAcceptance:
         # (c) per-partition read counters, pulled out of the worker
         # processes: every block first-touched once (the record bytes of
         # the whole shard, as a cold pass always cost), then only the
-        # rows each batch copied — what replaying the draws here reads
+        # rows each batch copied — what replaying the draws here reads.
+        # Each process reads a batch's labels through its first store
+        # (partitions 0 and 2 of the processes hosting workers {0, 1} and
+        # {2, 3}), so only those read the sidecar and the labels.
         assert sorted(d_local.store_read_stats) == list(range(WORKERS))
         n = store.manifest.n_blocks
         index = TwoPhaseIndex(store.block_sizes(), base_seed=5)
         for w, per_pid in d_local.store_read_stats.items():
             for pid, stats in per_pid.items():
+                reads_labels = pid in (0, 2)
                 cold = sum(
                     store.shard_indexes[pid].length(b)
-                    + store.sidecar_index.length(b)
+                    + (store.sidecar_index.length(b) if reads_labels else 0)
                     for b in range(n)
                 )
                 replay = store.worker_store(pid)
                 copied = 0
                 for t in range(10):
-                    features, labels = replay.assemble_batch(index.sample(t, 100))
+                    draws = index.sample(t, 100)
+                    rows = index.to_global_rows(draws)
+                    labels = replay.batch_labels(draws, rows) if reads_labels else ds.labels[rows]
+                    features, _ = replay.assemble_batch(draws, rows, labels)
                     assert features.data is None  # one-hot: pattern blocks
-                    copied += ROW_READ_BYTES * labels.size + INDEX_BYTES * features.nnz
+                    copied += (ROW_READ_BYTES - (0 if reads_labels else LABEL_BYTES)) \
+                        * labels.size + INDEX_BYTES * features.nnz
                 assert stats["misses"] == n
                 assert stats["evictions"] == 0
                 assert stats["bytes_read"] == cold + copied

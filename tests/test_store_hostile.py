@@ -391,8 +391,9 @@ def test_footers_that_agree_with_each_other_but_not_with_the_records(victims):
     """A lie no footer check can see: every file moves one row from
     block 1 to block 0, lengths, offsets and CRCs forged to match — so
     each table is contiguous, model-sized, sums to ``data_bytes`` and
-    checks out byte for byte.  The record headers still tell the truth;
-    first touch compares."""
+    checks out byte for byte.  The record headers still tell the truth:
+    record 0 is longer than its header promises, and the decoder takes
+    exactly what a header promises."""
     for victim in victims:
         try:
             for name in FILES:
@@ -407,9 +408,9 @@ def test_footers_that_agree_with_each_other_but_not_with_the_records(victims):
                 victim.write(name, _forged(victim, name, victim.clean_bytes[name], table))
             store = ColumnShardStore.open(victim.dir)      # the footers pass
             ws = store.worker_store(0)                     # and agree on rows per block
-            with pytest.raises(DataError, match="footer says"):
+            with pytest.raises(DataError, match="overlong payload"):
                 ws.get(0)
-            with pytest.raises(DataError, match="footer says"):
+            with pytest.raises(DataError, match="overlong payload"):
                 ws.assemble_batch(victim.draws[:5])
         finally:
             victim.restore()

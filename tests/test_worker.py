@@ -59,8 +59,9 @@ class TestColumnWorker:
         worker = ColumnWorker(0, model, [partitions[0]])
         draws = [(0, i) for i in range(8)]
         stats, _ = worker.compute_statistics(draws)
+        _, labels = partitions[0].store.assemble_batch(draws)
         before = partitions[0].params.copy()
-        worker.update_model(stats)
+        worker.update_model(model.coefficients(stats, labels))
         assert not np.array_equal(before, partitions[0].params)
 
     def test_only_partitions_filter(self, worker_setup):
@@ -68,8 +69,9 @@ class TestColumnWorker:
         worker = ColumnWorker(0, model, partitions)
         draws = [(0, i) for i in range(4)]
         stats, _ = worker.compute_statistics(draws)
+        _, labels = partitions[0].store.assemble_batch(draws)
         before1 = partitions[1].params.copy()
-        worker.update_model(stats, only_partitions={0})
+        worker.update_model(model.coefficients(stats, labels), only_partitions={0})
         assert np.array_equal(before1, partitions[1].params)
 
     def test_cached_batch_nnz(self, worker_setup):
