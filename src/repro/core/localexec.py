@@ -148,9 +148,6 @@ class ColumnHostProgram:
             # stale — partitions take what the master shipped.
             apply_restore(worker.partitions, args["lengths"], payload)
             return {}, None
-        if op == "draws":
-            draws = self.index.sample(int(args["t"]), self.batch_size)
-            return {"draws": [tuple(map(int, d)) for d in draws]}, None
         if op == "store_stats":
             # Shard read counters of each owned partition (zeros for
             # in-memory stores).  Out-of-band like "params": the store

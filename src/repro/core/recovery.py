@@ -42,6 +42,7 @@ checkpoints.
 from __future__ import annotations
 
 import os
+import zlib
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -234,10 +235,11 @@ class CheckpointStore:
 
     Holds the latest record (:func:`snapshot_partition` bytes) per
     model partition: in memory, or — given a ``directory`` — one file
-    per partition, written through a temp file and ``os.replace`` so a
-    crash mid-write cannot corrupt the last good snapshot.  The
-    simulated backend keeps records in memory and *charges* for stable
-    storage; the local backend really spills them.
+    per partition, the record and its ``zlib.crc32`` as a 4-byte
+    little-endian trailer, written through a temp file and
+    ``os.replace`` so a crash mid-write cannot corrupt the last good
+    snapshot.  The simulated backend keeps records in memory and
+    *charges* for stable storage; the local backend really spills them.
     """
 
     def __init__(self, directory: Optional[str] = None):
@@ -262,6 +264,7 @@ class CheckpointStore:
             path = self._path(partition_id)
             with open(path + ".tmp", "wb") as fh:
                 fh.write(record)
+                fh.write(zlib.crc32(record).to_bytes(4, "little"))
             os.replace(path + ".tmp", path)
         self._written.add(partition_id)
         self.last_iteration = int(iteration)
@@ -273,8 +276,8 @@ class CheckpointStore:
 
     def read(self, partition_id: int) -> bytes:
         """The partition's latest record; one read back from a file is
-        verified against its own header arithmetic first
-        (:class:`~repro.errors.DataError` otherwise)."""
+        verified against its CRC32 trailer, then its own header
+        arithmetic (:class:`~repro.errors.DataError` otherwise)."""
         if not self.has_snapshot(partition_id):
             raise ConfigurationError(
                 "no snapshot for partition {}".format(partition_id)
@@ -282,7 +285,10 @@ class CheckpointStore:
         if self.directory is None:
             return self._records[partition_id]
         with open(self._path(partition_id), "rb") as fh:
-            record = fh.read()
+            content = fh.read()
+        record = content[:-4]
+        if len(content) < 4 or zlib.crc32(record) != int.from_bytes(content[-4:], "little"):
+            raise DataError("corrupt snapshot file: its CRC32 trailer does not match")
         _record_arrays(record)
         return record
 

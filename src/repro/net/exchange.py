@@ -68,10 +68,6 @@ class Exchange:
     failures: Dict[int, object] = field(default_factory=dict)
     retries: int = 0
 
-    def ok(self) -> bool:
-        """True when every targeted worker replied."""
-        return not self.failures
-
     def dead_workers(self) -> List[int]:
         """Workers that died during the exchange."""
         return sorted(

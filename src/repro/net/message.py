@@ -10,7 +10,6 @@ from __future__ import annotations
 import enum
 import numbers
 from dataclasses import dataclass
-from typing import Any, Optional
 
 
 class MessageKind(enum.Enum):
@@ -34,15 +33,14 @@ class Message:
     """A single directed transfer.
 
     ``src``/``dst`` are node ids: worker indices ``0..K-1``, or the
-    symbolic ``Message.MASTER`` (= -1) for the master/driver.  ``payload``
-    is optional; the simulator only needs ``size_bytes``.
+    symbolic ``Message.MASTER`` (= -1) for the master/driver.  A message
+    carries a size, never bytes: the simulator needs only ``size_bytes``.
     """
 
     kind: MessageKind
     src: int
     dst: int
     size_bytes: int
-    payload: Optional[Any] = None
 
     MASTER = -1
 

@@ -80,8 +80,6 @@ from repro.utils.validation import check_non_negative, check_positive
 T = TypeVar("T")
 
 _STOP = "__stop__"
-#: reserved args key carrying an injected straggler delay (seconds)
-_DELAY = "__delay__"
 #: op a respawned worker's program receives with its restore blob
 _RESTORE = "restore"
 #: bounded death-recovery attempts per exchange before escalating
@@ -115,10 +113,12 @@ class _Host:
 def _process_main(conn, program) -> None:
     """Worker-process loop: one host program's ops for its logical workers.
 
-    A request frame is ``(op, payload, [(seq, worker, args), ...])`` —
-    one per op for all the hosted workers it targets, the shared
-    payload once — answered by one ``(seq, worker, result, payload,
-    seconds)`` reply per request, in order.  Each worker's last reply
+    A request frame is ``(op, args, payload, [(seq, worker, stall_s),
+    ...])`` — one per op for all the hosted workers it targets, the op's
+    args and payload once — answered by one ``(seq, worker, result,
+    payload, seconds, error)`` reply per request, in order: ``stall_s``
+    is slept first (an injected STALL), ``error`` is the text of the
+    handler's exception or ``None``.  Each worker's last reply
     is cached by sequence number, and a duplicate request (a master
     resend after a lost or late reply) replays the cache instead of
     re-executing — the at-most-once half of the ARQ, so a retried
@@ -134,20 +134,19 @@ def _process_main(conn, program) -> None:
             ok, frame = recv_command(conn)
             if not ok:
                 break  # master gone (EOF): exit rather than linger
-            op, payload, requests = frame
+            op, args, payload, requests = frame
             if op == _STOP:
                 break
             shared = unrun = object()
-            for seq, worker_id, args in requests:
+            for seq, worker_id, stall_s in requests:
                 cached = last.get(worker_id)
                 if cached is not None and cached[0] == seq:
                     conn.send(cached[1])
                     continue
-                args = dict(args)
-                delay = float(args.pop(_DELAY, 0.0))
-                if delay > 0.0:
-                    time.sleep(delay)  # injected straggler (FaultKind.STALL)
+                if stall_s > 0.0:
+                    time.sleep(stall_s)  # injected straggler (FaultKind.STALL)
                 start = time.perf_counter()
+                result = reply_payload = error = None
                 try:
                     if shared is unrun:
                         shared = program.host_step(op, args, payload)
@@ -157,10 +156,9 @@ def _process_main(conn, program) -> None:
                 # Not swallowed: the error text travels to the master
                 # in the reply frame and run_all raises it there.
                 except Exception as exc:  # lint: noqa[R005]
-                    result = {"__error__": "{}: {}".format(type(exc).__name__, exc)}
-                    reply_payload = None
+                    error = "{}: {}".format(type(exc).__name__, exc)
                 seconds = time.perf_counter() - start
-                reply = (seq, worker_id, result, reply_payload, seconds)
+                reply = (seq, worker_id, result, reply_payload, seconds, error)
                 last[worker_id] = (seq, reply)
                 conn.send(reply)
     except (EOFError, BrokenPipeError, OSError, KeyboardInterrupt):
@@ -213,8 +211,8 @@ class LocalRuntime:
         self._host_program: Optional[Callable[[List[int]], object]] = None
         #: pending one-shot reply mangling per worker: 'drop' | 'garble'
         self._mangle: Dict[int, str] = {}
-        #: pending one-shot handler delay per worker (``__delay__`` args)
-        self._stalls: Dict[int, dict] = {}
+        #: pending one-shot handler delay per worker, in seconds
+        self._stalls: Dict[int, float] = {}
         self._seq = 0
         self._started = False
 
@@ -270,7 +268,7 @@ class LocalRuntime:
                 # Never waits: every earlier frame was written while the
                 # process owed nothing and has since been read whole, so
                 # the pipe towards it is empty and this fits.
-                host.conn.send((_STOP, None, ()))
+                host.conn.send((_STOP, None, None, ()))
             except (BrokenPipeError, OSError):
                 pass
         # Keep reading while they wind down, so a process still writing
@@ -337,16 +335,16 @@ class LocalRuntime:
 
         WORKER strikes immediately (SIGKILL); DROP/GARBLE arm a one-shot
         mangle of the victim's next reply frame; STALL arms a one-shot
-        ``__delay__`` that the next :meth:`exchange` ships, so the
-        victim's handler sleeps before working.  The other kinds have
-        no real-process meaning (``FaultSchedule.validate`` rejects them
-        when the trainer is built).
+        delay that the next :meth:`exchange` ships in the victim's
+        request, so its handler sleeps before working.  The other kinds
+        have no real-process meaning (``FaultSchedule.validate`` rejects
+        them when the trainer is built).
         """
         for event in events:
             if event.kind is FaultKind.WORKER:
                 self.kill_worker(event.worker)
             elif event.kind is FaultKind.STALL:
-                self._stalls[event.worker] = {_DELAY: float(event.stall_s)}
+                self._stalls[event.worker] = float(event.stall_s)
             elif event.kind is FaultKind.DROP:
                 self._mangle[event.worker] = "drop"
             elif event.kind is FaultKind.GARBLE:
@@ -405,7 +403,7 @@ class LocalRuntime:
                 frame = host.outbox.popleft()
                 try:
                     host.conn.send(frame)
-                    host.owed = len(frame[2])
+                    host.owed = len(frame[3])
                 except (BrokenPipeError, OSError):
                     host.bury()
         ready = wait_ready([host.conn for host in live if not host.dead], timeout_s)
@@ -425,16 +423,16 @@ class LocalRuntime:
         op: str,
         args: Optional[dict] = None,
         payload: Optional[bytes] = None,
-        per_worker_args: Optional[Dict[int, dict]] = None,
+        stalls: Optional[Dict[int, float]] = None,
         workers: Optional[Sequence[int]] = None,
         iteration: Optional[int] = None,
         raise_on_fault: bool = True,
     ) -> Exchange:
         """Issue ``op`` to the targeted workers and collect the replies.
 
-        ``payload`` (one blob for everyone — a broadcast, written once
-        per process) and ``args`` are shared; ``per_worker_args``
-        entries are merged over ``args`` for the targeted worker;
+        ``payload`` (one blob for everyone — a broadcast) and ``args``
+        are shared, written once per process; ``stalls`` maps a targeted
+        worker to seconds its handler sleeps first (an injected STALL);
         ``workers`` restricts the exchange to a subset (default: all).
         The exchange is measured wall-clock at the master and every
         wait is deadline-bounded: when the timeout policy's deadline
@@ -465,8 +463,9 @@ class LocalRuntime:
         if unknown:
             raise ConfigurationError("unknown worker(s) {}".format(unknown))
         resend_bytes = OBJECT_OVERHEAD_BYTES + len(payload or b"")
+        args, stalls = args or {}, stalls or {}
 
-        requests: Dict[int, tuple] = {}  # worker -> (seq, worker, args)
+        requests: Dict[int, tuple] = {}  # worker -> (seq, worker, stall_s)
         pending: Dict[int, int] = {}  # worker -> awaited seq
         failures: Dict[int, object] = {}
         errors: Dict[int, str] = {}
@@ -476,7 +475,7 @@ class LocalRuntime:
 
         def resend(w: int) -> None:
             nonlocal retries
-            self._host_of[w].outbox.append((op, payload, [requests[w]]))
+            self._host_of[w].outbox.append((op, args, payload, [requests[w]]))
             self.network.send(
                 Message(MessageKind.RETRY, Message.MASTER, w, resend_bytes)
             )
@@ -488,18 +487,15 @@ class LocalRuntime:
             for w in host.workers:
                 if w not in targets:
                     continue
-                merged = dict(args) if args else {}
-                if per_worker_args and w in per_worker_args:
-                    merged.update(per_worker_args[w])
                 self._seq += 1
-                requests[w] = (self._seq, w, merged)
+                requests[w] = (self._seq, w, stalls.get(w, 0.0))
                 if host.dead:
                     failures[w] = WorkerDied(worker=w, op=op)
                 else:
                     pending[w] = self._seq
                     batch.append(requests[w])
             if batch:
-                host.outbox.append((op, payload, batch))
+                host.outbox.append((op, args, payload, batch))
 
         # collect: deadline-bounded ARQ -----------------------------------
         attempt = 0
@@ -510,7 +506,7 @@ class LocalRuntime:
                 remaining = deadline_end - time.perf_counter()
                 if remaining <= 0:
                     break
-                for seq, w, result, reply_payload, seconds in self._pump(remaining):
+                for seq, w, result, reply_payload, seconds, error in self._pump(remaining):
                     if pending.get(w) != seq:
                         continue  # stale reply from a prior exchange/resend
                     mangle = self._mangle.pop(w, None)
@@ -531,8 +527,8 @@ class LocalRuntime:
                         resend(w)
                         continue
                     del pending[w]
-                    if "__error__" in result:
-                        errors[w] = result["__error__"]
+                    if error is not None:
+                        errors[w] = error
                         continue
                     replies[w] = WorkerReply(
                         worker=w,
@@ -641,13 +637,13 @@ class LocalRuntime:
         seconds = 0.0
         retries = 0
         targets = None
-        stalls, self._stalls = self._stalls or None, {}
+        stalls, self._stalls = self._stalls, {}
         for attempt in range(1, MAX_RECOVERY_ROUNDS + 1):
             ex = self.run_all(
                 op,
                 args=args,
                 payload=payload,
-                per_worker_args=stalls,
+                stalls=stalls,
                 workers=targets,
                 iteration=iteration,
                 raise_on_fault=False,

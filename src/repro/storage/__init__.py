@@ -12,7 +12,6 @@ from repro.storage.serialization import (
     sparse_row_bytes,
     csr_matrix_bytes,
     dense_vector_bytes,
-    sparse_vector_bytes,
     workset_bytes,
 )
 from repro.storage.blocks import Block
@@ -22,7 +21,6 @@ __all__ = [
     "sparse_row_bytes",
     "csr_matrix_bytes",
     "dense_vector_bytes",
-    "sparse_vector_bytes",
     "workset_bytes",
     "Block",
 ]

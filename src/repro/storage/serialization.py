@@ -56,12 +56,6 @@ def sparse_row_bytes(nnz: int) -> int:
     return OBJECT_OVERHEAD_BYTES + LABEL_BYTES + nnz * SPARSE_PAIR_BYTES
 
 
-def sparse_vector_bytes(nnz: int) -> int:
-    """Serialized size of one sparse vector (no label)."""
-    check_non_negative(nnz, "nnz")
-    return OBJECT_OVERHEAD_BYTES + nnz * SPARSE_PAIR_BYTES
-
-
 def dense_vector_bytes(dim: int) -> int:
     """Serialized size of a dense float64 vector (models, statistics)."""
     check_non_negative(dim, "dim")
@@ -118,14 +112,19 @@ _HEADER_MAGIC = b"RPRO"
 _HEADER_VERSION = 1
 
 _TYPE_DENSE = 1
-_TYPE_SPARSE = 2
 _TYPE_CSR = 3
-_TYPE_WORKSET = 4
 _TYPE_INTS = 5
 
 _FLAG_FP32 = 0x01
 _FLAG_LABELS = 0x02
 _FLAG_PATTERN = 0x04  # a CSR block with no data section: every value 1.0
+
+#: the flag bits each payload type defines; any other bit is damage
+_TYPE_FLAGS = {
+    _TYPE_DENSE: _FLAG_FP32,
+    _TYPE_CSR: _FLAG_LABELS | _FLAG_PATTERN,
+    _TYPE_INTS: 0,
+}
 
 #: value widths the codec writes, keyed by wire precision.
 WIRE_PRECISIONS = ("fp64", "fp32")
@@ -161,21 +160,6 @@ class DenseVectorPayload:
     def encoded_bytes(self) -> int:
         """Model size of this payload (what ``len(encode)`` will be)."""
         return OBJECT_OVERHEAD_BYTES + self.values.size * self.value_bytes
-
-
-@dataclass(frozen=True)
-class SparseVectorPayload:
-    """An (indices, values) sparse vector."""
-
-    indices: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        if self.indices.shape != self.values.shape:
-            raise ValueError("indices and values must have equal length")
-
-    def encoded_bytes(self) -> int:
-        return sparse_vector_bytes(int(self.indices.size))
 
 
 @dataclass(frozen=True)
@@ -255,10 +239,6 @@ def encode_payload(payload) -> bytes:
         dtype = "<f4" if payload.precision == "fp32" else "<f8"
         body = np.ascontiguousarray(payload.values.ravel(), dtype=dtype)
         return b"".join((_header(_TYPE_DENSE, flags, payload.values.size), body))
-    if isinstance(payload, SparseVectorPayload):
-        idx = np.ascontiguousarray(payload.indices.ravel(), dtype="<i4").tobytes()
-        val = np.ascontiguousarray(payload.values.ravel(), dtype="<f8").tobytes()
-        return _header(_TYPE_SPARSE, 0, payload.indices.size) + idx + val
     if isinstance(payload, CSRBlockPayload):
         flags = _FLAG_LABELS if payload.labels is not None else 0
         if payload.data is None:
@@ -290,8 +270,6 @@ def _body_bytes(type_code: int, flags: int, a: int, b: int) -> int:
     """Body bytes a header's counts promise (0 for an unknown type)."""
     if type_code == _TYPE_DENSE:
         return a * (4 if flags & _FLAG_FP32 else 8)
-    if type_code == _TYPE_SPARSE:
-        return a * 12
     if type_code == _TYPE_CSR:
         entry = 4 if flags & _FLAG_PATTERN else 12
         return (a + 1) * 4 + b * entry + (a * 8 if flags & _FLAG_LABELS else 0)
@@ -339,6 +317,11 @@ def decode_payload(data: bytes, copy: bool = True):
                 "truncated" if length > len(data) else "overlong", length, len(data)
             )
         )
+    undefined = flags & ~_TYPE_FLAGS.get(type_code, 0)
+    if undefined:
+        raise ValueError(
+            "payload type {} defines no flag 0x{:04x}".format(type_code, undefined)
+        )
     at = OBJECT_OVERHEAD_BYTES
     if type_code == _TYPE_DENSE:
         if flags & _FLAG_FP32:
@@ -346,12 +329,6 @@ def decode_payload(data: bytes, copy: bool = True):
             return DenseVectorPayload(values=values, precision="fp32")
         values = np.frombuffer(data, "<f8", a, at).astype(np.float64, copy=copy)
         return DenseVectorPayload(values=values, precision="fp64")
-    if type_code == _TYPE_SPARSE:
-        indices = np.frombuffer(data, "<i4", a, at).astype(np.int32, copy=copy)
-        values = np.frombuffer(data, "<f8", a, at + a * 4).astype(
-            np.float64, copy=copy
-        )
-        return SparseVectorPayload(indices=indices, values=values)
     if type_code == _TYPE_CSR:
         n_rows, nnz = a, b
         indptr = np.frombuffer(data, "<i4", n_rows + 1, at).astype(

@@ -7,9 +7,10 @@ A store directory holds::
     ...
     labels.col        shared label sidecar, one record/block
 
-:class:`ColumnShardStore` ties the pieces together: the classmethod
-constructors shuffle a :class:`~repro.datasets.dataset.Dataset` or a
-LIBSVM file (plain or gzipped) into shards out-of-core, ``open`` reads
+:class:`ColumnShardStore` ties the pieces together: ``from_dataset``
+shuffles a :class:`~repro.datasets.dataset.Dataset` into shards, ``finish``
+publishes a caller's own fed ``ShuffleWriter`` (rows of a LIBSVM file's
+:func:`~repro.datasets.libsvm.iter_libsvm`, say), ``open`` reads
 back footers + manifest, :meth:`worker_store` hands each worker a lazy
 :class:`~repro.store.reader.ShardWorksetStore`, and
 :func:`store_backed_dispatch` is what

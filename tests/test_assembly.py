@@ -108,8 +108,9 @@ def csr_matrices(draw):
 def uneven_blocks(draw):
     """``(features, labels, sizes)``: blocks of 1-5 rows, one of them a
     single row; rows of 0 to ``n_cols`` entries, the last one empty; and
-    an odd ``n_rows + 1 + nnz`` in block 0, so that its float64 values
-    sit 4 bytes off an 8-byte boundary in a shard file."""
+    an odd ``n_rows + 1 + nnz`` and a value other than 1.0 in block 0, so
+    that its float64 values sit 4 bytes off an 8-byte boundary in a shard
+    file."""
     n_cols = draw(st.integers(2, 6))
     sizes = draw(st.lists(st.integers(1, 5), min_size=1, max_size=6))
     sizes.insert(draw(st.integers(0, len(sizes))), 1)
@@ -129,6 +130,8 @@ def uneven_blocks(draw):
             min_size=len(indices), max_size=len(indices),
         )
     )
+    if all(v == 1.0 for v in values[:sum(lengths[:sizes[0]])]):
+        values[0] = -1.0  # all 1.0s would make block 0 a pattern record: no values
     labels = np.asarray(
         draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=len(lengths),
                       max_size=len(lengths)))

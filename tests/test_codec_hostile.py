@@ -2,13 +2,13 @@
 
 A single-bit flip, a byte overwritten with any value, or a cut at any
 length, applied to an encoding of every payload type and to a snapshot
-record on disk:
+file on disk (the record and its CRC32 trailer):
 
 * ``decode_payload`` raises only ``ValueError`` — never the
-  ``OverflowError`` numpy gives for a header count past ``2**63``;
-* ``CheckpointStore.read`` raises only ``DataError``, or returns a
-  record whose layout header is the original one (the damage hit a
-  value, or padding the decoder never reads).
+  ``OverflowError`` numpy gives for a header count past ``2**63`` — and
+  refuses every flag bit its payload type does not define;
+* ``CheckpointStore.read`` raises only ``DataError``, or returns exactly
+  the clean record (the damage left the file as it was).
 
 Anything else propagates and fails the test.
 """
@@ -31,7 +31,6 @@ from repro.storage.serialization import (
     CSRBlockPayload,
     DenseVectorPayload,
     IntVectorPayload,
-    SparseVectorPayload,
     WorksetPayload,
     decode_payload,
     encode_payload,
@@ -55,9 +54,6 @@ ENCODED = {
     for name, payload in {
         "dense": DenseVectorPayload(np.linspace(0.0, 1.0, 6)),
         "dense-fp32": DenseVectorPayload(np.linspace(0.0, 1.0, 6), precision="fp32"),
-        "sparse": SparseVectorPayload(
-            np.array([0, 3, 7], dtype=np.int32), np.array([0.5, -2.0, 4.0])
-        ),
         "csr": _csr(labels=False),
         "csr-labels": _csr(labels=True),
         "csr-pattern": CSRBlockPayload(_csr(False).indptr, _csr(False).indices, None),
@@ -109,24 +105,24 @@ def test_decode_raises_only_value_error(data):
 
 
 def test_workset_frame_around_another_payload_is_a_value_error():
-    """A workset frame around a whole sparse vector: a ValueError, not an
+    """A workset frame around a whole int vector: a ValueError, not an
     AttributeError on its missing labels.  (One flipped type byte in a
     real frame is a length error first: the body is the CSR block's.)"""
-    frame = struct.pack("<q", 3) + ENCODED["sparse"]
+    frame = struct.pack("<q", 3) + ENCODED["ints"]
     with pytest.raises(ValueError, match="CSR block with labels"):
         decode_payload(frame)
     damaged = bytearray(ENCODED["workset"])
-    damaged[13] ^= 1  # the nested header's type code: CSR -> sparse
+    damaged[13] ^= 1  # the nested header's type code: CSR (3) -> no type (2)
     with pytest.raises(ValueError, match="overlong payload"):
         decode_payload(bytes(damaged))
 
 
-#: byte offset of each payload's (first) flags field, and the flag bit
-#: that changes what its body holds
+#: byte offset of each payload's (first) uint16 flags field, and the
+#: flag bits its type defines: FP32 for dense, LABELS and PATTERN for CSR
 FLAGS_AT, WORKSET_FLAGS_AT = 6, 8 + 6
-MEANINGFUL_FLAG = {
-    "dense": 0x01, "dense-fp32": 0x01, "csr": 0x04, "csr-labels": 0x02,
-    "csr-pattern": 0x04, "workset": 0x04,
+DEFINED_FLAGS = {
+    "dense": 0x01, "dense-fp32": 0x01, "csr": 0x06, "csr-labels": 0x06,
+    "csr-pattern": 0x06, "workset": 0x06, "ints": 0x00,
 }
 
 
@@ -138,23 +134,22 @@ def test_appended_bytes_are_a_value_error(name, extra):
 
 
 @pytest.mark.parametrize("name", sorted(ENCODED))
-@pytest.mark.parametrize("bit", [0x01, 0x02, 0x04])
+@pytest.mark.parametrize("bit", [1 << i for i in range(16)])
 def test_a_flag_flip_is_a_value_error_or_the_clean_payload(name, bit):
-    """A flag that changes the body's layout changes the length the header
-    promises, so the flip is caught; a flag the kind does not read
-    leaves the clean payload."""
+    """Each of the 16 flag bits, flipped on every kind, is a ValueError,
+    never the clean payload: a flag the kind defines changes the body's
+    layout and so the length the header promises; any other bit is one
+    the kind does not define."""
     at = WORKSET_FLAGS_AT if name == "workset" else FLAGS_AT
     damaged = bytearray(ENCODED[name])
-    damaged[at] ^= bit
-    if bit == MEANINGFUL_FLAG.get(name):
-        with pytest.raises(ValueError, match="payload: the header promises"):
-            decode_payload(bytes(damaged))
-        return
-    try:
-        decoded = decode_payload(bytes(damaged))
-    except ValueError:
-        return
-    assert encode_payload(decoded) == ENCODED[name]
+    flags = int.from_bytes(damaged[at:at + 2], "little") ^ bit
+    damaged[at:at + 2] = flags.to_bytes(2, "little")
+    if bit & DEFINED_FLAGS[name]:
+        match = "payload: the header promises"
+    else:
+        match = "defines no flag 0x{:04x}".format(bit)
+    with pytest.raises(ValueError, match=match):
+        decode_payload(bytes(damaged))
 
 
 class Snapshot:
@@ -174,6 +169,8 @@ class Snapshot:
         self.store = CheckpointStore(str(directory))
         self.store.write(1, 0, self.record)
         self.path = directory / "p00000.ckpt"
+        #: the whole spilled file: the record and its CRC32 trailer
+        self.file = self.path.read_bytes()
 
 
 @pytest.fixture(scope="module")
@@ -184,9 +181,10 @@ def snapshot(tmp_path_factory):
 @fuzz
 @given(data=st.data())
 def test_store_read_raises_data_error_or_keeps_the_layout(snapshot, data):
-    snapshot.path.write_bytes(data.draw(damages(snapshot.record), label="damaged"))
+    snapshot.path.write_bytes(data.draw(damages(snapshot.file), label="damaged"))
     try:
         record = snapshot.store.read(0)
     except DataError:
         return
     assert decode_payload(record[:payload_length(record)]).values.tolist() == snapshot.layout
+    assert record == snapshot.record

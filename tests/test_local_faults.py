@@ -122,7 +122,7 @@ class TestDeadlineTransport:
         try:
             exchange = runtime.run_all("die", workers=[0], raise_on_fault=False)
             assert exchange.dead_workers() == [0]
-            assert not exchange.ok()
+            assert exchange.failures
             assert 0 in runtime.dead_workers()
             # survivors keep answering
             alive = runtime.run_all("echo", workers=[1, 2])
@@ -135,7 +135,7 @@ class TestDeadlineTransport:
         try:
             exchange = runtime.run_all(
                 "echo",
-                per_worker_args={0: {"__delay__": 5.0}},
+                stalls={0: 5.0},
                 raise_on_fault=False,
             )
             # the process is alive but silent past every deadline
@@ -155,7 +155,7 @@ class TestDeadlineTransport:
         try:
             first = runtime.run_all(
                 "echo",
-                per_worker_args={0: {"__delay__": 1.2}},
+                stalls={0: 1.2},
                 raise_on_fault=False,
             )
             assert first.silent_workers() == [0]

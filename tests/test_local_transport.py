@@ -18,7 +18,7 @@ import pytest
 from repro.baselines.registry import make_trainer
 from repro.datasets import make_classification
 from repro.engine.trace import EngineTrace
-from repro.errors import WorkerUnresponsiveError
+from repro.errors import SimulationError, WorkerUnresponsiveError
 from repro.faults import FaultEvent, FaultKind
 from repro.models import LogisticRegression
 from repro.optim import SGD
@@ -137,6 +137,72 @@ def test_a_silent_workers_next_frame_waits_for_its_late_reply():
         assert second.replies[1].result["handled"] == ["a", "b"]
         assert sleeper.owed == 0 and not sleeper.outbox
         runtime.close()
+
+
+class KeepsItsArgs:
+    """Keeps the args object each request handed it (so none is freed and
+    its id reused) and replies with that id and its process; raises on
+    ``boom`` when ``fails``."""
+
+    def __init__(self, fails=False):
+        self.fails, self.kept = fails, []
+
+    def handle(self, op, args, payload):
+        self.kept.append(args)
+        if op == "boom" and self.fails:
+            raise RuntimeError("boom on purpose")
+        return {"args": id(args), "pid": os.getpid(), "ops": len(self.kept)}, None
+
+
+def test_a_processs_workers_share_one_args_object_per_frame():
+    """A frame carries the op's args once: every worker a process hosts
+    is handed the same object, unpickled once there."""
+    runtime = LocalRuntime(4, processes=PROCESSES)
+    with hard_bound(BOUND_S):
+        runtime.start(hosting({w: KeepsItsArgs() for w in range(4)}))
+        exchange = runtime.run_all("look", args={"t": 3, "shape": [4, 2]})
+        runtime.close()
+    args_of = {}
+    for reply in exchange.replies.values():
+        args_of.setdefault(reply.result["pid"], set()).add(reply.result["args"])
+    assert len(args_of) == PROCESSES
+    assert all(len(ids) == 1 for ids in args_of.values())
+
+
+def test_a_stall_sleeps_before_its_handler_once():
+    """``stalls=`` delays the named worker's handler, outside its timed
+    seconds, in that exchange only."""
+    runtime = LocalRuntime(4, processes=PROCESSES, timeout=TimeoutPolicy(floor_s=BOUND_S))
+    with hard_bound(BOUND_S):
+        runtime.start(hosting({w: EchoProgram() for w in range(4)}))
+        stalled = runtime.run_all("a", stalls={2: STALL_S})
+        after = runtime.run_all("b")
+        runtime.close()
+    assert sorted(stalled.replies) == sorted(after.replies) == list(range(4))
+    assert stalled.seconds >= STALL_S > after.seconds
+    assert all(reply.seconds < STALL_S for reply in stalled.replies.values())
+    assert stalled.retries == after.retries == 0
+
+
+def test_handler_errors_name_every_failing_worker_after_the_drain():
+    """Handler exceptions on workers of both processes are one
+    SimulationError naming each of them, raised once every other reply
+    of the exchange has been read: no process owes the master a reply,
+    and the next exchange reads only its own."""
+    runtime = LocalRuntime(4, processes=PROCESSES)
+    with hard_bound(BOUND_S):
+        runtime.start(hosting({w: KeepsItsArgs(fails=w in (1, 2)) for w in range(4)}))
+        with pytest.raises(SimulationError) as err:
+            runtime.run_all("boom")
+        owed = [host.owed for host in runtime._hosts]
+        after = runtime.run_all("look")
+        runtime.close()
+    message = str(err.value)
+    assert "worker 1: RuntimeError: boom on purpose" in message
+    assert "worker 2: RuntimeError: boom on purpose" in message
+    assert "worker 0" not in message and "worker 3" not in message
+    assert owed == [0] * PROCESSES
+    assert [after.replies[w].result["ops"] for w in range(4)] == [2] * 4
 
 
 class DiesOnItsFirstAttempts:

@@ -1,6 +1,7 @@
 """Heartbeats, checkpoints, and the RecoveryManager (repro.core.recovery)."""
 
 import os
+import zlib
 
 import numpy as np
 import pytest
@@ -408,6 +409,11 @@ class TestEngineReplay:
 # ----------------------------------------------------------------------
 # the snapshot record: one format, never executable, self-checking
 # ----------------------------------------------------------------------
+def crc_trailer(record):
+    """The 4 bytes a spilled checkpoint file holds after its record."""
+    return zlib.crc32(record).to_bytes(4, "little")
+
+
 def stepped_state(optimizer, steps, shape=(6, 3)):
     rng = np.random.default_rng(4)
     state = PartitionState(
@@ -507,13 +513,57 @@ class TestCheckpointStoreFiles:
              "n-arrays", "ndim", "type", "count-msb"],
     )
     def test_damaged_file_raises_data_error(self, tmp_path, damage):
+        """Each damaged record sits behind a forged, valid CRC32 trailer,
+        so what refuses it is the record's own structure check."""
         store = CheckpointStore(str(tmp_path))
         record = snapshot_partition(stepped_state(Adam(0.05), 3))
         store.write(2, 0, record)
         path = tmp_path / "p00000.ckpt"
-        assert path.read_bytes() == record
-        path.write_bytes(damage(record))
-        with pytest.raises(DataError, match="corrupt snapshot"):
+        assert path.read_bytes() == record + crc_trailer(record)
+        damaged = damage(record)
+        path.write_bytes(damaged + crc_trailer(damaged))
+        with pytest.raises(DataError, match="corrupt snapshot record"):
+            store.read(0)
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda f: f[:-5] + f[-4:],                # a record byte gone
+            lambda f: f[:-1] + bytes([f[-1] ^ 1]),    # a trailer bit
+            lambda f: f[:-4],                         # no trailer
+            lambda f: f[:3],                          # shorter than a trailer
+            lambda f: b"",                            # empty
+        ],
+        ids=["record-cut", "trailer-bit", "no-trailer", "short", "empty"],
+    )
+    def test_a_file_that_fails_its_crc_raises_data_error(self, tmp_path, damage):
+        store = CheckpointStore(str(tmp_path))
+        store.write(2, 0, snapshot_partition(stepped_state(Adam(0.05), 3)))
+        path = tmp_path / "p00000.ckpt"
+        path.write_bytes(damage(path.read_bytes()))
+        with pytest.raises(DataError, match="corrupt snapshot file"):
+            store.read(0)
+
+    def test_a_flipped_param_byte_is_caught_by_the_crc(self, tmp_path):
+        """One flipped bit turns a written 4.0 into 4.0625, which the
+        record's own arithmetic cannot see; the file's trailer can."""
+        def state(value):
+            return PartitionState(
+                partition_id=0, store=None, columns=None,
+                params=np.full(3, value), optimizer=SGD(0.5),
+            )
+
+        record = snapshot_partition(state(4.0))
+        at = record.index(np.float64(4.0).tobytes()) + 5
+        damaged = record[:at] + bytes([record[at] ^ 0x40]) + record[at + 1:]
+        restored = state(0.0)
+        restore_partition(restored, damaged)
+        assert restored.params.tolist() == [4.0625, 4.0, 4.0]
+        store = CheckpointStore(str(tmp_path))
+        store.write(2, 0, record)
+        path = tmp_path / "p00000.ckpt"
+        path.write_bytes(damaged + path.read_bytes()[-4:])
+        with pytest.raises(DataError, match="CRC32"):
             store.read(0)
 
     def test_crash_between_tmp_write_and_replace_keeps_last_good(self, tmp_path):

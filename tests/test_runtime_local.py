@@ -104,25 +104,6 @@ class TestCrossBackendDeterminism:
             sim_result.final_loss(), abs=1e-9
         )
 
-    def test_batch_draws_identical_across_process_boundary(self, data):
-        """Every worker process holds its own TwoPhaseIndex copy; the
-        (seed, iteration) routing must give all of them — and the parent
-        — the same draw sequence, with no batch-index traffic."""
-        driver = make_driver(data, "local")
-        runtime, programs = make_local_runtime(driver)
-        runtime.start(programs)
-        try:
-            for t in (0, 1, 5):
-                expected = [
-                    tuple(map(int, d)) for d in driver._index.sample(t, BATCH)
-                ]
-                exchange = runtime.run_all("draws", args={"t": t})
-                for worker in range(WORKERS):
-                    draws = exchange.replies[worker].result["draws"]
-                    assert [tuple(d) for d in draws] == expected
-        finally:
-            runtime.close()
-
     def test_process_packing_does_not_change_the_numbers(self, data):
         """K logical workers on 2 processes == K processes, bit for bit
         (each logical worker keeps its own program state)."""
@@ -494,17 +475,6 @@ class TestLocalRuntimeMechanics:
             assert all(r.payload == b"abc" for r in exchange.replies.values())
             assert exchange.seconds >= 0.0
             assert exchange.comm_seconds() >= 0.0
-        finally:
-            runtime.close()
-
-    def test_per_worker_args_override_shared_args(self):
-        runtime = started_runtime()
-        try:
-            exchange = runtime.run_all(
-                "echo", args={"x": 0}, per_worker_args={2: {"x": 99}}
-            )
-            assert exchange.replies[0].result["echo"] == 0
-            assert exchange.replies[2].result["echo"] == 99
         finally:
             runtime.close()
 

@@ -17,14 +17,12 @@ from repro.storage.serialization import (
     DenseVectorPayload,
     IntVectorPayload,
     OBJECT_OVERHEAD_BYTES,
-    SparseVectorPayload,
     WorksetPayload,
     csr_matrix_bytes,
     decode_payload,
     dense_vector_bytes,
     encode_payload,
     int_vector_bytes,
-    sparse_vector_bytes,
     workset_bytes,
 )
 
@@ -67,16 +65,6 @@ class TestRoundTrip:
             out.values, values.astype(np.float32).astype(np.float64)
         )
 
-    def test_sparse(self):
-        r = rng()
-        payload = SparseVectorPayload(
-            indices=r.integers(0, 1000, size=21).astype(np.int32),
-            values=r.standard_normal(21),
-        )
-        out = decode_payload(encode_payload(payload))
-        np.testing.assert_array_equal(out.indices, payload.indices)
-        np.testing.assert_array_equal(out.values, payload.values)
-
     @pytest.mark.parametrize("with_labels", (False, True))
     def test_csr(self, with_labels):
         payload = make_csr(with_labels=with_labels)
@@ -105,9 +93,6 @@ class TestRoundTrip:
     def test_empty_vectors(self):
         for payload in (
             DenseVectorPayload(np.zeros(0)),
-            SparseVectorPayload(
-                np.zeros(0, dtype=np.int32), np.zeros(0, dtype=np.float64)
-            ),
             IntVectorPayload(np.zeros(0, dtype=np.int64)),
         ):
             encoded = encode_payload(payload)
@@ -130,13 +115,6 @@ class TestByteModel:
         assert len(encode_payload(p32)) - OBJECT_OVERHEAD_BYTES == (
             len(encode_payload(p64)) - OBJECT_OVERHEAD_BYTES
         ) // 2
-
-    def test_sparse(self):
-        r = rng()
-        p = SparseVectorPayload(
-            r.integers(0, 99, size=13).astype(np.int32), r.standard_normal(13)
-        )
-        assert len(encode_payload(p)) == p.encoded_bytes() == sparse_vector_bytes(13)
 
     @pytest.mark.parametrize("with_labels", (False, True))
     def test_csr(self, with_labels):
@@ -218,10 +196,6 @@ class TestErrors:
         with pytest.raises(ValueError, match="precision"):
             DenseVectorPayload(np.zeros(3), precision="fp16")
 
-    def test_mismatched_sparse_lengths_rejected(self):
-        with pytest.raises(ValueError, match="equal length"):
-            SparseVectorPayload(np.zeros(3, dtype=np.int32), np.zeros(4))
-
     def test_workset_requires_labels(self):
         with pytest.raises(ValueError, match="labels"):
             WorksetPayload(block_id=0, block=make_csr(with_labels=False))
@@ -244,7 +218,7 @@ class TestErrors:
 
     @pytest.mark.parametrize("count", [2**62, 2**63, 2**64 - 1])
     @pytest.mark.parametrize(
-        "type_code", [1, 2, 3, 5], ids=["dense", "sparse", "csr", "ints"]
+        "type_code", [1, 3, 5], ids=["dense", "csr", "ints"]
     )
     def test_a_huge_header_count_is_a_value_error(self, type_code, count):
         header = struct.pack("<4sBBH4Q", b"RPRO", 1, type_code, 0, count, 0, 0, 0)
@@ -264,15 +238,6 @@ class TestDegenerateShapes:
     a worker owns no non-zeros of a block, so the byte model must hold
     exactly at nnz == 0 and n_rows == 0 — otherwise footer offsets drift.
     """
-
-    def test_zero_nnz_sparse_vector(self):
-        payload = SparseVectorPayload(
-            np.zeros(0, dtype=np.int32), np.zeros(0, dtype=np.float64)
-        )
-        encoded = encode_payload(payload)
-        assert len(encoded) == payload.encoded_bytes() == sparse_vector_bytes(0)
-        out = decode_payload(encoded)
-        assert out.indices.size == 0 and out.values.size == 0
 
     def test_zero_nnz_csr_block_keeps_rows(self):
         # 4 rows, none of which store a value: indptr is all zeros

@@ -9,7 +9,6 @@ from repro.storage import (
     csr_matrix_bytes,
     dense_vector_bytes,
     sparse_row_bytes,
-    sparse_vector_bytes,
     workset_bytes,
 )
 from repro.storage.blocks import split_into_blocks
@@ -20,7 +19,7 @@ class TestSerialization:
         assert sparse_row_bytes(10) - sparse_row_bytes(0) == 10 * 12
 
     def test_object_overhead_charged_once(self):
-        assert sparse_vector_bytes(0) == OBJECT_OVERHEAD_BYTES
+        assert dense_vector_bytes(0) == OBJECT_OVERHEAD_BYTES
 
     def test_dense_vector(self):
         assert dense_vector_bytes(100) == OBJECT_OVERHEAD_BYTES + 800
